@@ -421,101 +421,6 @@ BigInt BigInt::ModExp(const BigInt& base, const BigInt& exp, const BigInt& m) {
   return result;
 }
 
-Result<BigInt> BigInt::ModInverse(const BigInt& a, const BigInt& m) {
-  // Fast path for odd moduli (all our field primes): binary extended GCD
-  // (HAC 14.61 variant that keeps coefficients reduced mod m) — only
-  // shifts, adds, and subtractions; no division.
-  if (m.IsOdd() && !a.IsZero()) {
-    BigInt u = Mod(a, m);
-    if (u.IsZero()) {
-      return InvalidArgumentError("ModInverse: element not invertible");
-    }
-    BigInt v = m;
-    BigInt x1 = One();
-    BigInt x2 = Zero();
-    auto halve_mod = [&m](BigInt& x) {
-      if (x.IsOdd()) {
-        x = Add(x, m);
-      }
-      x = x.ShiftRight(1);
-    };
-    while (!u.IsOne() && !v.IsOne()) {
-      while (!u.IsOdd()) {
-        u = u.ShiftRight(1);
-        halve_mod(x1);
-      }
-      while (!v.IsOdd()) {
-        v = v.ShiftRight(1);
-        halve_mod(x2);
-      }
-      if (Cmp(u, v) >= 0) {
-        u = Sub(u, v);
-        x1 = ModSub(x1, x2, m);
-        if (u.IsZero()) {
-          break;  // gcd(a, m) = v > 1.
-        }
-      } else {
-        v = Sub(v, u);
-        x2 = ModSub(x2, x1, m);
-        if (v.IsZero()) {
-          break;
-        }
-      }
-    }
-    if (u.IsOne()) {
-      return x1;
-    }
-    if (v.IsOne()) {
-      return x2;
-    }
-    return InvalidArgumentError("ModInverse: element not invertible");
-  }
-
-  // General path: extended Euclid with signed Bezout coefficient for `a`.
-  BigInt r0 = m;
-  BigInt r1 = Mod(a, m);
-  // t0, t1 with explicit signs (true = negative).
-  BigInt t0 = Zero(), t1 = One();
-  bool t0_neg = false, t1_neg = false;
-
-  while (!r1.IsZero()) {
-    BigInt q, r2;
-    DivMod(r0, r1, &q, &r2);
-    // t2 = t0 - q * t1 (signed).
-    BigInt qt1 = Mul(q, t1);
-    BigInt t2;
-    bool t2_neg;
-    if (t0_neg == t1_neg) {
-      // Same sign: t0 - q*t1 may flip sign.
-      if (Cmp(t0, qt1) >= 0) {
-        t2 = Sub(t0, qt1);
-        t2_neg = t0_neg;
-      } else {
-        t2 = Sub(qt1, t0);
-        t2_neg = !t0_neg;
-      }
-    } else {
-      t2 = Add(t0, qt1);
-      t2_neg = t0_neg;
-    }
-    r0 = std::move(r1);
-    r1 = std::move(r2);
-    t0 = std::move(t1);
-    t0_neg = t1_neg;
-    t1 = std::move(t2);
-    t1_neg = t2_neg;
-  }
-
-  if (!r0.IsOne()) {
-    return InvalidArgumentError("ModInverse: element not invertible");
-  }
-  BigInt inv = Mod(t0, m);
-  if (t0_neg && !inv.IsZero()) {
-    inv = Sub(m, inv);
-  }
-  return inv;
-}
-
 bool BigInt::IsProbablePrime(const BigInt& n, SecureRandom& rng, int rounds) {
   if (n.BitLength() <= 1) {
     return false;  // 0, 1.

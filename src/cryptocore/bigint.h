@@ -1,5 +1,7 @@
-// Arbitrary-precision unsigned integers, from scratch, sized for the
-// pairing-based IBE (512-bit field primes, 160-bit group orders).
+// Arbitrary-precision unsigned integers, from scratch. The pairing-based
+// IBE uses them at its edges — parameter generation (Miller–Rabin), random
+// scalars, exponents and conversions; its field arithmetic runs in the
+// fixed-width Montgomery kernel of src/ibe/fp.h.
 //
 // Representation: little-endian vector of 32-bit limbs, normalized (no
 // leading zero limbs; zero is the empty vector). All arithmetic is
@@ -78,8 +80,6 @@ class BigInt {
   static BigInt ModSub(const BigInt& a, const BigInt& b, const BigInt& m);
   static BigInt ModMul(const BigInt& a, const BigInt& b, const BigInt& m);
   static BigInt ModExp(const BigInt& base, const BigInt& exp, const BigInt& m);
-  // Modular inverse via extended Euclid; error if gcd(a, m) != 1.
-  static Result<BigInt> ModInverse(const BigInt& a, const BigInt& m);
 
   // Miller–Rabin with `rounds` random bases (plus base-2), preceded by
   // trial division by small primes.

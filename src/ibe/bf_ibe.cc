@@ -18,7 +18,7 @@ struct DemKeys {
 };
 
 DemKeys DeriveDemKeys(const Fp2& g, const PairingParams& group) {
-  Bytes ikm = g.Serialize(group.p);
+  Bytes ikm = g.Serialize(group);
   Bytes okm = Hkdf(ikm, /*salt=*/{}, "keypad-ibe-dem", 80);
   DemKeys keys;
   keys.enc_key.assign(okm.begin(), okm.begin() + 32);
@@ -44,6 +44,9 @@ Result<IbePrivateKey> IbePrivateKey::Deserialize(std::string identity,
                                                  const Bytes& data,
                                                  const PairingParams& group) {
   KP_ASSIGN_OR_RETURN(EcPoint d, DeserializePoint(data, group));
+  if (!HasOrderQ(d, group)) {
+    return InvalidArgumentError("ibe private key: not a point of order q");
+  }
   IbePrivateKey key;
   key.identity = std::move(identity);
   key.d = std::move(d);
@@ -69,6 +72,11 @@ Result<IbeCiphertext> IbeCiphertext::Deserialize(const Bytes& data,
   KP_ASSIGN_OR_RETURN(
       out.u,
       DeserializePoint(Bytes(data.begin(), data.begin() + point_len), group));
+  // U = O would pair to 1 under every key, making the DEM keys public; any
+  // U outside E(F_p)[q] is no honest r·P either.
+  if (!HasOrderQ(out.u, group)) {
+    return InvalidArgumentError("ibe ciphertext: U is not a point of order q");
+  }
   size_t pos = point_len;
   uint32_t ct_len = ReadU32Be(data.data() + pos);
   pos += 4;
@@ -92,20 +100,20 @@ IbePkg::IbePkg(const PairingParams& group, SecureRandom& rng) : group_(group) {
     master_secret_ = BigInt::RandomBelow(rng, group.q);
   } while (master_secret_.IsZero());
   public_params_.group = &group_;
-  public_params_.p_pub = EcScalarMul(master_secret_, group.g, group.p);
+  public_params_.p_pub = EcScalarMul(master_secret_, group.g, group);
 }
 
 IbePrivateKey IbePkg::Extract(std::string_view identity) const {
   IbePrivateKey key;
   key.identity = std::string(identity);
   EcPoint q_id = HashToPoint(identity, group_);
-  key.d = EcScalarMul(master_secret_, q_id, group_.p);
+  key.d = EcScalarMul(master_secret_, q_id, group_);
   return key;
 }
 
-IbeCiphertext IbeEncrypt(const IbePublicParams& params,
-                         std::string_view identity, const Bytes& plaintext,
-                         SecureRandom& rng) {
+Result<IbeCiphertext> IbeEncrypt(const IbePublicParams& params,
+                                 std::string_view identity,
+                                 const Bytes& plaintext, SecureRandom& rng) {
   const PairingParams& group = *params.group;
   BigInt r;
   do {
@@ -113,11 +121,11 @@ IbeCiphertext IbeEncrypt(const IbePublicParams& params,
   } while (r.IsZero());
 
   IbeCiphertext out;
-  out.u = EcScalarMul(r, group.g, group.p);
+  out.u = EcScalarMul(r, group.g, group);
 
   EcPoint q_id = HashToPoint(identity, group);
-  Fp2 g_id = TatePairing(q_id, params.p_pub, group);
-  Fp2 g_r = Fp2Pow(g_id, r, group.p);
+  KP_ASSIGN_OR_RETURN(Fp2 g_id, TatePairing(q_id, params.p_pub, group));
+  Fp2 g_r = Fp2Pow(g_id, r, group);
 
   DemKeys keys = DeriveDemKeys(g_r, group);
   auto aes = Aes256::Create(keys.enc_key);
@@ -130,7 +138,10 @@ Result<Bytes> IbeDecrypt(const IbePublicParams& params,
                          const IbePrivateKey& key,
                          const IbeCiphertext& ciphertext) {
   const PairingParams& group = *params.group;
-  Fp2 g = TatePairing(key.d, ciphertext.u, group);
+  if (key.d.infinity || ciphertext.u.infinity) {
+    return InvalidArgumentError("ibe: point at infinity");
+  }
+  KP_ASSIGN_OR_RETURN(Fp2 g, TatePairing(key.d, ciphertext.u, group));
   DemKeys keys = DeriveDemKeys(g, group);
   Bytes expected_tag =
       HmacSha256(keys.mac_key, MacInput(ciphertext.u, ciphertext.ct, group));

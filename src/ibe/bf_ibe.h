@@ -42,6 +42,7 @@ struct IbePrivateKey {
   EcPoint d;  // s·H1(identity).
 
   Bytes Serialize(const PairingParams& group) const;
+  // Rejects any d that is not a point of order q.
   static Result<IbePrivateKey> Deserialize(std::string identity,
                                            const Bytes& data,
                                            const PairingParams& group);
@@ -53,6 +54,7 @@ struct IbeCiphertext {
   Bytes tag;  // HMAC-SHA256 over U || ct.
 
   Bytes Serialize(const PairingParams& group) const;
+  // Rejects any U that is not a point of order q, including U = O.
   static Result<IbeCiphertext> Deserialize(const Bytes& data,
                                            const PairingParams& group);
 };
@@ -74,13 +76,15 @@ class IbePkg {
   IbePublicParams public_params_;
 };
 
-// Client-side operations (no master secret required).
-IbeCiphertext IbeEncrypt(const IbePublicParams& params,
-                         std::string_view identity, const Bytes& plaintext,
-                         SecureRandom& rng);
+// Client-side operations (no master secret required). Encrypt fails only if
+// params.p_pub is not a point of order q, which an IbePkg never publishes.
+Result<IbeCiphertext> IbeEncrypt(const IbePublicParams& params,
+                                 std::string_view identity,
+                                 const Bytes& plaintext, SecureRandom& rng);
 
 // Fails with kDataLoss if the tag does not verify (wrong key / identity /
-// tampered ciphertext).
+// tampered ciphertext), and with kInvalidArgument if either point is the
+// identity or the key is not a point of order q.
 Result<Bytes> IbeDecrypt(const IbePublicParams& params,
                          const IbePrivateKey& key,
                          const IbeCiphertext& ciphertext);

@@ -1,6 +1,5 @@
 #include "src/ibe/curve.h"
 
-#include <cassert>
 #include <cstdlib>
 
 #include "src/cryptocore/sha256.h"
@@ -11,25 +10,80 @@ namespace keypad {
 namespace {
 
 // y^2 = x^3 + x  =>  rhs(x) = x^3 + x.
-BigInt CurveRhs(const BigInt& x, const BigInt& p) {
-  BigInt x2 = BigInt::ModMul(x, x, p);
-  BigInt x3 = BigInt::ModMul(x2, x, p);
-  return BigInt::ModAdd(x3, x, p);
+Fp CurveRhs(const Fp& x, const FpField& f) {
+  return f.Add(f.Mul(f.Sqr(x), x), x);
 }
 
-// Legendre symbol via Euler's criterion; returns 1, -1 (as p-1 check), or 0.
-bool IsQuadraticResidue(const BigInt& v, const BigInt& p) {
-  if (v.IsZero()) {
-    return true;
+// Jacobian projective point: x = X/Z^2, y = Y/Z^3. Scalar multiplication in
+// Jacobian coordinates avoids the per-step modular inversion of affine
+// arithmetic (one inversion total, at the end).
+struct JacPoint {
+  Fp x;
+  Fp y;
+  Fp z;  // Zero => point at infinity.
+
+  bool IsInfinity() const { return z.IsZero(); }
+};
+
+JacPoint JacFromAffine(const EcPoint& pt, const FpField& f) {
+  if (pt.infinity) {
+    return {Fp{}, f.One(), Fp{}};
   }
-  BigInt e = BigInt::Sub(p, BigInt::One()).ShiftRight(1);
-  return BigInt::ModExp(v, e, p).IsOne();
+  return {pt.x, pt.y, f.One()};
 }
 
-// Square root for p ≡ 3 (mod 4): v^((p+1)/4). Caller must ensure v is a QR.
-BigInt SqrtMod(const BigInt& v, const BigInt& p) {
-  BigInt e = BigInt::Add(p, BigInt::One()).ShiftRight(2);
-  return BigInt::ModExp(v, e, p);
+// Doubling for curve y^2 = x^3 + a x + b with a = 1.
+JacPoint JacDouble(const JacPoint& pt, const FpField& f) {
+  if (pt.IsInfinity() || pt.y.IsZero()) {
+    return {Fp{}, f.One(), Fp{}};
+  }
+  Fp y2 = f.Sqr(pt.y);
+  Fp s = f.Dbl(f.Dbl(f.Mul(pt.x, y2)));  // S = 4 X Y^2.
+  Fp z2 = f.Sqr(pt.z);
+  Fp x2 = f.Sqr(pt.x);
+  Fp m = f.Add(f.Add(f.Dbl(x2), x2), f.Sqr(z2));  // M = 3 X^2 + a Z^4.
+  Fp x3 = f.Sub(f.Sqr(m), f.Dbl(s));
+  Fp y4_8 = f.Dbl(f.Dbl(f.Dbl(f.Sqr(y2))));
+  Fp y3 = f.Sub(f.Mul(m, f.Sub(s, x3)), y4_8);
+  Fp z3 = f.Mul(f.Dbl(pt.y), pt.z);
+  return {x3, y3, z3};
+}
+
+// Mixed addition: Jacobian + affine.
+JacPoint JacAddAffine(const JacPoint& a, const EcPoint& b, const FpField& f) {
+  if (b.infinity) {
+    return a;
+  }
+  if (a.IsInfinity()) {
+    return JacFromAffine(b, f);
+  }
+  Fp z2 = f.Sqr(a.z);
+  Fp u2 = f.Mul(b.x, z2);
+  Fp s2 = f.Mul(b.y, f.Mul(z2, a.z));
+  Fp h = f.Sub(u2, a.x);
+  Fp r = f.Sub(s2, a.y);
+  if (h.IsZero()) {
+    if (r.IsZero()) {
+      return JacDouble(a, f);
+    }
+    return {Fp{}, f.One(), Fp{}};  // a + (-a).
+  }
+  Fp h2 = f.Sqr(h);
+  Fp h3 = f.Mul(h2, h);
+  Fp v = f.Mul(a.x, h2);
+  Fp x3 = f.Sub(f.Sub(f.Sqr(r), h3), f.Dbl(v));
+  Fp y3 = f.Sub(f.Mul(r, f.Sub(v, x3)), f.Mul(a.y, h3));
+  Fp z3 = f.Mul(a.z, h);
+  return {x3, y3, z3};
+}
+
+EcPoint JacToAffine(const JacPoint& pt, const FpField& f) {
+  if (pt.IsInfinity()) {
+    return EcPoint::Infinity();
+  }
+  Fp z_inv = f.Inv(pt.z);  // Non-zero: the point is finite.
+  Fp z_inv2 = f.Sqr(z_inv);
+  return {f.Mul(pt.x, z_inv2), f.Mul(pt.y, f.Mul(z_inv2, z_inv)), false};
 }
 
 }  // namespace
@@ -38,173 +92,52 @@ bool IsOnCurve(const EcPoint& pt, const PairingParams& params) {
   if (pt.infinity) {
     return true;
   }
-  const BigInt& p = params.p;
-  BigInt lhs = BigInt::ModMul(pt.y, pt.y, p);
-  return lhs == CurveRhs(pt.x, p);
+  const FpField& f = params.field;
+  return f.Sqr(pt.y) == CurveRhs(pt.x, f);
 }
 
-EcPoint EcNegate(const EcPoint& a, const BigInt& p) {
+bool HasOrderQ(const EcPoint& pt, const PairingParams& params) {
+  return !pt.infinity && IsOnCurve(pt, params) &&
+         EcScalarMul(params.q, pt, params).infinity;
+}
+
+EcPoint EcNegate(const EcPoint& a, const PairingParams& params) {
   if (a.infinity) {
     return a;
   }
-  return {a.x, BigInt::ModSub(BigInt::Zero(), a.y, p), false};
+  return {a.x, params.field.Neg(a.y), false};
 }
 
-EcPoint EcDouble(const EcPoint& a, const BigInt& p) {
-  if (a.infinity || a.y.IsZero()) {
-    return EcPoint::Infinity();
-  }
-  // lambda = (3x^2 + 1) / (2y)   (curve coefficient a = 1).
-  BigInt x2 = BigInt::ModMul(a.x, a.x, p);
-  BigInt num = BigInt::ModAdd(BigInt::ModAdd(x2, BigInt::ModAdd(x2, x2, p), p),
-                              BigInt::One(), p);
-  BigInt denom = BigInt::ModAdd(a.y, a.y, p);
-  auto denom_inv = BigInt::ModInverse(denom, p);
-  assert(denom_inv.ok());
-  BigInt lambda = BigInt::ModMul(num, *denom_inv, p);
-
-  BigInt x3 = BigInt::ModSub(BigInt::ModMul(lambda, lambda, p),
-                             BigInt::ModAdd(a.x, a.x, p), p);
-  BigInt y3 = BigInt::ModSub(
-      BigInt::ModMul(lambda, BigInt::ModSub(a.x, x3, p), p), a.y, p);
-  return {x3, y3, false};
+EcPoint EcDouble(const EcPoint& a, const PairingParams& params) {
+  const FpField& f = params.field;
+  return JacToAffine(JacDouble(JacFromAffine(a, f), f), f);
 }
 
-EcPoint EcAdd(const EcPoint& a, const EcPoint& b, const BigInt& p) {
-  if (a.infinity) {
-    return b;
-  }
-  if (b.infinity) {
-    return a;
-  }
-  if (a.x == b.x) {
-    if (a.y == b.y) {
-      return EcDouble(a, p);
-    }
-    return EcPoint::Infinity();  // b == -a.
-  }
-  BigInt num = BigInt::ModSub(b.y, a.y, p);
-  BigInt denom = BigInt::ModSub(b.x, a.x, p);
-  auto denom_inv = BigInt::ModInverse(denom, p);
-  assert(denom_inv.ok());
-  BigInt lambda = BigInt::ModMul(num, *denom_inv, p);
-
-  BigInt x3 = BigInt::ModSub(
-      BigInt::ModSub(BigInt::ModMul(lambda, lambda, p), a.x, p), b.x, p);
-  BigInt y3 = BigInt::ModSub(
-      BigInt::ModMul(lambda, BigInt::ModSub(a.x, x3, p), p), a.y, p);
-  return {x3, y3, false};
+EcPoint EcAdd(const EcPoint& a, const EcPoint& b,
+              const PairingParams& params) {
+  const FpField& f = params.field;
+  return JacToAffine(JacAddAffine(JacFromAffine(a, f), b, f), f);
 }
 
-namespace {
-
-// Jacobian projective point: x = X/Z^2, y = Y/Z^3. Scalar multiplication in
-// Jacobian coordinates avoids the per-step modular inversion of affine
-// arithmetic (one inversion total, at the end).
-struct JacPoint {
-  BigInt x;
-  BigInt y;
-  BigInt z;  // Zero => point at infinity.
-
-  bool IsInfinity() const { return z.IsZero(); }
-};
-
-JacPoint JacFromAffine(const EcPoint& pt) {
-  if (pt.infinity) {
-    return {BigInt::Zero(), BigInt::One(), BigInt::Zero()};
-  }
-  return {pt.x, pt.y, BigInt::One()};
-}
-
-// Doubling for curve y^2 = x^3 + a x + b with a = 1.
-JacPoint JacDouble(const JacPoint& pt, const BigInt& p) {
-  if (pt.IsInfinity() || pt.y.IsZero()) {
-    return {BigInt::Zero(), BigInt::One(), BigInt::Zero()};
-  }
-  BigInt y2 = BigInt::ModMul(pt.y, pt.y, p);
-  BigInt s = BigInt::ModMul(BigInt::FromU64(4),
-                            BigInt::ModMul(pt.x, y2, p), p);
-  BigInt z2 = BigInt::ModMul(pt.z, pt.z, p);
-  BigInt z4 = BigInt::ModMul(z2, z2, p);
-  BigInt x2 = BigInt::ModMul(pt.x, pt.x, p);
-  // M = 3 X^2 + a Z^4, a = 1.
-  BigInt m = BigInt::ModAdd(
-      BigInt::ModMul(BigInt::FromU64(3), x2, p), z4, p);
-  BigInt x3 = BigInt::ModSub(BigInt::ModMul(m, m, p),
-                             BigInt::ModAdd(s, s, p), p);
-  BigInt y4 = BigInt::ModMul(y2, y2, p);
-  BigInt y3 = BigInt::ModSub(
-      BigInt::ModMul(m, BigInt::ModSub(s, x3, p), p),
-      BigInt::ModMul(BigInt::FromU64(8), y4, p), p);
-  BigInt z3 = BigInt::ModMul(BigInt::ModAdd(pt.y, pt.y, p), pt.z, p);
-  return {std::move(x3), std::move(y3), std::move(z3)};
-}
-
-// Mixed addition: Jacobian + affine.
-JacPoint JacAddAffine(const JacPoint& a, const EcPoint& b, const BigInt& p) {
-  if (b.infinity) {
-    return a;
-  }
-  if (a.IsInfinity()) {
-    return JacFromAffine(b);
-  }
-  BigInt z2 = BigInt::ModMul(a.z, a.z, p);
-  BigInt u2 = BigInt::ModMul(b.x, z2, p);
-  BigInt s2 = BigInt::ModMul(b.y, BigInt::ModMul(z2, a.z, p), p);
-  BigInt h = BigInt::ModSub(u2, a.x, p);
-  BigInt r = BigInt::ModSub(s2, a.y, p);
-  if (h.IsZero()) {
-    if (r.IsZero()) {
-      return JacDouble(a, p);
-    }
-    return {BigInt::Zero(), BigInt::One(), BigInt::Zero()};  // a + (-a).
-  }
-  BigInt h2 = BigInt::ModMul(h, h, p);
-  BigInt h3 = BigInt::ModMul(h2, h, p);
-  BigInt v = BigInt::ModMul(a.x, h2, p);
-  BigInt x3 = BigInt::ModSub(
-      BigInt::ModSub(BigInt::ModMul(r, r, p), h3, p),
-      BigInt::ModAdd(v, v, p), p);
-  BigInt y3 = BigInt::ModSub(
-      BigInt::ModMul(r, BigInt::ModSub(v, x3, p), p),
-      BigInt::ModMul(a.y, h3, p), p);
-  BigInt z3 = BigInt::ModMul(a.z, h, p);
-  return {std::move(x3), std::move(y3), std::move(z3)};
-}
-
-EcPoint JacToAffine(const JacPoint& pt, const BigInt& p) {
-  if (pt.IsInfinity()) {
-    return EcPoint::Infinity();
-  }
-  auto z_inv = BigInt::ModInverse(pt.z, p);
-  assert(z_inv.ok());
-  BigInt z_inv2 = BigInt::ModMul(*z_inv, *z_inv, p);
-  EcPoint out;
-  out.x = BigInt::ModMul(pt.x, z_inv2, p);
-  out.y = BigInt::ModMul(pt.y, BigInt::ModMul(z_inv2, *z_inv, p), p);
-  out.infinity = false;
-  return out;
-}
-
-}  // namespace
-
-EcPoint EcScalarMul(const BigInt& k, const EcPoint& pt, const BigInt& p) {
+EcPoint EcScalarMul(const BigInt& k, const EcPoint& pt,
+                    const PairingParams& params) {
   if (k.IsZero() || pt.infinity) {
     return EcPoint::Infinity();
   }
-  JacPoint result{BigInt::Zero(), BigInt::One(), BigInt::Zero()};
+  const FpField& f = params.field;
+  JacPoint result{Fp{}, f.One(), Fp{}};
   int bits = k.BitLength();
   for (int i = bits - 1; i >= 0; --i) {
-    result = JacDouble(result, p);
+    result = JacDouble(result, f);
     if (k.Bit(i)) {
-      result = JacAddAffine(result, pt, p);
+      result = JacAddAffine(result, pt, f);
     }
   }
-  return JacToAffine(result, p);
+  return JacToAffine(result, f);
 }
 
 EcPoint HashToPoint(std::string_view id, const PairingParams& params) {
-  const BigInt& p = params.p;
+  const FpField& f = params.field;
   for (uint32_t counter = 0;; ++counter) {
     // x = H("kp-ibe-h1" || counter || id) expanded to field width, mod p.
     Bytes seed;
@@ -221,18 +154,17 @@ EcPoint HashToPoint(std::string_view id, const PairingParams& params) {
       Sha256::Digest d = Sha256::Hash(in);
       wide.insert(wide.end(), d.begin(), d.end());
     }
-    BigInt x = BigInt::Mod(BigInt::FromBytesBe(wide), p);
-    BigInt rhs = CurveRhs(x, p);
-    if (rhs.IsZero() || !IsQuadraticResidue(rhs, p)) {
+    Fp x = f.FromBigInt(BigInt::Mod(BigInt::FromBytesBe(wide), params.p));
+    Fp rhs = CurveRhs(x, f);
+    Fp y;
+    if (rhs.IsZero() || !f.Sqrt(rhs, &y)) {
       continue;
     }
-    BigInt y = SqrtMod(rhs, p);
     // Use the hash to pick the sign of y deterministically.
     if ((wide.back() & 1) != 0) {
-      y = BigInt::ModSub(BigInt::Zero(), y, p);
+      y = f.Neg(y);
     }
-    EcPoint candidate{x, y, false};
-    EcPoint q = EcScalarMul(params.cofactor, candidate, p);
+    EcPoint q = EcScalarMul(params.cofactor, EcPoint{x, y, false}, params);
     if (q.infinity) {
       continue;
     }
@@ -242,7 +174,7 @@ EcPoint HashToPoint(std::string_view id, const PairingParams& params) {
 
 Result<PairingParams> GeneratePairingParams(SecureRandom& rng, int p_bits,
                                             int q_bits) {
-  if (p_bits < q_bits + 8 || q_bits < 32) {
+  if (p_bits < q_bits + 8 || q_bits < 32 || p_bits > 64 * kFpMaxLimbs) {
     return InvalidArgumentError("pairing params: bad bit sizes");
   }
   // Find prime q.
@@ -279,17 +211,21 @@ Result<PairingParams> GeneratePairingParams(SecureRandom& rng, int p_bits,
     cofactor = BigInt::Mul(BigInt::FromU64(12), c);
     break;
   }
-  // p = 12qc - 1 ≡ 3 (mod 4) by construction.
-  assert(p.Bit(0) && p.Bit(1));
+  // p = 12qc - 1 ≡ 3 (mod 4) by construction; F_{p^2} = F_p[i] and the
+  // square root in HashToPoint both rely on it.
+  if (!p.Bit(0) || !p.Bit(1)) {
+    return InternalError("pairing params: p is not 3 mod 4");
+  }
 
   PairingParams params;
   params.p = p;
   params.q = q;
   params.cofactor = cofactor;
+  params.field = FpField(p);
   // Derive a generator deterministically from the parameters.
   params.g = HashToPoint("keypad-pairing-generator", params);
   // Sanity: generator must have exact order q.
-  if (!EcScalarMul(q, params.g, p).infinity) {
+  if (!HasOrderQ(params.g, params)) {
     return InternalError("pairing params: generator order check failed");
   }
   return params;
@@ -337,10 +273,8 @@ Bytes SerializePoint(const EcPoint& pt, const PairingParams& params) {
     return out;
   }
   out.push_back(1);
-  Bytes x = pt.x.ToBytesBe(params.FieldBytes());
-  Bytes y = pt.y.ToBytesBe(params.FieldBytes());
-  Append(out, x);
-  Append(out, y);
+  Append(out, params.field.ToBytesBe(pt.x, params.FieldBytes()));
+  Append(out, params.field.ToBytesBe(pt.y, params.FieldBytes()));
   return out;
 }
 
@@ -357,10 +291,9 @@ Result<EcPoint> DeserializePoint(const Bytes& data,
     return InvalidArgumentError("point: bad marker");
   }
   EcPoint pt;
-  pt.x = BigInt::FromBytesBe(Bytes(data.begin() + 1, data.begin() + 1 + fb));
-  pt.y = BigInt::FromBytesBe(Bytes(data.begin() + 1 + fb, data.end()));
-  pt.infinity = false;
-  if (pt.x >= params.p || pt.y >= params.p || !IsOnCurve(pt, params)) {
+  if (!params.field.FromBytesBe(data.data() + 1, fb, &pt.x) ||
+      !params.field.FromBytesBe(data.data() + 1 + fb, fb, &pt.y) ||
+      !IsOnCurve(pt, params)) {
     return InvalidArgumentError("point: not on curve");
   }
   return pt;

@@ -15,17 +15,19 @@
 
 #include "src/cryptocore/bigint.h"
 #include "src/cryptocore/secure_random.h"
+#include "src/ibe/fp.h"
 #include "src/util/result.h"
 
 namespace keypad {
 
-// Affine point on E(F_p); (0, 0, infinity=true) is the identity.
+// Affine point on E(F_p), coordinates in Montgomery form (see fp.h);
+// (0, 0, infinity=true) is the identity.
 struct EcPoint {
-  BigInt x;
-  BigInt y;
+  Fp x;
+  Fp y;
   bool infinity = false;
 
-  static EcPoint Infinity() { return {BigInt::Zero(), BigInt::Zero(), true}; }
+  static EcPoint Infinity() { return {Fp{}, Fp{}, true}; }
   bool operator==(const EcPoint& o) const {
     if (infinity || o.infinity) {
       return infinity == o.infinity;
@@ -39,6 +41,7 @@ struct PairingParams {
   BigInt p;         // Field prime, p = 12·q·c − 1.
   BigInt q;         // Prime group order, q | p + 1.
   BigInt cofactor;  // (p + 1) / q = 12·c.
+  FpField field;    // Montgomery context for p, built with the params.
   EcPoint g;        // Generator of E(F_p)[q].
 
   // Byte length of one field element.
@@ -49,27 +52,36 @@ struct PairingParams {
 
 // Generates fresh parameters: a `q_bits`-bit prime q and `p_bits`-bit prime
 // p = 12qc − 1, plus a generator. Deterministic for a given rng state.
+// p_bits may not exceed 64·kFpMaxLimbs.
 Result<PairingParams> GeneratePairingParams(SecureRandom& rng, int p_bits,
                                             int q_bits);
 
 // Shared default parameter sets, generated once (lazily) from fixed seeds:
 // Production-strength: 512-bit p, 160-bit q (as in the Boneh–Franklin
 // suggested parameters of the era). Test-strength: 256-bit p, 150-bit q,
-// ~20x faster, used by unit tests that don't measure security.
+// used by unit tests that don't measure security; a pairing costs 5–8x less
+// than at production strength (bench_crypto_micro medians, which vary that
+// much between runs; DESIGN.md §16).
 const PairingParams& DefaultPairingParams();
 const PairingParams& TestPairingParams();
 // Minimal-size group (192-bit p, 96-bit q) for the workload benches, where
 // thousands of IBE operations run per data point and only the mechanism —
-// not the security margin — matters.
+// not the security margin — matters; a pairing costs 12–15x less than at
+// production strength.
 const PairingParams& BenchPairingParams();
 
 // True if P satisfies the curve equation (or is the identity).
 bool IsOnCurve(const EcPoint& pt, const PairingParams& params);
+// True if P is a point of order exactly q: on the curve, not the identity,
+// and [q]P = O. This is what a pairing input received from outside must
+// pass; costs one scalar multiplication.
+bool HasOrderQ(const EcPoint& pt, const PairingParams& params);
 
-EcPoint EcAdd(const EcPoint& a, const EcPoint& b, const BigInt& p);
-EcPoint EcDouble(const EcPoint& a, const BigInt& p);
-EcPoint EcNegate(const EcPoint& a, const BigInt& p);
-EcPoint EcScalarMul(const BigInt& k, const EcPoint& pt, const BigInt& p);
+EcPoint EcAdd(const EcPoint& a, const EcPoint& b, const PairingParams& params);
+EcPoint EcDouble(const EcPoint& a, const PairingParams& params);
+EcPoint EcNegate(const EcPoint& a, const PairingParams& params);
+EcPoint EcScalarMul(const BigInt& k, const EcPoint& pt,
+                    const PairingParams& params);
 
 // Hashes an arbitrary identity string onto E(F_p)[q] (try-and-increment on
 // the x-coordinate, then cofactor multiplication). Never returns infinity.
@@ -77,7 +89,8 @@ EcPoint HashToPoint(std::string_view id, const PairingParams& params);
 
 // Fixed-width serialization: a marker byte (0 = infinity, 1 = affine)
 // followed by x || y, each FieldBytes() long. Round-trips with
-// DeserializePoint, which also validates curve membership.
+// DeserializePoint, which also validates curve membership (but not the
+// order: callers that pair the point check HasOrderQ).
 Bytes SerializePoint(const EcPoint& pt, const PairingParams& params);
 Result<EcPoint> DeserializePoint(const Bytes& data,
                                  const PairingParams& params);

@@ -1,70 +1,61 @@
 #include "src/ibe/fp2.h"
 
-#include <cassert>
-
 namespace keypad {
 
-Bytes Fp2::Serialize(const BigInt& p) const {
-  size_t field_len = (static_cast<size_t>(p.BitLength()) + 7) / 8;
-  Bytes out = re.ToBytesBe(field_len);
-  Bytes im_bytes = im.ToBytesBe(field_len);
-  Append(out, im_bytes);
+Bytes Fp2::Serialize(const PairingParams& params) const {
+  Bytes out = params.field.ToBytesBe(re, params.FieldBytes());
+  Append(out, params.field.ToBytesBe(im, params.FieldBytes()));
   return out;
 }
 
-Fp2 Fp2Add(const Fp2& a, const Fp2& b, const BigInt& p) {
-  return {BigInt::ModAdd(a.re, b.re, p), BigInt::ModAdd(a.im, b.im, p)};
+Fp2 Fp2Add(const Fp2& a, const Fp2& b, const PairingParams& params) {
+  const FpField& f = params.field;
+  return {f.Add(a.re, b.re), f.Add(a.im, b.im)};
 }
 
-Fp2 Fp2Sub(const Fp2& a, const Fp2& b, const BigInt& p) {
-  return {BigInt::ModSub(a.re, b.re, p), BigInt::ModSub(a.im, b.im, p)};
+Fp2 Fp2Sub(const Fp2& a, const Fp2& b, const PairingParams& params) {
+  const FpField& f = params.field;
+  return {f.Sub(a.re, b.re), f.Sub(a.im, b.im)};
 }
 
-Fp2 Fp2Mul(const Fp2& a, const Fp2& b, const BigInt& p) {
+Fp2 Fp2Mul(const Fp2& a, const Fp2& b, const PairingParams& params) {
   // (a0 + a1 i)(b0 + b1 i) = (a0 b0 - a1 b1) + (a0 b1 + a1 b0) i.
   // Karatsuba-style: three multiplications.
-  BigInt t0 = BigInt::ModMul(a.re, b.re, p);
-  BigInt t1 = BigInt::ModMul(a.im, b.im, p);
-  BigInt sum_a = BigInt::ModAdd(a.re, a.im, p);
-  BigInt sum_b = BigInt::ModAdd(b.re, b.im, p);
-  BigInt t2 = BigInt::ModMul(sum_a, sum_b, p);
-  Fp2 out;
-  out.re = BigInt::ModSub(t0, t1, p);
-  out.im = BigInt::ModSub(BigInt::ModSub(t2, t0, p), t1, p);
-  return out;
+  const FpField& f = params.field;
+  Fp t0 = f.Mul(a.re, b.re);
+  Fp t1 = f.Mul(a.im, b.im);
+  Fp t2 = f.Mul(f.Add(a.re, a.im), f.Add(b.re, b.im));
+  return {f.Sub(t0, t1), f.Sub(f.Sub(t2, t0), t1)};
 }
 
-Fp2 Fp2Square(const Fp2& a, const BigInt& p) {
+Fp2 Fp2Square(const Fp2& a, const PairingParams& params) {
   // (a0 + a1 i)^2 = (a0+a1)(a0-a1) + 2 a0 a1 i.
-  BigInt sum = BigInt::ModAdd(a.re, a.im, p);
-  BigInt diff = BigInt::ModSub(a.re, a.im, p);
-  BigInt cross = BigInt::ModMul(a.re, a.im, p);
-  return {BigInt::ModMul(sum, diff, p), BigInt::ModAdd(cross, cross, p)};
+  const FpField& f = params.field;
+  Fp cross = f.Mul(a.re, a.im);
+  return {f.Mul(f.Add(a.re, a.im), f.Sub(a.re, a.im)), f.Dbl(cross)};
 }
 
-Fp2 Fp2Conjugate(const Fp2& a, const BigInt& p) {
-  return {a.re, BigInt::ModSub(BigInt::Zero(), a.im, p)};
+Fp2 Fp2Conjugate(const Fp2& a, const PairingParams& params) {
+  return {a.re, params.field.Neg(a.im)};
 }
 
-Fp2 Fp2Inverse(const Fp2& a, const BigInt& p) {
-  assert(!a.IsZero());
-  // 1/(a0 + a1 i) = (a0 - a1 i) / (a0^2 + a1^2).
-  BigInt norm = BigInt::ModAdd(BigInt::ModMul(a.re, a.re, p),
-                               BigInt::ModMul(a.im, a.im, p), p);
-  auto norm_inv = BigInt::ModInverse(norm, p);
-  assert(norm_inv.ok());
-  return {BigInt::ModMul(a.re, *norm_inv, p),
-          BigInt::ModMul(BigInt::ModSub(BigInt::Zero(), a.im, p), *norm_inv,
-                         p)};
+Result<Fp2> Fp2Inverse(const Fp2& a, const PairingParams& params) {
+  if (a.IsZero()) {
+    return InvalidArgumentError("fp2: zero has no inverse");
+  }
+  // 1/(a0 + a1 i) = (a0 - a1 i) / (a0^2 + a1^2); the norm is non-zero
+  // because -1 is not a square mod p.
+  const FpField& f = params.field;
+  Fp norm_inv = f.Inv(f.Add(f.Sqr(a.re), f.Sqr(a.im)));
+  return Fp2{f.Mul(a.re, norm_inv), f.Neg(f.Mul(a.im, norm_inv))};
 }
 
-Fp2 Fp2Pow(const Fp2& a, const BigInt& e, const BigInt& p) {
-  Fp2 result = Fp2::One();
-  int bits = e.BitLength();
-  for (int i = bits - 1; i >= 0; --i) {
-    result = Fp2Square(result, p);
+Fp2 Fp2Pow(const Fp2& a, const BigInt& e, const PairingParams& params) {
+  Fp2 result = Fp2::One(params);
+  for (int i = e.BitLength() - 1; i >= 0; --i) {
+    result = Fp2Square(result, params);
     if (e.Bit(i)) {
-      result = Fp2Mul(result, a, p);
+      result = Fp2Mul(result, a, params);
     }
   }
   return result;

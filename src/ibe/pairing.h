@@ -18,8 +18,12 @@
 namespace keypad {
 
 // Both P and Q must lie in E(F_p)[q]. Returns 1 if either is infinity.
-Fp2 TatePairing(const EcPoint& pt_p, const EcPoint& pt_q,
-                const PairingParams& params);
+// Fails, instead of returning a meaningless value, when the loop shows that
+// a finite P does not have order q, or when a line vanishes at φ(Q) (Q of
+// order 2). A finite Q is not otherwise checked: callers pairing a point
+// from outside the program check it with HasOrderQ first.
+Result<Fp2> TatePairing(const EcPoint& pt_p, const EcPoint& pt_q,
+                        const PairingParams& params);
 
 }  // namespace keypad
 

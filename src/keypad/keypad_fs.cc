@@ -231,10 +231,12 @@ void KeypadFs::GraceErase(const AuditId& id) {
 
 // --- IBE lock/unlock helpers. ----------------------------------------------------
 
-Bytes KeypadFs::IbeLockBlob(const std::string& identity, const Bytes& tagged) {
+Result<Bytes> KeypadFs::IbeLockBlob(const std::string& identity,
+                                    const Bytes& tagged) {
   Charge(config_.costs.ibe_lock);
   ++stats_.ibe_locks;
-  IbeCiphertext ct = IbeEncrypt(*services_.ibe, identity, tagged, rng());
+  KP_ASSIGN_OR_RETURN(IbeCiphertext ct,
+                      IbeEncrypt(*services_.ibe, identity, tagged, rng()));
   return ct.Serialize(*services_.ibe->group);
 }
 
@@ -461,7 +463,8 @@ Result<Bytes> KeypadFs::ProvisionNewFile(const std::string& path,
   // file usable meanwhile.
   std::string identity = IbeIdentityFor(dir_id, name, id);
   header->ibe_locked = true;
-  header->key_blob = IbeLockBlob(identity, Tagged(kTagRawKd, kd));
+  KP_ASSIGN_OR_RETURN(header->key_blob,
+                      IbeLockBlob(identity, Tagged(kTagRawKd, kd)));
   GraceInsert(id, kd);
 
   PendingCreate pending;
@@ -575,7 +578,7 @@ Status KeypadFs::OnRenameFile(const std::string& from, const std::string& to,
   }
 
   std::string identity = IbeIdentityFor(new_dir_id, new_name, id);
-  header->key_blob = IbeLockBlob(identity, tagged);
+  KP_ASSIGN_OR_RETURN(header->key_blob, IbeLockBlob(identity, tagged));
   header->ibe_locked = true;
   *header_dirty = true;
   SecureZero(tagged);

@@ -156,7 +156,7 @@ class KeypadFs : public EncFs {
 
   // IBE helpers. Tagged plaintexts: 0x00 || K_D (creation lock, no remote
   // key yet) or 0x01 || Wrap(K_R, K_D) (rename lock).
-  Bytes IbeLockBlob(const std::string& identity, const Bytes& tagged);
+  Result<Bytes> IbeLockBlob(const std::string& identity, const Bytes& tagged);
   Result<Bytes> IbeUnlockBlob(const Bytes& blob, const Bytes& ibe_key_bytes,
                               const std::string& identity);
   // Registers the current binding (blocking) and unlocks the header.

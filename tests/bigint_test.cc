@@ -144,26 +144,6 @@ TEST(BigIntTest, ModExpKnownValue) {
             24u);
 }
 
-TEST(BigIntTest, ModInverseProperty) {
-  BigInt p = *BigInt::FromHex("fffffffffffffffffffffffffffffffeffffffffffffffff");
-  SecureRandom srng(uint64_t{10});
-  for (int i = 0; i < 50; ++i) {
-    BigInt a = BigInt::RandomBelow(srng, p);
-    if (a.IsZero()) {
-      continue;
-    }
-    auto inv = BigInt::ModInverse(a, p);
-    ASSERT_TRUE(inv.ok());
-    EXPECT_TRUE(BigInt::ModMul(a, *inv, p).IsOne());
-  }
-}
-
-TEST(BigIntTest, ModInverseNonInvertible) {
-  EXPECT_FALSE(BigInt::ModInverse(BigInt::FromU64(6), BigInt::FromU64(9)).ok());
-  EXPECT_FALSE(
-      BigInt::ModInverse(BigInt::Zero(), BigInt::FromU64(17)).ok());
-}
-
 TEST(BigIntTest, PrimalityKnownPrimesAndComposites) {
   SecureRandom srng(uint64_t{11});
   for (uint64_t p : {2ull, 3ull, 5ull, 65537ull, 1000000007ull,
@@ -216,28 +196,6 @@ TEST(BigIntTest, MulDivAgreesWithInt128Reference) {
     EXPECT_EQ(q.ShiftRight(64).ToU64(), static_cast<uint64_t>(ref_q >> 64));
     EXPECT_EQ(r.ToU64(), static_cast<uint64_t>(ref % d));
   }
-}
-
-TEST(BigIntTest, ModInverseBinaryAndEuclidPathsAgree) {
-  // The odd-modulus fast path (binary ext-gcd) must match the general
-  // Euclid path used for even moduli; verify both against the definition.
-  SecureRandom srng(uint64_t{22});
-  BigInt odd = *BigInt::FromHex(
-      "f18b5478a3f1c39256bde0ac1f94a07ac17e5f3b82463ea1f3ecf52c7a6d9a4b");
-  for (int i = 0; i < 50; ++i) {
-    BigInt a = BigInt::RandomBelow(srng, odd);
-    auto inv = BigInt::ModInverse(a, odd);
-    if (inv.ok()) {
-      EXPECT_TRUE(BigInt::ModMul(a, *inv, odd).IsOne());
-    }
-  }
-  // Even modulus exercises the Euclid fallback.
-  BigInt even = BigInt::FromU64(1 << 20);
-  auto inv = BigInt::ModInverse(BigInt::FromU64(3), even);
-  ASSERT_TRUE(inv.ok());
-  EXPECT_TRUE(
-      BigInt::ModMul(BigInt::FromU64(3), *inv, even).IsOne());
-  EXPECT_FALSE(BigInt::ModInverse(BigInt::FromU64(2), even).ok());
 }
 
 TEST(BigIntTest, RandomBelowInRange) {

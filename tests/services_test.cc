@@ -440,8 +440,8 @@ TEST_F(MetadataServiceTest, BindingReleasesWorkingIbeKey) {
   // Client locks a payload under the identity before registering.
   SecureRandom client_rng(uint64_t{9});
   Bytes payload = BytesOf("wrapped data key");
-  IbeCiphertext ct =
-      IbeEncrypt(service_.ibe_params(), identity, payload, client_rng);
+  auto ct = IbeEncrypt(service_.ibe_params(), identity, payload, client_rng);
+  ASSERT_TRUE(ct.ok());
 
   auto key_bytes =
       service_.RegisterFileBinding("laptop", id, dir, name, false);
@@ -449,7 +449,7 @@ TEST_F(MetadataServiceTest, BindingReleasesWorkingIbeKey) {
   auto key = IbePrivateKey::Deserialize(identity, *key_bytes,
                                         *service_.ibe_params().group);
   ASSERT_TRUE(key.ok());
-  auto opened = IbeDecrypt(service_.ibe_params(), *key, ct);
+  auto opened = IbeDecrypt(service_.ibe_params(), *key, *ct);
   ASSERT_TRUE(opened.ok());
   EXPECT_EQ(*opened, payload);
 }
@@ -458,8 +458,9 @@ TEST_F(MetadataServiceTest, LyingAboutThePathYieldsUselessKey) {
   AuditId id = AuditId::Random(rng_);
   std::string true_identity = IbeIdentityFor(root_, "secret_plans.doc", id);
   SecureRandom client_rng(uint64_t{10});
-  IbeCiphertext ct = IbeEncrypt(service_.ibe_params(), true_identity,
-                                BytesOf("data key"), client_rng);
+  auto ct = IbeEncrypt(service_.ibe_params(), true_identity,
+                       BytesOf("data key"), client_rng);
+  ASSERT_TRUE(ct.ok());
 
   // Thief registers a bogus name to avoid revealing the real one.
   auto bogus_key_bytes =
@@ -469,7 +470,7 @@ TEST_F(MetadataServiceTest, LyingAboutThePathYieldsUselessKey) {
       IbeIdentityFor(root_, "download.tmp", id), *bogus_key_bytes,
       *service_.ibe_params().group);
   ASSERT_TRUE(bogus_key.ok());
-  EXPECT_FALSE(IbeDecrypt(service_.ibe_params(), *bogus_key, ct).ok());
+  EXPECT_FALSE(IbeDecrypt(service_.ibe_params(), *bogus_key, *ct).ok());
   // ...and the lie is on the record.
   EXPECT_EQ(service_.log().records().back().name, "download.tmp");
 }
