@@ -618,8 +618,9 @@ Status Deployment::BackupNow() {
     result = s;
     done = true;
   });
-  // Replicated deployments keep lease timers live on the queue, so drive
-  // time in bounded steps instead of draining to idle.
+  // A replicated deployment with a crashed or partitioned replica keeps
+  // explicit lease renewals on the queue, so drive time in bounded steps
+  // instead of draining to idle.
   for (int i = 0; i < 256 && !done; ++i) {
     queue_.AdvanceBy(SimDuration::Millis(50));
   }

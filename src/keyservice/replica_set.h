@@ -52,6 +52,7 @@ class ReplicaSet {
   size_t leader_view(size_t i) const { return engine_.leader_view(i); }
   uint64_t epoch(size_t i) const { return engine_.epoch(i); }
   bool is_leader(size_t i) const { return engine_.is_leader(i); }
+  SimTime lease_expiry(size_t i) const { return engine_.lease_expiry(i); }
 
   // --- Fault injection (Deployment drives these). -------------------------
 

@@ -1,9 +1,11 @@
-// Lease state machine for replicated service tiers (DESIGN.md §9–§10).
+// Lease state machine for replicated service tiers (DESIGN.md §9–§10, §17).
 //
 // Leadership in a replica set rests on time-bounded leases: the leader
-// broadcasts a renewal every `renew_interval`, and each backup that hears
-// it extends its local grant by `lease_duration`. A backup whose grant
-// expires considers leadership vacant and arms a promotion timer at
+// renews every `renew_interval`, and each backup that hears a renewal
+// extends its local grant to the arrival time + `lease_duration` (while a
+// pair is healthy the engine computes those arrivals instead of
+// simulating them, DESIGN.md §17). A backup whose grant expires considers
+// leadership vacant and arms a promotion timer at
 //
 //   promote_at = lease_expiry + promote_stagger * replica_index
 //
@@ -16,6 +18,7 @@
 #ifndef SRC_REPLICATION_LEASE_H_
 #define SRC_REPLICATION_LEASE_H_
 
+#include <algorithm>
 #include <cstdint>
 
 #include "src/sim/time.h"
@@ -25,7 +28,7 @@ namespace keypad {
 struct LeaseOptions {
   // How long one grant lasts without renewal.
   SimDuration lease_duration = SimDuration::Seconds(2);
-  // Leader broadcast period. Several renewals fit in one lease, so a
+  // Leader renewal period. Several renewals fit in one lease, so a
   // single lost renewal does not trigger a spurious failover.
   SimDuration renew_interval = SimDuration::Millis(500);
   // Seniority stagger between candidate promotion slots.
@@ -35,14 +38,15 @@ struct LeaseOptions {
 // One replica's local view of the lease it granted to the current leader.
 class LeaseState {
  public:
-  void Grant(SimTime now, SimDuration lease_duration) {
-    expiry_ = now + lease_duration;
+  // Extends the grant to heard_at + lease_duration; a renewal heard
+  // earlier never shortens the grant a later one made.
+  void Grant(SimTime heard_at, SimDuration lease_duration) {
+    expiry_ = std::max(expiry_, heard_at + lease_duration);
   }
   // Forces the grant to lapse (e.g. a rejoining replica with no leader in
   // sight becomes an immediate promotion candidate).
   void Expire(SimTime now) { expiry_ = now; }
 
-  bool Held(SimTime now) const { return now < expiry_; }
   SimTime expiry() const { return expiry_; }
 
   // When this replica's promotion slot opens (seniority rule above).

@@ -103,14 +103,14 @@ void ReplicaSetEngine::Start() {
     replica.epoch = 1;
     replica.in_sync.assign(n, true);
     replica.acked.assign(n, 0);
-    if (i == 0) {
-      StartRenewals(0, /*immediately=*/false);
-    } else {
-      replica.lease.Grant(queue_->Now(), options_.lease.lease_duration);
-      ArmPromote(i);
-    }
   }
-  started_ = true;
+  // Every backup starts with a fresh grant from replica 0, whose first
+  // renewal is due one renew_interval from now.
+  replicas_[0]->next_tick = queue_->Now() + options_.lease.renew_interval;
+  for (size_t i = 1; i < n; ++i) {
+    AdoptLeader(i, 0, 1);
+  }
+  EnsureRenewals(0);
   Record("start", 0, 1);
 }
 
@@ -154,6 +154,15 @@ size_t ReplicaSetEngine::current_leader() const {
   return best ? best->index : 0;
 }
 
+SimTime ReplicaSetEngine::lease_expiry(size_t i) const {
+  const Replica& replica = *replicas_[i];
+  SimTime expiry = replica.lease.expiry();
+  if (std::optional<SimTime> heard = LastRenewalHeard(i, nullptr)) {
+    expiry = std::max(expiry, *heard + options_.lease.lease_duration);
+  }
+  return expiry;
+}
+
 void ReplicaSetEngine::Record(const std::string& what, size_t replica,
                               uint64_t epoch) {
   timeline_.push_back({queue_->Now(), what, replica, epoch});
@@ -161,52 +170,6 @@ void ReplicaSetEngine::Record(const std::string& what, size_t replica,
 
 void ReplicaSetEngine::RegisterHandlers(size_t i) {
   RpcServer* server = replicas_[i]->server;
-
-  // repl.lease [from, epoch, log_size] — the leader's renewal broadcast,
-  // doubling as the NEW_LEADER announcement after a promotion.
-  server->RegisterMethod(
-      "repl.lease",
-      [this, i](const WireValue::Array& params) -> Result<WireValue> {
-        if (params.size() != 3) {
-          return InvalidArgumentError("repl.lease: bad arity");
-        }
-        KP_ASSIGN_OR_RETURN(int64_t from_int, params[0].AsInt());
-        KP_ASSIGN_OR_RETURN(int64_t epoch_int, params[1].AsInt());
-        KP_ASSIGN_OR_RETURN(int64_t size_int, params[2].AsInt());
-        size_t from = static_cast<size_t>(from_int);
-        Claim theirs{static_cast<uint64_t>(size_int),
-                     static_cast<uint64_t>(epoch_int), from};
-        Replica& replica = *replicas_[i];
-        bool granted = true;
-        if (is_leader(i)) {
-          // Competing leaders: resolve pairwise, loser steps down.
-          if (ClaimWins(theirs, ClaimOf(i))) {
-            StepDown(i);
-            AdoptLeader(i, from, theirs.epoch);
-            size_t leader = from;
-            uint64_t epoch = theirs.epoch;
-            uint64_t generation = replica.generation;
-            queue_->ScheduleAfter(SimDuration(), [this, i, leader, epoch,
-                                                  generation] {
-              if (replicas_[i]->generation == generation) {
-                FetchAndReconcile(i, leader, epoch, 8);
-              }
-            });
-          } else {
-            granted = false;
-          }
-        } else {
-          AdoptLeader(i, from, theirs.epoch);
-        }
-        WireValue::Struct out;
-        out.emplace("granted", WireValue(granted));
-        out.emplace("leader",
-                    WireValue(static_cast<int64_t>(replica.view_leader)));
-        out.emplace("epoch", WireValue(static_cast<int64_t>(replica.epoch)));
-        out.emplace("log_size", WireValue(static_cast<int64_t>(
-                                    replica.machine->LogSize())));
-        return WireValue(std::move(out));
-      });
 
   // repl.append [from, epoch, log_size, delta] — a sealed commit-group
   // stream from the leader. Chain continuity is the real guard: a stale or
@@ -332,7 +295,7 @@ void ReplicaSetEngine::OnPromoteTimer(size_t i) {
   if (replica.crashed || is_leader(i)) {
     return;
   }
-  if (replica.lease.Held(queue_->Now())) {
+  if (queue_->Now() < replica.lease.PromoteAt(i, options_.lease)) {
     // Renewed since this timer was armed; wait out the new slot.
     ArmPromote(i);
     return;
@@ -354,78 +317,221 @@ void ReplicaSetEngine::Promote(size_t i) {
   }
   ++stats_.promotions;
   Record("promote", i, replica.epoch);
+  // The renewal schedule starts at the promotion instant, and its first
+  // tick is the NEW_LEADER announcement.
+  replica.next_tick = queue_->Now();
+  EnsureRenewals(i);
   // Anything sealed locally but never shipped (shouldn't exist on a clean
   // backup, but a reconciled ex-leader may hold admin-path entries).
   replica.machine->ReplicateNow();
-  // The first renewal is the NEW_LEADER announcement — send it now.
-  StartRenewals(i, /*immediately=*/true);
 }
 
-void ReplicaSetEngine::StartRenewals(size_t i, bool immediately) {
-  Replica& replica = *replicas_[i];
-  if (replica.renew_event != EventQueue::kInvalidEvent) {
-    queue_->Cancel(replica.renew_event);
+SimTime ReplicaSetEngine::FirstUnsentTick(size_t i) const {
+  const SimTime next = replicas_[i]->next_tick;
+  const SimTime now = queue_->Now();
+  if (next >= now) {
+    return next;
   }
+  const int64_t interval = options_.lease.renew_interval.nanos();
+  return next + SimDuration(((now - next).nanos() + interval - 1) / interval *
+                            interval);
+}
+
+bool ReplicaSetEngine::HearsMessages(size_t i, size_t j) const {
+  return j != i && !(replicas_[j]->quiescent && replicas_[j]->view_leader == i);
+}
+
+bool ReplicaSetEngine::NeedsRenewals(size_t i) const {
+  for (size_t j = 0; j < replicas_.size(); ++j) {
+    if (HearsMessages(i, j)) {
+      return true;
+    }
+  }
+  return false;
+}
+
+void ReplicaSetEngine::EnsureRenewals(size_t i) {
+  Replica& replica = *replicas_[i];
+  if (!is_leader(i) || replica.renew_event != EventQueue::kInvalidEvent ||
+      !NeedsRenewals(i)) {
+    return;
+  }
+  const SimTime tick = FirstUnsentTick(i);
   uint64_t generation = replica.generation;
-  SimDuration delay =
-      immediately ? SimDuration() : options_.lease.renew_interval;
-  replica.renew_event = queue_->ScheduleAfter(delay, [this, i, generation] {
+  replica.renew_event = queue_->Schedule(tick, [this, i, tick, generation] {
     if (replicas_[i]->generation == generation) {
       replicas_[i]->renew_event = EventQueue::kInvalidEvent;
-      RenewTick(i);
+      RenewTick(i, tick);
     }
   });
 }
 
-void ReplicaSetEngine::RenewTick(size_t i) {
+void ReplicaSetEngine::RenewTick(size_t i, SimTime tick) {
   Replica& replica = *replicas_[i];
-  if (replica.crashed || !is_leader(i)) {
+  replica.next_tick = tick + options_.lease.renew_interval;
+  if (!is_leader(i)) {
     return;
   }
-  uint64_t generation = replica.generation;
-  Claim mine = ClaimOf(i);
+  // A renewal is the sender's claim, delivered over the pair link as a
+  // typed control-plane message: no codec, no RPC, no marshalling charge.
+  // Quiescent backups hear theirs by computation instead.
+  const Claim mine = ClaimOf(i);
+  const uint64_t generation = replica.generation;
   for (size_t j = 0; j < replicas_.size(); ++j) {
-    if (j == i) {
-      continue;
+    if (HearsMessages(i, j)) {
+      LinkTo(i, j)->Send(sizeof(Claim), NetworkLink::Direction::kForward,
+                         [this, j, mine, generation] {
+                           DeliverRenewal(j, mine, generation);
+                         });
     }
-    WireValue::Array params;
-    params.push_back(WireValue(static_cast<int64_t>(i)));
-    params.push_back(WireValue(static_cast<int64_t>(mine.epoch)));
-    params.push_back(WireValue(static_cast<int64_t>(mine.log_size)));
-    ClientTo(i, j)->CallAsync(
-        "repl.lease", std::move(params),
-        [this, i, generation](Result<WireValue> result) {
-          if (replicas_[i]->generation != generation || !result.ok()) {
-            // Unreachable peer: its own lease timer handles the rest.
-            return;
-          }
-          auto granted_v = result->Field("granted");
-          if (!granted_v.ok() || granted_v->AsBool().value_or(true)) {
-            return;
-          }
-          // The peer holds (or follows) a stronger claim: concede.
-          auto leader_v = result->Field("leader");
-          auto epoch_v = result->Field("epoch");
-          auto size_v = result->Field("log_size");
-          if (!leader_v.ok() || !epoch_v.ok() || !size_v.ok()) {
-            return;
-          }
-          Claim theirs{
-              static_cast<uint64_t>(size_v->AsInt().value_or(0)),
-              static_cast<uint64_t>(epoch_v->AsInt().value_or(0)),
-              static_cast<size_t>(leader_v->AsInt().value_or(0))};
-          if (!ClaimWins(theirs, ClaimOf(i))) {
-            return;  // Stale rejection; our next renewal settles it.
-          }
-          StepDown(i);
-          AdoptLeader(i, theirs.index, theirs.epoch);
-          FetchAndReconcile(i, theirs.index, theirs.epoch, 8);
-        });
   }
-  StartRenewals(i, /*immediately=*/false);
+  EnsureRenewals(i);
+}
+
+void ReplicaSetEngine::DeliverRenewal(size_t i, const Claim& theirs,
+                                      uint64_t sender_generation) {
+  Replica& replica = *replicas_[i];
+  if (replica.crashed) {
+    return;  // A dead process hears nothing.
+  }
+  const size_t from = theirs.index;
+  if (!is_leader(i)) {
+    AdoptLeader(i, from, theirs.epoch);
+    return;
+  }
+  // Competing leaders: resolve pairwise, loser steps down.
+  if (ClaimWins(theirs, ClaimOf(i))) {
+    StepDown(i);
+    AdoptLeader(i, from, theirs.epoch);
+    uint64_t generation = replica.generation;
+    queue_->ScheduleAfter(SimDuration(), [this, i, from, theirs, generation] {
+      if (replicas_[i]->generation == generation) {
+        FetchAndReconcile(i, from, theirs.epoch, 8);
+      }
+    });
+    return;
+  }
+  // The only renewal that is answered: a refusal carrying our stronger
+  // claim, which makes the sender concede.
+  const Claim mine = ClaimOf(i);
+  LinkTo(from, i)->Send(
+      sizeof(Claim), NetworkLink::Direction::kReverse,
+      [this, from, mine, sender_generation] {
+        if (replicas_[from]->generation != sender_generation ||
+            !ClaimWins(mine, ClaimOf(from))) {
+          return;  // Stale refusal; our next renewal settles it.
+        }
+        StepDown(from);
+        AdoptLeader(from, mine.index, mine.epoch);
+        FetchAndReconcile(from, mine.index, mine.epoch, 8);
+      });
+}
+
+bool ReplicaSetEngine::PairHealthy(size_t leader, size_t i) const {
+  const Replica& backup = *replicas_[i];
+  if (i == leader || !is_leader(leader) || backup.crashed ||
+      backup.view_leader != leader ||
+      backup.epoch != replicas_[leader]->epoch) {
+    return false;
+  }
+  // Pair links lose nothing and add no jitter, so every renewal lands one
+  // way after its tick — in time to extend the grant before it lapses.
+  const LeaseOptions& lease = options_.lease;
+  if (lease.renew_interval + LinkTo(leader, i)->profile().OneWay() >=
+      lease.lease_duration) {
+    return false;
+  }
+  for (const NetworkLink* link : {LinkTo(leader, i), LinkTo(i, leader)}) {
+    if (link->partitioned(NetworkLink::Direction::kForward) ||
+        link->partitioned(NetworkLink::Direction::kReverse)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+std::optional<SimTime> ReplicaSetEngine::LastRenewalHeard(
+    size_t i, std::vector<SimTime>* in_flight) const {
+  const Replica& replica = *replicas_[i];
+  if (!replica.quiescent) {
+    return std::nullopt;
+  }
+  // Sent so far: the leader's ticks in [quiescent_from, max(now, next
+  // unsent tick)) — a tick at exactly now counts once its timer sent it.
+  const size_t leader = replica.view_leader;
+  const SimTime now = queue_->Now();
+  const SimTime sent_end = std::max(now, replicas_[leader]->next_tick);
+  const SimDuration interval = options_.lease.renew_interval;
+  const SimDuration one_way = LinkTo(leader, i)->profile().OneWay();
+  if (replica.quiescent_from >= sent_end) {
+    return std::nullopt;
+  }
+  SimTime tick =
+      replica.quiescent_from +
+      interval * (((sent_end - replica.quiescent_from).nanos() - 1) /
+                  interval.nanos());
+  for (; tick >= replica.quiescent_from; tick = tick - interval) {
+    if (tick + one_way <= now) {
+      return tick + one_way;
+    }
+    if (in_flight != nullptr) {
+      in_flight->push_back(tick);
+    }
+  }
+  return std::nullopt;
+}
+
+void ReplicaSetEngine::Quiesce(size_t i) {
+  Replica& replica = *replicas_[i];
+  const size_t leader = replica.view_leader;
+  replica.quiescent = true;
+  replica.quiescent_from = FirstUnsentTick(leader);
+  if (replica.promote_event != EventQueue::kInvalidEvent) {
+    queue_->Cancel(replica.promote_event);
+    replica.promote_event = EventQueue::kInvalidEvent;
+  }
+  Replica& lead = *replicas_[leader];
+  if (lead.renew_event != EventQueue::kInvalidEvent &&
+      !NeedsRenewals(leader)) {
+    queue_->Cancel(lead.renew_event);
+    lead.renew_event = EventQueue::kInvalidEvent;
+  }
+}
+
+void ReplicaSetEngine::Fold(size_t i) {
+  Replica& replica = *replicas_[i];
+  if (!replica.quiescent) {
+    return;
+  }
+  std::vector<SimTime> in_flight;
+  if (std::optional<SimTime> heard = LastRenewalHeard(i, &in_flight)) {
+    replica.lease.Grant(*heard, options_.lease.lease_duration);
+  }
+  replica.quiescent = false;
+  // A renewal already on the wire still lands, as a real event.
+  const size_t leader = replica.view_leader;
+  const Claim claim = ClaimOf(leader);
+  const uint64_t generation = replicas_[leader]->generation;
+  const SimDuration one_way = LinkTo(leader, i)->profile().OneWay();
+  for (SimTime tick : in_flight) {
+    queue_->Schedule(tick + one_way, [this, i, claim, generation] {
+      DeliverRenewal(i, claim, generation);
+    });
+  }
+  ArmPromote(i);
+  EnsureRenewals(leader);
+}
+
+void ReplicaSetEngine::FoldPairsOf(size_t i) {
+  for (size_t j = 0; j < replicas_.size(); ++j) {
+    if (j == i || replicas_[j]->view_leader == i) {
+      Fold(j);
+    }
+  }
 }
 
 void ReplicaSetEngine::StepDown(size_t i) {
+  FoldPairsOf(i);
   Replica& replica = *replicas_[i];
   if (replica.renew_event != EventQueue::kInvalidEvent) {
     queue_->Cancel(replica.renew_event);
@@ -443,10 +549,21 @@ void ReplicaSetEngine::StepDown(size_t i) {
 
 void ReplicaSetEngine::AdoptLeader(size_t i, size_t leader, uint64_t epoch) {
   Replica& replica = *replicas_[i];
+  if (replica.quiescent &&
+      (leader != replica.view_leader || epoch != replica.epoch)) {
+    Fold(i);
+  }
   replica.view_leader = leader;
   replica.epoch = epoch;
   replica.lease.Grant(queue_->Now(), options_.lease.lease_duration);
-  ArmPromote(i);
+  if (replica.quiescent) {
+    return;  // E.g. a repl.append from the leader it already follows.
+  }
+  if (PairHealthy(leader, i)) {
+    Quiesce(i);
+  } else if (!queue_->IsPending(replica.promote_event)) {
+    ArmPromote(i);
+  }
 }
 
 // --- Replication (leader side). ---------------------------------------------
@@ -608,6 +725,7 @@ void ReplicaSetEngine::Rejoin(size_t i) {
 }
 
 void ReplicaSetEngine::StandAsCandidate(size_t i) {
+  Fold(i);
   Replica& replica = *replicas_[i];
   replica.lease.Expire(queue_->Now());
   Record("candidate", i, replica.epoch);
@@ -747,6 +865,7 @@ void ReplicaSetEngine::FetchAndReconcile(size_t i, size_t leader,
 // --- Fault injection. -------------------------------------------------------
 
 void ReplicaSetEngine::NoteCrashed(size_t i) {
+  FoldPairsOf(i);
   Replica& replica = *replicas_[i];
   replica.crashed = true;
   ++replica.generation;
@@ -772,6 +891,7 @@ void ReplicaSetEngine::NoteRestarted(size_t i) {
 }
 
 void ReplicaSetEngine::SetPartitioned(size_t i, bool partitioned) {
+  FoldPairsOf(i);
   const size_t n = replicas_.size();
   for (size_t j = 0; j < n; ++j) {
     if (j == i) {

@@ -12,12 +12,22 @@
 //    releases the held client responses only after every in-sync backup
 //    acknowledged — so a client-acknowledged log record exists on every
 //    in-sync replica and can never be lost to a single-replica failure.
-//  * Leadership rests on time-bounded leases: the leader broadcasts
-//    repl.lease every renew_interval; each backup extends its local grant
-//    by lease_duration. A backup whose grant lapses arms a promotion timer
-//    at expiry + promote_stagger * replica_index (deterministic seniority:
-//    the lowest-index live backup wins), bumps the epoch, and announces
-//    itself — its first renewal broadcast IS the NEW_LEADER announcement.
+//  * Leadership rests on time-bounded leases. The leader renews at fixed
+//    phase — its start or promotion instant + k * renew_interval — with a
+//    typed control-plane message over the pair link (its claim; no codec,
+//    no RPC); each backup that hears one extends its local grant by
+//    lease_duration. A backup whose grant lapses promotes at expiry +
+//    promote_stagger * replica_index (deterministic seniority: the
+//    lowest-index live backup wins), bumps the epoch, and announces
+//    itself — its first renewal IS the NEW_LEADER announcement.
+//  * Renewals nobody could observe are not simulated (DESIGN.md §17):
+//    while a leader↔backup pair is healthy (both up, no partition, the
+//    backup following this leader at its epoch) the backup's grant is
+//    computed from the tick schedule, with no message, renewal timer or
+//    promotion timer. Every fault and leadership change first folds the
+//    computed renewals into the stored lease (one still on the wire lands
+//    as a real event) and re-arms the timers, so a failover unfolds
+//    exactly as if every renewal had been sent.
 //  * Competing leaders (a healed partition) resolve pairwise by ClaimWins:
 //    longer log chain first (preserves the most records), then higher
 //    epoch, then lower replica index. The loser steps down and reconciles.
@@ -27,9 +37,11 @@
 //    ForensicAuditor — duplicated in the worst case, never lost), adopt
 //    the winner's state, and re-enter the set as an in-sync backup.
 //
-// The repl.* RPC surface rides the ordinary RpcServer of each replica, so
-// a crashed replica (server down) naturally swallows replication traffic
-// and partitions are injected on the pair links.
+// The repl.* RPC surface (append, status, snapshot, rejoin) rides the
+// ordinary RpcServer of each replica, so a crashed replica (server down)
+// naturally swallows replication traffic; renewals reaching a crashed
+// replica are dropped the same way, and partitions are injected on the
+// pair links.
 //
 // Everything here is async (CallAsync only): engine code runs inside
 // scheduled events, where a virtually-blocking Call() would re-enter the
@@ -40,6 +52,7 @@
 
 #include <deque>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -95,7 +108,8 @@ class ReplicaSetEngine {
   void AddReplica(ReplicatedStateMachine* machine, RpcServer* server);
 
   // Builds the pair links/clients, registers repl.* on every replica's
-  // server, grants the initial leases, and starts the leader's renewals.
+  // server, and grants the initial leases (quiescent: no renewal is
+  // scheduled while every pair stays healthy).
   void Start();
 
   size_t size() const { return replicas_.size(); }
@@ -113,6 +127,9 @@ class ReplicaSetEngine {
   bool is_leader(size_t i) const {
     return !replicas_[i]->crashed && replicas_[i]->view_leader == i;
   }
+  // When replica i's grant to its leader lapses, as of now (computed
+  // renewals of a quiescent pair included).
+  SimTime lease_expiry(size_t i) const;
 
   // --- Fault injection (Deployment drives these). -------------------------
 
@@ -173,6 +190,13 @@ class ReplicaSetEngine {
     LeaseState lease;
     EventQueue::EventId promote_event = EventQueue::kInvalidEvent;
     EventQueue::EventId renew_event = EventQueue::kInvalidEvent;
+    // Leader side: the first point of the renewal schedule (start or
+    // promotion instant + k * renew_interval) not yet sent.
+    SimTime next_tick;
+    // Backup side: while the pair with its leader is healthy, its renewals
+    // from the tick `quiescent_from` on are computed, not delivered.
+    bool quiescent = false;
+    SimTime quiescent_from;
     bool crashed = false;
     // Leader-side view of which peers are in the synchronous-ack set.
     std::vector<bool> in_sync;
@@ -207,6 +231,9 @@ class ReplicaSetEngine {
   RpcClient* ClientTo(size_t from, size_t to) const {
     return clients_[from * replicas_.size() + to].get();
   }
+  NetworkLink* LinkTo(size_t from, size_t to) const {
+    return links_[from * replicas_.size() + to].get();
+  }
 
   void RegisterHandlers(size_t i);
   void Record(const std::string& what, size_t replica, uint64_t epoch);
@@ -215,8 +242,28 @@ class ReplicaSetEngine {
   void ArmPromote(size_t i);
   void OnPromoteTimer(size_t i);
   void Promote(size_t i);
-  void StartRenewals(size_t i, bool immediately);
-  void RenewTick(size_t i);
+  SimTime FirstUnsentTick(size_t i) const;
+  // Whether replica j must hear leader i's renewals as messages (it is not
+  // quiescent under i), and whether any replica must.
+  bool HearsMessages(size_t i, size_t j) const;
+  bool NeedsRenewals(size_t i) const;
+  void EnsureRenewals(size_t i);
+  void RenewTick(size_t i, SimTime tick);
+  void DeliverRenewal(size_t i, const Claim& theirs,
+                      uint64_t sender_generation);
+
+  // Quiescent leases (DESIGN.md §17).
+  bool PairHealthy(size_t leader, size_t i) const;
+  // When quiescent backup i heard its newest renewal; the ticks sent to it
+  // but still on the wire go to `in_flight` when given.
+  std::optional<SimTime> LastRenewalHeard(
+      size_t i, std::vector<SimTime>* in_flight) const;
+  void Quiesce(size_t i);
+  // Folds quiescent backup i's computed renewals into its stored lease and
+  // turns its renewals back into messages.
+  void Fold(size_t i);
+  // Folds every quiescent pair replica i belongs to, as leader or backup.
+  void FoldPairsOf(size_t i);
   void StepDown(size_t i);
   void AdoptLeader(size_t i, size_t leader, uint64_t epoch);
 
@@ -233,7 +280,6 @@ class ReplicaSetEngine {
 
   EventQueue* queue_;
   ReplicaSetOptions options_;
-  bool started_ = false;
   std::vector<std::unique_ptr<Replica>> replicas_;
   // links_[from * R + to] / clients_[from * R + to]: from's private path to
   // to's server (diagonal unused).

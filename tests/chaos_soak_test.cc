@@ -129,9 +129,10 @@ SoakResult RunSoak(uint64_t seed, int key_replicas = 1,
   }
 
   // Heal the network, drain stragglers, and expire every cached key so the
-  // final reads demand-fetch from the restored services. Replicated
-  // deployments keep perpetual lease-renewal timers on the queue, so they
-  // drain by advancing time instead of RunUntilIdle.
+  // final reads demand-fetch from the restored services. Replicated runs
+  // drain by advancing time instead of RunUntilIdle: their lease renewals
+  // only go quiet once every replica pair is healthy again (DESIGN.md
+  // §17), which a chaos schedule does not promise.
   dep.client_link().set_chaos(LinkChaosOptions{});
   if (key_replicas > 1 || meta_replicas > 1) {
     dep.queue().AdvanceBy(SimDuration::Seconds(30));

@@ -6,8 +6,10 @@
 // duplicated, but is never lost — and the IBE unlock key a promoted backup
 // mints is byte-identical to the old leader's (shared-HSM master secret).
 //
-// NOTE: replicated deployments keep perpetual lease-renewal timers on the
-// event queue, so these tests pump with AdvanceBy (never RunUntilIdle).
+// NOTE: a healthy replica set schedules no lease renewals (DESIGN.md §17),
+// but a crashed or partitioned replica keeps its leader sending explicit
+// renewals every renew_interval, so these tests pump with AdvanceBy rather
+// than RunUntilIdle.
 
 #include <gtest/gtest.h>
 

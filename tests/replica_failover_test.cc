@@ -4,15 +4,23 @@
 // timeline. The invariant under test throughout: a client-acknowledged
 // audit record may end up duplicated, but is never lost.
 //
-// NOTE: replicated deployments keep perpetual lease-renewal timers on the
-// event queue, so these tests pump with AdvanceBy (never RunUntilIdle).
+// Lease renewals (DESIGN.md §17): ticks keep the phase of the start or
+// promotion instant, a renewal never stalls foreground work, promotion
+// instants follow the closed form, and a healthy deployment schedules
+// nothing while idle.
+//
+// NOTE: a crashed or partitioned replica keeps its leader sending explicit
+// renewals every renew_interval, so the failover tests pump with AdvanceBy
+// rather than RunUntilIdle.
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "src/keypad/deployment.h"
+#include "src/sim/random.h"
 
 namespace keypad {
 namespace {
@@ -275,6 +283,237 @@ TEST(ReplicaFailoverTest, FailoverTimelineIsDeterministic) {
   ScenarioDigest b = RunCrashScenario(7);
   EXPECT_EQ(a.timeline, b.timeline);
   EXPECT_TRUE(a == b);
+}
+
+// --- Lease renewals (DESIGN.md §17). ---------------------------------------
+
+// The renewal tick at or before `t` on the schedule anchored at `anchor`.
+SimTime TickAtOrBefore(SimTime anchor, SimDuration interval, SimTime t) {
+  return anchor + interval * ((t - anchor).nanos() / interval.nanos());
+}
+
+std::vector<FailoverEvent> EventsSince(
+    const std::vector<FailoverEvent>& timeline, size_t from,
+    const std::string& what) {
+  std::vector<FailoverEvent> out;
+  for (size_t i = from; i < timeline.size(); ++i) {
+    if (timeline[i].what == what) {
+      out.push_back(timeline[i]);
+    }
+  }
+  return out;
+}
+
+TEST(ReplicaFailoverTest, RenewalTickDoesNotStallInFlightFetch) {
+  Deployment dep(ReplicatedOpts(3));
+  ReplicaSet* set = dep.replica_set(0);
+  ASSERT_NE(set, nullptr);
+  const SimDuration interval = dep.options().replica_set.lease.renew_interval;
+  const SimTime start = set->timeline().front().at;
+  // A crashed backup keeps its pair off the quiescent path: the leader
+  // sends it an explicit renewal on every tick.
+  dep.CrashKeyReplica(0, 2);
+  KeyServiceClient& stub = dep.key_stub(0);
+  SecureRandom rng(5);
+  AuditId id = AuditId::Random(rng);
+  // The create waits out one ack timeout and drops replica 2 from the
+  // synchronous set; the first fetch warms the hot-key cache.
+  ASSERT_TRUE(stub.CreateKey(id).ok());
+  ASSERT_TRUE(stub.GetKey(id).ok());
+
+  auto fetch_latency = [&](SimTime start_at) {
+    dep.queue().RunUntil(start_at);
+    const SimTime t0 = dep.queue().Now();
+    EXPECT_TRUE(stub.GetKey(id).ok());
+    return dep.queue().Now() - t0;
+  };
+  const SimTime tick =
+      TickAtOrBefore(start, interval, dep.queue().Now()) + interval * 4;
+  const SimDuration away = fetch_latency(tick + interval / 4);
+  ASSERT_GT(away, SimDuration());
+  ASSERT_LT(away, interval / 4);
+  // Back-to-back fetches across more than one renew interval: some fetch
+  // is in flight whenever a tick fires, and every one must finish exactly
+  // as fast.
+  int slower = 0;
+  dep.queue().RunUntil(tick + interval);
+  while (dep.queue().Now() < tick + interval * 2 + away) {
+    if (fetch_latency(dep.queue().Now()) != away) {
+      ++slower;
+    }
+  }
+  EXPECT_EQ(slower, 0);
+}
+
+TEST(ReplicaFailoverTest, RenewalTicksKeepStartAndPromotionPhase) {
+  Deployment dep(ReplicatedOpts(3));
+  ReplicaSet* set = dep.replica_set(0);
+  ASSERT_NE(set, nullptr);
+  const ReplicaSetOptions& rs = dep.options().replica_set;
+  const SimDuration one_way = rs.repl_profile.OneWay();
+  const SimDuration interval = rs.lease.renew_interval;
+  const SimTime start = set->timeline().front().at;
+
+  // After an idle hour a backup's grant still dates from a tick at an
+  // exact multiple of renew_interval after the start (a 500.7 ms period
+  // would have drifted by 5 s).
+  const SimTime t1 = start + SimDuration::Hours(1) + SimDuration::Millis(123);
+  dep.queue().RunUntil(t1);
+  for (size_t backup : {1u, 2u}) {
+    EXPECT_EQ(set->lease_expiry(backup),
+              TickAtOrBefore(start, interval, t1 - one_way) + one_way +
+                  rs.lease.lease_duration)
+        << "backup " << backup;
+  }
+
+  // Kill the leader between ticks: replica 1 promotes at the closed-form
+  // instant, and the new leader's schedule starts at its promotion.
+  dep.CrashKeyReplica(0, 0);
+  dep.queue().AdvanceBy(SimDuration::Seconds(4));
+  std::vector<FailoverEvent> promotions =
+      EventsSince(set->timeline(), 0, "promote");
+  ASSERT_EQ(promotions.size(), 1u);
+  EXPECT_EQ(promotions[0].replica, 1u);
+  const SimTime promoted = promotions[0].at;
+  EXPECT_EQ(promoted, TickAtOrBefore(start, interval, t1) + one_way +
+                          rs.lease.lease_duration + rs.lease.promote_stagger);
+
+  const SimTime t2 =
+      promoted + SimDuration::Minutes(10) + SimDuration::Millis(321);
+  dep.queue().RunUntil(t2);
+  EXPECT_EQ(set->lease_expiry(2),
+            TickAtOrBefore(promoted, interval, t2 - one_way) + one_way +
+                rs.lease.lease_duration);
+}
+
+// One replicated tier behind a common face, so the closed-form schedules
+// run unchanged on the key shard and on the metadata tier.
+struct Tier {
+  std::function<const std::vector<FailoverEvent>&()> timeline;
+  std::function<size_t()> current_leader;
+  std::function<void(size_t)> crash;
+  std::function<void(size_t)> restart;
+  std::function<void(size_t, bool)> partition;
+};
+
+Tier KeyTier(Deployment& dep) {
+  ReplicaSet* set = dep.replica_set(0);
+  return {[set]() -> const std::vector<FailoverEvent>& {
+            return set->timeline();
+          },
+          [set] { return set->current_leader(); },
+          [&dep](size_t r) { dep.CrashKeyReplica(0, r); },
+          [&dep](size_t r) { dep.RestartKeyReplica(0, r); },
+          [&dep](size_t r, bool p) { dep.PartitionKeyReplica(0, r, p); }};
+}
+
+Tier MetaTier(Deployment& dep) {
+  MetaReplicaSet* set = dep.meta_replica_set();
+  return {[set]() -> const std::vector<FailoverEvent>& {
+            return set->timeline();
+          },
+          [set] { return set->current_leader(); },
+          [&dep](size_t r) { dep.CrashMetaReplica(r); },
+          [&dep](size_t r) { dep.RestartMetaReplica(r); },
+          [&dep](size_t r, bool p) { dep.PartitionMetaReplica(r, p); }};
+}
+
+enum class Fault { kLeaderCrash, kLeaderPartition, kBackupCrashRestart };
+
+// One seeded single-fault schedule on a fresh R = 3 tier: 10 to 30 idle
+// minutes, then the fault at an instant off the tick grid — for every
+// third seed inside the one-way window after a tick, so that tick's
+// renewal is still in flight when the fault lands.
+void RunSingleFault(uint64_t seed, bool meta_tier, Fault fault) {
+  ResetRpcClientIdsForTesting();
+  DeploymentOptions options = ReplicatedOpts(meta_tier ? 1 : 3);
+  options.meta_replicas = meta_tier ? 3 : 1;
+  options.seed = seed;
+  Deployment dep(options);
+  Tier tier = meta_tier ? MetaTier(dep) : KeyTier(dep);
+  const LeaseOptions& lease = options.replica_set.lease;
+  const SimDuration one_way = options.replica_set.repl_profile.OneWay();
+  const SimTime start = tier.timeline().front().at;
+  SCOPED_TRACE("seed " + std::to_string(seed) + (meta_tier ? " meta" : " key") +
+               " fault " + std::to_string(static_cast<int>(fault)));
+
+  SimRandom rng(seed);
+  SimTime fault_at =
+      start + SimDuration::Minutes(10) +
+      SimDuration(static_cast<int64_t>(
+          rng.UniformU64(SimDuration::Minutes(20).nanos())));
+  SimTime tick = TickAtOrBefore(start, lease.renew_interval, fault_at);
+  if (seed % 3 == 0) {
+    fault_at = tick + SimDuration(static_cast<int64_t>(
+                          1 + rng.UniformU64(one_way.nanos() - 1)));
+  } else if (fault_at == tick) {
+    fault_at += SimDuration::Millis(1);
+  }
+  dep.queue().RunUntil(fault_at);
+  const size_t seen = tier.timeline().size();
+
+  if (fault == Fault::kBackupCrashRestart) {
+    const size_t victim = 1 + seed % 2;
+    tier.crash(victim);
+    dep.queue().AdvanceBy(SimDuration::Seconds(5));
+    tier.restart(victim);
+    dep.queue().AdvanceBy(SimDuration::Seconds(5));
+    EXPECT_TRUE(EventsSince(tier.timeline(), seen, "promote").empty());
+    std::vector<FailoverEvent> rejoins =
+        EventsSince(tier.timeline(), seen, "rejoin");
+    ASSERT_EQ(rejoins.size(), 1u);
+    EXPECT_EQ(rejoins[0].replica, victim);
+    EXPECT_EQ(tier.current_leader(), 0u);
+    return;
+  }
+  if (fault == Fault::kLeaderCrash) {
+    tier.crash(0);
+  } else {
+    tier.partition(0, true);
+  }
+  dep.queue().AdvanceBy(SimDuration::Seconds(5));
+  std::vector<FailoverEvent> promotions =
+      EventsSince(tier.timeline(), seen, "promote");
+  ASSERT_EQ(promotions.size(), 1u);
+  EXPECT_EQ(promotions[0].replica, 1u);
+  EXPECT_EQ(promotions[0].at, tick + one_way + lease.lease_duration +
+                                  lease.promote_stagger * 1);
+}
+
+TEST(ReplicaFailoverTest, SingleFaultPromotionsFollowClosedForm) {
+  for (bool meta_tier : {false, true}) {
+    for (Fault fault : {Fault::kLeaderCrash, Fault::kLeaderPartition,
+                        Fault::kBackupCrashRestart}) {
+      for (uint64_t seed = 1; seed <= 20; ++seed) {
+        RunSingleFault(seed, meta_tier, fault);
+      }
+    }
+  }
+}
+
+TEST(ReplicaFailoverTest, IdleHourOfHealthyDeploymentIsQuiescent) {
+  DeploymentOptions options = ReplicatedOpts(3);
+  options.key_shards = 2;
+  options.meta_replicas = 3;
+  Deployment dep(options);
+  ASSERT_TRUE(dep.fs().Create("/warm").ok());
+  ASSERT_TRUE(dep.fs().WriteAll("/warm", BytesOf("x")).ok());
+  dep.queue().AdvanceBy(SimDuration::Minutes(10));
+
+  const uint64_t before = dep.queue().executed_count();
+  dep.queue().AdvanceBy(SimDuration::Hours(1));
+  EXPECT_LE(dep.queue().executed_count() - before, 20u);
+  dep.queue().RunUntilIdle();
+  EXPECT_EQ(dep.queue().pending_count(), 0u);
+
+  for (size_t shard = 0; shard < 2; ++shard) {
+    EXPECT_EQ(dep.replica_set(shard)->current_leader(), 0u);
+    EXPECT_EQ(dep.replica_set(shard)->stats().promotions, 0u);
+  }
+  EXPECT_EQ(dep.meta_replica_set()->stats().promotions, 0u);
+  // Still a working replicated tier afterwards.
+  ASSERT_TRUE(dep.fs().Create("/after").ok());
+  EXPECT_TRUE(dep.fs().ReadAll("/warm").ok());
 }
 
 }  // namespace

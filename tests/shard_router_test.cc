@@ -210,8 +210,8 @@ TEST(ShardRouterTest, SingleFlightSurvivesMidFlightFailover) {
                         });
   }
   // Virtual time has not moved, so the flight is still in the air when the
-  // owner's leader dies. (Replicated deployments keep perpetual lease
-  // timers, so pump with AdvanceBy, not RunUntilIdle.)
+  // owner's leader dies. (The new leader keeps sending the crashed replica
+  // explicit lease renewals, so pump with AdvanceBy, not RunUntilIdle.)
   dep.CrashKeyShard(owner);
   dep.queue().AdvanceBy(SimDuration::Seconds(12));
 
