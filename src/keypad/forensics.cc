@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <sstream>
+#include <unordered_map>
 
 #include "src/keyservice/auth.h"
 
@@ -49,22 +50,12 @@ std::string AuditReport::ToString() const {
 
 namespace {
 
-struct HistoryItem {
-  MetadataOp op;
-  std::string name;
-  DirId dir_id;
-  SimTime client_time;
-};
-
 // Shared classification core used by both the in-process and the remote
-// auditor: groups key-service records per audit ID, resolves trusted and
-// post-loss pathnames, and classifies prefetch-only entries.
-AuditReport BuildFromData(
-    SimTime t_loss, SimDuration texp,
-    const std::vector<AuditLogEntry>& entries,
-    const std::function<Result<std::string>(const AuditId&, SimTime)>&
-        resolve_path,
-    const std::function<std::vector<HistoryItem>(const AuditId&)>& history) {
+// auditor: groups key-service records per audit ID and classifies
+// prefetch-only entries. The paths stay empty until AttachAnnotations fills
+// them in, so the metadata tier is asked about exactly the reported files.
+AuditReport ClassifyAccesses(SimTime t_loss, SimDuration texp,
+                             const std::vector<AuditLogEntry>& entries) {
   AuditReport report;
   report.t_loss = t_loss;
   report.cutoff = t_loss - texp;
@@ -123,29 +114,6 @@ AuditReport BuildFromData(
   }
 
   for (auto& [id, file] : by_id) {
-    // Trusted path: metadata as the user last registered it, at Tloss.
-    auto path = resolve_path(id, t_loss);
-    if (path.ok()) {
-      file.path_at_loss = *path;
-    }
-    // Post-loss registrations (thief unlock registrations / bogus binds).
-    for (const auto& record : history(id)) {
-      if (record.client_time >= t_loss &&
-          record.op != MetadataOp::kSetAttr) {
-        auto post_path = resolve_path(id, record.client_time);
-        // A bogus binding may name a directory that never existed; surface
-        // the raw leaf name rather than dropping the evidence.
-        std::string shown = post_path.ok()
-                                ? *post_path
-                                : "<unresolvable dir " +
-                                      record.dir_id.ToHex().substr(0, 8) +
-                                      ">/" + record.name;
-        if (file.post_loss_paths.empty() ||
-            file.post_loss_paths.back() != shown) {
-          file.post_loss_paths.push_back(shown);
-        }
-      }
-    }
     file.prefetch_only = !file.accesses.empty();
     for (const auto& access : file.accesses) {
       if (access.op != AccessOp::kPrefetch) {
@@ -169,6 +137,25 @@ AuditReport BuildFromData(
               return a.accesses.back().when > b.accesses.back().when;
             });
   return report;
+}
+
+// The metadata tier's answers, one per compromised file in report order
+// (MetadataService::Annotate).
+Status AttachAnnotations(std::vector<FileAnnotation> annotations,
+                         AuditReport* report) {
+  if (annotations.size() != report->compromised.size()) {
+    return DataLossError("forensics: " + std::to_string(annotations.size()) +
+                         " annotations for " +
+                         std::to_string(report->compromised.size()) +
+                         " files");
+  }
+  for (size_t i = 0; i < annotations.size(); ++i) {
+    report->compromised[i].path_at_loss =
+        std::move(annotations[i].path_at_loss);
+    report->compromised[i].post_loss_paths =
+        std::move(annotations[i].post_loss_paths);
+  }
+  return Status::Ok();
 }
 
 // Auditor catch-up is deferrable background traffic (DESIGN.md §14):
@@ -337,25 +324,78 @@ Result<AuditReport> ForensicAuditor::BuildReport(const std::string& device_id,
                        return a.timestamp < b.timestamp;
                      });
   }
-  const MetadataService* meta = MetaAuthority();
-  AuditReport annotated = BuildFromData(
-      t_loss, texp, entries,
-      [&](const AuditId& id, SimTime as_of) {
-        return meta->ResolvePath(device_id, id, as_of);
-      },
-      [&](const AuditId& id) {
-        std::vector<HistoryItem> out;
-        for (const auto& record : meta->HistoryOf(device_id, id)) {
-          out.push_back(HistoryItem{record.op, record.name, record.dir_id,
-                                    record.client_time});
-        }
-        return out;
-      });
-  annotated.replica_logs_verified = replicas_ok;
-  annotated.duplicate_records = duplicate_records;
-  annotated.orphaned_records = orphaned_records;
-  return Result<AuditReport>(std::move(annotated));
+  AuditReport report = ClassifyAccesses(t_loss, texp, entries);
+  std::vector<AuditId> ids;
+  ids.reserve(report.compromised.size());
+  for (const AuditReportEntry& file : report.compromised) {
+    ids.push_back(file.audit_id);
+  }
+  KP_RETURN_IF_ERROR(AttachAnnotations(
+      MetaAuthority()->Annotate(device_id, ids, t_loss), &report));
+  report.replica_logs_verified = replicas_ok;
+  report.duplicate_records = duplicate_records;
+  report.orphaned_records = orphaned_records;
+  return Result<AuditReport>(std::move(report));
 }
+
+namespace {
+
+// Overlap re-verification after a resync: the fields that make two copies
+// of one sequence number the same row (the chain fields necessarily differ
+// across forks).
+bool SameRow(const AuditLogEntry& a, const AuditLogEntry& b) {
+  return a.device_id == b.device_id && a.audit_id == b.audit_id &&
+         a.op == b.op && a.timestamp == b.timestamp &&
+         a.client_time == b.client_time;
+}
+
+bool SameRow(const MetadataRecord& a, const MetadataRecord& b) {
+  return a.device_id == b.device_id && a.audit_id == b.audit_id &&
+         a.op == b.op && a.dir_id == b.dir_id && a.name == b.name &&
+         a.timestamp == b.timestamp && a.client_time == b.client_time;
+}
+
+// One audit.*_log_tail reply.
+template <typename Row>
+struct TailPage {
+  uint64_t next = 0;
+  uint64_t epoch = 0;
+  uint64_t ckpt_count = 0;
+  Bytes ckpt_hash;
+  std::vector<Row> rows;
+};
+
+Result<uint64_t> UintField(const WireValue& value, const char* name) {
+  KP_ASSIGN_OR_RETURN(WireValue field, value.Field(name));
+  KP_ASSIGN_OR_RETURN(int64_t v, field.AsInt());
+  return static_cast<uint64_t>(v);
+}
+
+template <typename Row>
+Result<TailPage<Row>> FetchTail(RpcClient* rpc, const std::string& device_id,
+                                const Bytes& secret, const char* method,
+                                uint64_t cursor) {
+  WireValue::Array payload;
+  payload.push_back(WireValue(static_cast<int64_t>(cursor)));
+  auto result = rpc->Call(
+      method, FrameAuthedCall(device_id, secret, method, std::move(payload)),
+      AuditorCallContext());
+  if (!result.ok()) {
+    return result.status();
+  }
+  TailPage<Row> page;
+  KP_ASSIGN_OR_RETURN(page.next, UintField(*result, "next"));
+  KP_ASSIGN_OR_RETURN(page.epoch, UintField(*result, "epoch"));
+  KP_ASSIGN_OR_RETURN(page.ckpt_count, UintField(*result, "ckpt_count"));
+  KP_ASSIGN_OR_RETURN(WireValue hash, result->Field("ckpt_hash"));
+  KP_ASSIGN_OR_RETURN(page.ckpt_hash, hash.AsBytes());
+  KP_ASSIGN_OR_RETURN(WireValue entries, result->Field("entries"));
+  KP_ASSIGN_OR_RETURN(Bytes flat, entries.AsBytes());
+  KP_ASSIGN_OR_RETURN(page.rows, DecodeFlatRows<Row>(flat));
+  return page;
+}
+
+}  // namespace
 
 Result<std::vector<LogCheckpoint>> RemoteAuditor::FetchCheckpoints(
     RpcClient* rpc, const char* method, const Bytes& secret) {
@@ -395,203 +435,99 @@ bool RemoteAuditor::CheckpointsExtendRecorded(RpcClient* rpc,
   return (*ckpts)[recorded_count - 1].hash == recorded_hash;
 }
 
-Status RemoteAuditor::CatchUpFromCheckpoints() {
-  for (size_t shard = 0; shard < key_rpcs_.size(); ++shard) {
-    KP_ASSIGN_OR_RETURN(
-        std::vector<LogCheckpoint> ckpts,
-        FetchCheckpoints(key_rpcs_[shard], "audit.key_checkpoints",
-                         key_secret_));
-    if (ckpts.empty()) {
-      continue;
-    }
-    cursors_[shard] = std::max(cursors_[shard], ckpts.back().end_seq);
-    ckpt_counts_[shard] = ckpts.size();
-    ckpt_hashes_[shard] = ckpts.back().hash;
-  }
-  KP_ASSIGN_OR_RETURN(
-      std::vector<LogCheckpoint> meta_ckpts,
-      FetchCheckpoints(meta_rpc_, "audit.meta_checkpoints", meta_secret_));
-  if (!meta_ckpts.empty()) {
-    meta_cursor_ = std::max(meta_cursor_, meta_ckpts.back().end_seq);
-    meta_ckpt_count_ = meta_ckpts.size();
-    meta_ckpt_hash_ = meta_ckpts.back().hash;
+template <typename Row>
+Status RemoteAuditor::CatchUp(const Tier& tier, TailCursor<Row>* log) {
+  KP_ASSIGN_OR_RETURN(std::vector<LogCheckpoint> ckpts,
+                      FetchCheckpoints(tier.rpc, tier.ckpt_method,
+                                       *tier.secret));
+  if (!ckpts.empty()) {
+    log->cursor = std::max(log->cursor, ckpts.back().end_seq);
+    log->ckpt_count = ckpts.size();
+    log->ckpt_hash = ckpts.back().hash;
   }
   return Status::Ok();
 }
 
-Status RemoteAuditor::Resync(size_t shard, uint64_t server_epoch) {
+Status RemoteAuditor::CatchUpFromCheckpoints() {
+  for (size_t shard = 0; shard < key_rpcs_.size(); ++shard) {
+    KP_RETURN_IF_ERROR(CatchUp(KeyTier(shard), &shards_[shard]));
+  }
+  return CatchUp(MetaTier(), &meta_);
+}
+
+template <typename Row>
+Status RemoteAuditor::Resync(const Tier& tier, uint64_t server_epoch,
+                             TailCursor<Row>* log) {
   ++resyncs_;
-  WireValue::Array payload;
-  payload.push_back(WireValue(static_cast<int64_t>(0)));
-  auto result = key_rpcs_[shard]->Call(
-      "audit.key_log_tail",
-      FrameAuthedCall(device_id_, key_secret_, "audit.key_log_tail",
-                      std::move(payload)),
-      AuditorCallContext());
-  if (!result.ok()) {
-    return result.status();
-  }
-  KP_ASSIGN_OR_RETURN(WireValue next, result->Field("next"));
-  KP_ASSIGN_OR_RETURN(int64_t next_seq, next.AsInt());
-  KP_ASSIGN_OR_RETURN(WireValue raw, result->Field("entries"));
-  KP_ASSIGN_OR_RETURN(WireValue::Array raw_entries, raw.AsArray());
-  entries_fetched_ += raw_entries.size();
-  std::vector<AuditLogEntry> fresh;
-  for (const auto& raw_entry : raw_entries) {
-    KP_ASSIGN_OR_RETURN(AuditLogEntry entry,
-                        AuditLogEntry::FromWire(raw_entry));
-    fresh.push_back(std::move(entry));
-  }
+  KP_ASSIGN_OR_RETURN(TailPage<Row> page,
+                      FetchTail<Row>(tier.rpc, device_id_, *tier.secret,
+                                     tier.tail_method, 0));
+  entries_fetched_ += page.rows.size();
   // Overlap re-verification: every row this auditor already fetched must
   // either still exist with identical content, or it stays in the local
   // cache as evidence — a row served once is never silently un-happened by
-  // a shard restore or failover. Changed overlap rows (same sequence,
-  // different content) are tamper/fork evidence; both versions are kept.
-  std::vector<AuditLogEntry> merged = fresh;
-  for (const auto& had : shard_cached_[shard]) {
-    const AuditLogEntry* match = nullptr;
-    for (const auto& now : fresh) {
-      if (now.seq == had.seq) {
-        match = &now;
-        break;
-      }
-    }
-    if (match == nullptr) {
+  // a restore or failover. Changed overlap rows (same sequence, different
+  // content) are tamper/fork evidence; both versions are kept.
+  std::vector<Row> merged = std::move(page.rows);
+  std::unordered_map<uint64_t, size_t> fresh_by_seq;
+  fresh_by_seq.reserve(merged.size());
+  for (size_t i = 0; i < merged.size(); ++i) {
+    fresh_by_seq.emplace(merged[i].seq, i);
+  }
+  for (const Row& had : log->cached) {
+    auto match = fresh_by_seq.find(had.seq);
+    if (match == fresh_by_seq.end()) {
       ++regressed_entries_;
       merged.push_back(had);
-    } else if (!(match->device_id == had.device_id &&
-                 match->audit_id == had.audit_id && match->op == had.op &&
-                 match->timestamp == had.timestamp &&
-                 match->client_time == had.client_time)) {
+    } else if (!SameRow(merged[match->second], had)) {
       ++overlap_mismatches_;
       merged.push_back(had);
     }
   }
   std::stable_sort(merged.begin(), merged.end(),
-                   [](const AuditLogEntry& a, const AuditLogEntry& b) {
+                   [](const Row& a, const Row& b) {
                      return a.timestamp < b.timestamp;
                    });
-  shard_cached_[shard] = std::move(merged);
-  cursors_[shard] = static_cast<uint64_t>(next_seq);
-  epochs_[shard] = server_epoch;
+  log->cached = std::move(merged);
+  log->cursor = page.next;
+  log->epoch = server_epoch;
   return Status::Ok();
 }
 
-Status RemoteAuditor::MetaResync(uint64_t server_epoch) {
-  ++resyncs_;
-  WireValue::Array payload;
-  payload.push_back(WireValue(static_cast<int64_t>(0)));
-  auto result = meta_rpc_->Call(
-      "audit.meta_log_tail",
-      FrameAuthedCall(device_id_, meta_secret_, "audit.meta_log_tail",
-                      std::move(payload)),
-      AuditorCallContext());
-  if (!result.ok()) {
-    return result.status();
-  }
-  KP_ASSIGN_OR_RETURN(WireValue next, result->Field("next"));
-  KP_ASSIGN_OR_RETURN(int64_t next_seq, next.AsInt());
-  KP_ASSIGN_OR_RETURN(WireValue raw, result->Field("entries"));
-  KP_ASSIGN_OR_RETURN(WireValue::Array raw_records, raw.AsArray());
-  entries_fetched_ += raw_records.size();
-  std::vector<MetadataRecord> fresh;
-  for (const auto& raw_record : raw_records) {
-    KP_ASSIGN_OR_RETURN(MetadataRecord record,
-                        MetadataRecord::FromWire(raw_record));
-    fresh.push_back(std::move(record));
-  }
-  // Overlap re-verification, as on the key tier: a namespace row served
-  // once is never silently un-happened by a restore or failover — rows the
-  // resynced log no longer carries stay cached as evidence, and changed
-  // overlap rows are kept in both versions.
-  std::vector<MetadataRecord> merged = fresh;
-  for (const auto& had : meta_cached_) {
-    const MetadataRecord* match = nullptr;
-    for (const auto& now : fresh) {
-      if (now.seq == had.seq) {
-        match = &now;
-        break;
-      }
-    }
-    if (match == nullptr) {
-      ++regressed_entries_;
-      merged.push_back(had);
-    } else if (!(match->device_id == had.device_id &&
-                 match->audit_id == had.audit_id && match->op == had.op &&
-                 match->dir_id == had.dir_id && match->name == had.name &&
-                 match->timestamp == had.timestamp &&
-                 match->client_time == had.client_time)) {
-      ++overlap_mismatches_;
-      merged.push_back(had);
-    }
-  }
-  std::stable_sort(merged.begin(), merged.end(),
-                   [](const MetadataRecord& a, const MetadataRecord& b) {
-                     return a.timestamp < b.timestamp;
-                   });
-  meta_cached_ = std::move(merged);
-  meta_cursor_ = static_cast<uint64_t>(next_seq);
-  meta_epoch_ = server_epoch;
-  return Status::Ok();
-}
-
-Status RemoteAuditor::PullMetaTail() {
-  WireValue::Array payload;
-  payload.push_back(WireValue(static_cast<int64_t>(meta_cursor_)));
-  auto result = meta_rpc_->Call(
-      "audit.meta_log_tail",
-      FrameAuthedCall(device_id_, meta_secret_, "audit.meta_log_tail",
-                      std::move(payload)),
-      AuditorCallContext());
-  if (!result.ok()) {
-    return result.status();
-  }
-  KP_ASSIGN_OR_RETURN(WireValue next, result->Field("next"));
-  KP_ASSIGN_OR_RETURN(int64_t next_seq, next.AsInt());
-  uint64_t server_epoch = 0;
-  if (result->HasField("epoch")) {
-    KP_ASSIGN_OR_RETURN(WireValue epoch_v, result->Field("epoch"));
-    KP_ASSIGN_OR_RETURN(int64_t epoch_int, epoch_v.AsInt());
-    server_epoch = static_cast<uint64_t>(epoch_int);
-  }
-  uint64_t server_ckpt_count = 0;
-  Bytes server_ckpt_hash;
-  if (result->HasField("ckpt_count")) {
-    KP_ASSIGN_OR_RETURN(WireValue count_v, result->Field("ckpt_count"));
-    KP_ASSIGN_OR_RETURN(int64_t count_int, count_v.AsInt());
-    server_ckpt_count = static_cast<uint64_t>(count_int);
-    KP_ASSIGN_OR_RETURN(WireValue hash_v, result->Field("ckpt_hash"));
-    KP_ASSIGN_OR_RETURN(server_ckpt_hash, hash_v.AsBytes());
-  }
-  if (static_cast<uint64_t>(next_seq) < meta_cursor_ ||
-      server_epoch != meta_epoch_) {
-    // Same disambiguation as the key tier: a restart (possibly with prefix
-    // truncation) of the same chain is proven benign by the checkpoint
-    // chain; anything else is a genuine regression and resyncs.
-    if (static_cast<uint64_t>(next_seq) >= meta_cursor_ &&
-        CheckpointsExtendRecorded(meta_rpc_, "audit.meta_checkpoints",
-                                  meta_secret_, meta_ckpt_count_,
-                                  meta_ckpt_hash_)) {
-      meta_epoch_ = server_epoch;
+template <typename Row>
+Status RemoteAuditor::PullTail(const Tier& tier, TailCursor<Row>* log) {
+  KP_ASSIGN_OR_RETURN(TailPage<Row> page,
+                      FetchTail<Row>(tier.rpc, device_id_, *tier.secret,
+                                     tier.tail_method, log->cursor));
+  if (page.next < log->cursor || page.epoch != log->epoch) {
+    // The log apparently moved under the cursor: either the cursor ran
+    // past the server (restore from an older snapshot / failover onto a
+    // shorter chain) or the service merely restarted — possibly having
+    // truncated a checkpointed prefix we already hold. Raw sequence
+    // numbers can't tell these apart; the signed checkpoint chain can.
+    if (page.next >= log->cursor &&
+        CheckpointsExtendRecorded(tier.rpc, tier.ckpt_method, *tier.secret,
+                                  log->ckpt_count, log->ckpt_hash)) {
+      // Same chain, extended: adopt the new epoch and keep the cursor.
+      log->epoch = page.epoch;
       ++benign_restarts_;
     } else {
-      KP_RETURN_IF_ERROR(MetaResync(server_epoch));
-      meta_ckpt_count_ = server_ckpt_count;
-      meta_ckpt_hash_ = server_ckpt_hash;
+      // Genuinely different (or shorter) history: the suffix we just
+      // asked for is not trustworthy as an increment; refetch from
+      // sequence zero and re-verify the overlap.
+      KP_RETURN_IF_ERROR(Resync(tier, page.epoch, log));
+      log->ckpt_count = page.ckpt_count;
+      log->ckpt_hash = std::move(page.ckpt_hash);
       return Status::Ok();
     }
   }
-  KP_ASSIGN_OR_RETURN(WireValue raw, result->Field("entries"));
-  KP_ASSIGN_OR_RETURN(WireValue::Array raw_records, raw.AsArray());
-  entries_fetched_ += raw_records.size();
-  for (const auto& raw_record : raw_records) {
-    KP_ASSIGN_OR_RETURN(MetadataRecord record,
-                        MetadataRecord::FromWire(raw_record));
-    meta_cached_.push_back(std::move(record));
-  }
-  meta_cursor_ = static_cast<uint64_t>(next_seq);
-  meta_ckpt_count_ = server_ckpt_count;
-  meta_ckpt_hash_ = server_ckpt_hash;
+  entries_fetched_ += page.rows.size();
+  log->cached.insert(log->cached.end(),
+                     std::make_move_iterator(page.rows.begin()),
+                     std::make_move_iterator(page.rows.end()));
+  log->cursor = page.next;
+  log->ckpt_count = page.ckpt_count;
+  log->ckpt_hash = std::move(page.ckpt_hash);
   return Status::Ok();
 }
 
@@ -602,145 +538,51 @@ Result<AuditReport> RemoteAuditor::BuildReport(SimTime t_loss,
   // Repeat audits only move the suffix — the sequence cursor makes the
   // nightly audit incremental instead of a full-log replay.
   for (size_t shard = 0; shard < key_rpcs_.size(); ++shard) {
-    WireValue::Array payload;
-    payload.push_back(WireValue(static_cast<int64_t>(cursors_[shard])));
-    auto log_result = key_rpcs_[shard]->Call(
-        "audit.key_log_tail",
-        FrameAuthedCall(device_id_, key_secret_, "audit.key_log_tail",
-                        std::move(payload)),
-        AuditorCallContext());
-    if (!log_result.ok()) {
-      return log_result.status();
-    }
-    KP_ASSIGN_OR_RETURN(WireValue next, log_result->Field("next"));
-    KP_ASSIGN_OR_RETURN(int64_t next_seq, next.AsInt());
-    uint64_t server_epoch = 0;
-    if (log_result->HasField("epoch")) {
-      KP_ASSIGN_OR_RETURN(WireValue epoch_v, log_result->Field("epoch"));
-      KP_ASSIGN_OR_RETURN(int64_t epoch_int, epoch_v.AsInt());
-      server_epoch = static_cast<uint64_t>(epoch_int);
-    }
-    uint64_t server_ckpt_count = 0;
-    Bytes server_ckpt_hash;
-    if (log_result->HasField("ckpt_count")) {
-      KP_ASSIGN_OR_RETURN(WireValue count_v, log_result->Field("ckpt_count"));
-      KP_ASSIGN_OR_RETURN(int64_t count_int, count_v.AsInt());
-      server_ckpt_count = static_cast<uint64_t>(count_int);
-      KP_ASSIGN_OR_RETURN(WireValue hash_v, log_result->Field("ckpt_hash"));
-      KP_ASSIGN_OR_RETURN(server_ckpt_hash, hash_v.AsBytes());
-    }
-    if (static_cast<uint64_t>(next_seq) < cursors_[shard] ||
-        server_epoch != epochs_[shard]) {
-      // The log apparently moved under the cursor: either the cursor ran
-      // past the server (restore from an older snapshot / failover onto a
-      // shorter chain) or the service merely restarted — possibly having
-      // truncated a checkpointed prefix we already hold. Raw sequence
-      // numbers can't tell these apart; the signed checkpoint chain can.
-      if (static_cast<uint64_t>(next_seq) >= cursors_[shard] &&
-          CheckpointsExtendRecorded(key_rpcs_[shard], "audit.key_checkpoints",
-                                    key_secret_, ckpt_counts_[shard],
-                                    ckpt_hashes_[shard])) {
-        // Same chain, extended: adopt the new epoch and keep the cursor.
-        epochs_[shard] = server_epoch;
-        ++benign_restarts_;
-      } else {
-        // Genuinely different (or shorter) history: the suffix we just
-        // asked for is not trustworthy as an increment; refetch from
-        // sequence zero and re-verify the overlap.
-        KP_RETURN_IF_ERROR(Resync(shard, server_epoch));
-        ckpt_counts_[shard] = server_ckpt_count;
-        ckpt_hashes_[shard] = server_ckpt_hash;
-        continue;
-      }
-    }
-    KP_ASSIGN_OR_RETURN(WireValue raw, log_result->Field("entries"));
-    KP_ASSIGN_OR_RETURN(WireValue::Array raw_entries, raw.AsArray());
-    entries_fetched_ += raw_entries.size();
-    for (const auto& raw_entry : raw_entries) {
-      KP_ASSIGN_OR_RETURN(AuditLogEntry entry,
-                          AuditLogEntry::FromWire(raw_entry));
-      shard_cached_[shard].push_back(std::move(entry));
-    }
-    cursors_[shard] = static_cast<uint64_t>(next_seq);
-    ckpt_counts_[shard] = server_ckpt_count;
-    ckpt_hashes_[shard] = server_ckpt_hash;
+    KP_RETURN_IF_ERROR(PullTail(KeyTier(shard), &shards_[shard]));
   }
   // The metadata tier keeps its own incremental cursor: the tail pull
   // notices a restore-from-older-snapshot (or a failover onto a shorter
   // chain) on this tier too, and preserves regressed namespace rows as
-  // evidence before the path resolutions below consult the live service.
-  KP_RETURN_IF_ERROR(PullMetaTail());
-  std::vector<AuditLogEntry> timeline;
-  for (const auto& shard : shard_cached_) {
-    timeline.insert(timeline.end(), shard.begin(), shard.end());
+  // evidence; the paths themselves come from audit.annotate below.
+  KP_RETURN_IF_ERROR(PullTail(MetaTier(), &meta_));
+  std::vector<AuditLogEntry> entries;
+  for (const auto& shard : shards_) {
+    for (const auto& entry : shard.cached) {
+      if (entry.timestamp >= t_loss - texp) {
+        entries.push_back(entry);
+      }
+    }
   }
-  if (key_rpcs_.size() > 1) {
-    std::stable_sort(timeline.begin(), timeline.end(),
+  if (shards_.size() > 1) {
+    std::stable_sort(entries.begin(), entries.end(),
                      [](const AuditLogEntry& a, const AuditLogEntry& b) {
                        return a.timestamp < b.timestamp;
                      });
   }
-  std::vector<AuditLogEntry> entries;
-  for (const auto& entry : timeline) {
-    if (entry.timestamp >= t_loss - texp) {
-      entries.push_back(entry);
-    }
+
+  // Every reported file's paths in one request. The service verifies its
+  // whole chain first, so a broken metadata chain fails the report instead
+  // of silently dropping post-loss bindings.
+  AuditReport report = ClassifyAccesses(t_loss, texp, entries);
+  Bytes ids;
+  ids.reserve(report.compromised.size() * sizeof(AuditId::v));
+  for (const AuditReportEntry& file : report.compromised) {
+    ids.insert(ids.end(), file.audit_id.v.begin(), file.audit_id.v.end());
   }
-
-  auto resolve = [this](const AuditId& id,
-                        SimTime as_of) -> Result<std::string> {
-    WireValue::Array params;
-    params.push_back(WireValue(id.ToBytes()));
-    params.push_back(WireValue(as_of.nanos()));
-    auto result = meta_rpc_->Call(
-        "audit.resolve_path",
-        FrameAuthedCall(device_id_, meta_secret_, "audit.resolve_path",
-                        std::move(params)));
-    if (!result.ok()) {
-      return result.status();
-    }
-    return result->AsString();
-  };
-  auto history = [this](const AuditId& id) {
-    std::vector<HistoryItem> out;
-    WireValue::Array params;
-    params.push_back(WireValue(id.ToBytes()));
-    auto result = meta_rpc_->Call(
-        "audit.history",
-        FrameAuthedCall(device_id_, meta_secret_, "audit.history",
-                        std::move(params)));
-    if (!result.ok()) {
-      return out;
-    }
-    auto raw_items = result->AsArray();
-    if (!raw_items.ok()) {
-      return out;
-    }
-    for (const auto& raw : *raw_items) {
-      HistoryItem item;
-      auto op = raw.Field("op");
-      auto name = raw.Field("name");
-      auto dir = raw.Field("dir");
-      auto cts = raw.Field("cts");
-      if (!op.ok() || !name.ok() || !dir.ok() || !cts.ok()) {
-        continue;
-      }
-      item.op = static_cast<MetadataOp>(op->AsInt().value_or(0));
-      item.name = name->AsString().value_or("");
-      auto dir_bytes = dir->AsBytes();
-      if (dir_bytes.ok()) {
-        auto dir_id = DirId::FromBytes(*dir_bytes);
-        if (dir_id.ok()) {
-          item.dir_id = *dir_id;
-        }
-      }
-      item.client_time = SimTime(cts->AsInt().value_or(0));
-      out.push_back(std::move(item));
-    }
-    return out;
-  };
-
-  return BuildFromData(t_loss, texp, entries, resolve, history);
+  WireValue::Array params;
+  params.push_back(WireValue(std::move(ids)));
+  params.push_back(WireValue(t_loss.nanos()));
+  auto result = meta_rpc_->Call(
+      "audit.annotate", FrameAuthedCall(device_id_, meta_secret_,
+                                        "audit.annotate", std::move(params)));
+  if (!result.ok()) {
+    return result.status();
+  }
+  KP_ASSIGN_OR_RETURN(Bytes flat, result->AsBytes());
+  KP_ASSIGN_OR_RETURN(std::vector<FileAnnotation> annotations,
+                      DecodeFlatRows<FileAnnotation>(flat));
+  KP_RETURN_IF_ERROR(AttachAnnotations(std::move(annotations), &report));
+  return report;
 }
 
 }  // namespace keypad

@@ -156,14 +156,12 @@ class RemoteAuditor {
         device_id_(std::move(device_id)),
         key_secret_(std::move(key_secret)),
         meta_secret_(std::move(meta_secret)),
-        cursors_(key_rpcs_.size(), 0),
-        epochs_(key_rpcs_.size(), 0),
-        shard_cached_(key_rpcs_.size()),
-        ckpt_counts_(key_rpcs_.size(), 0),
-        ckpt_hashes_(key_rpcs_.size()) {}
+        shards_(key_rpcs_.size()) {}
 
   // Non-const: advances the per-shard cursors and extends the cached
-  // per-device timeline.
+  // per-device timeline. Paths for the reported files come from one
+  // audit.annotate request (DESIGN.md §19); a metadata chain that fails
+  // verification fails the report.
   Result<AuditReport> BuildReport(SimTime t_loss, SimDuration texp);
 
   // Checkpoint-anchored catch-up (DESIGN.md §15): fetches each tier's
@@ -177,14 +175,14 @@ class RemoteAuditor {
 
   // Test hooks: where each shard's cursor stands and how much of the
   // device's timeline is cached locally.
-  uint64_t cursor(size_t shard = 0) const { return cursors_[shard]; }
+  uint64_t cursor(size_t shard = 0) const { return shards_[shard].cursor; }
   // The metadata tier's incremental cursor (audit.meta_log_tail).
-  uint64_t meta_cursor() const { return meta_cursor_; }
-  size_t meta_cached_entries() const { return meta_cached_.size(); }
+  uint64_t meta_cursor() const { return meta_.cursor; }
+  size_t meta_cached_entries() const { return meta_.cached.size(); }
   size_t cached_entries() const {
     size_t total = 0;
-    for (const auto& shard : shard_cached_) {
-      total += shard.size();
+    for (const auto& shard : shards_) {
+      total += shard.cached.size();
     }
     return total;
   }
@@ -204,23 +202,56 @@ class RemoteAuditor {
   uint64_t entries_fetched() const { return entries_fetched_; }
 
  private:
-  // Re-reads shard's log from sequence 0 after detecting regression, and
+  // One log's incremental-plus-resync state: the "next unseen sequence
+  // number" cursor, the service restore epoch last seen, the device's rows
+  // fetched so far (kept per log so a resync re-verifies just its rows),
+  // and the checkpoint fingerprint (count + latest hash) last seen, for
+  // regression disambiguation.
+  template <typename Row>
+  struct TailCursor {
+    uint64_t cursor = 0;
+    uint64_t epoch = 0;
+    std::vector<Row> cached;
+    uint64_t ckpt_count = 0;
+    Bytes ckpt_hash;
+  };
+  // Where one log's audit surface lives.
+  struct Tier {
+    RpcClient* rpc;
+    const Bytes* secret;
+    const char* tail_method;
+    const char* ckpt_method;
+  };
+  Tier KeyTier(size_t shard) const {
+    return {key_rpcs_[shard], &key_secret_, "audit.key_log_tail",
+            "audit.key_checkpoints"};
+  }
+  Tier MetaTier() const {
+    return {meta_rpc_, &meta_secret_, "audit.meta_log_tail",
+            "audit.meta_checkpoints"};
+  }
+
+  // Advances one log's cursor by one tail round, detecting
+  // restore-from-older-snapshot regressions.
+  template <typename Row>
+  Status PullTail(const Tier& tier, TailCursor<Row>* log);
+  // Re-reads the log from sequence 0 after detecting regression, and
   // reconciles it against what this auditor had already fetched.
-  Status Resync(size_t shard, uint64_t server_epoch);
-  // Same for the metadata tier's log.
-  Status MetaResync(uint64_t server_epoch);
-  // Advances the metadata cursor by one audit.meta_log_tail round,
-  // detecting restore-from-older-snapshot regressions.
-  Status PullMetaTail();
+  template <typename Row>
+  Status Resync(const Tier& tier, uint64_t server_epoch,
+                TailCursor<Row>* log);
+  // Fast-forwards one log's cursor to its latest verified checkpoint.
+  template <typename Row>
+  Status CatchUp(const Tier& tier, TailCursor<Row>* log);
 
   // Fetches and chain-verifies one tier's signed checkpoint list.
   Result<std::vector<LogCheckpoint>> FetchCheckpoints(RpcClient* rpc,
                                                       const char* method,
                                                       const Bytes& secret);
   // Whether the server's (verified) checkpoint chain extends the prefix
-  // this auditor recorded — the satellite fix: cursor regressions are
-  // disambiguated by checkpoint id/hash, never by raw sequence alone, so a
-  // truncating restart of the same chain is not mistaken for a
+  // this auditor recorded: cursor regressions are disambiguated by
+  // checkpoint id/hash, never by raw sequence alone, so a truncating
+  // restart of the same chain is not mistaken for a
   // restore-from-older-snapshot.
   bool CheckpointsExtendRecorded(RpcClient* rpc, const char* method,
                                  const Bytes& secret, uint64_t recorded_count,
@@ -231,27 +262,13 @@ class RemoteAuditor {
   std::string device_id_;
   Bytes key_secret_;
   Bytes meta_secret_;
-  // Per-shard "next unseen sequence number" cursors, the service restore
-  // epoch last seen, and the accumulated device-filtered entries fetched so
-  // far (kept per shard so a resync can re-verify just that shard's rows).
-  std::vector<uint64_t> cursors_;
-  std::vector<uint64_t> epochs_;
-  std::vector<std::vector<AuditLogEntry>> shard_cached_;
-  // Metadata-tier cursor state: same incremental-plus-resync protocol over
-  // audit.meta_log_tail. The cached rows are retained as evidence (the
-  // report itself resolves paths over the live audit RPCs).
-  uint64_t meta_cursor_ = 0;
-  uint64_t meta_epoch_ = 0;
-  std::vector<MetadataRecord> meta_cached_;
+  std::vector<TailCursor<AuditLogEntry>> shards_;
+  // The metadata tier's rows are retained as evidence; the report's paths
+  // come from audit.annotate.
+  TailCursor<MetadataRecord> meta_;
   uint64_t resyncs_ = 0;
   uint64_t regressed_entries_ = 0;
   uint64_t overlap_mismatches_ = 0;
-  // Checkpoint fingerprint last seen per key shard (count + latest hash)
-  // and for the metadata tier, for regression disambiguation.
-  std::vector<uint64_t> ckpt_counts_;
-  std::vector<Bytes> ckpt_hashes_;
-  uint64_t meta_ckpt_count_ = 0;
-  Bytes meta_ckpt_hash_;
   uint64_t benign_restarts_ = 0;
   uint64_t entries_fetched_ = 0;
 };

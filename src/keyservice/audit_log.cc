@@ -74,6 +74,35 @@ Result<AuditLogEntry> AuditLogEntry::FromWire(const WireValue& value) {
   return entry;
 }
 
+void AuditLogEntry::AppendFlat(Bytes* out) const {
+  AppendU64Be(*out, seq);
+  AppendU64Be(*out, group_start);
+  AppendU64Be(*out, static_cast<uint64_t>(timestamp.nanos()));
+  AppendU64Be(*out, static_cast<uint64_t>(client_time.nanos()));
+  AppendBlob(*out, device_id);
+  out->insert(out->end(), audit_id.v.begin(), audit_id.v.end());
+  out->push_back(static_cast<uint8_t>(op));
+  AppendBlob(*out, prev_hash);
+  AppendBlob(*out, entry_hash);
+}
+
+bool AuditLogEntry::ReadFlat(ByteReader& in, AuditLogEntry* entry) {
+  uint64_t ts = 0;
+  uint64_t cts = 0;
+  uint8_t op = 0;
+  if (!in.U64(&entry->seq) || !in.U64(&entry->group_start) || !in.U64(&ts) ||
+      !in.U64(&cts) || !in.Str(&entry->device_id) ||
+      !in.Copy(entry->audit_id.v.data(), entry->audit_id.v.size()) ||
+      !in.U8(&op) || op > static_cast<uint8_t>(AccessOp::kRestore) ||
+      !in.Blob(&entry->prev_hash) || !in.Blob(&entry->entry_hash)) {
+    return false;
+  }
+  entry->timestamp = SimTime(static_cast<int64_t>(ts));
+  entry->client_time = SimTime(static_cast<int64_t>(cts));
+  entry->op = static_cast<AccessOp>(op);
+  return true;
+}
+
 void AuditLogCodec::SerializeEntry(const AuditLogEntry& entry, Bytes* out) {
   AppendU64Be(*out, entry.seq);
   AppendU64Be(*out, static_cast<uint64_t>(entry.timestamp.nanos()));

@@ -72,6 +72,12 @@ struct AuditLogEntry {
 
   WireValue ToWire() const;
   static Result<AuditLogEntry> FromWire(const WireValue& value);
+
+  // Flat row for the audit RPC surface (DESIGN.md §19): every field above,
+  // chain hashes included, big-endian or length-prefixed. ReadFlat fails on
+  // a short input or an unknown op.
+  void AppendFlat(Bytes* out) const;
+  static bool ReadFlat(ByteReader& in, AuditLogEntry* entry);
 };
 
 // The substrate seam: canonical hash material and chain-field access for

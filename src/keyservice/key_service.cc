@@ -985,27 +985,21 @@ void KeyService::BindRpc(RpcServer* server) {
         // latest checkpoint is replayed per request.
         KP_RETURN_IF_ERROR(log_.VerifyTail());
         uint64_t from = static_cast<uint64_t>(next_seq);
-        WireValue::Array entries;
+        std::vector<AuditLogEntry> entries;
         if (from < log_.base_seq()) {
-          KP_ASSIGN_OR_RETURN(std::vector<AuditLogEntry> all,
-                              log_.AllEntriesFromSeq(from));
-          for (const auto& entry : all) {
-            if (entry.device_id == device) {
-              entries.push_back(entry.ToWire());
-            }
-          }
+          KP_ASSIGN_OR_RETURN(entries, log_.AllEntriesFromSeq(from));
         } else {
-          for (const auto& entry : log_.EntriesAfterSeq(from)) {
-            if (entry.device_id == device) {
-              entries.push_back(entry.ToWire());
-            }
-          }
+          entries = log_.EntriesAfterSeq(from);
         }
+        std::erase_if(entries, [&](const AuditLogEntry& entry) {
+          return entry.device_id != device;
+        });
         // "next" covers the whole committed log, not just this device's
         // rows, so the cursor advances past other devices' entries too.
+        // The rows travel as one flat blob (DESIGN.md §19).
         WireValue::Struct out;
         out.emplace("next", WireValue(static_cast<int64_t>(log_.size())));
-        out.emplace("entries", WireValue(std::move(entries)));
+        out.emplace("entries", WireValue(EncodeFlatRows(entries)));
         // Restore epoch: lets a remote cursor distinguish "shard restored
         // from an older snapshot" (epoch bump, possibly next < cursor) from
         // a plain short read, and trigger an overlap-verified resync.

@@ -87,6 +87,42 @@ Result<MetadataRecord> MetadataRecord::FromWire(const WireValue& value) {
   return record;
 }
 
+void MetadataRecord::AppendFlat(Bytes* out) const {
+  AppendU64Be(*out, seq);
+  AppendU64Be(*out, static_cast<uint64_t>(timestamp.nanos()));
+  AppendU64Be(*out, static_cast<uint64_t>(client_time.nanos()));
+  AppendBlob(*out, device_id);
+  out->push_back(static_cast<uint8_t>(op));
+  out->insert(out->end(), audit_id.v.begin(), audit_id.v.end());
+  out->insert(out->end(), dir_id.v.begin(), dir_id.v.end());
+  out->insert(out->end(), parent_dir_id.v.begin(), parent_dir_id.v.end());
+  AppendBlob(*out, name);
+  AppendBlob(*out, attr);
+  AppendBlob(*out, prev_hash);
+  AppendBlob(*out, entry_hash);
+}
+
+bool MetadataRecord::ReadFlat(ByteReader& in, MetadataRecord* record) {
+  uint64_t ts = 0;
+  uint64_t cts = 0;
+  uint8_t op = 0;
+  if (!in.U64(&record->seq) || !in.U64(&ts) || !in.U64(&cts) ||
+      !in.Str(&record->device_id) || !in.U8(&op) ||
+      op > static_cast<uint8_t>(MetadataOp::kSetAttr) ||
+      !in.Copy(record->audit_id.v.data(), record->audit_id.v.size()) ||
+      !in.Copy(record->dir_id.v.data(), record->dir_id.v.size()) ||
+      !in.Copy(record->parent_dir_id.v.data(),
+               record->parent_dir_id.v.size()) ||
+      !in.Str(&record->name) || !in.Str(&record->attr) ||
+      !in.Blob(&record->prev_hash) || !in.Blob(&record->entry_hash)) {
+    return false;
+  }
+  record->timestamp = SimTime(static_cast<int64_t>(ts));
+  record->client_time = SimTime(static_cast<int64_t>(cts));
+  record->op = static_cast<MetadataOp>(op);
+  return true;
+}
+
 uint64_t MetadataLog::Append(SimTime timestamp, MetadataRecord record) {
   record.timestamp = timestamp;
   if (record.client_time == SimTime()) {

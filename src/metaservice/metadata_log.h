@@ -65,6 +65,12 @@ struct MetadataRecord {
   // Wire form for service snapshots (crash/restart simulation).
   WireValue ToWire() const;
   static Result<MetadataRecord> FromWire(const WireValue& value);
+
+  // Flat row for audit.meta_log_tail (DESIGN.md §19): every field above,
+  // chain hashes included, big-endian or length-prefixed. ReadFlat fails on
+  // a short input or an unknown op.
+  void AppendFlat(Bytes* out) const;
+  static bool ReadFlat(ByteReader& in, MetadataRecord* record);
 };
 
 // The substrate seam for MetadataRecord. Group start is the record's own

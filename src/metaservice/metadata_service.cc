@@ -288,6 +288,60 @@ Result<std::string> MetadataService::ResolvePath(const std::string& device_id,
   return DataLossError("metadata service: directory cycle");
 }
 
+void FileAnnotation::AppendFlat(Bytes* out) const {
+  AppendBlob(*out, path_at_loss);
+  AppendU32Be(*out, static_cast<uint32_t>(post_loss_paths.size()));
+  for (const std::string& path : post_loss_paths) {
+    AppendBlob(*out, path);
+  }
+}
+
+bool FileAnnotation::ReadFlat(ByteReader& in, FileAnnotation* file) {
+  uint32_t count = 0;
+  if (!in.Str(&file->path_at_loss) || !in.U32(&count)) {
+    return false;
+  }
+  for (uint32_t i = 0; i < count; ++i) {
+    if (!in.Str(&file->post_loss_paths.emplace_back())) {
+      return false;
+    }
+  }
+  return true;
+}
+
+std::vector<FileAnnotation> MetadataService::Annotate(
+    const std::string& device_id, const std::vector<AuditId>& ids,
+    SimTime t_loss) const {
+  std::vector<FileAnnotation> out(ids.size());
+  for (size_t i = 0; i < ids.size(); ++i) {
+    FileAnnotation& file = out[i];
+    // Trusted path: metadata as the user last registered it, at Tloss.
+    auto path = ResolvePath(device_id, ids[i], t_loss);
+    if (path.ok()) {
+      file.path_at_loss = std::move(*path);
+    }
+    // Post-loss registrations (thief unlock registrations / bogus binds).
+    for (const auto& record : log_.HistoryOf(device_id, ids[i])) {
+      if (record.client_time < t_loss || record.op == MetadataOp::kSetAttr) {
+        continue;
+      }
+      auto post_path = ResolvePath(device_id, ids[i], record.client_time);
+      // A bogus binding may name a directory that never existed; surface
+      // the raw leaf name rather than dropping the evidence.
+      std::string shown = post_path.ok()
+                              ? std::move(*post_path)
+                              : "<unresolvable dir " +
+                                    record.dir_id.ToHex().substr(0, 8) +
+                                    ">/" + record.name;
+      if (file.post_loss_paths.empty() ||
+          file.post_loss_paths.back() != shown) {
+        file.post_loss_paths.push_back(std::move(shown));
+      }
+    }
+  }
+  return out;
+}
+
 void MetadataService::NoteRootChange(const std::string& device_id,
                                      const DirId& root_id) {
   if (!replicator_) {
@@ -691,43 +745,31 @@ void MetadataService::BindRpc(RpcServer* server) {
                return WireValue(true);
              });
 
+  // The report's path annotations in one request (DESIGN.md §19): the
+  // audit ids the console found in the key-tier window plus Tloss in, one
+  // flat FileAnnotation row per id out. The whole chain is verified first,
+  // once per request — no result is cached across requests.
   install(
-      "audit.resolve_path", false,
-             [this](const std::string& device,
-                    const WireValue::Array& payload) -> Result<WireValue> {
-               if (payload.size() != 2) {
-                 return InvalidArgumentError("audit.resolve_path: bad arity");
-               }
-               KP_ASSIGN_OR_RETURN(Bytes aid_bytes, payload[0].AsBytes());
-               KP_ASSIGN_OR_RETURN(AuditId aid, AuditId::FromBytes(aid_bytes));
-               KP_ASSIGN_OR_RETURN(int64_t as_of_ns, payload[1].AsInt());
-               KP_ASSIGN_OR_RETURN(
-                   std::string path,
-                   ResolvePath(device, aid, SimTime(as_of_ns)));
-               return WireValue(std::move(path));
-             });
-
-  install(
-      "audit.history", false,
-             [this](const std::string& device,
-                    const WireValue::Array& payload) -> Result<WireValue> {
-               if (payload.size() != 1) {
-                 return InvalidArgumentError("audit.history: bad arity");
-               }
-               KP_ASSIGN_OR_RETURN(Bytes aid_bytes, payload[0].AsBytes());
-               KP_ASSIGN_OR_RETURN(AuditId aid, AuditId::FromBytes(aid_bytes));
-               KP_RETURN_IF_ERROR(log_.Verify());
-               WireValue::Array out;
-               for (const auto& record : log_.HistoryOf(device, aid)) {
-                 WireValue::Struct r;
-                 r.emplace("op", WireValue(static_cast<int64_t>(record.op)));
-                 r.emplace("name", WireValue(record.name));
-                 r.emplace("dir", WireValue(record.dir_id.ToBytes()));
-                 r.emplace("cts", WireValue(record.client_time.nanos()));
-                 out.push_back(WireValue(std::move(r)));
-               }
-               return WireValue(std::move(out));
-             });
+      "audit.annotate", false,
+      [this](const std::string& device,
+             const WireValue::Array& payload) -> Result<WireValue> {
+        if (payload.size() != 2) {
+          return InvalidArgumentError("audit.annotate: bad arity");
+        }
+        KP_ASSIGN_OR_RETURN(Bytes raw_ids, payload[0].AsBytes());
+        KP_ASSIGN_OR_RETURN(int64_t t_loss_ns, payload[1].AsInt());
+        std::vector<AuditId> ids;
+        ByteReader in(raw_ids);
+        while (!in.at_end()) {
+          AuditId& id = ids.emplace_back();
+          if (!in.Copy(id.v.data(), id.v.size())) {
+            return InvalidArgumentError("audit.annotate: ragged id list");
+          }
+        }
+        KP_RETURN_IF_ERROR(log_.Verify());
+        return WireValue(
+            EncodeFlatRows(Annotate(device, ids, SimTime(t_loss_ns))));
+      });
 
   install(
       "meta.upload_journal", true,
@@ -781,27 +823,21 @@ void MetadataService::BindRpc(RpcServer* server) {
         // re-verified against its signed checkpoint first.
         KP_RETURN_IF_ERROR(log_.VerifyTail());
         uint64_t from = static_cast<uint64_t>(next_seq);
-        WireValue::Array records;
+        std::vector<MetadataRecord> records;
         if (from < log_.base_seq()) {
-          KP_ASSIGN_OR_RETURN(std::vector<MetadataRecord> all,
-                              log_.AllEntriesFromSeq(from));
-          for (const auto& record : all) {
-            if (record.device_id == device) {
-              records.push_back(record.ToWire());
-            }
-          }
+          KP_ASSIGN_OR_RETURN(records, log_.AllEntriesFromSeq(from));
         } else {
-          for (const auto& record : log_.EntriesAfterSeq(from)) {
-            if (record.device_id == device) {
-              records.push_back(record.ToWire());
-            }
-          }
+          records = log_.EntriesAfterSeq(from);
         }
+        std::erase_if(records, [&](const MetadataRecord& record) {
+          return record.device_id != device;
+        });
         // "next" covers the whole log, not just this device's rows, so the
-        // cursor advances past other devices' records too.
+        // cursor advances past other devices' records too. The rows travel
+        // as one flat blob (DESIGN.md §19).
         WireValue::Struct out;
         out.emplace("next", WireValue(static_cast<int64_t>(log_.size())));
-        out.emplace("entries", WireValue(std::move(records)));
+        out.emplace("entries", WireValue(EncodeFlatRows(records)));
         // Restore epoch: lets a remote cursor distinguish "service restored
         // from an older snapshot" (epoch bump, possibly next < cursor) from
         // a plain short read, and trigger an overlap-verified resync.

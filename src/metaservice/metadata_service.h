@@ -60,6 +60,23 @@ struct MetaReplDelta {
   static Result<MetaReplDelta> FromWire(const WireValue& value);
 };
 
+// The metadata service's reading of one audit id for a post-loss report
+// (DESIGN.md §19).
+struct FileAnnotation {
+  // The latest path registered by Tloss; empty if the file had no
+  // resolvable binding then.
+  std::string path_at_loss;
+  // Every binding registered at or after Tloss (kSetAttr excluded), each
+  // resolved as of its own client time, consecutive duplicates dropped. A
+  // binding under a directory the log never saw reads
+  // "<unresolvable dir XXXXXXXX>/name".
+  std::vector<std::string> post_loss_paths;
+
+  // Flat row for the audit.annotate response.
+  void AppendFlat(Bytes* out) const;
+  static bool ReadFlat(ByteReader& in, FileAnnotation* file);
+};
+
 class MetadataService {
  public:
   // `group` selects the pairing parameter set (production or test-sized).
@@ -129,6 +146,13 @@ class MetadataService {
                                         const AuditId& audit_id) const {
     return log_.HistoryOf(device_id, audit_id);
   }
+
+  // One FileAnnotation per id, in order — what both forensic auditors put
+  // in the report (the remote one over audit.annotate). The caller is
+  // responsible for having verified the chain.
+  std::vector<FileAnnotation> Annotate(const std::string& device_id,
+                                       const std::vector<AuditId>& ids,
+                                       SimTime t_loss) const;
 
   void BindRpc(RpcServer* server);
 

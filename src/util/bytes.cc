@@ -71,6 +71,11 @@ void AppendBlob(Bytes& dst, const Bytes& src) {
   Append(dst, src);
 }
 
+void AppendBlob(Bytes& dst, std::string_view src) {
+  AppendU32Be(dst, static_cast<uint32_t>(src.size()));
+  Append(dst, src);
+}
+
 uint32_t ReadU32Be(const uint8_t* p) {
   return (static_cast<uint32_t>(p[0]) << 24) |
          (static_cast<uint32_t>(p[1]) << 16) |

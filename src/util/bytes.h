@@ -3,6 +3,7 @@
 #ifndef SRC_UTIL_BYTES_H_
 #define SRC_UTIL_BYTES_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -32,8 +33,9 @@ void Append(Bytes& dst, std::string_view src);
 // Fixed-width big-endian integer append/read used by wire formats and hashes.
 void AppendU32Be(Bytes& dst, uint32_t v);
 void AppendU64Be(Bytes& dst, uint64_t v);
-// A u32 big-endian length prefix, then `src` (ByteReader::Blob reads it).
+// A u32 big-endian length prefix, then `src` (ByteReader::Blob/Str read it).
 void AppendBlob(Bytes& dst, const Bytes& src);
+void AppendBlob(Bytes& dst, std::string_view src);
 uint32_t ReadU32Be(const uint8_t* p);
 uint64_t ReadU64Be(const uint8_t* p);
 
@@ -90,12 +92,66 @@ class ByteReader {
     out->assign(at, at + len);
     return true;
   }
+  bool Str(std::string* out) {
+    uint32_t len = 0;
+    const uint8_t* at = U32(&len) ? Take(len) : nullptr;
+    if (at == nullptr) {
+      return false;
+    }
+    out->assign(reinterpret_cast<const char*>(at), len);
+    return true;
+  }
+  // Copies exactly `n` bytes into `out` (fixed-size ids).
+  bool Copy(uint8_t* out, size_t n) {
+    const uint8_t* at = Take(n);
+    if (at == nullptr) {
+      return false;
+    }
+    std::copy(at, at + n, out);
+    return true;
+  }
   bool at_end() const { return p_ == end_; }
 
  private:
   const uint8_t* p_;
   const uint8_t* end_;
 };
+
+// A u32 row count, then each row's flat encoding — the audit RPC bodies
+// (DESIGN.md §19). `Row` provides `void AppendFlat(Bytes*) const` and
+// `static bool ReadFlat(ByteReader&, Row*)`.
+template <typename Row>
+Bytes EncodeFlatRows(const std::vector<Row>& rows) {
+  Bytes out;
+  AppendU32Be(out, static_cast<uint32_t>(rows.size()));
+  for (const Row& row : rows) {
+    row.AppendFlat(&out);
+  }
+  return out;
+}
+
+// Parses EncodeFlatRows output. A short input, a malformed row or trailing
+// bytes is DataLoss; nothing is read past the end.
+template <typename Row>
+Result<std::vector<Row>> DecodeFlatRows(const Bytes& data) {
+  ByteReader in(data);
+  uint32_t count = 0;
+  if (!in.U32(&count)) {
+    return DataLossError("flat rows: missing row count");
+  }
+  std::vector<Row> rows;
+  for (uint32_t i = 0; i < count; ++i) {
+    Row row;
+    if (!Row::ReadFlat(in, &row)) {
+      return DataLossError("flat rows: malformed row " + std::to_string(i));
+    }
+    rows.push_back(std::move(row));
+  }
+  if (!in.at_end()) {
+    return DataLossError("flat rows: trailing bytes");
+  }
+  return rows;
+}
 
 // Returns a Bytes of size `len` whose contents are NOT zero-initialized.
 // For output buffers that are about to be fully overwritten (keystream XOR,

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "src/keypad/deployment.h"
+#include "src/keyservice/auth.h"
 
 namespace keypad {
 namespace {
@@ -43,6 +44,31 @@ class RemoteAuditorTest : public ::testing::Test {
   Deployment dep_;
 };
 
+// Every field of the two reports, file by file.
+void ExpectSameReport(const AuditReport& remote, const AuditReport& local) {
+  EXPECT_EQ(remote.demand_accessed_count, local.demand_accessed_count);
+  EXPECT_EQ(remote.prefetch_only_count, local.prefetch_only_count);
+  EXPECT_EQ(remote.denied_attempts, local.denied_attempts);
+  EXPECT_EQ(remote.key_log_verified, local.key_log_verified);
+  EXPECT_EQ(remote.metadata_log_verified, local.metadata_log_verified);
+  ASSERT_EQ(remote.compromised.size(), local.compromised.size());
+  for (size_t i = 0; i < remote.compromised.size(); ++i) {
+    const AuditReportEntry& r = remote.compromised[i];
+    const AuditReportEntry& l = local.compromised[i];
+    SCOPED_TRACE("file " + std::to_string(i) + " " + l.path_at_loss);
+    EXPECT_EQ(r.audit_id, l.audit_id);
+    EXPECT_EQ(r.path_at_loss, l.path_at_loss);
+    EXPECT_EQ(r.post_loss_paths, l.post_loss_paths);
+    EXPECT_EQ(r.prefetch_only, l.prefetch_only);
+    EXPECT_EQ(r.accessed_after_loss, l.accessed_after_loss);
+    ASSERT_EQ(r.accesses.size(), l.accesses.size());
+    for (size_t a = 0; a < r.accesses.size(); ++a) {
+      EXPECT_EQ(r.accesses[a].when, l.accesses[a].when);
+      EXPECT_EQ(r.accesses[a].op, l.accesses[a].op);
+    }
+  }
+}
+
 TEST_F(RemoteAuditorTest, RemoteReportMatchesLocalReport) {
   auto& fs = dep_.fs();
   ASSERT_TRUE(fs.Mkdir("/docs").ok());
@@ -52,10 +78,14 @@ TEST_F(RemoteAuditorTest, RemoteReportMatchesLocalReport) {
     ASSERT_TRUE(fs.WriteAll(path, BytesOf("x")).ok());
   }
   ASSERT_TRUE(fs.Rename("/docs/f0", "/docs/renamed").ok());
+  ASSERT_TRUE(fs.Mkdir("/private").ok());
+  ASSERT_TRUE(fs.Create("/private/diary").ok());
   dep_.queue().AdvanceBy(SimDuration::Seconds(300));
   SimTime t_loss = dep_.queue().Now();
 
-  // Thief activity so the report is non-trivial.
+  // Thief activity so the report is non-trivial: reads, a rename after the
+  // loss, a binding into a directory that never existed, and an attempt
+  // denied after revocation.
   auto attacker = dep_.MakeAttacker();
   auto creds = attacker.StealCredentials();
   auto clients = dep_.MakeAttackerClients(*creds);
@@ -63,26 +93,129 @@ TEST_F(RemoteAuditorTest, RemoteReportMatchesLocalReport) {
   ASSERT_TRUE((*thief_fs)->ReadAll("/docs/renamed").ok());
   ASSERT_TRUE((*thief_fs)->ReadAll("/docs/f1").ok());
   ASSERT_TRUE((*thief_fs)->ReadAll("/docs/f2").ok());
+  dep_.queue().AdvanceBy(SimDuration::Seconds(1));
+  ASSERT_TRUE((*thief_fs)->Rename("/docs/f1", "/docs/stolen").ok());
+  AuditId f2 = (*thief_fs)->ReadHeaderOf("/docs/f2")->audit_id;
+  DirId nowhere;
+  nowhere.v.fill(0xab);
+  ASSERT_TRUE(clients->meta->BindFile(f2, nowhere, "loot", false).ok());
+  dep_.ReportDeviceLost();
+  EXPECT_FALSE((*thief_fs)->ReadAll("/private/diary").ok());
+  dep_.queue().AdvanceBy(SimDuration::Seconds(1));
 
   auto local = dep_.auditor().BuildReport(dep_.device_id(), t_loss,
                                           fs.config().texp);
   ASSERT_TRUE(local.ok());
+  // The scenario reaches both post-loss branches and the denied counter.
+  bool saw_rename = false;
+  bool saw_unresolvable = false;
+  for (const auto& file : local->compromised) {
+    for (const auto& path : file.post_loss_paths) {
+      saw_rename |= path == "/docs/stolen";
+      saw_unresolvable |= path == "<unresolvable dir abababab>/loot";
+    }
+  }
+  EXPECT_TRUE(saw_rename);
+  EXPECT_TRUE(saw_unresolvable);
+  EXPECT_GT(local->denied_attempts, 0u);
 
   Remote remote = MakeRemote();
   auto report = remote.auditor->BuildReport(t_loss, fs.config().texp);
   ASSERT_TRUE(report.ok());
+  ExpectSameReport(*report, *local);
+}
 
-  ASSERT_EQ(report->compromised.size(), local->compromised.size());
-  EXPECT_EQ(report->demand_accessed_count, local->demand_accessed_count);
-  EXPECT_EQ(report->prefetch_only_count, local->prefetch_only_count);
-  for (size_t i = 0; i < report->compromised.size(); ++i) {
-    EXPECT_EQ(report->compromised[i].audit_id,
-              local->compromised[i].audit_id);
-    EXPECT_EQ(report->compromised[i].path_at_loss,
-              local->compromised[i].path_at_loss);
-    EXPECT_EQ(report->compromised[i].prefetch_only,
-              local->compromised[i].prefetch_only);
+TEST_F(RemoteAuditorTest, BrokenMetadataChainFailsRemoteReport) {
+  // Regression: the remote auditor used to turn a failed per-file history
+  // request into an empty history, so a tampered metadata chain produced a
+  // "clean" report that silently lost the thief's post-loss binding. The
+  // tamper sits in the checkpointed prefix, which the tail pull's
+  // VerifyTail vouches for by checkpoint — only the full verify that
+  // audit.annotate runs catches it.
+  setenv("KEYPAD_LOG_SEGMENT_OPS", "2", 1);
+  DeploymentOptions options = Opts();
+  options.config.prefetch = PrefetchPolicy::None();
+  Deployment dep(options);
+  unsetenv("KEYPAD_LOG_SEGMENT_OPS");
+  auto& fs = dep.fs();
+  ASSERT_TRUE(fs.Mkdir("/docs").ok());
+  ASSERT_TRUE(fs.Create("/docs/a").ok());
+  ASSERT_TRUE(fs.WriteAll("/docs/a", BytesOf("x")).ok());
+  dep.queue().AdvanceBy(fs.config().texp * 2 + SimDuration::Seconds(2));
+  SimTime t_loss = dep.queue().Now();
+
+  auto attacker = dep.MakeAttacker();
+  auto creds = attacker.StealCredentials();
+  ASSERT_TRUE(creds.ok());
+  auto clients = dep.MakeAttackerClients(*creds);
+  auto thief_fs = attacker.MountOnline(clients->services, options.config);
+  ASSERT_TRUE(thief_fs.ok());
+  ASSERT_TRUE((*thief_fs)->ReadAll("/docs/a").ok());
+  ASSERT_TRUE((*thief_fs)->Rename("/docs/a", "/docs/b").ok());
+  dep.queue().AdvanceBy(SimDuration::Seconds(1));
+  ASSERT_GT(dep.metadata_service().log().checkpoints().size(), 0u);
+
+  // Untampered, both auditors see the thief's post-loss binding.
+  auto clean = dep.auditor().BuildReport(dep.device_id(), t_loss,
+                                         fs.config().texp);
+  ASSERT_TRUE(clean.ok());
+  ASSERT_EQ(clean->compromised.size(), 1u);
+  EXPECT_EQ(clean->compromised[0].post_loss_paths,
+            std::vector<std::string>{"/docs/b"});
+  auto key_rpc = std::move(clients->key_rpc);
+  auto meta_rpc = std::move(clients->meta_rpc);
+  {
+    RemoteAuditor remote(key_rpc.get(), meta_rpc.get(), creds->device_id,
+                         creds->key_secret, creds->meta_secret);
+    auto report = remote.BuildReport(t_loss, fs.config().texp);
+    ASSERT_TRUE(report.ok());
+    ExpectSameReport(*report, *clean);
   }
+
+  const_cast<MetadataLog&>(dep.metadata_service().log())
+      .CorruptRecordForTesting(0);
+  ASSERT_TRUE(dep.metadata_service().log().VerifyTail().ok());
+  auto local = dep.auditor().BuildReport(dep.device_id(), t_loss,
+                                         fs.config().texp);
+  ASSERT_TRUE(local.ok());
+  EXPECT_FALSE(local->metadata_log_verified);
+
+  RemoteAuditor remote(key_rpc.get(), meta_rpc.get(), creds->device_id,
+                       creds->key_secret, creds->meta_secret);
+  auto report = remote.BuildReport(t_loss, fs.config().texp);
+  EXPECT_FALSE(report.ok());
+  EXPECT_EQ(report.status().code(), StatusCode::kDataLoss);
+}
+
+TEST_F(RemoteAuditorTest, AnnotateRejectsMalformedRequests) {
+  auto creds = dep_.MakeAttacker().StealCredentials();
+  ASSERT_TRUE(creds.ok());
+  auto clients = dep_.MakeAttackerClients(*creds);
+  auto call = [&](WireValue::Array params) {
+    return clients->meta_rpc->Call(
+        "audit.annotate",
+        FrameAuthedCall(creds->device_id, creds->meta_secret,
+                        "audit.annotate", std::move(params)));
+  };
+  WireValue::Array ragged;
+  ragged.push_back(WireValue(Bytes(AuditId().v.size() + 1, 7)));
+  ragged.push_back(WireValue(dep_.queue().Now().nanos()));
+  auto bad = call(std::move(ragged));
+  EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
+
+  // An id the service never saw annotates as unbound, not as an error.
+  WireValue::Array unknown;
+  unknown.push_back(WireValue(Bytes(AuditId().v.size(), 7)));
+  unknown.push_back(WireValue(dep_.queue().Now().nanos()));
+  auto reply = call(std::move(unknown));
+  ASSERT_TRUE(reply.ok());
+  auto flat = reply->AsBytes();
+  ASSERT_TRUE(flat.ok());
+  auto rows = DecodeFlatRows<FileAnnotation>(*flat);
+  ASSERT_TRUE(rows.ok());
+  ASSERT_EQ(rows->size(), 1u);
+  EXPECT_EQ((*rows)[0].path_at_loss, "");
+  EXPECT_TRUE((*rows)[0].post_loss_paths.empty());
 }
 
 TEST_F(RemoteAuditorTest, AuditSurfaceRequiresValidCredentials) {
