@@ -18,7 +18,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -118,11 +117,6 @@ struct CatchupCell {
 };
 
 CatchupCell RunCatchupCell(size_t creates) {
-  // Env so BOTH log tiers checkpoint, ship, and truncate (the metadata
-  // tier's production configuration surface; README "Audit-log lifecycle").
-  setenv("KEYPAD_LOG_SEGMENT_OPS", "16", 1);
-  setenv("KEYPAD_LOG_COLD_SHIP", "1", 1);
-  setenv("KEYPAD_LOG_TRUNCATE", "1", 1);
   CatchupCell cell;
   cell.creates = creates;
   {
@@ -130,6 +124,12 @@ CatchupCell RunCatchupCell(size_t creates) {
     options.profile = BroadbandProfile();
     options.config.ibe_enabled = false;
     options.config.prefetch = PrefetchPolicy::None();
+    // Both log tiers checkpoint, ship, and truncate.
+    SegmentedLogOptions lifecycle;
+    lifecycle.segment_ops = 16;
+    lifecycle.truncate = true;
+    options.key_service.log = lifecycle;
+    options.meta_log = lifecycle;
     Deployment dep(options);
     auto& fs = dep.fs();
     (void)fs.Mkdir("/docs");
@@ -169,9 +169,6 @@ CatchupCell RunCatchupCell(size_t creates) {
     cell.anchored_ms = WallSeconds(start) * 1e3;
     cell.anchored_fetched = anchored.entries_fetched();
   }
-  unsetenv("KEYPAD_LOG_SEGMENT_OPS");
-  unsetenv("KEYPAD_LOG_COLD_SHIP");
-  unsetenv("KEYPAD_LOG_TRUNCATE");
   cell.ratio = cell.anchored_fetched == 0
                    ? static_cast<double>(cell.genesis_fetched)
                    : static_cast<double>(cell.genesis_fetched) /

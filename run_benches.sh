@@ -35,7 +35,10 @@ print("\n".join(sorted(out)))
 PY
 }
 
-# Bench binary -> the JSON artifact it maintains.
+# Bench binary -> the JSON artifact it maintains: crypto kernels per
+# backend (DESIGN.md §6), resilience (§7), key-tier scaling (§8, §13),
+# simulator core + fleet (§11), service-tier availability (§9–§10),
+# durability (§12), overload (§14) and the audit-log lifecycle (§15).
 declare -A json_for=(
   [bench_crypto_micro]=/root/repo/BENCH_crypto.json
   [bench_resilience]=/root/repo/BENCH_resilience.json
@@ -62,33 +65,8 @@ for b in /root/repo/build/bench/*; do
     "$b" --benchmark_min_time=0.2 \
          --benchmark_out="$json" \
          --benchmark_out_format=json >> "$out" 2>&1
-  elif [[ "$name" == "bench_resilience" ]]; then
-    # Goodput + latency tails vs. loss rate / outage schedule (DESIGN.md §7).
-    "$b" "$json" >> "$out" 2>&1
-  elif [[ "$name" == "bench_scale" ]]; then
-    # Sharded key tier: goodput vs. shard count, group commit, coalescing
-    # (DESIGN.md §8).
-    "$b" "$json" >> "$out" 2>&1
-  elif [[ "$name" == "bench_fleet" ]]; then
-    # Simulator core + fleet scale: event-queue and codec micro-ablations
-    # plus the 100k-device fleet cells (DESIGN.md §11).
-    "$b" "$json" >> "$out" 2>&1
-  elif [[ "$name" == "bench_availability" ]]; then
-    # Replicated service tiers: goodput timelines across key-tier and
-    # metadata-tier leader kills, plus the partition/heal reconciliation
-    # cycle (DESIGN.md §9–§10).
-    "$b" "$json" >> "$out" 2>&1
-  elif [[ "$name" == "bench_durability" ]]; then
-    # Crash-consistent storage tier: journal replay, scrub throughput,
-    # restore-after-theft, crash-point explorer (DESIGN.md §12).
-    "$b" "$json" >> "$out" 2>&1
-  elif [[ "$name" == "bench_overload" ]]; then
-    # Overload robustness: admission control, retry budgets, and brownout
-    # at 2x saturation, plus the revocation-storm audit gate (DESIGN.md §14).
-    "$b" "$json" >> "$out" 2>&1
-  elif [[ "$name" == "bench_auditlog" ]]; then
-    # Audit-log lifecycle: truncation soak, checkpoint catch-up vs genesis
-    # replay, cold-tier scrub repair (DESIGN.md §15).
+  elif [[ -n "$json" ]]; then
+    # Every other JSON bench takes its artifact path as argv[1].
     "$b" "$json" >> "$out" 2>&1
   else
     "$b" >> "$out" 2>&1

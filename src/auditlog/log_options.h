@@ -1,5 +1,4 @@
-// Lifecycle configuration for a segmented log, plus the environment
-// ablation overrides (mirrors KEYPAD_HOTKEY_CACHE / KEYPAD_ADMISSION).
+// Lifecycle configuration for a segmented log.
 
 #ifndef SRC_AUDITLOG_LOG_OPTIONS_H_
 #define SRC_AUDITLOG_LOG_OPTIONS_H_
@@ -24,18 +23,12 @@ struct SegmentedLogOptions {
   // Drop checkpointed prefixes from memory. Only advances over segments
   // that were actually shipped AND past the durable-watermark anchor (all
   // in-sync replicas hold the prefix), preserving duplicated-but-never-lost.
-  // Implies cold_ship.
+  // Implies cold_ship (SegmentedLog::Configure turns it on).
   bool truncate = false;
 
   // Checkpoint-signing key; empty selects DefaultCheckpointKey().
   Bytes signing_key;
 };
-
-// Applies KEYPAD_LOG_SEGMENT_OPS (entry count; 0 disables),
-// KEYPAD_LOG_COLD_SHIP and KEYPAD_LOG_TRUNCATE (0/off/false/no,
-// 1/on/true/yes) on top of the configured defaults, and forces
-// cold_ship on when truncate is on.
-SegmentedLogOptions ApplySegmentedLogEnv(SegmentedLogOptions configured);
 
 }  // namespace keypad
 

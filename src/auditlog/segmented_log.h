@@ -78,7 +78,12 @@ class SegmentedLog {
   virtual ~SegmentedLog() = default;
 
   // --- Lifecycle configuration (call before the first append). ------------
-  void Configure(SegmentedLogOptions options) { options_ = std::move(options); }
+  // Truncation drops only shipped segments, so `truncate` turns cold_ship
+  // on.
+  void Configure(SegmentedLogOptions options) {
+    options.cold_ship = options.cold_ship || options.truncate;
+    options_ = std::move(options);
+  }
   const SegmentedLogOptions& log_options() const { return options_; }
   // `tier` namespaces this log's segments inside the (possibly shared) store.
   void set_segment_store(SegmentStore* store, std::string tier) {

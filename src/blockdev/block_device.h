@@ -32,8 +32,7 @@ namespace keypad {
 
 class BlockDevice {
  public:
-  // Backend chosen by KEYPAD_STORAGE_BACKEND (default: memory).
-  BlockDevice() : BlockDevice(MakeStorageBackend(DefaultStorageBackendKind())) {}
+  BlockDevice() : BlockDevice(MakeMemoryBackend()) {}
   explicit BlockDevice(std::unique_ptr<StorageBackend> backend)
       : backend_(std::move(backend)) {}
 

@@ -1,8 +1,6 @@
 #include "src/blockdev/storage_backend.h"
 
-#include <cstdlib>
 #include <map>
-#include <string_view>
 #include <utility>
 
 namespace keypad {
@@ -188,14 +186,6 @@ std::unique_ptr<StorageBackend> MakeStorageBackend(StorageBackendKind kind,
       return MakeJournaledBackend(options);
   }
   return MakeMemoryBackend();
-}
-
-StorageBackendKind DefaultStorageBackendKind() {
-  const char* env = std::getenv("KEYPAD_STORAGE_BACKEND");
-  if (env != nullptr && std::string_view(env) == "journaled") {
-    return StorageBackendKind::kJournaled;
-  }
-  return StorageBackendKind::kMemory;
 }
 
 }  // namespace keypad

@@ -177,10 +177,6 @@ std::unique_ptr<StorageBackend> MakeJournaledBackend(
 std::unique_ptr<StorageBackend> MakeStorageBackend(StorageBackendKind kind,
                                                    JournalOptions options = {});
 
-// KEYPAD_STORAGE_BACKEND=memory|journaled (default memory: the seed's
-// semantics, and the fastest for pure-simulation benches).
-StorageBackendKind DefaultStorageBackendKind();
-
 }  // namespace keypad
 
 #endif  // SRC_BLOCKDEV_STORAGE_BACKEND_H_

@@ -49,7 +49,7 @@ Deployment::Deployment(DeploymentOptions options)
   // One brownout controller per device, shared between the router (batch
   // stretching + overload signals) and the client config (prefetch
   // suppression, accounted cache-lifetime stretching). Inert unless
-  // enabled (or KEYPAD_BROWNOUT forces it on).
+  // enabled.
   brownout_ = std::make_unique<BrownoutController>(options_.brownout);
   options_.router.brownout = brownout_.get();
   options_.config.brownout = brownout_.get();
@@ -122,6 +122,7 @@ Deployment::Deployment(DeploymentOptions options)
   for (size_t r = 0; r < meta_count; ++r) {
     meta_services_.push_back(std::make_unique<MetadataService>(
         &queue_, options_.seed ^ 0x4444, *group));
+    meta_services_.back()->ConfigureLog(options_.meta_log);
     meta_rpc_servers_.push_back(
         std::make_unique<RpcServer>(&queue_, kServiceTime));
     meta_rpc_servers_.back()->set_admission(options_.admission);
@@ -237,7 +238,7 @@ Deployment::Deployment(DeploymentOptions options)
           key_rpcs_[i].get(), options_.device_id, key_secret));
     }
   }
-  if (shard_count > 1 || options_.force_key_router) {
+  if (shard_count > 1) {
     std::vector<KeyServiceClient*> stubs;
     for (const auto& client : key_clients_) {
       stubs.push_back(client.get());

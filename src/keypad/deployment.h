@@ -64,7 +64,7 @@ struct DeploymentOptions {
   // BrownoutController for the device and shares it between the
   // ShardRouter (batch-window stretching, overload signals) and the
   // KeypadFs config (prefetch suppression, accounted cache-lifetime
-  // stretching). KEYPAD_BROWNOUT overrides.
+  // stretching).
   BrownoutOptions brownout;
   // Key-service tier width (DESIGN.md §8). With N > 1 the deployment runs N
   // independent KeyService shards behind a client-side ShardRouter; the
@@ -76,12 +76,6 @@ struct DeploymentOptions {
   // Router knobs (ring seed, vnodes, single-flight coalescing, batched
   // fetch).
   ShardRouter::Options router;
-  // Interpose the ShardRouter even when key_shards == 1, so single-shard
-  // deployments get the batched wire path too (read-path benches ablate
-  // batching against shard width). Default off: historical single-shard
-  // tests talk straight to the stub and keep per-RPC commit-window
-  // semantics.
-  bool force_key_router = false;
   // Replication width per shard (DESIGN.md §9). With R > 1 every shard runs
   // R replicas (primary + R−1 backups) under a lease-based ReplicaSet; the
   // laptop's stubs fail over between them and sealed audit groups stream to
@@ -100,6 +94,9 @@ struct DeploymentOptions {
   // backup mints the same unlock keys. Phone proxy and sealed channels
   // force 1, as with the key tier.
   int meta_replicas = 1;
+  // Audit-log lifecycle of every metadata replica (DESIGN.md §15); the
+  // key tier's is key_service.log.
+  SegmentedLogOptions meta_log;
   // Write-back cloud replication (DESIGN.md §12): attaches a simulated
   // object store plus a WriteBackQueue over the laptop's block device.
   // BackupNow() uploads the dirty set and commits a manifest generation;

@@ -38,8 +38,7 @@ KeypadFs::KeypadFs(BlockDevice* device, EventQueue* queue, uint64_t rng_seed,
       config_(std::move(config)),
       services_(services),
       cache_(queue, config_.texp),
-      prefetcher_(ApplyPrefetchPolicyEnv(config_.prefetch),
-                  rng_seed ^ 0x70F37C4Bull) {
+      prefetcher_(config_.prefetch, rng_seed ^ 0x70F37C4Bull) {
   // In-use keys are refreshed through the key service at expiry, producing
   // kRefresh audit records (§4 "Key Expiration").
   cache_.set_refresh([this](const AuditId& id,

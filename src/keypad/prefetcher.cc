@@ -1,34 +1,8 @@
 #include "src/keypad/prefetcher.h"
 
 #include <algorithm>
-#include <cctype>
-#include <cstdlib>
 
 namespace keypad {
-
-PrefetchPolicy ApplyPrefetchPolicyEnv(PrefetchPolicy configured) {
-  const char* env = std::getenv("KEYPAD_PREFETCH");
-  if (env == nullptr || *env == '\0') {
-    return configured;
-  }
-  std::string value(env);
-  for (char& c : value) {
-    c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  }
-  if (value == "none" || value == "off" || value == "0") {
-    return PrefetchPolicy::None();
-  }
-  if (value == "random") {
-    return PrefetchPolicy::RandomFromDir();
-  }
-  if (value == "fulldir") {
-    return PrefetchPolicy::FullDirOnNthMiss();
-  }
-  if (value == "seq" || value == "sequence" || value == "v2") {
-    return PrefetchPolicy::SequenceHints();
-  }
-  return configured;
-}
 
 int& Prefetcher::TouchDir(const std::string& dir_path) {
   auto it = miss_counts_.find(dir_path);

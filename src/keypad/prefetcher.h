@@ -12,8 +12,6 @@
 // first-order Markov successor table, and a miss emits the successors that
 // historically followed the missed file — confidence-gated, so one-off
 // transitions never pollute the forensic report with prefetch-only keys.
-// KEYPAD_PREFETCH=none|random|fulldir|seq overrides the configured policy
-// for A/B runs without recompiling.
 
 #ifndef SRC_KEYPAD_PREFETCHER_H_
 #define SRC_KEYPAD_PREFETCHER_H_
@@ -103,11 +101,6 @@ class Prefetcher {
   uint64_t prefetch_batches_ = 0;
   uint64_t keys_prefetched_ = 0;
 };
-
-// Applies the KEYPAD_PREFETCH environment override (none / random /
-// fulldir / seq) to a configured policy; returns the policy unchanged when
-// the variable is unset or unrecognized.
-PrefetchPolicy ApplyPrefetchPolicyEnv(PrefetchPolicy configured);
 
 }  // namespace keypad
 

@@ -1,37 +1,9 @@
 #include "src/keyservice/key_service.h"
 
-#include <cctype>
-#include <cstdlib>
-
 #include "src/keyservice/auth.h"
 #include "src/wire/binary_codec.h"
 
 namespace keypad {
-
-namespace {
-
-// KEYPAD_HOTKEY_CACHE overrides the configured default: 0/off/false/no
-// disables the server-side hot-key cache, 1/on/true/yes enables it — the
-// ablation knob for the read-path benches (mirrors KEYPAD_BATCH_FETCH).
-bool HotKeyCacheEnabled(bool configured) {
-  const char* env = std::getenv("KEYPAD_HOTKEY_CACHE");
-  if (env == nullptr || env[0] == '\0') {
-    return configured;
-  }
-  std::string value(env);
-  for (char& c : value) {
-    c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  }
-  if (value == "0" || value == "off" || value == "false" || value == "no") {
-    return false;
-  }
-  if (value == "1" || value == "on" || value == "true" || value == "yes") {
-    return true;
-  }
-  return configured;
-}
-
-}  // namespace
 
 WireValue KeyReplDelta::ToWire() const {
   WireValue::Struct s;
@@ -105,15 +77,12 @@ KeyService::KeyService(EventQueue* queue, uint64_t rng_seed,
     : queue_(queue),
       rng_(rng_seed),
       options_(options),
-      hot_keys_(HotKeyCacheEnabled(options.hot_key_cache)
-                    ? options.hot_key_capacity
-                    : 0) {
-  options_.log = ApplySegmentedLogEnv(options_.log);
+      hot_keys_(options.hot_key_cache ? kHotKeyCapacity : 0) {
   log_.Configure(options_.log);
-  if (options_.log.cold_ship) {
+  if (log_.log_options().cold_ship) {
     cold_cloud_ = std::make_unique<SimObjectStore>(queue_);
-    segment_store_ = std::make_unique<SegmentStore>(
-        MakeStorageBackend(DefaultStorageBackendKind()), cold_cloud_.get());
+    segment_store_ = std::make_unique<SegmentStore>(MakeMemoryBackend(),
+                                                    cold_cloud_.get());
     log_.set_segment_store(segment_store_.get(), "key");
   }
 }

@@ -82,19 +82,18 @@ struct KeyServiceOptions {
   // Server-side hot-key cache (DESIGN.md §13): tracks unwrapped-resident
   // key records so repeat fetches skip the unwrap charge. Hits still
   // append their audit entry — the cache is audit-preserving, never
-  // audit-bypassing. KEYPAD_HOTKEY_CACHE=0 in the environment forces it
-  // off (ablation knob).
+  // audit-bypassing. Holds KeyService::kHotKeyCapacity records.
   bool hot_key_cache = true;
-  size_t hot_key_capacity = 4096;
   // Audit-log lifecycle (DESIGN.md §15): segment size, cold shipping, and
-  // checkpoint-anchored truncation. KEYPAD_LOG_SEGMENT_OPS /
-  // KEYPAD_LOG_COLD_SHIP / KEYPAD_LOG_TRUNCATE override at construction.
+  // checkpoint-anchored truncation.
   SegmentedLogOptions log;
 };
 
 class KeyService {
  public:
   static constexpr size_t kRemoteKeyLen = 32;
+  // Records the server-side hot-key cache holds when enabled.
+  static constexpr size_t kHotKeyCapacity = 4096;
 
   KeyService(EventQueue* queue, uint64_t rng_seed,
              KeyServiceOptions options = {});

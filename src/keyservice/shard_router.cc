@@ -1,34 +1,11 @@
 #include "src/keyservice/shard_router.h"
 
-#include <cctype>
-#include <cstdlib>
 #include <memory>
 #include <optional>
 
 namespace keypad {
 
 namespace {
-
-// KEYPAD_BATCH_FETCH overrides the configured default: 0/off/false/no
-// forces the one-RPC-per-key wire path, 1/on/true/yes forces the per-shard
-// multi-get combiner. Anything else keeps the configured value.
-bool BatchFetchEnabled(bool configured) {
-  const char* env = std::getenv("KEYPAD_BATCH_FETCH");
-  if (env == nullptr || *env == '\0') {
-    return configured;
-  }
-  std::string value(env);
-  for (char& c : value) {
-    c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  }
-  if (value == "0" || value == "off" || value == "false" || value == "no") {
-    return false;
-  }
-  if (value == "1" || value == "on" || value == "true" || value == "yes") {
-    return true;
-  }
-  return configured;
-}
 
 // Priority class a fetch rides the wire with (DESIGN.md §14): only
 // speculative prefetch is sheddable ahead of the rest — every other op
@@ -67,8 +44,7 @@ ShardRouter::ShardRouter(EventQueue* queue,
     : queue_(queue),
       shards_(std::move(shards)),
       options_(options),
-      ring_(shards_.size(), options.ring_seed, options.vnodes_per_shard),
-      batch_fetch_(BatchFetchEnabled(options.batch_fetch)) {}
+      ring_(shards_.size(), options.ring_seed, options.vnodes_per_shard) {}
 
 const std::string& ShardRouter::device_id() const {
   return shards_.front()->device_id();
@@ -85,7 +61,7 @@ std::map<size_t, std::vector<AuditId>> ShardRouter::Partition(
 
 void ShardRouter::EnqueueFetch(const AuditId& audit_id, AccessOp op,
                                FetchDone done) {
-  if (!batch_fetch_) {
+  if (!options_.batch_fetch) {
     // Ablation path: one key.get RPC per item. Any failure is reported as
     // a per-item outcome; the caller's gather decides what it means.
     OwnerOf(audit_id)->GetKeyAsync(
@@ -106,13 +82,14 @@ void ShardRouter::EnqueueFetch(const AuditId& audit_id, AccessOp op,
       queue_->Now() + shards_[shard]->rpc()->options().total_deadline;
   pending_[shard].push_back({audit_id, op, deadline, std::move(done)});
   if (flush_scheduled_.insert(shard).second) {
-    // Default window is zero: the flush runs at the same virtual instant,
-    // after the current event cascade has finished enqueueing, so every
-    // fetch issued in this tick shares the RPC without added latency.
-    // Under brownout the window stretches so more fetches share one RPC.
-    SimDuration window = options_.batch_window;
+    // The flush runs at the same virtual instant, after the current event
+    // cascade has finished enqueueing, so every fetch issued in this tick
+    // shares the RPC without added latency. Under brownout the window
+    // stretches so more fetches share one RPC.
+    SimDuration window;
     if (options_.brownout) {
-      window = options_.brownout->StretchBatchWindow(window, queue_->Now());
+      window =
+          options_.brownout->StretchBatchWindow(SimDuration(0), queue_->Now());
     }
     queue_->ScheduleAfter(window, [this, shard] { FlushShard(shard); });
   }
@@ -187,7 +164,7 @@ void ShardRouter::CreateKeyAsync(const AuditId& audit_id,
 }
 
 Result<Bytes> ShardRouter::GetKey(const AuditId& audit_id, AccessOp op) {
-  if (!options_.single_flight && !batch_fetch_) {
+  if (!options_.single_flight && !options_.batch_fetch) {
     return OwnerOf(audit_id)->GetKey(audit_id, op);
   }
   Waiter<Result<Bytes>> waiter;
@@ -233,7 +210,7 @@ void ShardRouter::GetKeyAsync(const AuditId& audit_id, AccessOp op,
 void ShardRouter::GetKeysAsync(
     const std::vector<AuditId>& audit_ids,
     std::function<void(Result<KeyPairs>)> done) {
-  if (batch_fetch_) {
+  if (options_.batch_fetch) {
     if (audit_ids.empty()) {
       queue_->ScheduleAfter(SimDuration(),
                             [done = std::move(done)] { done(KeyPairs{}); });
@@ -357,7 +334,7 @@ void ShardRouter::GetKeysAsync(
 
 Result<ShardRouter::KeyPairs> ShardRouter::GetKeys(
     const std::vector<AuditId>& audit_ids) {
-  if (!batch_fetch_ && shards_.size() == 1) {
+  if (!options_.batch_fetch && shards_.size() == 1) {
     return shards_[0]->GetKeys(audit_ids);
   }
   Waiter<Result<KeyPairs>> waiter;
@@ -432,7 +409,7 @@ Result<ShardRouter::MultiGetResult> ShardRouter::GetKeysTyped(
 void ShardRouter::FetchGroupAsync(
     const AuditId& demand_id, const std::vector<AuditId>& prefetch_ids,
     std::function<void(Result<GroupFetch>)> done) {
-  if (batch_fetch_) {
+  if (options_.batch_fetch) {
     // The demand fetch and every prefetch ride the per-shard multi-get
     // batches: the owning shard sees the demand item first (so its audit
     // row lands before the prefetch rows it triggered), and all items
@@ -589,7 +566,7 @@ void ShardRouter::FetchGroupAsync(
 
 Result<ShardRouter::GroupFetch> ShardRouter::FetchGroup(
     const AuditId& demand_id, const std::vector<AuditId>& prefetch_ids) {
-  if (!batch_fetch_ && shards_.size() == 1) {
+  if (!options_.batch_fetch && shards_.size() == 1) {
     return shards_[0]->FetchGroup(demand_id, prefetch_ids);
   }
   Waiter<Result<GroupFetch>> waiter;

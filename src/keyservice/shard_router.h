@@ -10,10 +10,11 @@
 //    (audit id, op) share one in-flight RPC — the waiters all complete
 //    from the leader's response, and the audit log records one fetch (the
 //    key left the service once, so one entry is the honest record);
-//  * batched fetch (on by default, KEYPAD_BATCH_FETCH=0 to ablate): fetches
-//    issued within one batch window (default: the same event tick) combine
-//    into one key.get_multi RPC per shard, amortizing one auth frame, one
-//    unwrap pass, and one commit-group seal over the batch. Demand fetches
+//  * batched fetch (on by default, Options::batch_fetch = false ablates):
+//    fetches issued in the same event tick (a longer window under
+//    brownout) combine into one key.get_multi RPC per shard, amortizing
+//    one auth frame, one unwrap pass, and one commit-group seal over the
+//    batch. Demand fetches
 //    and prefetches ride the same wire RPC, each item keeping its own
 //    access op so the audit record stays exactly typed.
 //
@@ -47,14 +48,9 @@ class ShardRouter : public KeyClient {
     uint64_t ring_seed = 0x5ead;
     int vnodes_per_shard = 64;
     bool single_flight = true;
-    // Combine fetches into per-shard key.get_multi RPCs. The environment
-    // overrides the configured value: KEYPAD_BATCH_FETCH=0 forces the
-    // one-RPC-per-key wire path, =1 forces batching.
+    // Combine fetches into per-shard key.get_multi RPCs; false is the
+    // one-RPC-per-key wire path.
     bool batch_fetch = true;
-    // How long a shard's pending batch accumulates before flushing. Zero
-    // (default) flushes at the end of the current event tick: everything
-    // issued at the same virtual instant shares one RPC, and nothing waits.
-    SimDuration batch_window;
     // Optional client brownout controller (DESIGN.md §14). When set, the
     // router reports REJECTED replies as overload signals and stretches
     // the batch window while the brownout is active (more fetches per
@@ -115,8 +111,7 @@ class ShardRouter : public KeyClient {
   size_t shard_count() const { return shards_.size(); }
   KeyServiceClient* shard(size_t i) const { return shards_[i]; }
   const Stats& stats() const { return stats_; }
-  // Effective setting after the KEYPAD_BATCH_FETCH override.
-  bool batch_fetch() const { return batch_fetch_; }
+  bool batch_fetch() const { return options_.batch_fetch; }
 
  private:
   using KeyPairs = std::vector<std::pair<AuditId, Bytes>>;
@@ -154,8 +149,9 @@ class ShardRouter : public KeyClient {
       const std::vector<AuditId>& audit_ids) const;
 
   // Batched wire path: queue the fetch on its owning shard's pending batch
-  // and arm a flush at the end of the batch window. With batching disabled
-  // this degenerates to one key.get RPC per item.
+  // and arm a flush at the end of the current tick (or the brownout's
+  // stretched window). With batching disabled this degenerates to one
+  // key.get RPC per item.
   void EnqueueFetch(const AuditId& audit_id, AccessOp op, FetchDone done);
   void FlushShard(size_t shard);
 
@@ -164,7 +160,6 @@ class ShardRouter : public KeyClient {
   Options options_;
   ShardRing ring_;
   Stats stats_;
-  bool batch_fetch_ = true;
   std::map<FlightKey, std::vector<std::function<void(Result<Bytes>)>>>
       in_flight_;
   std::map<size_t, std::vector<PendingFetch>> pending_;

@@ -71,16 +71,14 @@ Result<MetaReplDelta> MetaReplDelta::FromWire(const WireValue& value) {
 
 MetadataService::MetadataService(EventQueue* queue, uint64_t rng_seed,
                                  const PairingParams& group)
-    : queue_(queue), rng_(rng_seed), pkg_(group, rng_) {
-  ConfigureLog(ApplySegmentedLogEnv({}));
-}
+    : queue_(queue), rng_(rng_seed), pkg_(group, rng_) {}
 
 void MetadataService::ConfigureLog(SegmentedLogOptions options) {
-  log_.Configure(options);
-  if (options.cold_ship && segment_store_ == nullptr) {
+  log_.Configure(std::move(options));
+  if (log_.log_options().cold_ship && segment_store_ == nullptr) {
     cold_cloud_ = std::make_unique<SimObjectStore>(queue_);
-    segment_store_ = std::make_unique<SegmentStore>(
-        MakeStorageBackend(DefaultStorageBackendKind()), cold_cloud_.get());
+    segment_store_ = std::make_unique<SegmentStore>(MakeMemoryBackend(),
+                                                    cold_cloud_.get());
   }
   if (segment_store_ != nullptr) {
     log_.set_segment_store(segment_store_.get(), "meta");

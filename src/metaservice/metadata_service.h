@@ -167,9 +167,8 @@ class MetadataService {
   // --- Audit-log lifecycle (DESIGN.md §15). -------------------------------
 
   // Applies segment/truncation/cold-ship options to the metadata log and
-  // stands up the cold segment tier if shipping is on. The constructor
-  // applies the KEYPAD_LOG_* environment knobs by default; call this to
-  // override in-process (before the first append).
+  // stands up the cold segment tier if shipping is on. Call before the
+  // first append; Deployment applies DeploymentOptions::meta_log here.
   void ConfigureLog(SegmentedLogOptions options);
 
   // The replication engine's truncation anchor (see KeyService).

@@ -30,7 +30,6 @@
 #include "src/cryptocore/secure_random.h"
 #include "src/sim/time.h"
 #include "src/util/result.h"
-#include "src/wire/codec.h"
 
 namespace keypad {
 
@@ -56,14 +55,6 @@ class SecureChannel {
   // extracting key material from a stolen warm device.
   Bytes CurrentEpochKeyForTesting(SimTime now);
 
-  // Wire framing negotiated alongside the channel (DESIGN.md §11). The
-  // registration handshake that establishes the channel root also carries
-  // the peers' codec capability, so a client that enables security adopts
-  // the channel's preference instead of probing. Defaults to XML-RPC — the
-  // paper-compatible framing — until a handshake says otherwise.
-  WireCodec preferred_codec() const { return preferred_codec_; }
-  void set_preferred_codec(WireCodec codec) { preferred_codec_ = codec; }
-
  private:
   // Per-epoch message ciphers. HKDF expansion, the AES key schedule, and
   // the HMAC pad absorption only depend on the epoch key, so they are built
@@ -83,7 +74,6 @@ class SecureChannel {
   EpochCipher& CipherFor(uint64_t epoch, const Bytes& epoch_key);
 
   SimDuration rotation_period_;
-  WireCodec preferred_codec_ = WireCodec::kXml;
   uint64_t current_epoch_ = 0;
   Bytes current_key_;
   Bytes previous_key_;  // Key for current_epoch_ - 1; empty at epoch 0.

@@ -67,8 +67,9 @@ struct AdmissionOptions {
 };
 
 // Applies the KEYPAD_ADMISSION environment override to a configured
-// enabled flag (same contract as KEYPAD_BATCH_FETCH: "0/off/false/no"
-// disables, "1/on/true/yes" enables, anything else keeps `configured`).
+// enabled flag: "0/off/false/no" disables, "1/on/true/yes" enables,
+// anything else keeps `configured`. CI reruns the read-path suites with
+// it set to 1.
 bool AdmissionEnabledEnv(bool configured);
 
 }  // namespace keypad

@@ -1,37 +1,11 @@
 #include "src/rpc/brownout.h"
 
 #include <algorithm>
-#include <cctype>
-#include <cstdlib>
-#include <string>
 
 namespace keypad {
 
-BrownoutOptions ApplyBrownoutEnv(BrownoutOptions options) {
-  const char* env = std::getenv("KEYPAD_BROWNOUT");
-  if (env == nullptr || *env == '\0') {
-    return options;
-  }
-  std::string value(env);
-  for (char& c : value) {
-    c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  }
-  if (value == "0" || value == "off" || value == "false" || value == "no") {
-    options.enabled = false;
-  } else if (value == "1" || value == "on" || value == "true" ||
-             value == "yes") {
-    options.enabled = true;
-  } else if (value == "stretch") {
-    // Explicit opt-in to the exposure-costly lever: the added
-    // key-seconds show up in Stats, never silently.
-    options.enabled = true;
-    options.stretch_cache_lifetime = true;
-  }
-  return options;
-}
-
 BrownoutController::BrownoutController(BrownoutOptions options)
-    : options_(ApplyBrownoutEnv(options)) {}
+    : options_(options) {}
 
 void BrownoutController::NoteOverloadSignal(SimTime now) {
   if (!options_.enabled) {
@@ -64,7 +38,7 @@ SimDuration BrownoutController::StretchBatchWindow(SimDuration base,
 }
 
 bool BrownoutController::SuppressPrefetch(SimTime now) {
-  if (!options_.suppress_prefetch || !active(now)) {
+  if (!active(now)) {
     return false;
   }
   ++stats_.prefetches_suppressed;

@@ -28,8 +28,7 @@
 namespace keypad {
 
 struct BrownoutOptions {
-  // Master switch; KEYPAD_BROWNOUT overrides: 0/off disables, 1/on
-  // enables, "stretch" additionally enables cache-lifetime stretching.
+  // Master switch.
   bool enabled = false;
   // Overload signals within `window` that trip the brownout.
   int signal_threshold = 3;
@@ -40,8 +39,6 @@ struct BrownoutOptions {
   // to `min_batch_window` so stretching actually batches something).
   double batch_window_stretch = 4.0;
   SimDuration min_batch_window = SimDuration::Millis(1);
-  // Drop speculative prefetch fanout while active.
-  bool suppress_prefetch = true;
   // Stretch the client key-cache lifetime while active. Exposure cost —
   // never silently applied: default off, and when on the added
   // key-seconds are accounted against the Fig. 11 integral in Stats.
@@ -68,7 +65,6 @@ class BrownoutController {
 
   explicit BrownoutController(BrownoutOptions options = {});
 
-  // Effective setting after the KEYPAD_BROWNOUT override.
   bool enabled() const { return options_.enabled; }
   const BrownoutOptions& options() const { return options_; }
 
@@ -100,11 +96,6 @@ class BrownoutController {
   SimTime active_until_;
   Stats stats_;
 };
-
-// Applies the KEYPAD_BROWNOUT environment override: "0/off/false/no"
-// disables, "1/on/true/yes" enables, "stretch" enables plus cache-
-// lifetime stretching. Anything else keeps the configured options.
-BrownoutOptions ApplyBrownoutEnv(BrownoutOptions options);
 
 }  // namespace keypad
 

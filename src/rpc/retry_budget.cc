@@ -1,44 +1,22 @@
 #include "src/rpc/retry_budget.h"
 
 #include <algorithm>
-#include <cctype>
-#include <cstdlib>
-#include <string>
 
 namespace keypad {
 
-bool RetryBudgetEnabledEnv(bool configured) {
-  const char* env = std::getenv("KEYPAD_RETRY_BUDGET");
-  if (env == nullptr || *env == '\0') {
-    return configured;
-  }
-  std::string value(env);
-  for (char& c : value) {
-    c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  }
-  if (value == "0" || value == "off" || value == "false" || value == "no") {
-    return false;
-  }
-  if (value == "1" || value == "on" || value == "true" || value == "yes") {
-    return true;
-  }
-  return configured;
-}
-
 RetryBudget::RetryBudget(RetryBudgetOptions options)
     : options_(options),
-      enabled_(RetryBudgetEnabledEnv(options.enabled)),
       balance_(options.initial_balance) {}
 
 void RetryBudget::OnFirstAttempt() {
-  if (!enabled_) {
+  if (!options_.enabled) {
     return;
   }
   balance_ = std::min(balance_ + options_.ratio, options_.max_balance);
 }
 
 bool RetryBudget::TryAcquireRetry(SimTime now) {
-  if (!enabled_) {
+  if (!options_.enabled) {
     return true;
   }
   if (now < rejected_until_) {
@@ -55,7 +33,7 @@ bool RetryBudget::TryAcquireRetry(SimTime now) {
 }
 
 void RetryBudget::NoteServerRejected(SimTime now) {
-  if (!enabled_) {
+  if (!options_.enabled) {
     return;
   }
   ++rejects_observed_;

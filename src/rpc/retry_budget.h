@@ -35,9 +35,7 @@
 namespace keypad {
 
 struct RetryBudgetOptions {
-  // Master switch; the environment overrides the configured value:
-  // KEYPAD_RETRY_BUDGET=0 forces the unbudgeted PR 2 ladder, =1 forces
-  // the budget on with the configured parameters.
+  // Master switch; off is the unbudgeted §7 retry ladder.
   bool enabled = false;
   // Tokens deposited per first attempt; the long-run retry-to-first-
   // attempt ratio the budget enforces.
@@ -55,8 +53,7 @@ class RetryBudget {
  public:
   explicit RetryBudget(RetryBudgetOptions options = {});
 
-  // Effective setting after the KEYPAD_RETRY_BUDGET override.
-  bool enabled() const { return enabled_; }
+  bool enabled() const { return options_.enabled; }
 
   // A logical call started (attempt #1). Deposits `ratio`.
   void OnFirstAttempt();
@@ -76,16 +73,12 @@ class RetryBudget {
 
  private:
   RetryBudgetOptions options_;
-  bool enabled_;
   double balance_;
   SimTime rejected_until_;
   uint64_t retries_allowed_ = 0;
   uint64_t retries_denied_ = 0;
   uint64_t rejects_observed_ = 0;
 };
-
-// KEYPAD_RETRY_BUDGET override, same contract as KEYPAD_ADMISSION.
-bool RetryBudgetEnabledEnv(bool configured);
 
 }  // namespace keypad
 

@@ -1,6 +1,7 @@
 #include "src/rpc/rpc.h"
 
 #include <algorithm>
+#include <string_view>
 
 #include "src/wire/xmlrpc.h"
 
@@ -47,19 +48,14 @@ Result<Envelope> ParseEnvelope(const std::string& message) {
   return env;
 }
 
-// At-most-once dedup framing, carried *inside* the sealed envelope (the
+// Request frame (DESIGN.md §14), carried *inside* the sealed envelope (the
 // server strips it after opening the channel): magic || u64 client id ||
-// u64 sequence number, then the XML-RPC call.
-constexpr char kRequestFrameMagic[] = "KPRQ";
-constexpr size_t kRequestFrameLen = 4 + 8 + 8;
-
-// v2 frame (DESIGN.md §14): the dedup key plus the overload-control
-// fields the server sheds on — magic || u64 client id || u64 sequence ||
-// u64 absolute deadline in virtual nanoseconds (0 = none) || u8 priority
-// class. Clients always emit v2; servers accept both (a fleet migrates
-// one device at a time).
-constexpr char kRequestFrameMagicV2[] = "KPR2";
-constexpr size_t kRequestFrameV2Len = 4 + 8 + 8 + 8 + 1;
+// u64 sequence number (the at-most-once dedup key) || u64 absolute
+// deadline in virtual nanoseconds (0 = none) || u8 priority class, then
+// the encoded call. Every client emits it; a request without this complete
+// header is malformed.
+constexpr char kRequestFrameMagic[] = "KPR2";
+constexpr size_t kRequestFrameLen = 4 + 8 + 8 + 8 + 1;
 
 void AppendU64(std::string& out, uint64_t v) {
   for (int i = 7; i >= 0; --i) {
@@ -75,61 +71,32 @@ uint64_t ParseU64(const std::string& s, size_t offset) {
   return v;
 }
 
-// Parsed request-frame header (either version). Requests without a frame
-// (foreign/legacy clients) execute without dedup, priority, or deadline.
 struct FrameHeader {
   ReplyCache::RequestKey key;
   uint64_t deadline_nanos = 0;  // 0 = no deadline on the wire.
   RpcPriority priority = RpcPriority::kDemand;
-  size_t inner_offset = 0;  // Where the encoded call starts.
 };
 
 bool ParseFrameHeader(const std::string& request, FrameHeader* header) {
-  if (request.size() >= kRequestFrameV2Len &&
-      request.compare(0, 4, kRequestFrameMagicV2) == 0) {
-    header->key.first = ParseU64(request, 4);
-    header->key.second = ParseU64(request, 12);
-    header->deadline_nanos = ParseU64(request, 20);
-    uint8_t priority = static_cast<uint8_t>(request[28]);
-    // An unknown class from a newer peer degrades to demand — never shed
-    // a request just because we can't classify it.
-    header->priority = priority <= static_cast<uint8_t>(RpcPriority::kBackground)
-                           ? static_cast<RpcPriority>(priority)
-                           : RpcPriority::kDemand;
-    header->inner_offset = kRequestFrameV2Len;
-    return true;
-  }
-  if (request.size() >= kRequestFrameLen &&
-      request.compare(0, 4, kRequestFrameMagic) == 0) {
-    header->key.first = ParseU64(request, 4);
-    header->key.second = ParseU64(request, 12);
-    header->inner_offset = kRequestFrameLen;
-    return true;
-  }
-  return false;
-}
-
-// Splits a framed request into its dedup key and the inner payload.
-bool SplitRequestFrame(const std::string& request,
-                       ReplyCache::RequestKey* key, std::string* inner) {
-  FrameHeader header;
-  if (!ParseFrameHeader(request, &header)) {
+  if (request.size() < kRequestFrameLen ||
+      request.compare(0, 4, kRequestFrameMagic) != 0) {
     return false;
   }
-  *key = header.key;
-  *inner = request.substr(header.inner_offset);
+  header->key.first = ParseU64(request, 4);
+  header->key.second = ParseU64(request, 12);
+  header->deadline_nanos = ParseU64(request, 20);
+  uint8_t priority = static_cast<uint8_t>(request[28]);
+  // An unknown class degrades to demand — never shed a request just
+  // because we can't classify it.
+  header->priority = priority <= static_cast<uint8_t>(RpcPriority::kBackground)
+                         ? static_cast<RpcPriority>(priority)
+                         : RpcPriority::kDemand;
   return true;
 }
 
-// Codec of the encoded call inside a framed request — rejections answer
-// in the request's codec like every other reply (echo rule).
-WireCodec FrameInnerCodec(const std::string& request,
-                          const FrameHeader& header, bool xml_only) {
-  if (xml_only) {
-    return WireCodec::kXml;
-  }
-  return DetectCodec(
-      std::string_view(request).substr(header.inner_offset));
+// The encoded call behind a parsed frame header.
+std::string_view FramedCall(const std::string& request) {
+  return std::string_view(request).substr(kRequestFrameLen);
 }
 
 // Process-wide client-id allocator. Construction order inside the
@@ -241,7 +208,7 @@ void RpcServer::HandleRequestAsync(const std::string& request_raw,
     if (!verdict.ok()) {
       // Cheap explicit rejection: no busy-clock charge, no handler, no
       // audit row owed (no key material leaves on a REJECTED reply).
-      done(EncodeFault(FrameInnerCodec(request_raw, header, xml_only_),
+      done(EncodeFault(DetectCodec(FramedCall(request_raw)),
                        std::move(verdict)));
       return;
     }
@@ -270,7 +237,7 @@ void RpcServer::HandleRequestAsync(const std::string& request_raw,
       // waiting for this answer anymore, so skip the handler (and the
       // seal/unwrap CPU it would charge) and say so cheaply.
       ++deadline_expired_;
-      done(EncodeFault(FrameInnerCodec(request, header, xml_only_),
+      done(EncodeFault(DetectCodec(FramedCall(request)),
                        ResourceExhaustedError(
                            "rpc: REJECTED expired (deadline passed in queue)")));
       return;
@@ -287,7 +254,7 @@ void RpcServer::ProcessRequest(const std::string& request_raw,
                                std::function<void(std::string)> done) {
   ++requests_handled_;
 
-  std::string request_xml = request_raw;
+  std::string request = request_raw;
   SecureChannel* channel = nullptr;
   if (IsEnvelope(request_raw)) {
     if (!channel_lookup_ || channel_rng_ == nullptr) {
@@ -311,7 +278,7 @@ void RpcServer::ProcessRequest(const std::string& request_raw,
       done(EncodeXmlRpcFault(opened.status()));
       return;
     }
-    request_xml = StringOf(*opened);
+    request = StringOf(*opened);
     // Seal the response under the same channel before it leaves.
     done = [this, channel, device_id = envelope->device_id,
             inner = std::move(done)](std::string response) {
@@ -321,35 +288,36 @@ void RpcServer::ProcessRequest(const std::string& request_raw,
     };
   }
 
+  FrameHeader header;
+  if (!ParseFrameHeader(request, &header)) {
+    done(EncodeFault(DetectCodec(request),
+                     InvalidArgumentError("rpc: request lacks a KPR2 frame")));
+    return;
+  }
+
   // At-most-once: retransmissions of an executed request are answered from
   // the reply cache (re-sealed at the current epoch when channels are on);
   // retransmissions racing the original execution are dropped.
-  ReplyCache::RequestKey request_key;
-  std::string inner_xml;
-  if (SplitRequestFrame(request_xml, &request_key, &inner_xml)) {
-    request_xml = std::move(inner_xml);
-    if (auto cached = reply_cache_.Lookup(request_key)) {
-      reply_cache_.NoteHit();
-      done(*cached);
-      return;
-    }
-    if (reply_cache_.IsInFlight(request_key)) {
-      reply_cache_.NoteInFlightDrop();
-      return;
-    }
-    reply_cache_.MarkInFlight(request_key);
-    done = [this, request_key, inner = std::move(done)](std::string response) {
-      reply_cache_.Complete(request_key, response, queue_->Now());
-      inner(std::move(response));
-    };
+  const ReplyCache::RequestKey request_key = header.key;
+  if (auto cached = reply_cache_.Lookup(request_key)) {
+    reply_cache_.NoteHit();
+    done(*cached);
+    return;
   }
+  if (reply_cache_.IsInFlight(request_key)) {
+    reply_cache_.NoteInFlightDrop();
+    return;
+  }
+  reply_cache_.MarkInFlight(request_key);
+  done = [this, request_key, inner = std::move(done)](std::string response) {
+    reply_cache_.Complete(request_key, response, queue_->Now());
+    inner(std::move(response));
+  };
 
-  // Echo rule: answer in the codec of the request. A legacy xml_only
-  // server never detects binary — the probe draws an XML decode fault,
-  // which is exactly the client's fallback signal.
-  WireCodec codec = xml_only_ ? WireCodec::kXml : DetectCodec(request_xml);
-  auto call = xml_only_ ? DecodeXmlRpcCall(request_xml)
-                        : DecodeCallAuto(request_xml);
+  // Echo rule: answer in the codec of the request.
+  std::string_view call_bytes = FramedCall(request);
+  WireCodec codec = DetectCodec(call_bytes);
+  auto call = DecodeCallAuto(call_bytes);
   if (!call.ok()) {
     done(EncodeFault(codec, call.status()));
     return;
@@ -376,27 +344,11 @@ struct RpcClient::PendingCall {
   Result<WireValue> result = Status(StatusCode::kUnavailable, "pending");
 };
 
-// A call marshalled once for its whole retry ladder: dedup frame + encoded
-// payload live in one pooled buffer. `params` are kept only while the
-// binary probe might still need an XML re-frame.
-struct RpcClient::EncodedRequest {
-  std::string method;
-  WireValue::Array params;
-  bool params_retained = false;
-  WireCodec codec = WireCodec::kXml;  // Codec the frame was encoded in.
-  // Overload-control fields written into the KPR2 frame. The deadline is
-  // absolute, so every retransmission carries the same remaining budget —
-  // the server sheds stale retries exactly like stale originals.
-  uint64_t deadline_nanos = 0;
-  RpcPriority priority = RpcPriority::kDemand;
-  BufferLease framed;
-};
-
 // One logical CallAsync across its retry ladder.
 struct RpcClient::AsyncCall {
   std::shared_ptr<PendingCall> pending = std::make_shared<PendingCall>();
   std::function<void(Result<WireValue>)> finish;
-  std::shared_ptr<EncodedRequest> request;  // Sealed fresh per attempt.
+  std::shared_ptr<BufferLease> request;  // Sealed fresh per attempt.
   std::string method;
   int attempt = 0;
   bool admitted = false;  // Passed the circuit breaker.
@@ -420,10 +372,6 @@ RpcClient::RpcClient(EventQueue* queue, NetworkLink* link, RpcServer* server,
   // Jitter stream is per-client and deterministic: two clients never share
   // draws, and a fixed construction order reproduces exactly.
   retry_rng_ = SimRandom(client_id_ * 0x9E3779B97F4A7C15ull);
-  if (auto forced = WireCodecEnvOverride()) {
-    codec_ = *forced;
-    codec_forced_ = true;  // A/B run: no probing, no fallback.
-  }
 }
 
 void RpcClient::EnableChannelSecurity(SecureChannel* channel,
@@ -432,9 +380,6 @@ void RpcClient::EnableChannelSecurity(SecureChannel* channel,
   channel_ = channel;
   channel_device_id_ = std::move(device_id);
   channel_rng_ = rng;
-  if (!codec_forced_) {
-    codec_ = channel->preferred_codec();
-  }
 }
 
 std::string RpcClient::SealRequest(const std::string& request) {
@@ -459,43 +404,26 @@ Result<std::string> RpcClient::OpenResponse(const std::string& response) {
   return StringOf(opened);
 }
 
-std::shared_ptr<RpcClient::EncodedRequest> RpcClient::Encode(
-    const std::string& method, WireValue::Array params,
-    const CallContext& ctx) {
-  auto req = std::make_shared<EncodedRequest>();
-  req->method = method;
-  req->codec = codec_;
+std::shared_ptr<BufferLease> RpcClient::Encode(const std::string& method,
+                                               const WireValue::Array& params,
+                                               const CallContext& ctx) {
   // The wire deadline is the overall ladder deadline: the tighter of the
-  // caller's context deadline and now + total_deadline.
+  // caller's context deadline and now + total_deadline. It is absolute, so
+  // every retransmission carries the same remaining budget — the server
+  // sheds stale retries exactly like stale originals.
   SimTime deadline = queue_->Now() + options_.total_deadline;
   if (ctx.deadline.has_value() && *ctx.deadline < deadline) {
     deadline = *ctx.deadline;
   }
-  req->deadline_nanos = static_cast<uint64_t>(deadline.nanos());
-  req->priority = ctx.priority;
-  req->framed = BufferLease(buffer_pool_);
-  if (codec_ == WireCodec::kBinary && !binary_confirmed_ && !codec_forced_) {
-    // Probe: keep the params so an XML-only peer can be answered with an
-    // XML re-frame without bothering the caller.
-    req->params = std::move(params);
-    req->params_retained = true;
-    FrameInto(*req, req->params);
-  } else {
-    FrameInto(*req, params);
-  }
-  return req;
-}
-
-void RpcClient::FrameInto(EncodedRequest& req,
-                          const WireValue::Array& params) {
-  std::string& out = *req.framed;
-  out.clear();
-  out.append(kRequestFrameMagicV2, 4);
+  auto frame = std::make_shared<BufferLease>(buffer_pool_);
+  std::string& out = **frame;
+  out.append(kRequestFrameMagic, 4);
   AppendU64(out, client_id_);
   AppendU64(out, next_request_seq_++);
-  AppendU64(out, req.deadline_nanos);
-  out.push_back(static_cast<char>(req.priority));
-  EncodeCallInto(req.codec, req.method, params, out);
+  AppendU64(out, static_cast<uint64_t>(deadline.nanos()));
+  out.push_back(static_cast<char>(ctx.priority));
+  EncodeCallInto(codec_, method, params, out);
+  return frame;
 }
 
 SimDuration RpcClient::BackoffBefore(int next_attempt) {
@@ -509,24 +437,26 @@ SimDuration RpcClient::BackoffBefore(int next_attempt) {
   return SimDuration(static_cast<int64_t>(backoff));
 }
 
-bool RpcClient::SendAttempt(std::shared_ptr<EncodedRequest> req,
+bool RpcClient::SendAttempt(std::shared_ptr<BufferLease> frame,
                             std::shared_ptr<PendingCall> pending,
                             std::function<void()> notify) {
   ++attempts_started_;
-  std::string request = SealRequest(*req->framed);
+  std::string request = SealRequest(**frame);
   RpcServer* server = server_;
   NetworkLink* link = link_;
   size_t request_size = request.size();
+  // Each stage of the round trip holds the frame's lease, so the pool
+  // recycles the buffer only once no attempt of the call is in flight.
   return link_->Send(
       request_size, NetworkLink::Direction::kForward,
-      [this, req, pending, notify, server, link,
+      [this, frame, pending, notify, server, link,
        request = std::move(request)] {
-        server->HandleRequestAsync(request, [this, req, pending, notify,
+        server->HandleRequestAsync(request, [this, frame, pending, notify,
                                              link](std::string response) {
           size_t response_size = response.size();
           link->Send(
               response_size, NetworkLink::Direction::kReverse,
-              [this, req, pending, notify, response = std::move(response)] {
+              [this, frame, pending, notify, response = std::move(response)] {
                 if (pending->done) {
                   return;  // Duplicate/late response; call finished.
                 }
@@ -534,37 +464,13 @@ bool RpcClient::SendAttempt(std::shared_ptr<EncodedRequest> req,
                 if (!opened.ok()) {
                   pending->result = opened.status();
                 } else {
-                  WireCodec response_codec = DetectCodec(*opened);
                   auto decoded = DecodeResponseAuto(*opened);
                   if (!decoded.ok()) {
                     pending->result = decoded.status();
                   } else if (!decoded->fault.ok()) {
-                    if (req->codec == WireCodec::kBinary &&
-                        response_codec == WireCodec::kXml &&
-                        req->params_retained && !binary_confirmed_) {
-                      // The echo rule says a binary-capable peer answers in
-                      // binary; an XML-framed fault means the peer never
-                      // understood the probe. Latch XML and resend under a
-                      // fresh request id — the old id is already bound to
-                      // this fault in the peer's reply cache.
-                      codec_ = WireCodec::kXml;
-                      ++codec_downgrades_;
-                      req->codec = WireCodec::kXml;
-                      FrameInto(*req, req->params);
-                      SendAttempt(req, pending, std::move(notify));
-                      return;  // `pending` stays open for the resend.
-                    }
                     pending->result = decoded->fault;
                   } else {
                     pending->result = decoded->value;
-                  }
-                  if (req->codec == WireCodec::kBinary &&
-                      response_codec == WireCodec::kBinary &&
-                      !binary_confirmed_) {
-                    // Probe answered in kind: binary is safe from here on.
-                    binary_confirmed_ = true;
-                    req->params.clear();
-                    req->params_retained = false;
                   }
                 }
                 pending->done = true;
@@ -616,7 +522,7 @@ Result<WireValue> RpcClient::Call(const std::string& method,
                breaker_.state() == CircuitBreaker::State::kHalfOpen;
   retry_budget_.OnFirstAttempt();
 
-  auto framed = Encode(method, std::move(params), ctx);
+  auto frame = Encode(method, params, ctx);
   auto pending = std::make_shared<PendingCall>();
   SimTime overall_deadline = queue_->Now() + options_.total_deadline;
   if (ctx.deadline.has_value()) {
@@ -633,7 +539,7 @@ Result<WireValue> RpcClient::Call(const std::string& method,
       breaker_.RecordAborted(queue_->Now());
       return UnavailableError("rpc: link down calling " + method);
     }
-    if (!SendAttempt(framed, pending, nullptr)) {
+    if (!SendAttempt(frame, pending, nullptr)) {
       pending->done = true;
       ++calls_failed_fast_;
       breaker_.RecordAborted(queue_->Now());
@@ -782,7 +688,7 @@ void RpcClient::CallAsync(const std::string& method, WireValue::Array params,
   call->probe = was_open &&
                 breaker_.state() == CircuitBreaker::State::kHalfOpen;
   retry_budget_.OnFirstAttempt();
-  call->request = Encode(method, std::move(params), ctx);
+  call->request = Encode(method, params, ctx);
   StartAsyncAttempt(call);
 }
 

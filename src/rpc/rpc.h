@@ -1,7 +1,7 @@
 // RPC over the simulated network: real marshalling (every call is encoded,
 // shipped as bytes, and decoded — XML-RPC by default, compact binary TLV
-// when negotiated; DESIGN.md §11), with virtual-blocking and asynchronous
-// call styles.
+// when the client is built with it; DESIGN.md §11), with virtual-blocking
+// and asynchronous call styles.
 //
 // A "virtually blocking" Call() models a client thread waiting on a
 // response: it pumps the shared event queue until the reply lands or the
@@ -26,17 +26,16 @@
 //
 // Cost model: the client charges `client_overhead` of CPU per call
 // (XML-RPC marshal/unmarshal — the dominant Keypad cost on a LAN per
-// Fig. 6a; `client_overhead_binary` when binary framing is active) and the
-// server charges `service_time` per request (logging the access durably +
+// Fig. 6a; `client_overhead_binary` for a binary client) and the server
+// charges `service_time` per request (logging the access durably +
 // lookup).
 //
-// Wire framing (DESIGN.md §11): frames are self-describing and the server
-// answers in the codec of the request (echo rule). A client that prefers
-// binary probes with it; a legacy XML-only server answers the probe with an
-// XML-framed decode fault, which the client recognizes — it latches XML for
-// that peer and transparently resends under a FRESH request id (the old id
-// is bound to the fault in the server's reply cache). KEYPAD_WIRE_CODEC
-// forces either codec process-wide for A/B runs.
+// Wire framing (DESIGN.md §11): every request is a KPR2 frame (dedup key,
+// deadline, priority) around a call encoded in the client's codec, which
+// RpcOptions::codec fixes for the client's whole life. Frames are
+// self-describing and the server answers in the codec of the request (echo
+// rule). A request without a complete KPR2 header draws an InvalidArgument
+// fault and never reaches a handler or the reply cache.
 
 #ifndef SRC_RPC_RPC_H_
 #define SRC_RPC_RPC_H_
@@ -107,8 +106,9 @@ class RpcServer {
   void EnableChannelSecurity(ChannelLookup lookup, SecureRandom* rng);
 
   // Decodes, dispatches, and (possibly later) encodes a response or fault.
-  // Called by RpcClient through the link. Requests carrying a dedup frame
-  // execute at most once (see ReplyCache).
+  // Called by RpcClient through the link. Every request executes at most
+  // once (see ReplyCache); one without a complete KPR2 header is answered
+  // with an InvalidArgument fault and never executes.
   //
   // Cost model: each server owns a busy-clock. An arriving request is
   // serviced at max(now, busy_until) + service_time — an M/G/1-style queue
@@ -116,7 +116,7 @@ class RpcServer {
   // other while independent servers (e.g. key-service shards) overlap
   // freely in virtual time. A single outstanding request completes at
   // arrival + service_time, exactly as before.
-  void HandleRequestAsync(const std::string& request_xml,
+  void HandleRequestAsync(const std::string& request_raw,
                           std::function<void(std::string)> done);
 
   // Charges extra busy time to this server (e.g. the key service billing
@@ -128,11 +128,6 @@ class RpcServer {
   // per-attempt timeout (and eventually its circuit breaker) handles it.
   void set_down(bool down) { down_ = down; }
   bool down() const { return down_; }
-
-  // Models a legacy deployment that predates the binary codec: requests are
-  // decoded strictly as XML-RPC, so a binary probe draws the XML decode
-  // fault that triggers the client's fallback. Tests and ablations only.
-  void set_xml_only(bool xml_only) { xml_only_ = xml_only; }
 
   // Admission control (DESIGN.md §14): bounded queue, CoDel-style
   // sojourn shedding by priority class, and deadline expiry — all
@@ -207,7 +202,6 @@ class RpcServer {
   SecureRandom* channel_rng_ = nullptr;
   ReplyCache reply_cache_;
   bool down_ = false;
-  bool xml_only_ = false;
   uint64_t requests_handled_ = 0;
   uint64_t requests_executed_ = 0;
   uint64_t requests_dropped_ = 0;
@@ -232,8 +226,7 @@ struct RpcOptions {
   // CPU per call under binary framing: no tag soup to build or parse, so
   // marshalling drops by roughly an order of magnitude.
   SimDuration client_overhead_binary = SimDuration::Micros(30);
-  // Request framing this client starts with; kBinary probes and falls back
-  // per the echo rule unless KEYPAD_WIRE_CODEC pins a codec.
+  // Codec of every request this client sends, fixed at construction.
   WireCodec codec = WireCodec::kXml;
   // How long a single attempt waits before retrying (or giving up).
   SimDuration timeout = SimDuration::Seconds(5);
@@ -242,8 +235,7 @@ struct RpcOptions {
   RetryOptions retry;
   CircuitBreakerOptions breaker;
   // Token-bucket cap on the retry-to-first-attempt ratio (DESIGN.md
-  // §14). Off by default (the PR 2 ladder); KEYPAD_RETRY_BUDGET
-  // overrides either way.
+  // §14). Off by default (the §7 ladder).
   RetryBudgetOptions retry_budget;
 };
 
@@ -285,15 +277,8 @@ class RpcClient {
 
   // Enables transport encryption: requests are sealed under the device's
   // ratcheting channel keys; responses are opened with the same channel.
-  // Also adopts the channel's negotiated codec preference (unless
-  // KEYPAD_WIRE_CODEC pinned one).
   void EnableChannelSecurity(SecureChannel* channel, std::string device_id,
                              SecureRandom* rng);
-
-  // Framing this client will use for its next request. set_codec() switches
-  // the preference at runtime (benches A/B this); fallback stays armed.
-  WireCodec codec() const { return codec_; }
-  void set_codec(WireCodec codec) { codec_ = codec; }
 
   RpcOptions& options() { return options_; }
   CircuitBreaker& breaker() { return breaker_; }
@@ -312,8 +297,6 @@ class RpcClient {
   uint64_t calls_failed_fast() const { return calls_failed_fast_; }
   // Calls rejected without a send by the open circuit breaker.
   uint64_t calls_rejected() const { return breaker_.rejected_count(); }
-  // Times this client fell back from a binary probe to XML.
-  uint64_t codec_downgrades() const { return codec_downgrades_; }
   // Calls the server answered with an explicit REJECTED fault
   // (admission shed or deadline-expired) — the budget window closes on
   // each so retries stop within it.
@@ -329,36 +312,28 @@ class RpcClient {
  private:
   struct PendingCall;
   struct AsyncCall;
-  struct EncodedRequest;
 
   // Seals an outgoing request when channel security is on (identity
   // transform otherwise); OpenResponse reverses it.
   std::string SealRequest(const std::string& request);
   Result<std::string> OpenResponse(const std::string& response);
 
-  // Marshals a call once for its whole retry ladder: dedup frame (client id
-  // + fresh sequence number + deadline + priority) and encoded payload
-  // assembled in one pooled buffer. Params are retained inside the request
-  // only while an XML re-frame might still be needed (binary probe not yet
-  // confirmed).
-  std::shared_ptr<EncodedRequest> Encode(const std::string& method,
-                                         WireValue::Array params,
-                                         const CallContext& ctx);
+  // Marshals a call once for its whole retry ladder: KPR2 frame (client id
+  // + fresh sequence number + deadline + priority) and the call encoded in
+  // this client's codec, assembled in one pooled buffer.
+  std::shared_ptr<BufferLease> Encode(const std::string& method,
+                                      const WireValue::Array& params,
+                                      const CallContext& ctx);
 
   // Observes a completed call's result: a REJECTED fault closes the
   // retry-budget window (the server explicitly refused the load).
   void NoteCallResult(const Result<WireValue>& result);
-  // (Re-)writes the framed bytes of `req` in its current codec, consuming a
-  // fresh sequence number.
-  void FrameInto(EncodedRequest& req, const WireValue::Array& params);
 
   // Transmits one attempt: request over the link, handler on the server,
   // response back over the link, completing `pending` unless it already
   // completed (then invoking `notify`, if any — the async path's hook).
-  // An XML fault answering a binary probe triggers the fallback resend
-  // instead of completing. Returns false iff the link reported the send
-  // failed locally.
-  bool SendAttempt(std::shared_ptr<EncodedRequest> req,
+  // Returns false iff the link reported the send failed locally.
+  bool SendAttempt(std::shared_ptr<BufferLease> frame,
                    std::shared_ptr<PendingCall> pending,
                    std::function<void()> notify);
 
@@ -380,10 +355,9 @@ class RpcClient {
   SecureChannel* channel_ = nullptr;
   std::string channel_device_id_;
   SecureRandom* channel_rng_ = nullptr;
-  WireCodec codec_;
-  bool codec_forced_ = false;     // KEYPAD_WIRE_CODEC pinned it.
-  bool binary_confirmed_ = false;  // Peer has answered in binary.
-  uint64_t codec_downgrades_ = 0;
+  // options.codec as constructed; later edits through options() never
+  // switch the framing.
+  const WireCodec codec_;
   // Shared with outstanding BufferLeases: in-flight requests can outlive
   // the client (e.g. failover tears a client down mid-flight).
   std::shared_ptr<BufferPool> buffer_pool_ = std::make_shared<BufferPool>();

@@ -2,9 +2,9 @@
 // binary RPC frame built on it (magic "KPB1", DESIGN.md §11).
 //
 // The paper attributes the visible Keypad cost on LAN to XML-RPC
-// marshalling; this codec removes that cost when both ends of a channel
-// support it (see codec.h for negotiation) and feeds the marshalling
-// ablation benches.
+// marshalling; this codec removes that cost for clients built with it
+// (RpcOptions::codec, see codec.h) and feeds the marshalling ablation
+// benches.
 //
 // Frame layout: "KPB1" || kind u8, then
 //   kind 0 (call):     varint method-len || method || varint argc || values

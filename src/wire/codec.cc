@@ -1,8 +1,5 @@
 #include "src/wire/codec.h"
 
-#include <cstdlib>
-#include <cstring>
-
 #include "src/wire/binary_codec.h"
 
 namespace keypad {
@@ -49,20 +46,6 @@ Result<XmlRpcResponse> DecodeResponseAuto(std::string_view message) {
   return DetectCodec(message) == WireCodec::kBinary
              ? DecodeBinaryResponse(message)
              : DecodeXmlRpcResponse(message);
-}
-
-std::optional<WireCodec> WireCodecEnvOverride() {
-  const char* env = std::getenv("KEYPAD_WIRE_CODEC");
-  if (env == nullptr) {
-    return std::nullopt;
-  }
-  if (std::strcmp(env, "xml") == 0) {
-    return WireCodec::kXml;
-  }
-  if (std::strcmp(env, "binary") == 0) {
-    return WireCodec::kBinary;
-  }
-  return std::nullopt;
 }
 
 }  // namespace keypad

@@ -3,19 +3,16 @@
 // The paper's prototype speaks XML-RPC, and XML-RPC marshalling is the
 // dominant Keypad cost on a LAN (~0.5 ms/call, Fig. 6a). The compact binary
 // TLV codec (binary_codec.h) removes most of that cost; this header makes
-// it a first-class framing the RPC layer can negotiate per secure channel
-// while keeping XML-RPC as the compatibility default.
+// it a first-class framing: each RPC client speaks the codec it was built
+// with, and XML-RPC stays the paper-compatible default.
 //
 // Frames are self-describing: a binary frame starts with the magic "KPB1",
 // anything else is treated as XML. A server always answers in the codec of
-// the request (the echo rule), so mixed fleets interoperate: a legacy
-// XML-only server answers a binary probe with an XML-encoded decode fault,
-// which the client recognizes and uses to fall back to XML for that peer.
+// the request (the echo rule), so XML and binary clients share servers.
 
 #ifndef SRC_WIRE_CODEC_H_
 #define SRC_WIRE_CODEC_H_
 
-#include <optional>
 #include <string>
 #include <string_view>
 
@@ -50,11 +47,6 @@ std::string EncodeFault(WireCodec codec, const Status& status);
 // of what the local end would itself send.
 Result<XmlRpcCall> DecodeCallAuto(std::string_view message);
 Result<XmlRpcResponse> DecodeResponseAuto(std::string_view message);
-
-// KEYPAD_WIRE_CODEC=xml|binary forces the request framing of every
-// RpcClient in the process (mirrors KEYPAD_CRYPTO_BACKEND; used for A/B
-// marshalling runs). Unset or unrecognized values mean no override.
-std::optional<WireCodec> WireCodecEnvOverride();
 
 }  // namespace keypad
 

@@ -10,7 +10,7 @@
 namespace keypad {
 
 // One device of one user: its own link, per-shard RPC clients and stubs
-// (each with independent breaker/codec/dedup state), and its own key
+// (each with independent breaker and dedup state), and its own key
 // population. Kept deliberately lean — the 100k-device bench cell holds a
 // few hundred bytes of engine state per device plus the RPC machinery.
 struct FleetWorkload::FleetDevice {
@@ -270,7 +270,6 @@ FleetWorkload::Stats FleetWorkload::Run() {
       if (rpc == nullptr) {
         continue;  // Device owns no files on that shard.
       }
-      stats_.codec_downgrades += rpc->codec_downgrades();
       stats_.encode_buffer_acquires += rpc->encode_buffer_stats().acquires;
       stats_.encode_buffer_reuses += rpc->encode_buffer_stats().reuses;
     }

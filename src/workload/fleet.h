@@ -16,7 +16,7 @@
 //    response, at fleet scale).
 //
 // Every fetch flows through a per-device RpcClient (its own link, breaker,
-// codec negotiation state, pooled encode buffers) so the engine exercises
+// dedup sequence, pooled encode buffers) so the engine exercises
 // exactly the hot paths the simulator-core overhaul optimized: the event
 // queue under hundreds of thousands of timers, and the wire codecs under
 // millions of marshals. bench_fleet.cc turns this into BENCH_simcore.json.
@@ -97,7 +97,6 @@ class FleetWorkload {
     uint64_t denied_log_entries = 0;   // kDenied rows across all shards.
     uint64_t bytes_on_wire = 0;        // All device links, both directions.
     uint64_t rpc_messages = 0;
-    uint64_t codec_downgrades = 0;
     uint64_t encode_buffer_acquires = 0;
     uint64_t encode_buffer_reuses = 0;
     bool chains_verified = false;  // Every shard's audit chain Verify()s.

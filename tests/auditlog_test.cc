@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -396,29 +395,13 @@ TEST(AuditLogLifecycleTest, TruncatingRestartIsBenignButRestoreStillResyncs) {
   EXPECT_EQ(auditor.cursor(), dep.key_service().log().size());
 }
 
-// Scoped env so Deployment construction picks the options up for BOTH log
-// tiers (the meta tier has no DeploymentOptions plumbing by design — env is
-// its production configuration surface).
-class ScopedLogEnv {
- public:
-  ScopedLogEnv(const char* segment_ops, bool cold_ship, bool truncate) {
-    setenv("KEYPAD_LOG_SEGMENT_OPS", segment_ops, 1);
-    setenv("KEYPAD_LOG_COLD_SHIP", cold_ship ? "1" : "0", 1);
-    setenv("KEYPAD_LOG_TRUNCATE", truncate ? "1" : "0", 1);
-  }
-  ~ScopedLogEnv() {
-    unsetenv("KEYPAD_LOG_SEGMENT_OPS");
-    unsetenv("KEYPAD_LOG_COLD_SHIP");
-    unsetenv("KEYPAD_LOG_TRUNCATE");
-  }
-};
-
 TEST(AuditLogCatchUpTest, CheckpointCatchUpFetchesFractionOfGenesisReplay) {
   // A fresh console auditing a long-lived device: replaying from genesis
   // pulls the whole history; CatchUpFromCheckpoints verifies the signed
   // checkpoint chain instead and pulls only the unsealed tail.
-  ScopedLogEnv env("8", true, true);
-  Deployment dep(TruncatingOpts());
+  DeploymentOptions options = TruncatingOpts();
+  options.meta_log = SegOpts(8, true, true);  // Both tiers checkpoint.
+  Deployment dep(options);
   auto& fs = dep.fs();
   ASSERT_TRUE(fs.Mkdir("/docs").ok());
   for (int i = 0; i < 100; ++i) {
@@ -454,6 +437,38 @@ TEST(AuditLogCatchUpTest, CheckpointCatchUpFetchesFractionOfGenesisReplay) {
   EXPECT_EQ(anchored.cursor(), dep.key_service().log().size());
   EXPECT_EQ(anchored.meta_cursor(), dep.metadata_service().log().size());
   EXPECT_EQ(anchored.resyncs(), 0u);
+}
+
+TEST(AuditLogLifecycleTest, MetaLogOptionsReachEveryMetadataReplica) {
+  DeploymentOptions options = TruncatingOpts();
+  options.meta_replicas = 3;
+  options.meta_log.segment_ops = 4;
+  options.meta_log.truncate = true;
+  Deployment dep(options);
+  ASSERT_EQ(dep.meta_replica_count(), 3u);
+  for (size_t r = 0; r < 3; ++r) {
+    const SegmentedLogOptions& applied =
+        dep.meta_replica(r).log().log_options();
+    EXPECT_EQ(applied.segment_ops, 4u) << "replica " << r;
+    EXPECT_TRUE(applied.truncate) << "replica " << r;
+    EXPECT_TRUE(applied.cold_ship) << "replica " << r;  // Implied.
+  }
+  auto& fs = dep.fs();
+  ASSERT_TRUE(fs.Mkdir("/docs").ok());
+  for (int i = 0; i < 20; ++i) {
+    ASSERT_TRUE(fs.Create("/docs/f" + std::to_string(i)).ok());
+  }
+  dep.queue().AdvanceBy(SimDuration::Seconds(1));
+  const MetadataLog& log = dep.meta_replica(0).log();
+  EXPECT_GT(log.checkpoints().size(), 0u);
+  EXPECT_GT(log.segments_shipped(), 0u);
+
+  // The key tier gets the same rule from the same place.
+  EventQueue queue;
+  KeyServiceOptions key_options;
+  key_options.log.truncate = true;
+  KeyService service(&queue, 0x5E6, key_options);
+  EXPECT_TRUE(service.log().log_options().cold_ship);
 }
 
 // --- Replicated failover with truncation (satellite 3). ---------------------

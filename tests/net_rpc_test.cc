@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "src/net/link.h"
@@ -627,135 +629,75 @@ TEST_F(RpcTest, BytesFlowOverLink) {
   EXPECT_EQ(link_.messages_sent(), 2u);
 }
 
-// --- Wire-codec negotiation (DESIGN.md §11). --------------------------------
+// --- Wire framing (DESIGN.md §11). ------------------------------------------
+
+RpcOptions BinaryOptions() {
+  RpcOptions options;
+  options.codec = WireCodec::kBinary;
+  return options;
+}
 
 TEST_F(RpcTest, BinaryCodecRoundTripsAndConfirms) {
-  client_.set_codec(WireCodec::kBinary);
-  auto result = client_.Call("echo", {WireValue("compact")});
+  RpcClient binary(&queue_, &link_, &server_, BinaryOptions());
+  auto result = binary.Call("echo", {WireValue("compact")});
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(*result->AsString(), "compact");
-  EXPECT_EQ(client_.codec(), WireCodec::kBinary);
-  EXPECT_EQ(client_.codec_downgrades(), 0u);
-  // The confirmed probe sticks for subsequent calls.
-  EXPECT_TRUE(client_.Call("echo", {WireValue(int64_t{7})}).ok());
-  EXPECT_EQ(client_.codec(), WireCodec::kBinary);
+  // The server answered in kind (echo rule), and the next call frames the
+  // same way.
+  EXPECT_TRUE(binary.Call("echo", {WireValue(int64_t{7})}).ok());
+  EXPECT_EQ(server_.requests_executed(), 2u);
 }
 
 TEST_F(RpcTest, BinaryShrinksBytesOnTheWire) {
   client_.Call("echo", {WireValue("payload"), WireValue(int64_t{42})});
   uint64_t xml_bytes = link_.bytes_sent();
   link_.ResetCounters();
-  client_.set_codec(WireCodec::kBinary);
-  client_.Call("echo", {WireValue("payload"), WireValue(int64_t{42})});
+  RpcClient binary(&queue_, &link_, &server_, BinaryOptions());
+  ASSERT_TRUE(
+      binary.Call("echo", {WireValue("payload"), WireValue(int64_t{42})}).ok());
   EXPECT_LT(link_.bytes_sent() * 3, xml_bytes);  // >3x smaller end to end.
 }
 
-TEST_F(RpcTest, BinaryProbeFallsBackAgainstXmlOnlyServer) {
-  // A legacy server answers the binary probe with an XML decode fault; the
-  // client must latch XML, resend under a fresh request id, and complete
-  // the SAME logical call with the real answer — transparently.
-  server_.set_xml_only(true);
-  client_.set_codec(WireCodec::kBinary);
-  auto result = client_.Call("echo", {WireValue("legacy")});
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(*result->AsString(), "legacy");
-  EXPECT_EQ(client_.codec(), WireCodec::kXml);
-  EXPECT_EQ(client_.codec_downgrades(), 1u);
-  // Both the probe and the re-frame executed exactly one handler call:
-  // the probe died in decode, the XML resend ran the method.
-  EXPECT_EQ(server_.requests_executed(), 1u);
-  // Later calls go straight to XML — one downgrade per client, not per call.
-  EXPECT_TRUE(client_.Call("echo", {WireValue("again")}).ok());
-  EXPECT_EQ(client_.codec_downgrades(), 1u);
-}
-
-TEST_F(RpcTest, FallbackResendSurvivesReplyCache) {
-  // The downgrade resend MUST use a fresh sequence number: the probe's id
-  // is bound to the decode fault in the reply cache, and replaying it
-  // would return the fault forever.
-  server_.set_xml_only(true);
-  client_.set_codec(WireCodec::kBinary);
-  ASSERT_TRUE(client_.Call("echo", {WireValue(int64_t{1})}).ok());
-  EXPECT_EQ(server_.reply_cache().hits(), 0u);
-  // A second client against the same server negotiates independently.
-  RpcClient other(&queue_, &link_, &server_,
-                  RpcOptions{.codec = WireCodec::kBinary});
-  ASSERT_TRUE(other.Call("echo", {WireValue(int64_t{2})}).ok());
-  EXPECT_EQ(other.codec(), WireCodec::kXml);
-}
-
-TEST_F(RpcTest, ServerCrashMidProbeFallsBackExactlyOnceAfterRestart) {
-  // The server crashes while the binary probe is in flight and comes back
-  // as a legacy XML-only build before the retry lands. The retained call
-  // must ride the retry ladder, draw the decode fault, and re-frame as XML
-  // under a FRESH dedup sequence exactly once — one handler execution, no
-  // poisoned reply-cache entry answering the resend.
-  int executions = 0;
-  server_.RegisterMethod("count", [&](const WireValue::Array&) {
-    ++executions;
-    return Result<WireValue>(WireValue(int64_t{executions}));
-  });
-  client_.set_codec(WireCodec::kBinary);  // Probe not yet confirmed.
-  client_.options().timeout = SimDuration::Seconds(2);
-  server_.set_down(true);  // Crash swallows the first probe attempt.
-  queue_.Schedule(queue_.Now() + SimDuration::Seconds(1), [this] {
-    server_.set_down(false);
-    server_.set_xml_only(true);  // Restarted binary rolled back to XML-only.
-  });
-  auto result = client_.Call("count", {});
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(*result->AsInt(), 1);
-  EXPECT_EQ(executions, 1);
-  EXPECT_EQ(server_.requests_executed(), 1u);
-  EXPECT_EQ(client_.codec(), WireCodec::kXml);
-  EXPECT_EQ(client_.codec_downgrades(), 1u);
-  // The XML resend carried a fresh sequence: it never matched the probe's
-  // cached decode fault (a hit would have replayed the fault forever).
-  EXPECT_EQ(server_.reply_cache().hits(), 0u);
-  // The downgrade latched; later calls are XML first time, no re-probe.
-  ASSERT_TRUE(client_.Call("count", {}).ok());
-  EXPECT_EQ(client_.codec_downgrades(), 1u);
-  EXPECT_EQ(executions, 2);
+TEST_F(RpcTest, UnframedRequestsNeverReachAHandler) {
+  // Every client speaks KPR2. A bare call, a legacy KPRQ frame, and a KPR2
+  // header one byte short are malformed: each draws an InvalidArgument
+  // fault before dedup and dispatch.
+  std::string bare;
+  EncodeCallInto(WireCodec::kXml, "echo", {WireValue("x")}, bare);
+  std::string kprq = "KPRQ" + std::string(16, '\x01') + bare;
+  std::string cut = "KPR2" + std::string(24, '\x01');
+  ASSERT_EQ(cut.size(), 28u);
+  for (const std::string& request : {bare, kprq, cut}) {
+    std::optional<std::string> reply;
+    server_.HandleRequestAsync(request,
+                               [&](std::string r) { reply = std::move(r); });
+    queue_.RunUntilIdle();
+    ASSERT_TRUE(reply.has_value());
+    auto decoded = DecodeResponseAuto(*reply);
+    ASSERT_TRUE(decoded.ok());
+    EXPECT_EQ(decoded->fault.code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(server_.requests_executed(), 0u);
+    EXPECT_EQ(server_.reply_cache().size(), 0u);
+  }
 }
 
 TEST_F(RpcTest, ChannelPreferenceSelectsBinaryUnderSealing) {
-  // Channel security and binary framing negotiate together: enabling the
-  // sealed channel adopts its codec preference, and sealed binary frames
-  // round-trip (the dedup frame and codec payload travel INSIDE the
-  // envelope, so sealing is codec-oblivious).
+  // Sealing is codec-oblivious: the KPR2 frame and the binary call travel
+  // INSIDE the envelope, and the sealed binary reply round-trips.
   SecureRandom client_rng(99), server_rng(99);
   Bytes root = BytesOf("negotiated-root-secret");
   SecureChannel client_chan(root, SimDuration::Seconds(60));
   SecureChannel server_chan(root, SimDuration::Seconds(60));
-  client_chan.set_preferred_codec(WireCodec::kBinary);
   server_.EnableChannelSecurity(
       [&](const std::string& device_id) -> SecureChannel* {
         return device_id == "dev-1" ? &server_chan : nullptr;
       },
       &server_rng);
-  client_.EnableChannelSecurity(&client_chan, "dev-1", &client_rng);
-  EXPECT_EQ(client_.codec(), WireCodec::kBinary);
-  auto result = client_.Call("echo", {WireValue("sealed+binary")});
+  RpcClient binary(&queue_, &link_, &server_, BinaryOptions());
+  binary.EnableChannelSecurity(&client_chan, "dev-1", &client_rng);
+  auto result = binary.Call("echo", {WireValue("sealed+binary")});
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(*result->AsString(), "sealed+binary");
-  EXPECT_EQ(client_.codec(), WireCodec::kBinary);
-  EXPECT_EQ(client_.codec_downgrades(), 0u);
-}
-
-TEST_F(RpcTest, AsyncCallNegotiatesFallbackToo) {
-  server_.set_xml_only(true);
-  client_.set_codec(WireCodec::kBinary);
-  bool called = false;
-  client_.CallAsync("echo", {WireValue("async-legacy")},
-                    [&](Result<WireValue> r) {
-                      called = true;
-                      ASSERT_TRUE(r.ok());
-                      EXPECT_EQ(*r->AsString(), "async-legacy");
-                    });
-  queue_.RunUntilIdle();
-  EXPECT_TRUE(called);
-  EXPECT_EQ(client_.codec(), WireCodec::kXml);
-  EXPECT_EQ(client_.codec_downgrades(), 1u);
 }
 
 TEST_F(RpcTest, EncodeBuffersAreReused) {

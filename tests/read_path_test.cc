@@ -10,7 +10,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <map>
 #include <set>
 #include <vector>
@@ -104,10 +103,11 @@ TEST(HotKeyCacheTest, KeyMutationsInvalidateResidentLines) {
 }
 
 TEST(HotKeyCacheTest, EnvKnobForcesItOff) {
-  ASSERT_EQ(setenv("KEYPAD_HOTKEY_CACHE", "off", 1), 0);
+  // The ablation knob is KeyServiceOptions::hot_key_cache.
   EventQueue queue;
-  KeyService service(&queue, 0xA4);
-  unsetenv("KEYPAD_HOTKEY_CACHE");
+  KeyServiceOptions options;
+  options.hot_key_cache = false;
+  KeyService service(&queue, 0xA4, options);
   service.RegisterDevice("laptop");
   AuditId id = RandomIds(1, 4)[0];
   ASSERT_TRUE(service.CreateKey("laptop", id).ok());
@@ -356,9 +356,10 @@ TEST(BatchedRouterTest, RevokedDeviceNeverReceivesAKeyThroughTheBatchPath) {
 }
 
 TEST(BatchedRouterTest, EnvKnobForcesBatchingOff) {
-  ASSERT_EQ(setenv("KEYPAD_BATCH_FETCH", "0", 1), 0);
-  Deployment dep(ShardedOpts(2));
-  unsetenv("KEYPAD_BATCH_FETCH");
+  // The ablation knob is ShardRouter::Options::batch_fetch.
+  DeploymentOptions options = ShardedOpts(2);
+  options.router.batch_fetch = false;
+  Deployment dep(options);
   ShardRouter* router = dep.key_router();
   ASSERT_NE(router, nullptr);
   EXPECT_FALSE(router->batch_fetch());
@@ -532,23 +533,6 @@ TEST(SequencePrefetchTest, LearningTableIsLruBounded) {
     prefetcher.OnAccess(id);
   }
   EXPECT_LE(prefetcher.tracked_files(), 8u);
-}
-
-TEST(SequencePrefetchTest, EnvOverrideSelectsPolicies) {
-  PrefetchPolicy configured = PrefetchPolicy::FullDirOnNthMiss(3);
-  ASSERT_EQ(setenv("KEYPAD_PREFETCH", "seq", 1), 0);
-  EXPECT_EQ(ApplyPrefetchPolicyEnv(configured).kind,
-            PrefetchPolicy::Kind::kSequenceHints);
-  ASSERT_EQ(setenv("KEYPAD_PREFETCH", "none", 1), 0);
-  EXPECT_EQ(ApplyPrefetchPolicyEnv(configured).kind,
-            PrefetchPolicy::Kind::kNone);
-  ASSERT_EQ(setenv("KEYPAD_PREFETCH", "random", 1), 0);
-  EXPECT_EQ(ApplyPrefetchPolicyEnv(configured).kind,
-            PrefetchPolicy::Kind::kRandomFromDir);
-  ASSERT_EQ(setenv("KEYPAD_PREFETCH", "bogus", 1), 0);
-  EXPECT_EQ(ApplyPrefetchPolicyEnv(configured).kind, configured.kind);
-  unsetenv("KEYPAD_PREFETCH");
-  EXPECT_EQ(ApplyPrefetchPolicyEnv(configured).kind, configured.kind);
 }
 
 }  // namespace

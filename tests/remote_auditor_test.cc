@@ -132,11 +132,11 @@ TEST_F(RemoteAuditorTest, BrokenMetadataChainFailsRemoteReport) {
   // tamper sits in the checkpointed prefix, which the tail pull's
   // VerifyTail vouches for by checkpoint — only the full verify that
   // audit.annotate runs catches it.
-  setenv("KEYPAD_LOG_SEGMENT_OPS", "2", 1);
   DeploymentOptions options = Opts();
   options.config.prefetch = PrefetchPolicy::None();
+  options.key_service.log.segment_ops = 2;
+  options.meta_log.segment_ops = 2;
   Deployment dep(options);
-  unsetenv("KEYPAD_LOG_SEGMENT_OPS");
   auto& fs = dep.fs();
   ASSERT_TRUE(fs.Mkdir("/docs").ok());
   ASSERT_TRUE(fs.Create("/docs/a").ok());

@@ -1,8 +1,8 @@
 // Differential fuzz over the two wire codecs (DESIGN.md §11): random
 // WireValue trees must survive encode/decode through XML-RPC and through the
 // binary TLV framing *identically* — same values, same faults, same method
-// names. The negotiation layer (codec.h) may pick either framing per peer,
-// so any divergence between the codecs is a silent cross-fleet corruption.
+// names. Clients of either codec share servers (echo rule, codec.h), so any
+// divergence between the codecs is a silent cross-fleet corruption.
 
 #include <gtest/gtest.h>
 
