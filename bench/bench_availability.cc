@@ -152,8 +152,8 @@ bool MetaOrphansHaveBinding(const MetaReplicaSet* set, const AuditId& id) {
     return false;
   }
   for (const auto& orphan : set->orphaned()) {
-    if (orphan.record.op == MetadataOp::kCreateFile &&
-        orphan.record.audit_id == id) {
+    if (orphan.entry.op == MetadataOp::kCreateFile &&
+        orphan.entry.audit_id == id) {
       return true;
     }
   }

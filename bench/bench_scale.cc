@@ -449,7 +449,7 @@ CellResult RunCell(const CellConfig& config) {
     // ladders, and the restarted shard must still verify end to end.
     SimTime crash_at = start + config.duration / 3;
     queue.Schedule(crash_at, [&] {
-      shards[0]->AbortStaged();
+      shards[0]->AbortInFlight();
       Bytes snapshot = shards[0]->Snapshot();
       servers[0]->set_down(true);
       queue.ScheduleAfter(SimDuration::Millis(100), [&, snapshot] {

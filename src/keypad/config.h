@@ -93,9 +93,6 @@ struct KeypadConfig {
   // otherwise only paths for which this returns true are audited.
   std::function<bool(const std::string&)> coverage;
   KeypadCostModel costs;
-  // Retries for lost asynchronous registrations.
-  int registration_retries = 3;
-  SimDuration retry_backoff = SimDuration::Seconds(5);
   // Assured delete: destroy the remote key when a file is unlinked, making
   // any lingering ciphertext (backups, disk images) permanently
   // unreadable. Off by default — it also removes the *owner's* ability to

@@ -1,6 +1,7 @@
 #include "src/keypad/deployment.h"
 
 #include <cstdlib>
+#include <string>
 
 #include "src/cryptocore/hmac.h"
 #include "src/util/logging.h"
@@ -21,6 +22,54 @@ FailoverOptions FailoverFor(const DeploymentOptions& options, int replicas) {
                         static_cast<int64_t>(replicas) +
                     options.replica_set.ack_timeout + SimDuration::Seconds(2);
   return failover;
+}
+
+// One body per fault verb for both tiers: a service, its RPC server, its
+// replica set (null when unreplicated) and the crash-time snapshot slot.
+template <typename Service>
+void CrashReplica(Service& service, RpcServer& server,
+                  ServiceReplicaSet<Service>* set, size_t replica,
+                  Bytes* snapshot) {
+  // The open commit window dies with the process: its staged rows never
+  // sealed (never durable) and its held responses are never sent — the
+  // clients time out and retry (against the promoted backup, if any).
+  service.AbortInFlight();
+  // The snapshot models the durable log and state the crashed process
+  // leaves on disk; the server swallows everything until restart.
+  *snapshot = service.Snapshot();
+  server.set_down(true);
+  if (set != nullptr) {
+    set->NoteCrashed(replica);
+  }
+}
+
+template <typename Service>
+void RestartReplica(Service& service, RpcServer& server,
+                    ServiceReplicaSet<Service>* set, size_t replica,
+                    const Bytes& snapshot, const std::string& name) {
+  Status restored = service.Restore(snapshot);
+  if (!restored.ok()) {
+    KP_LOG(kError) << name << " restart: " << restored;
+    abort();
+  }
+  // Completed replies are durable (written with the audit entry); requests
+  // that were mid-execution at crash time will never answer — forget them
+  // so client retries re-execute.
+  server.reply_cache().ClearInFlight();
+  server.set_down(false);
+  if (set != nullptr) {
+    // The ex-primary comes back with a possibly diverged chain: it rejoins
+    // as a backup, reconciling against whoever leads now.
+    set->NoteRestarted(replica);
+  }
+}
+
+template <typename Service>
+void PartitionReplica(ServiceReplicaSet<Service>* set, size_t replica,
+                      bool partitioned) {
+  if (set != nullptr) {
+    set->SetPartitioned(replica, partitioned);
+  }
 }
 }  // namespace
 
@@ -121,8 +170,7 @@ Deployment::Deployment(DeploymentOptions options)
   // service.
   for (size_t r = 0; r < meta_count; ++r) {
     meta_services_.push_back(std::make_unique<MetadataService>(
-        &queue_, options_.seed ^ 0x4444, *group));
-    meta_services_.back()->ConfigureLog(options_.meta_log);
+        &queue_, options_.seed ^ 0x4444, *group, options_.meta_log));
     meta_rpc_servers_.push_back(
         std::make_unique<RpcServer>(&queue_, kServiceTime));
     meta_rpc_servers_.back()->set_admission(options_.admission);
@@ -339,40 +387,17 @@ Deployment::Deployment(DeploymentOptions options)
 Deployment::~Deployment() = default;
 
 void Deployment::CrashKeyReplica(size_t shard, size_t replica) {
-  KeyService& service = key_replica(shard, replica);
-  RpcServer& server = key_replica_rpc_server(shard, replica);
-  // An open commit window dies with the process: its staged entries never
-  // sealed (never durable) and its held responses are never sent — the
-  // clients time out and retry (against the promoted backup, if any).
-  service.AbortStaged();
-  // Snapshot models the durable log + key store the crashed process leaves
-  // on disk; the server swallows everything until restart.
-  key_replica_snapshots_[shard][replica] = service.Snapshot();
-  server.set_down(true);
-  if (!replica_sets_.empty()) {
-    replica_sets_[shard]->NoteCrashed(replica);
-  }
+  CrashReplica(key_replica(shard, replica),
+               key_replica_rpc_server(shard, replica), replica_set(shard),
+               replica, &key_replica_snapshots_[shard][replica]);
 }
 
 void Deployment::RestartKeyReplica(size_t shard, size_t replica) {
-  KeyService& service = key_replica(shard, replica);
-  RpcServer& server = key_replica_rpc_server(shard, replica);
-  Status restored = service.Restore(key_replica_snapshots_[shard][replica]);
-  if (!restored.ok()) {
-    KP_LOG(kError) << "key shard " << shard << " replica " << replica
-                   << " restart: " << restored;
-    abort();
-  }
-  // Completed replies are durable (written with the audit entry); requests
-  // that were mid-execution at crash time will never answer — forget them
-  // so client retries re-execute.
-  server.reply_cache().ClearInFlight();
-  server.set_down(false);
-  if (!replica_sets_.empty()) {
-    // The ex-primary comes back with a possibly diverged chain: it rejoins
-    // as a backup, reconciling against whoever leads now.
-    replica_sets_[shard]->NoteRestarted(replica);
-  }
+  RestartReplica(key_replica(shard, replica),
+                 key_replica_rpc_server(shard, replica), replica_set(shard),
+                 replica, key_replica_snapshots_[shard][replica],
+                 "key shard " + std::to_string(shard) + " replica " +
+                     std::to_string(replica));
 }
 
 void Deployment::CrashKeyShard(size_t i) {
@@ -389,35 +414,14 @@ void Deployment::RestartKeyShard(size_t i) {
 }
 
 void Deployment::CrashMetaReplica(size_t replica) {
-  MetadataService& service = *meta_services_[replica];
-  RpcServer& server = *meta_rpc_servers_[replica];
-  // Held responses die with the process — the clients' retries take over
-  // against the promoted backup, if any. The appended records are durable
-  // and travel in the snapshot.
-  service.AbortPending();
-  meta_replica_snapshots_[replica] = service.Snapshot();
-  server.set_down(true);
-  if (meta_replica_set_ != nullptr) {
-    meta_replica_set_->NoteCrashed(replica);
-  }
+  CrashReplica(meta_replica(replica), meta_replica_rpc_server(replica),
+               meta_replica_set(), replica, &meta_replica_snapshots_[replica]);
 }
 
 void Deployment::RestartMetaReplica(size_t replica) {
-  MetadataService& service = *meta_services_[replica];
-  RpcServer& server = *meta_rpc_servers_[replica];
-  Status restored = service.Restore(meta_replica_snapshots_[replica]);
-  if (!restored.ok()) {
-    KP_LOG(kError) << "metadata replica " << replica
-                   << " restart: " << restored;
-    abort();
-  }
-  server.reply_cache().ClearInFlight();
-  server.set_down(false);
-  if (meta_replica_set_ != nullptr) {
-    // The ex-primary comes back with a possibly diverged chain: it rejoins
-    // as a backup, reconciling against whoever leads now.
-    meta_replica_set_->NoteRestarted(replica);
-  }
+  RestartReplica(meta_replica(replica), meta_replica_rpc_server(replica),
+                 meta_replica_set(), replica, meta_replica_snapshots_[replica],
+                 "metadata replica " + std::to_string(replica));
 }
 
 void Deployment::CrashMetadataService() {
@@ -451,9 +455,7 @@ void Deployment::ScheduleKeyReplicaCrash(size_t shard, size_t replica,
 
 void Deployment::PartitionKeyReplica(size_t shard, size_t replica,
                                      bool partitioned) {
-  if (!replica_sets_.empty()) {
-    replica_sets_[shard]->SetPartitioned(replica, partitioned);
-  }
+  PartitionReplica(replica_set(shard), replica, partitioned);
 }
 
 void Deployment::ScheduleKeyReplicaPartition(size_t shard, size_t replica,
@@ -478,9 +480,7 @@ void Deployment::ScheduleMetaReplicaCrash(size_t replica, SimTime at,
 }
 
 void Deployment::PartitionMetaReplica(size_t replica, bool partitioned) {
-  if (meta_replica_set_ != nullptr) {
-    meta_replica_set_->SetPartitioned(replica, partitioned);
-  }
+  PartitionReplica(meta_replica_set(), replica, partitioned);
 }
 
 void Deployment::ScheduleMetaReplicaPartition(size_t replica, SimTime at,
@@ -494,29 +494,28 @@ void Deployment::ReportDeviceLost() {
   // Revocation must land on every shard — any single shard still serving
   // keys would defeat remote data control. With replication it goes through
   // the replica set so the backups learn it before any of them can lead.
+  auto disable = [this](auto& service) {
+    return service.DisableDevice(options_.device_id);
+  };
   Status key_status = Status::Ok();
-  if (!replica_sets_.empty()) {
-    for (auto& set : replica_sets_) {
-      Status s = set->DisableDevice(options_.device_id);
-      if (!s.ok() && key_status.ok()) {
-        key_status = s;
-      }
-    }
-  } else {
-    for (auto& shard : key_shards_) {
-      Status s = shard->DisableDevice(options_.device_id);
-      if (!s.ok() && key_status.ok()) {
-        key_status = s;
-      }
+  for (size_t i = 0; i < key_shards_.size(); ++i) {
+    Status s = OnKeyShardLeader(i, disable);
+    if (!s.ok() && key_status.ok()) {
+      key_status = s;
     }
   }
-  Status meta_status =
-      meta_replica_set_ != nullptr
-          ? meta_replica_set_->DisableDevice(options_.device_id)
-          : meta_services_[0]->DisableDevice(options_.device_id);
+  Status meta_status = meta_replica_set_ != nullptr
+                           ? meta_replica_set_->MutateLeader(disable)
+                           : disable(*meta_services_[0]);
   if (!key_status.ok() || !meta_status.ok()) {
     KP_LOG(kWarning) << "report-lost: " << key_status << " / " << meta_status;
   }
+}
+
+Status Deployment::OnKeyShardLeader(
+    size_t shard, const std::function<Status(KeyService&)>& mutate) {
+  ReplicaSet* set = replica_set(shard);
+  return set != nullptr ? set->MutateLeader(mutate) : mutate(key_shard(shard));
 }
 
 RawDeviceAttacker Deployment::MakeAttacker() {
@@ -668,16 +667,10 @@ Result<Deployment::ReplacementDevice> Deployment::EnrollReplacementDevice(
   // refuses unless the old device is already disabled (ReportDeviceLost
   // first), so a premature "restore" can never widen access while the
   // stolen laptop's identity is still live.
-  if (!replica_sets_.empty()) {
-    for (auto& set : replica_sets_) {
-      KP_RETURN_IF_ERROR(
-          set->TransferDeviceKeys(options_.device_id, new_device_id));
-    }
-  } else {
-    for (auto& shard : key_shards_) {
-      KP_RETURN_IF_ERROR(
-          shard->TransferDeviceKeys(options_.device_id, new_device_id));
-    }
+  for (size_t i = 0; i < key_shards_.size(); ++i) {
+    KP_RETURN_IF_ERROR(OnKeyShardLeader(i, [&](KeyService& service) {
+      return service.TransferDeviceKeys(options_.device_id, new_device_id);
+    }));
   }
 
   ReplacementDevice replacement;

@@ -13,6 +13,7 @@
 #ifndef SRC_KEYPAD_DEPLOYMENT_H_
 #define SRC_KEYPAD_DEPLOYMENT_H_
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -25,9 +26,7 @@
 #include "src/keypad/paired_device.h"
 #include "src/keyservice/key_service.h"
 #include "src/keyservice/key_service_client.h"
-#include "src/keyservice/replica_set.h"
 #include "src/keyservice/shard_router.h"
-#include "src/metaservice/meta_replica_set.h"
 #include "src/metaservice/metadata_service.h"
 #include "src/net/link.h"
 #include "src/net/profile.h"
@@ -73,8 +72,7 @@ struct DeploymentOptions {
   int key_shards = 1;
   // Per-shard service knobs: group-commit window and seal CPU costs.
   KeyServiceOptions key_service;
-  // Router knobs (ring seed, vnodes, single-flight coalescing, batched
-  // fetch).
+  // Router knobs (single-flight coalescing, batched fetch, brownout).
   ShardRouter::Options router;
   // Replication width per shard (DESIGN.md §9). With R > 1 every shard runs
   // R replicas (primary + R−1 backups) under a lease-based ReplicaSet; the
@@ -298,6 +296,12 @@ class Deployment {
       const std::string& new_device_id);
 
  private:
+  // Runs an admin mutation on key shard `shard`: through its replica set's
+  // leader (which ships the result to the backups at once) when
+  // replicated, on the shard itself otherwise.
+  Status OnKeyShardLeader(size_t shard,
+                          const std::function<Status(KeyService&)>& mutate);
+
   DeploymentOptions options_;
   EventQueue queue_;
   BlockDevice device_;

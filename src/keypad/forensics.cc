@@ -258,7 +258,7 @@ Result<AuditReport> ForensicAuditor::BuildReport(const std::string& device_id,
     }
     std::vector<AuditLogEntry> authoritative = Authority(i)->LogSince(
         SimTime());
-    for (const OrphanedEntry& orphan : set->orphaned()) {
+    for (const auto& orphan : set->orphaned()) {
       const AuditLogEntry& entry = orphan.entry;
       if (entry.device_id != device_id) {
         continue;
@@ -293,8 +293,8 @@ Result<AuditReport> ForensicAuditor::BuildReport(const std::string& device_id,
     // an orphan that duplicates a checkpointed (and since-truncated) row
     // still classifies as a duplicate, matching an untruncated run.
     const auto authoritative = MetaAuthority()->log().AllKnownRecords();
-    for (const OrphanedMetaRecord& orphan : meta_replica_set_->orphaned()) {
-      const MetadataRecord& record = orphan.record;
+    for (const auto& orphan : meta_replica_set_->orphaned()) {
+      const MetadataRecord& record = orphan.entry;
       if (record.device_id != device_id) {
         continue;
       }

@@ -21,10 +21,8 @@
 
 #include "src/auditlog/checkpoint.h"
 #include "src/keyservice/key_service.h"
-#include "src/keyservice/replica_set.h"
-#include "src/rpc/rpc.h"
-#include "src/metaservice/meta_replica_set.h"
 #include "src/metaservice/metadata_service.h"
+#include "src/rpc/rpc.h"
 #include "src/util/ids.h"
 
 namespace keypad {

@@ -14,6 +14,10 @@ namespace {
 constexpr uint8_t kTagRawKd = 0x00;
 constexpr uint8_t kTagWrapped = 0x01;
 
+// Retries for a lost asynchronous registration, and the wait before each.
+constexpr int kRegistrationRetries = 3;
+constexpr SimDuration kRetryBackoff = SimDuration::Seconds(5);
+
 Bytes Tagged(uint8_t tag, const Bytes& body) {
   Bytes out;
   out.reserve(body.size() + 1);
@@ -347,7 +351,7 @@ void KeypadFs::SendPendingKeyCreate(const AuditId& id) {
     }
     if (!result.ok()) {
       if (it->second.key_retries_left-- > 0) {
-        queue()->ScheduleAfter(config_.retry_backoff,
+        queue()->ScheduleAfter(kRetryBackoff,
                                [this, id] { SendPendingKeyCreate(id); });
       }
       return;
@@ -373,7 +377,7 @@ void KeypadFs::SendPendingMetaBind(const AuditId& id) {
         }
         if (!result.ok()) {
           if (it2->second.meta_retries_left-- > 0) {
-            queue()->ScheduleAfter(config_.retry_backoff,
+            queue()->ScheduleAfter(kRetryBackoff,
                                    [this, id] { SendPendingMetaBind(id); });
           }
           return;
@@ -471,8 +475,8 @@ Result<Bytes> KeypadFs::ProvisionNewFile(const std::string& path,
   pending.dir_id = dir_id;
   pending.name = name;
   pending.kd = kd;
-  pending.key_retries_left = config_.registration_retries;
-  pending.meta_retries_left = config_.registration_retries;
+  pending.key_retries_left = kRegistrationRetries;
+  pending.meta_retries_left = kRegistrationRetries;
   pending_[id] = std::move(pending);
   lock_paths_[id] = path;
   SendPendingKeyCreate(id);
@@ -573,7 +577,7 @@ Status KeypadFs::OnRenameFile(const std::string& from, const std::string& to,
     pending_it->second.dir_id = new_dir_id;
     pending_it->second.name = new_name;
     pending_it->second.meta_done = false;
-    pending_it->second.meta_retries_left = config_.registration_retries;
+    pending_it->second.meta_retries_left = kRegistrationRetries;
   }
 
   std::string identity = IbeIdentityFor(new_dir_id, new_name, id);

@@ -12,19 +12,17 @@
 #ifndef SRC_KEYSERVICE_KEY_SERVICE_H_
 #define SRC_KEYSERVICE_KEY_SERVICE_H_
 
+#include <functional>
 #include <map>
-#include <memory>
-#include <optional>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "src/auditlog/log_options.h"
-#include "src/auditlog/segment_store.h"
-#include "src/blockdev/cloud_store.h"
-#include "src/cryptocore/secure_random.h"
 #include "src/keyservice/audit_log.h"
 #include "src/keyservice/hot_key_cache.h"
+#include "src/replication/service_replica_set.h"
+#include "src/replication/service_shell.h"
 #include "src/rpc/rpc.h"
 #include "src/sim/event_queue.h"
 #include "src/util/ids.h"
@@ -32,32 +30,27 @@
 
 namespace keypad {
 
-// Replication delta (DESIGN.md §9): the sealed audit-log suffix a leader
-// streams to its backups before releasing the responses held on the seal,
-// plus the key-store and device mutations those entries describe. A backup
-// applies a delta atomically: chain-continuity is verified before any
-// state changes.
-struct KeyReplDelta {
-  std::vector<AuditLogEntry> entries;
-  struct KeyChange {
-    std::string device_id;
-    AuditId audit_id;
-    Bytes key;            // Empty for flag-only changes (disable).
-    bool disabled = false;
-    bool erased = false;  // Assured delete: remove (and zero) the record.
-  };
-  std::vector<KeyChange> key_changes;
-  struct DeviceChange {
-    std::string device_id;
-    bool disabled = false;
-  };
-  std::vector<DeviceChange> device_changes;
+// One key-store mutation in a replication delta: a new or re-bound key, a
+// per-key disable, or an assured delete.
+struct KeyChange {
+  std::string device_id;
+  AuditId audit_id;
+  Bytes key;            // Empty for flag-only changes (disable).
+  bool disabled = false;
+  bool erased = false;  // Assured delete: remove (and zero) the record.
 
-  bool empty() const {
-    return entries.empty() && key_changes.empty() && device_changes.empty();
-  }
   WireValue ToWire() const;
-  static Result<KeyReplDelta> FromWire(const WireValue& value);
+  static Result<KeyChange> FromWire(const WireValue& value);
+};
+
+// The key tier as the service shell sees it (DESIGN.md §21).
+struct KeyTier {
+  using Log = AuditLog;
+  using Change = KeyChange;
+  static constexpr const char* kService = "key service";
+  static constexpr const char* kName = "key";
+  static constexpr const char* kRowsField = "entries";
+  static constexpr const char* kChangesField = "keys";
 };
 
 // Tuning for one key-service shard (DESIGN.md §8).
@@ -89,7 +82,10 @@ struct KeyServiceOptions {
   SegmentedLogOptions log;
 };
 
-class KeyService {
+// The device table, held-response window, replication hooks, snapshot and
+// audit.key_* surface come from the shell (DESIGN.md §21); this class adds
+// the key store, the read-path caches and group-commit sealing.
+class KeyService : public ServiceShell<KeyTier> {
  public:
   static constexpr size_t kRemoteKeyLen = 32;
   // Records the server-side hot-key cache holds when enabled.
@@ -101,16 +97,9 @@ class KeyService {
   // --- Administrative API (runs over a trusted path, e.g. the IT
   //     department's console or the drive maker's web service). ------------
 
-  // Registers a device and returns its authentication secret.
-  Bytes RegisterDevice(const std::string& device_id);
-  // Registers a device under a secret minted elsewhere — how a sharded
-  // deployment gives every shard the same per-device credential.
-  void RegisterDeviceWithSecret(const std::string& device_id,
-                                const Bytes& secret);
-  // Remote data control: every key fetch for this device now fails.
+  // Remote data control: every key fetch for this device now fails, and
+  // one kRevoke row marks the control action in the audit trail.
   Status DisableDevice(const std::string& device_id);
-  Status EnableDevice(const std::string& device_id);
-  bool IsDeviceDisabled(const std::string& device_id) const;
   // Restore-after-theft (DESIGN.md §12): re-binds every key of a disabled
   // (stolen) device to a freshly registered replacement. The stolen
   // device's bindings stay in place — and stay fenced — so its audit trail
@@ -194,7 +183,6 @@ class KeyService {
 
   // --- Audit API. ---------------------------------------------------------
 
-  const AuditLog& log() const { return log_; }
   // Every committed entry with timestamp >= since, oldest first — including
   // checkpointed prefixes the log truncated from memory (fetched back from
   // the cold tier, bit-rot repaired if needed). The forensic full-history
@@ -205,24 +193,14 @@ class KeyService {
     return log_.EntriesAfterSeq(next_seq);
   }
 
-  // Per-device secret lookup (used by client stubs inside the simulation
-  // at registration time).
-  Result<Bytes> DeviceSecret(const std::string& device_id) const;
-
-  // Registers RPC handlers (key.create, key.get, key.get_batch, key.evict)
-  // on `server`. Handlers authenticate the device tag before acting.
+  // Registers the key.* methods and the shell's audit.key_* methods on
+  // `server`. Handlers authenticate the device tag before acting.
   void BindRpc(RpcServer* server);
-
-  // Durable backup (§6: the services "routinely back up their state").
-  // The snapshot carries devices, keys, and the full audit log; Restore
-  // verifies the log's hash chain before accepting it.
-  Bytes Snapshot() const;
-  Status Restore(const Bytes& snapshot);
 
   // Number of keys currently stored (destroyed keys excluded).
   size_t key_count() const { return keys_.size(); }
 
-  // --- Group commit + crash plumbing (DESIGN.md §8). ----------------------
+  // --- Group commit (DESIGN.md §8). ---------------------------------------
 
   // Bills seal CPU somewhere (a sharded deployment wires this to the
   // shard's RpcServer::ChargeBusy so group-commit amortization shows up in
@@ -231,79 +209,10 @@ class KeyService {
     seal_charge_ = std::move(charge);
   }
 
-  // Seals the open commit window now (if any) and releases the responses
-  // waiting on it. Test/bench hook; the scheduled flush does this normally.
-  void FlushCommitWindow();
-
   // Drops every hot-key cache line (test/bench hook: benches pre-provision
   // keys in process, which marks them resident — measuring the serving
   // path's warmup requires starting it cold). Counters are untouched.
   void DropHotKeysForTesting() { hot_keys_.Clear(); }
-
-  // Crash semantics: staged-but-unsealed log entries and the responses
-  // waiting on the window seal are lost — correct, because those responses
-  // were never sent, so no key left the service unlogged. Call before
-  // Snapshot-on-crash and before Restore.
-  void AbortStaged();
-
-  // --- Replication hooks (DESIGN.md §9). ----------------------------------
-
-  // Wires this service into a replica set as a potential leader. After each
-  // seal the service hands the un-shipped delta to `replicator`, which must
-  // call `done` exactly once when every in-sync backup acknowledged it —
-  // only then do the held responses (and the keys inside them) leave the
-  // service, extending the "durably log, then respond" barrier across the
-  // replica set. Installing a replicator forces the RPC surface onto the
-  // async held-response path even with a zero commit window; call before
-  // BindRpc.
-  using Replicator =
-      std::function<void(KeyReplDelta, std::function<void()> done)>;
-  void set_replicator(Replicator replicator) {
-    replicator_ = std::move(replicator);
-    // A replicated log must not truncate past what every peer holds. Block
-    // truncation entirely until the replication engine installs its durable
-    // watermark (set_durable_watermark).
-    log_.set_truncate_anchor([] { return uint64_t{0}; });
-  }
-  bool replicated() const { return replicator_ != nullptr; }
-
-  // Leadership gate for the client-facing key.* RPC surface: when set and
-  // returning non-OK (kFailedPrecondition "NOT_LEADER:<i>"), the call is
-  // rejected before executing. audit.* methods stay served by any replica.
-  void set_serve_gate(std::function<Status()> gate) {
-    serve_gate_ = std::move(gate);
-  }
-
-  // Backup-side apply: verifies the delta continues the local chain
-  // (kDataLoss on divergence — the sender marks this backup out-of-sync),
-  // then applies the key/device mutations.
-  Status ApplyReplicated(const KeyReplDelta& delta);
-
-  // Drains everything sealed since the last ship into one delta and
-  // advances the shipped watermark.
-  KeyReplDelta TakeUnshippedDelta();
-  uint64_t shipped_seq() const { return shipped_seq_; }
-
-  // Ships any sealed-but-unshipped suffix immediately — the admin path
-  // (device disable) and a freshly promoted leader use this; RPC-driven
-  // seals ship from FlushCommitWindow.
-  void ReplicateNow(std::function<void()> done = {});
-
-  // Bumps every time Restore() adopts a snapshot. Served alongside
-  // audit.key_log_tail so a remote auditor can tell "the log under my
-  // cursor was replaced" from "the log merely grew" (cursor re-sync).
-  uint64_t restore_epoch() const { return restore_epoch_; }
-
-  // The replication engine's truncation anchor: the prefix length known
-  // durable on every replica. The log never truncates beyond it, so a
-  // crashed peer's unacknowledged suffix is always reconcilable.
-  void set_durable_watermark(std::function<uint64_t()> watermark) {
-    log_.set_truncate_anchor(std::move(watermark));
-  }
-
-  // Cold tier for sealed audit segments (present iff cold shipping is on).
-  SegmentStore* segment_store() { return segment_store_.get(); }
-  SimObjectStore* cold_cloud() { return cold_cloud_.get(); }
 
   // Per-shard load metrics for BENCH_scale.json: how well group commit is
   // amortizing the chain.
@@ -337,11 +246,19 @@ class KeyService {
 
   const KeyServiceOptions& options() const { return options_; }
 
+ protected:
+  // Shell hooks: the commit window is one commit group (appends staged
+  // while it is open seal together at the flush), and a crash drops the
+  // staged rows with it.
+  void OnWindowOpen() override { log_.BeginBatch(); }
+  void OnWindowFlush() override;
+  void OnAbort() override { log_.DiscardStaged(); }
+  void OnDeviceFlag(const std::string& device_id, bool disabled) override;
+  void ApplyChanges(const std::vector<KeyChange>& changes) override;
+  void SnapshotState(WireValue::Struct& snapshot) const override;
+  Result<std::function<void()>> ParseState(const WireValue& snapshot) override;
+
  private:
-  struct DeviceRecord {
-    Bytes secret;
-    bool disabled = false;
-  };
   struct KeyRecord {
     Bytes key;
     bool disabled = false;
@@ -387,27 +304,9 @@ class KeyService {
   // Bills a completed seal to the shard's CPU.
   void NoteSealed(size_t sealed);
 
-  // Opens the commit window on the first staged RPC and schedules its
-  // flush.
-  void OpenCommitWindow();
-
-  // Records a key/device mutation for the next replication delta (no-op
-  // without a replicator).
-  void NoteKeyChange(const std::string& device_id, const AuditId& audit_id,
-                     const Bytes& key, bool disabled, bool erased);
-  void NoteDeviceChange(const std::string& device_id, bool disabled);
-
-  EventQueue* queue_;
-  SecureRandom rng_;
   KeyServiceOptions options_;
   std::function<void(SimDuration)> seal_charge_;
-  std::map<std::string, DeviceRecord> devices_;
   std::map<KeyMapKey, KeyRecord> keys_;
-  AuditLog log_;
-  // Cold tier (cold_ship only): sealed segments land in a storage backend,
-  // mirrored to a simulated cloud store for bit-rot repair.
-  std::unique_ptr<SimObjectStore> cold_cloud_;
-  std::unique_ptr<SegmentStore> segment_store_;
 
   // Read-path fast caches (DESIGN.md §13).
   HotKeyCache hot_keys_;
@@ -416,23 +315,6 @@ class KeyService {
   uint64_t hot_misses_ = 0;
   uint64_t hot_invalidations_ = 0;
   uint64_t negative_hits_ = 0;
-
-  // Replication state (replica sets only).
-  Replicator replicator_;
-  std::function<Status()> serve_gate_;
-  uint64_t shipped_seq_ = 0;  // Log prefix already streamed to backups.
-  std::vector<KeyReplDelta::KeyChange> pending_key_changes_;
-  std::vector<KeyReplDelta::DeviceChange> pending_device_changes_;
-  uint64_t restore_epoch_ = 0;
-
-  // Open commit window state (commit_window > 0 only).
-  struct PendingResponse {
-    RpcServer::Responder respond;
-    Result<WireValue> result;
-  };
-  bool window_open_ = false;
-  EventQueue::EventId flush_event_ = EventQueue::kInvalidEvent;
-  std::vector<PendingResponse> pending_responses_;
   uint64_t window_flushes_ = 0;
 
   // The server this service is bound to, so load_stats() can fold the
@@ -440,6 +322,9 @@ class KeyService {
   // into one per-shard view. Borrowed; set by BindRpc.
   RpcServer* rpc_server_ = nullptr;
 };
+
+// One key-service shard's replica set (DESIGN.md §9).
+using ReplicaSet = ServiceReplicaSet<KeyService>;
 
 }  // namespace keypad
 

@@ -44,7 +44,7 @@ ShardRouter::ShardRouter(EventQueue* queue,
     : queue_(queue),
       shards_(std::move(shards)),
       options_(options),
-      ring_(shards_.size(), options.ring_seed, options.vnodes_per_shard) {}
+      ring_(shards_.size(), kRingSeed, kVnodesPerShard) {}
 
 const std::string& ShardRouter::device_id() const {
   return shards_.front()->device_id();

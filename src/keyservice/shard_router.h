@@ -44,9 +44,12 @@ namespace keypad {
 
 class ShardRouter : public KeyClient {
  public:
+  // Placement ring (DESIGN.md §8): fixed, so every client of a deployment
+  // routes an id to the same shard.
+  static constexpr uint64_t kRingSeed = 0x5ead;
+  static constexpr int kVnodesPerShard = 64;
+
   struct Options {
-    uint64_t ring_seed = 0x5ead;
-    int vnodes_per_shard = 64;
     bool single_flight = true;
     // Combine fetches into per-shard key.get_multi RPCs; false is the
     // one-RPC-per-key wire path.

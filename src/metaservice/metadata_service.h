@@ -13,16 +13,16 @@
 #ifndef SRC_METASERVICE_METADATA_SERVICE_H_
 #define SRC_METASERVICE_METADATA_SERVICE_H_
 
+#include <functional>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "src/auditlog/log_options.h"
-#include "src/auditlog/segment_store.h"
-#include "src/blockdev/cloud_store.h"
 #include "src/ibe/bf_ibe.h"
 #include "src/metaservice/metadata_log.h"
+#include "src/replication/service_replica_set.h"
+#include "src/replication/service_shell.h"
 #include "src/rpc/rpc.h"
 #include "src/sim/event_queue.h"
 #include "src/util/ids.h"
@@ -35,29 +35,23 @@ namespace keypad {
 std::string IbeIdentityFor(const DirId& dir_id, const std::string& name,
                            const AuditId& audit_id);
 
-// Replication delta (DESIGN.md §10): the hash-chained metadata-log suffix
-// a leader streams to its backups before releasing the responses (and the
-// IBE unlock keys inside them) held on it, plus the root registrations and
-// device-control flips those records describe. A backup applies a delta
-// atomically: chain continuity is verified before any state changes.
-struct MetaReplDelta {
-  std::vector<MetadataRecord> records;
-  struct RootChange {
-    std::string device_id;
-    DirId root_id;
-  };
-  std::vector<RootChange> root_changes;
-  struct DeviceChange {
-    std::string device_id;
-    bool disabled = false;
-  };
-  std::vector<DeviceChange> device_changes;
+// One root registration in a replication delta.
+struct RootChange {
+  std::string device_id;
+  DirId root_id;
 
-  bool empty() const {
-    return records.empty() && root_changes.empty() && device_changes.empty();
-  }
   WireValue ToWire() const;
-  static Result<MetaReplDelta> FromWire(const WireValue& value);
+  static Result<RootChange> FromWire(const WireValue& value);
+};
+
+// The metadata tier as the service shell sees it (DESIGN.md §21).
+struct MetaTier {
+  using Log = MetadataLog;
+  using Change = RootChange;
+  static constexpr const char* kService = "metadata service";
+  static constexpr const char* kName = "meta";
+  static constexpr const char* kRowsField = "records";
+  static constexpr const char* kChangesField = "roots";
 };
 
 // The metadata service's reading of one audit id for a post-loss report
@@ -77,30 +71,28 @@ struct FileAnnotation {
   static bool ReadFlat(ByteReader& in, FileAnnotation* file);
 };
 
-class MetadataService {
+// The device table, held-response window, replication hooks, snapshot and
+// audit.meta_* surface come from the shell (DESIGN.md §21), with a commit
+// window fixed at zero: records are hashed and durable the moment they
+// append, so responses wait only for the instant's other requests and,
+// replicated, for the backups' acknowledgement. This class adds the roots,
+// the namespace queries and the PKG.
+class MetadataService : public ServiceShell<MetaTier> {
  public:
-  // `group` selects the pairing parameter set (production or test-sized).
+  // `group` selects the pairing parameter set (production or test-sized);
+  // `log` is the metadata log's lifecycle (DESIGN.md §15).
   MetadataService(EventQueue* queue, uint64_t rng_seed,
-                  const PairingParams& group);
-
-  // --- Administrative API. -------------------------------------------------
-  Bytes RegisterDevice(const std::string& device_id);
-  // Registers a device under a secret minted elsewhere — how a replicated
-  // deployment gives every replica the same per-device credential.
-  void RegisterDeviceWithSecret(const std::string& device_id,
-                                const Bytes& secret);
-  Result<Bytes> DeviceSecret(const std::string& device_id) const;
-  // Remote data control at the PKG: a disabled device receives no IBE
-  // unlock keys, so IBE-locked files stay sealed even if the thief is
-  // willing to register truthful metadata.
-  Status DisableDevice(const std::string& device_id);
-  Status EnableDevice(const std::string& device_id);
-  bool IsDeviceDisabled(const std::string& device_id) const;
+                  const PairingParams& group, SegmentedLogOptions log = {});
 
   // IBE public parameters for client-side locking.
   const IbePublicParams& ibe_params() const { return pkg_.public_params(); }
 
   // --- Client API (also bound over RPC). -----------------------------------
+  //
+  // Every call is refused for an unregistered device and, as remote data
+  // control at the PKG, for a disabled one: a disabled device receives no
+  // IBE unlock keys, so IBE-locked files stay sealed even if the thief is
+  // willing to register truthful metadata.
 
   // Registers the volume root directory (name "", its own parent).
   Status RegisterRoot(const std::string& device_id, const DirId& root_id);
@@ -134,8 +126,6 @@ class MetadataService {
 
   // --- Audit API. -----------------------------------------------------------
 
-  const MetadataLog& log() const { return log_; }
-
   // Reconstructs the full pathname of a file as of `as_of` by walking the
   // directory records. kNotFound if the file has no binding by then.
   Result<std::string> ResolvePath(const std::string& device_id,
@@ -154,132 +144,30 @@ class MetadataService {
                                        const std::vector<AuditId>& ids,
                                        SimTime t_loss) const;
 
+  // Registers the meta.* methods, audit.annotate and the shell's
+  // audit.meta_* methods on `server`.
   void BindRpc(RpcServer* server);
 
-  // Crash/restart simulation: the snapshot carries devices, roots, and the
-  // full metadata log (modelling the service's durable state); Restore
-  // verifies the log's hash chain before swapping anything in. The IBE
+ protected:
+  // Shell hooks. The snapshot adds the roots and, past a truncation, the
+  // pre-base binding records the namespace index still needs; the IBE
   // master key is deliberately NOT serialized — the PKG master secret is
   // modelled as HSM-held, surviving a process crash in place.
-  Bytes Snapshot() const;
-  Status Restore(const Bytes& snapshot);
-
-  // --- Audit-log lifecycle (DESIGN.md §15). -------------------------------
-
-  // Applies segment/truncation/cold-ship options to the metadata log and
-  // stands up the cold segment tier if shipping is on. Call before the
-  // first append; Deployment applies DeploymentOptions::meta_log here.
-  void ConfigureLog(SegmentedLogOptions options);
-
-  // The replication engine's truncation anchor (see KeyService).
-  void set_durable_watermark(std::function<uint64_t()> watermark) {
-    log_.set_truncate_anchor(std::move(watermark));
-  }
-
-  // Cold tier for sealed metadata segments (present iff cold shipping on).
-  SegmentStore* segment_store() { return segment_store_.get(); }
-  SimObjectStore* cold_cloud() { return cold_cloud_.get(); }
-
-  // --- Replication hooks (DESIGN.md §10). ---------------------------------
-
-  // Wires this service into a replica set as a potential leader. After a
-  // mutation's release point the service hands the un-shipped delta to
-  // `replicator`, which must call `done` exactly once when every in-sync
-  // backup acknowledged it — only then do the held responses (and the IBE
-  // unlock keys inside them) leave the service, extending the "durably
-  // log, then respond" barrier across the replica set. Installing a
-  // replicator switches the mutating RPC surface onto the async
-  // held-response path; call before BindRpc.
-  using Replicator =
-      std::function<void(MetaReplDelta, std::function<void()> done)>;
-  void set_replicator(Replicator replicator) {
-    replicator_ = std::move(replicator);
-    // Block truncation until the replication engine installs its durable
-    // watermark: a replicated log must not drop what a peer still needs.
-    log_.set_truncate_anchor([] { return uint64_t{0}; });
-  }
-  bool replicated() const { return replicator_ != nullptr; }
-
-  // Leadership gate for the mutating meta.* RPC surface: when set and
-  // returning non-OK (kFailedPrecondition "NOT_LEADER:<i>"), the call is
-  // rejected before executing. audit.* methods stay served by any replica.
-  void set_serve_gate(std::function<Status()> gate) {
-    serve_gate_ = std::move(gate);
-  }
-
-  // Backup-side apply: verifies the record suffix continues the local
-  // chain (kDataLoss on divergence — the sender marks this backup
-  // out-of-sync), then applies the root/device mutations.
-  Status ApplyReplicated(const MetaReplDelta& delta);
-
-  // Drains everything logged since the last ship into one delta and
-  // advances the shipped watermark.
-  MetaReplDelta TakeUnshippedDelta();
-  uint64_t shipped_seq() const { return shipped_seq_; }
-
-  // Ships any logged-but-unshipped suffix immediately — the admin path
-  // (device disable) and a freshly promoted leader use this; RPC-driven
-  // mutations ship from the release-window flush.
-  void ReplicateNow(std::function<void()> done = {});
-
-  // Crash semantics: held responses are never sent — the clients' retries
-  // take over against whichever replica leads next. Unlike the key tier's
-  // group-commit window, metadata records are durable the moment they are
-  // appended, so nothing is discarded here. Call before Snapshot-on-crash.
-  void AbortPending();
-
-  // Bumps every time Restore() adopts a snapshot. Served alongside
-  // audit.meta_log_tail so a remote auditor can tell "the log under my
-  // cursor was replaced" from "the log merely grew" (cursor re-sync).
-  uint64_t restore_epoch() const { return restore_epoch_; }
+  void ApplyChanges(const std::vector<RootChange>& changes) override;
+  void SnapshotState(WireValue::Struct& snapshot) const override;
+  Result<std::function<void()>> ParseState(const WireValue& snapshot) override;
+  Status LoadLogWithBase(MetadataLog& log, const WireValue& snapshot,
+                         uint64_t base_seq, Bytes base_seal,
+                         std::vector<LogCheckpoint> checkpoints,
+                         std::vector<MetadataRecord> rows) override;
 
  private:
-  struct DeviceRecord {
-    Bytes secret;
-    bool disabled = false;
-  };
-
-  Status CheckDevice(const std::string& device_id) const;
-
-  // Opens the response-release window on the first held RPC of this
-  // instant and schedules its flush (same-timestamp event, so mutations
-  // arriving together ship as one delta).
-  void OpenReleaseWindow();
-  void FlushReleaseWindow();
-
-  // Records a root/device mutation for the next replication delta (no-op
-  // without a replicator).
-  void NoteRootChange(const std::string& device_id, const DirId& root_id);
-  void NoteDeviceChange(const std::string& device_id, bool disabled);
-
-  EventQueue* queue_;
-  SecureRandom rng_;
   IbePkg pkg_;
-  std::map<std::string, DeviceRecord> devices_;
   std::map<std::string, DirId> roots_;  // device -> root dir id.
-  MetadataLog log_;
-  // Cold tier (cold_ship only): sealed segments land in a storage backend,
-  // mirrored to a simulated cloud store for bit-rot repair.
-  std::unique_ptr<SimObjectStore> cold_cloud_;
-  std::unique_ptr<SegmentStore> segment_store_;
-
-  // Replication state (replica sets only).
-  Replicator replicator_;
-  std::function<Status()> serve_gate_;
-  uint64_t shipped_seq_ = 0;  // Log prefix already streamed to backups.
-  std::vector<MetaReplDelta::RootChange> pending_root_changes_;
-  std::vector<MetaReplDelta::DeviceChange> pending_device_changes_;
-  uint64_t restore_epoch_ = 0;
-
-  // Open release-window state (replicated services only).
-  struct PendingResponse {
-    RpcServer::Responder respond;
-    Result<WireValue> result;
-  };
-  bool window_open_ = false;
-  EventQueue::EventId flush_event_ = EventQueue::kInvalidEvent;
-  std::vector<PendingResponse> pending_responses_;
 };
+
+// The metadata tier's replica set (DESIGN.md §10).
+using MetaReplicaSet = ServiceReplicaSet<MetadataService>;
 
 }  // namespace keypad
 

@@ -373,7 +373,7 @@ TEST(AuditLogLifecycleTest, TruncatingRestartIsBenignButRestoreStillResyncs) {
   // Genuine restore-from-older-snapshot: the chain really is shorter than
   // the cursor — checkpoints cannot vouch for the lost suffix, so the
   // legacy resync path must still fire and keep the rolled-back rows.
-  dep.key_service().AbortStaged();
+  dep.key_service().AbortInFlight();
   ASSERT_TRUE(dep.key_service().Restore(old_snapshot).ok());
   ASSERT_LT(dep.key_service().log().size(), auditor.cursor());
   dep.queue().AdvanceBy(SimDuration::Seconds(1));

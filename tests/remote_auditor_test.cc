@@ -267,7 +267,7 @@ TEST_F(RemoteAuditorTest, CursorResyncsAfterRestoreFromOlderSnapshot) {
 
   // The shard restores from the older backup: the log under the cursor
   // shrank and the restore epoch bumped.
-  dep_.key_service().AbortStaged();
+  dep_.key_service().AbortInFlight();
   ASSERT_TRUE(dep_.key_service().Restore(old_snapshot).ok());
   ASSERT_LT(dep_.key_service().log().size(), cursor_before);
 
@@ -324,7 +324,7 @@ TEST_F(RemoteAuditorTest, MetaCursorResyncsAfterRestoreFromOlderSnapshot) {
 
   // The metadata service restores from the older backup: the log under the
   // cursor shrank and the restore epoch bumped. The key tier is untouched.
-  dep_.metadata_service().AbortPending();
+  dep_.metadata_service().AbortInFlight();
   ASSERT_TRUE(dep_.metadata_service().Restore(old_snapshot).ok());
   ASSERT_LT(dep_.metadata_service().log().size(), meta_cursor_before);
 
