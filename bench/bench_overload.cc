@@ -117,29 +117,6 @@ struct Device {
   std::vector<AuditId> ids;
 };
 
-// Same fence as bench_scale: after a device's kRevoke row, the only rows
-// it may earn are kDenied (and further kRevoke).
-bool RevocationFenceHolds(
-    const std::vector<std::unique_ptr<KeyService>>& shards,
-    const std::string& device_name) {
-  for (const auto& shard : shards) {
-    bool revoked = false;
-    for (const auto& entry : shard->log().entries()) {
-      if (entry.device_id != device_name) {
-        continue;
-      }
-      if (entry.op == AccessOp::kRevoke) {
-        revoked = true;
-        continue;
-      }
-      if (revoked && entry.op != AccessOp::kDenied) {
-        return false;
-      }
-    }
-  }
-  return true;
-}
-
 uint64_t DeniedRowsFor(const std::vector<std::unique_ptr<KeyService>>& shards,
                        const std::string& device_name) {
   uint64_t rows = 0;
@@ -342,11 +319,8 @@ CellResult RunCell(const CellConfig& config) {
 
   if (!latencies_ms.empty()) {
     std::sort(latencies_ms.begin(), latencies_ms.end());
-    auto at = [&](double q) {
-      return latencies_ms[static_cast<size_t>(q * (latencies_ms.size() - 1))];
-    };
-    cell.p50_ms = at(0.50);
-    cell.p99_ms = at(0.99);
+    cell.p50_ms = bench::SortedQuantile(latencies_ms, 0.50);
+    cell.p99_ms = bench::SortedQuantile(latencies_ms, 0.99);
   }
   for (int s = 0; s < kShards; ++s) {
     cell.shed_demand += servers[s]->shed_demand();
@@ -371,7 +345,8 @@ CellResult RunCell(const CellConfig& config) {
   }
   if (config.revoke_device0) {
     cell.denied_rows = DeniedRowsFor(shards, devices[0]->name);
-    cell.revocation_fenced = RevocationFenceHolds(shards, devices[0]->name);
+    cell.revocation_fenced =
+        bench::RevocationFenceHolds(shards, devices[0]->name);
   }
   return cell;
 }

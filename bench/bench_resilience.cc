@@ -71,12 +71,8 @@ DeploymentOptions MakeDeployment(bool retries) {
 void Percentiles(std::vector<double>& latencies_ms, CellResult* cell) {
   if (latencies_ms.empty()) return;
   std::sort(latencies_ms.begin(), latencies_ms.end());
-  auto at = [&](double q) {
-    size_t i = static_cast<size_t>(q * (latencies_ms.size() - 1));
-    return latencies_ms[i];
-  };
-  cell->p50_ms = at(0.50);
-  cell->p99_ms = at(0.99);
+  cell->p50_ms = bench::SortedQuantile(latencies_ms, 0.50);
+  cell->p99_ms = bench::SortedQuantile(latencies_ms, 0.99);
 }
 
 // Loss sweep: back-to-back creates under i.i.d. wire loss, so elapsed

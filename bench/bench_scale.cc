@@ -187,31 +187,6 @@ struct Device {
   size_t storm_wave = 0;
 };
 
-// Grant-typed ops must never follow a device's kRevoke row in any shard's
-// log: once the revocation is durably recorded, the only rows the revoked
-// device can earn are kDenied (and further kRevoke). This is the log-order
-// fence the forensic report relies on.
-bool RevocationFenceHolds(
-    const std::vector<std::unique_ptr<KeyService>>& shards,
-    const std::string& device_name) {
-  for (const auto& shard : shards) {
-    bool revoked = false;
-    for (const auto& entry : shard->log().entries()) {
-      if (entry.device_id != device_name) {
-        continue;
-      }
-      if (entry.op == AccessOp::kRevoke) {
-        revoked = true;
-        continue;
-      }
-      if (revoked && entry.op != AccessOp::kDenied) {
-        return false;
-      }
-    }
-  }
-  return true;
-}
-
 CellResult RunCell(const CellConfig& config) {
   ResetRpcClientIdsForTesting();
   EventQueue queue;
@@ -470,11 +445,8 @@ CellResult RunCell(const CellConfig& config) {
 
   if (!latencies_ms.empty()) {
     std::sort(latencies_ms.begin(), latencies_ms.end());
-    auto at = [&](double q) {
-      return latencies_ms[static_cast<size_t>(q * (latencies_ms.size() - 1))];
-    };
-    cell.p50_ms = at(0.50);
-    cell.p99_ms = at(0.99);
+    cell.p50_ms = bench::SortedQuantile(latencies_ms, 0.50);
+    cell.p99_ms = bench::SortedQuantile(latencies_ms, 0.99);
   }
   for (auto& device : devices) {
     cell.sf_leaders += device->router->stats().single_flight_leaders;
@@ -483,7 +455,8 @@ CellResult RunCell(const CellConfig& config) {
     cell.batched_keys += device->router->stats().batched_keys;
   }
   if (config.revoke_mid_storm) {
-    cell.revocation_fenced = RevocationFenceHolds(shards, devices[0]->name);
+    cell.revocation_fenced =
+        bench::RevocationFenceHolds(shards, devices[0]->name);
   }
   for (int s = 0; s < config.shards; ++s) {
     KeyService::LoadStats stats = shards[s]->load_stats();

@@ -10,9 +10,12 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "src/keypad/deployment.h"
+#include "src/keyservice/key_service.h"
 #include "src/net/link.h"
 #include "src/nfs/nfs.h"
 #include "src/workload/apache.h"
@@ -120,6 +123,37 @@ inline double RunNfsCompile(NetworkProfile profile) {
   client.FlushAll().ok();
   TraceRunResult result = runner.Run(workload.compile);
   return result.elapsed.seconds_f();
+}
+
+// The q-quantile of an ascending-sorted, non-empty sample, by the
+// truncated rank q * (n - 1) every latency column here reports.
+inline double SortedQuantile(const std::vector<double>& sorted, double q) {
+  return sorted[static_cast<size_t>(q * (sorted.size() - 1))];
+}
+
+// Grant-typed ops must never follow a device's kRevoke row in any shard's
+// log: once the revocation is durably recorded, the only rows the revoked
+// device can earn are kDenied (and further kRevoke). This is the log-order
+// fence the forensic report relies on.
+inline bool RevocationFenceHolds(
+    const std::vector<std::unique_ptr<KeyService>>& shards,
+    const std::string& device_name) {
+  for (const auto& shard : shards) {
+    bool revoked = false;
+    for (const auto& entry : shard->log().entries()) {
+      if (entry.device_id != device_name) {
+        continue;
+      }
+      if (entry.op == AccessOp::kRevoke) {
+        revoked = true;
+        continue;
+      }
+      if (revoked && entry.op != AccessOp::kDenied) {
+        return false;
+      }
+    }
+  }
+  return true;
 }
 
 inline void PrintHeader(const char* title) {

@@ -167,6 +167,43 @@ CallContext AuditorCallContext() {
   return ctx;
 }
 
+// The fields that make a row on one chain the same logical event as a row
+// on another, reconciled chain: the seal-chain fields and the service
+// timestamp necessarily differ across chains.
+bool SameLogicalRow(const AuditLogEntry& a, const AuditLogEntry& b) {
+  return a.device_id == b.device_id && a.audit_id == b.audit_id &&
+         a.op == b.op && a.client_time == b.client_time;
+}
+
+bool SameLogicalRow(const MetadataRecord& a, const MetadataRecord& b) {
+  return a.device_id == b.device_id && a.audit_id == b.audit_id &&
+         a.op == b.op && a.dir_id == b.dir_id && a.name == b.name &&
+         a.client_time == b.client_time;
+}
+
+// Classifies one replica set's reconciliation orphans of `device_id`
+// against the authoritative rows: a duplicate when some held row is the
+// same logical event, else a sole survivor handed to `survivor`.
+template <typename Row, typename Survivor>
+void ClassifyOrphans(const std::vector<OrphanedRow<Row>>& orphans,
+                     const std::vector<Row>& authoritative,
+                     const std::string& device_id, size_t* duplicates,
+                     Survivor&& survivor) {
+  for (const auto& orphan : orphans) {
+    const Row& row = orphan.entry;
+    if (row.device_id != device_id) {
+      continue;
+    }
+    if (std::any_of(
+            authoritative.begin(), authoritative.end(),
+            [&](const Row& held) { return SameLogicalRow(held, row); })) {
+      ++*duplicates;
+    } else {
+      survivor(row);
+    }
+  }
+}
+
 // Authoritative chains get the strongest check the deployment supports:
 // end-to-end from genesis, refetching truncated segments from the cold
 // tier (with cloud repair) and verifying each against its signed
@@ -244,76 +281,35 @@ Result<AuditReport> ForensicAuditor::BuildReport(const std::string& device_id,
     }
   }
 
-  // Entries reconciliation orphaned off losing chains: classify each one as
-  // a duplicate of an authoritative row (same device, audit id, op, client
-  // time — the seal-chain fields necessarily differ across chains) or as a
-  // sole survivor, which joins the report so the acknowledged access is
-  // never lost.
+  // Rows reconciliation orphaned off losing chains classify the same way
+  // on both tiers: a duplicate of an authoritative row, or a sole survivor
+  // counted as orphaned. A key-tier survivor inside the window joins the
+  // timeline, so the acknowledged access is never lost. A metadata
+  // survivor is evidence of a namespace event, not an access, so it only
+  // joins the counters.
   size_t duplicate_records = 0;
   size_t orphaned_records = 0;
   for (size_t i = 0; i < replica_sets_.size(); ++i) {
-    const ReplicaSet* set = replica_sets_[i];
-    if (set == nullptr) {
+    if (replica_sets_[i] == nullptr) {
       continue;
     }
-    std::vector<AuditLogEntry> authoritative = Authority(i)->LogSince(
-        SimTime());
-    for (const auto& orphan : set->orphaned()) {
-      const AuditLogEntry& entry = orphan.entry;
-      if (entry.device_id != device_id) {
-        continue;
-      }
-      bool matched = false;
-      for (const auto& held : authoritative) {
-        if (held.device_id == entry.device_id &&
-            held.audit_id == entry.audit_id && held.op == entry.op &&
-            held.client_time == entry.client_time) {
-          matched = true;
-          break;
-        }
-      }
-      if (matched) {
-        ++duplicate_records;
-      } else {
-        ++orphaned_records;
-        if (entry.client_time >= t_loss - texp) {
-          entries.push_back(entry);
-        }
-      }
-    }
+    ClassifyOrphans(replica_sets_[i]->orphaned(),
+                    Authority(i)->LogSince(SimTime()), device_id,
+                    &duplicate_records, [&](const AuditLogEntry& entry) {
+                      ++orphaned_records;
+                      if (entry.client_time >= t_loss - texp) {
+                        entries.push_back(entry);
+                      }
+                    });
   }
-
-  // Metadata records orphaned off losing chains classify exactly the same
-  // way: a namespace event some replica hashed that the merged history
-  // also carries (duplicate — the leader re-logged the retried mutation)
-  // or a sole survivor (surfaced as evidence; it does not create accesses,
-  // so it joins the counters, not the timeline).
   if (meta_replica_set_ != nullptr) {
     // AllKnownRecords: the binding index retains truncated-prefix rows, so
     // an orphan that duplicates a checkpointed (and since-truncated) row
     // still classifies as a duplicate, matching an untruncated run.
-    const auto authoritative = MetaAuthority()->log().AllKnownRecords();
-    for (const auto& orphan : meta_replica_set_->orphaned()) {
-      const MetadataRecord& record = orphan.entry;
-      if (record.device_id != device_id) {
-        continue;
-      }
-      bool matched = false;
-      for (const auto& held : authoritative) {
-        if (held.device_id == record.device_id &&
-            held.audit_id == record.audit_id && held.op == record.op &&
-            held.dir_id == record.dir_id && held.name == record.name &&
-            held.client_time == record.client_time) {
-          matched = true;
-          break;
-        }
-      }
-      if (matched) {
-        ++duplicate_records;
-      } else {
-        ++orphaned_records;
-      }
-    }
+    ClassifyOrphans(meta_replica_set_->orphaned(),
+                    MetaAuthority()->log().AllKnownRecords(), device_id,
+                    &duplicate_records,
+                    [&](const MetadataRecord&) { ++orphaned_records; });
   }
 
   if (key_services_.size() > 1 || orphaned_records > 0) {
@@ -343,16 +339,9 @@ namespace {
 // Overlap re-verification after a resync: the fields that make two copies
 // of one sequence number the same row (the chain fields necessarily differ
 // across forks).
-bool SameRow(const AuditLogEntry& a, const AuditLogEntry& b) {
-  return a.device_id == b.device_id && a.audit_id == b.audit_id &&
-         a.op == b.op && a.timestamp == b.timestamp &&
-         a.client_time == b.client_time;
-}
-
-bool SameRow(const MetadataRecord& a, const MetadataRecord& b) {
-  return a.device_id == b.device_id && a.audit_id == b.audit_id &&
-         a.op == b.op && a.dir_id == b.dir_id && a.name == b.name &&
-         a.timestamp == b.timestamp && a.client_time == b.client_time;
+template <typename Row>
+bool SameRow(const Row& a, const Row& b) {
+  return SameLogicalRow(a, b) && a.timestamp == b.timestamp;
 }
 
 // One audit.*_log_tail reply.

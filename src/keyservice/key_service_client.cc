@@ -15,14 +15,11 @@ ReplicaRouter::Framer KeyServiceClient::MakeFramer() const {
   };
 }
 
+// Every blocking method below is its async twin awaited (DESIGN.md §22),
+// so each call's marshalling and parse exist once.
 Result<Bytes> KeyServiceClient::CreateKey(const AuditId& audit_id) {
-  WireValue::Array payload;
-  payload.push_back(WireValue(audit_id.ToBytes()));
-  auto result = router_.Call("key.create", payload);
-  if (!result.ok()) {
-    return result.status();
-  }
-  return result->AsBytes();
+  return rpc()->queue()->Await<Result<Bytes>>(
+      [&](auto done) { CreateKeyAsync(audit_id, std::move(done)); });
 }
 
 void KeyServiceClient::CreateKeyAsync(
@@ -30,13 +27,7 @@ void KeyServiceClient::CreateKeyAsync(
   WireValue::Array payload;
   payload.push_back(WireValue(audit_id.ToBytes()));
   router_.CallAsync("key.create", std::move(payload),
-                    [done = std::move(done)](Result<WireValue> result) {
-                      if (!result.ok()) {
-                        done(result.status());
-                        return;
-                      }
-                      done(result->AsBytes());
-                    });
+                    ThenParse(std::move(done), &WireValue::AsBytes));
 }
 
 namespace {
@@ -51,14 +42,8 @@ CallContext ContextForOp(AccessOp op) {
 }  // namespace
 
 Result<Bytes> KeyServiceClient::GetKey(const AuditId& audit_id, AccessOp op) {
-  WireValue::Array payload;
-  payload.push_back(WireValue(audit_id.ToBytes()));
-  payload.push_back(WireValue(static_cast<int64_t>(op)));
-  auto result = router_.Call("key.get", payload, ContextForOp(op));
-  if (!result.ok()) {
-    return result.status();
-  }
-  return result->AsBytes();
+  return rpc()->queue()->Await<Result<Bytes>>(
+      [&](auto done) { GetKeyAsync(audit_id, op, std::move(done)); });
 }
 
 void KeyServiceClient::GetKeyAsync(const AuditId& audit_id, AccessOp op,
@@ -67,13 +52,7 @@ void KeyServiceClient::GetKeyAsync(const AuditId& audit_id, AccessOp op,
   payload.push_back(WireValue(audit_id.ToBytes()));
   payload.push_back(WireValue(static_cast<int64_t>(op)));
   router_.CallAsync("key.get", std::move(payload), ContextForOp(op),
-                    [done = std::move(done)](Result<WireValue> result) {
-                      if (!result.ok()) {
-                        done(result.status());
-                        return;
-                      }
-                      done(result->AsBytes());
-                    });
+                    ThenParse(std::move(done), &WireValue::AsBytes));
 }
 
 namespace {
@@ -105,11 +84,8 @@ Result<std::vector<std::pair<AuditId, Bytes>>> ParseKeyPairs(
 
 Result<std::vector<std::pair<AuditId, Bytes>>> KeyServiceClient::GetKeys(
     const std::vector<AuditId>& audit_ids) {
-  auto result = router_.Call("key.get_batch", KeyBatchPayload(audit_ids));
-  if (!result.ok()) {
-    return result.status();
-  }
-  return ParseKeyPairs(*result);
+  return rpc()->queue()->Await<Result<std::vector<std::pair<AuditId, Bytes>>>>(
+      [&](auto done) { GetKeysAsync(audit_ids, std::move(done)); });
 }
 
 namespace {
@@ -152,11 +128,8 @@ Result<KeyServiceClient::MultiGetResult> ParseMultiGet(
 
 Result<KeyServiceClient::MultiGetResult> KeyServiceClient::GetKeysTyped(
     const std::vector<MultiGetItem>& items) {
-  auto result = router_.Call("key.get_multi", MultiGetPayload(items));
-  if (!result.ok()) {
-    return result.status();
-  }
-  return ParseMultiGet(*result);
+  return rpc()->queue()->Await<Result<MultiGetResult>>(
+      [&](auto done) { GetKeysTypedAsync(items, std::move(done)); });
 }
 
 void KeyServiceClient::GetKeysTypedAsync(
@@ -169,13 +142,7 @@ void KeyServiceClient::GetKeysTypedAsync(
     const std::vector<MultiGetItem>& items, const CallContext& ctx,
     std::function<void(Result<MultiGetResult>)> done) {
   router_.CallAsync("key.get_multi", MultiGetPayload(items), ctx,
-                    [done = std::move(done)](Result<WireValue> result) {
-                      if (!result.ok()) {
-                        done(result.status());
-                        return;
-                      }
-                      done(ParseMultiGet(*result));
-                    });
+                    ThenParse(std::move(done), ParseMultiGet));
 }
 
 namespace {
@@ -212,12 +179,9 @@ WireValue::Array GroupFetchPayload(const AuditId& demand_id,
 
 Result<KeyServiceClient::GroupFetch> KeyServiceClient::FetchGroup(
     const AuditId& demand_id, const std::vector<AuditId>& prefetch_ids) {
-  auto result =
-      router_.Call("key.fetch_group", GroupFetchPayload(demand_id, prefetch_ids));
-  if (!result.ok()) {
-    return result.status();
-  }
-  return ParseGroupFetch(*result);
+  return rpc()->queue()->Await<Result<GroupFetch>>([&](auto done) {
+    FetchGroupAsync(demand_id, prefetch_ids, std::move(done));
+  });
 }
 
 void KeyServiceClient::FetchGroupAsync(
@@ -225,13 +189,7 @@ void KeyServiceClient::FetchGroupAsync(
     std::function<void(Result<GroupFetch>)> done) {
   router_.CallAsync("key.fetch_group",
                     GroupFetchPayload(demand_id, prefetch_ids),
-                    [done = std::move(done)](Result<WireValue> result) {
-                      if (!result.ok()) {
-                        done(result.status());
-                        return;
-                      }
-                      done(ParseGroupFetch(*result));
-                    });
+                    ThenParse(std::move(done), ParseGroupFetch));
 }
 
 void KeyServiceClient::GetKeysAsync(
@@ -239,13 +197,7 @@ void KeyServiceClient::GetKeysAsync(
     std::function<void(Result<std::vector<std::pair<AuditId, Bytes>>>)>
         done) {
   router_.CallAsync("key.get_batch", KeyBatchPayload(audit_ids),
-                    [done = std::move(done)](Result<WireValue> result) {
-                      if (!result.ok()) {
-                        done(result.status());
-                        return;
-                      }
-                      done(ParseKeyPairs(*result));
-                    });
+                    ThenParse(std::move(done), ParseKeyPairs));
 }
 
 namespace {
@@ -268,26 +220,22 @@ WireValue::Array JournalPayload(
 }
 }  // namespace
 
+Status KeyServiceClient::UploadJournal(
+    const std::vector<JournalEntry>& entries) {
+  return rpc()->queue()->Await<Status>(
+      [&](auto done) { UploadJournalAsync(entries, std::move(done)); });
+}
+
 // Journal uploads are deferrable catch-up traffic: under overload the
 // service sheds them first and the device simply retries the upload on
 // its next reconnect pass — nothing a user is waiting on.
-Status KeyServiceClient::UploadJournal(
-    const std::vector<JournalEntry>& entries) {
-  CallContext ctx;
-  ctx.priority = RpcPriority::kBackground;
-  return router_.Call("key.upload_journal", JournalPayload(entries), ctx)
-      .status();
-}
-
 void KeyServiceClient::UploadJournalAsync(
     const std::vector<JournalEntry>& entries,
     std::function<void(Status)> done) {
   CallContext ctx;
   ctx.priority = RpcPriority::kBackground;
   router_.CallAsync("key.upload_journal", JournalPayload(entries), ctx,
-                    [done = std::move(done)](Result<WireValue> result) {
-                      done(result.status());
-                    });
+                    ThenStatus(std::move(done)));
 }
 
 void KeyServiceClient::DestroyKeyAsync(const AuditId& audit_id,
@@ -295,9 +243,7 @@ void KeyServiceClient::DestroyKeyAsync(const AuditId& audit_id,
   WireValue::Array payload;
   payload.push_back(WireValue(audit_id.ToBytes()));
   router_.CallAsync("key.destroy", std::move(payload),
-                    [done = std::move(done)](Result<WireValue> result) {
-                      done(result.status());
-                    });
+                    ThenStatus(std::move(done)));
 }
 
 void KeyServiceClient::NoteEvictionAsync(const AuditId& audit_id) {

@@ -6,7 +6,9 @@
 // Replica-aware mode (DESIGN.md §9): routing is delegated to the generic
 // ReplicaRouter — leader hint, NOT_LEADER:<i> redirects from the serve
 // gate, probe-backoff failover cycles under a budget. This stub only
-// contributes the key-tier auth framing and typed (de)marshalling.
+// contributes the key-tier auth framing and typed (de)marshalling, written
+// once in the async methods: each blocking method is its async twin
+// awaited (DESIGN.md §22).
 
 #ifndef SRC_KEYSERVICE_KEY_SERVICE_CLIENT_H_
 #define SRC_KEYSERVICE_KEY_SERVICE_CLIENT_H_

@@ -16,22 +16,6 @@ RpcPriority PriorityForOp(AccessOp op) {
                                    : RpcPriority::kDemand;
 }
 
-// Blocking shim over the async scatter paths: issue, then virtually block
-// until the completion lands (the same RunUntilFlag discipline RpcClient
-// uses, so background traffic keeps interleaving).
-template <typename T>
-struct Waiter {
-  bool done = false;
-  std::optional<T> value;
-
-  std::function<void(T)> Callback() {
-    return [this](T v) {
-      value = std::move(v);
-      done = true;
-    };
-  }
-};
-
 }  // namespace
 
 ShardRouter::ShardRouter(EventQueue* queue,
@@ -164,13 +148,8 @@ void ShardRouter::CreateKeyAsync(const AuditId& audit_id,
 }
 
 Result<Bytes> ShardRouter::GetKey(const AuditId& audit_id, AccessOp op) {
-  if (!options_.single_flight && !options_.batch_fetch) {
-    return OwnerOf(audit_id)->GetKey(audit_id, op);
-  }
-  Waiter<Result<Bytes>> waiter;
-  GetKeyAsync(audit_id, op, waiter.Callback());
-  queue_->RunUntilFlag(&waiter.done);
-  return std::move(*waiter.value);
+  return queue_->Await<Result<Bytes>>(
+      [&](auto done) { GetKeyAsync(audit_id, op, std::move(done)); });
 }
 
 void ShardRouter::GetKeyAsync(const AuditId& audit_id, AccessOp op,
@@ -334,13 +313,8 @@ void ShardRouter::GetKeysAsync(
 
 Result<ShardRouter::KeyPairs> ShardRouter::GetKeys(
     const std::vector<AuditId>& audit_ids) {
-  if (!options_.batch_fetch && shards_.size() == 1) {
-    return shards_[0]->GetKeys(audit_ids);
-  }
-  Waiter<Result<KeyPairs>> waiter;
-  GetKeysAsync(audit_ids, waiter.Callback());
-  queue_->RunUntilFlag(&waiter.done);
-  return std::move(*waiter.value);
+  return queue_->Await<Result<KeyPairs>>(
+      [&](auto done) { GetKeysAsync(audit_ids, std::move(done)); });
 }
 
 void ShardRouter::GetKeysTypedAsync(
@@ -400,10 +374,8 @@ void ShardRouter::GetKeysTypedAsync(
 
 Result<ShardRouter::MultiGetResult> ShardRouter::GetKeysTyped(
     const std::vector<MultiGetItem>& items) {
-  Waiter<Result<MultiGetResult>> waiter;
-  GetKeysTypedAsync(items, waiter.Callback());
-  queue_->RunUntilFlag(&waiter.done);
-  return std::move(*waiter.value);
+  return queue_->Await<Result<MultiGetResult>>(
+      [&](auto done) { GetKeysTypedAsync(items, std::move(done)); });
 }
 
 void ShardRouter::FetchGroupAsync(
@@ -566,13 +538,9 @@ void ShardRouter::FetchGroupAsync(
 
 Result<ShardRouter::GroupFetch> ShardRouter::FetchGroup(
     const AuditId& demand_id, const std::vector<AuditId>& prefetch_ids) {
-  if (!options_.batch_fetch && shards_.size() == 1) {
-    return shards_[0]->FetchGroup(demand_id, prefetch_ids);
-  }
-  Waiter<Result<GroupFetch>> waiter;
-  FetchGroupAsync(demand_id, prefetch_ids, waiter.Callback());
-  queue_->RunUntilFlag(&waiter.done);
-  return std::move(*waiter.value);
+  return queue_->Await<Result<GroupFetch>>([&](auto done) {
+    FetchGroupAsync(demand_id, prefetch_ids, std::move(done));
+  });
 }
 
 void ShardRouter::UploadJournalAsync(const std::vector<JournalEntry>& entries,
@@ -613,13 +581,8 @@ void ShardRouter::UploadJournalAsync(const std::vector<JournalEntry>& entries,
 }
 
 Status ShardRouter::UploadJournal(const std::vector<JournalEntry>& entries) {
-  if (shards_.size() == 1) {
-    return shards_[0]->UploadJournal(entries);
-  }
-  Waiter<Status> waiter;
-  UploadJournalAsync(entries, waiter.Callback());
-  queue_->RunUntilFlag(&waiter.done);
-  return std::move(*waiter.value);
+  return queue_->Await<Status>(
+      [&](auto done) { UploadJournalAsync(entries, std::move(done)); });
 }
 
 void ShardRouter::NoteEvictionAsync(const AuditId& audit_id) {

@@ -21,6 +21,10 @@
 // Failure semantics mirror the unsharded client where it matters: a failed
 // demand fetch fails the call, while failed prefetch sub-batches just drop
 // those keys (prefetch is advisory; the next demand miss re-fetches).
+//
+// Every blocking method is its async twin awaited (DESIGN.md §22): there
+// is no blocking shortcut past single-flight, batching or the brownout
+// controller, whatever the options.
 
 #ifndef SRC_KEYSERVICE_SHARD_ROUTER_H_
 #define SRC_KEYSERVICE_SHARD_ROUTER_H_

@@ -34,16 +34,15 @@ WireValue::Array BindFilePayload(const AuditId& audit_id, const DirId& dir_id,
 }
 }  // namespace
 
+// A blocking method with an async twin is that twin awaited (DESIGN.md
+// §22), so its marshalling and parse exist once.
 Result<Bytes> MetadataServiceClient::BindFile(const AuditId& audit_id,
                                               const DirId& dir_id,
                                               const std::string& name,
                                               bool is_rename) {
-  auto result = router_.Call(
-      "meta.bind_file", BindFilePayload(audit_id, dir_id, name, is_rename));
-  if (!result.ok()) {
-    return result.status();
-  }
-  return result->AsBytes();
+  return rpc()->queue()->Await<Result<Bytes>>([&](auto done) {
+    BindFileAsync(audit_id, dir_id, name, is_rename, std::move(done));
+  });
 }
 
 void MetadataServiceClient::BindFileAsync(
@@ -51,35 +50,23 @@ void MetadataServiceClient::BindFileAsync(
     bool is_rename, std::function<void(Result<Bytes>)> done) {
   router_.CallAsync("meta.bind_file",
                     BindFilePayload(audit_id, dir_id, name, is_rename),
-                    [done = std::move(done)](Result<WireValue> result) {
-                      if (!result.ok()) {
-                        done(result.status());
-                        return;
-                      }
-                      done(result->AsBytes());
-                    });
+                    ThenParse(std::move(done), &WireValue::AsBytes));
 }
 
 Status MetadataServiceClient::Mkdir(const DirId& dir_id,
                                     const DirId& parent_id,
                                     const std::string& name) {
-  WireValue::Array payload;
-  payload.push_back(WireValue(dir_id.ToBytes()));
-  payload.push_back(WireValue(parent_id.ToBytes()));
-  payload.push_back(WireValue(name));
-  auto result = router_.Call("meta.mkdir", std::move(payload));
-  return result.status();
+  return rpc()->queue()->Await<Status>([&](auto done) {
+    MkdirAsync(dir_id, parent_id, name, std::move(done));
+  });
 }
 
 Status MetadataServiceClient::RenameDir(const DirId& dir_id,
                                         const DirId& new_parent_id,
                                         const std::string& new_name) {
-  WireValue::Array payload;
-  payload.push_back(WireValue(dir_id.ToBytes()));
-  payload.push_back(WireValue(new_parent_id.ToBytes()));
-  payload.push_back(WireValue(new_name));
-  auto result = router_.Call("meta.rename_dir", std::move(payload));
-  return result.status();
+  return rpc()->queue()->Await<Status>([&](auto done) {
+    RenameDirAsync(dir_id, new_parent_id, new_name, std::move(done));
+  });
 }
 
 void MetadataServiceClient::MkdirAsync(const DirId& dir_id,
@@ -91,9 +78,7 @@ void MetadataServiceClient::MkdirAsync(const DirId& dir_id,
   payload.push_back(WireValue(parent_id.ToBytes()));
   payload.push_back(WireValue(name));
   router_.CallAsync("meta.mkdir", std::move(payload),
-                    [done = std::move(done)](Result<WireValue> result) {
-                      done(result.status());
-                    });
+                    ThenStatus(std::move(done)));
 }
 
 void MetadataServiceClient::RenameDirAsync(const DirId& dir_id,
@@ -105,9 +90,7 @@ void MetadataServiceClient::RenameDirAsync(const DirId& dir_id,
   payload.push_back(WireValue(new_parent_id.ToBytes()));
   payload.push_back(WireValue(new_name));
   router_.CallAsync("meta.rename_dir", std::move(payload),
-                    [done = std::move(done)](Result<WireValue> result) {
-                      done(result.status());
-                    });
+                    ThenStatus(std::move(done)));
 }
 
 Status MetadataServiceClient::UploadJournal(

@@ -4,7 +4,8 @@
 // ReplicaRouter — leader hint, NOT_LEADER:<i> redirects from the serve
 // gate, probe-backoff failover cycles under a budget. This stub only
 // contributes the metadata-tier auth framing and typed (de)marshalling,
-// exactly mirroring KeyServiceClient over the key tier.
+// exactly mirroring KeyServiceClient over the key tier. A blocking method
+// with an async twin is that twin awaited (DESIGN.md §22).
 
 #ifndef SRC_METASERVICE_METADATA_SERVICE_CLIENT_H_
 #define SRC_METASERVICE_METADATA_SERVICE_CLIENT_H_

@@ -42,103 +42,36 @@ bool RetryableElsewhere(const Status& status) {
 
 }  // namespace
 
-Result<WireValue> ReplicaRouter::CallOne(size_t idx, const std::string& method,
-                                         const WireValue::Array& payload,
-                                         const CallContext& ctx) {
-  // Frame per attempt: the auth tag binds device/method/payload, not the
-  // replica, so the same call replays cleanly against any of them (the
-  // reply caches key on the dedup frame either way).
-  return replicas_[idx]->Call(method,
-                              framer_(method, WireValue::Array(payload)), ctx);
-}
-
 Result<WireValue> ReplicaRouter::Call(const std::string& method,
                                       const WireValue::Array& payload,
                                       const CallContext& ctx) {
   if (replicas_.size() == 1 || queue_ == nullptr) {
-    return CallOne(0, method, payload, ctx);
+    return replicas_[0]->Call(
+        method, framer_(method, WireValue::Array(payload)), ctx);
   }
-  constexpr size_t kNone = static_cast<size_t>(-1);
-  const SimTime deadline = queue_->Now() + failover_.budget;
-  size_t idx = leader_hint_;
-  size_t tried_in_cycle = 0;
-  // Most recent replica that answered at all (NOT_LEADER / DEMOTED): it is
-  // alive and therefore the promotion candidate worth polling mid-failover.
-  size_t last_alive = kNone;
-  // Replicas whose transport just failed: skipped (and redirects back to
-  // them ignored) until the probe backoff lapses, so one dead ex-leader
-  // can't soak up a full retry ladder per cycle.
-  std::vector<SimTime> dead_until(replicas_.size());
-  // Redirect chains are bounded so two confused replicas pointing at each
-  // other degrade into the failover cycle instead of looping.
-  int redirect_budget = static_cast<int>(2 * replicas_.size());
-  while (true) {
-    Result<WireValue> result = CallOne(idx, method, payload, ctx);
-    if (result.ok()) {
-      leader_hint_ = idx;
-      return result;
-    }
-    const Status& status = result.status();
-    size_t redirect = 0;
-    if (ParseNotLeader(status, &redirect) && redirect < replicas_.size() &&
-        redirect != idx && dead_until[redirect] <= queue_->Now() &&
-        redirect_budget-- > 0) {
-      ++redirects_;
-      last_alive = idx;
-      idx = redirect;
-      tried_in_cycle = 0;
-      continue;
-    }
-    if (!RetryableElsewhere(status)) {
-      return result;  // A real answer (denied, not found, ...).
-    }
-    if (replicas_[idx]->link()->disconnected()) {
-      // The shared client link is down — every replica is equally
-      // unreachable. Preserve offline fail-fast semantics.
-      return result;
-    }
-    if (status.code() == StatusCode::kUnavailable) {
-      dead_until[idx] = queue_->Now() + failover_.probe_backoff;
-    } else {
-      last_alive = idx;
-    }
-    ++failovers_;
-    ++tried_in_cycle;
-    // Advance, skipping replicas still in probe backoff. Skips count
-    // toward the cycle so a fully-dead set still reaches the pause.
-    for (size_t hop = 0; hop < replicas_.size(); ++hop) {
-      idx = (idx + 1) % replicas_.size();
-      if (dead_until[idx] <= queue_->Now()) {
-        break;
-      }
-      ++tried_in_cycle;
-    }
-    if (tried_in_cycle >= replicas_.size()) {
-      // Full cycle, no leader: mid-failover. Pace the retries until a
-      // backup's promotion timer fires or the budget runs out, polling
-      // the replica last seen alive rather than the dead ex-leader.
-      if (queue_->Now() >= deadline) {
-        return result;
-      }
-      queue_->AdvanceBy(failover_.pause);
-      tried_in_cycle = 0;
-      if (last_alive != kNone && dead_until[last_alive] <= queue_->Now()) {
-        idx = last_alive;
-      }
-    }
-  }
+  return queue_->Await<Result<WireValue>>([&](auto done) {
+    CallAsync(method, WireValue::Array(payload), ctx, std::move(done));
+  });
 }
 
+// One logical call across its failover cycles.
 struct ReplicaRouter::AsyncRoute {
   std::string method;
   WireValue::Array payload;
   CallContext ctx;
   std::function<void(Result<WireValue>)> done;
-  SimTime deadline;
-  size_t idx = 0;
+  SimTime deadline;  // End of the failover budget.
+  size_t idx = 0;    // Replica the next attempt goes to.
   size_t tried_in_cycle = 0;
+  // Most recent replica that answered at all (NOT_LEADER / DEMOTED): it is
+  // alive and therefore the promotion candidate worth polling mid-failover.
   size_t last_alive = static_cast<size_t>(-1);
+  // Replicas whose transport just failed: skipped (and redirects back to
+  // them ignored) until the probe backoff lapses, so one dead ex-leader
+  // can't soak up a full retry ladder per cycle.
   std::vector<SimTime> dead_until;
+  // Redirect chains are bounded so two confused replicas pointing at each
+  // other degrade into the failover cycle instead of looping.
   int redirect_budget = 0;
 };
 
@@ -187,6 +120,9 @@ void ReplicaRouter::StepAsync(std::shared_ptr<AsyncRoute> route) {
           StepAsync(route);
           return;
         }
+        // A real answer (denied, not found, ...) returns as is, and so does
+        // any failure while the shared client link is down: every replica
+        // is equally unreachable, so offline fail-fast semantics hold.
         if (!RetryableElsewhere(status) ||
             replicas_[route->idx]->link()->disconnected()) {
           route->done(std::move(result));
@@ -200,6 +136,8 @@ void ReplicaRouter::StepAsync(std::shared_ptr<AsyncRoute> route) {
         }
         ++failovers_;
         ++route->tried_in_cycle;
+        // Advance, skipping replicas still in probe backoff. Skips count
+        // toward the cycle so a fully-dead set still reaches the pause.
         for (size_t hop = 0; hop < replicas_.size(); ++hop) {
           route->idx = (route->idx + 1) % replicas_.size();
           if (route->dead_until[route->idx] <= queue_->Now()) {
@@ -211,6 +149,9 @@ void ReplicaRouter::StepAsync(std::shared_ptr<AsyncRoute> route) {
           StepAsync(route);
           return;
         }
+        // Full cycle, no leader: mid-failover. Pace the retries until a
+        // backup's promotion timer fires or the budget runs out, polling
+        // the replica last seen alive rather than the dead ex-leader.
         if (queue_->Now() >= route->deadline) {
           route->done(std::move(result));
           return;

@@ -8,7 +8,8 @@
 // full cycle finds no leader — mid-failover, before a backup's promotion
 // timer fires — it pauses briefly and retries until the failover budget
 // runs out, so client goodput resumes as soon as a backup promotes
-// instead of erroring out.
+// instead of erroring out. The failover loop is written once, as the
+// CallAsync state machine; the blocking Call awaits it (DESIGN.md §22).
 //
 // Tiers differ only in how a call is framed (which device identity and
 // secret sign the auth tag), so the router takes a framing callback and
@@ -21,6 +22,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/rpc/rpc.h"
@@ -43,6 +45,29 @@ struct FailoverOptions {
   SimDuration probe_backoff = SimDuration::Seconds(3);
 };
 
+// Completion adapters for the typed stubs' async methods: a failed call's
+// status passes through untouched, and a reply is parsed by `parse` (a
+// function of the reply value, or a WireValue accessor) or reduced to its
+// status.
+template <typename T, typename Parse>
+std::function<void(Result<WireValue>)> ThenParse(
+    std::function<void(Result<T>)> done, Parse parse) {
+  return [done = std::move(done), parse](Result<WireValue> result) {
+    if (!result.ok()) {
+      done(result.status());
+      return;
+    }
+    done(std::invoke(parse, *result));
+  };
+}
+
+inline std::function<void(Result<WireValue>)> ThenStatus(
+    std::function<void(Status)> done) {
+  return [done = std::move(done)](Result<WireValue> result) {
+    done(result.status());
+  };
+}
+
 class ReplicaRouter {
  public:
   // Frames one attempt of `method` around `payload` (auth tag, dedup
@@ -64,20 +89,12 @@ class ReplicaRouter {
         replicas_(std::move(replicas)),
         failover_(failover) {}
 
-  // Replica-aware virtual-blocking call: leader hint, NOT_LEADER redirects,
+  // Replica-aware asynchronous call: leader hint, NOT_LEADER redirects,
   // failover cycles, paced retries under the failover budget. Collapses to
   // a plain single call with one replica. The CallContext (priority class,
   // deadline) rides down into every per-replica attempt's KPR2 frame; a
   // REJECTED fault (kResourceExhausted) is a real answer from a live
   // leader, not a failover trigger — it returns straight to the caller.
-  Result<WireValue> Call(const std::string& method,
-                         const WireValue::Array& payload) {
-    return Call(method, payload, CallContext{});
-  }
-  Result<WireValue> Call(const std::string& method,
-                         const WireValue::Array& payload,
-                         const CallContext& ctx);
-  // Same state machine, asynchronous.
   void CallAsync(const std::string& method, WireValue::Array payload,
                  std::function<void(Result<WireValue>)> done) {
     CallAsync(method, std::move(payload), CallContext{}, std::move(done));
@@ -85,6 +102,15 @@ class ReplicaRouter {
   void CallAsync(const std::string& method, WireValue::Array payload,
                  const CallContext& ctx,
                  std::function<void(Result<WireValue>)> done);
+  // Virtually-blocking call: CallAsync awaited (DESIGN.md §22), or the one
+  // replica's blocking call in single-endpoint mode.
+  Result<WireValue> Call(const std::string& method,
+                         const WireValue::Array& payload) {
+    return Call(method, payload, CallContext{});
+  }
+  Result<WireValue> Call(const std::string& method,
+                         const WireValue::Array& payload,
+                         const CallContext& ctx);
 
   RpcClient* rpc() const { return replicas_.front(); }
   size_t replica_count() const { return replicas_.size(); }
@@ -97,10 +123,10 @@ class ReplicaRouter {
  private:
   struct AsyncRoute;
 
-  // One framed attempt against replica `idx`.
-  Result<WireValue> CallOne(size_t idx, const std::string& method,
-                            const WireValue::Array& payload,
-                            const CallContext& ctx);
+  // One framed attempt against the route's current replica. Framed per
+  // attempt: the auth tag binds device/method/payload, not the replica, so
+  // the same call replays cleanly against any of them (the reply caches
+  // key on the dedup frame either way).
   void StepAsync(std::shared_ptr<AsyncRoute> route);
 
   EventQueue* queue_ = nullptr;

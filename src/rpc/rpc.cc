@@ -338,21 +338,13 @@ void RpcServer::ProcessRequest(const std::string& request_raw,
              });
 }
 
-// Shared completion state between the response path and the timeout path.
-struct RpcClient::PendingCall {
-  bool done = false;
-  Result<WireValue> result = Status(StatusCode::kUnavailable, "pending");
-};
-
-// One logical CallAsync across its retry ladder.
+// One logical call across its retry ladder.
 struct RpcClient::AsyncCall {
-  std::shared_ptr<PendingCall> pending = std::make_shared<PendingCall>();
   std::function<void(Result<WireValue>)> finish;
   std::shared_ptr<BufferLease> request;  // Sealed fresh per attempt.
   std::string method;
   int attempt = 0;
-  bool admitted = false;  // Passed the circuit breaker.
-  bool probe = false;     // Half-open canary: exempt from the retry budget.
+  bool probe = false;  // Half-open canary: exempt from the retry budget.
   bool finished = false;
   SimTime deadline;  // Absolute overall deadline.
   EventQueue::EventId timer = EventQueue::kInvalidEvent;
@@ -437,46 +429,40 @@ SimDuration RpcClient::BackoffBefore(int next_attempt) {
   return SimDuration(static_cast<int64_t>(backoff));
 }
 
-bool RpcClient::SendAttempt(std::shared_ptr<BufferLease> frame,
-                            std::shared_ptr<PendingCall> pending,
-                            std::function<void()> notify) {
+Result<WireValue> RpcClient::DecodeReply(const std::string& response) {
+  KP_ASSIGN_OR_RETURN(std::string opened, OpenResponse(response));
+  KP_ASSIGN_OR_RETURN(XmlRpcResponse decoded, DecodeResponseAuto(opened));
+  if (!decoded.fault.ok()) {
+    return decoded.fault;
+  }
+  return decoded.value;
+}
+
+bool RpcClient::SendAttempt(std::shared_ptr<AsyncCall> call) {
   ++attempts_started_;
-  std::string request = SealRequest(**frame);
+  std::string request = SealRequest(**call->request);
   RpcServer* server = server_;
   NetworkLink* link = link_;
   size_t request_size = request.size();
-  // Each stage of the round trip holds the frame's lease, so the pool
-  // recycles the buffer only once no attempt of the call is in flight.
+  // Each stage of the round trip holds the call (and so the frame's
+  // lease), so the pool recycles the buffer only once no attempt of the
+  // call is in flight.
   return link_->Send(
       request_size, NetworkLink::Direction::kForward,
-      [this, frame, pending, notify, server, link,
-       request = std::move(request)] {
-        server->HandleRequestAsync(request, [this, frame, pending, notify,
+      [this, call, server, link, request = std::move(request)] {
+        server->HandleRequestAsync(request, [this, call,
                                              link](std::string response) {
           size_t response_size = response.size();
           link->Send(
               response_size, NetworkLink::Direction::kReverse,
-              [this, frame, pending, notify, response = std::move(response)] {
-                if (pending->done) {
+              [this, call, response = std::move(response)] {
+                if (call->finished) {
                   return;  // Duplicate/late response; call finished.
                 }
-                auto opened = OpenResponse(response);
-                if (!opened.ok()) {
-                  pending->result = opened.status();
-                } else {
-                  auto decoded = DecodeResponseAuto(*opened);
-                  if (!decoded.ok()) {
-                    pending->result = decoded.status();
-                  } else if (!decoded->fault.ok()) {
-                    pending->result = decoded->fault;
-                  } else {
-                    pending->result = decoded->value;
-                  }
-                }
-                pending->done = true;
-                if (notify) {
-                  notify();
-                }
+                Result<WireValue> result = DecodeReply(response);
+                breaker_.RecordSuccess();
+                NoteCallResult(result);
+                FinishAsync(call, std::move(result));
               });
         });
       });
@@ -501,84 +487,9 @@ void RpcClient::NoteCallResult(const Result<WireValue>& result) {
 Result<WireValue> RpcClient::Call(const std::string& method,
                                   WireValue::Array params,
                                   const CallContext& ctx) {
-  ++calls_started_;
-  queue_->AdvanceBy(codec_ == WireCodec::kBinary
-                        ? options_.client_overhead_binary
-                        : options_.client_overhead);
-
-  if (!link_->disconnected()) {
-    // An abort-opened breaker ends its cooldown as soon as the link is
-    // observably back up.
-    breaker_.NoteLinkRestored(queue_->Now());
-  }
-  bool was_open = breaker_.state() == CircuitBreaker::State::kOpen;
-  if (!breaker_.AllowRequest(queue_->Now())) {
-    return UnavailableError("rpc: circuit open, rejecting " + method);
-  }
-  // Admitted out of the open state = THE half-open probe. It shares the
-  // budget's state but is exempt from its gate: a drained bucket must
-  // not starve the single canary that can close the breaker.
-  bool probe = was_open &&
-               breaker_.state() == CircuitBreaker::State::kHalfOpen;
-  retry_budget_.OnFirstAttempt();
-
-  auto frame = Encode(method, params, ctx);
-  auto pending = std::make_shared<PendingCall>();
-  SimTime overall_deadline = queue_->Now() + options_.total_deadline;
-  if (ctx.deadline.has_value()) {
-    overall_deadline = std::min(overall_deadline, *ctx.deadline);
-  }
-  int max_attempts = std::max(1, options_.retry.max_attempts);
-
-  for (int attempt = 1; attempt <= max_attempts; ++attempt) {
-    if (link_->disconnected()) {
-      // Fail fast: the interface is down, waiting out a timeout (or
-      // retrying into the void) buys nothing.
-      pending->done = true;
-      ++calls_failed_fast_;
-      breaker_.RecordAborted(queue_->Now());
-      return UnavailableError("rpc: link down calling " + method);
-    }
-    if (!SendAttempt(frame, pending, nullptr)) {
-      pending->done = true;
-      ++calls_failed_fast_;
-      breaker_.RecordAborted(queue_->Now());
-      return UnavailableError("rpc: send failed calling " + method);
-    }
-    SimTime attempt_deadline =
-        std::min(queue_->Now() + options_.timeout, overall_deadline);
-    if (queue_->RunUntilFlag(&pending->done, attempt_deadline)) {
-      breaker_.RecordSuccess();
-      NoteCallResult(pending->result);
-      return pending->result;
-    }
-    if (attempt == max_attempts || queue_->Now() >= overall_deadline) {
-      break;
-    }
-    if (!probe && !retry_budget_.TryAcquireRetry(queue_->Now())) {
-      // Budget drained (or the server REJECTED us this window): retrying
-      // into a saturated tier only amplifies the overload. Give up as a
-      // timeout — the breaker sees the failure like any other.
-      break;
-    }
-    SimDuration backoff = BackoffBefore(attempt + 1);
-    if (queue_->Now() + backoff >= overall_deadline) {
-      break;
-    }
-    queue_->AdvanceBy(backoff);
-    if (pending->done) {
-      // A straggler response from an earlier attempt landed during the
-      // backoff — the call succeeded after all.
-      breaker_.RecordSuccess();
-      NoteCallResult(pending->result);
-      return pending->result;
-    }
-  }
-
-  pending->done = true;  // Suppress any later straggler.
-  ++calls_timed_out_;
-  breaker_.RecordFailure(queue_->Now());
-  return UnavailableError("rpc: timeout calling " + method);
+  return queue_->Await<Result<WireValue>>([&](auto done) {
+    CallAsync(method, std::move(params), ctx, std::move(done));
+  });
 }
 
 void RpcClient::FinishAsync(std::shared_ptr<AsyncCall> call,
@@ -587,7 +498,6 @@ void RpcClient::FinishAsync(std::shared_ptr<AsyncCall> call,
     return;
   }
   call->finished = true;
-  call->pending->done = true;
   if (call->timer != EventQueue::kInvalidEvent) {
     // Satellite fix: don't leave a dead timeout event behind a completed
     // call — long soaks would accumulate garbage in the queue.
@@ -598,10 +508,12 @@ void RpcClient::FinishAsync(std::shared_ptr<AsyncCall> call,
 }
 
 void RpcClient::StartAsyncAttempt(std::shared_ptr<AsyncCall> call) {
-  if (call->pending->done) {
+  if (call->finished) {
     return;
   }
   if (link_->disconnected()) {
+    // Fail fast: the interface is down, waiting out a timeout (or
+    // retrying into the void) buys nothing.
     ++calls_failed_fast_;
     breaker_.RecordAborted(queue_->Now());
     FinishAsync(call, UnavailableError("rpc: link down calling " +
@@ -609,12 +521,7 @@ void RpcClient::StartAsyncAttempt(std::shared_ptr<AsyncCall> call) {
     return;
   }
   ++call->attempt;
-  bool sent = SendAttempt(call->request, call->pending, [this, call] {
-    breaker_.RecordSuccess();
-    NoteCallResult(call->pending->result);
-    FinishAsync(call, call->pending->result);
-  });
-  if (!sent) {
+  if (!SendAttempt(call)) {
     ++calls_failed_fast_;
     breaker_.RecordAborted(queue_->Now());
     FinishAsync(call, UnavailableError("rpc: send failed calling " +
@@ -625,7 +532,7 @@ void RpcClient::StartAsyncAttempt(std::shared_ptr<AsyncCall> call) {
       std::min(queue_->Now() + options_.timeout, call->deadline);
   call->timer = queue_->Schedule(attempt_deadline, [this, call] {
     call->timer = EventQueue::kInvalidEvent;
-    if (call->pending->done) {
+    if (call->finished) {
       return;
     }
     int max_attempts = std::max(1, options_.retry.max_attempts);
@@ -672,6 +579,8 @@ void RpcClient::CallAsync(const std::string& method, WireValue::Array params,
   }
 
   if (!link_->disconnected()) {
+    // An abort-opened breaker ends its cooldown as soon as the link is
+    // observably back up.
     breaker_.NoteLinkRestored(queue_->Now());
   }
   bool was_open = breaker_.state() == CircuitBreaker::State::kOpen;
@@ -684,7 +593,9 @@ void RpcClient::CallAsync(const std::string& method, WireValue::Array params,
     });
     return;
   }
-  call->admitted = true;
+  // Admitted out of the open state = THE half-open probe. It shares the
+  // budget's state but is exempt from its gate: a drained bucket must
+  // not starve the single canary that can close the breaker.
   call->probe = was_open &&
                 breaker_.state() == CircuitBreaker::State::kHalfOpen;
   retry_budget_.OnFirstAttempt();

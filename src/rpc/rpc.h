@@ -3,12 +3,14 @@
 // when the client is built with it; DESIGN.md §11), with virtual-blocking
 // and asynchronous call styles.
 //
-// A "virtually blocking" Call() models a client thread waiting on a
-// response: it pumps the shared event queue until the reply lands or the
-// timeout deadline passes, so background activity (key expirations, metadata
-// unlock threads, other in-flight RPCs) interleaves exactly as in a real
-// multithreaded client. CallAsync() is used for the IBE metadata-update path
-// where the paper explicitly overlaps the RPC with foreground work.
+// CallAsync() runs the retry ladder as a state machine on the event queue;
+// the IBE metadata-update path uses it where the paper explicitly overlaps
+// the RPC with foreground work. A "virtually blocking" Call() is that same
+// ladder awaited (EventQueue::Await, DESIGN.md §22): it models a client
+// thread waiting on a response, pumping the shared event queue until the
+// call completes, so background activity (key expirations, metadata unlock
+// threads, other in-flight RPCs) interleaves exactly as in a real
+// multithreaded client.
 //
 // Resilience (DESIGN.md §7): the paper treats network failure as the common
 // case, so the client is built to ride through it without corrupting the
@@ -249,10 +251,10 @@ class RpcClient {
   RpcClient(EventQueue* queue, NetworkLink* link, RpcServer* server,
             RpcOptions options = {});
 
-  // Virtually-blocking call. Returns the server's value, the server's
-  // fault, or kUnavailable when the link is known-down (fail-fast), the
-  // circuit breaker is open, every attempt timed out, or the retry
-  // budget denied the next attempt.
+  // Virtually-blocking call: CallAsync awaited. Returns the server's
+  // value, the server's fault, or kUnavailable when the link is known-down
+  // (fail-fast), the circuit breaker is open, every attempt timed out, or
+  // the retry budget denied the next attempt.
   Result<WireValue> Call(const std::string& method,
                          WireValue::Array params) {
     return Call(method, std::move(params), CallContext{});
@@ -270,6 +272,8 @@ class RpcClient {
   void CallAsync(const std::string& method, WireValue::Array params,
                  const CallContext& ctx,
                  std::function<void(Result<WireValue>)> done);
+
+  EventQueue* queue() const { return queue_; }
 
   // Re-point the client at a different link (e.g. paired-device failover).
   void set_link(NetworkLink* link) { link_ = link; }
@@ -310,7 +314,6 @@ class RpcClient {
   }
 
  private:
-  struct PendingCall;
   struct AsyncCall;
 
   // Seals an outgoing request when channel security is on (identity
@@ -329,13 +332,14 @@ class RpcClient {
   // retry-budget window (the server explicitly refused the load).
   void NoteCallResult(const Result<WireValue>& result);
 
-  // Transmits one attempt: request over the link, handler on the server,
-  // response back over the link, completing `pending` unless it already
-  // completed (then invoking `notify`, if any — the async path's hook).
-  // Returns false iff the link reported the send failed locally.
-  bool SendAttempt(std::shared_ptr<BufferLease> frame,
-                   std::shared_ptr<PendingCall> pending,
-                   std::function<void()> notify);
+  // Opens and decodes one response into the server's value or fault.
+  Result<WireValue> DecodeReply(const std::string& response);
+
+  // Transmits one attempt of `call`: request over the link, handler on the
+  // server, response back over the link, finishing the call with the reply
+  // unless it already finished. Returns false iff the link reported the
+  // send failed locally.
+  bool SendAttempt(std::shared_ptr<AsyncCall> call);
 
   // Backoff before attempt `next_attempt` (2-based), jittered.
   SimDuration BackoffBefore(int next_attempt);

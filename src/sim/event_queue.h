@@ -7,10 +7,10 @@
 //  * Event-driven: Schedule(t, fn) runs fn when virtual time reaches t
 //    (key expirations, in-flight RPC deliveries, background unlock threads).
 //  * Virtually-blocking: code that models a thread performing a synchronous
-//    operation calls AdvanceBy() to charge CPU time and RunUntilFlag() to
-//    "block" on a response. Both pump due events, so background activity
-//    interleaves exactly as it would in a real multithreaded system, but
-//    deterministically.
+//    operation calls AdvanceBy() to charge CPU time and Await() (built on
+//    RunUntilFlag()) to "block" on an asynchronous operation's completion.
+//    Both pump due events, so background activity interleaves exactly as
+//    it would in a real multithreaded system, but deterministically.
 //
 // Nested pumping is allowed (an event handler may itself block on an RPC);
 // every event fires exactly once, in time order, whichever loop pumps it.
@@ -31,7 +31,10 @@
 #define SRC_SIM_EVENT_QUEUE_H_
 
 #include <cstdint>
+#include <cstdlib>
+#include <functional>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "src/sim/event_fn.h"
@@ -80,6 +83,32 @@ class EventQueue {
   // Returns true if the flag was set. On timeout the clock is left at
   // `deadline`. Models a thread blocking on a condition with a timeout.
   bool RunUntilFlag(const bool* flag, SimTime deadline = SimTime::Max());
+
+  // Runs an asynchronous operation to completion in virtual time: calls
+  // start(done) and pumps events until `done` has fired once, then returns
+  // the value it delivered. Every blocking client call is its async twin
+  // awaited this way (DESIGN.md §22), so retry, failover and gather logic
+  // exists once. The completion slot is shared with `done`, so a callback
+  // that outlives this frame never writes into it. An operation that can
+  // never complete (the queue drains first) aborts.
+  template <typename T, typename Start>
+  T Await(Start&& start) {
+    struct Slot {
+      bool done = false;
+      std::optional<T> value;
+    };
+    auto slot = std::make_shared<Slot>();
+    start(std::function<void(T)>([slot](T value) {
+      if (!slot->done) {
+        slot->value.emplace(std::move(value));
+        slot->done = true;
+      }
+    }));
+    if (!RunUntilFlag(&slot->done)) {
+      std::abort();
+    }
+    return std::move(*slot->value);
+  }
 
   // Number of pending (scheduled, not yet run or cancelled) events.
   size_t pending_count() const { return live_; }

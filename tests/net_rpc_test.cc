@@ -622,6 +622,43 @@ TEST_F(RpcTest, ConcurrentCallsBothComplete) {
   EXPECT_EQ(completed, 2);
 }
 
+TEST_F(RpcTest, LateResponseDuringBackoffFinishesBlockingCall) {
+  // Cellular RTT (300 ms) outlasts a 200 ms attempt timeout, so the reply
+  // to attempt 1 lands during the retry backoff. The blocking call is the
+  // async ladder awaited: it finishes at the same virtual instant as the
+  // same call made with CallAsync, the moment the reply lands, instead of
+  // waiting out the backoff.
+  RpcOptions options;
+  options.timeout = SimDuration::Millis(200);
+
+  EventQueue async_queue;
+  NetworkLink async_link(&async_queue, CellularProfile());
+  RpcServer async_server(&async_queue, SimDuration::Micros(150));
+  async_server.RegisterMethod("echo", [](const WireValue::Array& params) {
+    return Result<WireValue>(params[0]);
+  });
+  ResetRpcClientIdsForTesting();
+  RpcClient async_client(&async_queue, &async_link, &async_server, options);
+  bool called = false;
+  SimTime async_done;
+  async_client.CallAsync("echo", {WireValue("late")},
+                         [&](Result<WireValue> r) {
+                           EXPECT_TRUE(r.ok());
+                           async_done = async_queue.Now();
+                           called = true;
+                         });
+  ASSERT_TRUE(async_queue.RunUntilFlag(&called));
+
+  ResetRpcClientIdsForTesting();
+  RpcClient client(&queue_, &link_, &server_, options);
+  auto result = client.Call("echo", {WireValue("late")});
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(*result->AsString(), "late");
+  EXPECT_EQ(queue_.Now(), async_done);
+  EXPECT_EQ(client.attempts_started(), 1u);
+  EXPECT_EQ(async_client.attempts_started(), 1u);
+}
+
 TEST_F(RpcTest, BytesFlowOverLink) {
   client_.Call("echo", {WireValue("some payload with real size")});
   // Request + response were both marshalled through the link.

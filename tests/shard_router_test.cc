@@ -12,6 +12,8 @@
 #include "src/keypad/deployment.h"
 #include "src/keypad/prefetcher.h"
 #include "src/keyservice/shard_ring.h"
+#include "src/keyservice/shard_router.h"
+#include "src/rpc/brownout.h"
 
 namespace keypad {
 namespace {
@@ -133,6 +135,34 @@ TEST(ShardRouterTest, CrossShardFetchGroupMergesPrefetchOrder) {
     }
   }
   EXPECT_EQ(logged, ids.size());
+}
+
+TEST(ShardRouterTest, BlockingFetchFeedsBrownoutWithRoutingOff) {
+  // With single-flight and batching both off, a blocking GetKey is still
+  // its async twin awaited, so a REJECTED reply reaches the brownout
+  // controller exactly as it does on the async path.
+  EventQueue queue;
+  NetworkLink link(&queue, LanProfile());
+  RpcServer server(&queue, SimDuration::Micros(150));
+  server.RegisterMethod("key.get", [](const WireValue::Array&) {
+    return Result<WireValue>(
+        ResourceExhaustedError("rpc: REJECTED overload (demand)"));
+  });
+  RpcClient rpc(&queue, &link, &server);
+  KeyServiceClient stub(&rpc, "laptop", Bytes(32, 7));
+  BrownoutOptions brownout_options;
+  brownout_options.enabled = true;
+  BrownoutController brownout(brownout_options);
+  ShardRouter::Options options;
+  options.single_flight = false;
+  options.batch_fetch = false;
+  options.brownout = &brownout;
+  ShardRouter router(&queue, {&stub}, options);
+
+  auto key = router.GetKey(RandomIds(1, 5)[0]);
+  ASSERT_FALSE(key.ok());
+  EXPECT_TRUE(IsRejectedByServer(key.status()));
+  EXPECT_EQ(brownout.stats().signals, 1u);
 }
 
 TEST(ShardRouterTest, SingleFlightCoalescesConcurrentFetches) {
