@@ -28,6 +28,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -35,6 +36,15 @@
 
 namespace keypad {
 namespace {
+
+// Injects a fault the scenario is built around; a refusal is a harness bug.
+void MustInject(Deployment& dep, const Fault& fault) {
+  Status status = dep.Inject(fault);
+  if (!status.ok()) {
+    std::fprintf(stderr, "fault refused: %s\n", status.ToString().c_str());
+    std::exit(1);
+  }
+}
 
 struct Bucket {
   int ok = 0;
@@ -218,9 +228,10 @@ AvailCell RunKillCell(int replicas, double duration_s, uint64_t seed) {
   SimTime t0 = dep.queue().Now();
   SimTime kill_at = t0 + SimDuration::Millis(
                              static_cast<int64_t>(cell.kill_s * 1000));
-  dep.ScheduleKeyShardCrash(0, kill_at,
-                            SimDuration::Seconds(
-                                static_cast<int64_t>(cell.outage_s)));
+  const SimDuration outage =
+      SimDuration::Seconds(static_cast<int64_t>(cell.outage_s));
+  dep.Schedule(kill_at, Fault::Key(Fault::kCrash, 0));
+  dep.Schedule(kill_at + outage, Fault::Key(Fault::kRestart, 0));
 
   const SimDuration pace = SimDuration::Millis(200);
   std::vector<AuditId> acked;
@@ -290,9 +301,10 @@ AvailCell RunMetaKillCell(int replicas, double duration_s, uint64_t seed) {
   SimTime t0 = dep.queue().Now();
   SimTime kill_at = t0 + SimDuration::Millis(
                              static_cast<int64_t>(cell.kill_s * 1000));
-  dep.ScheduleMetadataServiceCrash(kill_at,
-                                   SimDuration::Seconds(
-                                       static_cast<int64_t>(cell.outage_s)));
+  const SimDuration outage =
+      SimDuration::Seconds(static_cast<int64_t>(cell.outage_s));
+  dep.Schedule(kill_at, Fault::Meta(Fault::kCrash));
+  dep.Schedule(kill_at + outage, Fault::Meta(Fault::kRestart));
 
   const SimDuration pace = SimDuration::Millis(200);
   std::vector<AuditId> acked;
@@ -359,16 +371,16 @@ AvailCell RunPartitionHealCell(int replicas, uint64_t seed) {
   // Primary partitioned off the mesh; it keeps serving clients, so these
   // acks live on replica 0 alone. Meanwhile the backup's lease lapses and
   // it promotes: split brain.
-  dep.PartitionKeyReplica(0, 0, true);
+  MustInject(dep, Fault::Key(Fault::kPartition, 0, 0));
   run_ops("part", 4);
   dep.queue().AdvanceBy(SimDuration::Seconds(4));
   // The primary dies before healing; the client fails over.
-  dep.CrashKeyReplica(0, 0);
+  MustInject(dep, Fault::Key(Fault::kCrash, 0, 0));
   run_ops("post", 6);
   // Heal and restart: the ex-primary reconciles against the new leader and
   // surfaces its divergent suffix as orphans.
-  dep.PartitionKeyReplica(0, 0, false);
-  dep.RestartKeyReplica(0, 0);
+  MustInject(dep, Fault::Key(Fault::kHeal, 0, 0));
+  MustInject(dep, Fault::Key(Fault::kRestart, 0, 0));
   dep.queue().AdvanceBy(SimDuration::Seconds(5));
   run_ops("tail", 4);
   dep.queue().AdvanceBy(SimDuration::Seconds(2));

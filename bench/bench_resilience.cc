@@ -130,8 +130,8 @@ CellResult RunOutageCell(bool retries, int ops) {
   SimTime t0 = dep.queue().Now();
   dep.client_link().ScheduleOutage(t0 + SimDuration::Seconds(30),
                                    SimDuration::Seconds(10));
-  dep.ScheduleKeyServiceCrash(t0 + SimDuration::Seconds(70),
-                              SimDuration::Seconds(15));
+  dep.Schedule(t0 + SimDuration::Seconds(70), Fault::Key(Fault::kCrash, 0));
+  dep.Schedule(t0 + SimDuration::Seconds(85), Fault::Key(Fault::kRestart, 0));
 
   CellResult cell;
   cell.scenario = "outage_schedule";

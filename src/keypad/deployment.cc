@@ -15,7 +15,8 @@ constexpr SimDuration kServiceTime = SimDuration::Micros(150);
 // promotion across all replicas, an ack timeout of reconciliation traffic,
 // and slack — before a routed call gives up. Parameterized on the tier's
 // replica count (the key and metadata tiers can differ in width).
-FailoverOptions FailoverFor(const DeploymentOptions& options, int replicas) {
+FailoverOptions FailoverFor(const DeploymentOptions& options,
+                            size_t replicas) {
   FailoverOptions failover;
   failover.budget = options.replica_set.lease.lease_duration +
                     options.replica_set.lease.promote_stagger *
@@ -24,54 +25,81 @@ FailoverOptions FailoverFor(const DeploymentOptions& options, int replicas) {
   return failover;
 }
 
-// One body per fault verb for both tiers: a service, its RPC server, its
-// replica set (null when unreplicated) and the crash-time snapshot slot.
-template <typename Service>
-void CrashReplica(Service& service, RpcServer& server,
-                  ServiceReplicaSet<Service>* set, size_t replica,
-                  Bytes* snapshot) {
-  // The open commit window dies with the process: its staged rows never
-  // sealed (never durable) and its held responses are never sent — the
-  // clients time out and retry (against the promoted backup, if any).
-  service.AbortInFlight();
-  // The snapshot models the durable log and state the crashed process
-  // leaves on disk; the server swallows everything until restart.
-  *snapshot = service.Snapshot();
-  server.set_down(true);
-  if (set != nullptr) {
-    set->NoteCrashed(replica);
+std::vector<RpcClient*> Endpoints(
+    const std::vector<std::unique_ptr<RpcClient>>& rpcs) {
+  std::vector<RpcClient*> endpoints;
+  for (const auto& rpc : rpcs) {
+    endpoints.push_back(rpc.get());
   }
-}
-
-template <typename Service>
-void RestartReplica(Service& service, RpcServer& server,
-                    ServiceReplicaSet<Service>* set, size_t replica,
-                    const Bytes& snapshot, const std::string& name) {
-  Status restored = service.Restore(snapshot);
-  if (!restored.ok()) {
-    KP_LOG(kError) << name << " restart: " << restored;
-    abort();
-  }
-  // Completed replies are durable (written with the audit entry); requests
-  // that were mid-execution at crash time will never answer — forget them
-  // so client retries re-execute.
-  server.reply_cache().ClearInFlight();
-  server.set_down(false);
-  if (set != nullptr) {
-    // The ex-primary comes back with a possibly diverged chain: it rejoins
-    // as a backup, reconciling against whoever leads now.
-    set->NoteRestarted(replica);
-  }
-}
-
-template <typename Service>
-void PartitionReplica(ServiceReplicaSet<Service>* set, size_t replica,
-                      bool partitioned) {
-  if (set != nullptr) {
-    set->SetPartitioned(replica, partitioned);
-  }
+  return endpoints;
 }
 }  // namespace
+
+template <typename Service, typename Make>
+void Deployment::AddGroup(ReplicaGroup<Service>& group, size_t replicas,
+                          uint64_t set_seed, Make make_service) {
+  for (size_t r = 0; r < replicas; ++r) {
+    group.services.push_back(make_service(r));
+    group.servers.push_back(std::make_unique<RpcServer>(&queue_, kServiceTime));
+    group.servers.back()->set_admission(options_.admission);
+  }
+  if (replicas > 1) {
+    // The replica set installs each service's replicator and serve gate,
+    // which switches its RPC surface onto the async held-response path —
+    // so wire it up before BindRpc.
+    ReplicaSetOptions rs_options = options_.replica_set;
+    rs_options.seed ^= set_seed;
+    group.set =
+        std::make_unique<ServiceReplicaSet<Service>>(&queue_, rs_options);
+    for (size_t r = 0; r < replicas; ++r) {
+      group.set->AddReplica(group.services[r].get(), group.servers[r].get());
+    }
+  }
+  for (size_t r = 0; r < replicas; ++r) {
+    group.services[r]->BindRpc(group.servers[r].get());
+  }
+  group.snapshots.assign(replicas, Bytes());
+}
+
+KeypadFs::Credentials Deployment::RegisterEverywhere(
+    const std::string& device_id) {
+  // Registration is provisioning-time state, not an audit-log mutation, so
+  // every replica learns it directly rather than through deltas.
+  auto register_group = [&](auto& group, const Bytes& secret) {
+    for (auto& service : group.services) {
+      service->RegisterDeviceWithSecret(device_id, secret);
+    }
+  };
+  KeypadFs::Credentials creds;
+  creds.device_id = device_id;
+  creds.key_secret = key_tier_[0].services[0]->RegisterDevice(device_id);
+  for (auto& group : key_tier_) {
+    register_group(group, creds.key_secret);
+  }
+  creds.meta_secret = meta_tier_.services[0]->RegisterDevice(device_id);
+  register_group(meta_tier_, creds.meta_secret);
+  return creds;
+}
+
+template <typename Stub>
+std::unique_ptr<Stub> Deployment::MakeStub(std::vector<RpcClient*> rpcs,
+                                           const std::string& device_id,
+                                           const Bytes& secret) {
+  if (rpcs.size() == 1) {
+    return std::make_unique<Stub>(rpcs[0], device_id, secret);
+  }
+  // Replica-aware stub: tries the last-known leader, follows NOT_LEADER
+  // redirects, and rides out one full failover before giving up.
+  FailoverOptions failover = FailoverFor(options_, rpcs.size());
+  return std::make_unique<Stub>(&queue_, std::move(rpcs), device_id, secret,
+                                failover);
+}
+
+template <typename Service, typename Mutate>
+Status Deployment::OnLeader(ReplicaGroup<Service>& group, Mutate mutate) {
+  return group.set != nullptr ? group.set->MutateLeader(mutate)
+                              : mutate(*group.services[0]);
+}
 
 Deployment::Deployment(DeploymentOptions options)
     : options_(std::move(options)),
@@ -83,17 +111,13 @@ Deployment::Deployment(DeploymentOptions options)
       auditor_(std::vector<const KeyService*>{}, nullptr) {
   // The phone proxy and sealed channels are single-endpoint features; they
   // pin the key tier to one shard (and one replica).
-  if (options_.key_shards < 1 || options_.paired_phone ||
-      options_.secure_channel) {
-    options_.key_shards = 1;
-  }
-  if (options_.key_replicas < 1 || options_.paired_phone ||
-      options_.secure_channel) {
-    options_.key_replicas = 1;
-  }
-  if (options_.meta_replicas < 1 || options_.paired_phone ||
-      options_.secure_channel) {
-    options_.meta_replicas = 1;
+  const bool single_endpoint =
+      options_.paired_phone || options_.secure_channel;
+  for (int* width : {&options_.key_shards, &options_.key_replicas,
+                     &options_.meta_replicas}) {
+    if (*width < 1 || single_endpoint) {
+      *width = 1;
+    }
   }
   // One brownout controller per device, shared between the router (batch
   // stretching + overload signals) and the client config (prefetch
@@ -103,62 +127,33 @@ Deployment::Deployment(DeploymentOptions options)
   options_.router.brownout = brownout_.get();
   options_.config.brownout = brownout_.get();
   const size_t shard_count = static_cast<size_t>(options_.key_shards);
-  const size_t replica_count = static_cast<size_t>(options_.key_replicas);
-  const size_t meta_count = static_cast<size_t>(options_.meta_replicas);
 
   // Key tier: shard 0 keeps the historical seed so an unsharded deployment
-  // is bit-identical to the pre-shard layout; backups fold the replica
-  // index into the seed the same way shards fold theirs.
+  // is bit-identical to the pre-shard layout; replicas fold their index
+  // into the seed the same way shards fold theirs.
   std::vector<const KeyService*> shard_views;
-  key_backup_services_.resize(shard_count);
-  key_backup_servers_.resize(shard_count);
+  std::vector<const ReplicaSet*> set_views;
+  key_tier_.resize(shard_count);
   for (size_t i = 0; i < shard_count; ++i) {
-    uint64_t shard_seed =
+    const uint64_t shard_seed =
         options_.seed ^ 0x1111 ^ (static_cast<uint64_t>(i) << 32);
-    key_shards_.push_back(std::make_unique<KeyService>(
-        &queue_, shard_seed, options_.key_service));
-    key_rpc_servers_.push_back(
-        std::make_unique<RpcServer>(&queue_, kServiceTime));
-    key_rpc_servers_.back()->set_admission(options_.admission);
-    for (size_t r = 1; r < replica_count; ++r) {
-      key_backup_services_[i].push_back(std::make_unique<KeyService>(
-          &queue_, shard_seed ^ (static_cast<uint64_t>(r) << 16),
-          options_.key_service));
-      key_backup_servers_[i].push_back(
-          std::make_unique<RpcServer>(&queue_, kServiceTime));
-      key_backup_servers_[i].back()->set_admission(options_.admission);
-    }
-    if (replica_count > 1) {
-      // The replica set installs each service's replicator and serve gate,
-      // which switches its RPC surface onto the async held-response path —
-      // so wire it up before BindRpc.
-      ReplicaSetOptions rs_options = options_.replica_set;
-      rs_options.seed ^= options_.seed ^ 0x9999 ^
-                         (static_cast<uint64_t>(i) << 32);
-      replica_sets_.push_back(
-          std::make_unique<ReplicaSet>(&queue_, rs_options));
-      replica_sets_[i]->AddReplica(key_shards_[i].get(),
-                                   key_rpc_servers_[i].get());
-      for (size_t r = 1; r < replica_count; ++r) {
-        replica_sets_[i]->AddReplica(key_backup_services_[i][r - 1].get(),
-                                     key_backup_servers_[i][r - 1].get());
-      }
-    }
-    for (size_t r = 0; r < replica_count; ++r) {
-      KeyService& service = key_replica(i, r);
-      RpcServer* server = &key_replica_rpc_server(i, r);
-      service.BindRpc(server);
+    AddGroup(key_tier_[i], key_replica_count(),
+             options_.seed ^ 0x9999 ^ (static_cast<uint64_t>(i) << 32),
+             [&](size_t r) {
+               return std::make_unique<KeyService>(
+                   &queue_, shard_seed ^ (static_cast<uint64_t>(r) << 16),
+                   options_.key_service);
+             });
+    for (size_t r = 0; r < key_replica_count(); ++r) {
       // Group-commit seal cost lands on the replica's own server clock, so
       // batching amortizes real (simulated) CPU, not just a counter.
-      service.set_seal_charge(
+      RpcServer* server = key_tier_[i].servers[r].get();
+      key_tier_[i].services[r]->set_seal_charge(
           [server](SimDuration d) { server->ChargeBusy(d); });
     }
-    shard_views.push_back(key_shards_[i].get());
+    shard_views.push_back(key_tier_[i].services[0].get());
+    set_views.push_back(key_tier_[i].set.get());
   }
-  key_replica_snapshots_.assign(shard_count,
-                                std::vector<Bytes>(replica_count));
-  last_crashed_replica_.assign(shard_count, 0);
-  meta_replica_snapshots_.assign(meta_count, Bytes());
 
   const PairingParams* group = options_.ibe_group != nullptr
                                    ? options_.ibe_group
@@ -168,123 +163,64 @@ Deployment::Deployment(DeploymentOptions options)
   // crash in place, and a promoted backup must mint the same unlock keys
   // replica 0 would have). Replica 0 is bit-identical to the unreplicated
   // service.
-  for (size_t r = 0; r < meta_count; ++r) {
-    meta_services_.push_back(std::make_unique<MetadataService>(
-        &queue_, options_.seed ^ 0x4444, *group, options_.meta_log));
-    meta_rpc_servers_.push_back(
-        std::make_unique<RpcServer>(&queue_, kServiceTime));
-    meta_rpc_servers_.back()->set_admission(options_.admission);
-  }
-  if (meta_count > 1) {
-    // Install replicator + serve gate before BindRpc (they switch the
-    // mutating RPC surface onto the async held-response path).
-    ReplicaSetOptions meta_rs_options = options_.replica_set;
-    meta_rs_options.seed ^= options_.seed ^ 0xAAAA;
-    meta_replica_set_ =
-        std::make_unique<MetaReplicaSet>(&queue_, meta_rs_options);
-    for (size_t r = 0; r < meta_count; ++r) {
-      meta_replica_set_->AddReplica(meta_services_[r].get(),
-                                    meta_rpc_servers_[r].get());
-    }
-  }
-  auditor_ = ForensicAuditor(shard_views, meta_services_[0].get());
-  if (!replica_sets_.empty()) {
-    std::vector<const ReplicaSet*> set_views;
-    for (const auto& set : replica_sets_) {
-      set_views.push_back(set.get());
-    }
+  AddGroup(meta_tier_, meta_replica_count(), options_.seed ^ 0xAAAA,
+           [&](size_t) {
+             return std::make_unique<MetadataService>(
+                 &queue_, options_.seed ^ 0x4444, *group, options_.meta_log);
+           });
+  auditor_ = ForensicAuditor(shard_views, meta_tier_.services[0].get());
+  if (key_replica_count() > 1) {
     auditor_.AttachReplicaSets(std::move(set_views));
   }
-  if (meta_replica_set_ != nullptr) {
-    auditor_.AttachMetaReplicaSet(meta_replica_set_.get());
+  if (meta_tier_.set != nullptr) {
+    auditor_.AttachMetaReplicaSet(meta_tier_.set.get());
   }
 
-  for (size_t r = 0; r < meta_count; ++r) {
-    meta_services_[r]->BindRpc(meta_rpc_servers_[r].get());
-  }
-
-  // One device identity across the whole tier: every shard must validate
-  // the same per-device MAC secret.
-  Bytes key_secret = key_shards_[0]->RegisterDevice(options_.device_id);
-  for (size_t i = 1; i < shard_count; ++i) {
-    key_shards_[i]->RegisterDeviceWithSecret(options_.device_id, key_secret);
-  }
-  for (size_t i = 0; i < shard_count; ++i) {
-    for (auto& backup : key_backup_services_[i]) {
-      backup->RegisterDeviceWithSecret(options_.device_id, key_secret);
+  // One device identity across the whole tier: every shard and replica
+  // validates the same per-device MAC secret. Leases and replication links
+  // spin up once every replica holds the registration.
+  KeypadFs::Credentials creds = RegisterEverywhere(options_.device_id);
+  for (auto& shard : key_tier_) {
+    if (shard.set != nullptr) {
+      shard.set->Start();
     }
   }
-  // Leases and replication links spin up once every replica holds the
-  // device registration (registration is provisioning-time state, not an
-  // audit-log mutation, so it does not travel in deltas).
-  for (auto& set : replica_sets_) {
-    set->Start();
-  }
-  Bytes meta_secret = meta_services_[0]->RegisterDevice(options_.device_id);
-  for (size_t r = 1; r < meta_count; ++r) {
-    meta_services_[r]->RegisterDeviceWithSecret(options_.device_id,
-                                                meta_secret);
-  }
-  if (meta_replica_set_ != nullptr) {
-    meta_replica_set_->Start();
+  if (meta_tier_.set != nullptr) {
+    meta_tier_.set->Start();
   }
 
+  auto connect = [&](NetworkLink* link, RpcServer* server) {
+    return std::make_unique<RpcClient>(&queue_, link, server, options_.rpc);
+  };
+  key_rpcs_.resize(shard_count);
   if (options_.paired_phone) {
     // Phone -> services over the chosen profile.
-    phone_key_rpc_ = std::make_unique<RpcClient>(&queue_, &phone_uplink_,
-                                                 key_rpc_servers_[0].get(),
-                                                 options_.rpc);
-    phone_meta_rpc_ = std::make_unique<RpcClient>(&queue_, &phone_uplink_,
-                                                  meta_rpc_servers_[0].get(),
-                                                  options_.rpc);
-    phone_key_client_ = std::make_unique<KeyServiceClient>(
-        phone_key_rpc_.get(), options_.device_id, key_secret);
-    phone_meta_client_ = std::make_unique<MetadataServiceClient>(
-        phone_meta_rpc_.get(), options_.device_id, meta_secret);
+    phone_key_rpc_ = connect(&phone_uplink_, key_tier_[0].servers[0].get());
+    phone_meta_rpc_ = connect(&phone_uplink_, meta_tier_.servers[0].get());
+    phone_key_client_ = MakeStub<KeyServiceClient>(
+        {phone_key_rpc_.get()}, creds.device_id, creds.key_secret);
+    phone_meta_client_ = MakeStub<MetadataServiceClient>(
+        {phone_meta_rpc_.get()}, creds.device_id, creds.meta_secret);
     phone_ = std::make_unique<PhoneProxy>(
         &queue_, &phone_uplink_, phone_key_client_.get(),
-        phone_meta_client_.get(), options_.device_id, key_secret, meta_secret,
-        options_.phone_options);
+        phone_meta_client_.get(), creds.device_id, creds.key_secret,
+        creds.meta_secret, options_.phone_options);
     // Laptop -> phone over Bluetooth.
-    key_rpcs_.push_back(std::make_unique<RpcClient>(
-        &queue_, &client_link_, phone_->server(), options_.rpc));
-    meta_rpc_ = std::make_unique<RpcClient>(&queue_, &client_link_,
-                                            phone_->server(), options_.rpc);
+    key_rpcs_[0].push_back(connect(&client_link_, phone_->server()));
+    meta_rpcs_.push_back(connect(&client_link_, phone_->server()));
   } else {
-    key_backup_rpcs_.resize(shard_count);
     for (size_t i = 0; i < shard_count; ++i) {
-      key_rpcs_.push_back(std::make_unique<RpcClient>(
-          &queue_, &client_link_, key_rpc_servers_[i].get(), options_.rpc));
-      for (auto& backup_server : key_backup_servers_[i]) {
-        key_backup_rpcs_[i].push_back(std::make_unique<RpcClient>(
-            &queue_, &client_link_, backup_server.get(), options_.rpc));
+      for (auto& server : key_tier_[i].servers) {
+        key_rpcs_[i].push_back(connect(&client_link_, server.get()));
       }
     }
-    meta_rpc_ = std::make_unique<RpcClient>(&queue_, &client_link_,
-                                            meta_rpc_servers_[0].get(),
-                                            options_.rpc);
-    for (size_t r = 1; r < meta_count; ++r) {
-      meta_backup_rpcs_.push_back(std::make_unique<RpcClient>(
-          &queue_, &client_link_, meta_rpc_servers_[r].get(), options_.rpc));
+    for (auto& server : meta_tier_.servers) {
+      meta_rpcs_.push_back(connect(&client_link_, server.get()));
     }
   }
-  for (size_t i = 0; i < key_rpcs_.size(); ++i) {
-    if (replica_count > 1) {
-      // Replica-aware stub: tries the last-known leader, follows NOT_LEADER
-      // redirects, and rides out one full failover (lease lapse + staggered
-      // promotion + reconciliation slack) before giving up.
-      std::vector<RpcClient*> endpoints;
-      endpoints.push_back(key_rpcs_[i].get());
-      for (auto& rpc : key_backup_rpcs_[i]) {
-        endpoints.push_back(rpc.get());
-      }
-      key_clients_.push_back(std::make_unique<KeyServiceClient>(
-          &queue_, std::move(endpoints), options_.device_id, key_secret,
-          FailoverFor(options_, options_.key_replicas)));
-    } else {
-      key_clients_.push_back(std::make_unique<KeyServiceClient>(
-          key_rpcs_[i].get(), options_.device_id, key_secret));
-    }
+  for (const auto& rpcs : key_rpcs_) {
+    key_clients_.push_back(MakeStub<KeyServiceClient>(
+        Endpoints(rpcs), creds.device_id, creds.key_secret));
   }
   if (shard_count > 1) {
     std::vector<KeyServiceClient*> stubs;
@@ -294,26 +230,16 @@ Deployment::Deployment(DeploymentOptions options)
     key_router_ = std::make_unique<ShardRouter>(&queue_, std::move(stubs),
                                                 options_.router);
   }
-  if (meta_count > 1) {
-    std::vector<RpcClient*> meta_endpoints;
-    meta_endpoints.push_back(meta_rpc_.get());
-    for (auto& rpc : meta_backup_rpcs_) {
-      meta_endpoints.push_back(rpc.get());
-    }
-    meta_client_ = std::make_unique<MetadataServiceClient>(
-        &queue_, std::move(meta_endpoints), options_.device_id, meta_secret,
-        FailoverFor(options_, options_.meta_replicas));
-  } else {
-    meta_client_ = std::make_unique<MetadataServiceClient>(
-        meta_rpc_.get(), options_.device_id, meta_secret);
-  }
+  meta_client_ = MakeStub<MetadataServiceClient>(
+      Endpoints(meta_rpcs_), creds.device_id, creds.meta_secret);
 
   if (options_.secure_channel && !options_.paired_phone) {
     // Channel roots are derived from the per-service device secrets, so
     // both ends (and a thief holding the device) can construct them.
     SimDuration rotation = options_.config.texp;
-    Bytes key_root = Hkdf(key_secret, /*salt=*/{}, "kp-channel-root", 32);
-    Bytes meta_root = Hkdf(meta_secret, /*salt=*/{}, "kp-channel-root", 32);
+    Bytes key_root = Hkdf(creds.key_secret, /*salt=*/{}, "kp-channel-root", 32);
+    Bytes meta_root =
+        Hkdf(creds.meta_secret, /*salt=*/{}, "kp-channel-root", 32);
     channel_client_rng_ =
         std::make_unique<SecureRandom>(options_.seed ^ 0x6666);
     channel_server_rng_ =
@@ -325,19 +251,19 @@ Deployment::Deployment(DeploymentOptions options)
     meta_channel_server_ =
         std::make_unique<SecureChannel>(meta_root, rotation);
 
-    key_rpcs_[0]->EnableChannelSecurity(key_channel_client_.get(),
-                                        options_.device_id,
-                                        channel_client_rng_.get());
-    meta_rpc_->EnableChannelSecurity(meta_channel_client_.get(),
+    key_rpc().EnableChannelSecurity(key_channel_client_.get(),
+                                    options_.device_id,
+                                    channel_client_rng_.get());
+    meta_rpc().EnableChannelSecurity(meta_channel_client_.get(),
                                      options_.device_id,
                                      channel_client_rng_.get());
-    key_rpc_servers_[0]->EnableChannelSecurity(
+    key_replica_rpc_server(0, 0).EnableChannelSecurity(
         [this](const std::string& device_id) -> SecureChannel* {
           return device_id == options_.device_id ? key_channel_server_.get()
                                                  : nullptr;
         },
         channel_server_rng_.get());
-    meta_rpc_servers_[0]->EnableChannelSecurity(
+    meta_replica_rpc_server(0).EnableChannelSecurity(
         [this](const std::string& device_id) -> SecureChannel* {
           return device_id == options_.device_id
                      ? meta_channel_server_.get()
@@ -347,11 +273,9 @@ Deployment::Deployment(DeploymentOptions options)
   }
 
   KeypadFs::Services services;
-  services.key = key_router_ != nullptr
-                     ? static_cast<KeyClient*>(key_router_.get())
-                     : static_cast<KeyClient*>(key_clients_[0].get());
+  services.key = &key_client();
   services.meta = meta_client_.get();
-  services.ibe = &meta_services_[0]->ibe_params();
+  services.ibe = &metadata_service().ibe_params();
 
   auto fs = KeypadFs::Format(&device_, &queue_, options_.seed ^ 0x5555,
                              options_.password, options_.fs_options,
@@ -365,10 +289,6 @@ Deployment::Deployment(DeploymentOptions options)
   // Persist the service credentials on-device (sealed under the volume
   // key), as the real client must to survive remounts — and as the paper's
   // threat model assumes a thief with the password can recover them.
-  KeypadFs::Credentials creds;
-  creds.device_id = options_.device_id;
-  creds.key_secret = key_secret;
-  creds.meta_secret = meta_secret;
   Status stored = fs_->StoreCredentials(creds);
   if (!stored.ok()) {
     KP_LOG(kError) << "deployment: credential store failed: " << stored;
@@ -386,108 +306,105 @@ Deployment::Deployment(DeploymentOptions options)
 
 Deployment::~Deployment() = default;
 
-void Deployment::CrashKeyReplica(size_t shard, size_t replica) {
-  CrashReplica(key_replica(shard, replica),
-               key_replica_rpc_server(shard, replica), replica_set(shard),
-               replica, &key_replica_snapshots_[shard][replica]);
+template <typename Service>
+Status Deployment::Apply(ReplicaGroup<Service>& group, const Fault& fault) {
+  const size_t size = group.services.size();
+  const bool partition =
+      fault.verb == Fault::kPartition || fault.verb == Fault::kHeal;
+  if (fault.replica == Fault::kLeader && partition) {
+    return InvalidArgumentError("a partition or heal names its replica");
+  }
+  if (fault.replica != Fault::kLeader && fault.replica >= size) {
+    return InvalidArgumentError("fault names replica " +
+                                std::to_string(fault.replica) + " of " +
+                                std::to_string(size));
+  }
+  ServiceReplicaSet<Service>* set = group.set.get();
+  if (partition && set == nullptr) {
+    return FailedPreconditionError("partition of an unreplicated tier");
+  }
+  size_t replica = fault.replica;
+  if (replica == Fault::kLeader && fault.verb == Fault::kRestart) {
+    replica = group.leader_crashed;
+  } else if (replica == Fault::kLeader) {
+    replica = set != nullptr ? set->current_leader() : 0;
+  }
+  Service& service = *group.services[replica];
+  RpcServer& server = *group.servers[replica];
+  Bytes& snapshot = group.snapshots[replica];
+  switch (fault.verb) {
+    case Fault::kCrash:
+      if (!snapshot.empty()) {
+        return FailedPreconditionError("replica " + std::to_string(replica) +
+                                       " is already down");
+      }
+      // The open commit window dies with the process: its staged rows never
+      // sealed (never durable) and its held responses are never sent — the
+      // clients time out and retry (against the promoted backup, if any).
+      service.AbortInFlight();
+      // The snapshot models the durable log and state the crashed process
+      // leaves on disk; the server swallows everything until restart.
+      snapshot = service.Snapshot();
+      server.set_down(true);
+      if (set != nullptr) {
+        set->NoteCrashed(replica);
+      }
+      if (fault.replica == Fault::kLeader) {
+        group.leader_crashed = replica;
+      }
+      break;
+    case Fault::kRestart: {
+      if (snapshot.empty()) {
+        return FailedPreconditionError("replica " + std::to_string(replica) +
+                                       " is up");
+      }
+      Status restored = service.Restore(snapshot);
+      if (!restored.ok()) {
+        KP_LOG(kError) << "replica " << replica << " restart: " << restored;
+        abort();
+      }
+      snapshot.clear();
+      // Completed replies are durable (written with the audit entry);
+      // requests that were mid-execution at crash time will never answer —
+      // forget them so client retries re-execute.
+      server.reply_cache().ClearInFlight();
+      server.set_down(false);
+      if (set != nullptr) {
+        // The ex-primary comes back with a possibly diverged chain: it
+        // rejoins as a backup, reconciling against whoever leads now.
+        set->NoteRestarted(replica);
+      }
+      break;
+    }
+    case Fault::kPartition:
+    case Fault::kHeal:
+      set->SetPartitioned(replica, fault.verb == Fault::kPartition);
+      break;
+  }
+  return Status::Ok();
 }
 
-void Deployment::RestartKeyReplica(size_t shard, size_t replica) {
-  RestartReplica(key_replica(shard, replica),
-                 key_replica_rpc_server(shard, replica), replica_set(shard),
-                 replica, key_replica_snapshots_[shard][replica],
-                 "key shard " + std::to_string(shard) + " replica " +
-                     std::to_string(replica));
+Status Deployment::Inject(const Fault& fault) {
+  if (fault.tier == Fault::kMeta) {
+    return fault.shard == 0
+               ? Apply(meta_tier_, fault)
+               : InvalidArgumentError("the metadata tier has no shards");
+  }
+  if (fault.shard >= key_tier_.size()) {
+    return InvalidArgumentError("fault names key shard " +
+                                std::to_string(fault.shard) + " of " +
+                                std::to_string(key_tier_.size()));
+  }
+  return Apply(key_tier_[fault.shard], fault);
 }
 
-void Deployment::CrashKeyShard(size_t i) {
-  // With replication the interesting victim is whichever replica currently
-  // leads; without it, replica 0 is the whole shard.
-  size_t replica =
-      replica_sets_.empty() ? 0 : replica_sets_[i]->current_leader();
-  last_crashed_replica_[i] = replica;
-  CrashKeyReplica(i, replica);
-}
-
-void Deployment::RestartKeyShard(size_t i) {
-  RestartKeyReplica(i, last_crashed_replica_[i]);
-}
-
-void Deployment::CrashMetaReplica(size_t replica) {
-  CrashReplica(meta_replica(replica), meta_replica_rpc_server(replica),
-               meta_replica_set(), replica, &meta_replica_snapshots_[replica]);
-}
-
-void Deployment::RestartMetaReplica(size_t replica) {
-  RestartReplica(meta_replica(replica), meta_replica_rpc_server(replica),
-                 meta_replica_set(), replica, meta_replica_snapshots_[replica],
-                 "metadata replica " + std::to_string(replica));
-}
-
-void Deployment::CrashMetadataService() {
-  // With replication the interesting victim is whichever replica currently
-  // leads; without it, replica 0 is the whole tier.
-  size_t replica = meta_replica_set_ != nullptr
-                       ? meta_replica_set_->current_leader()
-                       : 0;
-  last_crashed_meta_replica_ = replica;
-  CrashMetaReplica(replica);
-}
-
-void Deployment::RestartMetadataService() {
-  RestartMetaReplica(last_crashed_meta_replica_);
-}
-
-void Deployment::ScheduleKeyShardCrash(size_t i, SimTime at,
-                                       SimDuration outage) {
-  queue_.Schedule(at, [this, i] { CrashKeyShard(i); });
-  queue_.Schedule(at + outage, [this, i] { RestartKeyShard(i); });
-}
-
-void Deployment::ScheduleKeyReplicaCrash(size_t shard, size_t replica,
-                                         SimTime at, SimDuration outage) {
-  queue_.Schedule(at,
-                  [this, shard, replica] { CrashKeyReplica(shard, replica); });
-  queue_.Schedule(at + outage, [this, shard, replica] {
-    RestartKeyReplica(shard, replica);
+void Deployment::Schedule(SimTime at, const Fault& fault) {
+  queue_.Schedule(at, [this, fault] {
+    Status status = Inject(fault);
+    if (!status.ok()) {
+      KP_LOG(kWarning) << "scheduled fault dropped: " << status;
+    }
   });
-}
-
-void Deployment::PartitionKeyReplica(size_t shard, size_t replica,
-                                     bool partitioned) {
-  PartitionReplica(replica_set(shard), replica, partitioned);
-}
-
-void Deployment::ScheduleKeyReplicaPartition(size_t shard, size_t replica,
-                                             SimTime at,
-                                             SimDuration duration) {
-  if (!replica_sets_.empty()) {
-    replica_sets_[shard]->SchedulePartition(replica, at, duration);
-  }
-}
-
-void Deployment::ScheduleMetadataServiceCrash(SimTime at,
-                                              SimDuration outage) {
-  queue_.Schedule(at, [this] { CrashMetadataService(); });
-  queue_.Schedule(at + outage, [this] { RestartMetadataService(); });
-}
-
-void Deployment::ScheduleMetaReplicaCrash(size_t replica, SimTime at,
-                                          SimDuration outage) {
-  queue_.Schedule(at, [this, replica] { CrashMetaReplica(replica); });
-  queue_.Schedule(at + outage,
-                  [this, replica] { RestartMetaReplica(replica); });
-}
-
-void Deployment::PartitionMetaReplica(size_t replica, bool partitioned) {
-  PartitionReplica(meta_replica_set(), replica, partitioned);
-}
-
-void Deployment::ScheduleMetaReplicaPartition(size_t replica, SimTime at,
-                                              SimDuration duration) {
-  if (meta_replica_set_ != nullptr) {
-    meta_replica_set_->SchedulePartition(replica, at, duration);
-  }
 }
 
 void Deployment::ReportDeviceLost() {
@@ -498,24 +415,16 @@ void Deployment::ReportDeviceLost() {
     return service.DisableDevice(options_.device_id);
   };
   Status key_status = Status::Ok();
-  for (size_t i = 0; i < key_shards_.size(); ++i) {
-    Status s = OnKeyShardLeader(i, disable);
+  for (auto& shard : key_tier_) {
+    Status s = OnLeader(shard, disable);
     if (!s.ok() && key_status.ok()) {
       key_status = s;
     }
   }
-  Status meta_status = meta_replica_set_ != nullptr
-                           ? meta_replica_set_->MutateLeader(disable)
-                           : disable(*meta_services_[0]);
+  Status meta_status = OnLeader(meta_tier_, disable);
   if (!key_status.ok() || !meta_status.ok()) {
     KP_LOG(kWarning) << "report-lost: " << key_status << " / " << meta_status;
   }
-}
-
-Status Deployment::OnKeyShardLeader(
-    size_t shard, const std::function<Status(KeyService&)>& mutate) {
-  ReplicaSet* set = replica_set(shard);
-  return set != nullptr ? set->MutateLeader(mutate) : mutate(key_shard(shard));
 }
 
 RawDeviceAttacker Deployment::MakeAttacker() {
@@ -525,55 +434,36 @@ RawDeviceAttacker Deployment::MakeAttacker() {
 Result<Deployment::AttackerClients> Deployment::MakeAttackerClients(
     const KeypadFs::Credentials& creds) {
   AttackerClients clients;
-  clients.key_rpc = std::make_unique<RpcClient>(&queue_, &client_link_,
-                                                key_rpc_servers_[0].get(),
-                                                options_.rpc);
-  clients.meta_rpc = std::make_unique<RpcClient>(&queue_, &client_link_,
-                                                 meta_rpc_servers_[0].get(),
-                                                 options_.rpc);
+  auto connect = [&](RpcServer* server) {
+    return std::make_unique<RpcClient>(&queue_, &client_link_, server,
+                                       options_.rpc);
+  };
   // The stolen laptop's config names every replica endpoint; the thief's
   // stubs fail over between replicas exactly like the owner's did.
-  auto make_stub = [&](size_t shard, RpcClient* primary) {
-    if (key_replica_count() <= 1) {
-      return std::make_unique<KeyServiceClient>(primary, creds.device_id,
-                                                creds.key_secret);
+  auto endpoints = [&](auto& group, RpcClient* primary) {
+    std::vector<RpcClient*> rpcs{primary};
+    for (size_t r = 1; r < group.servers.size(); ++r) {
+      clients.replica_rpcs.push_back(connect(group.servers[r].get()));
+      rpcs.push_back(clients.replica_rpcs.back().get());
     }
-    std::vector<RpcClient*> endpoints;
-    endpoints.push_back(primary);
-    for (auto& backup_server : key_backup_servers_[shard]) {
-      clients.replica_rpcs.push_back(std::make_unique<RpcClient>(
-          &queue_, &client_link_, backup_server.get(), options_.rpc));
-      endpoints.push_back(clients.replica_rpcs.back().get());
-    }
-    return std::make_unique<KeyServiceClient>(
-        &queue_, std::move(endpoints), creds.device_id, creds.key_secret,
-        FailoverFor(options_, options_.key_replicas));
+    return rpcs;
   };
-  clients.key = make_stub(0, clients.key_rpc.get());
-  if (meta_replica_count() > 1) {
-    std::vector<RpcClient*> meta_endpoints;
-    meta_endpoints.push_back(clients.meta_rpc.get());
-    for (size_t r = 1; r < meta_rpc_servers_.size(); ++r) {
-      clients.replica_rpcs.push_back(std::make_unique<RpcClient>(
-          &queue_, &client_link_, meta_rpc_servers_[r].get(), options_.rpc));
-      meta_endpoints.push_back(clients.replica_rpcs.back().get());
-    }
-    clients.meta = std::make_unique<MetadataServiceClient>(
-        &queue_, std::move(meta_endpoints), creds.device_id,
-        creds.meta_secret, FailoverFor(options_, options_.meta_replicas));
-  } else {
-    clients.meta = std::make_unique<MetadataServiceClient>(
-        clients.meta_rpc.get(), creds.device_id, creds.meta_secret);
-  }
-  if (key_shards_.size() > 1) {
+  clients.key_rpc = connect(key_tier_[0].servers[0].get());
+  clients.meta_rpc = connect(meta_tier_.servers[0].get());
+  clients.key = MakeStub<KeyServiceClient>(
+      endpoints(key_tier_[0], clients.key_rpc.get()), creds.device_id,
+      creds.key_secret);
+  clients.meta = MakeStub<MetadataServiceClient>(
+      endpoints(meta_tier_, clients.meta_rpc.get()), creds.device_id,
+      creds.meta_secret);
+  if (key_tier_.size() > 1) {
     // The thief rebuilds the same router the legitimate client ran.
-    std::vector<KeyServiceClient*> stubs;
-    stubs.push_back(clients.key.get());
-    for (size_t i = 1; i < key_shards_.size(); ++i) {
-      clients.shard_rpcs.push_back(std::make_unique<RpcClient>(
-          &queue_, &client_link_, key_rpc_servers_[i].get(), options_.rpc));
-      clients.shard_stubs.push_back(
-          make_stub(i, clients.shard_rpcs.back().get()));
+    std::vector<KeyServiceClient*> stubs{clients.key.get()};
+    for (size_t i = 1; i < key_tier_.size(); ++i) {
+      clients.shard_rpcs.push_back(connect(key_tier_[i].servers[0].get()));
+      clients.shard_stubs.push_back(MakeStub<KeyServiceClient>(
+          endpoints(key_tier_[i], clients.shard_rpcs.back().get()),
+          creds.device_id, creds.key_secret));
       stubs.push_back(clients.shard_stubs.back().get());
     }
     // The thief's router does not share the owner's brownout controller —
@@ -604,7 +494,7 @@ Result<Deployment::AttackerClients> Deployment::MakeAttackerClients(
           ? static_cast<KeyClient*>(clients.router.get())
           : static_cast<KeyClient*>(clients.key.get());
   clients.services.meta = clients.meta.get();
-  clients.services.ibe = &meta_services_[0]->ibe_params();
+  clients.services.ibe = &metadata_service().ibe_params();
   return clients;
 }
 
@@ -647,28 +537,15 @@ Result<Deployment::ReplacementDevice> Deployment::EnrollReplacementDevice(
   }
 
   // Provision the new identity everywhere the old one lived: one MAC
-  // secret per tier, shared across all shards and replicas (registration
-  // is provisioning-time state, not an audit-log mutation).
-  Bytes key_secret = key_shards_[0]->RegisterDevice(new_device_id);
-  for (size_t i = 1; i < key_shards_.size(); ++i) {
-    key_shards_[i]->RegisterDeviceWithSecret(new_device_id, key_secret);
-  }
-  for (auto& backups : key_backup_services_) {
-    for (auto& backup : backups) {
-      backup->RegisterDeviceWithSecret(new_device_id, key_secret);
-    }
-  }
-  Bytes meta_secret = meta_services_[0]->RegisterDevice(new_device_id);
-  for (size_t r = 1; r < meta_services_.size(); ++r) {
-    meta_services_[r]->RegisterDeviceWithSecret(new_device_id, meta_secret);
-  }
+  // secret per tier, shared across all shards and replicas.
+  KeypadFs::Credentials creds = RegisterEverywhere(new_device_id);
 
   // Re-bind the stolen device's keys to the new identity. The transfer
   // refuses unless the old device is already disabled (ReportDeviceLost
   // first), so a premature "restore" can never widen access while the
   // stolen laptop's identity is still live.
-  for (size_t i = 0; i < key_shards_.size(); ++i) {
-    KP_RETURN_IF_ERROR(OnKeyShardLeader(i, [&](KeyService& service) {
+  for (auto& shard : key_tier_) {
+    KP_RETURN_IF_ERROR(OnLeader(shard, [&](KeyService& service) {
       return service.TransferDeviceKeys(options_.device_id, new_device_id);
     }));
   }
@@ -682,10 +559,6 @@ Result<Deployment::ReplacementDevice> Deployment::EnrollReplacementDevice(
 
   // Stub wiring is identity-driven, so the attacker-clients builder serves
   // the rightful owner's new hardware just as well.
-  KeypadFs::Credentials creds;
-  creds.device_id = new_device_id;
-  creds.key_secret = key_secret;
-  creds.meta_secret = meta_secret;
   KP_ASSIGN_OR_RETURN(replacement.clients, MakeAttackerClients(creds));
 
   KP_ASSIGN_OR_RETURN(

@@ -13,7 +13,6 @@
 #ifndef SRC_KEYPAD_DEPLOYMENT_H_
 #define SRC_KEYPAD_DEPLOYMENT_H_
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -103,6 +102,32 @@ struct DeploymentOptions {
   CloudStoreOptions cloud;
 };
 
+// One service fault (DESIGN.md §23): a crash, restart, partition or heal of
+// one replica of one audit tier. Faults are plain values, so a schedule of
+// them is data; Deployment::Inject applies one now, Deployment::Schedule at
+// a virtual instant.
+struct Fault {
+  enum Verb { kCrash, kRestart, kPartition, kHeal };
+  enum Tier { kKey, kMeta };
+  // Crashes and restarts may name the leader instead of a replica: kCrash
+  // resolves it to the replica leading at injection time and records the
+  // victim, kRestart to the replica the group's last leader crash took
+  // down. Partitions and heals name their replica.
+  static constexpr size_t kLeader = static_cast<size_t>(-1);
+
+  Verb verb = kCrash;
+  Tier tier = kKey;
+  size_t shard = 0;  // Key tier only; the metadata tier is one group.
+  size_t replica = kLeader;
+
+  static Fault Key(Verb verb, size_t shard, size_t replica = kLeader) {
+    return {verb, kKey, shard, replica};
+  }
+  static Fault Meta(Verb verb, size_t replica = kLeader) {
+    return {verb, kMeta, 0, replica};
+  }
+};
+
 class Deployment {
  public:
   explicit Deployment(DeploymentOptions options);
@@ -110,28 +135,22 @@ class Deployment {
 
   EventQueue& queue() { return queue_; }
   KeypadFs& fs() { return *fs_; }
-  // Shard 0 — the whole tier when key_shards == 1 (the historical layout).
-  // With replication this is the shard's replica 0 (the initial primary),
-  // which may no longer lead after a failover; see replica_set().
-  KeyService& key_service() { return *key_shards_[0]; }
-  size_t key_shard_count() const { return key_shards_.size(); }
-  KeyService& key_shard(size_t i) { return *key_shards_[i]; }
-  // Replication accessors. replica 0 of shard i is key_shard(i) itself;
-  // replicas 1..R−1 are the backups. replica_set(i) is null when R == 1.
+  // Shard 0's replica 0 — the whole tier when unsharded and unreplicated.
+  // With replication it may no longer lead after a failover; see
+  // replica_set().
+  KeyService& key_service() { return key_replica(0, 0); }
+  size_t key_shard_count() const { return key_tier_.size(); }
   size_t key_replica_count() const {
     return static_cast<size_t>(options_.key_replicas);
   }
   KeyService& key_replica(size_t shard, size_t replica) {
-    return replica == 0 ? *key_shards_[shard]
-                        : *key_backup_services_[shard][replica - 1];
+    return *key_tier_[shard].services[replica];
   }
   RpcServer& key_replica_rpc_server(size_t shard, size_t replica) {
-    return replica == 0 ? *key_rpc_servers_[shard]
-                        : *key_backup_servers_[shard][replica - 1];
+    return *key_tier_[shard].servers[replica];
   }
-  ReplicaSet* replica_set(size_t shard) {
-    return replica_sets_.empty() ? nullptr : replica_sets_[shard].get();
-  }
+  // Null when key_replicas == 1.
+  ReplicaSet* replica_set(size_t shard) { return key_tier_[shard].set.get(); }
   // The replica-aware stub for shard i (what the router routes to).
   KeyServiceClient& key_stub(size_t i) { return *key_clients_[i]; }
   // Null when unsharded (KeypadFs talks straight to the shard-0 stub).
@@ -146,16 +165,16 @@ class Deployment {
   // Replica 0 — the whole metadata tier when meta_replicas == 1. With
   // replication this is the initial primary, which may no longer lead
   // after a failover; see meta_replica_set().
-  MetadataService& metadata_service() { return *meta_services_[0]; }
+  MetadataService& metadata_service() { return meta_replica(0); }
   size_t meta_replica_count() const {
     return static_cast<size_t>(options_.meta_replicas);
   }
-  MetadataService& meta_replica(size_t r) { return *meta_services_[r]; }
+  MetadataService& meta_replica(size_t r) { return *meta_tier_.services[r]; }
   RpcServer& meta_replica_rpc_server(size_t r) {
-    return *meta_rpc_servers_[r];
+    return *meta_tier_.servers[r];
   }
   // Null when meta_replicas == 1.
-  MetaReplicaSet* meta_replica_set() { return meta_replica_set_.get(); }
+  MetaReplicaSet* meta_replica_set() { return meta_tier_.set.get(); }
   // The laptop's (replica-aware) metadata stub.
   MetadataServiceClient& meta_client() { return *meta_client_; }
   ForensicAuditor& auditor() { return auditor_; }
@@ -169,63 +188,33 @@ class Deployment {
   // The laptop's network link (to the services, or to the phone when
   // paired). Disconnect it to model offline operation or theft isolation.
   NetworkLink& client_link() { return client_link_; }
-  // The phone's uplink (only meaningful when paired).
-  NetworkLink& phone_uplink() { return phone_uplink_; }
 
-  // RPC plumbing, exposed for fault-injection tests and benches. The
-  // unqualified key accessors mean shard 0.
-  RpcServer& key_rpc_server() { return *key_rpc_servers_[0]; }
-  RpcServer& key_shard_rpc_server(size_t i) { return *key_rpc_servers_[i]; }
-  RpcServer& meta_rpc_server() { return *meta_rpc_servers_[0]; }
-  RpcClient& key_rpc() { return *key_rpcs_[0]; }
-  RpcClient& key_shard_rpc(size_t i) { return *key_rpcs_[i]; }
-  RpcClient& meta_rpc() { return *meta_rpc_; }
+  // The laptop's RpcClient to each tier's replica 0 (to the phone when
+  // paired), exposed for benches.
+  RpcClient& key_rpc() { return key_shard_rpc(0); }
+  RpcClient& key_shard_rpc(size_t i) { return *key_rpcs_[i][0]; }
+  RpcClient& meta_rpc() { return *meta_rpcs_[0]; }
 
-  // --- Crash/restart simulation. --------------------------------------------
+  // --- Service faults (DESIGN.md §23). --------------------------------------
   //
-  // CrashXxx marks the service's RPC server down (requests are swallowed)
-  // and snapshots the durable state as of the crash instant; RestartXxx
-  // rebuilds the service in place from that snapshot and brings the server
-  // back up. In-flight requests that had not reached the durable log are
-  // lost, exactly as a process crash loses them; the reply cache's
-  // completed window is durable (DESIGN.md §7) so only in-flight dedup
-  // marks are cleared. ScheduleXxx wires both onto the event queue.
-  // Per-shard crash/restart; the legacy names mean shard 0. A crash drops
-  // any group-commit window still staged (entries that never sealed were
-  // never durable — clients retry) along with its unsent responses.
-  // With replication, CrashKeyShard kills the shard's *current leader*
-  // (whichever replica that is at crash time) and RestartKeyShard brings
-  // that same replica back; CrashKeyReplica targets a specific replica.
-  void CrashKeyShard(size_t i);
-  void RestartKeyShard(size_t i);
-  void CrashKeyService() { CrashKeyShard(0); }
-  void RestartKeyService() { RestartKeyShard(0); }
-  void CrashKeyReplica(size_t shard, size_t replica);
-  void RestartKeyReplica(size_t shard, size_t replica);
-  // With replication, CrashMetadataService kills the metadata tier's
-  // *current leader* and RestartMetadataService brings that same replica
-  // back; CrashMetaReplica targets a specific replica.
-  void CrashMetadataService();
-  void RestartMetadataService();
-  void CrashMetaReplica(size_t replica);
-  void RestartMetaReplica(size_t replica);
-  void ScheduleKeyShardCrash(size_t i, SimTime at, SimDuration outage);
-  void ScheduleKeyServiceCrash(SimTime at, SimDuration outage) {
-    ScheduleKeyShardCrash(0, at, outage);
-  }
-  void ScheduleKeyReplicaCrash(size_t shard, size_t replica, SimTime at,
-                               SimDuration outage);
-  // Silently partitions one replica off the replication mesh (its client
-  // link stays up — the split-brain scenario). No-op when unreplicated.
-  void PartitionKeyReplica(size_t shard, size_t replica, bool partitioned);
-  void ScheduleKeyReplicaPartition(size_t shard, size_t replica, SimTime at,
-                                   SimDuration duration);
-  void ScheduleMetadataServiceCrash(SimTime at, SimDuration outage);
-  void ScheduleMetaReplicaCrash(size_t replica, SimTime at,
-                                SimDuration outage);
-  void PartitionMetaReplica(size_t replica, bool partitioned);
-  void ScheduleMetaReplicaPartition(size_t replica, SimTime at,
-                                    SimDuration duration);
+  // A crash marks the replica's RPC server down (requests are swallowed),
+  // drops its open group-commit window with the unsent responses (rows
+  // that never sealed were never durable — clients retry), and snapshots
+  // the durable state as of the crash instant. A restart rebuilds the
+  // service in place from that snapshot and brings the server back; with
+  // replication it rejoins as a backup and reconciles. The reply cache's
+  // completed window is durable (DESIGN.md §7), so only in-flight dedup
+  // marks are cleared. A partition silently cuts one replica off the
+  // replication mesh while its client link stays up (split brain).
+  //
+  // Inject returns InvalidArgument for a shard or replica outside the
+  // deployment or a partition or heal of kLeader, and FailedPrecondition —
+  // changing nothing — for a crash of a down replica, a restart of an up
+  // one, or a partition or heal on an unreplicated tier.
+  Status Inject(const Fault& fault);
+  // Injects `fault` at `at`; a fault that fails when it fires is logged and
+  // dropped. A crash with an outage is two calls: kCrash, then kRestart.
+  void Schedule(SimTime at, const Fault& fault);
 
   // Total bytes Keypad moved over the client link (bandwidth accounting).
   uint64_t ClientBytesSent() const { return client_link_.bytes_sent(); }
@@ -296,32 +285,51 @@ class Deployment {
       const std::string& new_device_id);
 
  private:
-  // Runs an admin mutation on key shard `shard`: through its replica set's
-  // leader (which ships the result to the backups at once) when
-  // replicated, on the shard itself otherwise.
-  Status OnKeyShardLeader(size_t shard,
-                          const std::function<Status(KeyService&)>& mutate);
+  // One audit tier's replica group: a key shard, or the metadata tier.
+  // Replica 0 is the initial primary (the whole group when unreplicated);
+  // `set` coordinates the group and is null when it has one replica.
+  template <typename Service>
+  struct ReplicaGroup {
+    std::vector<std::unique_ptr<Service>> services;
+    std::vector<std::unique_ptr<RpcServer>> servers;
+    std::unique_ptr<ServiceReplicaSet<Service>> set;
+    // Durable state each replica left at its crash; empty while it is up.
+    std::vector<Bytes> snapshots;
+    // The replica the last leader crash took down.
+    size_t leader_crashed = 0;
+  };
+
+  // Builds `replicas` services (make_service(r)) and their RPC servers,
+  // the replica set when replicas > 1 (seeded with set_seed), and binds
+  // each service's RPC surface.
+  template <typename Service, typename Make>
+  void AddGroup(ReplicaGroup<Service>& group, size_t replicas,
+                uint64_t set_seed, Make make_service);
+  // Registers `device_id` with every replica of both tiers under one MAC
+  // secret per tier, minted by the tier's first service.
+  KeypadFs::Credentials RegisterEverywhere(const std::string& device_id);
+  // A tier stub over one RpcClient per replica: plain with one endpoint,
+  // replica-aware (leader hint, redirects, failover budget) otherwise.
+  template <typename Stub>
+  std::unique_ptr<Stub> MakeStub(std::vector<RpcClient*> rpcs,
+                                 const std::string& device_id,
+                                 const Bytes& secret);
+  // Runs an admin mutation through the group's leader (which ships it to
+  // the backups at once) when replicated, on replica 0 otherwise.
+  template <typename Service, typename Mutate>
+  static Status OnLeader(ReplicaGroup<Service>& group, Mutate mutate);
+  template <typename Service>
+  static Status Apply(ReplicaGroup<Service>& group, const Fault& fault);
 
   DeploymentOptions options_;
   EventQueue queue_;
   BlockDevice device_;
 
-  // Services and their RPC servers. The key tier is a vector of shards
-  // (size 1 reproduces the historical single-service layout exactly).
-  // key_shards_[i] is shard i's replica 0; with key_replicas R > 1 the
-  // backups live in key_backup_services_[i][0..R−2] and one ReplicaSet per
-  // shard coordinates the whole group.
-  std::vector<std::unique_ptr<KeyService>> key_shards_;
-  std::vector<std::unique_ptr<RpcServer>> key_rpc_servers_;
-  std::vector<std::vector<std::unique_ptr<KeyService>>> key_backup_services_;
-  std::vector<std::vector<std::unique_ptr<RpcServer>>> key_backup_servers_;
-  std::vector<std::unique_ptr<ReplicaSet>> replica_sets_;
-  // Metadata tier: meta_services_[0] is the initial primary (the whole
-  // tier when unreplicated); with meta_replicas R > 1 the backups follow
-  // and one MetaReplicaSet coordinates the group.
-  std::vector<std::unique_ptr<MetadataService>> meta_services_;
-  std::vector<std::unique_ptr<RpcServer>> meta_rpc_servers_;
-  std::unique_ptr<MetaReplicaSet> meta_replica_set_;
+  // Services and their RPC servers: one group per key shard (one shard
+  // reproduces the historical single-service layout exactly) and one for
+  // the metadata tier.
+  std::vector<ReplicaGroup<KeyService>> key_tier_;
+  ReplicaGroup<MetadataService> meta_tier_;
 
   // Links.
   NetworkLink client_link_;   // Laptop -> services (or -> phone).
@@ -343,14 +351,12 @@ class Deployment {
   std::unique_ptr<SecureChannel> meta_channel_client_;
   std::unique_ptr<SecureChannel> meta_channel_server_;
 
-  // Laptop-side plumbing: one RpcClient + stub per key shard, and the
-  // router over them when sharded. key_rpcs_[i] reaches shard i's replica
-  // 0; key_backup_rpcs_[i] reach its backups (all over client_link_), and
-  // the shard's stub routes across the whole group.
-  std::vector<std::unique_ptr<RpcClient>> key_rpcs_;
-  std::vector<std::vector<std::unique_ptr<RpcClient>>> key_backup_rpcs_;
-  std::unique_ptr<RpcClient> meta_rpc_;
-  std::vector<std::unique_ptr<RpcClient>> meta_backup_rpcs_;
+  // Laptop-side plumbing, all over client_link_: key_rpcs_[shard][replica]
+  // and meta_rpcs_[replica] (one phone endpoint each when paired), one stub
+  // per key shard routing across its group, and the router over the stubs
+  // when sharded.
+  std::vector<std::vector<std::unique_ptr<RpcClient>>> key_rpcs_;
+  std::vector<std::unique_ptr<RpcClient>> meta_rpcs_;
   std::vector<std::unique_ptr<KeyServiceClient>> key_clients_;
   std::unique_ptr<BrownoutController> brownout_;
   std::unique_ptr<ShardRouter> key_router_;
@@ -362,14 +368,6 @@ class Deployment {
   std::unique_ptr<WriteBackQueue> write_back_;
 
   ForensicAuditor auditor_;
-
-  // Crash-time snapshots of the services' durable state, per replica
-  // ([shard][replica]; column 0 is the unreplicated case), plus which
-  // replica the last CrashKeyShard(i) actually took down.
-  std::vector<std::vector<Bytes>> key_replica_snapshots_;
-  std::vector<size_t> last_crashed_replica_;
-  std::vector<Bytes> meta_replica_snapshots_;
-  size_t last_crashed_meta_replica_ = 0;
 };
 
 }  // namespace keypad

@@ -31,8 +31,6 @@ namespace keypad {
 
 class KeyServiceClient : public KeyClient {
  public:
-  using FailoverOptions = keypad::FailoverOptions;
-
   // Single-endpoint stub (one shard, no replicas) — the historical layout.
   KeyServiceClient(RpcClient* rpc, std::string device_id, Bytes device_secret)
       : device_id_(std::move(device_id)),
@@ -47,11 +45,6 @@ class KeyServiceClient : public KeyClient {
       : device_id_(std::move(device_id)),
         device_secret_(std::move(device_secret)),
         router_(queue, std::move(replicas), MakeFramer(), failover) {}
-
-  KeyServiceClient(EventQueue* queue, std::vector<RpcClient*> replicas,
-                   std::string device_id, Bytes device_secret)
-      : KeyServiceClient(queue, std::move(replicas), std::move(device_id),
-                         std::move(device_secret), FailoverOptions()) {}
 
   Result<Bytes> CreateKey(const AuditId& audit_id) override;
   Result<Bytes> GetKey(const AuditId& audit_id,

@@ -25,8 +25,6 @@ namespace keypad {
 
 class MetadataServiceClient {
  public:
-  using FailoverOptions = keypad::FailoverOptions;
-
   // Single-endpoint stub (unreplicated service) — the historical layout.
   MetadataServiceClient(RpcClient* rpc, std::string device_id,
                         Bytes device_secret)
@@ -42,12 +40,6 @@ class MetadataServiceClient {
       : device_id_(std::move(device_id)),
         device_secret_(std::move(device_secret)),
         router_(queue, std::move(replicas), MakeFramer(), failover) {}
-
-  MetadataServiceClient(EventQueue* queue, std::vector<RpcClient*> replicas,
-                        std::string device_id, Bytes device_secret)
-      : MetadataServiceClient(queue, std::move(replicas),
-                              std::move(device_id), std::move(device_secret),
-                              FailoverOptions()) {}
 
   Status RegisterRoot(const DirId& root_id);
 

@@ -7,6 +7,15 @@ namespace keypad {
 
 namespace {
 
+// Pause between full no-leader cycles.
+constexpr SimDuration kCyclePause = SimDuration::Millis(100);
+// How long a replica whose transport just failed (crash, partition,
+// timeout ladder exhausted) is skipped before being probed again. While a
+// failover is in flight this keeps the stub polling the live promotion
+// candidate instead of burning another retry ladder on the dead
+// ex-leader, so goodput resumes ~one lease after the kill.
+constexpr SimDuration kProbeBackoff = SimDuration::Seconds(3);
+
 // Parses the replica index out of a serve-gate "NOT_LEADER:<i>" rejection.
 bool ParseNotLeader(const Status& status, size_t* target) {
   if (status.code() != StatusCode::kFailedPrecondition) {
@@ -130,7 +139,7 @@ void ReplicaRouter::StepAsync(std::shared_ptr<AsyncRoute> route) {
         }
         if (status.code() == StatusCode::kUnavailable) {
           route->dead_until[route->idx] =
-              queue_->Now() + failover_.probe_backoff;
+              queue_->Now() + kProbeBackoff;
         } else {
           route->last_alive = route->idx;
         }
@@ -157,7 +166,7 @@ void ReplicaRouter::StepAsync(std::shared_ptr<AsyncRoute> route) {
           return;
         }
         route->tried_in_cycle = 0;
-        queue_->ScheduleAfter(failover_.pause, [this, route] {
+        queue_->ScheduleAfter(kCyclePause, [this, route] {
           if (route->last_alive != static_cast<size_t>(-1) &&
               route->dead_until[route->last_alive] <= queue_->Now()) {
             route->idx = route->last_alive;

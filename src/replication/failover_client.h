@@ -35,14 +35,6 @@ struct FailoverOptions {
   // Overall budget for riding out one leader failover (should cover
   // lease_duration + promote_stagger * replicas + slack).
   SimDuration budget = SimDuration::Seconds(8);
-  // Pause between full no-leader cycles.
-  SimDuration pause = SimDuration::Millis(100);
-  // How long a replica whose transport just failed (crash, partition,
-  // timeout ladder exhausted) is skipped before being probed again.
-  // While a failover is in flight this keeps the stub polling the live
-  // promotion candidate instead of burning another retry ladder on the
-  // dead ex-leader, so goodput resumes ~one lease after the kill.
-  SimDuration probe_backoff = SimDuration::Seconds(3);
 };
 
 // Completion adapters for the typed stubs' async methods: a failed call's
@@ -83,7 +75,7 @@ class ReplicaRouter {
   // Replica-set router: one RpcClient per replica, in replica-index order
   // (NOT_LEADER redirects are indices into this list).
   ReplicaRouter(EventQueue* queue, std::vector<RpcClient*> replicas,
-                Framer framer, FailoverOptions failover = {})
+                Framer framer, FailoverOptions failover)
       : queue_(queue),
         framer_(std::move(framer)),
         replicas_(std::move(replicas)),

@@ -905,12 +905,6 @@ void ReplicaSetEngine::SetPartitioned(size_t i, bool partitioned) {
   }
 }
 
-void ReplicaSetEngine::SchedulePartition(size_t i, SimTime at,
-                                         SimDuration duration) {
-  queue_->Schedule(at, [this, i] { SetPartitioned(i, true); });
-  queue_->Schedule(at + duration, [this, i] { SetPartitioned(i, false); });
-}
-
 // --- Admin path. ------------------------------------------------------------
 
 Status ReplicaSetEngine::MutateOnLeader(

@@ -145,7 +145,6 @@ class ReplicaSetEngine {
   // touched — a partitioned primary still serves, which is exactly the
   // split-brain scenario reconciliation exists for.
   void SetPartitioned(size_t i, bool partitioned);
-  void SchedulePartition(size_t i, SimTime at, SimDuration duration);
 
   // --- Admin path. --------------------------------------------------------
 

@@ -72,9 +72,6 @@ class ServiceReplicaSet {
   void SetPartitioned(size_t i, bool partitioned) {
     engine_.SetPartitioned(i, partitioned);
   }
-  void SchedulePartition(size_t i, SimTime at, SimDuration duration) {
-    engine_.SchedulePartition(i, at, duration);
-  }
 
   // --- Admin path (device disable, restore-after-theft re-binding). -------
 

@@ -270,8 +270,8 @@ TEST(AuditLogLifecycleTest, ServiceSnapshotRestoreCarriesTruncatedChain) {
   // Crash + restart runs Snapshot() → Restore() over the truncated log;
   // the restored chain must keep the base/checkpoint anchors, not fail or
   // silently reset to genesis.
-  dep.CrashKeyService();
-  dep.RestartKeyService();
+  ASSERT_TRUE(dep.Inject(Fault::Key(Fault::kCrash, 0)).ok());
+  ASSERT_TRUE(dep.Inject(Fault::Key(Fault::kRestart, 0)).ok());
   KeyService& restored = dep.key_service();
   EXPECT_EQ(restored.log().size(), size_before);
   EXPECT_GT(restored.log().base_seq(), 0u);
@@ -359,8 +359,8 @@ TEST(AuditLogLifecycleTest, TruncatingRestartIsBenignButRestoreStillResyncs) {
   // Truncating restart: snapshot → restore bumps the restore epoch but the
   // chain is unchanged. The old code resynced on any epoch change; the
   // checkpoint comparison proves the restart benign.
-  dep.CrashKeyService();
-  dep.RestartKeyService();
+  ASSERT_TRUE(dep.Inject(Fault::Key(Fault::kCrash, 0)).ok());
+  ASSERT_TRUE(dep.Inject(Fault::Key(Fault::kRestart, 0)).ok());
   ASSERT_TRUE(fs.Create("/after-restart").ok());
   dep.queue().AdvanceBy(SimDuration::Seconds(1));
   auto second =
@@ -536,7 +536,7 @@ FailoverOutcome RunPartitionScenario(bool truncate) {
     EXPECT_EQ(dep.key_replica(0, 1).log().base_seq(), 0u);
   }
 
-  dep.PartitionKeyReplica(0, 0, true);
+  EXPECT_TRUE(dep.Inject(Fault::Key(Fault::kPartition, 0, 0)).ok());
   std::vector<AuditId> partition_ids;
   for (int i = 0; i < 3; ++i) {
     std::string path = "/part" + std::to_string(i);
@@ -548,7 +548,7 @@ FailoverOutcome RunPartitionScenario(bool truncate) {
   dep.queue().AdvanceBy(SimDuration::Seconds(4));
   EXPECT_GE(set->stats().promotions, 1u);
 
-  dep.CrashKeyReplica(0, 0);
+  EXPECT_TRUE(dep.Inject(Fault::Key(Fault::kCrash, 0, 0)).ok());
   for (int i = 0; i < 2; ++i) {
     std::string path = "/post" + std::to_string(i);
     EXPECT_TRUE(fs.Create(path).ok());
@@ -558,8 +558,8 @@ FailoverOutcome RunPartitionScenario(bool truncate) {
   // Heal and restart: the ex-primary adopts the new leader's chain and its
   // partition-era suffix — beyond the proven common prefix, which on this
   // side starts above a truncated base — surfaces as orphans.
-  dep.PartitionKeyReplica(0, 0, false);
-  dep.RestartKeyReplica(0, 0);
+  EXPECT_TRUE(dep.Inject(Fault::Key(Fault::kHeal, 0, 0)).ok());
+  EXPECT_TRUE(dep.Inject(Fault::Key(Fault::kRestart, 0, 0)).ok());
   dep.queue().AdvanceBy(SimDuration::Seconds(5));
   EXPECT_FALSE(set->is_leader(0));
 
@@ -617,7 +617,7 @@ TEST(AuditLogFailoverTest, FreshAuditorCatchesUpFromPromotedBackup) {
   }
   dep.queue().AdvanceBy(SimDuration::Seconds(1));
 
-  dep.CrashKeyShard(0);
+  ASSERT_TRUE(dep.Inject(Fault::Key(Fault::kCrash, 0)).ok());
   dep.queue().AdvanceBy(SimDuration::Seconds(4));
   ASSERT_EQ(set->current_leader(), 1u);
   ASSERT_TRUE(fs.Create("/post").ok());

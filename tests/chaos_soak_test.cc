@@ -54,6 +54,8 @@ SoakResult RunSoak(uint64_t seed, int key_replicas = 1,
   }
   Deployment dep(options);
   auto& fs = dep.fs();
+  RpcServer& key_server = dep.key_replica_rpc_server(0, 0);
+  RpcServer& meta_server = dep.meta_replica_rpc_server(0);
   if (overload) {
     // Admission-controlled key tier with a tight sojourn target: the
     // saturation spikes below push it into the overloaded state, where
@@ -62,7 +64,7 @@ SoakResult RunSoak(uint64_t seed, int key_replicas = 1,
     adm.enabled = true;
     adm.target_sojourn = SimDuration::Millis(2);
     adm.overload_interval = SimDuration::Millis(20);
-    dep.key_rpc_server().set_admission(adm);
+    key_server.set_admission(adm);
   }
 
   LinkChaosOptions chaos;
@@ -77,16 +79,18 @@ SoakResult RunSoak(uint64_t seed, int key_replicas = 1,
 
   // Both services die and come back mid-workload, at different times.
   SimTime t0 = dep.queue().Now();
-  dep.ScheduleKeyServiceCrash(t0 + SimDuration::Seconds(60),
-                              SimDuration::Seconds(20));
-  dep.ScheduleMetadataServiceCrash(t0 + SimDuration::Seconds(150),
-                                   SimDuration::Seconds(20));
+  dep.Schedule(t0 + SimDuration::Seconds(60), Fault::Key(Fault::kCrash, 0));
+  dep.Schedule(t0 + SimDuration::Seconds(80), Fault::Key(Fault::kRestart, 0));
+  dep.Schedule(t0 + SimDuration::Seconds(150), Fault::Meta(Fault::kCrash));
+  dep.Schedule(t0 + SimDuration::Seconds(170), Fault::Meta(Fault::kRestart));
   if (meta_replicas > 1) {
     // Replicated metadata tier: pile a second kill/heal cycle onto the
     // backup that promoted after the 150 s leader kill, so the soak rides
     // through two metadata failovers plus a rejoin mid-chaos.
-    dep.ScheduleMetaReplicaCrash(1, t0 + SimDuration::Seconds(190),
-                                 SimDuration::Seconds(20));
+    dep.Schedule(t0 + SimDuration::Seconds(190),
+                 Fault::Meta(Fault::kCrash, 1));
+    dep.Schedule(t0 + SimDuration::Seconds(210),
+                 Fault::Meta(Fault::kRestart, 1));
   }
 
   SimRandom rng(seed * 1000003);
@@ -98,7 +102,7 @@ SoakResult RunSoak(uint64_t seed, int key_replicas = 1,
       // seconds. Demand fetches landing in the spike either time out
       // (feeding the budget-gated retry ladder) or draw REJECTED once
       // the CoDel clock declares the tier overloaded.
-      dep.key_rpc_server().ChargeBusy(SimDuration::Seconds(5));
+      key_server.ChargeBusy(SimDuration::Seconds(5));
     }
     uint64_t roll = rng.UniformU64(10);
     if (roll < 4 || files.empty()) {
@@ -142,8 +146,8 @@ SoakResult RunSoak(uint64_t seed, int key_replicas = 1,
   dep.queue().AdvanceBy(options.config.texp * 2 + SimDuration::Seconds(2));
 
   EXPECT_GT(result.created, 10) << "seed " << seed;
-  EXPECT_FALSE(dep.key_rpc_server().down());
-  EXPECT_FALSE(dep.meta_rpc_server().down());
+  EXPECT_FALSE(key_server.down());
+  EXPECT_FALSE(meta_server.down());
 
   // Invariant: hash chains intact across crash/restart.
   EXPECT_TRUE(dep.key_service().log().Verify().ok()) << "seed " << seed;
@@ -175,15 +179,15 @@ SoakResult RunSoak(uint64_t seed, int key_replicas = 1,
 
   // The chaos actually bit: the at-most-once layer absorbed replays, the
   // client retried, and the crashed servers swallowed traffic.
-  uint64_t dedup_work = dep.key_rpc_server().reply_cache().hits() +
-                        dep.key_rpc_server().reply_cache().in_flight_drops() +
-                        dep.meta_rpc_server().reply_cache().hits() +
-                        dep.meta_rpc_server().reply_cache().in_flight_drops();
+  uint64_t dedup_work = key_server.reply_cache().hits() +
+                        key_server.reply_cache().in_flight_drops() +
+                        meta_server.reply_cache().hits() +
+                        meta_server.reply_cache().in_flight_drops();
   EXPECT_GE(dedup_work, 1u) << "seed " << seed;
   EXPECT_GT(dep.key_rpc().attempts_started(), dep.key_rpc().calls_started())
       << "seed " << seed;
-  EXPECT_GE(dep.key_rpc_server().requests_dropped(), 1u) << "seed " << seed;
-  EXPECT_GE(dep.meta_rpc_server().requests_dropped(), 1u) << "seed " << seed;
+  EXPECT_GE(key_server.requests_dropped(), 1u) << "seed " << seed;
+  EXPECT_GE(meta_server.requests_dropped(), 1u) << "seed " << seed;
 
   // Replicated runs: the leader crash above hit the shard's current
   // leader, a backup promoted through the chaos, and the ex-primary
@@ -240,15 +244,14 @@ SoakResult RunSoak(uint64_t seed, int key_replicas = 1,
   result.meta_log_size = dep.metadata_service().log().records().size();
   result.key_log_tip = dep.key_service().log().entries().back().entry_hash;
   result.attempts = dep.key_rpc().attempts_started();
-  result.sheds = dep.key_rpc_server().requests_shed() +
-                 dep.key_rpc_server().deadline_expired();
+  result.sheds = key_server.requests_shed() + key_server.deadline_expired();
   result.rejects_seen = dep.key_rpc().calls_rejected_by_server();
   result.retries_denied = dep.key_rpc().retries_budget_denied();
   if (overload) {
     // The overload phase actually bit: the tier went overloaded, shed
     // work with explicit REJECTED, and the client observed it — and the
     // audit invariants above all held anyway.
-    EXPECT_GE(dep.key_rpc_server().overload_events(), 1u) << "seed " << seed;
+    EXPECT_GE(key_server.overload_events(), 1u) << "seed " << seed;
     EXPECT_GT(result.sheds, 0u) << "seed " << seed;
     EXPECT_GT(result.rejects_seen, 0u) << "seed " << seed;
   }

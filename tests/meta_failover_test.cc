@@ -72,7 +72,7 @@ TEST(MetaFailoverTest, LeaderCrashPromotesBackupAndBindingsSurvive) {
 
   // Kill the leader. The lowest-index live backup promotes after lease
   // expiry plus its seniority slot.
-  dep.CrashMetadataService();
+  ASSERT_TRUE(dep.Inject(Fault::Meta(Fault::kCrash)).ok());
   dep.queue().AdvanceBy(SimDuration::Seconds(4));
   EXPECT_EQ(set->current_leader(), 1u);
   EXPECT_TRUE(set->is_leader(1));
@@ -98,7 +98,7 @@ TEST(MetaFailoverTest, LeaderCrashPromotesBackupAndBindingsSurvive) {
   }
 
   // The ex-primary restarts and rejoins as a backup.
-  dep.RestartMetadataService();
+  ASSERT_TRUE(dep.Inject(Fault::Meta(Fault::kRestart)).ok());
   dep.queue().AdvanceBy(SimDuration::Seconds(4));
   EXPECT_FALSE(set->is_leader(0));
   EXPECT_EQ(set->current_leader(), 1u);
@@ -142,7 +142,7 @@ TEST(MetaFailoverTest, RetriedBindAcrossFailoverDoesNotDoubleAppend) {
 
   // The ack is "lost": the leader dies, a backup promotes, and the client
   // retries the same logical mutation against the new leader.
-  dep.CrashMetadataService();
+  ASSERT_TRUE(dep.Inject(Fault::Meta(Fault::kCrash)).ok());
   dep.queue().AdvanceBy(SimDuration::Seconds(4));
   ASSERT_EQ(set->current_leader(), 1u);
   auto retried = dep.meta_client().BindFile(audit_id, dir_id, "dup.txt",
@@ -166,9 +166,9 @@ TEST(MetaFailoverTest, StaleStubFollowsMetaNotLeaderRedirect) {
 
   // Fail leadership over to replica 1, then bring replica 0 back as a
   // live backup.
-  dep.CrashMetadataService();
+  ASSERT_TRUE(dep.Inject(Fault::Meta(Fault::kCrash)).ok());
   dep.queue().AdvanceBy(SimDuration::Seconds(4));
-  dep.RestartMetadataService();
+  ASSERT_TRUE(dep.Inject(Fault::Meta(Fault::kRestart)).ok());
   dep.queue().AdvanceBy(SimDuration::Seconds(4));
   ASSERT_EQ(set->current_leader(), 1u);
   ASSERT_FALSE(set->is_leader(0));
@@ -210,12 +210,12 @@ MetaScenarioDigest RunMetaCrashScenario(uint64_t seed) {
   for (int i = 0; i < 4; ++i) {
     EXPECT_TRUE(fs.Create("/a" + std::to_string(i)).ok());
   }
-  dep.CrashMetadataService();
+  EXPECT_TRUE(dep.Inject(Fault::Meta(Fault::kCrash)).ok());
   dep.queue().AdvanceBy(SimDuration::Seconds(4));
   for (int i = 0; i < 4; ++i) {
     EXPECT_TRUE(fs.Create("/b" + std::to_string(i)).ok());
   }
-  dep.RestartMetadataService();
+  EXPECT_TRUE(dep.Inject(Fault::Meta(Fault::kRestart)).ok());
   dep.queue().AdvanceBy(SimDuration::Seconds(4));
   for (int i = 0; i < 4; ++i) {
     EXPECT_TRUE(fs.Create("/c" + std::to_string(i)).ok());
@@ -260,16 +260,16 @@ TEST(MetaFailoverTest, BothTiersReplicatedRideSequentialLeaderKills) {
     ids.push_back(fs.ReadHeaderOf(path)->audit_id);
   }
 
-  dep.CrashKeyShard(0);
+  ASSERT_TRUE(dep.Inject(Fault::Key(Fault::kCrash, 0)).ok());
   dep.queue().AdvanceBy(SimDuration::Seconds(4));
   ASSERT_TRUE(fs.Create("/mid").ok());
-  dep.RestartKeyShard(0);
+  ASSERT_TRUE(dep.Inject(Fault::Key(Fault::kRestart, 0)).ok());
   dep.queue().AdvanceBy(SimDuration::Seconds(4));
 
-  dep.CrashMetadataService();
+  ASSERT_TRUE(dep.Inject(Fault::Meta(Fault::kCrash)).ok());
   dep.queue().AdvanceBy(SimDuration::Seconds(4));
   ASSERT_TRUE(fs.Create("/post").ok());
-  dep.RestartMetadataService();
+  ASSERT_TRUE(dep.Inject(Fault::Meta(Fault::kRestart)).ok());
   dep.queue().AdvanceBy(SimDuration::Seconds(4));
   ASSERT_TRUE(fs.Create("/tail").ok());
   dep.queue().AdvanceBy(SimDuration::Seconds(1));

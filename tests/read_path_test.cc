@@ -261,7 +261,7 @@ TEST(BatchedRouterTest, DemandFetchesAuditCorrectlyAndChainsVerify) {
 
   size_t demand_rows = 0;
   for (size_t s = 0; s < 3; ++s) {
-    const KeyService& shard = dep.key_shard(s);
+    const KeyService& shard = dep.key_replica(s, 0);
     EXPECT_TRUE(shard.log().Verify().ok()) << "shard " << s;
     for (const auto& entry : shard.log().entries()) {
       if (entry.op == AccessOp::kDemandFetch) {
@@ -289,7 +289,7 @@ TEST(BatchedRouterTest, DirectoryPrefetchRowsTypeAsPrefetch) {
 
   size_t prefetch_rows = 0;
   for (size_t s = 0; s < 3; ++s) {
-    for (const auto& entry : dep.key_shard(s).log().entries()) {
+    for (const auto& entry : dep.key_replica(s, 0).log().entries()) {
       EXPECT_NE(entry.op, AccessOp::kDemandFetch);
       if (entry.op == AccessOp::kPrefetch) {
         ++prefetch_rows;
@@ -317,7 +317,7 @@ TEST(BatchedRouterTest, FetchGroupLandsDemandRowBeforeItsPrefetchRows) {
   size_t shard = router->ring().ShardFor(ids[0]);
   uint64_t demand_seq = 0;
   std::vector<uint64_t> prefetch_seqs;
-  for (const auto& entry : dep.key_shard(shard).log().entries()) {
+  for (const auto& entry : dep.key_replica(shard, 0).log().entries()) {
     if (entry.op == AccessOp::kDemandFetch && entry.audit_id == ids[0]) {
       demand_seq = entry.seq;
     } else if (entry.op == AccessOp::kPrefetch) {
@@ -339,7 +339,7 @@ TEST(BatchedRouterTest, RevokedDeviceNeverReceivesAKeyThroughTheBatchPath) {
     ASSERT_TRUE(router->CreateKey(id).ok());
   }
   for (size_t s = 0; s < 3; ++s) {
-    ASSERT_TRUE(dep.key_shard(s).DisableDevice(dep.device_id()).ok());
+    ASSERT_TRUE(dep.key_replica(s, 0).DisableDevice(dep.device_id()).ok());
   }
   for (const auto& id : ids) {
     EXPECT_FALSE(router->GetKey(id, AccessOp::kDemandFetch).ok());
@@ -349,8 +349,8 @@ TEST(BatchedRouterTest, RevokedDeviceNeverReceivesAKeyThroughTheBatchPath) {
   EXPECT_FALSE(router->GetKeys(ids).ok());
   uint64_t negative = 0;
   for (size_t s = 0; s < 3; ++s) {
-    EXPECT_TRUE(dep.key_shard(s).log().Verify().ok());
-    negative += dep.key_shard(s).load_stats().negative_hits;
+    EXPECT_TRUE(dep.key_replica(s, 0).log().Verify().ok());
+    negative += dep.key_replica(s, 0).load_stats().negative_hits;
   }
   EXPECT_GE(negative, 1u);
 }

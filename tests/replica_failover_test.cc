@@ -15,7 +15,6 @@
 
 #include <gtest/gtest.h>
 
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -81,7 +80,7 @@ TEST(ReplicaFailoverTest, LeaderCrashPromotesBackupAndClientFollows) {
 
   // Kill the leader. The lowest-index live backup promotes after lease
   // expiry plus its seniority slot.
-  dep.CrashKeyShard(0);
+  ASSERT_TRUE(dep.Inject(Fault::Key(Fault::kCrash, 0)).ok());
   dep.queue().AdvanceBy(SimDuration::Seconds(4));
   EXPECT_EQ(set->current_leader(), 1u);
   EXPECT_TRUE(set->is_leader(1));
@@ -101,7 +100,7 @@ TEST(ReplicaFailoverTest, LeaderCrashPromotesBackupAndClientFollows) {
   }
 
   // The ex-primary restarts and rejoins as a backup.
-  dep.RestartKeyShard(0);
+  ASSERT_TRUE(dep.Inject(Fault::Key(Fault::kRestart, 0)).ok());
   dep.queue().AdvanceBy(SimDuration::Seconds(4));
   EXPECT_FALSE(set->is_leader(0));
   EXPECT_EQ(set->current_leader(), 1u);
@@ -130,9 +129,9 @@ TEST(ReplicaFailoverTest, StaleStubFollowsNotLeaderRedirect) {
 
   // Fail leadership over to replica 1, then bring replica 0 back as a
   // live backup.
-  dep.CrashKeyShard(0);
+  ASSERT_TRUE(dep.Inject(Fault::Key(Fault::kCrash, 0)).ok());
   dep.queue().AdvanceBy(SimDuration::Seconds(4));
-  dep.RestartKeyShard(0);
+  ASSERT_TRUE(dep.Inject(Fault::Key(Fault::kRestart, 0)).ok());
   dep.queue().AdvanceBy(SimDuration::Seconds(4));
   ASSERT_EQ(set->current_leader(), 1u);
   ASSERT_FALSE(set->is_leader(0));
@@ -171,7 +170,7 @@ TEST(ReplicaFailoverTest, PartitionedPrimaryOrphansSurfaceToForensics) {
 
   // Partition the primary off the replication mesh. Its client link stays
   // up, so it keeps serving: acked records now live on replica 0 only.
-  dep.PartitionKeyReplica(0, 0, true);
+  ASSERT_TRUE(dep.Inject(Fault::Key(Fault::kPartition, 0, 0)).ok());
   std::vector<AuditId> partition_ids;
   for (int i = 0; i < 3; ++i) {
     std::string path = "/part" + std::to_string(i);
@@ -185,7 +184,7 @@ TEST(ReplicaFailoverTest, PartitionedPrimaryOrphansSurfaceToForensics) {
 
   // The primary dies before the partition heals — its sealed, acked,
   // never-shipped suffix exists nowhere else. The client fails over.
-  dep.CrashKeyReplica(0, 0);
+  ASSERT_TRUE(dep.Inject(Fault::Key(Fault::kCrash, 0, 0)).ok());
   std::vector<AuditId> post_ids;
   for (int i = 0; i < 4; ++i) {
     std::string path = "/post" + std::to_string(i);
@@ -197,8 +196,8 @@ TEST(ReplicaFailoverTest, PartitionedPrimaryOrphansSurfaceToForensics) {
   // Heal and restart: the ex-primary finds replica 1 leading, detects the
   // chain divergence, surfaces its surplus entries as orphans, and rejoins
   // as a backup.
-  dep.PartitionKeyReplica(0, 0, false);
-  dep.RestartKeyReplica(0, 0);
+  ASSERT_TRUE(dep.Inject(Fault::Key(Fault::kHeal, 0, 0)).ok());
+  ASSERT_TRUE(dep.Inject(Fault::Key(Fault::kRestart, 0, 0)).ok());
   dep.queue().AdvanceBy(SimDuration::Seconds(5));
   EXPECT_FALSE(set->is_leader(0));
   EXPECT_GE(set->stats().rejoins, 1u);
@@ -252,12 +251,12 @@ ScenarioDigest RunCrashScenario(uint64_t seed) {
   for (int i = 0; i < 4; ++i) {
     EXPECT_TRUE(fs.Create("/a" + std::to_string(i)).ok());
   }
-  dep.CrashKeyShard(0);
+  EXPECT_TRUE(dep.Inject(Fault::Key(Fault::kCrash, 0)).ok());
   dep.queue().AdvanceBy(SimDuration::Seconds(4));
   for (int i = 0; i < 4; ++i) {
     EXPECT_TRUE(fs.Create("/b" + std::to_string(i)).ok());
   }
-  dep.RestartKeyShard(0);
+  EXPECT_TRUE(dep.Inject(Fault::Key(Fault::kRestart, 0)).ok());
   dep.queue().AdvanceBy(SimDuration::Seconds(4));
   for (int i = 0; i < 4; ++i) {
     EXPECT_TRUE(fs.Create("/c" + std::to_string(i)).ok());
@@ -312,7 +311,7 @@ TEST(ReplicaFailoverTest, RenewalTickDoesNotStallInFlightFetch) {
   const SimTime start = set->timeline().front().at;
   // A crashed backup keeps its pair off the quiescent path: the leader
   // sends it an explicit renewal on every tick.
-  dep.CrashKeyReplica(0, 2);
+  ASSERT_TRUE(dep.Inject(Fault::Key(Fault::kCrash, 0, 2)).ok());
   KeyServiceClient& stub = dep.key_stub(0);
   SecureRandom rng(5);
   AuditId id = AuditId::Random(rng);
@@ -368,7 +367,7 @@ TEST(ReplicaFailoverTest, RenewalTicksKeepStartAndPromotionPhase) {
 
   // Kill the leader between ticks: replica 1 promotes at the closed-form
   // instant, and the new leader's schedule starts at its promotion.
-  dep.CrashKeyReplica(0, 0);
+  ASSERT_TRUE(dep.Inject(Fault::Key(Fault::kCrash, 0, 0)).ok());
   dep.queue().AdvanceBy(SimDuration::Seconds(4));
   std::vector<FailoverEvent> promotions =
       EventsSince(set->timeline(), 0, "promote");
@@ -386,56 +385,39 @@ TEST(ReplicaFailoverTest, RenewalTicksKeepStartAndPromotionPhase) {
                 rs.lease.lease_duration);
 }
 
-// One replicated tier behind a common face, so the closed-form schedules
-// run unchanged on the key shard and on the metadata tier.
-struct Tier {
-  std::function<const std::vector<FailoverEvent>&()> timeline;
-  std::function<size_t()> current_leader;
-  std::function<void(size_t)> crash;
-  std::function<void(size_t)> restart;
-  std::function<void(size_t, bool)> partition;
-};
-
-Tier KeyTier(Deployment& dep) {
-  ReplicaSet* set = dep.replica_set(0);
-  return {[set]() -> const std::vector<FailoverEvent>& {
-            return set->timeline();
-          },
-          [set] { return set->current_leader(); },
-          [&dep](size_t r) { dep.CrashKeyReplica(0, r); },
-          [&dep](size_t r) { dep.RestartKeyReplica(0, r); },
-          [&dep](size_t r, bool p) { dep.PartitionKeyReplica(0, r, p); }};
+// The closed-form schedules run unchanged on key shard 0 and on the
+// metadata tier: a fault names its tier, and these read the tier's set.
+const std::vector<FailoverEvent>& Timeline(Deployment& dep, Fault::Tier tier) {
+  return tier == Fault::kKey ? dep.replica_set(0)->timeline()
+                             : dep.meta_replica_set()->timeline();
 }
 
-Tier MetaTier(Deployment& dep) {
-  MetaReplicaSet* set = dep.meta_replica_set();
-  return {[set]() -> const std::vector<FailoverEvent>& {
-            return set->timeline();
-          },
-          [set] { return set->current_leader(); },
-          [&dep](size_t r) { dep.CrashMetaReplica(r); },
-          [&dep](size_t r) { dep.RestartMetaReplica(r); },
-          [&dep](size_t r, bool p) { dep.PartitionMetaReplica(r, p); }};
+size_t CurrentLeader(Deployment& dep, Fault::Tier tier) {
+  return tier == Fault::kKey ? dep.replica_set(0)->current_leader()
+                             : dep.meta_replica_set()->current_leader();
 }
 
-enum class Fault { kLeaderCrash, kLeaderPartition, kBackupCrashRestart };
+enum class Scenario { kLeaderCrash, kLeaderPartition, kBackupCrashRestart };
 
 // One seeded single-fault schedule on a fresh R = 3 tier: 10 to 30 idle
 // minutes, then the fault at an instant off the tick grid — for every
 // third seed inside the one-way window after a tick, so that tick's
 // renewal is still in flight when the fault lands.
-void RunSingleFault(uint64_t seed, bool meta_tier, Fault fault) {
+void RunSingleFault(uint64_t seed, Fault::Tier tier, Scenario scenario) {
   ResetRpcClientIdsForTesting();
+  const bool meta_tier = tier == Fault::kMeta;
   DeploymentOptions options = ReplicatedOpts(meta_tier ? 1 : 3);
   options.meta_replicas = meta_tier ? 3 : 1;
   options.seed = seed;
   Deployment dep(options);
-  Tier tier = meta_tier ? MetaTier(dep) : KeyTier(dep);
+  auto inject = [&](Fault::Verb verb, size_t replica) {
+    ASSERT_TRUE(dep.Inject({verb, tier, /*shard=*/0, replica}).ok());
+  };
   const LeaseOptions& lease = options.replica_set.lease;
   const SimDuration one_way = options.replica_set.repl_profile.OneWay();
-  const SimTime start = tier.timeline().front().at;
+  const SimTime start = Timeline(dep, tier).front().at;
   SCOPED_TRACE("seed " + std::to_string(seed) + (meta_tier ? " meta" : " key") +
-               " fault " + std::to_string(static_cast<int>(fault)));
+               " scenario " + std::to_string(static_cast<int>(scenario)));
 
   SimRandom rng(seed);
   SimTime fault_at =
@@ -450,30 +432,27 @@ void RunSingleFault(uint64_t seed, bool meta_tier, Fault fault) {
     fault_at += SimDuration::Millis(1);
   }
   dep.queue().RunUntil(fault_at);
-  const size_t seen = tier.timeline().size();
+  const size_t seen = Timeline(dep, tier).size();
 
-  if (fault == Fault::kBackupCrashRestart) {
+  if (scenario == Scenario::kBackupCrashRestart) {
     const size_t victim = 1 + seed % 2;
-    tier.crash(victim);
+    inject(Fault::kCrash, victim);
     dep.queue().AdvanceBy(SimDuration::Seconds(5));
-    tier.restart(victim);
+    inject(Fault::kRestart, victim);
     dep.queue().AdvanceBy(SimDuration::Seconds(5));
-    EXPECT_TRUE(EventsSince(tier.timeline(), seen, "promote").empty());
+    EXPECT_TRUE(EventsSince(Timeline(dep, tier), seen, "promote").empty());
     std::vector<FailoverEvent> rejoins =
-        EventsSince(tier.timeline(), seen, "rejoin");
+        EventsSince(Timeline(dep, tier), seen, "rejoin");
     ASSERT_EQ(rejoins.size(), 1u);
     EXPECT_EQ(rejoins[0].replica, victim);
-    EXPECT_EQ(tier.current_leader(), 0u);
+    EXPECT_EQ(CurrentLeader(dep, tier), 0u);
     return;
   }
-  if (fault == Fault::kLeaderCrash) {
-    tier.crash(0);
-  } else {
-    tier.partition(0, true);
-  }
+  inject(scenario == Scenario::kLeaderCrash ? Fault::kCrash : Fault::kPartition,
+         0);
   dep.queue().AdvanceBy(SimDuration::Seconds(5));
   std::vector<FailoverEvent> promotions =
-      EventsSince(tier.timeline(), seen, "promote");
+      EventsSince(Timeline(dep, tier), seen, "promote");
   ASSERT_EQ(promotions.size(), 1u);
   EXPECT_EQ(promotions[0].replica, 1u);
   EXPECT_EQ(promotions[0].at, tick + one_way + lease.lease_duration +
@@ -481,11 +460,12 @@ void RunSingleFault(uint64_t seed, bool meta_tier, Fault fault) {
 }
 
 TEST(ReplicaFailoverTest, SingleFaultPromotionsFollowClosedForm) {
-  for (bool meta_tier : {false, true}) {
-    for (Fault fault : {Fault::kLeaderCrash, Fault::kLeaderPartition,
-                        Fault::kBackupCrashRestart}) {
+  for (Fault::Tier tier : {Fault::kKey, Fault::kMeta}) {
+    for (Scenario scenario : {Scenario::kLeaderCrash,
+                              Scenario::kLeaderPartition,
+                              Scenario::kBackupCrashRestart}) {
       for (uint64_t seed = 1; seed <= 20; ++seed) {
-        RunSingleFault(seed, meta_tier, fault);
+        RunSingleFault(seed, tier, scenario);
       }
     }
   }

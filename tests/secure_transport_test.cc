@@ -161,9 +161,8 @@ TEST(SecureTransportTest, ReplayedRequestDoesNotDuplicateAuditRows) {
   for (const auto& [id, count] : creates) {
     EXPECT_EQ(count, 1) << "duplicate audit row for " << id.ToHex();
   }
-  EXPECT_GE(dep.key_rpc_server().reply_cache().hits() +
-                dep.key_rpc_server().reply_cache().in_flight_drops(),
-            1u);
+  const ReplyCache& replies = dep.key_replica_rpc_server(0, 0).reply_cache();
+  EXPECT_GE(replies.hits() + replies.in_flight_drops(), 1u);
   EXPECT_TRUE(dep.key_service().log().Verify().ok());
   EXPECT_TRUE(dep.metadata_service().log().Verify().ok());
 }

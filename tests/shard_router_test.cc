@@ -127,7 +127,7 @@ TEST(ShardRouterTest, CrossShardFetchGroupMergesPrefetchOrder) {
   // scattered audit trail covers exactly the keys that left the tier.
   size_t logged = 0;
   for (size_t s = 0; s < dep.key_shard_count(); ++s) {
-    for (const auto& entry : dep.key_shard(s).log().entries()) {
+    for (const auto& entry : dep.key_replica(s, 0).log().entries()) {
       if (entry.op == AccessOp::kDemandFetch ||
           entry.op == AccessOp::kPrefetch) {
         ++logged;
@@ -173,7 +173,8 @@ TEST(ShardRouterTest, SingleFlightCoalescesConcurrentFetches) {
   auto ids = RandomIds(1, 55);
   ASSERT_TRUE(router->CreateKey(ids[0]).ok());
   size_t owner = router->ring().ShardFor(ids[0]);
-  uint64_t handled_before = dep.key_shard_rpc_server(owner).requests_handled();
+  RpcServer& owner_server = dep.key_replica_rpc_server(owner, 0);
+  uint64_t handled_before = owner_server.requests_handled();
 
   constexpr int kWaiters = 6;
   int completed = 0;
@@ -197,10 +198,9 @@ TEST(ShardRouterTest, SingleFlightCoalescesConcurrentFetches) {
             static_cast<uint64_t>(kWaiters - 1));
   // One RPC reached the owning shard, and the audit log records one fetch —
   // the key left the service once.
-  EXPECT_EQ(dep.key_shard_rpc_server(owner).requests_handled(),
-            handled_before + 1);
+  EXPECT_EQ(owner_server.requests_handled(), handled_before + 1);
   size_t fetches = 0;
-  for (const auto& entry : dep.key_shard(owner).log().entries()) {
+  for (const auto& entry : dep.key_replica(owner, 0).log().entries()) {
     if (entry.op == AccessOp::kDemandFetch) {
       ++fetches;
     }
@@ -242,7 +242,7 @@ TEST(ShardRouterTest, SingleFlightSurvivesMidFlightFailover) {
   // Virtual time has not moved, so the flight is still in the air when the
   // owner's leader dies. (The new leader keeps sending the crashed replica
   // explicit lease renewals, so pump with AdvanceBy, not RunUntilIdle.)
-  dep.CrashKeyShard(owner);
+  ASSERT_TRUE(dep.Inject(Fault::Key(Fault::kCrash, owner)).ok());
   dep.queue().AdvanceBy(SimDuration::Seconds(12));
 
   EXPECT_EQ(completed, kWaiters);
@@ -336,17 +336,17 @@ TEST(GroupCommitTest, PerShardChainsVerifyAcrossCrashRestart) {
 
   // Crash shard 0 mid-deployment (any staged-but-unsealed window entries
   // die with it), restart it from its durable snapshot, then keep going.
-  dep.CrashKeyShard(0);
+  ASSERT_TRUE(dep.Inject(Fault::Key(Fault::kCrash, 0)).ok());
   dep.queue().AdvanceBy(SimDuration::Millis(50));
-  dep.RestartKeyShard(0);
+  ASSERT_TRUE(dep.Inject(Fault::Key(Fault::kRestart, 0)).ok());
 
   auto keys = router->GetKeys(ids);
   ASSERT_TRUE(keys.ok());
   EXPECT_EQ(keys->size(), ids.size());
 
   for (size_t s = 0; s < dep.key_shard_count(); ++s) {
-    EXPECT_TRUE(dep.key_shard(s).log().Verify().ok()) << "shard " << s;
-    EXPECT_GT(dep.key_shard(s).log().size(), 0u) << "shard " << s;
+    EXPECT_TRUE(dep.key_replica(s, 0).log().Verify().ok()) << "shard " << s;
+    EXPECT_GT(dep.key_replica(s, 0).log().size(), 0u) << "shard " << s;
   }
 }
 
