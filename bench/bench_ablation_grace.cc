@@ -25,11 +25,8 @@ struct GraceResult {
 };
 
 GraceResult Measure(SimDuration grace, SimDuration read_delay) {
-  DeploymentOptions options;
-  options.profile = CellularProfile();
-  options.config.ibe_enabled = true;
+  DeploymentOptions options = bench::BenchDeployment(CellularProfile());
   options.config.grace = grace;
-  options.ibe_group = &BenchPairingParams();
   Deployment dep(options);
   auto& fs = dep.fs();
 

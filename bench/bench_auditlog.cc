@@ -31,29 +31,9 @@
 namespace keypad {
 namespace {
 
-bool g_invariant_ok = true;
+using namespace bench;
 
-void Require(bool ok, const char* what) {
-  if (!ok) {
-    std::fprintf(stderr, "INVARIANT FAILED: %s\n", what);
-    g_invariant_ok = false;
-  }
-}
-
-double WallSeconds(const std::chrono::steady_clock::time_point& start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
-
-AuditId NthId(uint32_t n) {
-  AuditId id;
-  id.v[0] = static_cast<uint8_t>(n);
-  id.v[1] = static_cast<uint8_t>(n >> 8);
-  id.v[2] = static_cast<uint8_t>(n >> 16);
-  id.v[3] = 0xa1;
-  return id;
-}
+AuditId NthId(size_t n) { return bench::NthId<AuditId>(n, 0xa1); }
 
 // --- Soak: resident entries vs. append volume. ------------------------------
 
@@ -86,8 +66,7 @@ SoakCell RunSoakCell(bool truncate, size_t ops, uint64_t segment_ops) {
   cell.ops = ops;
   auto start = std::chrono::steady_clock::now();
   for (size_t i = 0; i < ops; ++i) {
-    log.Append(queue.Now(), "laptop", NthId(static_cast<uint32_t>(i)),
-               AccessOp::kDemandFetch);
+    log.Append(queue.Now(), "laptop", NthId(i), AccessOp::kDemandFetch);
     cell.resident_peak = std::max(cell.resident_peak, log.entries().size());
     if ((i & 0x3ff) == 0) {
       queue.RunUntilIdle();  // Drain the cloud-mirror uploads.
@@ -201,8 +180,7 @@ ColdCell RunColdCell(size_t ops, size_t flips) {
   log.Configure(options);
   log.set_segment_store(&store, "key");
   for (size_t i = 0; i < ops; ++i) {
-    log.Append(queue.Now(), "laptop", NthId(static_cast<uint32_t>(i)),
-               AccessOp::kPrefetch);
+    log.Append(queue.Now(), "laptop", NthId(i), AccessOp::kPrefetch);
   }
   queue.RunUntilIdle();
   cloud.SettleNow();
@@ -225,52 +203,39 @@ ColdCell RunColdCell(size_t ops, size_t flips) {
 
 // --- Output. ----------------------------------------------------------------
 
-void WriteJson(const std::string& path, const std::vector<SoakCell>& soak,
-               const CatchupCell& catchup, const ColdCell& cold) {
-  FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return;
-  }
-  std::fprintf(f, "{\n  \"bench\": \"auditlog\",\n  \"soak\": [\n");
-  for (size_t i = 0; i < soak.size(); ++i) {
-    const SoakCell& c = soak[i];
-    std::fprintf(
-        f,
-        "    {\"truncate\": %s, \"ops\": %zu, \"chain_size\": %llu, "
-        "\"resident_peak\": %zu, \"resident_final\": %zu, "
-        "\"truncated\": %llu, \"segments_shipped\": %llu, "
-        "\"append_ms\": %.3f, \"verified\": %s}%s\n",
-        c.truncate ? "true" : "false", c.ops,
-        static_cast<unsigned long long>(c.chain_size), c.resident_peak,
-        c.resident_final, static_cast<unsigned long long>(c.truncated),
-        static_cast<unsigned long long>(c.segments_shipped), c.append_ms,
-        c.verified ? "true" : "false", i + 1 < soak.size() ? "," : "");
-  }
-  std::fprintf(
-      f,
-      "  ],\n  \"catchup\": {\"creates\": %zu, \"key_chain\": %llu, "
-      "\"meta_chain\": %llu, \"genesis_fetched\": %llu, "
-      "\"anchored_fetched\": %llu, \"ratio\": %.1f, \"genesis_ms\": %.3f, "
-      "\"anchored_ms\": %.3f},\n",
-      catchup.creates, static_cast<unsigned long long>(catchup.key_chain),
-      static_cast<unsigned long long>(catchup.meta_chain),
-      static_cast<unsigned long long>(catchup.genesis_fetched),
-      static_cast<unsigned long long>(catchup.anchored_fetched),
-      catchup.ratio, catchup.genesis_ms, catchup.anchored_ms);
-  std::fprintf(
-      f,
-      "  \"cold\": {\"ops\": %zu, \"flips\": %zu, \"segments\": %llu, "
-      "\"scanned\": %llu, \"repaired\": %llu, \"unrepairable\": %llu, "
-      "\"scrub_ms\": %.3f, \"full_chain_verified\": %s},\n",
-      cold.ops, cold.flips, static_cast<unsigned long long>(cold.segments),
-      static_cast<unsigned long long>(cold.scanned),
-      static_cast<unsigned long long>(cold.repaired),
-      static_cast<unsigned long long>(cold.unrepairable), cold.scrub_ms,
-      cold.full_chain_verified ? "true" : "false");
-  std::fprintf(f, "  \"invariants_ok\": %s\n}\n",
-               g_invariant_ok ? "true" : "false");
-  std::fclose(f);
+bench::JsonDoc ToJson(const std::vector<SoakCell>& soak,
+                      const CatchupCell& catchup, const ColdCell& cold) {
+  auto soak_rows = bench::ToRows(soak, [](const SoakCell& c) {
+    return bench::JsonRow()
+        .Bool("truncate", c.truncate).Int("ops", c.ops)
+        .Int("chain_size", c.chain_size).Int("resident_peak", c.resident_peak)
+        .Int("resident_final", c.resident_final)
+        .Int("truncated", c.truncated)
+        .Int("segments_shipped", c.segments_shipped)
+        .Num("append_ms", c.append_ms, 3).Bool("verified", c.verified);
+  });
+  bench::JsonDoc doc("auditlog");
+  doc.Rows("soak", soak_rows)
+      .Row("catchup",
+           bench::JsonRow()
+               .Int("creates", catchup.creates)
+               .Int("key_chain", catchup.key_chain)
+               .Int("meta_chain", catchup.meta_chain)
+               .Int("genesis_fetched", catchup.genesis_fetched)
+               .Int("anchored_fetched", catchup.anchored_fetched)
+               .Num("ratio", catchup.ratio, 1)
+               .Num("genesis_ms", catchup.genesis_ms, 3)
+               .Num("anchored_ms", catchup.anchored_ms, 3))
+      .Row("cold",
+           bench::JsonRow()
+               .Int("ops", cold.ops).Int("flips", cold.flips)
+               .Int("segments", cold.segments).Int("scanned", cold.scanned)
+               .Int("repaired", cold.repaired)
+               .Int("unrepairable", cold.unrepairable)
+               .Num("scrub_ms", cold.scrub_ms, 3)
+               .Bool("full_chain_verified", cold.full_chain_verified))
+      .Bool("invariants_ok", g_invariant_ok);
+  return doc;
 }
 
 int Main(int argc, char** argv) {
@@ -288,10 +253,8 @@ int Main(int argc, char** argv) {
     soak.push_back(RunSoakCell(truncate, soak_ops, segment_ops));
     const SoakCell& c = soak.back();
     std::printf("%9s %9zu %11llu %13zu %14zu %10llu\n",
-                c.truncate ? "on" : "off", c.ops,
-                static_cast<unsigned long long>(c.chain_size),
-                c.resident_peak, c.resident_final,
-                static_cast<unsigned long long>(c.segments_shipped));
+                c.truncate ? "on" : "off", c.ops, Llu(c.chain_size),
+                c.resident_peak, c.resident_final, Llu(c.segments_shipped));
     Require(c.verified, "soak chain verifies");
     Require(c.chain_size == c.ops, "soak chain length equals appends");
   }
@@ -308,11 +271,8 @@ int Main(int argc, char** argv) {
   CatchupCell catchup = RunCatchupCell(fast ? 80 : 300);
   std::printf("creates=%zu key_chain=%llu meta_chain=%llu genesis=%llu "
               "anchored=%llu ratio=%.1fx\n",
-              catchup.creates,
-              static_cast<unsigned long long>(catchup.key_chain),
-              static_cast<unsigned long long>(catchup.meta_chain),
-              static_cast<unsigned long long>(catchup.genesis_fetched),
-              static_cast<unsigned long long>(catchup.anchored_fetched),
+              catchup.creates, Llu(catchup.key_chain), Llu(catchup.meta_chain),
+              Llu(catchup.genesis_fetched), Llu(catchup.anchored_fetched),
               catchup.ratio);
   Require(catchup.ratio >= 10.0,
           "checkpoint catch-up fetches >= 10x fewer rows than genesis");
@@ -321,25 +281,18 @@ int Main(int argc, char** argv) {
   ColdCell cold = RunColdCell(fast ? 512 : 4096, fast ? 8 : 32);
   std::printf("ops=%zu flips=%zu segments=%llu scanned=%llu repaired=%llu "
               "unrepairable=%llu verified=%s\n",
-              cold.ops, cold.flips,
-              static_cast<unsigned long long>(cold.segments),
-              static_cast<unsigned long long>(cold.scanned),
-              static_cast<unsigned long long>(cold.repaired),
-              static_cast<unsigned long long>(cold.unrepairable),
+              cold.ops, cold.flips, Llu(cold.segments), Llu(cold.scanned),
+              Llu(cold.repaired), Llu(cold.unrepairable),
               cold.full_chain_verified ? "true" : "false");
   Require(cold.unrepairable == 0, "every rotted segment repairs from cloud");
   Require(cold.full_chain_verified,
           "full chain verifies through the cold tier after repair");
 
-  std::string out = argc > 1 ? std::string(argv[1])
-                             : std::string("BENCH_auditlog.json");
-  WriteJson(out, soak, catchup, cold);
-  std::printf("\nwrote %s\n", out.c_str());
-  if (!g_invariant_ok) {
-    std::fprintf(stderr, "auditlog bench: invariant failures\n");
+  if (!bench::WriteBenchJson(ToJson(soak, catchup, cold), argc, argv,
+                             "\n")) {
     return 1;
   }
-  return 0;
+  return bench::InvariantExit("auditlog");
 }
 
 }  // namespace

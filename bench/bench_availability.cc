@@ -37,6 +37,8 @@
 namespace keypad {
 namespace {
 
+using bench::Llu;
+
 // Injects a fault the scenario is built around; a refusal is a harness bug.
 void MustInject(Deployment& dep, const Fault& fault) {
   Status status = dep.Inject(fault);
@@ -98,42 +100,39 @@ std::string SerializeTimeline(const std::vector<FailoverEvent>& timeline) {
   return out;
 }
 
-bool ChainHasCreate(const AuditLog& log, const AuditId& id) {
-  for (const auto& entry : log.entries()) {
-    if (entry.op == AccessOp::kCreate && entry.audit_id == id) {
-      return true;
-    }
-  }
-  return false;
-}
-
-bool OrphansHaveCreate(const ReplicaSet* set, const AuditId& id) {
-  if (set == nullptr) {
-    return false;
-  }
-  for (const auto& orphan : set->orphaned()) {
-    if (orphan.entry.op == AccessOp::kCreate && orphan.entry.audit_id == id) {
-      return true;
-    }
-  }
-  return false;
-}
-
-// Checks the duplicated-but-never-lost invariant and chain health, filling
-// the cell's verification fields.
-void VerifyCell(Deployment& dep, const std::vector<AuditId>& acked,
-                AvailCell* cell) {
-  ReplicaSet* set = dep.replica_set(0);
-  size_t leader = set != nullptr ? set->current_leader() : 0;
-  const AuditLog& authority = dep.key_replica(0, leader).log();
+// Checks the duplicated-but-never-lost invariant over one tier's replica
+// group — every acked create's row (`create`: the key tier's kCreate, the
+// metadata tier's kCreateFile binding) survives in the leader's log or the
+// orphan list — and every replica's chain health, filling the cell's
+// verification fields. `set` is null when `solo` is the whole group.
+template <typename Service, typename Op>
+void VerifyGroup(const ServiceReplicaSet<Service>* set, Service& solo,
+                 Op create, const std::vector<AuditId>& acked,
+                 AvailCell* cell) {
+  auto replica = [&](size_t r) -> Service& {
+    return set != nullptr ? *set->service(r) : solo;
+  };
+  const auto& authority =
+      replica(set != nullptr ? set->current_leader() : 0).log();
   cell->acked_records = acked.size();
   for (const auto& id : acked) {
-    if (!ChainHasCreate(authority, id) && !OrphansHaveCreate(set, id)) {
+    auto is_create = [&](const auto& row) {
+      return row.op == create && row.audit_id == id;
+    };
+    bool preserved =
+        std::any_of(authority.entries().begin(), authority.entries().end(),
+                    is_create);
+    if (!preserved && set != nullptr) {
+      for (const auto& orphan : set->orphaned()) {
+        preserved = preserved || is_create(orphan.entry);
+      }
+    }
+    if (!preserved) {
       cell->acked_preserved = false;
     }
   }
-  for (size_t r = 0; r < dep.key_replica_count(); ++r) {
-    if (!dep.key_replica(0, r).log().Verify().ok()) {
+  for (size_t r = 0; r < (set != nullptr ? set->size() : 1); ++r) {
+    if (!replica(r).log().Verify().ok()) {
       cell->chains_verified = false;
     }
   }
@@ -148,69 +147,36 @@ void VerifyCell(Deployment& dep, const std::vector<AuditId>& acked,
   }
 }
 
-bool MetaLogHasBinding(const MetadataLog& log, const AuditId& id) {
-  for (const auto& record : log.records()) {
-    if (record.op == MetadataOp::kCreateFile && record.audit_id == id) {
-      return true;
-    }
-  }
-  return false;
-}
-
-bool MetaOrphansHaveBinding(const MetaReplicaSet* set, const AuditId& id) {
-  if (set == nullptr) {
-    return false;
-  }
-  for (const auto& orphan : set->orphaned()) {
-    if (orphan.entry.op == MetadataOp::kCreateFile &&
-        orphan.entry.audit_id == id) {
-      return true;
-    }
-  }
-  return false;
-}
-
-// Metadata-tier mirror of VerifyCell: duplicated-but-never-lost over the
-// namespace log plus per-replica chain health.
-void VerifyMetaCell(Deployment& dep, const std::vector<AuditId>& acked,
-                    AvailCell* cell) {
-  MetaReplicaSet* set = dep.meta_replica_set();
-  size_t leader = set != nullptr ? set->current_leader() : 0;
-  const MetadataLog& authority = dep.meta_replica(leader).log();
-  cell->acked_records = acked.size();
-  for (const auto& id : acked) {
-    if (!MetaLogHasBinding(authority, id) &&
-        !MetaOrphansHaveBinding(set, id)) {
-      cell->acked_preserved = false;
-    }
-  }
-  for (size_t r = 0; r < dep.meta_replica_count(); ++r) {
-    if (!dep.meta_replica(r).log().Verify().ok()) {
-      cell->chains_verified = false;
-    }
-  }
-  if (set != nullptr) {
-    cell->promotions = set->stats().promotions;
-    cell->rejoins = set->stats().rejoins;
-    cell->orphaned = set->stats().orphaned_entries;
-    cell->timeline = SerializeTimeline(set->timeline());
-  }
-  if (!authority.records().empty()) {
-    cell->chain_tip_hex = ToHex(authority.records().back().entry_hash);
+void VerifyCell(Deployment& dep, Fault::Tier tier,
+                const std::vector<AuditId>& acked, AvailCell* cell) {
+  if (tier == Fault::kKey) {
+    VerifyGroup(dep.replica_set(0), dep.key_replica(0, 0), AccessOp::kCreate,
+                acked, cell);
+  } else {
+    VerifyGroup(dep.meta_replica_set(), dep.meta_replica(0),
+                MetadataOp::kCreateFile, acked, cell);
   }
 }
 
-// Kill sweep: creates paced `pace` apart across `duration`; the shard's
-// leader dies at kill_s and restarts after outage_s. Successes are
-// bucketed per second of *completion* time.
-AvailCell RunKillCell(int replicas, double duration_s, uint64_t seed) {
+// Kill sweep: creates paced `pace` apart across `duration`; the tier's
+// leader (shard 0's, for the key tier) dies at kill_s and restarts after
+// outage_s. Successes are bucketed per second of *completion* time.
+// Creates block on both tiers — the key create and the binding
+// registration (the IBE unlock key releases only after the binding is
+// durably logged) — so either tier's availability gates goodput.
+AvailCell RunKillCell(Fault::Tier tier, int replicas, double duration_s,
+                      uint64_t seed) {
   ResetRpcClientIdsForTesting();
-  DeploymentOptions options = MakeOptions(replicas, seed);
+  DeploymentOptions options =
+      MakeOptions(tier == Fault::kKey ? replicas : 1, seed);
+  if (tier == Fault::kMeta) {
+    options.meta_replicas = replicas;
+  }
   Deployment dep(options);
   auto& fs = dep.fs();
 
   AvailCell cell;
-  cell.scenario = "leader_kill";
+  cell.scenario = tier == Fault::kKey ? "leader_kill" : "meta_leader_kill";
   cell.replicas = replicas;
   cell.kill_s = duration_s / 3;
   cell.outage_s = 20;
@@ -218,7 +184,8 @@ AvailCell RunKillCell(int replicas, double duration_s, uint64_t seed) {
   // lease expiry + the seniority stagger — plus one RPC timeout of client
   // slack. The stub's dead-leader retry ladder runs concurrently with the
   // lease clock (probe backoff keeps it from re-laddering the corpse), so
-  // it does not add to the bound.
+  // it does not add to the bound. Both tiers run the same replication
+  // substrate with the same lease schedule.
   const ReplicaSetOptions& rs = options.replica_set;
   cell.threshold_s = rs.lease.lease_duration.seconds_f() +
                      rs.lease.promote_stagger.seconds_f() * replicas +
@@ -230,8 +197,8 @@ AvailCell RunKillCell(int replicas, double duration_s, uint64_t seed) {
                              static_cast<int64_t>(cell.kill_s * 1000));
   const SimDuration outage =
       SimDuration::Seconds(static_cast<int64_t>(cell.outage_s));
-  dep.Schedule(kill_at, Fault::Key(Fault::kCrash, 0));
-  dep.Schedule(kill_at + outage, Fault::Key(Fault::kRestart, 0));
+  dep.Schedule(kill_at, Fault{Fault::kCrash, tier});
+  dep.Schedule(kill_at + outage, Fault{Fault::kRestart, tier});
 
   const SimDuration pace = SimDuration::Millis(200);
   std::vector<AuditId> acked;
@@ -269,77 +236,7 @@ AvailCell RunKillCell(int replicas, double duration_s, uint64_t seed) {
                          ? cell.recovery_s >= cell.outage_s * 0.9
                          : cell.recovery_s >= 0 &&
                                cell.recovery_s <= cell.threshold_s;
-  VerifyCell(dep, acked, &cell);
-  return cell;
-}
-
-// Metadata kill sweep: the same paced-create schedule, but the scheduled
-// kill hits the metadata tier's current leader. Creates block on the
-// binding registration (the IBE unlock key releases only after the
-// binding is durably logged), so metadata-tier availability gates goodput
-// exactly like key-tier availability does.
-AvailCell RunMetaKillCell(int replicas, double duration_s, uint64_t seed) {
-  ResetRpcClientIdsForTesting();
-  DeploymentOptions options = MakeOptions(/*replicas=*/1, seed);
-  options.meta_replicas = replicas;
-  Deployment dep(options);
-  auto& fs = dep.fs();
-
-  AvailCell cell;
-  cell.scenario = "meta_leader_kill";
-  cell.replicas = replicas;
-  cell.kill_s = duration_s / 3;
-  cell.outage_s = 20;
-  // Same recovery bound as the key tier: both tiers run the same
-  // replication substrate with the same lease schedule.
-  const ReplicaSetOptions& rs = options.replica_set;
-  cell.threshold_s = rs.lease.lease_duration.seconds_f() +
-                     rs.lease.promote_stagger.seconds_f() * replicas +
-                     options.rpc.timeout.seconds_f();
-  cell.buckets.assign(static_cast<size_t>(duration_s) + 1, Bucket{});
-
-  SimTime t0 = dep.queue().Now();
-  SimTime kill_at = t0 + SimDuration::Millis(
-                             static_cast<int64_t>(cell.kill_s * 1000));
-  const SimDuration outage =
-      SimDuration::Seconds(static_cast<int64_t>(cell.outage_s));
-  dep.Schedule(kill_at, Fault::Meta(Fault::kCrash));
-  dep.Schedule(kill_at + outage, Fault::Meta(Fault::kRestart));
-
-  const SimDuration pace = SimDuration::Millis(200);
-  std::vector<AuditId> acked;
-  int i = 0;
-  while ((dep.queue().Now() - t0).seconds_f() < duration_s) {
-    SimTime issue = t0 + pace * i;
-    if (dep.queue().Now() < issue) {
-      dep.queue().AdvanceBy(issue - dep.queue().Now());
-    }
-    double issue_s = (dep.queue().Now() - t0).seconds_f();
-    std::string path = "/op" + std::to_string(i);
-    bool ok = fs.Create(path).ok();
-    ++i;
-    ++cell.ops;
-    double done_s = (dep.queue().Now() - t0).seconds_f();
-    size_t bucket = std::min(cell.buckets.size() - 1,
-                             static_cast<size_t>(done_s));
-    if (ok) {
-      ++cell.succeeded;
-      ++cell.buckets[bucket].ok;
-      acked.push_back(fs.ReadHeaderOf(path)->audit_id);
-      if (issue_s > cell.kill_s && cell.recovery_s < 0) {
-        cell.recovery_s = done_s - cell.kill_s;
-      }
-    } else {
-      ++cell.buckets[bucket].fail;
-    }
-  }
-  dep.queue().AdvanceBy(SimDuration::Seconds(2));
-
-  cell.recovery_ok = replicas == 1
-                         ? cell.recovery_s >= cell.outage_s * 0.9
-                         : cell.recovery_s >= 0 &&
-                               cell.recovery_s <= cell.threshold_s;
-  VerifyMetaCell(dep, acked, &cell);
+  VerifyCell(dep, tier, acked, &cell);
   return cell;
 }
 
@@ -385,17 +282,14 @@ AvailCell RunPartitionHealCell(int replicas, uint64_t seed) {
   run_ops("tail", 4);
   dep.queue().AdvanceBy(SimDuration::Seconds(2));
 
-  VerifyCell(dep, acked, &cell);
+  VerifyCell(dep, Fault::kKey, acked, &cell);
   auto report = dep.auditor().BuildReport(dep.device_id(), SimTime(),
                                           options.config.texp);
   if (report.ok()) {
     cell.duplicates = report->duplicate_records;
-    if (!report->replica_logs_verified) {
-      cell.chains_verified = false;
-    }
-  } else {
-    cell.chains_verified = false;
   }
+  cell.chains_verified = cell.chains_verified && report.ok() &&
+                         report->replica_logs_verified;
   return cell;
 }
 
@@ -406,53 +300,26 @@ void PrintCell(const AvailCell& c) {
       "dup=%llu  chains=%s acked=%zu preserved=%s\n",
       c.scenario.c_str(), c.replicas, c.succeeded, c.ops, c.kill_s,
       c.recovery_s, c.threshold_s, c.recovery_ok ? "ok" : "MISS",
-      static_cast<unsigned long long>(c.promotions),
-      static_cast<unsigned long long>(c.rejoins),
-      static_cast<unsigned long long>(c.orphaned),
-      static_cast<unsigned long long>(c.duplicates),
-      c.chains_verified ? "ok" : "BROKEN", c.acked_records,
-      c.acked_preserved ? "yes" : "LOST");
+      Llu(c.promotions), Llu(c.rejoins), Llu(c.orphaned),
+      Llu(c.duplicates), c.chains_verified ? "ok" : "BROKEN",
+      c.acked_records, c.acked_preserved ? "yes" : "LOST");
 }
 
-void WriteJson(const std::string& path, const std::vector<AvailCell>& cells,
-               bool deterministic) {
-  FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return;
-  }
-  std::fprintf(f, "{\n  \"bench\": \"availability\",\n");
-  std::fprintf(f, "  \"deterministic\": %s,\n",
-               deterministic ? "true" : "false");
-  std::fprintf(f, "  \"cells\": [\n");
-  for (size_t i = 0; i < cells.size(); ++i) {
-    const AvailCell& c = cells[i];
-    std::fprintf(
-        f,
-        "    {\"scenario\": \"%s\", \"replicas\": %d, \"ops\": %d, "
-        "\"succeeded\": %d, \"kill_s\": %.2f, \"outage_s\": %.2f, "
-        "\"recovery_s\": %.3f, \"recovery_bound_s\": %.3f, "
-        "\"recovery_ok\": %s, \"promotions\": %llu, \"rejoins\": %llu, "
-        "\"orphaned\": %llu, \"duplicates\": %llu, \"acked_records\": %zu, "
-        "\"acked_preserved\": %s, \"chains_verified\": %s, "
-        "\"goodput_per_s\": [",
-        c.scenario.c_str(), c.replicas, c.ops, c.succeeded, c.kill_s,
-        c.outage_s, c.recovery_s, c.threshold_s,
-        c.recovery_ok ? "true" : "false",
-        static_cast<unsigned long long>(c.promotions),
-        static_cast<unsigned long long>(c.rejoins),
-        static_cast<unsigned long long>(c.orphaned),
-        static_cast<unsigned long long>(c.duplicates), c.acked_records,
-        c.acked_preserved ? "true" : "false",
-        c.chains_verified ? "true" : "false");
-    for (size_t b = 0; b < c.buckets.size(); ++b) {
-      std::fprintf(f, "%s%d", b == 0 ? "" : ",", c.buckets[b].ok);
-    }
-    std::fprintf(f, "]}%s\n", i + 1 < cells.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("wrote %s\n", path.c_str());
+bench::JsonRow CellJson(const AvailCell& c) {
+  std::vector<int> goodput;
+  for (const Bucket& b : c.buckets) goodput.push_back(b.ok);
+  return bench::JsonRow()
+      .Str("scenario", c.scenario).Int("replicas", c.replicas)
+      .Int("ops", c.ops).Int("succeeded", c.succeeded)
+      .Num("kill_s", c.kill_s, 2).Num("outage_s", c.outage_s, 2)
+      .Num("recovery_s", c.recovery_s, 3)
+      .Num("recovery_bound_s", c.threshold_s, 3)
+      .Bool("recovery_ok", c.recovery_ok).Int("promotions", c.promotions)
+      .Int("rejoins", c.rejoins).Int("orphaned", c.orphaned)
+      .Int("duplicates", c.duplicates).Int("acked_records", c.acked_records)
+      .Bool("acked_preserved", c.acked_preserved)
+      .Bool("chains_verified", c.chains_verified)
+      .Ints("goodput_per_s", goodput);
 }
 
 std::string Digest(const AvailCell& c) {
@@ -475,14 +342,16 @@ int main(int argc, char** argv) {
   const double duration_s = FastMode() ? 45 : 90;
   std::vector<AvailCell> cells;
   for (int replicas : {1, 2, 3}) {
-    cells.push_back(RunKillCell(replicas, duration_s, /*seed=*/42));
+    cells.push_back(RunKillCell(Fault::kKey, replicas, duration_s,
+                                /*seed=*/42));
     PrintCell(cells.back());
   }
   // The metadata tier rides the same substrate: unreplicated baseline plus
   // a replicated run that must recover within the same promotion bound.
   size_t meta_replicated_cell = 0;
   for (int replicas : {1, 3}) {
-    cells.push_back(RunMetaKillCell(replicas, duration_s, /*seed=*/42));
+    cells.push_back(RunKillCell(Fault::kMeta, replicas, duration_s,
+                                /*seed=*/42));
     if (replicas > 1) {
       meta_replicated_cell = cells.size() - 1;
     }
@@ -493,17 +362,21 @@ int main(int argc, char** argv) {
 
   // Determinism self-check: same seed, bit-identical goodput timeline,
   // failover events, and chain tip — for both tiers' replicated kill cells.
-  AvailCell again = RunKillCell(/*replicas=*/2, duration_s, /*seed=*/42);
+  AvailCell again = RunKillCell(Fault::kKey, /*replicas=*/2, duration_s,
+                                /*seed=*/42);
   bool deterministic = Digest(again) == Digest(cells[1]);
-  AvailCell meta_again = RunMetaKillCell(/*replicas=*/3, duration_s,
-                                         /*seed=*/42);
+  AvailCell meta_again = RunKillCell(Fault::kMeta, /*replicas=*/3,
+                                     duration_s, /*seed=*/42);
   deterministic =
       deterministic && Digest(meta_again) == Digest(cells[meta_replicated_cell]);
   std::printf("determinism: %s\n", deterministic ? "ok" : "MISMATCH");
 
-  std::string out = argc > 1 ? std::string(argv[1])
-                             : std::string("BENCH_availability.json");
-  WriteJson(out, cells, deterministic);
+  if (!WriteBenchJson(JsonDoc("availability")
+                          .Bool("deterministic", deterministic)
+                          .Rows("cells", ToRows(cells, CellJson)),
+                      argc, argv)) {
+    return 1;
+  }
 
   bool ok = deterministic;
   for (const AvailCell& c : cells) {

@@ -15,13 +15,8 @@ int main() {
   using namespace keypad::bench;
   PrintHeader("§5: Keypad network bandwidth over a multi-day deployment");
 
-  DeploymentOptions options;
-  options.profile = CellularProfile();  // The author emulated 300 ms RTT.
-  options.config.texp = SimDuration::Seconds(100);
-  options.config.prefetch = PrefetchPolicy::FullDirOnNthMiss(3);
-  options.config.ibe_enabled = true;
-  options.ibe_group = &BenchPairingParams();
-  Deployment dep(options);
+  // The author emulated 300 ms RTT.
+  Deployment dep(BenchDeployment(CellularProfile()));
 
   LongHaulParams params;
   params.days = FastMode() ? 3 : 12;

@@ -30,29 +30,9 @@
 namespace keypad {
 namespace {
 
-bool g_invariant_ok = true;
+using namespace bench;
 
-void Require(bool ok, const char* what) {
-  if (!ok) {
-    std::fprintf(stderr, "INVARIANT FAILED: %s\n", what);
-    g_invariant_ok = false;
-  }
-}
-
-double WallSeconds(const std::chrono::steady_clock::time_point& start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
-
-ObjectId NthId(uint32_t n) {
-  ObjectId id;
-  id.v[0] = static_cast<uint8_t>(n);
-  id.v[1] = static_cast<uint8_t>(n >> 8);
-  id.v[2] = static_cast<uint8_t>(n >> 16);
-  id.v[3] = 0xd7;
-  return id;
-}
+ObjectId NthId(size_t n) { return bench::NthId<ObjectId>(n, 0xd7); }
 
 // --- Recovery time vs. journal size. ----------------------------------------
 
@@ -70,8 +50,7 @@ RecoveryCell RunRecoveryCell(size_t txns) {
   Bytes payload(1024, 0xab);
   for (size_t i = 0; i < txns; ++i) {
     std::vector<StorageOp> batch;
-    batch.push_back(StorageOp::Put(NthId(static_cast<uint32_t>(i % 256)),
-                                   payload));
+    batch.push_back(StorageOp::Put(NthId(i % 256), payload));
     if (backend->Apply(std::move(batch)).ok()) {
       (void)backend->Sync();
     }
@@ -116,7 +95,7 @@ ScrubCell RunScrubCell(size_t objects, size_t flips) {
   Bytes body(4096, 0x5c);
   for (size_t i = 0; i < objects; ++i) {
     body[0] = static_cast<uint8_t>(i);
-    device.WriteObject(NthId(static_cast<uint32_t>(i)), body);
+    device.WriteObject(NthId(i), body);
   }
   bool flushed = false;
   write_back.FlushNow([&](Status s) { flushed = s.ok(); });
@@ -214,59 +193,41 @@ RestoreCell RunRestoreCell(size_t files) {
 
 // --- JSON emission. ---------------------------------------------------------
 
-void WriteJson(const std::string& path,
-               const std::vector<RecoveryCell>& recovery,
-               const ScrubCell& scrub,
-               const std::vector<RestoreCell>& restore,
-               const ExplorerResult& explorer) {
-  FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return;
-  }
-  std::fprintf(f, "{\n  \"bench\": \"durability\",\n  \"recovery\": [\n");
-  for (size_t i = 0; i < recovery.size(); ++i) {
-    const RecoveryCell& c = recovery[i];
-    std::fprintf(f,
-                 "    {\"txns\": %zu, \"journal_bytes\": %llu, "
-                 "\"replayed\": %llu, \"recover_ms\": %.3f}%s\n",
-                 c.txns, static_cast<unsigned long long>(c.journal_bytes),
-                 static_cast<unsigned long long>(c.replayed), c.recover_ms,
-                 i + 1 < recovery.size() ? "," : "");
-  }
-  std::fprintf(f,
-               "  ],\n  \"scrub\": {\"objects\": %zu, \"flips\": %zu, "
-               "\"scanned\": %llu, \"repaired\": %llu, \"unrepairable\": "
-               "%llu, \"scrub_ms\": %.3f, \"objects_per_s\": %.1f},\n",
-               scrub.objects, scrub.flips,
-               static_cast<unsigned long long>(scrub.scanned),
-               static_cast<unsigned long long>(scrub.repaired),
-               static_cast<unsigned long long>(scrub.unrepairable),
-               scrub.scrub_ms, scrub.objects_per_s);
-  std::fprintf(f, "  \"restore\": [\n");
-  for (size_t i = 0; i < restore.size(); ++i) {
-    const RestoreCell& c = restore[i];
-    std::fprintf(f,
-                 "    {\"files\": %zu, \"volume_bytes\": %llu, "
-                 "\"objects_fetched\": %llu, \"restore_virtual_s\": %.4f}%s\n",
-                 c.files, static_cast<unsigned long long>(c.volume_bytes),
-                 static_cast<unsigned long long>(c.objects_fetched),
-                 c.restore_virtual_s, i + 1 < restore.size() ? "," : "");
-  }
-  std::fprintf(f,
-               "  ],\n  \"explorer\": {\"injection_points\": %llu, "
-               "\"crashes_explored\": %llu, \"atomic_states\": %llu, "
-               "\"torn_states\": %llu, \"unmountable\": %llu, "
-               "\"all_atomic\": %s},\n",
-               static_cast<unsigned long long>(explorer.injection_points),
-               static_cast<unsigned long long>(explorer.crashes_explored),
-               static_cast<unsigned long long>(explorer.atomic_states),
-               static_cast<unsigned long long>(explorer.torn_states),
-               static_cast<unsigned long long>(explorer.unmountable),
-               explorer.all_atomic() ? "true" : "false");
-  std::fprintf(f, "  \"invariants_ok\": %s\n}\n",
-               g_invariant_ok ? "true" : "false");
-  std::fclose(f);
+bench::JsonDoc ToJson(const std::vector<RecoveryCell>& recovery,
+                      const ScrubCell& scrub,
+                      const std::vector<RestoreCell>& restore,
+                      const ExplorerResult& explorer) {
+  auto recovery_rows = bench::ToRows(recovery, [](const RecoveryCell& c) {
+    return bench::JsonRow()
+        .Int("txns", c.txns).Int("journal_bytes", c.journal_bytes)
+        .Int("replayed", c.replayed).Num("recover_ms", c.recover_ms, 3);
+  });
+  auto restore_rows = bench::ToRows(restore, [](const RestoreCell& c) {
+    return bench::JsonRow()
+        .Int("files", c.files).Int("volume_bytes", c.volume_bytes)
+        .Int("objects_fetched", c.objects_fetched)
+        .Num("restore_virtual_s", c.restore_virtual_s, 4);
+  });
+  bench::JsonDoc doc("durability");
+  doc.Rows("recovery", recovery_rows)
+      .Row("scrub",
+           bench::JsonRow()
+               .Int("objects", scrub.objects).Int("flips", scrub.flips)
+               .Int("scanned", scrub.scanned).Int("repaired", scrub.repaired)
+               .Int("unrepairable", scrub.unrepairable)
+               .Num("scrub_ms", scrub.scrub_ms, 3)
+               .Num("objects_per_s", scrub.objects_per_s, 1))
+      .Rows("restore", restore_rows)
+      .Row("explorer",
+           bench::JsonRow()
+               .Int("injection_points", explorer.injection_points)
+               .Int("crashes_explored", explorer.crashes_explored)
+               .Int("atomic_states", explorer.atomic_states)
+               .Int("torn_states", explorer.torn_states)
+               .Int("unmountable", explorer.unmountable)
+               .Bool("all_atomic", explorer.all_atomic()))
+      .Bool("invariants_ok", g_invariant_ok);
+  return doc;
 }
 
 int Main(int argc, char** argv) {
@@ -286,18 +247,15 @@ int Main(int argc, char** argv) {
     recovery.push_back(RunRecoveryCell(txns));
     const RecoveryCell& c = recovery.back();
     std::printf("%10zu %14llu %10llu %12.3f\n", c.txns,
-                static_cast<unsigned long long>(c.journal_bytes),
-                static_cast<unsigned long long>(c.replayed), c.recover_ms);
+                Llu(c.journal_bytes), Llu(c.replayed), c.recover_ms);
   }
 
   std::printf("\n--- scrub: throughput + cloud repair ---\n");
   ScrubCell scrub = RunScrubCell(fast ? 64 : 512, fast ? 6 : 24);
   std::printf("objects=%zu flips=%zu scanned=%llu repaired=%llu "
               "unrepairable=%llu scrub_ms=%.3f objects/s=%.1f\n",
-              scrub.objects, scrub.flips,
-              static_cast<unsigned long long>(scrub.scanned),
-              static_cast<unsigned long long>(scrub.repaired),
-              static_cast<unsigned long long>(scrub.unrepairable),
+              scrub.objects, scrub.flips, Llu(scrub.scanned),
+              Llu(scrub.repaired), Llu(scrub.unrepairable),
               scrub.scrub_ms, scrub.objects_per_s);
 
   std::printf("\n--- restore-after-theft: virtual time vs. volume size ---\n");
@@ -310,8 +268,7 @@ int Main(int argc, char** argv) {
     restore.push_back(RunRestoreCell(files));
     const RestoreCell& c = restore.back();
     std::printf("%8zu %14llu %10llu %12.4f\n", c.files,
-                static_cast<unsigned long long>(c.volume_bytes),
-                static_cast<unsigned long long>(c.objects_fetched),
+                Llu(c.volume_bytes), Llu(c.objects_fetched),
                 c.restore_virtual_s);
   }
 
@@ -321,24 +278,18 @@ int Main(int argc, char** argv) {
   ExplorerResult explorer = ExploreCrashPoints(explorer_options);
   std::printf("points=%llu crashes=%llu atomic=%llu torn=%llu "
               "unmountable=%llu all_atomic=%s\n",
-              static_cast<unsigned long long>(explorer.injection_points),
-              static_cast<unsigned long long>(explorer.crashes_explored),
-              static_cast<unsigned long long>(explorer.atomic_states),
-              static_cast<unsigned long long>(explorer.torn_states),
-              static_cast<unsigned long long>(explorer.unmountable),
+              Llu(explorer.injection_points), Llu(explorer.crashes_explored),
+              Llu(explorer.atomic_states), Llu(explorer.torn_states),
+              Llu(explorer.unmountable),
               explorer.all_atomic() ? "true" : "false");
   Require(explorer.all_atomic(),
           "journaled backend is atomic at every injection point");
 
-  std::string out = argc > 1 ? std::string(argv[1])
-                             : std::string("BENCH_durability.json");
-  WriteJson(out, recovery, scrub, restore, explorer);
-  std::printf("\nwrote %s\n", out.c_str());
-  if (!g_invariant_ok) {
-    std::fprintf(stderr, "durability bench: invariant failures\n");
+  if (!bench::WriteBenchJson(ToJson(recovery, scrub, restore, explorer),
+                             argc, argv, "\n")) {
     return 1;
   }
-  return 0;
+  return bench::InvariantExit("durability");
 }
 
 }  // namespace

@@ -26,18 +26,15 @@ int main() {
   std::printf("\n%-10s %10s %10s %12s %12s %12s\n", "RTT(ms)", "Keypad(s)",
               "NFS(s)", "KP/ext3", "KP/EncFS", "KP/NFS");
   for (double rtt : rtts_ms) {
-    DeploymentOptions options;
-    options.profile = CustomRttProfile(SimDuration::FromMillisF(rtt));
-    options.config.texp = SimDuration::Seconds(100);
-    options.config.prefetch = PrefetchPolicy::FullDirOnNthMiss(3);
+    DeploymentOptions options =
+        BenchDeployment(CustomRttProfile(SimDuration::FromMillisF(rtt)));
     // IBE only helps past its ~25 ms crossover; the paper disables it on
     // fast networks.
     options.config.ibe_enabled = rtt > 25;
-    CompileRun keypad_run = RunKeypadCompile(options);
+    double keypad_s = RunKeypadCompile(options);
     double nfs = RunNfsCompile(CustomRttProfile(SimDuration::FromMillisF(rtt)));
-    std::printf("%-10.1f %10.1f %10.1f %12.2f %12.2f %12.2f\n", rtt,
-                keypad_run.seconds, nfs, keypad_run.seconds / ext3,
-                keypad_run.seconds / encfs, keypad_run.seconds / nfs);
+    std::printf("%-10.1f %10.1f %10.1f %12.2f %12.2f %12.2f\n", rtt, keypad_s,
+                nfs, keypad_s / ext3, keypad_s / encfs, keypad_s / nfs);
     std::fflush(stdout);
   }
   std::printf(

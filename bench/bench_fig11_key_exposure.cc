@@ -17,24 +17,17 @@ namespace {
 
 double AverageKeysInMemory(int texp_seconds, PrefetchPolicy policy,
                            int days) {
-  DeploymentOptions options;
-  options.profile = WlanProfile();  // The deployment was used at home/work.
+  // The deployment was used at home/work.
+  DeploymentOptions options = bench::BenchDeployment(WlanProfile());
   options.config.texp = SimDuration::Seconds(texp_seconds);
   options.config.prefetch = policy;
-  options.config.ibe_enabled = true;
-  options.ibe_group = &BenchPairingParams();
   Deployment dep(options);
 
   LongHaulParams params;
   params.days = days;
   LongHaulWorkload workload = MakeLongHaulWorkload(params, /*seed=*/99);
   TraceRunner runner(&dep.fs(), &dep.queue());
-  TraceRunResult setup = runner.Run(workload.setup);
-  if (setup.failures != 0) {
-    std::fprintf(stderr, "longhaul setup failed: %s\n",
-                 setup.first_failure.ToString().c_str());
-    std::abort();
-  }
+  bench::RunOrDie(runner, workload.setup, "longhaul setup");
   dep.queue().AdvanceBy(options.config.texp * 2 + SimDuration::Seconds(2));
 
   // Average over use periods: sample the cache size after every non-idle

@@ -35,11 +35,9 @@ void RunProfile(const NetworkProfile& profile) {
 
   // --- Content ops (Fig. 6a). ------------------------------------------------
   {
-    DeploymentOptions options;
-    options.profile = profile;
+    DeploymentOptions options = bench::BenchDeployment(profile);
     options.config.ibe_enabled = false;
     options.config.prefetch = PrefetchPolicy::None();
-    options.ibe_group = &BenchPairingParams();
     Deployment dep(options);
     OpTimer timer{dep};
     auto& fs = dep.fs();
@@ -65,10 +63,8 @@ void RunProfile(const NetworkProfile& profile) {
 
   // --- Metadata ops without IBE (Fig. 6b). -----------------------------------
   {
-    DeploymentOptions options;
-    options.profile = profile;
+    DeploymentOptions options = bench::BenchDeployment(profile);
     options.config.ibe_enabled = false;
-    options.ibe_group = &BenchPairingParams();
     Deployment dep(options);
     OpTimer timer{dep};
     auto& fs = dep.fs();
@@ -87,11 +83,7 @@ void RunProfile(const NetworkProfile& profile) {
 
   // --- Metadata ops with IBE. --------------------------------------------------
   {
-    DeploymentOptions options;
-    options.profile = profile;
-    options.config.ibe_enabled = true;
-    options.ibe_group = &BenchPairingParams();
-    Deployment dep(options);
+    Deployment dep(bench::BenchDeployment(profile));
     OpTimer timer{dep};
     auto& fs = dep.fs();
     fs.Create("/r1").ok();

@@ -41,13 +41,11 @@ int main() {
   for (int texp : texps) {
     std::printf("%-12d", texp);
     for (const auto& anchor : anchors) {
-      DeploymentOptions options;
-      options.profile = anchor.profile;
+      DeploymentOptions options = BenchDeployment(anchor.profile);
       options.config.ibe_enabled = false;
       options.config.prefetch = PrefetchPolicy::None();
       options.config.texp = SimDuration::Seconds(texp);
-      CompileRun run = RunKeypadCompile(options);
-      std::printf(" %12.1f", run.seconds);
+      std::printf(" %12.1f", RunKeypadCompile(options));
       std::fflush(stdout);
     }
     std::printf("\n");

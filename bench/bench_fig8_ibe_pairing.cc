@@ -19,14 +19,11 @@ int main() {
   }
 
   auto run = [&](double rtt_ms, bool ibe, bool phone) {
-    DeploymentOptions options;
-    options.profile = CustomRttProfile(SimDuration::FromMillisF(rtt_ms));
+    DeploymentOptions options =
+        BenchDeployment(CustomRttProfile(SimDuration::FromMillisF(rtt_ms)));
     options.config.ibe_enabled = ibe;
-    options.config.prefetch = PrefetchPolicy::FullDirOnNthMiss(3);
-    options.config.texp = SimDuration::Seconds(100);
     options.paired_phone = phone;
-    CompileRun result = RunKeypadCompile(options);
-    return result.seconds;
+    return RunKeypadCompile(options);
   };
 
   std::printf("\n(a) IBE — compile seconds\n");

@@ -12,21 +12,14 @@ namespace {
 
 double RunWorkload(const Fig9Workload& w, SimDuration texp,
                    PrefetchPolicy prefetch, bool ibe) {
-  DeploymentOptions options;
-  options.profile = CellularProfile();
+  DeploymentOptions options = bench::BenchDeployment(CellularProfile());
   options.config.texp = texp;
   options.config.prefetch = prefetch;
   options.config.ibe_enabled = ibe;
-  options.ibe_group = &BenchPairingParams();
   Deployment dep(options);
 
   TraceRunner runner(&dep.fs(), &dep.queue());
-  TraceRunResult setup = runner.Run(w.setup);
-  if (setup.failures != 0) {
-    std::fprintf(stderr, "%s setup failed: %s\n", w.name.c_str(),
-                 setup.first_failure.ToString().c_str());
-    std::abort();
-  }
+  bench::RunOrDie(runner, w.setup, w.name + " setup");
   // Cold caches.
   dep.queue().AdvanceBy(texp * 2 + SimDuration::Seconds(2));
   dep.queue().RunUntilIdle();

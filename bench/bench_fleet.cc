@@ -48,6 +48,8 @@
 namespace keypad {
 namespace {
 
+using bench::Llu;
+
 double NowSeconds() {
   return std::chrono::duration<double>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -350,86 +352,63 @@ void PrintFleetCell(const FleetCell& c) {
       "%-14s %7d dev (%s)  %9llu opens (%llu ok, %llu denied, %llu err)  "
       "%6.1fs host  %4.2fM ev/s  %7.0f op/vs  p50=%5.2fms p99=%6.2fms  "
       "rss=%4.0fMB  q-hw=%llu  hot=%llu/%llu  chains=%s\n",
-      c.scenario.c_str(), c.devices, c.codec.c_str(),
-      static_cast<unsigned long long>(c.stats.opens_issued),
-      static_cast<unsigned long long>(c.stats.opens_ok),
-      static_cast<unsigned long long>(c.stats.opens_denied),
-      static_cast<unsigned long long>(c.stats.opens_failed), c.host_s,
-      c.events_per_s() / 1e6, c.ops_per_vs(), c.stats.p50_ms, c.stats.p99_ms,
-      c.rss_peak_mb, static_cast<unsigned long long>(c.max_queue_high_water),
-      static_cast<unsigned long long>(c.hot_hits),
-      static_cast<unsigned long long>(c.hot_misses),
+      c.scenario.c_str(), c.devices, c.codec.c_str(), Llu(c.stats.opens_issued),
+      Llu(c.stats.opens_ok), Llu(c.stats.opens_denied),
+      Llu(c.stats.opens_failed), c.host_s, c.events_per_s() / 1e6,
+      c.ops_per_vs(), c.stats.p50_ms, c.stats.p99_ms, c.rss_peak_mb,
+      Llu(c.max_queue_high_water), Llu(c.hot_hits), Llu(c.hot_misses),
       c.stats.chains_verified ? "ok" : "BROKEN");
 }
 
-void WriteJson(const std::string& path, const QueueMicro& qm,
-               const MarshalMicro& mm, const std::vector<FleetCell>& cells) {
-  FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return;
-  }
-  std::fprintf(f, "{\n  \"bench\": \"simcore\",\n");
-  std::fprintf(
-      f,
-      "  \"queue_micro\": {\"events\": %llu, \"seed_map_events_per_s\": "
-      "%.0f, \"pairing_heap_events_per_s\": %.0f, \"speedup\": %.2f},\n",
-      static_cast<unsigned long long>(qm.events), qm.seed_eps(),
-      qm.heap_eps(), qm.speedup());
-  std::fprintf(
-      f,
-      "  \"marshal_micro\": {\"xml_ns_per_op\": %.0f, \"binary_ns_per_op\": "
-      "%.0f, \"speedup\": %.2f, \"xml_call_bytes\": %zu, "
-      "\"binary_call_bytes\": %zu, \"shrink\": %.2f},\n",
-      mm.xml_ns_per_op, mm.bin_ns_per_op, mm.speedup(), mm.xml_call_bytes,
-      mm.bin_call_bytes, mm.shrink());
-  std::fprintf(f, "  \"fleet_cells\": [\n");
-  for (size_t i = 0; i < cells.size(); ++i) {
-    const FleetCell& c = cells[i];
-    std::fprintf(
-        f,
-        "    {\"scenario\": \"%s\", \"codec\": \"%s\", \"devices\": %d, "
-        "\"opens\": %llu, \"opens_ok\": %llu, \"opens_denied\": %llu, "
-        "\"opens_failed\": %llu, \"flash_opens\": %llu, "
-        "\"devices_revoked\": %llu, \"denied_log_entries\": %llu, "
-        "\"log_entries\": %llu, \"host_s\": %.2f, \"events_executed\": "
-        "%llu, \"events_per_s\": %.0f, \"ops_per_virtual_s\": %.1f, "
-        "\"p50_ms\": %.3f, \"p99_ms\": %.3f, \"bytes_on_wire\": %llu, "
-        "\"codec_downgrades\": 0, \"buffer_reuse_rate\": %.3f, "
-        "\"rss_peak_mb\": %.0f, \"queue_depth_high_water\": %llu, "
-        "\"hot_hits\": %llu, \"hot_misses\": %llu, "
-        "\"requests_shed\": %llu, \"deadline_expired\": %llu, "
-        "\"overload_events\": %llu, "
-        "\"chains_verified\": %s}%s\n",
-        c.scenario.c_str(), c.codec.c_str(), c.devices,
-        static_cast<unsigned long long>(c.stats.opens_issued),
-        static_cast<unsigned long long>(c.stats.opens_ok),
-        static_cast<unsigned long long>(c.stats.opens_denied),
-        static_cast<unsigned long long>(c.stats.opens_failed),
-        static_cast<unsigned long long>(c.stats.flash_opens),
-        static_cast<unsigned long long>(c.stats.devices_revoked),
-        static_cast<unsigned long long>(c.stats.denied_log_entries),
-        static_cast<unsigned long long>(c.stats.log_entries), c.host_s,
-        static_cast<unsigned long long>(c.events_executed),
-        c.events_per_s(), c.ops_per_vs(), c.stats.p50_ms, c.stats.p99_ms,
-        static_cast<unsigned long long>(c.stats.bytes_on_wire),
-        c.stats.encode_buffer_acquires > 0
-            ? static_cast<double>(c.stats.encode_buffer_reuses) /
-                  c.stats.encode_buffer_acquires
-            : 0.0,
-        c.rss_peak_mb,
-        static_cast<unsigned long long>(c.max_queue_high_water),
-        static_cast<unsigned long long>(c.hot_hits),
-        static_cast<unsigned long long>(c.hot_misses),
-        static_cast<unsigned long long>(c.requests_shed),
-        static_cast<unsigned long long>(c.deadline_expired),
-        static_cast<unsigned long long>(c.overload_events),
-        c.stats.chains_verified ? "true" : "false",
-        i + 1 < cells.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("wrote %s\n", path.c_str());
+bench::JsonRow FleetJson(const FleetCell& c) {
+  const FleetWorkload::Stats& s = c.stats;
+  return bench::JsonRow()
+      .Str("scenario", c.scenario).Str("codec", c.codec)
+      .Int("devices", c.devices).Int("opens", s.opens_issued)
+      .Int("opens_ok", s.opens_ok).Int("opens_denied", s.opens_denied)
+      .Int("opens_failed", s.opens_failed).Int("flash_opens", s.flash_opens)
+      .Int("devices_revoked", s.devices_revoked)
+      .Int("denied_log_entries", s.denied_log_entries)
+      .Int("log_entries", s.log_entries).Num("host_s", c.host_s, 2)
+      .Int("events_executed", c.events_executed)
+      .Num("events_per_s", c.events_per_s(), 0)
+      .Num("ops_per_virtual_s", c.ops_per_vs(), 1)
+      .Num("p50_ms", s.p50_ms, 3).Num("p99_ms", s.p99_ms, 3)
+      .Int("bytes_on_wire", s.bytes_on_wire).Int("codec_downgrades", 0)
+      .Num("buffer_reuse_rate",
+           s.encode_buffer_acquires > 0
+               ? static_cast<double>(s.encode_buffer_reuses) /
+                     s.encode_buffer_acquires
+               : 0.0,
+           3)
+      .Num("rss_peak_mb", c.rss_peak_mb, 0)
+      .Int("queue_depth_high_water", c.max_queue_high_water)
+      .Int("hot_hits", c.hot_hits).Int("hot_misses", c.hot_misses)
+      .Int("requests_shed", c.requests_shed)
+      .Int("deadline_expired", c.deadline_expired)
+      .Int("overload_events", c.overload_events)
+      .Bool("chains_verified", s.chains_verified);
+}
+
+bench::JsonDoc ToJson(const QueueMicro& qm, const MarshalMicro& mm,
+                      const std::vector<FleetCell>& cells) {
+  bench::JsonDoc doc("simcore");
+  doc.Row("queue_micro",
+          bench::JsonRow()
+              .Int("events", qm.events)
+              .Num("seed_map_events_per_s", qm.seed_eps(), 0)
+              .Num("pairing_heap_events_per_s", qm.heap_eps(), 0)
+              .Num("speedup", qm.speedup(), 2))
+      .Row("marshal_micro",
+           bench::JsonRow()
+               .Num("xml_ns_per_op", mm.xml_ns_per_op, 0)
+               .Num("binary_ns_per_op", mm.bin_ns_per_op, 0)
+               .Num("speedup", mm.speedup(), 2)
+               .Int("xml_call_bytes", mm.xml_call_bytes)
+               .Int("binary_call_bytes", mm.bin_call_bytes)
+               .Num("shrink", mm.shrink(), 2))
+      .Rows("fleet_cells", bench::ToRows(cells, FleetJson));
+  return doc;
 }
 
 }  // namespace
@@ -446,9 +425,8 @@ int main(int argc, char** argv) {
   std::printf(
       "queue micro:   %llu events  seed-map %5.2fM ev/s  pairing-heap "
       "%5.2fM ev/s  speedup %.2fx%s\n",
-      static_cast<unsigned long long>(qm.events), qm.seed_eps() / 1e6,
-      qm.heap_eps() / 1e6, qm.speedup(),
-      qm.speedup() >= 1.1 ? "" : "  [BELOW 1.1x TARGET]");
+      Llu(qm.events), qm.seed_eps() / 1e6, qm.heap_eps() / 1e6,
+      qm.speedup(), qm.speedup() >= 1.1 ? "" : "  [BELOW 1.1x TARGET]");
   ok = ok && qm.speedup() >= 1.1;
 
   // Marshal micro: XML vs binary round trip.
@@ -464,6 +442,11 @@ int main(int argc, char** argv) {
   ok = ok && mm.speedup() >= 2.0 && mm.shrink() >= 2.0;
 
   std::vector<FleetCell> cells;
+  auto run = [&](const char* scenario, const FleetOptions& options) {
+    cells.push_back(RunFleetCell(scenario, options));
+    PrintFleetCell(cells.back());
+    return cells.back();
+  };
 
   // Fleet sweep with diurnal churn; the top cell is the 100k-device claim.
   FleetOptions base;
@@ -490,9 +473,7 @@ int main(int argc, char** argv) {
     options.users = point.users;
     options.shards = point.shards;
     options.seed = 0xF1EE7 + point.users;
-    cells.push_back(RunFleetCell("diurnal", options));
-    PrintFleetCell(cells.back());
-    biggest = cells.back();
+    biggest = run("diurnal", options);
     // Capacity is provisioned: a diurnal cell must not drop opens.
     ok = ok && biggest.stats.chains_verified &&
          biggest.stats.opens_ok > 0 && biggest.stats.opens_failed == 0;
@@ -510,13 +491,9 @@ int main(int argc, char** argv) {
     options.shards = FastMode() ? 2 : 4;
     options.seed = 0xAB1A;
     options.codec = WireCodec::kXml;
-    cells.push_back(RunFleetCell("codec_xml", options));
-    PrintFleetCell(cells.back());
-    const FleetCell xml = cells.back();
+    const FleetCell xml = run("codec_xml", options);
     options.codec = WireCodec::kBinary;
-    cells.push_back(RunFleetCell("codec_binary", options));
-    PrintFleetCell(cells.back());
-    const FleetCell bin = cells.back();
+    const FleetCell bin = run("codec_binary", options);
     bool shrank = bin.stats.bytes_on_wire * 2 <= xml.stats.bytes_on_wire;
     std::printf(
         "codec ablation: %.1f MB -> %.1f MB on the wire (%.1fx), host "
@@ -540,9 +517,7 @@ int main(int argc, char** argv) {
     options.seed = 0x5707;
     options.flash_crowd = true;
     options.revocation_storm = true;
-    cells.push_back(RunFleetCell("flash+storm", options));
-    PrintFleetCell(cells.back());
-    const FleetCell& storm = cells.back();
+    const FleetCell storm = run("flash+storm", options);
     bool storm_ok = storm.stats.chains_verified &&
                     storm.stats.devices_revoked > 0 &&
                     storm.stats.opens_denied > 0 &&
@@ -551,16 +526,14 @@ int main(int argc, char** argv) {
     std::printf(
         "storm: %llu devices revoked, %llu opens denied, %llu kDenied audit "
         "rows, flash q-hw=%llu%s\n",
-        static_cast<unsigned long long>(storm.stats.devices_revoked),
-        static_cast<unsigned long long>(storm.stats.opens_denied),
-        static_cast<unsigned long long>(storm.stats.denied_log_entries),
-        static_cast<unsigned long long>(storm.max_queue_high_water),
+        Llu(storm.stats.devices_revoked), Llu(storm.stats.opens_denied),
+        Llu(storm.stats.denied_log_entries), Llu(storm.max_queue_high_water),
         storm_ok ? "" : "  [STORM INVARIANTS VIOLATED]");
     ok = ok && storm_ok;
   }
 
-  std::string out =
-      argc > 1 ? std::string(argv[1]) : std::string("BENCH_simcore.json");
-  WriteJson(out, qm, mm, cells);
+  if (!WriteBenchJson(ToJson(qm, mm, cells), argc, argv)) {
+    return 1;
+  }
   return ok ? 0 : 1;
 }

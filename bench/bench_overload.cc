@@ -1,14 +1,12 @@
 // Overload-robustness bench (DESIGN.md §14): the 4-shard key tier driven
 // past saturation, with and without the overload machinery.
 //
-// Fixture: the bench_scale cost model (30 us dispatch charge per RPC,
-// 120 us unwrap per cold key, group commit at 400 us, seal CPU billed to
-// the shard's busy clock), 4 shards, M devices each with its own link and
-// per-shard stubs behind a ShardRouter. Keys are provisioned hot-resident
-// so the cells measure the serving path at its dispatch-bound capacity,
-// not the unwrap warmup. Routing is one RPC per fetch (no batching, no
-// coalescing) so every demand open is exactly one wire request — the
-// accounting the revocation cell's row-per-attempt gate needs.
+// Fixture: the key-tier rig (bench/harness.h) with bench_scale's cost model
+// and 4 shards. Keys stay hot-resident from provisioning, so the cells
+// measure the serving path at its dispatch-bound capacity, not the unwrap
+// warmup. Routing is one RPC per fetch (no batching, no coalescing) so
+// every demand open is exactly one wire request — the accounting the
+// revocation cell's row-per-attempt gate needs.
 //
 // Cells:
 //  * peak: closed loop at saturation with the full §14 stack on
@@ -36,45 +34,33 @@
 //
 // Emits BENCH_overload.json (path = argv[1], default ./BENCH_overload.json).
 
-#include <algorithm>
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench/harness.h"
-#include "src/keyservice/key_service.h"
-#include "src/keyservice/shard_router.h"
-#include "src/net/link.h"
-#include "src/net/profile.h"
-#include "src/rpc/brownout.h"
-#include "src/rpc/rpc.h"
-#include "src/sim/random.h"
 
 namespace keypad {
 namespace {
 
-constexpr int kShards = 4;
+using bench::Llu;
+using Load = KeyService::LoadStats;
 
-struct CellResult {
+// The rig's parameters plus the cell's own knobs.
+struct CellConfig : bench::KeyTierRigOptions {
   std::string scenario;
-  bool protections = false;  // admission + retry budget + brownout
-  int devices = 0;
-  double offered_ops_per_s = 0;  // 0 = closed loop.
-  uint64_t completed = 0;
+  bool protections = true;  // admission + retry budget + brownout
+  // > 0: open-loop Poisson arrivals at this aggregate rate; 0: closed loop
+  // at pipeline_depth per device.
+  double paced_ops_per_s = 0;
+  bool revoke_device0 = false;
+  int pipeline_depth = 64;
+};
+
+// `failed` counts what is neither REJECTED nor denied (timeouts, breaker).
+struct CellResult : CellConfig, bench::KeyTierCell {
   uint64_t rejected = 0;  // Client-observed REJECTED faults.
   uint64_t denied = 0;    // Client-observed kPermissionDenied (revoked).
-  uint64_t failed = 0;    // Everything else (timeouts, breaker, ...).
-  double elapsed_s = 0;
-  double p50_ms = 0;
-  double p99_ms = 0;
-  // Server-side §14 counters, summed over the shard tier.
-  uint64_t shed_demand = 0;
-  uint64_t shed_prefetch = 0;
-  uint64_t shed_background = 0;
-  uint64_t deadline_expired = 0;
-  uint64_t overload_events = 0;
-  uint64_t queue_depth_high_water = 0;  // Max over shards.
   // Client-side §14 counters, summed over devices.
   uint64_t retries_budget_denied = 0;
   uint64_t budget_rejects_observed = 0;
@@ -82,165 +68,23 @@ struct CellResult {
   uint64_t brownout_activations = 0;
   // Revocation-storm audit accounting.
   uint64_t denied_rows = 0;  // kDenied rows for the revoked device.
-  bool revoked_device = false;
-  bool revocation_fenced = true;
-  bool all_verified = true;
-
-  uint64_t requests_shed() const {
-    return shed_demand + shed_prefetch + shed_background;
-  }
-  double goodput() const {
-    return elapsed_s == 0 ? 0 : completed / elapsed_s;
-  }
 };
-
-struct CellConfig {
-  std::string scenario;
-  bool protections = true;
-  // > 0: open-loop Poisson arrivals at this aggregate rate; 0: closed loop
-  // at pipeline_depth per device.
-  double paced_ops_per_s = 0;
-  bool revoke_device0 = false;
-  int devices = 8;
-  int pipeline_depth = 64;
-  SimDuration duration = SimDuration::Seconds(1);
-};
-
-struct Device {
-  std::string name;
-  std::unique_ptr<NetworkLink> link;
-  std::vector<std::unique_ptr<RpcClient>> rpcs;
-  std::vector<std::unique_ptr<KeyServiceClient>> stubs;
-  std::unique_ptr<BrownoutController> brownout;
-  std::unique_ptr<ShardRouter> router;
-  std::unique_ptr<SimRandom> rng;
-  std::vector<AuditId> ids;
-};
-
-uint64_t DeniedRowsFor(const std::vector<std::unique_ptr<KeyService>>& shards,
-                       const std::string& device_name) {
-  uint64_t rows = 0;
-  for (const auto& shard : shards) {
-    for (const auto& entry : shard->log().entries()) {
-      if (entry.device_id == device_name &&
-          entry.op == AccessOp::kDenied) {
-        ++rows;
-      }
-    }
-  }
-  return rows;
-}
 
 CellResult RunCell(const CellConfig& config) {
-  ResetRpcClientIdsForTesting();
-  EventQueue queue;
-
-  KeyServiceOptions service_options;
-  service_options.commit_window = SimDuration::Micros(400);
-  service_options.seal_cost_fixed = SimDuration::Micros(40);
-  service_options.seal_cost_per_entry = SimDuration::Micros(2);
-  service_options.unwrap_cost = SimDuration::Micros(120);
-  service_options.hot_key_cache = true;
-
-  // Admission tuned so the demand shed point (target * demand_slack =
-  // 10 ms expected sojourn) sits well inside the client's 25 ms
-  // per-attempt timeout: everything the server admits, the client is
-  // still around to receive.
-  AdmissionOptions admission;
-  admission.enabled = config.protections;
-  admission.target_sojourn = SimDuration::Millis(1);
-  admission.overload_interval = SimDuration::Millis(10);
-
-  constexpr SimDuration kDispatchTime = SimDuration::Micros(30);
-  std::vector<std::unique_ptr<KeyService>> shards;
-  std::vector<std::unique_ptr<RpcServer>> servers;
-  for (int s = 0; s < kShards; ++s) {
-    shards.push_back(std::make_unique<KeyService>(
-        &queue, 0x7100 + static_cast<uint64_t>(s), service_options));
-    servers.push_back(std::make_unique<RpcServer>(&queue, kDispatchTime));
-    servers[s]->set_admission(admission);
-    shards[s]->BindRpc(servers[s].get());
-    RpcServer* server = servers[s].get();
-    shards[s]->set_seal_charge(
-        [server](SimDuration d) { server->ChargeBusy(d); });
-  }
-
-  // LAN retry ladder sized for the overload story: 25 ms attempts under a
-  // 100 ms call deadline with fast backoff, so the OFF cell's retries
-  // actually land inside the run instead of after it — and its backlog
-  // goes stale (served after the ladder gave up) within the cell.
-  RpcOptions rpc;
-  rpc.client_overhead = SimDuration();
-  rpc.timeout = SimDuration::Millis(25);
-  rpc.total_deadline = SimDuration::Millis(100);
-  rpc.retry.initial_backoff = SimDuration::Millis(2);
-  rpc.retry.max_backoff = SimDuration::Millis(20);
-  rpc.retry_budget.enabled = config.protections;
-
-  BrownoutOptions brownout_options;
-  brownout_options.enabled = config.protections;
-
-  ShardRouter::Options router_options;
-  router_options.single_flight = false;
-  router_options.batch_fetch = false;
-
-  const int ids_per_device = 64;
-  std::vector<std::unique_ptr<Device>> devices;
-  SecureRandom id_rng(0xF00D);
-  for (int d = 0; d < config.devices; ++d) {
-    auto device = std::make_unique<Device>();
-    device->name = "dev-" + std::to_string(d);
-    device->link = std::make_unique<NetworkLink>(
-        &queue, LanProfile(), 0x5100 + static_cast<uint64_t>(d));
-    device->brownout = std::make_unique<BrownoutController>(brownout_options);
-    Bytes secret;
-    for (int s = 0; s < kShards; ++s) {
-      if (s == 0) {
-        secret = shards[s]->RegisterDevice(device->name);
-      } else {
-        shards[s]->RegisterDeviceWithSecret(device->name, secret);
-      }
-      device->rpcs.push_back(std::make_unique<RpcClient>(
-          &queue, device->link.get(), servers[s].get(), rpc));
-      device->stubs.push_back(std::make_unique<KeyServiceClient>(
-          device->rpcs.back().get(), device->name, secret));
-    }
-    std::vector<KeyServiceClient*> stub_ptrs;
-    for (auto& stub : device->stubs) stub_ptrs.push_back(stub.get());
-    ShardRouter::Options opts = router_options;
-    opts.brownout = device->brownout.get();
-    device->router =
-        std::make_unique<ShardRouter>(&queue, std::move(stub_ptrs), opts);
-    device->rng =
-        std::make_unique<SimRandom>(0x6100 + static_cast<uint64_t>(d));
-    for (int i = 0; i < ids_per_device; ++i) {
-      AuditId id = AuditId::Random(id_rng);
-      size_t owner = device->router->ring().ShardFor(id);
-      if (!shards[owner]->CreateKey(device->name, id).ok()) {
-        std::fprintf(stderr, "bench_overload: provisioning failed\n");
-        std::exit(1);
-      }
-      device->ids.push_back(id);
-    }
-    devices.push_back(std::move(device));
-  }
-  // Provisioning left every key unwrapped-resident; keep it that way. The
-  // overload cells are about queueing at the dispatch-bound capacity, not
-  // the cold-unwrap warmup bench_scale already covers.
+  bench::KeyTierRigOptions options = config;
+  options.admission->enabled = config.protections;
+  options.rpc.retry_budget.enabled = config.protections;
+  options.brownout->enabled = config.protections;
+  bench::KeyTierRig rig(options);
+  EventQueue& queue = rig.queue;
 
   CellResult cell;
-  cell.scenario = config.scenario;
-  cell.protections = config.protections;
-  cell.devices = config.devices;
-  cell.offered_ops_per_s = config.paced_ops_per_s;
-  cell.revoked_device = config.revoke_device0;
-
-  const SimTime start = queue.Now();
-  const SimTime deadline = start + config.duration;
+  static_cast<CellConfig&>(cell) = config;
   std::vector<double> latencies_ms;
-  latencies_ms.reserve(1 << 16);
 
-  std::function<void(Device*)> issue;
+  auto pick = [](bench::KeyTierRig::Device& device) -> const AuditId& {
+    return device.ids[device.rng->UniformU64(device.ids.size())];
+  };
   auto record = [&](SimTime issued, Result<Bytes> key) {
     if (key.ok()) {
       ++cell.completed;
@@ -253,88 +97,30 @@ CellResult RunCell(const CellConfig& config) {
       ++cell.failed;
     }
   };
-
   if (config.paced_ops_per_s > 0) {
     // Open loop: arrivals keep coming at the offered rate no matter what
     // completions do — exactly the regime where an unbounded queue
     // diverges and a bounded one sheds.
-    const double mean_us =
-        1e6 / (config.paced_ops_per_s / config.devices);
-    issue = [&, mean_us](Device* device) {
-      if (queue.Now() >= deadline) {
-        return;
-      }
-      const AuditId& id =
-          device->ids[device->rng->UniformU64(device->ids.size())];
-      SimTime issued = queue.Now();
-      device->router->GetKeyAsync(
-          id, AccessOp::kDemandFetch,
-          [&, device, issued](Result<Bytes> key) {
-            record(issued, std::move(key));
-          });
-      queue.ScheduleAfter(
-          SimDuration::Micros(
-              static_cast<int64_t>(device->rng->Exponential(mean_us))),
-          [&, device] { issue(device); });
-    };
-    for (auto& device : devices) {
-      issue(device.get());
-    }
+    rig.DrivePoisson(1e6 / (config.paced_ops_per_s / config.devices), pick,
+                     record);
   } else {
     // Closed loop at a deep pipeline: the capacity measurement.
-    issue = [&](Device* device) {
-      if (queue.Now() >= deadline) {
-        return;
-      }
-      const AuditId& id =
-          device->ids[device->rng->UniformU64(device->ids.size())];
-      SimTime issued = queue.Now();
-      device->router->GetKeyAsync(
-          id, AccessOp::kDemandFetch,
-          [&, device, issued](Result<Bytes> key) {
-            record(issued, std::move(key));
-            issue(device);
-          });
-    };
-    for (auto& device : devices) {
-      for (int p = 0; p < config.pipeline_depth; ++p) {
-        issue(device.get());
-      }
-    }
+    rig.DriveClosedLoop(config.pipeline_depth, pick, record);
   }
 
   if (config.revoke_device0) {
     // Revoke device 0 a quarter in: its in-flight grants land before the
     // kRevoke row; afterwards every admitted attempt is a denied row and
     // every shed attempt is nothing at all.
-    queue.Schedule(start + config.duration / 4, [&] {
-      for (auto& shard : shards) {
-        shard->DisableDevice(devices[0]->name);
-      }
-    });
+    rig.RevokeAt(rig.start + config.duration / 4, 0);
   }
 
   queue.RunUntilIdle();
   cell.elapsed_s = config.duration.seconds_f();
 
-  if (!latencies_ms.empty()) {
-    std::sort(latencies_ms.begin(), latencies_ms.end());
-    cell.p50_ms = bench::SortedQuantile(latencies_ms, 0.50);
-    cell.p99_ms = bench::SortedQuantile(latencies_ms, 0.99);
-  }
-  for (int s = 0; s < kShards; ++s) {
-    cell.shed_demand += servers[s]->shed_demand();
-    cell.shed_prefetch += servers[s]->shed_prefetch();
-    cell.shed_background += servers[s]->shed_background();
-    cell.deadline_expired += servers[s]->deadline_expired();
-    cell.overload_events += servers[s]->overload_events();
-    cell.queue_depth_high_water = std::max(
-        cell.queue_depth_high_water, servers[s]->queue_depth_high_water());
-    if (!shards[s]->log().Verify().ok()) {
-      cell.all_verified = false;
-    }
-  }
-  for (auto& device : devices) {
+  bench::FillTail(latencies_ms, &cell.p50_ms, &cell.p99_ms);
+  cell.loads = rig.Results();
+  for (auto& device : rig.devices) {
     for (auto& client : device->rpcs) {
       cell.retries_budget_denied += client->retries_budget_denied();
       cell.budget_rejects_observed +=
@@ -344,9 +130,9 @@ CellResult RunCell(const CellConfig& config) {
     cell.brownout_activations += device->brownout->stats().activations;
   }
   if (config.revoke_device0) {
-    cell.denied_rows = DeniedRowsFor(shards, devices[0]->name);
-    cell.revocation_fenced =
-        bench::RevocationFenceHolds(shards, devices[0]->name);
+    bench::KeyTierRig::Trail trail = rig.TrailOf(0);
+    cell.denied_rows = trail.denied_rows;
+    cell.revocation_fenced = trail.fenced;
   }
   return cell;
 }
@@ -357,73 +143,42 @@ void PrintCell(const CellResult& c) {
       "goodput=%8.0f op/s  p50=%6.2f ms  p99=%7.2f ms  "
       "shed=%llu  expired=%llu  q-hw=%llu  budget-denied=%llu  "
       "brownout=%llu/%llu%s%s\n",
-      c.scenario.c_str(), c.protections ? "on " : "off",
-      static_cast<unsigned long long>(c.completed),
-      static_cast<unsigned long long>(c.rejected),
-      static_cast<unsigned long long>(c.denied),
-      static_cast<unsigned long long>(c.failed), c.goodput(), c.p50_ms,
-      c.p99_ms, static_cast<unsigned long long>(c.requests_shed()),
-      static_cast<unsigned long long>(c.deadline_expired),
-      static_cast<unsigned long long>(c.queue_depth_high_water),
-      static_cast<unsigned long long>(c.retries_budget_denied),
-      static_cast<unsigned long long>(c.brownout_activations),
-      static_cast<unsigned long long>(c.brownout_signals),
-      c.revoked_device
-          ? (c.revocation_fenced ? "  [revocation fenced]"
-                                 : "  [REVOCATION FENCE BROKEN]")
-          : "",
-      c.all_verified ? "" : "  [CHAIN BROKEN]");
+      c.scenario.c_str(), c.protections ? "on " : "off", Llu(c.completed),
+      Llu(c.rejected), Llu(c.denied), Llu(c.failed), c.goodput(), c.p50_ms,
+      c.p99_ms, Llu(c.loads.shed()), Llu(c.loads.sum(&Load::deadline_expired)),
+      Llu(c.loads.max(&Load::queue_depth_high_water)),
+      Llu(c.retries_budget_denied), Llu(c.brownout_activations),
+      Llu(c.brownout_signals),
+      c.revoke_device0 ? (c.revocation_fenced ? "  [revocation fenced]"
+                                              : "  [REVOCATION FENCE BROKEN]")
+                       : "",
+      c.loads.all_verified() ? "" : "  [CHAIN BROKEN]");
 }
 
-void WriteJson(const std::string& path, const std::vector<CellResult>& cells) {
-  FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return;
-  }
-  std::fprintf(f, "{\n  \"bench\": \"overload\",\n  \"cells\": [\n");
-  for (size_t i = 0; i < cells.size(); ++i) {
-    const CellResult& c = cells[i];
-    std::fprintf(
-        f,
-        "    {\"scenario\": \"%s\", \"protections\": %s, \"devices\": %d, "
-        "\"offered_ops_per_s\": %.1f, \"completed\": %llu, "
-        "\"rejected\": %llu, \"denied\": %llu, \"failed\": %llu, "
-        "\"goodput_ops_per_s\": %.1f, \"p50_ms\": %.3f, \"p99_ms\": %.3f, "
-        "\"shed_demand\": %llu, \"shed_prefetch\": %llu, "
-        "\"shed_background\": %llu, \"requests_shed\": %llu, "
-        "\"deadline_expired\": %llu, \"overload_events\": %llu, "
-        "\"queue_depth_high_water\": %llu, "
-        "\"retries_budget_denied\": %llu, "
-        "\"budget_rejects_observed\": %llu, "
-        "\"brownout_signals\": %llu, \"brownout_activations\": %llu, "
-        "\"denied_rows\": %llu, \"revoked_device\": %s, "
-        "\"revocation_fenced\": %s, \"all_verified\": %s}%s\n",
-        c.scenario.c_str(), c.protections ? "true" : "false", c.devices,
-        c.offered_ops_per_s, static_cast<unsigned long long>(c.completed),
-        static_cast<unsigned long long>(c.rejected),
-        static_cast<unsigned long long>(c.denied),
-        static_cast<unsigned long long>(c.failed), c.goodput(), c.p50_ms,
-        c.p99_ms, static_cast<unsigned long long>(c.shed_demand),
-        static_cast<unsigned long long>(c.shed_prefetch),
-        static_cast<unsigned long long>(c.shed_background),
-        static_cast<unsigned long long>(c.requests_shed()),
-        static_cast<unsigned long long>(c.deadline_expired),
-        static_cast<unsigned long long>(c.overload_events),
-        static_cast<unsigned long long>(c.queue_depth_high_water),
-        static_cast<unsigned long long>(c.retries_budget_denied),
-        static_cast<unsigned long long>(c.budget_rejects_observed),
-        static_cast<unsigned long long>(c.brownout_signals),
-        static_cast<unsigned long long>(c.brownout_activations),
-        static_cast<unsigned long long>(c.denied_rows),
-        c.revoked_device ? "true" : "false",
-        c.revocation_fenced ? "true" : "false",
-        c.all_verified ? "true" : "false",
-        i + 1 < cells.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("wrote %s\n", path.c_str());
+bench::JsonRow CellJson(const CellResult& c) {
+  return bench::JsonRow()
+      .Str("scenario", c.scenario).Bool("protections", c.protections)
+      .Int("devices", c.devices).Num("offered_ops_per_s", c.paced_ops_per_s, 1)
+      .Int("completed", c.completed).Int("rejected", c.rejected)
+      .Int("denied", c.denied).Int("failed", c.failed)
+      .Num("goodput_ops_per_s", c.goodput(), 1)
+      .Num("p50_ms", c.p50_ms, 3).Num("p99_ms", c.p99_ms, 3)
+      .Int("shed_demand", c.loads.sum(&Load::shed_demand))
+      .Int("shed_prefetch", c.loads.sum(&Load::shed_prefetch))
+      .Int("shed_background", c.loads.sum(&Load::shed_background))
+      .Int("requests_shed", c.loads.shed())
+      .Int("deadline_expired", c.loads.sum(&Load::deadline_expired))
+      .Int("overload_events", c.loads.sum(&Load::overload_events))
+      .Int("queue_depth_high_water",
+           c.loads.max(&Load::queue_depth_high_water))
+      .Int("retries_budget_denied", c.retries_budget_denied)
+      .Int("budget_rejects_observed", c.budget_rejects_observed)
+      .Int("brownout_signals", c.brownout_signals)
+      .Int("brownout_activations", c.brownout_activations)
+      .Int("denied_rows", c.denied_rows)
+      .Bool("revoked_device", c.revoke_device0)
+      .Bool("revocation_fenced", c.revocation_fenced)
+      .Bool("all_verified", c.loads.all_verified());
 }
 
 }  // namespace
@@ -438,59 +193,73 @@ int main(int argc, char** argv) {
   base.devices = FastMode() ? 6 : 12;
   base.duration =
       FastMode() ? SimDuration::Millis(600) : SimDuration::Millis(1500);
+  base.shard_seed = 0x7100;
+  base.link_seed = 0x5100;
+  base.pick_seed = 0x6100;
+  base.id_seed = 0xF00D;
+  // Admission tuned so the demand shed point (target * demand_slack =
+  // 10 ms expected sojourn) sits well inside the client's 25 ms
+  // per-attempt timeout: everything the server admits, the client is
+  // still around to receive.
+  base.admission = AdmissionOptions{};
+  base.admission->target_sojourn = SimDuration::Millis(1);
+  base.admission->overload_interval = SimDuration::Millis(10);
+  // LAN retry ladder sized for the overload story: 25 ms attempts under a
+  // 100 ms call deadline with fast backoff, so the OFF cell's retries
+  // actually land inside the run instead of after it — and its backlog
+  // goes stale (served after the ladder gave up) within the cell.
+  base.rpc.client_overhead = SimDuration();
+  base.rpc.timeout = SimDuration::Millis(25);
+  base.rpc.total_deadline = SimDuration::Millis(100);
+  base.rpc.retry.initial_backoff = SimDuration::Millis(2);
+  base.rpc.retry.max_backoff = SimDuration::Millis(20);
+  base.router.single_flight = false;
+  base.router.batch_fetch = false;
+  base.brownout = BrownoutOptions{};
 
   std::vector<CellResult> cells;
+  // Runs one cell: the base config as `scenario`, changed by `tweak`.
+  auto run = [&](const char* scenario, auto tweak) {
+    CellConfig config = base;
+    config.scenario = scenario;
+    tweak(config);
+    cells.push_back(RunCell(config));
+    PrintCell(cells.back());
+  };
 
   // Capacity: closed loop, full stack on. The deep pipeline occasionally
   // grazes the demand shed point (a few % REJECTED at saturation is the
   // bound working, not overload), so peak goodput is the admitted-work
   // capacity the overload cells are measured against.
-  CellConfig peak_config = base;
-  peak_config.scenario = "peak";
-  cells.push_back(RunCell(peak_config));
-  PrintCell(cells.back());
+  run("peak", [](CellConfig&) {});
   const double peak = cells.back().goodput();
-
   // 2x the measured capacity, stack on vs. off.
   for (bool on : {true, false}) {
-    CellConfig config = base;
-    config.scenario = on ? "overload_2x_on" : "overload_2x_off";
-    config.protections = on;
-    config.paced_ops_per_s = 2.0 * peak;
-    cells.push_back(RunCell(config));
-    PrintCell(cells.back());
+    run(on ? "overload_2x_on" : "overload_2x_off", [&](CellConfig& c) {
+      c.protections = on;
+      c.paced_ops_per_s = 2.0 * peak;
+    });
   }
-
   // Revocation storm under the same 2x overload, stack on.
-  {
-    CellConfig config = base;
-    config.scenario = "revocation_storm";
-    config.paced_ops_per_s = 2.0 * peak;
-    config.revoke_device0 = true;
-    cells.push_back(RunCell(config));
-    PrintCell(cells.back());
-  }
+  run("revocation_storm", [&](CellConfig& c) {
+    c.paced_ops_per_s = 2.0 * peak;
+    c.revoke_device0 = true;
+  });
 
-  const CellResult* on_2x = nullptr;
-  const CellResult* off_2x = nullptr;
-  const CellResult* storm = nullptr;
-  for (const CellResult& c : cells) {
-    if (c.scenario == "overload_2x_on") on_2x = &c;
-    if (c.scenario == "overload_2x_off") off_2x = &c;
-    if (c.scenario == "revocation_storm") storm = &c;
-  }
+  const CellResult* on_2x = FindCell(cells, "overload_2x_on");
+  const CellResult* off_2x = FindCell(cells, "overload_2x_off");
+  const CellResult* storm = FindCell(cells, "revocation_storm");
 
   bool ok = true;
   if (on_2x != nullptr && peak > 0) {
     double frac = on_2x->goodput() / peak;
-    bool shed = on_2x->requests_shed() > 0;
+    bool shed = on_2x->loads.shed() > 0;
     bool p99_ok = on_2x->p99_ms <= 25.0;
     std::printf(
         "\n2x with stack on: %.0f%% of peak goodput (%.0f / %.0f op/s), "
         "p99 %.2f ms, %llu shed%s%s%s\n",
         frac * 100, on_2x->goodput(), peak, on_2x->p99_ms,
-        static_cast<unsigned long long>(on_2x->requests_shed()),
-        frac >= 0.70 ? "" : "  [BELOW 70% TARGET]",
+        Llu(on_2x->loads.shed()), frac >= 0.70 ? "" : "  [BELOW 70% TARGET]",
         p99_ok ? "" : "  [p99 ABOVE 25 ms]",
         shed ? "" : "  [ADMISSION NEVER ENGAGED]");
     ok = ok && frac >= 0.70 && p99_ok && shed;
@@ -501,30 +270,30 @@ int main(int argc, char** argv) {
         "2x with stack off: %.0f%% of peak goodput (%.0f op/s), "
         "p99 %.2f ms, q-hw %llu%s\n",
         frac * 100, off_2x->goodput(), off_2x->p99_ms,
-        static_cast<unsigned long long>(off_2x->queue_depth_high_water),
+        Llu(off_2x->loads.max(&Load::queue_depth_high_water)),
         frac < 0.40 ? "  [collapse, as expected]"
                     : "  [OFF BASELINE DID NOT COLLAPSE]");
     ok = ok && frac < 0.40;
   }
   if (storm != nullptr) {
     bool rows_match = storm->denied_rows == storm->denied;
-    bool shed = storm->requests_shed() > 0;
+    bool shed = storm->loads.shed() > 0;
     std::printf(
         "revocation storm: %llu denied rows for %llu observed denials%s, "
         "%llu shed, fence %s, chains %s\n",
-        static_cast<unsigned long long>(storm->denied_rows),
-        static_cast<unsigned long long>(storm->denied),
+        Llu(storm->denied_rows), Llu(storm->denied),
         rows_match ? " (one row per admitted attempt)"
                    : "  [ROW/ATTEMPT MISMATCH]",
-        static_cast<unsigned long long>(storm->requests_shed()),
-        storm->revocation_fenced ? "HELD" : "BROKEN",
-        storm->all_verified ? "verified" : "BROKEN");
+        Llu(storm->loads.shed()), storm->revocation_fenced ? "HELD" : "BROKEN",
+        storm->loads.all_verified() ? "verified" : "BROKEN");
     ok = ok && rows_match && shed && storm->revocation_fenced &&
-         storm->all_verified && storm->denied > 0;
+         storm->loads.all_verified() && storm->denied > 0;
   }
 
-  std::string out =
-      argc > 1 ? std::string(argv[1]) : std::string("BENCH_overload.json");
-  WriteJson(out, cells);
+  if (!WriteBenchJson(
+          JsonDoc("overload").Rows("cells", ToRows(cells, CellJson)), argc,
+          argv)) {
+    return 1;
+  }
   return ok ? 0 : 1;
 }

@@ -60,12 +60,9 @@ int main() {
               "pf-only");
   double no_prefetch_time = 0;
   for (const auto& row : rows) {
-    DeploymentOptions options;
-    options.profile = CellularProfile();
+    DeploymentOptions options = BenchDeployment(CellularProfile());
     options.config.ibe_enabled = false;
     options.config.prefetch = row.policy;
-    options.config.texp = SimDuration::Seconds(100);
-    options.ibe_group = &BenchPairingParams();
 
     // Inline version of RunKeypadCompile that keeps the deployment alive:
     // the §5.2 accounting needs the services' logs after each run.
@@ -73,12 +70,7 @@ int main() {
     ApacheWorkload workload =
         MakeApacheWorkload(CompileParams(), options.seed);
     TraceRunner runner(&dep.fs(), &dep.queue());
-    TraceRunResult setup = runner.Run(workload.setup);
-    if (setup.failures != 0) {
-      std::fprintf(stderr, "compile setup failed: %s\n",
-                   setup.first_failure.ToString().c_str());
-      return 1;
-    }
+    RunOrDie(runner, workload.setup, "compile setup");
 
     // Drains the key cache (one refresh period, then the erase period),
     // runs the compile, and scores it: §5.1.1 miss counts plus the §5.2
@@ -102,12 +94,7 @@ int main() {
       dep.queue().AdvanceBy(options.config.texp * 2 +
                             SimDuration::Seconds(2));
       dep.fs().ResetStats();
-      TraceRunResult result = runner.Run(workload.compile);
-      if (result.failures != 0) {
-        std::fprintf(stderr, "compile failed (%zu): %s\n", result.failures,
-                     result.first_failure.ToString().c_str());
-        std::exit(1);
-      }
+      TraceRunResult result = RunOrDie(runner, workload.compile, "compile");
       PassResult pass;
       pass.seconds = result.elapsed.seconds_f();
       pass.misses = dep.fs().stats().demand_fetches;

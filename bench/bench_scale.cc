@@ -1,12 +1,11 @@
 // Key-tier scale bench (DESIGN.md §8, §13): goodput and latency tails for M
 // devices driving K key-service shards at saturating load.
 //
-// Fixture: K independent KeyService shards (each with its own RpcServer and
-// busy-clock, plus a per-seal CPU charge modeling the fsync+chain write),
-// M devices each with its own network link, per-shard RpcClients, and a
-// ShardRouter sharing one ring seed. Every device runs a closed loop with a
-// fixed pipeline depth of async demand fetches over its own key population
-// (with a hot subset so single-flight coalescing has something to merge).
+// Fixture: the key-tier rig (bench/harness.h) — K shards with their own
+// RpcServers and busy clocks, M devices with their own links and routers.
+// Every device runs a closed loop with a fixed pipeline depth of async
+// demand fetches over its own key population (with a hot subset so
+// single-flight coalescing has something to merge).
 //
 // Cost model: the old 150 us/RPC service time is split into a 30 us
 // dispatch charge (RpcServer service time: auth frame, demarshal) plus a
@@ -34,133 +33,22 @@
 //
 // Emits BENCH_scale.json (path = argv[1], default ./BENCH_scale.json).
 
-#include <algorithm>
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench/harness.h"
-#include "src/keyservice/key_service.h"
-#include "src/keyservice/shard_router.h"
-#include "src/net/link.h"
-#include "src/net/profile.h"
-#include "src/rpc/rpc.h"
-#include "src/sim/random.h"
 
 namespace keypad {
 namespace {
 
-struct ShardLoad {
-  uint64_t log_entries = 0;
-  uint64_t commit_groups = 0;
-  uint64_t max_group_size = 0;
-  double avg_group_size = 0;
-  uint64_t seal_ns = 0;
-  uint64_t window_flushes = 0;
-  uint64_t requests_handled = 0;
-  uint64_t queue_depth_high_water = 0;
-  uint64_t hot_hits = 0;
-  uint64_t hot_misses = 0;
-  uint64_t hot_size = 0;
-  uint64_t negative_hits = 0;
-  uint64_t shed_demand = 0;
-  uint64_t shed_prefetch = 0;
-  uint64_t shed_background = 0;
-  uint64_t deadline_expired = 0;
-  uint64_t overload_events = 0;
-  bool log_verified = false;
-};
+using bench::Llu;
+using Load = KeyService::LoadStats;
 
-struct CellResult {
+// The rig's parameters (group commit, router coalescing and multi-get
+// batching, the hot-key cache) plus the cell's own knobs.
+struct CellConfig : bench::KeyTierRigOptions {
   std::string scenario;
-  int shards = 0;
-  double window_us = 0;
-  bool group_commit = false;
-  bool single_flight = false;
-  bool batch_fetch = false;
-  bool hotkey = false;
-  bool crashed_shard = false;
-  bool storm = false;
-  bool revoked_device = false;
-  bool revocation_fenced = true;
-  int devices = 0;
-  double offered_ops_per_s = 0;  // Non-zero only for paced (open-loop) cells.
-  uint64_t completed = 0;
-  uint64_t failed = 0;
-  double elapsed_s = 0;
-  double p50_ms = 0;
-  double p99_ms = 0;
-  uint64_t sf_leaders = 0;
-  uint64_t sf_joins = 0;
-  uint64_t batch_rpcs = 0;
-  uint64_t batched_keys = 0;
-  std::vector<ShardLoad> loads;
-
-  double goodput() const {
-    return elapsed_s == 0 ? 0 : completed / elapsed_s;
-  }
-  double avg_batch() const {
-    return batch_rpcs == 0 ? 0
-                           : static_cast<double>(batched_keys) / batch_rpcs;
-  }
-  uint64_t total_entries() const {
-    uint64_t n = 0;
-    for (const ShardLoad& l : loads) n += l.log_entries;
-    return n;
-  }
-  uint64_t total_seal_ns() const {
-    uint64_t n = 0;
-    for (const ShardLoad& l : loads) n += l.seal_ns;
-    return n;
-  }
-  double seal_ns_per_entry() const {
-    return total_entries() == 0
-               ? 0
-               : static_cast<double>(total_seal_ns()) / total_entries();
-  }
-  uint64_t hot_hits() const {
-    uint64_t n = 0;
-    for (const ShardLoad& l : loads) n += l.hot_hits;
-    return n;
-  }
-  uint64_t hot_misses() const {
-    uint64_t n = 0;
-    for (const ShardLoad& l : loads) n += l.hot_misses;
-    return n;
-  }
-  uint64_t negative_hits() const {
-    uint64_t n = 0;
-    for (const ShardLoad& l : loads) n += l.negative_hits;
-    return n;
-  }
-  uint64_t requests_shed() const {
-    uint64_t n = 0;
-    for (const ShardLoad& l : loads) {
-      n += l.shed_demand + l.shed_prefetch + l.shed_background;
-    }
-    return n;
-  }
-  uint64_t deadline_expired() const {
-    uint64_t n = 0;
-    for (const ShardLoad& l : loads) n += l.deadline_expired;
-    return n;
-  }
-  bool all_verified() const {
-    for (const ShardLoad& l : loads) {
-      if (!l.log_verified) return false;
-    }
-    return true;
-  }
-};
-
-struct CellConfig {
-  std::string scenario;
-  int shards = 4;
-  bool group_commit = true;   // Commit window on the shard servers.
-  bool single_flight = true;  // Router-side coalescing.
-  bool batch_fetch = true;    // Per-shard multi-get combining (§13).
-  bool hotkey = true;         // Server-side hot-key cache (§13).
   bool crash_shard0 = false;  // Crash/restart shard 0 mid-run.
   bool cold_storm = false;    // Cold-open storm instead of the closed loop.
   bool revoke_mid_storm = false;  // Revoke device 0 mid-storm.
@@ -168,140 +56,70 @@ struct CellConfig {
   // closed loop. Latency SLOs are gated on a paced cell — at closed-loop
   // saturation p99 just measures the offered concurrency, not the path.
   double paced_ops_per_device = 0;
-  int devices = 8;
   int pipeline_depth = 4;
-  SimDuration duration = SimDuration::Seconds(2);
 };
 
-// One device's closed-loop driver: keeps `depth` async fetches in flight
-// over its id population until the deadline.
-struct Device {
-  std::string name;
-  std::unique_ptr<NetworkLink> link;
-  std::vector<std::unique_ptr<RpcClient>> rpcs;
-  std::vector<std::unique_ptr<KeyServiceClient>> stubs;
-  std::unique_ptr<ShardRouter> router;
-  std::unique_ptr<SimRandom> rng;
-  std::vector<AuditId> ids;
-  std::vector<AuditId> hot;
-  size_t storm_wave = 0;
+struct CellResult : CellConfig, bench::KeyTierCell {
+  double window_us = 0;
+  uint64_t sf_leaders = 0;
+  uint64_t sf_joins = 0;
+  uint64_t batch_rpcs = 0;
+  uint64_t batched_keys = 0;
+
+  double offered_ops_per_s() const {
+    return paced_ops_per_device * devices;
+  }
+  double avg_batch() const {
+    return batch_rpcs == 0 ? 0
+                           : static_cast<double>(batched_keys) / batch_rpcs;
+  }
+  double seal_ns_per_entry() const {
+    uint64_t entries = loads.sum(&Load::log_entries);
+    return entries == 0
+               ? 0
+               : static_cast<double>(loads.sum(&Load::seal_ns)) / entries;
+  }
 };
 
 CellResult RunCell(const CellConfig& config) {
-  ResetRpcClientIdsForTesting();
-  EventQueue queue;
-
-  KeyServiceOptions service_options;
-  if (config.group_commit) {
-    service_options.commit_window = SimDuration::Micros(400);
-  }
-  // Seal CPU: the durable append (chain hash + log fsync) the paper's
-  // service performs before a key leaves (§3.1). Group commit amortizes
-  // the fixed part across the group.
-  service_options.seal_cost_fixed = SimDuration::Micros(40);
-  service_options.seal_cost_per_entry = SimDuration::Micros(2);
-  // Split cost model (see header comment): 30 us dispatch + 120 us unwrap
-  // = the historical 150 us per single-key RPC.
-  service_options.unwrap_cost = SimDuration::Micros(120);
-  service_options.hot_key_cache = config.hotkey;
-
-  constexpr SimDuration kDispatchTime = SimDuration::Micros(30);
-  std::vector<std::unique_ptr<KeyService>> shards;
-  std::vector<std::unique_ptr<RpcServer>> servers;
-  for (int s = 0; s < config.shards; ++s) {
-    shards.push_back(std::make_unique<KeyService>(
-        &queue, 0x1111 + static_cast<uint64_t>(s), service_options));
-    servers.push_back(std::make_unique<RpcServer>(&queue, kDispatchTime));
-    shards[s]->BindRpc(servers[s].get());
-    RpcServer* server = servers[s].get();
-    shards[s]->set_seal_charge(
-        [server](SimDuration d) { server->ChargeBusy(d); });
-  }
-
-  const int ids_per_device = 64;
-  const int hot_ids = 2;
-  ShardRouter::Options router_options;
-  router_options.single_flight = config.single_flight;
-  router_options.batch_fetch = config.batch_fetch;
-
-  // Each device models its own CPU (no shared marshaling charge on the
-  // global clock), and rides a snappy LAN retry ladder so a shard outage
-  // costs milliseconds, not the default WAN-grade 5 s per attempt.
-  RpcOptions rpc;
-  rpc.client_overhead = SimDuration();
-  rpc.timeout = SimDuration::Millis(50);
-  rpc.total_deadline = SimDuration::Seconds(5);
-
-  std::vector<std::unique_ptr<Device>> devices;
-  SecureRandom id_rng(0xD1CE);
-  for (int d = 0; d < config.devices; ++d) {
-    auto device = std::make_unique<Device>();
-    device->name = "dev-" + std::to_string(d);
-    device->link = std::make_unique<NetworkLink>(
-        &queue, LanProfile(), 0x2222 + static_cast<uint64_t>(d));
-    Bytes secret;
-    for (int s = 0; s < config.shards; ++s) {
-      if (s == 0) {
-        secret = shards[s]->RegisterDevice(device->name);
-      } else {
-        shards[s]->RegisterDeviceWithSecret(device->name, secret);
-      }
-      device->rpcs.push_back(std::make_unique<RpcClient>(
-          &queue, device->link.get(), servers[s].get(), rpc));
-      device->stubs.push_back(std::make_unique<KeyServiceClient>(
-          device->rpcs.back().get(), device->name, secret));
-    }
-    std::vector<KeyServiceClient*> stub_ptrs;
-    for (auto& stub : device->stubs) stub_ptrs.push_back(stub.get());
-    device->router = std::make_unique<ShardRouter>(&queue,
-                                                   std::move(stub_ptrs),
-                                                   router_options);
-    device->rng =
-        std::make_unique<SimRandom>(0x3333 + static_cast<uint64_t>(d));
-    // Pre-provision keys in process (no RPC warmup noise in the cell).
-    for (int i = 0; i < ids_per_device; ++i) {
-      AuditId id = AuditId::Random(id_rng);
-      size_t owner = device->router->ring().ShardFor(id);
-      if (!shards[owner]->CreateKey(device->name, id).ok()) {
-        std::fprintf(stderr, "bench_scale: provisioning failed\n");
-        std::exit(1);
-      }
-      device->ids.push_back(id);
-      if (i < hot_ids) device->hot.push_back(id);
-    }
-    devices.push_back(std::move(device));
-  }
-  if (config.hotkey) {
+  bench::KeyTierRig rig(config);
+  EventQueue& queue = rig.queue;
+  if (config.hot_key_cache) {
     // Provisioning marked every key unwrapped-resident; the cells should
     // measure the serving path's own warmup, not the provisioning one's.
-    for (auto& shard : shards) {
+    for (auto& shard : rig.shards) {
       shard->DropHotKeysForTesting();
     }
   }
 
   CellResult cell;
-  cell.scenario = config.scenario;
-  cell.shards = config.shards;
-  cell.window_us = service_options.commit_window.seconds_f() * 1e6;
-  cell.group_commit = config.group_commit;
-  cell.single_flight = config.single_flight;
-  cell.batch_fetch = config.batch_fetch;
-  cell.hotkey = config.hotkey;
-  cell.crashed_shard = config.crash_shard0;
-  cell.storm = config.cold_storm;
-  cell.revoked_device = config.revoke_mid_storm;
-  cell.devices = config.devices;
-  cell.offered_ops_per_s = config.paced_ops_per_device * config.devices;
-
-  const SimTime start = queue.Now();
-  const SimTime deadline = start + config.duration;
+  static_cast<CellConfig&>(cell) = config;
+  cell.window_us = rig.shards[0]->options().commit_window.seconds_f() * 1e6;
   std::vector<double> latencies_ms;
-  latencies_ms.reserve(1 << 16);
 
-  // Both drivers re-enter themselves from completion callbacks during
-  // RunUntilIdle(), so they must outlive the issuing loops below.
-  std::function<void(Device*)> open_dir;
-  std::function<void(Device*)> issue;
+  // A slice of the picks hits each device's two hot ids, so concurrent
+  // fetches collide and single-flight has duplicates to merge.
+  auto pick = [](bench::KeyTierRig::Device& device) -> const AuditId& {
+    return device.rng->UniformDouble() < 0.3
+               ? device.ids[device.rng->UniformU64(2)]
+               : device.ids[device.rng->UniformU64(device.ids.size())];
+  };
+  // Latency samples issued before warm_end are left out.
+  SimTime warm_end = rig.start;
+  auto record = [&](SimTime issued, Result<Bytes> key) {
+    if (!key.ok()) {
+      ++cell.failed;
+      return;
+    }
+    ++cell.completed;
+    if (issued >= warm_end) {
+      latencies_ms.push_back((queue.Now() - issued).seconds_f() * 1e3);
+    }
+  };
+
+  // The storm re-enters itself from completion callbacks during
+  // RunUntilIdle(), so it must outlive the issuing loop below.
+  std::function<void(size_t, size_t)> open_dir;
 
   if (config.cold_storm) {
     // Cold-open storm: every device opens 8 directories of 8 files back to
@@ -310,177 +128,87 @@ CellResult RunCell(const CellConfig& config) {
     // its trigger miss). Per-wave latency is the cold-open cost the user
     // sees; the storm ends when the last device drains.
     const size_t kWave = 8;
-    open_dir = [&, kWave](Device* device) {
-      size_t begin = device->storm_wave * kWave;
+    open_dir = [&, kWave](size_t d, size_t wave) {
+      bench::KeyTierRig::Device* device = rig.devices[d].get();
+      size_t begin = wave * kWave;
       if (begin >= device->ids.size()) {
         return;  // This device has drained.
       }
-      ++device->storm_wave;
       std::vector<AuditId> dir(
           device->ids.begin() + static_cast<long>(begin),
           device->ids.begin() + static_cast<long>(begin + kWave));
       SimTime issued = queue.Now();
       device->router->FetchGroupAsync(
-          dir[0], dir, [&, device, issued](Result<KeyClient::GroupFetch> g) {
+          dir[0], dir, [&, d, wave, issued](Result<KeyClient::GroupFetch> g) {
             latencies_ms.push_back((queue.Now() - issued).seconds_f() * 1e3);
             if (g.ok()) {
               cell.completed += 1 + g->prefetched.size();
             } else {
               ++cell.failed;
             }
-            open_dir(device);
+            open_dir(d, wave + 1);
           });
     };
-    for (auto& device : devices) {
-      open_dir(device.get());
+    for (size_t d = 0; d < rig.devices.size(); ++d) {
+      open_dir(d, 0);
     }
     if (config.revoke_mid_storm) {
       // Revoke device 0 while its storm is mid-flight: in-flight grants
       // land before the kRevoke row; everything after must be kDenied
       // (serving from the negative cache, no unwrap work).
-      queue.Schedule(start + SimDuration::Millis(1), [&] {
-        for (auto& shard : shards) {
-          shard->DisableDevice(devices[0]->name);
-        }
-      });
+      rig.RevokeAt(rig.start + SimDuration::Millis(1), 0);
     }
   } else if (config.paced_ops_per_device > 0) {
     // Open loop: Poisson arrivals at a fixed offered rate, so the recorded
     // latency is the path's own (service + residual queueing at that load),
     // not a function of how many closed-loop issuers the cell happens to
-    // run. Arrivals keep coming regardless of completions. Samples issued
-    // during the first fifth are warmup and excluded: with every key cold
-    // the unwrap charge puts the shards briefly over capacity, and the
-    // backlog that drains while the hot cache fills is a start-up
-    // transient, not the steady-state path.
-    const double mean_us = 1e6 / config.paced_ops_per_device;
-    const SimTime warm_end =
-        start + SimDuration::Micros(static_cast<int64_t>(
-                    config.duration.seconds_f() * 1e6 / 5));
-    issue = [&, mean_us](Device* device) {
-      if (queue.Now() >= deadline) {
-        return;
-      }
-      const AuditId& id =
-          device->rng->UniformDouble() < 0.3
-              ? device->hot[device->rng->UniformU64(device->hot.size())]
-              : device->ids[device->rng->UniformU64(device->ids.size())];
-      SimTime issued = queue.Now();
-      device->router->GetKeyAsync(
-          id, AccessOp::kDemandFetch, [&, issued, warm_end](Result<Bytes> key) {
-            if (key.ok()) {
-              ++cell.completed;
-              if (issued >= warm_end) {
-                latencies_ms.push_back((queue.Now() - issued).seconds_f() *
-                                       1e3);
-              }
-            } else {
-              ++cell.failed;
-            }
-          });
-      queue.ScheduleAfter(
-          SimDuration::Micros(static_cast<int64_t>(
-              device->rng->Exponential(mean_us))),
-          [&, device] { issue(device); });
-    };
-    for (auto& device : devices) {
-      issue(device.get());
-    }
+    // run. Samples issued during the first fifth are warmup and excluded:
+    // with every key cold the unwrap charge puts the shards briefly over
+    // capacity, and the backlog that drains while the hot cache fills is
+    // a start-up transient, not the steady-state path.
+    warm_end = rig.start + SimDuration::Micros(static_cast<int64_t>(
+                               config.duration.seconds_f() * 1e6 / 5));
+    rig.DrivePoisson(1e6 / config.paced_ops_per_device, pick, record);
   } else {
-    // Closed loop: each completion immediately issues the next fetch until
-    // the deadline; a slice of the picks hits the small hot set so
-    // concurrent fetches collide and single-flight has duplicates to merge.
-    issue = [&](Device* device) {
-      if (queue.Now() >= deadline) {
-        return;
-      }
-      const AuditId& id =
-          device->rng->UniformDouble() < 0.3
-              ? device->hot[device->rng->UniformU64(device->hot.size())]
-              : device->ids[device->rng->UniformU64(device->ids.size())];
-      SimTime issued = queue.Now();
-      device->router->GetKeyAsync(
-          id, AccessOp::kDemandFetch, [&, device, issued](Result<Bytes> key) {
-            if (key.ok()) {
-              ++cell.completed;
-              latencies_ms.push_back((queue.Now() - issued).seconds_f() *
-                                     1e3);
-            } else {
-              ++cell.failed;
-            }
-            issue(device);
-          });
-    };
-    for (auto& device : devices) {
-      for (int p = 0; p < config.pipeline_depth; ++p) {
-        issue(device.get());
-      }
-    }
+    rig.DriveClosedLoop(config.pipeline_depth, pick, record);
   }
 
   if (config.crash_shard0) {
     // Kill shard 0 a third of the way in; its open commit window (staged
     // appends + held responses) dies with it, clients ride their retry
     // ladders, and the restarted shard must still verify end to end.
-    SimTime crash_at = start + config.duration / 3;
-    queue.Schedule(crash_at, [&] {
-      shards[0]->AbortInFlight();
-      Bytes snapshot = shards[0]->Snapshot();
-      servers[0]->set_down(true);
+    KeyService& shard = *rig.shards[0];
+    RpcServer& server = *rig.servers[0];
+    queue.Schedule(rig.start + config.duration / 3, [&] {
+      shard.AbortInFlight();
+      Bytes snapshot = shard.Snapshot();
+      server.set_down(true);
       queue.ScheduleAfter(SimDuration::Millis(100), [&, snapshot] {
-        if (!shards[0]->Restore(snapshot).ok()) {
+        if (!shard.Restore(snapshot).ok()) {
           std::fprintf(stderr, "bench_scale: shard restore failed\n");
           std::exit(1);
         }
-        servers[0]->reply_cache().ClearInFlight();
-        servers[0]->set_down(false);
+        server.reply_cache().ClearInFlight();
+        server.set_down(false);
       });
     });
   }
 
   queue.RunUntilIdle();
-  cell.elapsed_s = config.cold_storm
-                       ? (queue.Now() - start).seconds_f()
-                       : config.duration.seconds_f();
+  cell.elapsed_s = config.cold_storm ? (queue.Now() - rig.start).seconds_f()
+                                     : config.duration.seconds_f();
 
-  if (!latencies_ms.empty()) {
-    std::sort(latencies_ms.begin(), latencies_ms.end());
-    cell.p50_ms = bench::SortedQuantile(latencies_ms, 0.50);
-    cell.p99_ms = bench::SortedQuantile(latencies_ms, 0.99);
-  }
-  for (auto& device : devices) {
+  bench::FillTail(latencies_ms, &cell.p50_ms, &cell.p99_ms);
+  for (auto& device : rig.devices) {
     cell.sf_leaders += device->router->stats().single_flight_leaders;
     cell.sf_joins += device->router->stats().single_flight_joins;
     cell.batch_rpcs += device->router->stats().batch_rpcs;
     cell.batched_keys += device->router->stats().batched_keys;
   }
   if (config.revoke_mid_storm) {
-    cell.revocation_fenced =
-        bench::RevocationFenceHolds(shards, devices[0]->name);
+    cell.revocation_fenced = rig.TrailOf(0).fenced;
   }
-  for (int s = 0; s < config.shards; ++s) {
-    KeyService::LoadStats stats = shards[s]->load_stats();
-    ShardLoad load;
-    load.log_entries = stats.log_entries;
-    load.commit_groups = stats.commit_groups;
-    load.max_group_size = stats.max_group_size;
-    load.avg_group_size = stats.avg_group_size;
-    load.seal_ns = stats.seal_ns;
-    load.window_flushes = stats.window_flushes;
-    load.requests_handled = servers[s]->requests_handled();
-    load.queue_depth_high_water = servers[s]->queue_depth_high_water();
-    load.hot_hits = stats.hot_hits;
-    load.hot_misses = stats.hot_misses;
-    load.hot_size = stats.hot_size;
-    load.negative_hits = stats.negative_hits;
-    load.shed_demand = stats.shed_demand;
-    load.shed_prefetch = stats.shed_prefetch;
-    load.shed_background = stats.shed_background;
-    load.deadline_expired = stats.deadline_expired;
-    load.overload_events = stats.overload_events;
-    load.log_verified = shards[s]->log().Verify().ok();
-    cell.loads.push_back(load);
-  }
+  cell.loads = rig.Results();
   return cell;
 }
 
@@ -489,119 +217,72 @@ void PrintCell(const CellResult& c) {
       "%-20s shards=%d  batch=%-3s  hot=%-3s  %7llu ok / %4llu err  "
       "goodput=%8.0f op/s  p50=%6.2f ms  p99=%6.2f ms  "
       "avg-batch=%4.1f  hot-hit=%llu%s%s\n",
-      c.scenario.c_str(), c.shards, c.batch_fetch ? "on" : "off",
-      c.hotkey ? "on" : "off", static_cast<unsigned long long>(c.completed),
-      static_cast<unsigned long long>(c.failed), c.goodput(), c.p50_ms,
-      c.p99_ms, c.avg_batch(),
-      static_cast<unsigned long long>(c.hot_hits()),
-      c.crashed_shard
-          ? (c.all_verified() ? "  [crash: chains verified]"
-                              : "  [crash: CHAIN BROKEN]")
-          : "",
-      c.revoked_device
+      c.scenario.c_str(), c.shards, c.router.batch_fetch ? "on" : "off",
+      c.hot_key_cache ? "on" : "off", Llu(c.completed),
+      Llu(c.failed), c.goodput(), c.p50_ms, c.p99_ms, c.avg_batch(),
+      Llu(c.loads.sum(&Load::hot_hits)),
+      c.crash_shard0 ? (c.loads.all_verified() ? "  [crash: chains verified]"
+                                               : "  [crash: CHAIN BROKEN]")
+                     : "",
+      c.revoke_mid_storm
           ? (c.revocation_fenced ? "  [revocation fenced]"
                                  : "  [REVOCATION FENCE BROKEN]")
           : "");
-  for (size_t s = 0; s < c.loads.size(); ++s) {
-    const ShardLoad& l = c.loads[s];
+  for (size_t s = 0; s < c.loads.shards.size(); ++s) {
+    const bench::ShardResult& shard = c.loads.shards[s];
+    const Load& l = shard.load;
     std::printf(
         "    shard %zu: %llu entries in %llu groups (avg %.1f, max %llu), "
         "%llu flushes, %llu reqs, queue-hw %llu, hot %llu/%llu (res %llu), "
         "neg %llu, chain %s\n",
-        s, static_cast<unsigned long long>(l.log_entries),
-        static_cast<unsigned long long>(l.commit_groups), l.avg_group_size,
-        static_cast<unsigned long long>(l.max_group_size),
-        static_cast<unsigned long long>(l.window_flushes),
-        static_cast<unsigned long long>(l.requests_handled),
-        static_cast<unsigned long long>(l.queue_depth_high_water),
-        static_cast<unsigned long long>(l.hot_hits),
-        static_cast<unsigned long long>(l.hot_misses),
-        static_cast<unsigned long long>(l.hot_size),
-        static_cast<unsigned long long>(l.negative_hits),
-        l.log_verified ? "ok" : "BROKEN");
+        s, Llu(l.log_entries), Llu(l.commit_groups), l.avg_group_size,
+        Llu(l.max_group_size), Llu(l.window_flushes),
+        Llu(shard.requests_handled), Llu(l.queue_depth_high_water),
+        Llu(l.hot_hits), Llu(l.hot_misses), Llu(l.hot_size),
+        Llu(l.negative_hits), shard.verified ? "ok" : "BROKEN");
   }
 }
 
-void WriteJson(const std::string& path, const std::vector<CellResult>& cells) {
-  FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return;
-  }
-  std::fprintf(f, "{\n  \"bench\": \"scale\",\n  \"cells\": [\n");
-  for (size_t i = 0; i < cells.size(); ++i) {
-    const CellResult& c = cells[i];
-    std::fprintf(
-        f,
-        "    {\"scenario\": \"%s\", \"shards\": %d, \"window_us\": %.0f, "
-        "\"group_commit\": %s, \"single_flight\": %s, \"batch_fetch\": %s, "
-        "\"hotkey_cache\": %s, \"devices\": %d, "
-        "\"offered_ops_per_s\": %.1f, "
-        "\"completed\": %llu, \"failed\": %llu, "
-        "\"goodput_ops_per_s\": %.1f, \"p50_ms\": %.3f, \"p99_ms\": %.3f, "
-        "\"seal_ns_per_entry\": %.1f, \"sf_leaders\": %llu, "
-        "\"sf_joins\": %llu, \"batch_rpcs\": %llu, \"batched_keys\": %llu, "
-        "\"avg_batch\": %.2f, \"hot_hits\": %llu, \"hot_misses\": %llu, "
-        "\"negative_hits\": %llu, \"requests_shed\": %llu, "
-        "\"deadline_expired\": %llu, \"storm\": %s, \"revoked_device\": %s, "
-        "\"revocation_fenced\": %s, \"crashed_shard\": %s, "
-        "\"all_verified\": %s, \"shard_loads\": [",
-        c.scenario.c_str(), c.shards, c.window_us,
-        c.group_commit ? "true" : "false",
-        c.single_flight ? "true" : "false",
-        c.batch_fetch ? "true" : "false", c.hotkey ? "true" : "false",
-        c.devices, c.offered_ops_per_s,
-        static_cast<unsigned long long>(c.completed),
-        static_cast<unsigned long long>(c.failed), c.goodput(), c.p50_ms,
-        c.p99_ms, c.seal_ns_per_entry(),
-        static_cast<unsigned long long>(c.sf_leaders),
-        static_cast<unsigned long long>(c.sf_joins),
-        static_cast<unsigned long long>(c.batch_rpcs),
-        static_cast<unsigned long long>(c.batched_keys), c.avg_batch(),
-        static_cast<unsigned long long>(c.hot_hits()),
-        static_cast<unsigned long long>(c.hot_misses()),
-        static_cast<unsigned long long>(c.negative_hits()),
-        static_cast<unsigned long long>(c.requests_shed()),
-        static_cast<unsigned long long>(c.deadline_expired()),
-        c.storm ? "true" : "false", c.revoked_device ? "true" : "false",
-        c.revocation_fenced ? "true" : "false",
-        c.crashed_shard ? "true" : "false",
-        c.all_verified() ? "true" : "false");
-    for (size_t s = 0; s < c.loads.size(); ++s) {
-      const ShardLoad& l = c.loads[s];
-      std::fprintf(
-          f,
-          "{\"entries\": %llu, \"groups\": %llu, \"avg_group\": %.2f, "
-          "\"max_group\": %llu, \"flushes\": %llu, \"requests\": %llu, "
-          "\"queue_high_water\": %llu, \"hot_hits\": %llu, "
-          "\"hot_misses\": %llu, \"hot_size\": %llu, "
-          "\"negative_hits\": %llu, \"shed_demand\": %llu, "
-          "\"shed_prefetch\": %llu, \"shed_background\": %llu, "
-          "\"deadline_expired\": %llu, \"overload_events\": %llu, "
-          "\"verified\": %s}%s",
-          static_cast<unsigned long long>(l.log_entries),
-          static_cast<unsigned long long>(l.commit_groups), l.avg_group_size,
-          static_cast<unsigned long long>(l.max_group_size),
-          static_cast<unsigned long long>(l.window_flushes),
-          static_cast<unsigned long long>(l.requests_handled),
-          static_cast<unsigned long long>(l.queue_depth_high_water),
-          static_cast<unsigned long long>(l.hot_hits),
-          static_cast<unsigned long long>(l.hot_misses),
-          static_cast<unsigned long long>(l.hot_size),
-          static_cast<unsigned long long>(l.negative_hits),
-          static_cast<unsigned long long>(l.shed_demand),
-          static_cast<unsigned long long>(l.shed_prefetch),
-          static_cast<unsigned long long>(l.shed_background),
-          static_cast<unsigned long long>(l.deadline_expired),
-          static_cast<unsigned long long>(l.overload_events),
-          l.log_verified ? "true" : "false",
-          s + 1 < c.loads.size() ? ", " : "");
-    }
-    std::fprintf(f, "]}%s\n", i + 1 < cells.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("wrote %s\n", path.c_str());
+bench::JsonRow CellJson(const CellResult& c) {
+  auto loads = bench::ToRows(c.loads.shards, [](const bench::ShardResult& s) {
+    const Load& l = s.load;
+    return bench::JsonRow()
+        .Int("entries", l.log_entries).Int("groups", l.commit_groups)
+        .Num("avg_group", l.avg_group_size, 2)
+        .Int("max_group", l.max_group_size).Int("flushes", l.window_flushes)
+        .Int("requests", s.requests_handled)
+        .Int("queue_high_water", l.queue_depth_high_water)
+        .Int("hot_hits", l.hot_hits).Int("hot_misses", l.hot_misses)
+        .Int("hot_size", l.hot_size).Int("negative_hits", l.negative_hits)
+        .Int("shed_demand", l.shed_demand).Int("shed_prefetch", l.shed_prefetch)
+        .Int("shed_background", l.shed_background)
+        .Int("deadline_expired", l.deadline_expired)
+        .Int("overload_events", l.overload_events)
+        .Bool("verified", s.verified);
+  });
+  return bench::JsonRow()
+      .Str("scenario", c.scenario).Int("shards", c.shards)
+      .Num("window_us", c.window_us, 0).Bool("group_commit", c.group_commit)
+      .Bool("single_flight", c.router.single_flight)
+      .Bool("batch_fetch", c.router.batch_fetch)
+      .Bool("hotkey_cache", c.hot_key_cache).Int("devices", c.devices)
+      .Num("offered_ops_per_s", c.offered_ops_per_s(), 1)
+      .Int("completed", c.completed).Int("failed", c.failed)
+      .Num("goodput_ops_per_s", c.goodput(), 1)
+      .Num("p50_ms", c.p50_ms, 3).Num("p99_ms", c.p99_ms, 3)
+      .Num("seal_ns_per_entry", c.seal_ns_per_entry(), 1)
+      .Int("sf_leaders", c.sf_leaders).Int("sf_joins", c.sf_joins)
+      .Int("batch_rpcs", c.batch_rpcs).Int("batched_keys", c.batched_keys)
+      .Num("avg_batch", c.avg_batch(), 2)
+      .Int("hot_hits", c.loads.sum(&Load::hot_hits))
+      .Int("hot_misses", c.loads.sum(&Load::hot_misses))
+      .Int("negative_hits", c.loads.sum(&Load::negative_hits))
+      .Int("requests_shed", c.loads.shed())
+      .Int("deadline_expired", c.loads.sum(&Load::deadline_expired))
+      .Bool("storm", c.cold_storm).Bool("revoked_device", c.revoke_mid_storm)
+      .Bool("revocation_fenced", c.revocation_fenced)
+      .Bool("crashed_shard", c.crash_shard0)
+      .Bool("all_verified", c.loads.all_verified()).Rows("shard_loads", loads);
 }
 
 }  // namespace
@@ -617,125 +298,87 @@ int main(int argc, char** argv) {
   base.pipeline_depth = 8;
   base.duration =
       FastMode() ? SimDuration::Millis(500) : SimDuration::Seconds(2);
+  base.shard_seed = 0x1111;
+  base.link_seed = 0x2222;
+  base.pick_seed = 0x3333;
+  base.id_seed = 0xD1CE;
+  // Each device models its own CPU (no shared marshaling charge on the
+  // global clock), and rides a snappy LAN retry ladder so a shard outage
+  // costs milliseconds, not the default WAN-grade 5 s per attempt.
+  base.rpc.client_overhead = SimDuration();
+  base.rpc.timeout = SimDuration::Millis(50);
+  base.rpc.total_deadline = SimDuration::Seconds(5);
 
   std::vector<CellResult> cells;
+  // Runs one cell: the base config as `scenario`, changed by `tweak`.
+  auto run = [&](const char* scenario, auto tweak) {
+    CellConfig config = base;
+    config.scenario = scenario;
+    tweak(config);
+    cells.push_back(RunCell(config));
+    PrintCell(cells.back());
+  };
 
   // Legacy read path (batching + hot-key cache off): the historical
   // scaling curve, where goodput is bound by per-RPC service time and
   // widening the tier is the only relief.
   for (int shards : {1, 4}) {
-    CellConfig config = base;
-    config.scenario = "shard_sweep_legacy";
-    config.shards = shards;
-    config.batch_fetch = false;
-    config.hotkey = false;
-    cells.push_back(RunCell(config));
-    PrintCell(cells.back());
+    run("shard_sweep_legacy", [&](CellConfig& c) {
+      c.shards = shards;
+      c.router.batch_fetch = c.hot_key_cache = false;
+    });
   }
-
   // New read path (DESIGN.md §13): batched multi-get + hot-key cache.
   for (int shards : {1, 2, 4}) {
-    CellConfig config = base;
-    config.scenario = "shard_sweep";
-    config.shards = shards;
-    cells.push_back(RunCell(config));
-    PrintCell(cells.back());
+    run("shard_sweep", [&](CellConfig& c) { c.shards = shards; });
   }
-
   // Latency SLO cell: the closed-loop sweeps above measure capacity, where
   // p99 is a function of the offered concurrency, not of the path. The
   // 1 ms p99 target is gated here instead — Poisson arrivals at 40k op/s
   // across the 4-shard tier (~25% of its measured capacity).
-  {
-    CellConfig config = base;
-    config.scenario = "latency_slo";
-    config.paced_ops_per_device = 40000.0 / config.devices;
-    cells.push_back(RunCell(config));
-    PrintCell(cells.back());
-  }
-
+  run("latency_slo", [](CellConfig& c) {
+    c.paced_ops_per_device = 40000.0 / c.devices;
+  });
   // Tentpole ablations. Batching is ablated at the narrow tier, where the
   // per-RPC dispatch charge is the bottleneck it amortizes (at 4 lightly
   // loaded shards the avg batch shrinks to ~2 and the win washes out —
   // that is the expected tradeoff, not the claim).
-  {
-    CellConfig config = base;
-    config.scenario = "batch_off";
-    config.shards = 1;
-    config.batch_fetch = false;
-    cells.push_back(RunCell(config));
-    PrintCell(cells.back());
-  }
-  {
-    CellConfig config = base;
-    config.scenario = "hotkey_off";
-    config.hotkey = false;
-    cells.push_back(RunCell(config));
-    PrintCell(cells.back());
-  }
-
+  run("batch_off", [](CellConfig& c) {
+    c.shards = 1;
+    c.router.batch_fetch = false;
+  });
+  run("hotkey_off", [](CellConfig& c) { c.hot_key_cache = false; });
   // Cold-open storm with a mid-storm revocation, batching on and off.
   for (bool batch : {true, false}) {
-    CellConfig config = base;
-    config.scenario = batch ? "cold_open_storm" : "cold_open_storm_nobatch";
-    config.cold_storm = true;
-    config.revoke_mid_storm = true;
-    config.batch_fetch = batch;
-    cells.push_back(RunCell(config));
-    PrintCell(cells.back());
+    run(batch ? "cold_open_storm" : "cold_open_storm_nobatch",
+        [&](CellConfig& c) {
+          c.cold_storm = c.revoke_mid_storm = true;
+          c.router.batch_fetch = batch;
+        });
   }
-
   // Crash/restart of shard 0 mid-run: goodput dips, retries recover, and
   // every shard's chain must still verify.
-  {
-    CellConfig config = base;
-    config.scenario = "crash_recovery";
-    config.crash_shard0 = true;
-    cells.push_back(RunCell(config));
-    PrintCell(cells.back());
-  }
-
-  // Group commit ablation at the widest tier.
-  {
-    CellConfig config = base;
-    config.scenario = "group_commit_off";
-    config.group_commit = false;
-    cells.push_back(RunCell(config));
-    PrintCell(cells.back());
-  }
-
-  // Coalescing ablation at the widest tier.
-  {
-    CellConfig config = base;
-    config.scenario = "coalescing_off";
-    config.single_flight = false;
-    cells.push_back(RunCell(config));
-    PrintCell(cells.back());
-  }
+  run("crash_recovery", [](CellConfig& c) { c.crash_shard0 = true; });
+  // Group commit and coalescing ablations at the widest tier.
+  run("group_commit_off", [](CellConfig& c) { c.group_commit = false; });
+  run("coalescing_off",
+      [](CellConfig& c) { c.router.single_flight = false; });
 
   // Headline gates.
-  const CellResult* legacy_one = nullptr;
-  const CellResult* legacy_four = nullptr;
-  const CellResult* one = nullptr;
-  const CellResult* four = nullptr;
-  const CellResult* slo = nullptr;
-  const CellResult* batch_off = nullptr;
-  const CellResult* no_gc = nullptr;
-  const CellResult* crash = nullptr;
-  const CellResult* storm_on = nullptr;
-  const CellResult* storm_off = nullptr;
-  for (const CellResult& c : cells) {
-    if (c.scenario == "shard_sweep_legacy" && c.shards == 1) legacy_one = &c;
-    if (c.scenario == "shard_sweep_legacy" && c.shards == 4) legacy_four = &c;
-    if (c.scenario == "shard_sweep" && c.shards == 1) one = &c;
-    if (c.scenario == "shard_sweep" && c.shards == 4) four = &c;
-    if (c.scenario == "latency_slo") slo = &c;
-    if (c.scenario == "batch_off") batch_off = &c;
-    if (c.scenario == "group_commit_off") no_gc = &c;
-    if (c.scenario == "crash_recovery") crash = &c;
-    if (c.scenario == "cold_open_storm") storm_on = &c;
-    if (c.scenario == "cold_open_storm_nobatch") storm_off = &c;
-  }
+  auto shards_are = [](int n) {
+    return [n](const CellResult& c) { return c.shards == n; };
+  };
+  const CellResult* legacy_one =
+      FindCell(cells, "shard_sweep_legacy", shards_are(1));
+  const CellResult* legacy_four =
+      FindCell(cells, "shard_sweep_legacy", shards_are(4));
+  const CellResult* one = FindCell(cells, "shard_sweep", shards_are(1));
+  const CellResult* four = FindCell(cells, "shard_sweep", shards_are(4));
+  const CellResult* slo = FindCell(cells, "latency_slo");
+  const CellResult* batch_off = FindCell(cells, "batch_off");
+  const CellResult* crash = FindCell(cells, "crash_recovery");
+  const CellResult* storm_on = FindCell(cells, "cold_open_storm");
+  const CellResult* storm_off = FindCell(cells, "cold_open_storm_nobatch");
   bool ok = true;
   if (legacy_one != nullptr && legacy_four != nullptr &&
       legacy_one->goodput() > 0) {
@@ -757,7 +400,7 @@ int main(int argc, char** argv) {
     std::printf(
         "latency SLO at %.0fk op/s offered (4 shards, open loop): "
         "p99 %.3f ms%s\n",
-        slo->offered_ops_per_s / 1000.0, slo->p99_ms,
+        slo->offered_ops_per_s() / 1000.0, slo->p99_ms,
         slo->p99_ms <= 1.0 ? "" : "  [p99 ABOVE 1 ms TARGET]");
     ok = ok && slo->p99_ms <= 1.0;
   }
@@ -769,16 +412,13 @@ int main(int argc, char** argv) {
         win > 1.0 ? "" : "  [NO BATCHING WIN]");
     ok = ok && win > 1.0;
   }
-  if (four != nullptr && no_gc != nullptr) {
+  if (four != nullptr) {
     // The per-entry append cost the grouping removes is virtual seal CPU
     // on the shard's busy clock (fixed fsync+chain cost per seal): with
     // avg group G it drops from (fixed + per_entry) to (fixed/G +
     // per_entry), which shows up directly as goodput.
-    double groups = 0, entries = 0;
-    for (const ShardLoad& l : four->loads) {
-      groups += l.commit_groups;
-      entries += l.log_entries;
-    }
+    double groups = four->loads.sum(&Load::commit_groups);
+    double entries = four->loads.sum(&Load::log_entries);
     double avg_group = groups == 0 ? 0 : entries / groups;
     std::printf("group commit: avg group %.1f entries/seal (vs 1.0)\n",
                 avg_group);
@@ -791,19 +431,21 @@ int main(int argc, char** argv) {
         storm_on->revocation_fenced && storm_off->revocation_fenced
             ? "HELD"
             : "BROKEN",
-        static_cast<unsigned long long>(storm_on->negative_hits()));
+        Llu(storm_on->loads.sum(&Load::negative_hits)));
     ok = ok && storm_on->revocation_fenced && storm_off->revocation_fenced;
-    ok = ok && storm_on->all_verified() && storm_off->all_verified();
+    ok = ok && storm_on->loads.all_verified() &&
+         storm_off->loads.all_verified();
   }
   if (crash != nullptr) {
     std::printf("crash/restart: every shard chain %s (goodput %.0f op/s)\n",
-                crash->all_verified() ? "VERIFIED" : "BROKEN",
+                crash->loads.all_verified() ? "VERIFIED" : "BROKEN",
                 crash->goodput());
-    ok = ok && crash->all_verified();
+    ok = ok && crash->loads.all_verified();
   }
 
-  std::string out =
-      argc > 1 ? std::string(argv[1]) : std::string("BENCH_scale.json");
-  WriteJson(out, cells);
+  if (!WriteBenchJson(JsonDoc("scale").Rows("cells", ToRows(cells, CellJson)),
+                      argc, argv)) {
+    return 1;
+  }
   return ok ? 0 : 1;
 }

@@ -21,21 +21,11 @@ int main() {
   std::printf("%-18s %8s %8s %10s %14s %12s\n", "scenario", "FPs", "total",
               "paperFP", "paper-total", "0 false-neg");
   for (const auto& scenario : MakeThiefScenarios(/*seed=*/5)) {
-    DeploymentOptions options;
-    options.profile = BroadbandProfile();
-    options.config.texp = SimDuration::Seconds(100);
-    options.config.prefetch = PrefetchPolicy::FullDirOnNthMiss(3);
-    options.config.ibe_enabled = true;
-    options.ibe_group = &BenchPairingParams();
+    DeploymentOptions options = BenchDeployment(BroadbandProfile());
     Deployment dep(options);
 
     TraceRunner setup_runner(&dep.fs(), &dep.queue());
-    TraceRunResult setup = setup_runner.Run(scenario.setup);
-    if (setup.failures != 0) {
-      std::fprintf(stderr, "%s setup failed: %s\n", scenario.name.c_str(),
-                   setup.first_failure.ToString().c_str());
-      return 1;
-    }
+    RunOrDie(setup_runner, scenario.setup, scenario.name + " setup");
     dep.queue().AdvanceBy(SimDuration::Seconds(300));
     dep.queue().RunUntilIdle();
     SimTime t_loss = dep.queue().Now();

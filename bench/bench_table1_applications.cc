@@ -22,21 +22,10 @@ struct TaskTimes {
 };
 
 TaskTimes RunKeypadTasks(const NetworkProfile& profile) {
-  DeploymentOptions options;
-  options.profile = profile;
-  options.config.texp = SimDuration::Seconds(100);
-  options.config.prefetch = PrefetchPolicy::FullDirOnNthMiss(3);
-  options.config.ibe_enabled = true;
-  options.ibe_group = &BenchPairingParams();
-  Deployment dep(options);
+  Deployment dep(bench::BenchDeployment(profile));
   OfficeWorkloads office = MakeOfficeWorkloads(/*seed=*/7);
   TraceRunner runner(&dep.fs(), &dep.queue());
-  TraceRunResult setup = runner.Run(office.setup);
-  if (setup.failures != 0) {
-    std::fprintf(stderr, "office setup failed: %s\n",
-                 setup.first_failure.ToString().c_str());
-    std::abort();
-  }
+  bench::RunOrDie(runner, office.setup, "office setup");
 
   TaskTimes times;
   for (const auto& task : office.tasks) {
