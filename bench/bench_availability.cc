@@ -186,9 +186,8 @@ AvailCell RunKillCell(Fault::Tier tier, int replicas, double duration_s,
   // lease clock (probe backoff keeps it from re-laddering the corpse), so
   // it does not add to the bound. Both tiers run the same replication
   // substrate with the same lease schedule.
-  const ReplicaSetOptions& rs = options.replica_set;
-  cell.threshold_s = rs.lease.lease_duration.seconds_f() +
-                     rs.lease.promote_stagger.seconds_f() * replicas +
+  cell.threshold_s = kLeaseDuration.seconds_f() +
+                     kPromoteStagger.seconds_f() * replicas +
                      options.rpc.timeout.seconds_f();
   cell.buckets.assign(static_cast<size_t>(duration_s) + 1, Bucket{});
 
@@ -244,7 +243,7 @@ AvailCell RunKillCell(Fault::Tier tier, int replicas, double duration_s,
 AvailCell RunPartitionHealCell(int replicas, uint64_t seed) {
   ResetRpcClientIdsForTesting();
   DeploymentOptions options = MakeOptions(replicas, seed);
-  options.rpc.timeout = SimDuration::Seconds(3);  // Covers one ack_timeout.
+  options.rpc.timeout = SimDuration::Seconds(3);  // Covers one kAckTimeout.
   Deployment dep(options);
   auto& fs = dep.fs();
 

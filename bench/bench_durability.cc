@@ -89,7 +89,7 @@ ScrubCell RunScrubCell(size_t objects, size_t flips) {
   JournalOptions options;
   options.checkpoint_bytes = 64 * 1024;
   BlockDevice device(MakeJournaledBackend(options));
-  SimObjectStore cloud(&queue, CloudStoreOptions{});
+  SimObjectStore cloud(&queue);
   WriteBackQueue write_back(&device, &cloud);
 
   Bytes body(4096, 0x5c);
@@ -159,7 +159,7 @@ RestoreCell RunRestoreCell(size_t files) {
     body[0] = static_cast<uint8_t>(i);
     (void)(*fs)->WriteAll(path, body);
   }
-  SimObjectStore cloud(&queue, CloudStoreOptions{});
+  SimObjectStore cloud(&queue);
   WriteBackQueue write_back(&device, &cloud);
   bool flushed = false;
   write_back.FlushNow([&](Status s) { flushed = s.ok(); });

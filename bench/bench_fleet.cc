@@ -374,7 +374,7 @@ bench::JsonRow FleetJson(const FleetCell& c) {
       .Num("events_per_s", c.events_per_s(), 0)
       .Num("ops_per_virtual_s", c.ops_per_vs(), 1)
       .Num("p50_ms", s.p50_ms, 3).Num("p99_ms", s.p99_ms, 3)
-      .Int("bytes_on_wire", s.bytes_on_wire).Int("codec_downgrades", 0)
+      .Int("bytes_on_wire", s.bytes_on_wire)
       .Num("buffer_reuse_rate",
            s.encode_buffer_acquires > 0
                ? static_cast<double>(s.encode_buffer_reuses) /
@@ -453,7 +453,7 @@ int main(int argc, char** argv) {
   base.devices_per_user = 2;
   base.files_per_device = FastMode() ? 4 : 3;
   base.shards = 2;
-  base.duration = FastMode() ? SimDuration::Seconds(4) : SimDuration::Seconds(4);
+  base.duration = SimDuration::Seconds(4);
   base.day = SimDuration::Seconds(2);
   base.mean_think = SimDuration::Millis(800);
 

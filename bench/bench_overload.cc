@@ -197,8 +197,8 @@ int main(int argc, char** argv) {
   base.link_seed = 0x5100;
   base.pick_seed = 0x6100;
   base.id_seed = 0xF00D;
-  // Admission tuned so the demand shed point (target * demand_slack =
-  // 10 ms expected sojourn) sits well inside the client's 25 ms
+  // Admission tuned so the demand shed point (10x the target = 10 ms
+  // expected sojourn) sits well inside the client's 25 ms
   // per-attempt timeout: everything the server admits, the client is
   // still around to receive.
   base.admission = AdmissionOptions{};

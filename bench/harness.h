@@ -91,7 +91,7 @@ inline double RunKeypadCompile(const DeploymentOptions& options) {
   if (dep.phone() != nullptr) {
     // Cold phone too: hoards are long-lived, so for pure cold-cache runs
     // advance past the hoard TTL as well.
-    dep.queue().AdvanceBy(options.phone_options.hoard_ttl * 2);
+    dep.queue().AdvanceBy(PhoneProxy::kHoardTtl * 2);
   }
   dep.fs().ResetStats();
   return RunOrDie(runner, workload.compile, "compile").elapsed.seconds_f();
@@ -121,7 +121,7 @@ inline double RunNfsCompile(NetworkProfile profile) {
   RpcClient rpc(&queue, &link, &rpc_server);
   // Leaner marshalling than Keypad's XML-RPC-heavy key protocol.
   rpc.options().client_overhead = SimDuration::Micros(120);
-  NfsClient client(&queue, &rpc, {});
+  NfsClient client(&queue, &rpc);
 
   ApacheWorkload workload = MakeApacheWorkload(CompileParams(), 42);
   TraceRunner runner(&client, &queue);

@@ -10,7 +10,9 @@
 # baseline key missing from the fresh output fails the run, naming the
 # bench and the dropped key(s).
 set -u
-out="${1:-/root/repo/bench_output.txt}"
+# The checkout this script lives in: its build tree and its JSON files.
+root="$(cd "$(dirname "$0")" && pwd)"
+out="${1:-$root/bench_output.txt}"
 : > "$out"
 failed=()
 
@@ -40,17 +42,17 @@ PY
 # simulator core + fleet (§11), service-tier availability (§9–§10),
 # durability (§12), overload (§14) and the audit-log lifecycle (§15).
 declare -A json_for=(
-  [bench_crypto_micro]=/root/repo/BENCH_crypto.json
-  [bench_resilience]=/root/repo/BENCH_resilience.json
-  [bench_scale]=/root/repo/BENCH_scale.json
-  [bench_fleet]=/root/repo/BENCH_simcore.json
-  [bench_availability]=/root/repo/BENCH_availability.json
-  [bench_durability]=/root/repo/BENCH_durability.json
-  [bench_overload]=/root/repo/BENCH_overload.json
-  [bench_auditlog]=/root/repo/BENCH_auditlog.json
+  [bench_crypto_micro]=$root/BENCH_crypto.json
+  [bench_resilience]=$root/BENCH_resilience.json
+  [bench_scale]=$root/BENCH_scale.json
+  [bench_fleet]=$root/BENCH_simcore.json
+  [bench_availability]=$root/BENCH_availability.json
+  [bench_durability]=$root/BENCH_durability.json
+  [bench_overload]=$root/BENCH_overload.json
+  [bench_auditlog]=$root/BENCH_auditlog.json
 )
 
-for b in /root/repo/build/bench/*; do
+for b in "$root"/build/bench/*; do
   [ -f "$b" ] && [ -x "$b" ] || continue
   name="$(basename "$b")"
   echo "### $name" | tee -a "$out"

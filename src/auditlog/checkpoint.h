@@ -46,7 +46,7 @@ Status VerifyCheckpointChain(const std::vector<LogCheckpoint>& checkpoints,
 
 // The audit authority's checkpoint-signing key. In this simulation every
 // replica and the auditor share one deployment-provisioned key (the paper's
-// trusted-service assumption); SegmentedLogOptions::signing_key overrides.
+// trusted-service assumption).
 const Bytes& DefaultCheckpointKey();
 
 }  // namespace keypad

@@ -5,8 +5,6 @@
 
 #include <cstdint>
 
-#include "src/util/bytes.h"
-
 namespace keypad {
 
 struct SegmentedLogOptions {
@@ -25,9 +23,6 @@ struct SegmentedLogOptions {
   // in-sync replicas hold the prefix), preserving duplicated-but-never-lost.
   // Implies cold_ship (SegmentedLog::Configure turns it on).
   bool truncate = false;
-
-  // Checkpoint-signing key; empty selects DefaultCheckpointKey().
-  Bytes signing_key;
 };
 
 }  // namespace keypad

@@ -315,7 +315,8 @@ class SegmentedLog {
   Status LoadVerifiedWithBase(uint64_t base_seq, Bytes base_seal,
                               std::vector<LogCheckpoint> checkpoints,
                               std::vector<Entry> entries) {
-    KP_RETURN_IF_ERROR(VerifyCheckpointChain(checkpoints, SigningKey()));
+    KP_RETURN_IF_ERROR(
+        VerifyCheckpointChain(checkpoints, DefaultCheckpointKey()));
     if (base_seq == 0) {
       if (base_seal != Bytes(32, 0)) {
         return DataLossError(Name() + ": nonzero base seal at genesis");
@@ -530,11 +531,6 @@ class SegmentedLog {
  private:
   static std::string Name() { return std::string(Codec::kName); }
 
-  const Bytes& SigningKey() const {
-    return options_.signing_key.empty() ? DefaultCheckpointKey()
-                                        : options_.signing_key;
-  }
-
   Bytes LastSeal() const {
     return entries_.empty() ? base_seal_ : Codec::EntryHash(entries_.back());
   }
@@ -593,7 +589,8 @@ class SegmentedLog {
   // Checkpoint chain + base-alignment invariants (everything checkable
   // without entry contents).
   Status VerifyCheckpointState() const {
-    KP_RETURN_IF_ERROR(VerifyCheckpointChain(checkpoints_, SigningKey()));
+    KP_RETURN_IF_ERROR(
+        VerifyCheckpointChain(checkpoints_, DefaultCheckpointKey()));
     if (!checkpoints_.empty() && checkpoints_.back().end_seq > size()) {
       return DataLossError(Name() + ": checkpoint past log end");
     }
@@ -685,7 +682,7 @@ class SegmentedLog {
     ckpt.chain_seal = Codec::EntryHash(entries_[end - base_seq_ - 1]);
     ckpt.prev_hash =
         checkpoints_.empty() ? Bytes(32, 0) : checkpoints_.back().hash;
-    ckpt.Sign(SigningKey());
+    ckpt.Sign(DefaultCheckpointKey());
     checkpoints_.push_back(std::move(ckpt));
     ShipSegment(checkpoints_.back());
   }

@@ -13,17 +13,16 @@ void SimObjectStore::Put(std::string key, Bytes data,
       delay, [this, key = std::move(key), data = std::move(data),
               done = std::move(done)]() mutable {
         settling_[key] = data;
-        queue_->ScheduleAfter(options_.visibility_lag,
-                              [this, key, data = std::move(data)]() mutable {
-                                auto it = settling_.find(key);
-                                // A newer upload may have replaced the
-                                // settling entry; only our own write moves.
-                                if (it != settling_.end() &&
-                                    it->second == data) {
-                                  settling_.erase(it);
-                                }
-                                visible_[key] = std::move(data);
-                              });
+        queue_->ScheduleAfter(
+            kVisibilityLag, [this, key, data = std::move(data)]() mutable {
+              auto it = settling_.find(key);
+              // A newer upload may have replaced the settling entry; only
+              // our own write moves.
+              if (it != settling_.end() && it->second == data) {
+                settling_.erase(it);
+              }
+              visible_[key] = std::move(data);
+            });
         if (done) {
           done(Status::Ok());
         }
@@ -34,7 +33,7 @@ void SimObjectStore::Get(std::string key,
                          std::function<void(Result<Bytes>)> done) {
   ++gets_;
   queue_->ScheduleAfter(
-      options_.get_latency,
+      kGetLatency,
       [this, key = std::move(key), done = std::move(done)]() {
         auto it = visible_.find(key);
         if (it == visible_.end()) {
@@ -64,7 +63,7 @@ void SimObjectStore::CommitManifest(Bytes manifest,
 
 Result<Bytes> SimObjectStore::BlockingGet(const std::string& key) {
   ++gets_;
-  queue_->AdvanceBy(options_.get_latency);
+  queue_->AdvanceBy(kGetLatency);
   auto it = visible_.find(key);
   if (it == visible_.end()) {
     return NotFoundError("cloud: no visible object " + key);
@@ -76,7 +75,7 @@ Result<Bytes> SimObjectStore::BlockingGet(const std::string& key) {
 
 Result<Bytes> SimObjectStore::BlockingGetManifest() {
   ++gets_;
-  queue_->AdvanceBy(options_.get_latency);
+  queue_->AdvanceBy(kGetLatency);
   if (!has_manifest_) {
     return NotFoundError("cloud: no manifest committed");
   }

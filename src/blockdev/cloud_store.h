@@ -25,30 +25,27 @@
 
 namespace keypad {
 
-struct CloudStoreOptions {
-  SimDuration put_latency = SimDuration::Millis(25);
-  SimDuration get_latency = SimDuration::Millis(20);
-  // Sustained transfer rate, bytes per virtual second (~40 MB/s).
-  double bytes_per_second = 40e6;
-  // Eventual consistency: how long after upload completion a Put stays
-  // invisible to Get.
-  SimDuration visibility_lag = SimDuration::Millis(150);
-};
-
 class SimObjectStore {
  public:
-  explicit SimObjectStore(EventQueue* queue, CloudStoreOptions options = {})
-      : queue_(queue), options_(options) {}
+  static constexpr SimDuration kPutLatency = SimDuration::Millis(25);
+  static constexpr SimDuration kGetLatency = SimDuration::Millis(20);
+  // Sustained transfer rate, bytes per virtual second (~40 MB/s).
+  static constexpr double kBytesPerSecond = 40e6;
+  // Eventual consistency: how long after upload completion a Put stays
+  // invisible to Get.
+  static constexpr SimDuration kVisibilityLag = SimDuration::Millis(150);
+
+  explicit SimObjectStore(EventQueue* queue) : queue_(queue) {}
 
   SimDuration PutDelay(size_t bytes) const {
-    return options_.put_latency + TransferTime(bytes);
+    return kPutLatency + TransferTime(bytes);
   }
   SimDuration GetDelay(size_t bytes) const {
-    return options_.get_latency + TransferTime(bytes);
+    return kGetLatency + TransferTime(bytes);
   }
 
   // Asynchronous upload. `done` fires after the upload delay; visibility
-  // to Get follows after options_.visibility_lag.
+  // to Get follows after kVisibilityLag.
   void Put(std::string key, Bytes data, std::function<void(Status)> done);
 
   // Asynchronous download; the lookup happens at fire time, so it observes
@@ -83,11 +80,10 @@ class SimObjectStore {
  private:
   SimDuration TransferTime(size_t bytes) const {
     return SimDuration::FromSecondsF(static_cast<double>(bytes) /
-                                     options_.bytes_per_second);
+                                     kBytesPerSecond);
   }
 
   EventQueue* queue_;
-  CloudStoreOptions options_;
 
   std::map<std::string, Bytes> visible_;
   // Uploaded but not yet visible (keyed by key; last write wins).

@@ -1,14 +1,5 @@
-// Keypad client configuration and cost model.
-//
-// Cost constants come from the paper's component measurements (Fig. 6):
-//  * key-cache hit adds ~0.01 ms over base EncFS ("a file read with a
-//    cached key is only 0.01 ms slower than the base EncFS read");
-//  * a key-cache miss adds Keypad client+server processing of ~0.5 ms
-//    (XML-RPC marshalling) plus the network RTT — the marshalling charge
-//    lives in RpcOptions::client_overhead and the RPC server's
-//    service_time;
-//  * IBE locking costs ~25.3 ms of client CPU (Fig. 6b's "25.299" label),
-//    which is why IBE only pays off when RTT > ~25 ms (Fig. 8a crossover).
+// Keypad client configuration. The client's CPU cost constants live next
+// to the code that charges them, in keypad_fs.cc.
 
 #ifndef SRC_KEYPAD_CONFIG_H_
 #define SRC_KEYPAD_CONFIG_H_
@@ -20,17 +11,6 @@
 #include "src/sim/time.h"
 
 namespace keypad {
-
-struct KeypadCostModel {
-  // Cache lookup + data-key unwrap on a hit.
-  SimDuration cache_hit = SimDuration::Micros(10);
-  // Client-side IBE encryption of the key blob (lock).
-  SimDuration ibe_lock = SimDuration::FromMillisF(25.299);
-  // Background IBE decryption + header rewrite (unlock).
-  SimDuration ibe_unlock = SimDuration::FromMillisF(12.0);
-  // Header rewrite (clearing a lock, installing a wrapped key).
-  SimDuration header_rewrite = SimDuration::Micros(200);
-};
 
 struct PrefetchPolicy {
   enum class Kind {
@@ -92,7 +72,6 @@ struct KeypadConfig {
   // Partial coverage (§3.6): nullptr means every file is protected;
   // otherwise only paths for which this returns true are audited.
   std::function<bool(const std::string&)> coverage;
-  KeypadCostModel costs;
   // Assured delete: destroy the remote key when a file is unlinked, making
   // any lingering ciphertext (backups, disk images) permanently
   // unreadable. Off by default — it also removes the *owner's* ability to
@@ -100,10 +79,8 @@ struct KeypadConfig {
   bool destroy_keys_on_unlink = false;
   // Optional brownout controller (DESIGN.md §14), shared with the
   // device's ShardRouter. While the key tier signals overload the client
-  // drops speculative prefetch fanout, and — only if explicitly enabled,
-  // with the added exposure key-seconds accounted against the Fig. 11
-  // integral — stretches cache lifetimes. Borrowed pointer; the
-  // deployment owns the controller.
+  // drops speculative prefetch fanout. Borrowed pointer; the deployment
+  // owns the controller.
   BrownoutController* brownout = nullptr;
 };
 

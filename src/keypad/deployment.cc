@@ -11,20 +11,6 @@ namespace keypad {
 namespace {
 constexpr SimDuration kServiceTime = SimDuration::Micros(150);
 
-// Stub failover budget: one full leader failover — lease lapse, staggered
-// promotion across all replicas, an ack timeout of reconciliation traffic,
-// and slack — before a routed call gives up. Parameterized on the tier's
-// replica count (the key and metadata tiers can differ in width).
-FailoverOptions FailoverFor(const DeploymentOptions& options,
-                            size_t replicas) {
-  FailoverOptions failover;
-  failover.budget = options.replica_set.lease.lease_duration +
-                    options.replica_set.lease.promote_stagger *
-                        static_cast<int64_t>(replicas) +
-                    options.replica_set.ack_timeout + SimDuration::Seconds(2);
-  return failover;
-}
-
 std::vector<RpcClient*> Endpoints(
     const std::vector<std::unique_ptr<RpcClient>>& rpcs) {
   std::vector<RpcClient*> endpoints;
@@ -47,10 +33,7 @@ void Deployment::AddGroup(ReplicaGroup<Service>& group, size_t replicas,
     // The replica set installs each service's replicator and serve gate,
     // which switches its RPC surface onto the async held-response path —
     // so wire it up before BindRpc.
-    ReplicaSetOptions rs_options = options_.replica_set;
-    rs_options.seed ^= set_seed;
-    group.set =
-        std::make_unique<ServiceReplicaSet<Service>>(&queue_, rs_options);
+    group.set = std::make_unique<ServiceReplicaSet<Service>>(&queue_, set_seed);
     for (size_t r = 0; r < replicas; ++r) {
       group.set->AddReplica(group.services[r].get(), group.servers[r].get());
     }
@@ -90,9 +73,7 @@ std::unique_ptr<Stub> Deployment::MakeStub(std::vector<RpcClient*> rpcs,
   }
   // Replica-aware stub: tries the last-known leader, follows NOT_LEADER
   // redirects, and rides out one full failover before giving up.
-  FailoverOptions failover = FailoverFor(options_, rpcs.size());
-  return std::make_unique<Stub>(&queue_, std::move(rpcs), device_id, secret,
-                                failover);
+  return std::make_unique<Stub>(&queue_, std::move(rpcs), device_id, secret);
 }
 
 template <typename Service, typename Mutate>
@@ -121,8 +102,7 @@ Deployment::Deployment(DeploymentOptions options)
   }
   // One brownout controller per device, shared between the router (batch
   // stretching + overload signals) and the client config (prefetch
-  // suppression, accounted cache-lifetime stretching). Inert unless
-  // enabled.
+  // suppression). Inert unless enabled.
   brownout_ = std::make_unique<BrownoutController>(options_.brownout);
   options_.router.brownout = brownout_.get();
   options_.config.brownout = brownout_.get();
@@ -204,7 +184,7 @@ Deployment::Deployment(DeploymentOptions options)
     phone_ = std::make_unique<PhoneProxy>(
         &queue_, &phone_uplink_, phone_key_client_.get(),
         phone_meta_client_.get(), creds.device_id, creds.key_secret,
-        creds.meta_secret, options_.phone_options);
+        creds.meta_secret);
     // Laptop -> phone over Bluetooth.
     key_rpcs_[0].push_back(connect(&client_link_, phone_->server()));
     meta_rpcs_.push_back(connect(&client_link_, phone_->server()));
@@ -296,7 +276,7 @@ Deployment::Deployment(DeploymentOptions options)
   }
 
   if (options_.cloud_backup) {
-    cloud_store_ = std::make_unique<SimObjectStore>(&queue_, options_.cloud);
+    cloud_store_ = std::make_unique<SimObjectStore>(&queue_);
     write_back_ =
         std::make_unique<WriteBackQueue>(&device_, cloud_store_.get());
     // Everything Format wrote is still in the device's dirty set, so the

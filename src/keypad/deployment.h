@@ -45,7 +45,6 @@ struct DeploymentOptions {
   // Adds a paired phone: the laptop talks to it over Bluetooth and the
   // phone reaches the services over `profile`.
   bool paired_phone = false;
-  PhoneProxy::Options phone_options;
   // Transport encryption (§6): client↔service traffic sealed under
   // per-device session keys that ratchet every Texp. Not supported
   // together with the phone proxy (the phone would need to re-seal).
@@ -61,8 +60,7 @@ struct DeploymentOptions {
   // Client brownout policy. When enabled the deployment builds one
   // BrownoutController for the device and shares it between the
   // ShardRouter (batch-window stretching, overload signals) and the
-  // KeypadFs config (prefetch suppression, accounted cache-lifetime
-  // stretching).
+  // KeypadFs config (prefetch suppression).
   BrownoutOptions brownout;
   // Key-service tier width (DESIGN.md §8). With N > 1 the deployment runs N
   // independent KeyService shards behind a client-side ShardRouter; the
@@ -79,9 +77,6 @@ struct DeploymentOptions {
   // the backups before client responses release. Like sharding, this is a
   // datacenter-side feature: the phone proxy and sealed channels force 1.
   int key_replicas = 1;
-  // Lease/replication knobs applied to every shard's replica set (and to
-  // the metadata tier's, when replicated).
-  ReplicaSetOptions replica_set;
   // Replication width of the metadata tier (DESIGN.md §10). With R > 1 the
   // metadata service runs R replicas on the same generic substrate as the
   // key tier: hash-chained log suffixes stream to the backups before
@@ -99,7 +94,6 @@ struct DeploymentOptions {
   // BackupNow() uploads the dirty set and commits a manifest generation;
   // EnrollReplacementDevice() rebuilds a stolen laptop's volume from it.
   bool cloud_backup = false;
-  CloudStoreOptions cloud;
 };
 
 // One service fault (DESIGN.md §23): a crash, restart, partition or heal of

@@ -221,10 +221,6 @@ bool KeyCache::Contains(const AuditId& id) const {
 }
 
 void KeyCache::Insert(const AuditId& id, Bytes key) {
-  Insert(id, std::move(key), texp_);
-}
-
-void KeyCache::Insert(const AuditId& id, Bytes key, SimDuration lifetime) {
   Accumulate();
   ++insertions_;
   size_t shard_index = HashOf(id) % kShardCount;
@@ -236,7 +232,7 @@ void KeyCache::Insert(const AuditId& id, Bytes key, SimDuration lifetime) {
     slot = InsertSlot(shard, id);
   }
   slot->key = std::move(key);
-  slot->expires_at = queue_->Now() + lifetime;
+  slot->expires_at = queue_->Now() + texp_;
   slot->used_since_fetch = false;
   slot->refreshing = false;
   ArmSweepIfEarlier(shard_index, slot->expires_at);

@@ -49,7 +49,6 @@ class KeyCache {
   ~KeyCache();
 
   void set_refresh(RefreshFn refresh) { refresh_ = std::move(refresh); }
-  SimDuration texp() const { return texp_; }
   void set_texp(SimDuration texp) { texp_ = texp; }
 
   // Returns the key and marks the entry used (which arms the in-use
@@ -58,9 +57,6 @@ class KeyCache {
   bool Contains(const AuditId& id) const;
 
   void Insert(const AuditId& id, Bytes key);
-  // Insert with an explicit lifetime instead of the configured texp (the
-  // brownout controller's accounted cache-lifetime stretching).
-  void Insert(const AuditId& id, Bytes key, SimDuration lifetime);
 
   // Securely erases one key.
   void Erase(const AuditId& id);

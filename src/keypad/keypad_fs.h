@@ -125,9 +125,6 @@ class KeypadFs : public EncFs {
   // Blocking demand fetch of K_R (consulting the prefetch policy); inserts
   // all fetched keys into the cache.
   Result<Bytes> FetchRemoteKey(const AuditId& id, const std::string& dir_path);
-  // All cache inserts route through here so the brownout controller (if
-  // configured) can apply — and account — its cache-lifetime policy.
-  void CacheInsert(const AuditId& id, Bytes key);
   // Non-blocking refresh of an in-use key (logs kRefresh).
   void RefreshKeyAsync(const AuditId& id,
                        std::function<void(Result<Bytes>)> done);

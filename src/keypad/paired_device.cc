@@ -6,11 +6,16 @@
 
 namespace keypad {
 
+namespace {
+// The phone's CPU per forwarded or hoard-served request.
+constexpr SimDuration kPhoneServiceTime = SimDuration::Micros(200);
+}  // namespace
+
 PhoneProxy::PhoneProxy(EventQueue* queue, NetworkLink* uplink,
                        KeyServiceClient* key_upstream,
                        MetadataServiceClient* meta_upstream,
                        std::string device_id, Bytes key_secret,
-                       Bytes meta_secret, Options options)
+                       Bytes meta_secret)
     : queue_(queue),
       uplink_(uplink),
       key_upstream_(key_upstream),
@@ -18,9 +23,8 @@ PhoneProxy::PhoneProxy(EventQueue* queue, NetworkLink* uplink,
       device_id_(std::move(device_id)),
       key_secret_(std::move(key_secret)),
       meta_secret_(std::move(meta_secret)),
-      options_(options),
-      server_(queue, options.service_time),
-      hoard_(queue, options.hoard_ttl),
+      server_(queue, kPhoneServiceTime),
+      hoard_(queue, kHoardTtl),
       local_rng_(uint64_t{0x9A13ED0C0FFEEull}) {
   BindHandlers();
 }

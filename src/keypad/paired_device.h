@@ -33,12 +33,9 @@ namespace keypad {
 
 class PhoneProxy {
  public:
-  struct Options {
-    // How long hoarded keys are kept. Long by design: the phone is assumed
-    // to stay with the user (and its loss is accounted for in auditing).
-    SimDuration hoard_ttl = SimDuration::Hours(1);
-    SimDuration service_time = SimDuration::Micros(200);
-  };
+  // How long hoarded keys are kept. Long by design: the phone is assumed
+  // to stay with the user (and its loss is accounted for in auditing).
+  static constexpr SimDuration kHoardTtl = SimDuration::Hours(1);
 
   // `uplink` is the phone's own internet link (cellular/WiFi);
   // `key_upstream`/`meta_upstream` are client stubs over that link.
@@ -47,8 +44,7 @@ class PhoneProxy {
   PhoneProxy(EventQueue* queue, NetworkLink* uplink,
              KeyServiceClient* key_upstream,
              MetadataServiceClient* meta_upstream, std::string device_id,
-             Bytes key_secret, Bytes meta_secret,
-             Options options);
+             Bytes key_secret, Bytes meta_secret);
 
   // The server the laptop's Bluetooth RPC clients target.
   RpcServer* server() { return &server_; }
@@ -84,7 +80,6 @@ class PhoneProxy {
   std::string device_id_;
   Bytes key_secret_;
   Bytes meta_secret_;
-  Options options_;
 
   RpcServer server_;
   KeyCache hoard_;

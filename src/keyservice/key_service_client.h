@@ -40,11 +40,10 @@ class KeyServiceClient : public KeyClient {
   // Replica-set stub: one RpcClient per replica of the same shard, in
   // replica-index order (NOT_LEADER redirects are indices into this list).
   KeyServiceClient(EventQueue* queue, std::vector<RpcClient*> replicas,
-                   std::string device_id, Bytes device_secret,
-                   FailoverOptions failover)
+                   std::string device_id, Bytes device_secret)
       : device_id_(std::move(device_id)),
         device_secret_(std::move(device_secret)),
-        router_(queue, std::move(replicas), MakeFramer(), failover) {}
+        router_(queue, std::move(replicas), MakeFramer()) {}
 
   Result<Bytes> CreateKey(const AuditId& audit_id) override;
   Result<Bytes> GetKey(const AuditId& audit_id,

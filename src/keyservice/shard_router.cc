@@ -34,15 +34,6 @@ const std::string& ShardRouter::device_id() const {
   return shards_.front()->device_id();
 }
 
-std::map<size_t, std::vector<AuditId>> ShardRouter::Partition(
-    const std::vector<AuditId>& audit_ids) const {
-  std::map<size_t, std::vector<AuditId>> plan;
-  for (const auto& id : audit_ids) {
-    plan[ring_.ShardFor(id)].push_back(id);
-  }
-  return plan;
-}
-
 void ShardRouter::EnqueueFetch(const AuditId& audit_id, AccessOp op,
                                FetchDone done) {
   if (!options_.batch_fetch) {
@@ -189,125 +180,59 @@ void ShardRouter::GetKeyAsync(const AuditId& audit_id, AccessOp op,
 void ShardRouter::GetKeysAsync(
     const std::vector<AuditId>& audit_ids,
     std::function<void(Result<KeyPairs>)> done) {
-  if (options_.batch_fetch) {
-    if (audit_ids.empty()) {
-      queue_->ScheduleAfter(SimDuration(),
-                            [done = std::move(done)] { done(KeyPairs{}); });
-      return;
-    }
-    std::set<size_t> span;
-    for (const auto& id : audit_ids) {
-      span.insert(ring_.ShardFor(id));
-    }
-    if (span.size() > 1) {
-      ++stats_.scatter_batches;
-    }
-    struct Gather {
-      size_t remaining = 0;
-      std::vector<std::optional<Bytes>> keys;  // By request index.
-      std::optional<Status> first_transport;
-      bool any_rpc_ok = false;
-    };
-    auto gather = std::make_shared<Gather>();
-    gather->remaining = audit_ids.size();
-    gather->keys.resize(audit_ids.size());
-    auto finish = [audit_ids, done, gather] {
-      if (!gather->any_rpc_ok) {
-        done(*gather->first_transport);
-        return;
-      }
-      // Old batch semantics: missing keys are silently omitted, order
-      // follows the caller's request.
-      KeyPairs merged;
-      for (size_t i = 0; i < audit_ids.size(); ++i) {
-        if (gather->keys[i].has_value()) {
-          merged.emplace_back(audit_ids[i], std::move(*gather->keys[i]));
-        }
-      }
-      done(std::move(merged));
-    };
-    for (size_t i = 0; i < audit_ids.size(); ++i) {
-      EnqueueFetch(audit_ids[i], AccessOp::kPrefetch,
-                   [gather, finish, i](FetchOutcome o) {
-                     if (o.transport) {
-                       if (!gather->first_transport) {
-                         gather->first_transport = o.key.status();
-                       }
-                     } else {
-                       gather->any_rpc_ok = true;
-                       if (o.key.ok()) {
-                         gather->keys[i] = std::move(*o.key);
-                       }
-                     }
-                     if (--gather->remaining == 0) {
-                       finish();
-                     }
-                   });
-    }
-    return;
-  }
-  auto plan = Partition(audit_ids);
-  if (plan.empty()) {
+  if (audit_ids.empty()) {
     queue_->ScheduleAfter(SimDuration(),
                           [done = std::move(done)] { done(KeyPairs{}); });
     return;
   }
-  if (plan.size() == 1) {
-    shards_[plan.begin()->first]->GetKeysAsync(audit_ids, std::move(done));
-    return;
+  std::set<size_t> span;
+  for (const auto& id : audit_ids) {
+    span.insert(ring_.ShardFor(id));
   }
-
-  ++stats_.scatter_batches;
+  if (span.size() > 1) {
+    ++stats_.scatter_batches;
+  }
   struct Gather {
     size_t remaining = 0;
-    std::map<size_t, Result<KeyPairs>> per_shard;
+    std::vector<std::optional<Bytes>> keys;  // By request index.
+    std::optional<Status> first_transport;
+    bool any_rpc_ok = false;
   };
   auto gather = std::make_shared<Gather>();
-  gather->remaining = plan.size();
-
-  auto finish = [this, audit_ids, done, gather] {
-    std::map<size_t, std::deque<std::pair<AuditId, Bytes>>> queues;
-    std::optional<Status> first_error;
-    bool any_ok = false;
-    for (auto& [shard, result] : gather->per_shard) {
-      if (!result.ok()) {
-        ++stats_.shard_errors;
-        if (!first_error) {
-          first_error = result.status();
-        }
-        continue;
-      }
-      any_ok = true;
-      queues[shard].assign(result->begin(), result->end());
-    }
-    if (!any_ok) {
-      done(*first_error);
+  gather->remaining = audit_ids.size();
+  gather->keys.resize(audit_ids.size());
+  auto finish = [audit_ids, done, gather] {
+    if (!gather->any_rpc_ok) {
+      done(*gather->first_transport);
       return;
     }
-    // Merge back in the caller's order: each shard returned its sub-list
-    // in submission order, so the fronts line up as we walk the input.
+    // Old batch semantics: missing keys are silently omitted, order
+    // follows the caller's request.
     KeyPairs merged;
-    for (const auto& id : audit_ids) {
-      auto q = queues.find(ring_.ShardFor(id));
-      if (q == queues.end() || q->second.empty() ||
-          q->second.front().first != id) {
-        continue;  // Missing key, or its shard's sub-batch failed.
+    for (size_t i = 0; i < audit_ids.size(); ++i) {
+      if (gather->keys[i].has_value()) {
+        merged.emplace_back(audit_ids[i], std::move(*gather->keys[i]));
       }
-      merged.push_back(std::move(q->second.front()));
-      q->second.pop_front();
     }
     done(std::move(merged));
   };
-
-  for (auto& [shard, sub_ids] : plan) {
-    ++stats_.subrequests;
-    shards_[shard]->GetKeysAsync(
-        sub_ids, [gather, finish, shard = shard](Result<KeyPairs> result) {
-          gather->per_shard.emplace(shard, std::move(result));
-          if (--gather->remaining == 0) {
-            finish();
-          }
-        });
+  for (size_t i = 0; i < audit_ids.size(); ++i) {
+    EnqueueFetch(audit_ids[i], AccessOp::kPrefetch,
+                 [gather, finish, i](FetchOutcome o) {
+                   if (o.transport) {
+                     if (!gather->first_transport) {
+                       gather->first_transport = o.key.status();
+                     }
+                   } else {
+                     gather->any_rpc_ok = true;
+                     if (o.key.ok()) {
+                       gather->keys[i] = std::move(*o.key);
+                     }
+                   }
+                   if (--gather->remaining == 0) {
+                     finish();
+                   }
+                 });
   }
 }
 
@@ -381,158 +306,71 @@ Result<ShardRouter::MultiGetResult> ShardRouter::GetKeysTyped(
 void ShardRouter::FetchGroupAsync(
     const AuditId& demand_id, const std::vector<AuditId>& prefetch_ids,
     std::function<void(Result<GroupFetch>)> done) {
-  if (options_.batch_fetch) {
-    // The demand fetch and every prefetch ride the per-shard multi-get
-    // batches: the owning shard sees the demand item first (so its audit
-    // row lands before the prefetch rows it triggered), and all items
-    // issued this tick — including other calls' — share the RPCs.
-    std::vector<AuditId> prefetch;
-    prefetch.reserve(prefetch_ids.size());
-    for (const auto& id : prefetch_ids) {
-      if (id == demand_id) {
-        continue;
-      }
-      prefetch.push_back(id);
-    }
-    std::set<size_t> span;
-    span.insert(ring_.ShardFor(demand_id));
-    for (const auto& id : prefetch) {
-      span.insert(ring_.ShardFor(id));
-    }
-    if (span.size() > 1) {
-      ++stats_.scatter_batches;
-    }
-    struct Gather {
-      size_t remaining = 0;
-      std::optional<Result<Bytes>> demand;
-      std::vector<std::optional<Bytes>> keys;  // By prefetch index.
-    };
-    auto gather = std::make_shared<Gather>();
-    gather->remaining = 1 + prefetch.size();
-    gather->keys.resize(prefetch.size());
-    auto finish = [prefetch, done, gather] {
-      if (!gather->demand->ok()) {
-        // No demand key, no file access: the whole group fetch fails (any
-        // prefetched keys the shards logged were still fetched — the
-        // audit record stays honest).
-        done(gather->demand->status());
-        return;
-      }
-      GroupFetch merged;
-      merged.demand_key = std::move(**gather->demand);
-      for (size_t i = 0; i < prefetch.size(); ++i) {
-        if (gather->keys[i].has_value()) {
-          merged.prefetched.emplace_back(prefetch[i],
-                                         std::move(*gather->keys[i]));
-        }
-      }
-      done(std::move(merged));
-    };
-    EnqueueFetch(demand_id, AccessOp::kDemandFetch,
-                 [gather, finish](FetchOutcome o) {
-                   gather->demand = std::move(o.key);
-                   if (--gather->remaining == 0) {
-                     finish();
-                   }
-                 });
-    for (size_t i = 0; i < prefetch.size(); ++i) {
-      // Advisory prefetch: a miss or failed slice just drops the key (the
-      // failed RPC itself is already counted by the flush path).
-      EnqueueFetch(prefetch[i], AccessOp::kPrefetch,
-                   [gather, finish, i](FetchOutcome o) {
-                     if (o.key.ok()) {
-                       gather->keys[i] = std::move(*o.key);
-                     }
-                     if (--gather->remaining == 0) {
-                       finish();
-                     }
-                   });
-    }
-    return;
-  }
-  size_t demand_shard = ring_.ShardFor(demand_id);
-  // The owning shard serves the demand key plus its slice of the prefetch
-  // batch in one RPC; the demand id itself is excluded from every slice
-  // (the service skips it anyway).
-  std::map<size_t, std::vector<AuditId>> plan;
+  // The demand fetch and every prefetch ride the per-shard multi-get
+  // batches: the owning shard sees the demand item first (so its audit
+  // row lands before the prefetch rows it triggered), and all items
+  // issued this tick — including other calls' — share the RPCs.
+  std::vector<AuditId> prefetch;
+  prefetch.reserve(prefetch_ids.size());
   for (const auto& id : prefetch_ids) {
     if (id == demand_id) {
       continue;
     }
-    plan[ring_.ShardFor(id)].push_back(id);
+    prefetch.push_back(id);
   }
-  std::vector<AuditId> demand_slice;
-  if (auto it = plan.find(demand_shard); it != plan.end()) {
-    demand_slice = std::move(it->second);
-    plan.erase(it);
+  std::set<size_t> span;
+  span.insert(ring_.ShardFor(demand_id));
+  for (const auto& id : prefetch) {
+    span.insert(ring_.ShardFor(id));
   }
-  if (plan.empty()) {
-    shards_[demand_shard]->FetchGroupAsync(demand_id, demand_slice,
-                                           std::move(done));
-    return;
+  if (span.size() > 1) {
+    ++stats_.scatter_batches;
   }
-
-  ++stats_.scatter_batches;
   struct Gather {
     size_t remaining = 0;
-    std::optional<Result<GroupFetch>> demand;
-    std::map<size_t, Result<KeyPairs>> per_shard;
+    std::optional<Result<Bytes>> demand;
+    std::vector<std::optional<Bytes>> keys;  // By prefetch index.
   };
   auto gather = std::make_shared<Gather>();
-  gather->remaining = 1 + plan.size();
-
-  auto finish = [this, demand_id, prefetch_ids, demand_shard, done, gather] {
+  gather->remaining = 1 + prefetch.size();
+  gather->keys.resize(prefetch.size());
+  auto finish = [prefetch, done, gather] {
     if (!gather->demand->ok()) {
       // No demand key, no file access: the whole group fetch fails (any
-      // prefetched keys the other shards logged were still fetched — the
+      // prefetched keys the shards logged were still fetched — the
       // audit record stays honest).
       done(gather->demand->status());
       return;
     }
-    std::map<size_t, std::deque<std::pair<AuditId, Bytes>>> queues;
-    queues[demand_shard].assign((*gather->demand)->prefetched.begin(),
-                                (*gather->demand)->prefetched.end());
-    for (auto& [shard, result] : gather->per_shard) {
-      if (!result.ok()) {
-        ++stats_.shard_errors;  // Advisory prefetch: drop that slice.
-        continue;
-      }
-      queues[shard].assign(result->begin(), result->end());
-    }
     GroupFetch merged;
-    merged.demand_key = std::move((*gather->demand)->demand_key);
-    for (const auto& id : prefetch_ids) {
-      if (id == demand_id) {
-        continue;
+    merged.demand_key = std::move(**gather->demand);
+    for (size_t i = 0; i < prefetch.size(); ++i) {
+      if (gather->keys[i].has_value()) {
+        merged.prefetched.emplace_back(prefetch[i],
+                                       std::move(*gather->keys[i]));
       }
-      auto q = queues.find(ring_.ShardFor(id));
-      if (q == queues.end() || q->second.empty() ||
-          q->second.front().first != id) {
-        continue;
-      }
-      merged.prefetched.push_back(std::move(q->second.front()));
-      q->second.pop_front();
     }
     done(std::move(merged));
   };
-
-  ++stats_.subrequests;
-  shards_[demand_shard]->FetchGroupAsync(
-      demand_id, demand_slice, [gather, finish](Result<GroupFetch> result) {
-        gather->demand = std::move(result);
-        if (--gather->remaining == 0) {
-          finish();
-        }
-      });
-  for (auto& [shard, sub_ids] : plan) {
-    ++stats_.subrequests;
-    shards_[shard]->GetKeysAsync(
-        sub_ids, [gather, finish, shard = shard](Result<KeyPairs> result) {
-          gather->per_shard.emplace(shard, std::move(result));
-          if (--gather->remaining == 0) {
-            finish();
-          }
-        });
+  EnqueueFetch(demand_id, AccessOp::kDemandFetch,
+               [gather, finish](FetchOutcome o) {
+                 gather->demand = std::move(o.key);
+                 if (--gather->remaining == 0) {
+                   finish();
+                 }
+               });
+  for (size_t i = 0; i < prefetch.size(); ++i) {
+    // Advisory prefetch: a miss or failed slice just drops the key (the
+    // failed RPC itself is already counted by the flush path).
+    EnqueueFetch(prefetch[i], AccessOp::kPrefetch,
+                 [gather, finish, i](FetchOutcome o) {
+                   if (o.key.ok()) {
+                     gather->keys[i] = std::move(*o.key);
+                   }
+                   if (--gather->remaining == 0) {
+                     finish();
+                   }
+                 });
   }
 }
 

@@ -2,21 +2,21 @@
 //
 // Implements KeyClient over N per-shard KeyServiceClient stubs:
 //  * single-ID operations route to the owning shard (consistent-hash ring);
-//  * GetKeys / FetchGroup / UploadJournal batches split per shard and the
-//    sub-requests go out as parallel async scatter-gather, each riding its
-//    own stub's retry/at-most-once/breaker machinery, with results merged
-//    back in the caller's original order;
+//  * every fetch API — GetKey, GetKeys, GetKeysTyped, FetchGroup — is one
+//    per-item gather over the same fetch path, with results merged back in
+//    the caller's original order; UploadJournal batches split per shard
+//    and go out as parallel async scatter-gather;
 //  * single-flight coalescing: concurrent GetKey misses on the same
 //    (audit id, op) share one in-flight RPC — the waiters all complete
 //    from the leader's response, and the audit log records one fetch (the
 //    key left the service once, so one entry is the honest record);
-//  * batched fetch (on by default, Options::batch_fetch = false ablates):
-//    fetches issued in the same event tick (a longer window under
-//    brownout) combine into one key.get_multi RPC per shard, amortizing
-//    one auth frame, one unwrap pass, and one commit-group seal over the
-//    batch. Demand fetches
-//    and prefetches ride the same wire RPC, each item keeping its own
-//    access op so the audit record stays exactly typed.
+//  * batched fetch (on by default; Options::batch_fetch = false sends one
+//    key.get per item instead): fetches issued in the same event tick (a
+//    longer window under brownout) combine into one key.get_multi RPC per
+//    shard, amortizing one auth frame, one unwrap pass, and one
+//    commit-group seal over the batch. Demand fetches and prefetches ride
+//    the same wire RPC, each item keeping its own access op so the audit
+//    record stays exactly typed.
 //
 // Failure semantics mirror the unsharded client where it matters: a failed
 // demand fetch fails the call, while failed prefetch sub-batches just drop
@@ -55,8 +55,8 @@ class ShardRouter : public KeyClient {
 
   struct Options {
     bool single_flight = true;
-    // Combine fetches into per-shard key.get_multi RPCs; false is the
-    // one-RPC-per-key wire path.
+    // Combine fetches into per-shard key.get_multi RPCs; false sends one
+    // key.get per item, for every fetch API.
     bool batch_fetch = true;
     // Optional client brownout controller (DESIGN.md §14). When set, the
     // router reports REJECTED replies as overload signals and stretches
@@ -150,10 +150,6 @@ class ShardRouter : public KeyClient {
   KeyServiceClient* OwnerOf(const AuditId& audit_id) const {
     return shards_[ring_.ShardFor(audit_id)];
   }
-
-  // Splits ids per shard, preserving the caller's order within each shard.
-  std::map<size_t, std::vector<AuditId>> Partition(
-      const std::vector<AuditId>& audit_ids) const;
 
   // Batched wire path: queue the fetch on its owning shard's pending batch
   // and arm a flush at the end of the current tick (or the brownout's

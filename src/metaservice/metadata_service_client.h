@@ -35,11 +35,10 @@ class MetadataServiceClient {
   // Replica-set stub: one RpcClient per metadata replica, in replica-index
   // order (NOT_LEADER redirects are indices into this list).
   MetadataServiceClient(EventQueue* queue, std::vector<RpcClient*> replicas,
-                        std::string device_id, Bytes device_secret,
-                        FailoverOptions failover)
+                        std::string device_id, Bytes device_secret)
       : device_id_(std::move(device_id)),
         device_secret_(std::move(device_secret)),
-        router_(queue, std::move(replicas), MakeFramer(), failover) {}
+        router_(queue, std::move(replicas), MakeFramer()) {}
 
   Status RegisterRoot(const DirId& root_id);
 

@@ -1,6 +1,12 @@
 #include "src/net/link.h"
 
 namespace keypad {
+namespace {
+
+// A duplicated message's second copy lands this long after the first.
+constexpr SimDuration kDuplicateLag = SimDuration::Millis(5);
+
+}  // namespace
 
 bool NetworkLink::LoseInFlight() {
   if (chaos_.burst_loss) {
@@ -13,8 +19,8 @@ bool NetworkLink::LoseInFlight() {
     } else if (drop_rng_.Bernoulli(chaos_.p_enter_bad)) {
       ge_bad_ = true;
     }
-    double p = ge_bad_ ? chaos_.loss_bad : chaos_.loss_good;
-    return p > 0 && drop_rng_.Bernoulli(p);
+    return ge_bad_ && chaos_.loss_bad > 0 &&
+           drop_rng_.Bernoulli(chaos_.loss_bad);
   }
   return drop_probability_ > 0 && drop_rng_.Bernoulli(drop_probability_);
 }
@@ -54,7 +60,7 @@ bool NetworkLink::Send(size_t payload_bytes, Direction dir,
   if (chaos_.duplicate_probability > 0 &&
       drop_rng_.Bernoulli(chaos_.duplicate_probability)) {
     ++messages_duplicated_;
-    queue_->ScheduleAfter(delay + chaos_.duplicate_lag, deliver);
+    queue_->ScheduleAfter(delay + kDuplicateLag, deliver);
   }
   queue_->ScheduleAfter(delay, std::move(deliver));
   return true;

@@ -44,10 +44,9 @@ struct LinkChaosOptions {
   // Extra one-way delay, uniform in [0, latency_jitter_frac * OneWay()].
   double latency_jitter_frac = 0;
 
-  // Deliver a second copy of the message, duplicate_lag after the first
-  // (models retransmitting middleboxes / multipath).
+  // Deliver a second copy of the message 5 ms after the first (models
+  // retransmitting middleboxes / multipath).
   double duplicate_probability = 0;
-  SimDuration duplicate_lag = SimDuration::Millis(5);
 
   // Delay this message by an extra uniform [0, reorder_extra_max] so later
   // messages can overtake it in the time-ordered queue.
@@ -56,11 +55,11 @@ struct LinkChaosOptions {
 
   // Gilbert–Elliott two-state burst-loss channel. When enabled it replaces
   // the i.i.d. drop_probability: each message first advances the
-  // good/bad Markov state, then is lost with that state's loss rate.
+  // good/bad Markov state, then is lost with loss_bad in the bad state
+  // (the good state loses nothing).
   bool burst_loss = false;
   double p_enter_bad = 0.005;  // good -> bad transition per message.
   double p_exit_bad = 0.10;    // bad -> good transition per message.
-  double loss_good = 0.0;
   double loss_bad = 0.6;
 };
 

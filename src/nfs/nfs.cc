@@ -2,6 +2,16 @@
 
 namespace keypad {
 
+namespace {
+// Client attribute-cache TTL (Linux nfs default ac range is 3..60 s; this
+// is the floor, which is also the most favourable to NFS's consistency).
+constexpr SimDuration kAttrTtl = SimDuration::Seconds(3);
+// Client write-behind buffer per file; flushed when full or on rename/stat.
+constexpr size_t kWriteBufferLimit = 64 * 1024;
+// Client CPU cost per operation (VFS + RPC client path).
+constexpr SimDuration kClientOpCost = SimDuration::Micros(120);
+}  // namespace
+
 // --- Server. -------------------------------------------------------------------
 
 NfsServer::NfsServer(EventQueue* queue, uint64_t rng_seed) {
@@ -125,9 +135,6 @@ void NfsServer::BindRpc(RpcServer* server) {
 
 // --- Client. -------------------------------------------------------------------
 
-NfsClient::NfsClient(EventQueue* queue, RpcClient* rpc, Options options)
-    : queue_(queue), rpc_(rpc), options_(options) {}
-
 Result<WireValue> NfsClient::Call(const std::string& method,
                                   WireValue::Array params) {
   ++rpcs_sent_;
@@ -142,7 +149,7 @@ void NfsClient::Invalidate(const std::string& path) {
 Result<NfsClient::CachedAttrs> NfsClient::GetAttrs(const std::string& path) {
   auto it = attr_cache_.find(path);
   if (it != attr_cache_.end() &&
-      queue_->Now() - it->second.fetched_at < options_.attr_ttl) {
+      queue_->Now() - it->second.fetched_at < kAttrTtl) {
     return it->second;
   }
   KP_ASSIGN_OR_RETURN(WireValue result, Call("nfs.getattr", {WireValue(path)}));
@@ -191,14 +198,14 @@ Status NfsClient::FlushAll() {
 }
 
 Status NfsClient::Create(const std::string& path) {
-  queue_->AdvanceBy(options_.client_op_cost);
+  queue_->AdvanceBy(kClientOpCost);
   Invalidate(path);
   return Call("nfs.create", {WireValue(path)}).status();
 }
 
 Result<Bytes> NfsClient::Read(const std::string& path, uint64_t offset,
                               size_t len) {
-  queue_->AdvanceBy(options_.client_op_cost);
+  queue_->AdvanceBy(kClientOpCost);
   KP_RETURN_IF_ERROR(FlushPath(path));  // Read-your-writes.
   KP_ASSIGN_OR_RETURN(CachedAttrs attrs, GetAttrs(path));
 
@@ -226,23 +233,23 @@ Result<Bytes> NfsClient::Read(const std::string& path, uint64_t offset,
 
 Status NfsClient::Write(const std::string& path, uint64_t offset,
                         const Bytes& data) {
-  queue_->AdvanceBy(options_.client_op_cost);
+  queue_->AdvanceBy(kClientOpCost);
   WriteBuffer& buffer = write_buffers_[path];
   buffer.bytes += data.size();
   buffer.chunks.emplace_back(offset, data);
-  if (buffer.bytes >= options_.write_buffer_limit) {
+  if (buffer.bytes >= kWriteBufferLimit) {
     return FlushPath(path);
   }
   return Status::Ok();
 }
 
 Status NfsClient::Mkdir(const std::string& path) {
-  queue_->AdvanceBy(options_.client_op_cost);
+  queue_->AdvanceBy(kClientOpCost);
   return Call("nfs.mkdir", {WireValue(path)}).status();
 }
 
 Status NfsClient::Rename(const std::string& from, const std::string& to) {
-  queue_->AdvanceBy(options_.client_op_cost);
+  queue_->AdvanceBy(kClientOpCost);
   KP_RETURN_IF_ERROR(FlushPath(from));
   Invalidate(from);
   Invalidate(to);
@@ -250,19 +257,19 @@ Status NfsClient::Rename(const std::string& from, const std::string& to) {
 }
 
 Status NfsClient::Unlink(const std::string& path) {
-  queue_->AdvanceBy(options_.client_op_cost);
+  queue_->AdvanceBy(kClientOpCost);
   write_buffers_.erase(path);
   Invalidate(path);
   return Call("nfs.unlink", {WireValue(path)}).status();
 }
 
 Status NfsClient::Rmdir(const std::string& path) {
-  queue_->AdvanceBy(options_.client_op_cost);
+  queue_->AdvanceBy(kClientOpCost);
   return Call("nfs.rmdir", {WireValue(path)}).status();
 }
 
 Result<std::vector<DirEntry>> NfsClient::Readdir(const std::string& path) {
-  queue_->AdvanceBy(options_.client_op_cost);
+  queue_->AdvanceBy(kClientOpCost);
   KP_ASSIGN_OR_RETURN(WireValue result, Call("nfs.readdir", {WireValue(path)}));
   KP_ASSIGN_OR_RETURN(WireValue::Array entries, result.AsArray());
   std::vector<DirEntry> out;
@@ -278,7 +285,7 @@ Result<std::vector<DirEntry>> NfsClient::Readdir(const std::string& path) {
 }
 
 Result<StatInfo> NfsClient::Stat(const std::string& path) {
-  queue_->AdvanceBy(options_.client_op_cost);
+  queue_->AdvanceBy(kClientOpCost);
   KP_RETURN_IF_ERROR(FlushPath(path));
   KP_ASSIGN_OR_RETURN(CachedAttrs attrs, GetAttrs(path));
   return attrs.info;

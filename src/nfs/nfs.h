@@ -37,17 +37,7 @@ class NfsServer {
 // Client: a Vfs whose operations are RPCs, with caching.
 class NfsClient : public Vfs {
  public:
-  struct Options {
-    // Attribute-cache TTL (Linux nfs default ac range is 3..60 s; we use
-    // the floor, which is also the most favourable to NFS's consistency).
-    SimDuration attr_ttl = SimDuration::Seconds(3);
-    // Write-behind buffer per file; flushed when full or on rename/stat.
-    size_t write_buffer_limit = 64 * 1024;
-    // Local CPU cost per client operation (VFS + RPC client path).
-    SimDuration client_op_cost = SimDuration::Micros(120);
-  };
-
-  NfsClient(EventQueue* queue, RpcClient* rpc, Options options);
+  NfsClient(EventQueue* queue, RpcClient* rpc) : queue_(queue), rpc_(rpc) {}
 
   Status Create(const std::string& path) override;
   Result<Bytes> Read(const std::string& path, uint64_t offset,
@@ -89,7 +79,6 @@ class NfsClient : public Vfs {
 
   EventQueue* queue_;
   RpcClient* rpc_;
-  Options options_;
   std::map<std::string, CachedAttrs> attr_cache_;
   std::map<std::string, CachedData> data_cache_;
   std::map<std::string, WriteBuffer> write_buffers_;

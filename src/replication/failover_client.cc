@@ -3,6 +3,9 @@
 #include <string_view>
 #include <utility>
 
+#include "src/replication/lease.h"
+#include "src/replication/replica_set.h"
+
 namespace keypad {
 
 namespace {
@@ -51,6 +54,19 @@ bool RetryableElsewhere(const Status& status) {
 
 }  // namespace
 
+// The failover budget covers one full leader failover: lease lapse,
+// staggered promotion across all replicas, an ack timeout of
+// reconciliation traffic, and slack.
+ReplicaRouter::ReplicaRouter(EventQueue* queue,
+                             std::vector<RpcClient*> replicas, Framer framer)
+    : queue_(queue),
+      framer_(std::move(framer)),
+      replicas_(std::move(replicas)),
+      failover_budget_(
+          kLeaseDuration +
+          kPromoteStagger * static_cast<int64_t>(replicas_.size()) +
+          kAckTimeout + SimDuration::Seconds(2)) {}
+
 Result<WireValue> ReplicaRouter::Call(const std::string& method,
                                       const WireValue::Array& payload,
                                       const CallContext& ctx) {
@@ -98,7 +114,7 @@ void ReplicaRouter::CallAsync(const std::string& method,
   route->payload = std::move(payload);
   route->ctx = ctx;
   route->done = std::move(done);
-  route->deadline = queue_->Now() + failover_.budget;
+  route->deadline = queue_->Now() + failover_budget_;
   route->idx = leader_hint_;
   route->dead_until.resize(replicas_.size());
   route->redirect_budget = static_cast<int>(2 * replicas_.size());

@@ -31,12 +31,6 @@
 
 namespace keypad {
 
-struct FailoverOptions {
-  // Overall budget for riding out one leader failover (should cover
-  // lease_duration + promote_stagger * replicas + slack).
-  SimDuration budget = SimDuration::Seconds(8);
-};
-
 // Completion adapters for the typed stubs' async methods: a failed call's
 // status passes through untouched, and a reply is parsed by `parse` (a
 // function of the reply value, or a WireValue accessor) or reduced to its
@@ -75,11 +69,7 @@ class ReplicaRouter {
   // Replica-set router: one RpcClient per replica, in replica-index order
   // (NOT_LEADER redirects are indices into this list).
   ReplicaRouter(EventQueue* queue, std::vector<RpcClient*> replicas,
-                Framer framer, FailoverOptions failover)
-      : queue_(queue),
-        framer_(std::move(framer)),
-        replicas_(std::move(replicas)),
-        failover_(failover) {}
+                Framer framer);
 
   // Replica-aware asynchronous call: leader hint, NOT_LEADER redirects,
   // failover cycles, paced retries under the failover budget. Collapses to
@@ -125,7 +115,8 @@ class ReplicaRouter {
   Framer framer_;
   std::vector<RpcClient*> replicas_;
   size_t leader_hint_ = 0;
-  FailoverOptions failover_;
+  // How long one call rides out a leader failover before giving up.
+  SimDuration failover_budget_;
   uint64_t failovers_ = 0;
   uint64_t redirects_ = 0;
 };

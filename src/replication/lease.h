@@ -1,13 +1,13 @@
 // Lease state machine for replicated service tiers (DESIGN.md §9–§10, §17).
 //
 // Leadership in a replica set rests on time-bounded leases: the leader
-// renews every `renew_interval`, and each backup that hears a renewal
-// extends its local grant to the arrival time + `lease_duration` (while a
+// renews every kRenewInterval, and each backup that hears a renewal
+// extends its local grant to the arrival time + kLeaseDuration (while a
 // pair is healthy the engine computes those arrivals instead of
 // simulating them, DESIGN.md §17). A backup whose grant expires considers
 // leadership vacant and arms a promotion timer at
 //
-//   promote_at = lease_expiry + promote_stagger * replica_index
+//   promote_at = lease_expiry + kPromoteStagger * replica_index
 //
 // — the deterministic seniority rule: the lowest-index live backup fires
 // first and announces itself (its first renewal broadcast doubles as the
@@ -25,23 +25,21 @@
 
 namespace keypad {
 
-struct LeaseOptions {
-  // How long one grant lasts without renewal.
-  SimDuration lease_duration = SimDuration::Seconds(2);
-  // Leader renewal period. Several renewals fit in one lease, so a
-  // single lost renewal does not trigger a spurious failover.
-  SimDuration renew_interval = SimDuration::Millis(500);
-  // Seniority stagger between candidate promotion slots.
-  SimDuration promote_stagger = SimDuration::Millis(400);
-};
+// How long one grant lasts without renewal.
+inline constexpr SimDuration kLeaseDuration = SimDuration::Seconds(2);
+// Leader renewal period. Several renewals fit in one lease, so a single
+// lost renewal does not trigger a spurious failover.
+inline constexpr SimDuration kRenewInterval = SimDuration::Millis(500);
+// Seniority stagger between candidate promotion slots.
+inline constexpr SimDuration kPromoteStagger = SimDuration::Millis(400);
 
 // One replica's local view of the lease it granted to the current leader.
 class LeaseState {
  public:
-  // Extends the grant to heard_at + lease_duration; a renewal heard
+  // Extends the grant to heard_at + kLeaseDuration; a renewal heard
   // earlier never shortens the grant a later one made.
-  void Grant(SimTime heard_at, SimDuration lease_duration) {
-    expiry_ = std::max(expiry_, heard_at + lease_duration);
+  void Grant(SimTime heard_at) {
+    expiry_ = std::max(expiry_, heard_at + kLeaseDuration);
   }
   // Forces the grant to lapse (e.g. a rejoining replica with no leader in
   // sight becomes an immediate promotion candidate).
@@ -50,9 +48,8 @@ class LeaseState {
   SimTime expiry() const { return expiry_; }
 
   // When this replica's promotion slot opens (seniority rule above).
-  SimTime PromoteAt(size_t replica_index, const LeaseOptions& options) const {
-    return expiry_ +
-           options.promote_stagger * static_cast<int64_t>(replica_index);
+  SimTime PromoteAt(size_t replica_index) const {
+    return expiry_ + kPromoteStagger * static_cast<int64_t>(replica_index);
   }
 
  private:

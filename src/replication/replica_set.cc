@@ -8,13 +8,13 @@ namespace keypad {
 
 namespace {
 
-RpcOptions ReplRpcOptions(SimDuration ack_timeout) {
+RpcOptions ReplRpcOptions() {
   RpcOptions options;
   // One attempt, no breaker: the replica set has its own failure handling
   // (out-of-sync marking, promotion timers) and must see failures promptly
   // rather than have the transport paper over them.
-  options.timeout = ack_timeout;
-  options.total_deadline = ack_timeout;
+  options.timeout = kAckTimeout;
+  options.total_deadline = kAckTimeout;
   options.retry.max_attempts = 1;
   options.breaker.enabled = false;
   return options;
@@ -22,9 +22,8 @@ RpcOptions ReplRpcOptions(SimDuration ack_timeout) {
 
 }  // namespace
 
-ReplicaSetEngine::ReplicaSetEngine(EventQueue* queue,
-                                   ReplicaSetOptions options)
-    : queue_(queue), options_(options) {}
+ReplicaSetEngine::ReplicaSetEngine(EventQueue* queue, uint64_t seed)
+    : queue_(queue), seed_(seed) {}
 
 ReplicaSetEngine::~ReplicaSetEngine() {
   for (auto& replica : replicas_) {
@@ -86,14 +85,13 @@ void ReplicaSetEngine::Start() {
       if (from == to) {
         continue;
       }
-      uint64_t seed =
-          options_.seed ^ (static_cast<uint64_t>(from) << 40) ^
-          (static_cast<uint64_t>(to) << 24) ^ 0x5e71;
-      links_[from * n + to] = std::make_unique<NetworkLink>(
-          queue_, options_.repl_profile, seed);
+      uint64_t seed = seed_ ^ (static_cast<uint64_t>(from) << 40) ^
+                      (static_cast<uint64_t>(to) << 24) ^ 0x5e71;
+      links_[from * n + to] =
+          std::make_unique<NetworkLink>(queue_, LanProfile(), seed);
       clients_[from * n + to] = std::make_unique<RpcClient>(
           queue_, links_[from * n + to].get(), replicas_[to]->server,
-          ReplRpcOptions(options_.ack_timeout));
+          ReplRpcOptions());
     }
   }
   for (size_t i = 0; i < n; ++i) {
@@ -105,8 +103,8 @@ void ReplicaSetEngine::Start() {
     replica.acked.assign(n, 0);
   }
   // Every backup starts with a fresh grant from replica 0, whose first
-  // renewal is due one renew_interval from now.
-  replicas_[0]->next_tick = queue_->Now() + options_.lease.renew_interval;
+  // renewal is due one kRenewInterval from now.
+  replicas_[0]->next_tick = queue_->Now() + kRenewInterval;
   for (size_t i = 1; i < n; ++i) {
     AdoptLeader(i, 0, 1);
   }
@@ -158,7 +156,7 @@ SimTime ReplicaSetEngine::lease_expiry(size_t i) const {
   const Replica& replica = *replicas_[i];
   SimTime expiry = replica.lease.expiry();
   if (std::optional<SimTime> heard = LastRenewalHeard(i, nullptr)) {
-    expiry = std::max(expiry, *heard + options_.lease.lease_duration);
+    expiry = std::max(expiry, *heard + kLeaseDuration);
   }
   return expiry;
 }
@@ -281,7 +279,7 @@ void ReplicaSetEngine::ArmPromote(size_t i) {
     queue_->Cancel(replica.promote_event);
   }
   uint64_t generation = replica.generation;
-  SimTime at = replica.lease.PromoteAt(i, options_.lease);
+  SimTime at = replica.lease.PromoteAt(i);
   replica.promote_event = queue_->Schedule(at, [this, i, generation] {
     if (replicas_[i]->generation == generation) {
       replicas_[i]->promote_event = EventQueue::kInvalidEvent;
@@ -295,7 +293,7 @@ void ReplicaSetEngine::OnPromoteTimer(size_t i) {
   if (replica.crashed || is_leader(i)) {
     return;
   }
-  if (queue_->Now() < replica.lease.PromoteAt(i, options_.lease)) {
+  if (queue_->Now() < replica.lease.PromoteAt(i)) {
     // Renewed since this timer was armed; wait out the new slot.
     ArmPromote(i);
     return;
@@ -332,7 +330,7 @@ SimTime ReplicaSetEngine::FirstUnsentTick(size_t i) const {
   if (next >= now) {
     return next;
   }
-  const int64_t interval = options_.lease.renew_interval.nanos();
+  const int64_t interval = kRenewInterval.nanos();
   return next + SimDuration(((now - next).nanos() + interval - 1) / interval *
                             interval);
 }
@@ -368,7 +366,7 @@ void ReplicaSetEngine::EnsureRenewals(size_t i) {
 
 void ReplicaSetEngine::RenewTick(size_t i, SimTime tick) {
   Replica& replica = *replicas_[i];
-  replica.next_tick = tick + options_.lease.renew_interval;
+  replica.next_tick = tick + kRenewInterval;
   if (!is_leader(i)) {
     return;
   }
@@ -436,9 +434,8 @@ bool ReplicaSetEngine::PairHealthy(size_t leader, size_t i) const {
   }
   // Pair links lose nothing and add no jitter, so every renewal lands one
   // way after its tick — in time to extend the grant before it lapses.
-  const LeaseOptions& lease = options_.lease;
-  if (lease.renew_interval + LinkTo(leader, i)->profile().OneWay() >=
-      lease.lease_duration) {
+  if (kRenewInterval + LinkTo(leader, i)->profile().OneWay() >=
+      kLeaseDuration) {
     return false;
   }
   for (const NetworkLink* link : {LinkTo(leader, i), LinkTo(i, leader)}) {
@@ -461,7 +458,7 @@ std::optional<SimTime> ReplicaSetEngine::LastRenewalHeard(
   const size_t leader = replica.view_leader;
   const SimTime now = queue_->Now();
   const SimTime sent_end = std::max(now, replicas_[leader]->next_tick);
-  const SimDuration interval = options_.lease.renew_interval;
+  const SimDuration interval = kRenewInterval;
   const SimDuration one_way = LinkTo(leader, i)->profile().OneWay();
   if (replica.quiescent_from >= sent_end) {
     return std::nullopt;
@@ -505,7 +502,7 @@ void ReplicaSetEngine::Fold(size_t i) {
   }
   std::vector<SimTime> in_flight;
   if (std::optional<SimTime> heard = LastRenewalHeard(i, &in_flight)) {
-    replica.lease.Grant(*heard, options_.lease.lease_duration);
+    replica.lease.Grant(*heard);
   }
   replica.quiescent = false;
   // A renewal already on the wire still lands, as a real event.
@@ -555,7 +552,7 @@ void ReplicaSetEngine::AdoptLeader(size_t i, size_t leader, uint64_t epoch) {
   }
   replica.view_leader = leader;
   replica.epoch = epoch;
-  replica.lease.Grant(queue_->Now(), options_.lease.lease_duration);
+  replica.lease.Grant(queue_->Now());
   if (replica.quiescent) {
     return;  // E.g. a repl.append from the leader it already follows.
   }
@@ -729,7 +726,7 @@ void ReplicaSetEngine::StandAsCandidate(size_t i) {
   Replica& replica = *replicas_[i];
   replica.lease.Expire(queue_->Now());
   Record("candidate", i, replica.epoch);
-  ArmPromote(i);  // Fires at now + promote_stagger * i (seniority slot).
+  ArmPromote(i);  // Fires at now + kPromoteStagger * i (seniority slot).
 }
 
 void ReplicaSetEngine::FetchAndReconcile(size_t i, size_t leader,
@@ -754,12 +751,11 @@ void ReplicaSetEngine::FetchAndReconcile(size_t i, size_t leader,
         Replica& replica = *replicas_[i];
         if (!result.ok()) {
           // The leader vanished mid-transfer; probe afresh after a beat.
-          queue_->ScheduleAfter(options_.lease.renew_interval,
-                                [this, i, generation] {
-                                  if (replicas_[i]->generation == generation) {
-                                    Rejoin(i);
-                                  }
-                                });
+          queue_->ScheduleAfter(kRenewInterval, [this, i, generation] {
+            if (replicas_[i]->generation == generation) {
+              Rejoin(i);
+            }
+          });
           return;
         }
         auto snap_v = result->Field("snap");
@@ -851,12 +847,11 @@ void ReplicaSetEngine::FetchAndReconcile(size_t i, size_t leader,
               } else if (message.rfind("NOT_LEADER", 0) == 0) {
                 Rejoin(i);  // Leadership moved again; probe afresh.
               } else {
-                queue_->ScheduleAfter(
-                    options_.lease.renew_interval, [this, i, generation] {
-                      if (replicas_[i]->generation == generation) {
-                        Rejoin(i);
-                      }
-                    });
+                queue_->ScheduleAfter(kRenewInterval, [this, i, generation] {
+                  if (replicas_[i]->generation == generation) {
+                    Rejoin(i);
+                  }
+                });
               }
             });
       });

@@ -13,11 +13,11 @@
 //    acknowledged — so a client-acknowledged log record exists on every
 //    in-sync replica and can never be lost to a single-replica failure.
 //  * Leadership rests on time-bounded leases. The leader renews at fixed
-//    phase — its start or promotion instant + k * renew_interval — with a
+//    phase — its start or promotion instant + k * kRenewInterval — with a
 //    typed control-plane message over the pair link (its claim; no codec,
 //    no RPC); each backup that hears one extends its local grant by
-//    lease_duration. A backup whose grant lapses promotes at expiry +
-//    promote_stagger * replica_index (deterministic seniority: the
+//    kLeaseDuration. A backup whose grant lapses promotes at expiry +
+//    kPromoteStagger * replica_index (deterministic seniority: the
 //    lowest-index live backup wins), bumps the epoch, and announces
 //    itself — its first renewal IS the NEW_LEADER announcement.
 //  * Renewals nobody could observe are not simulated (DESIGN.md §17):
@@ -65,17 +65,10 @@
 
 namespace keypad {
 
-struct ReplicaSetOptions {
-  LeaseOptions lease;
-  // How long the leader waits for one backup's append acknowledgement
-  // before marking it out-of-sync (availability over redundancy: the
-  // response still releases, carried by the surviving in-sync set).
-  SimDuration ack_timeout = SimDuration::Seconds(1);
-  // Replication links are datacenter-internal.
-  NetworkProfile repl_profile = LanProfile();
-  // Seeds the per-pair link fault streams.
-  uint64_t seed = 0;
-};
+// How long the leader waits for one backup's append acknowledgement
+// before marking it out-of-sync (availability over redundancy: the
+// response still releases, carried by the surviving in-sync set).
+inline constexpr SimDuration kAckTimeout = SimDuration::Seconds(1);
 
 // One entry of the deterministic failover timeline (bench_availability
 // compares two same-seed runs of this record for bit-equality).
@@ -96,7 +89,9 @@ struct OrphanedWireEntry {
 
 class ReplicaSetEngine {
  public:
-  ReplicaSetEngine(EventQueue* queue, ReplicaSetOptions options = {});
+  // `seed` seeds the per-pair link fault streams. Replication links are
+  // datacenter-internal (LanProfile).
+  ReplicaSetEngine(EventQueue* queue, uint64_t seed);
   ~ReplicaSetEngine();
 
   ReplicaSetEngine(const ReplicaSetEngine&) = delete;
@@ -190,7 +185,7 @@ class ReplicaSetEngine {
     EventQueue::EventId promote_event = EventQueue::kInvalidEvent;
     EventQueue::EventId renew_event = EventQueue::kInvalidEvent;
     // Leader side: the first point of the renewal schedule (start or
-    // promotion instant + k * renew_interval) not yet sent.
+    // promotion instant + k * kRenewInterval) not yet sent.
     SimTime next_tick;
     // Backup side: while the pair with its leader is healthy, its renewals
     // from the tick `quiescent_from` on are computed, not delivered.
@@ -278,7 +273,7 @@ class ReplicaSetEngine {
   void StandAsCandidate(size_t i);
 
   EventQueue* queue_;
-  ReplicaSetOptions options_;
+  uint64_t seed_;
   std::vector<std::unique_ptr<Replica>> replicas_;
   // links_[from * R + to] / clients_[from * R + to]: from's private path to
   // to's server (diagonal unused).

@@ -38,8 +38,7 @@ class ServiceReplicaSet {
  public:
   using Row = typename Service::Row;
 
-  explicit ServiceReplicaSet(EventQueue* queue, ReplicaSetOptions options = {})
-      : engine_(queue, options) {}
+  ServiceReplicaSet(EventQueue* queue, uint64_t seed) : engine_(queue, seed) {}
 
   ServiceReplicaSet(const ServiceReplicaSet&) = delete;
   ServiceReplicaSet& operator=(const ServiceReplicaSet&) = delete;

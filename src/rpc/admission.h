@@ -13,7 +13,7 @@
 //    service time) has exceeded `target_sojourn` continuously for
 //    `overload_interval`, the server is overloaded and sheds by class —
 //    background first, then prefetch, and demand only when the queue is
-//    past `demand_slack` times the target;
+//    past 10x the target;
 //  * a hard `max_queue_depth` bound caps the queue no matter what;
 //  * expired work is rejected instead of executed: at arrival when the
 //    expected finish already overshoots the frame's deadline, and again
@@ -59,11 +59,6 @@ struct AdmissionOptions {
   // itself overloaded and starts shedding (CoDel-style: transient bursts
   // ride through, sustained overload does not).
   SimDuration overload_interval = SimDuration::Millis(100);
-  // Once overloaded, class c is shed when the expected sojourn exceeds
-  // target_sojourn * slack(c). Background sheds first, demand last.
-  double demand_slack = 10.0;
-  double prefetch_slack = 2.5;
-  double background_slack = 1.0;
 };
 
 // Applies the KEYPAD_ADMISSION environment override to a configured

@@ -3,6 +3,14 @@
 #include <algorithm>
 
 namespace keypad {
+namespace {
+
+// While active, the batch window is stretched this many times; a zero
+// window is lifted to kMinBatchWindow so stretching batches something.
+constexpr double kBatchWindowStretch = 4.0;
+constexpr SimDuration kMinBatchWindow = SimDuration::Millis(1);
+
+}  // namespace
 
 BrownoutController::BrownoutController(BrownoutOptions options)
     : options_(options) {}
@@ -33,8 +41,8 @@ SimDuration BrownoutController::StretchBatchWindow(SimDuration base,
   }
   ++stats_.batch_windows_stretched;
   SimDuration stretched(static_cast<int64_t>(
-      static_cast<double>(base.nanos()) * options_.batch_window_stretch));
-  return std::max(stretched, options_.min_batch_window);
+      static_cast<double>(base.nanos()) * kBatchWindowStretch));
+  return std::max(stretched, kMinBatchWindow);
 }
 
 bool BrownoutController::SuppressPrefetch(SimTime now) {
@@ -43,19 +51,6 @@ bool BrownoutController::SuppressPrefetch(SimTime now) {
   }
   ++stats_.prefetches_suppressed;
   return true;
-}
-
-SimDuration BrownoutController::CacheLifetimeForInsert(SimDuration base,
-                                                       SimTime now) {
-  stats_.exposure_base_key_seconds += base.seconds_f();
-  if (!options_.stretch_cache_lifetime || !active(now)) {
-    return base;
-  }
-  SimDuration stretched(static_cast<int64_t>(
-      static_cast<double>(base.nanos()) * options_.cache_lifetime_stretch));
-  ++stats_.cache_inserts_stretched;
-  stats_.exposure_added_key_seconds += (stretched - base).seconds_f();
-  return stretched;
 }
 
 }  // namespace keypad

@@ -32,6 +32,24 @@ struct Envelope {
   Bytes sealed;
 };
 
+// Each retry waits this many times longer than the one before it.
+constexpr double kBackoffMultiplier = 2.0;
+
+// Once overloaded, a request is shed when its expected sojourn exceeds
+// target_sojourn times its class's slack: background sheds first, demand
+// only past 10x the target.
+double ShedSlack(RpcPriority priority) {
+  switch (priority) {
+    case RpcPriority::kDemand:
+      return 10.0;
+    case RpcPriority::kPrefetch:
+      return 2.5;
+    case RpcPriority::kBackground:
+      break;
+  }
+  return 1.0;
+}
+
 Result<Envelope> ParseEnvelope(const std::string& message) {
   if (!IsEnvelope(message)) {
     return InvalidArgumentError("rpc: not a sealed envelope");
@@ -173,13 +191,8 @@ Status RpcServer::AdmitAtArrival(RpcPriority priority,
                                   RpcPriorityName(priority) + ")");
   }
   if (overloaded_) {
-    double slack = priority == RpcPriority::kDemand
-                       ? admission_.demand_slack
-                   : priority == RpcPriority::kPrefetch
-                       ? admission_.prefetch_slack
-                       : admission_.background_slack;
-    double limit =
-        static_cast<double>(admission_.target_sojourn.nanos()) * slack;
+    double limit = static_cast<double>(admission_.target_sojourn.nanos()) *
+                   ShedSlack(priority);
     if (static_cast<double>(sojourn.nanos()) > limit) {
       ++shed;
       return ResourceExhaustedError(std::string("rpc: REJECTED overload (") +
@@ -421,7 +434,7 @@ std::shared_ptr<BufferLease> RpcClient::Encode(const std::string& method,
 SimDuration RpcClient::BackoffBefore(int next_attempt) {
   double backoff = static_cast<double>(options_.retry.initial_backoff.nanos());
   for (int i = 2; i < next_attempt; ++i) {
-    backoff *= options_.retry.multiplier;
+    backoff *= kBackoffMultiplier;
   }
   double cap = static_cast<double>(options_.retry.max_backoff.nanos());
   backoff = std::min(backoff, cap);

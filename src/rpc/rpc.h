@@ -212,11 +212,10 @@ class RpcServer {
 struct RetryOptions {
   // Total send attempts per call (1 = no retries).
   int max_attempts = 3;
-  // Backoff before attempt n+1: initial_backoff * multiplier^(n-1),
-  // capped at max_backoff, stretched by up to `jitter` (uniform,
-  // deterministic from the client's seeded RNG).
+  // Backoff before attempt n+1: initial_backoff * 2^(n-1), capped at
+  // max_backoff, stretched by up to `jitter` (uniform, deterministic from
+  // the client's seeded RNG).
   SimDuration initial_backoff = SimDuration::Millis(200);
-  double multiplier = 2.0;
   SimDuration max_backoff = SimDuration::Seconds(10);
   double jitter = 0.2;
 };

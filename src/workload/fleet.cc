@@ -9,6 +9,22 @@
 
 namespace keypad {
 
+namespace {
+// Every shard's RPC service time and group-commit window.
+constexpr SimDuration kServiceTime = SimDuration::Micros(150);
+constexpr SimDuration kCommitWindow = SimDuration::Micros(400);
+// A device is awake for this share of every (compressed) day.
+constexpr double kAwakeFraction = 0.5;
+// The flash crowd lands this far into the run and spreads each device's
+// extra open over the window.
+constexpr double kFlashAtFraction = 0.45;
+constexpr SimDuration kFlashWindow = SimDuration::Millis(250);
+// The revocation storm lands this far into the run and disables this
+// share of the users.
+constexpr double kStormAtFraction = 0.7;
+constexpr double kStormFraction = 0.25;
+}  // namespace
+
 // One device of one user: its own link, per-shard RPC clients and stubs
 // (each with independent breaker and dedup state), and its own key
 // population. Kept deliberately lean — the 100k-device bench cell holds a
@@ -39,7 +55,7 @@ void FleetWorkload::Provision() {
   ResetRpcClientIdsForTesting();
 
   KeyServiceOptions service_options;
-  service_options.commit_window = options_.commit_window;
+  service_options.commit_window = kCommitWindow;
   service_options.seal_cost_fixed = SimDuration::Micros(40);
   service_options.seal_cost_per_entry = SimDuration::Micros(2);
   for (int s = 0; s < options_.shards; ++s) {
@@ -47,7 +63,7 @@ void FleetWorkload::Provision() {
         queue_, options_.seed ^ (0x1111u + static_cast<uint64_t>(s)),
         service_options));
     servers_.push_back(
-        std::make_unique<RpcServer>(queue_, options_.service_time));
+        std::make_unique<RpcServer>(queue_, kServiceTime));
     shards_[s]->BindRpc(servers_[s].get());
     RpcServer* server = servers_[s].get();
     shards_[s]->set_seal_charge(
@@ -121,7 +137,7 @@ SimTime FleetWorkload::ClipToAwake(uint32_t user, SimTime t) const {
     return t;
   }
   const int64_t awake = static_cast<int64_t>(
-      static_cast<double>(day) * options_.awake_fraction);
+      static_cast<double>(day) * kAwakeFraction);
   if (awake >= day) {
     return t;
   }
@@ -189,7 +205,7 @@ void FleetWorkload::ScheduleFlashCrowd(SimTime at) {
     // top of the diurnal loop.
     for (auto& device : devices_) {
       SimDuration jitter = SimDuration(static_cast<int64_t>(
-          device->rng.UniformDouble() * options_.flash_window.nanos()));
+          device->rng.UniformDouble() * kFlashWindow.nanos()));
       FleetDevice* dev = device.get();
       queue_->ScheduleAfter(jitter, [this, dev] {
         IssueOpen(dev, dev->files[0], /*flash=*/true);
@@ -205,7 +221,7 @@ void FleetWorkload::ScheduleRevocationStorm(SimTime at) {
     // sweep. Their devices keep trying — and every attempt must be denied
     // and audited.
     const int revoked_users = static_cast<int>(
-        options_.users * options_.storm_fraction);
+        options_.users * kStormFraction);
     for (auto& device : devices_) {
       if (device->user < static_cast<uint32_t>(revoked_users)) {
         for (auto& shard : shards_) {
@@ -228,13 +244,13 @@ FleetWorkload::Stats FleetWorkload::Run() {
     ScheduleFlashCrowd(queue_->Now() +
                        SimDuration(static_cast<int64_t>(
                            options_.duration.nanos() *
-                           options_.flash_at_fraction)));
+                           kFlashAtFraction)));
   }
   if (options_.revocation_storm) {
     ScheduleRevocationStorm(queue_->Now() +
                             SimDuration(static_cast<int64_t>(
                                 options_.duration.nanos() *
-                                options_.storm_at_fraction)));
+                                kStormAtFraction)));
   }
 
   const SimTime start = queue_->Now();

@@ -50,31 +50,24 @@ struct FleetOptions {
 
   // Key tier.
   int shards = 2;
-  SimDuration service_time = SimDuration::Micros(150);
-  SimDuration commit_window = SimDuration::Micros(400);
 
   // Request framing for every device's RpcClient.
   WireCodec codec = WireCodec::kXml;
 
-  // Virtual run length and diurnal shape: a device is awake for
-  // awake_fraction of every (compressed) day, phase-staggered by user.
+  // Virtual run length and diurnal shape: a device is awake for half of
+  // every (compressed) day, phase-staggered by user.
   SimDuration duration = SimDuration::Seconds(20);
   SimDuration day = SimDuration::Seconds(8);
-  double awake_fraction = 0.5;
   // Mean think time between a device's opens while awake.
   SimDuration mean_think = SimDuration::Millis(500);
 
-  // Flash crowd: at flash_at_fraction of the run, EVERY device opens its
-  // hottest file within a flash_window (push-notification shape).
+  // Flash crowd: at 45% of the run, EVERY device opens its hottest file
+  // within 250 ms (push-notification shape).
   bool flash_crowd = false;
-  double flash_at_fraction = 0.45;
-  SimDuration flash_window = SimDuration::Millis(250);
 
-  // Mass-revocation storm: at storm_at_fraction of the run, storm_fraction
-  // of users have ALL their devices disabled on every shard.
+  // Mass-revocation storm: at 70% of the run, a quarter of the users have
+  // ALL their devices disabled on every shard.
   bool revocation_storm = false;
-  double storm_at_fraction = 0.7;
-  double storm_fraction = 0.25;
 
   uint64_t seed = 0xF1EE7;
 };

@@ -479,7 +479,7 @@ DeploymentOptions ReplicatedLogOpts(bool truncate) {
   options.config.ibe_enabled = false;
   options.config.prefetch = PrefetchPolicy::None();
   options.key_replicas = 3;
-  // Held responses wait out one backup ack_timeout when the mesh first
+  // Held responses wait out one backup kAckTimeout when the mesh first
   // partitions; give each attempt room for that.
   options.rpc.timeout = SimDuration::Seconds(3);
   options.rpc.retry.max_attempts = 2;

@@ -76,7 +76,7 @@ TEST_P(MatrixTest, LifecycleAndAuditInvariants) {
   dep.queue().AdvanceBy(options.config.texp * 2 + SimDuration::Seconds(2));
   if (params.paired) {
     // Drain the phone hoard too: it legitimately extends availability.
-    dep.queue().AdvanceBy(options.phone_options.hoard_ttl * 2);
+    dep.queue().AdvanceBy(PhoneProxy::kHoardTtl * 2);
   }
   EXPECT_FALSE(fs.ReadAll("/d/renamed").ok());
 }

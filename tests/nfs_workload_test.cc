@@ -19,7 +19,7 @@ class NfsTest : public ::testing::Test {
         rpc_server_(&queue_, SimDuration::Micros(150)),
         server_(&queue_, /*rng_seed=*/1),
         rpc_(&queue_, &link_, &rpc_server_),
-        client_(&queue_, &rpc_, {}) {
+        client_(&queue_, &rpc_) {
     server_.BindRpc(&rpc_server_);
   }
 
@@ -111,7 +111,7 @@ TEST_F(NfsTest, StaleAttributeCacheMissesRemoteChangeUntilTtl) {
   // A second client on its own link writes the file through the server.
   NetworkLink link2(&queue_, LanProfile());
   RpcClient rpc2(&queue_, &link2, &rpc_server_);
-  NfsClient other(&queue_, &rpc2, {});
+  NfsClient other(&queue_, &rpc2);
   ASSERT_TRUE(other.Write("/shared", 0, BytesOf("v2")).ok());
   ASSERT_TRUE(other.Read("/shared", 0, 2).ok());  // Flush write-behind.
 

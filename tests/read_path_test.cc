@@ -372,6 +372,61 @@ TEST(BatchedRouterTest, EnvKnobForcesBatchingOff) {
   EXPECT_EQ(router->stats().batch_rpcs, 0u);
 }
 
+TEST(BatchedRouterTest, BatchOffSendsOneKeyGetPerItem) {
+  // With batching off every router fetch API sends one key.get per item:
+  // no key.fetch_group, no key.get_batch, and one typed row per item.
+  DeploymentOptions options = ShardedOpts(2);
+  options.router.batch_fetch = false;
+  Deployment dep(options);
+  ShardRouter* router = dep.key_router();
+  ASSERT_NE(router, nullptr);
+
+  // Two keys on each shard.
+  std::vector<AuditId> ids;
+  size_t per_shard[2] = {0, 0};
+  for (const auto& id : RandomIds(32, 14)) {
+    size_t shard = router->ring().ShardFor(id);
+    if (per_shard[shard] < 2) {
+      ++per_shard[shard];
+      ids.push_back(id);
+      ASSERT_TRUE(router->CreateKey(id).ok());
+    }
+  }
+  ASSERT_EQ(ids.size(), 4u);
+  dep.queue().RunUntilIdle();
+
+  auto handled = [&] {
+    return dep.key_replica_rpc_server(0, 0).requests_handled() +
+           dep.key_replica_rpc_server(1, 0).requests_handled();
+  };
+  auto rows = [&](AccessOp op) {
+    size_t n = 0;
+    for (size_t s = 0; s < 2; ++s) {
+      for (AccessOp logged : OpsFor(dep.key_replica(s, 0), dep.device_id())) {
+        n += logged == op ? 1 : 0;
+      }
+    }
+    return n;
+  };
+
+  uint64_t before = handled();
+  size_t demand_before = rows(AccessOp::kDemandFetch);
+  size_t prefetch_before = rows(AccessOp::kPrefetch);
+  auto group = router->FetchGroup(ids[0], {ids[1], ids[2], ids[3]});
+  ASSERT_TRUE(group.ok());
+  EXPECT_EQ(group->prefetched.size(), 3u);
+  EXPECT_EQ(handled(), before + 4);
+  EXPECT_EQ(rows(AccessOp::kDemandFetch), demand_before + 1);
+  EXPECT_EQ(rows(AccessOp::kPrefetch), prefetch_before + 3);
+
+  before = handled();
+  auto keys = router->GetKeys(ids);
+  ASSERT_TRUE(keys.ok());
+  EXPECT_EQ(keys->size(), 4u);
+  EXPECT_EQ(handled(), before + 4);
+  EXPECT_EQ(router->stats().batch_rpcs, 0u);
+}
+
 // --- Sharded client key cache vs. the map baseline. --------------------------
 
 // The reference model the seed tree used: a map of expiry deadlines plus a

@@ -10,7 +10,7 @@
 // nothing while idle.
 //
 // NOTE: a crashed or partitioned replica keeps its leader sending explicit
-// renewals every renew_interval, so the failover tests pump with AdvanceBy
+// renewals every kRenewInterval, so the failover tests pump with AdvanceBy
 // rather than RunUntilIdle.
 
 #include <gtest/gtest.h>
@@ -152,7 +152,7 @@ TEST(ReplicaFailoverTest, StaleStubFollowsNotLeaderRedirect) {
 
 TEST(ReplicaFailoverTest, PartitionedPrimaryOrphansSurfaceToForensics) {
   DeploymentOptions options = ReplicatedOpts(2);
-  // Held responses wait out one backup ack_timeout when the mesh first
+  // Held responses wait out one backup kAckTimeout when the mesh first
   // partitions; give each attempt room for that.
   options.rpc.timeout = SimDuration::Seconds(3);
   Deployment dep(options);
@@ -307,7 +307,7 @@ TEST(ReplicaFailoverTest, RenewalTickDoesNotStallInFlightFetch) {
   Deployment dep(ReplicatedOpts(3));
   ReplicaSet* set = dep.replica_set(0);
   ASSERT_NE(set, nullptr);
-  const SimDuration interval = dep.options().replica_set.lease.renew_interval;
+  const SimDuration interval = kRenewInterval;
   const SimTime start = set->timeline().front().at;
   // A crashed backup keeps its pair off the quiescent path: the leader
   // sends it an explicit renewal on every tick.
@@ -348,20 +348,19 @@ TEST(ReplicaFailoverTest, RenewalTicksKeepStartAndPromotionPhase) {
   Deployment dep(ReplicatedOpts(3));
   ReplicaSet* set = dep.replica_set(0);
   ASSERT_NE(set, nullptr);
-  const ReplicaSetOptions& rs = dep.options().replica_set;
-  const SimDuration one_way = rs.repl_profile.OneWay();
-  const SimDuration interval = rs.lease.renew_interval;
+  const SimDuration one_way = LanProfile().OneWay();
+  const SimDuration interval = kRenewInterval;
   const SimTime start = set->timeline().front().at;
 
   // After an idle hour a backup's grant still dates from a tick at an
-  // exact multiple of renew_interval after the start (a 500.7 ms period
+  // exact multiple of kRenewInterval after the start (a 500.7 ms period
   // would have drifted by 5 s).
   const SimTime t1 = start + SimDuration::Hours(1) + SimDuration::Millis(123);
   dep.queue().RunUntil(t1);
   for (size_t backup : {1u, 2u}) {
     EXPECT_EQ(set->lease_expiry(backup),
               TickAtOrBefore(start, interval, t1 - one_way) + one_way +
-                  rs.lease.lease_duration)
+                  kLeaseDuration)
         << "backup " << backup;
   }
 
@@ -375,14 +374,14 @@ TEST(ReplicaFailoverTest, RenewalTicksKeepStartAndPromotionPhase) {
   EXPECT_EQ(promotions[0].replica, 1u);
   const SimTime promoted = promotions[0].at;
   EXPECT_EQ(promoted, TickAtOrBefore(start, interval, t1) + one_way +
-                          rs.lease.lease_duration + rs.lease.promote_stagger);
+                          kLeaseDuration + kPromoteStagger);
 
   const SimTime t2 =
       promoted + SimDuration::Minutes(10) + SimDuration::Millis(321);
   dep.queue().RunUntil(t2);
   EXPECT_EQ(set->lease_expiry(2),
             TickAtOrBefore(promoted, interval, t2 - one_way) + one_way +
-                rs.lease.lease_duration);
+                kLeaseDuration);
 }
 
 // The closed-form schedules run unchanged on key shard 0 and on the
@@ -413,8 +412,7 @@ void RunSingleFault(uint64_t seed, Fault::Tier tier, Scenario scenario) {
   auto inject = [&](Fault::Verb verb, size_t replica) {
     ASSERT_TRUE(dep.Inject({verb, tier, /*shard=*/0, replica}).ok());
   };
-  const LeaseOptions& lease = options.replica_set.lease;
-  const SimDuration one_way = options.replica_set.repl_profile.OneWay();
+  const SimDuration one_way = LanProfile().OneWay();
   const SimTime start = Timeline(dep, tier).front().at;
   SCOPED_TRACE("seed " + std::to_string(seed) + (meta_tier ? " meta" : " key") +
                " scenario " + std::to_string(static_cast<int>(scenario)));
@@ -424,7 +422,7 @@ void RunSingleFault(uint64_t seed, Fault::Tier tier, Scenario scenario) {
       start + SimDuration::Minutes(10) +
       SimDuration(static_cast<int64_t>(
           rng.UniformU64(SimDuration::Minutes(20).nanos())));
-  SimTime tick = TickAtOrBefore(start, lease.renew_interval, fault_at);
+  SimTime tick = TickAtOrBefore(start, kRenewInterval, fault_at);
   if (seed % 3 == 0) {
     fault_at = tick + SimDuration(static_cast<int64_t>(
                           1 + rng.UniformU64(one_way.nanos() - 1)));
@@ -455,8 +453,8 @@ void RunSingleFault(uint64_t seed, Fault::Tier tier, Scenario scenario) {
       EventsSince(Timeline(dep, tier), seen, "promote");
   ASSERT_EQ(promotions.size(), 1u);
   EXPECT_EQ(promotions[0].replica, 1u);
-  EXPECT_EQ(promotions[0].at, tick + one_way + lease.lease_duration +
-                                  lease.promote_stagger * 1);
+  EXPECT_EQ(promotions[0].at,
+            tick + one_way + kLeaseDuration + kPromoteStagger * 1);
 }
 
 TEST(ReplicaFailoverTest, SingleFaultPromotionsFollowClosedForm) {

@@ -543,33 +543,6 @@ TEST(BrownoutTest, StretchesBatchesAndSuppressesPrefetchWhileActive) {
   EXPECT_GE(brownout.stats().batch_windows_stretched, 2u);
 }
 
-TEST(BrownoutTest, CacheLifetimeStretchIsOptInAndAccounted) {
-  SimTime t0;
-  SimDuration texp = SimDuration::Seconds(10);
-  // Default: even an active brownout never stretches cache lifetimes —
-  // the exposure-window cost is opt-in only.
-  BrownoutOptions options;
-  options.enabled = true;
-  options.signal_threshold = 1;
-  BrownoutController plain(options);
-  plain.NoteOverloadSignal(t0);
-  EXPECT_EQ(plain.CacheLifetimeForInsert(texp, t0 + SimDuration::Millis(1)),
-            texp);
-  EXPECT_EQ(plain.stats().exposure_added_key_seconds, 0.0);
-  EXPECT_GT(plain.stats().exposure_base_key_seconds, 0.0);
-
-  // Opted in: lifetimes stretch 1.5x and every added key-second is
-  // accounted against the Fig. 11 integral — never silent.
-  options.stretch_cache_lifetime = true;
-  BrownoutController stretching(options);
-  stretching.NoteOverloadSignal(t0);
-  SimDuration stretched =
-      stretching.CacheLifetimeForInsert(texp, t0 + SimDuration::Millis(1));
-  EXPECT_EQ(stretched.millis(), 15000);
-  EXPECT_EQ(stretching.stats().cache_inserts_stretched, 1u);
-  EXPECT_NEAR(stretching.stats().exposure_added_key_seconds, 5.0, 1e-9);
-}
-
 TEST(OverloadAuditTest, ShedKeyFetchesOweNoAuditRow) {
   // The audit contract under shedding: a key only leaves the service
   // after its row is logged, and a shed request releases nothing — so it

@@ -400,8 +400,7 @@ TEST_F(ScrubFixture, AbortedFlushKeepsPreviousConsistentGeneration) {
 
 TEST(CloudStoreTest, PutIsInvisibleUntilLagElapses) {
   EventQueue queue;
-  CloudStoreOptions options;
-  SimObjectStore cloud(&queue, options);
+  SimObjectStore cloud(&queue);
   bool uploaded = false;
   cloud.Put("k", {1, 2, 3}, [&](Status status) {
     EXPECT_TRUE(status.ok());
@@ -410,7 +409,7 @@ TEST(CloudStoreTest, PutIsInvisibleUntilLagElapses) {
   queue.AdvanceBy(cloud.PutDelay(3));
   ASSERT_TRUE(uploaded);
   EXPECT_FALSE(cloud.HasVisible("k"));  // Still settling.
-  queue.AdvanceBy(options.visibility_lag);
+  queue.AdvanceBy(SimObjectStore::kVisibilityLag);
   EXPECT_TRUE(cloud.HasVisible("k"));
 }
 
