@@ -9,6 +9,14 @@ namespace keypad {
 namespace {
 // The phone's CPU per forwarded or hoard-served request.
 constexpr SimDuration kPhoneServiceTime = SimDuration::Micros(200);
+
+// Ids off the Bluetooth link are untrusted: a wrong-length id is refused
+// with InvalidArgument, never dereferenced.
+template <typename Id>
+Result<Id> IdArg(const WireValue& value) {
+  KP_ASSIGN_OR_RETURN(Bytes bytes, value.AsBytes());
+  return Id::FromBytes(bytes);
+}
 }  // namespace
 
 PhoneProxy::PhoneProxy(EventQueue* queue, NetworkLink* uplink,
@@ -110,13 +118,12 @@ void PhoneProxy::BindHandlers() {
                  respond(InvalidArgumentError("key.get: bad arity"));
                  return;
                }
-               auto id_bytes = payload[0].AsBytes();
+               auto id = IdArg<AuditId>(payload[0]);
                auto op_int = payload[1].AsInt();
-               if (!id_bytes.ok() || !op_int.ok()) {
+               if (!id.ok() || !op_int.ok()) {
                  respond(InvalidArgumentError("key.get: bad args"));
                  return;
                }
-               auto id = AuditId::FromBytes(*id_bytes);
                AccessOp op = static_cast<AccessOp>(*op_int);
 
                if (auto key = hoard_.Lookup(*id)) {
@@ -151,12 +158,11 @@ void PhoneProxy::BindHandlers() {
                  respond(InvalidArgumentError("key.create: bad arity"));
                  return;
                }
-               auto id_bytes = payload[0].AsBytes();
-               if (!id_bytes.ok()) {
-                 respond(id_bytes.status());
+               auto id = IdArg<AuditId>(payload[0]);
+               if (!id.ok()) {
+                 respond(id.status());
                  return;
                }
-               auto id = AuditId::FromBytes(*id_bytes);
                if (online_) {
                  ++stats_.forwarded_upstream;
                  key_upstream_->CreateKeyAsync(
@@ -185,120 +191,63 @@ void PhoneProxy::BindHandlers() {
                respond(WireValue(std::move(key)));
              }));
 
+  // Hoarded items are served from the hoard and journaled, each with its
+  // own op; the rest go upstream as one typed call. The reply is the
+  // service's own positional frame (DESIGN.md §26).
   server_.RegisterAsyncMethod(
-      "key.fetch_group",
-      authed(
-          "key.fetch_group", key_secret_,
-          [this](const WireValue::Array& payload, Responder respond) {
-            if (payload.size() != 2) {
-              respond(InvalidArgumentError("key.fetch_group: bad arity"));
-              return;
-            }
-            auto demand_bytes = payload[0].AsBytes();
-            auto id_values = payload[1].AsArray();
-            if (!demand_bytes.ok() || !id_values.ok()) {
-              respond(InvalidArgumentError("key.fetch_group: bad args"));
-              return;
-            }
-            AuditId demand_id = *AuditId::FromBytes(*demand_bytes);
-            std::vector<AuditId> prefetch_ids;
-            for (const auto& v : *id_values) {
-              auto b = v.AsBytes();
-              if (b.ok()) {
-                prefetch_ids.push_back(*AuditId::FromBytes(*b));
-              }
-            }
-
-            // State shared between the hoard-served part and the upstream
-            // completion.
-            struct GroupState {
-              Bytes demand_key;
-              bool demand_served = false;
-              std::vector<std::pair<AuditId, Bytes>> prefetched;
-            };
-            auto state = std::make_shared<GroupState>();
-
-            if (auto key = hoard_.Lookup(demand_id)) {
-              state->demand_key = *key;
-              state->demand_served = true;
-              ++stats_.served_from_hoard;
-              JournalKeyAccess(demand_id, AccessOp::kDemandFetch);
-            }
-            std::vector<AuditId> upstream_prefetch;
-            for (const auto& id : prefetch_ids) {
-              if (auto key = hoard_.Lookup(id)) {
-                state->prefetched.emplace_back(id, *key);
-                JournalKeyAccess(id, AccessOp::kPrefetch);
-              } else {
-                upstream_prefetch.push_back(id);
-              }
-            }
-
-            auto respond_ptr =
-                std::make_shared<Responder>(std::move(respond));
-            auto finish = [state, respond_ptr]() {
-              auto& respond = *respond_ptr;
-              WireValue::Struct out;
-              out.emplace("demand", WireValue(std::move(state->demand_key)));
-              WireValue::Array prefetched_wire;
-              for (auto& [id, key] : state->prefetched) {
-                WireValue::Struct entry;
-                entry.emplace("id", WireValue(id.ToBytes()));
-                entry.emplace("key", WireValue(std::move(key)));
-                prefetched_wire.push_back(WireValue(std::move(entry)));
-              }
-              out.emplace("prefetched",
-                          WireValue(std::move(prefetched_wire)));
-              respond(WireValue(std::move(out)));
-            };
-
-            if (!online_) {
-              if (!state->demand_served) {
-                (*respond_ptr)(
-                    UnavailableError("phone: offline, key not hoarded"));
-                return;
-              }
-              finish();
-              return;
-            }
-            if (!state->demand_served) {
-              ++stats_.forwarded_upstream;
-              key_upstream_->FetchGroupAsync(
-                  demand_id, upstream_prefetch,
-                  [this, state, demand_id, finish, respond_ptr](
-                      Result<KeyServiceClient::GroupFetch> result) {
-                    if (!result.ok()) {
-                      (*respond_ptr)(result.status());
-                      return;
-                    }
-                    state->demand_key = result->demand_key;
-                    hoard_.Insert(demand_id, result->demand_key);
-                    for (auto& [id, key] : result->prefetched) {
-                      hoard_.Insert(id, key);
-                      state->prefetched.emplace_back(id, std::move(key));
-                    }
-                    finish();
-                  });
-              return;
-            }
-            if (!upstream_prefetch.empty()) {
-              ++stats_.forwarded_upstream;
-              key_upstream_->GetKeysAsync(
-                  upstream_prefetch,
-                  [this, state, finish](
-                      Result<std::vector<std::pair<AuditId, Bytes>>> pairs) {
-                    if (pairs.ok()) {
-                      for (auto& [id, key] : *pairs) {
-                        hoard_.Insert(id, key);
-                        state->prefetched.emplace_back(id, std::move(key));
-                      }
-                    }
-                    finish();
-                  });
-              return;
-            }
-            finish();
-          }));
+      "key.get_multi",
+      authed("key.get_multi", key_secret_,
+             [this](const WireValue::Array& payload, Responder respond) {
+               auto items = DecodeMultiGetRequest(payload);
+               if (!items.ok()) {
+                 respond(items.status());
+                 return;
+               }
+               auto released = std::make_shared<std::vector<Result<Bytes>>>();
+               std::vector<size_t> slots;  // Forwarded items' positions.
+               std::vector<KeyClient::MultiGetItem> upstream;
+               for (const auto& item : *items) {
+                 if (auto key = hoard_.Lookup(item.audit_id)) {
+                   ++stats_.served_from_hoard;
+                   JournalKeyAccess(item.audit_id, item.op);
+                   released->push_back(*key);
+                   continue;
+                 }
+                 slots.push_back(released->size());
+                 upstream.push_back(item);
+                 released->push_back(
+                     UnavailableError("phone: offline, key not hoarded"));
+               }
+               if (upstream.empty() || !online_) {
+                 respond(EncodeMultiGetReply(std::move(*released)));
+                 return;
+               }
+               ++stats_.forwarded_upstream;
+               key_upstream_->GetKeysTypedAsync(
+                   upstream,
+                   [this, released, slots, upstream, respond = std::move(
+                                                          respond)](
+                       Result<KeyClient::MultiGetResult> result) {
+                     // A failed upstream call fails the whole request
+                     // unless the hoard served part of it.
+                     if (!result.ok() && slots.size() == released->size()) {
+                       respond(result.status());
+                       return;
+                     }
+                     std::vector<Result<Bytes>> fetched =
+                         result.ok() ? KeyClient::InRequestOrder(
+                                           upstream, std::move(*result))
+                                     : std::vector<Result<Bytes>>(
+                                           upstream.size(), result.status());
+                     for (size_t i = 0; i < upstream.size(); ++i) {
+                       if (fetched[i].ok()) {
+                         hoard_.Insert(upstream[i].audit_id, *fetched[i]);
+                       }
+                       (*released)[slots[i]] = std::move(fetched[i]);
+                     }
+                     respond(EncodeMultiGetReply(std::move(*released)));
+                   });
+             }));
 
   server_.RegisterAsyncMethod(
       "key.evict",
@@ -308,13 +257,12 @@ void PhoneProxy::BindHandlers() {
                  respond(InvalidArgumentError("key.evict: bad arity"));
                  return;
                }
-               auto id_bytes = payload[0].AsBytes();
-               if (!id_bytes.ok()) {
-                 respond(id_bytes.status());
+               auto id = IdArg<AuditId>(payload[0]);
+               if (!id.ok()) {
+                 respond(id.status());
                  return;
                }
-               JournalKeyAccess(*AuditId::FromBytes(*id_bytes),
-                                AccessOp::kEviction);
+               JournalKeyAccess(*id, AccessOp::kEviction);
                respond(WireValue(true));
              }));
 
@@ -327,9 +275,9 @@ void PhoneProxy::BindHandlers() {
                      InvalidArgumentError("meta.register_root: bad arity"));
                  return;
                }
-               auto id_bytes = payload[0].AsBytes();
-               if (!id_bytes.ok()) {
-                 respond(id_bytes.status());
+               auto id = IdArg<DirId>(payload[0]);
+               if (!id.ok()) {
+                 respond(id.status());
                  return;
                }
                if (!online_) {
@@ -338,8 +286,7 @@ void PhoneProxy::BindHandlers() {
                  return;
                }
                // Once-per-volume: the blocking forward is acceptable here.
-               Status status =
-                   meta_upstream_->RegisterRoot(*DirId::FromBytes(*id_bytes));
+               Status status = meta_upstream_->RegisterRoot(*id);
                if (!status.ok()) {
                  respond(status);
                } else {
@@ -355,21 +302,18 @@ void PhoneProxy::BindHandlers() {
                  respond(InvalidArgumentError("meta.bind_file: bad arity"));
                  return;
                }
-               auto aid_bytes = payload[0].AsBytes();
-               auto did_bytes = payload[1].AsBytes();
+               auto aid = IdArg<AuditId>(payload[0]);
+               auto did = IdArg<DirId>(payload[1]);
                auto name = payload[2].AsString();
                auto is_rename = payload[3].AsBool();
-               if (!aid_bytes.ok() || !did_bytes.ok() || !name.ok() ||
-                   !is_rename.ok()) {
+               if (!aid.ok() || !did.ok() || !name.ok() || !is_rename.ok()) {
                  respond(InvalidArgumentError("meta.bind_file: bad args"));
                  return;
                }
-               AuditId aid = *AuditId::FromBytes(*aid_bytes);
-               DirId did = *DirId::FromBytes(*did_bytes);
                if (online_) {
                  ++stats_.forwarded_upstream;
                  meta_upstream_->BindFileAsync(
-                     aid, did, *name, *is_rename,
+                     *aid, *did, *name, *is_rename,
                      [respond = std::move(respond)](Result<Bytes> result) {
                        if (!result.ok()) {
                          respond(result.status());
@@ -387,8 +331,8 @@ void PhoneProxy::BindHandlers() {
                record.op = static_cast<int64_t>(*is_rename
                                                     ? MetadataOp::kRenameFile
                                                     : MetadataOp::kCreateFile);
-               record.audit_id = aid;
-               record.dir_id = did;
+               record.audit_id = *aid;
+               record.dir_id = *did;
                record.name = *name;
                record.client_time = queue_->Now();
                meta_journal_.push_back(std::move(record));
@@ -402,15 +346,13 @@ void PhoneProxy::BindHandlers() {
         respond(InvalidArgumentError("meta dir op: bad arity"));
         return;
       }
-      auto did_bytes = payload[0].AsBytes();
-      auto pid_bytes = payload[1].AsBytes();
+      auto did = IdArg<DirId>(payload[0]);
+      auto pid = IdArg<DirId>(payload[1]);
       auto name = payload[2].AsString();
-      if (!did_bytes.ok() || !pid_bytes.ok() || !name.ok()) {
+      if (!did.ok() || !pid.ok() || !name.ok()) {
         respond(InvalidArgumentError("meta dir op: bad args"));
         return;
       }
-      DirId did = *DirId::FromBytes(*did_bytes);
-      DirId pid = *DirId::FromBytes(*pid_bytes);
       if (online_) {
         ++stats_.forwarded_upstream;
         auto done = [respond = std::move(respond)](Status status) {
@@ -421,16 +363,16 @@ void PhoneProxy::BindHandlers() {
           }
         };
         if (op == MetadataOp::kMkdir) {
-          meta_upstream_->MkdirAsync(did, pid, *name, std::move(done));
+          meta_upstream_->MkdirAsync(*did, *pid, *name, std::move(done));
         } else {
-          meta_upstream_->RenameDirAsync(did, pid, *name, std::move(done));
+          meta_upstream_->RenameDirAsync(*did, *pid, *name, std::move(done));
         }
         return;
       }
       MetadataServiceClient::JournalRecord record;
       record.op = static_cast<int64_t>(op);
-      record.dir_id = did;
-      record.parent_dir_id = pid;
+      record.dir_id = *did;
+      record.parent_dir_id = *pid;
       record.name = *name;
       record.client_time = queue_->Now();
       meta_journal_.push_back(std::move(record));

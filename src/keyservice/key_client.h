@@ -26,10 +26,12 @@ class KeyClient {
  public:
   virtual ~KeyClient() = default;
 
+  using KeyPairs = std::vector<std::pair<AuditId, Bytes>>;
+
   // One round trip for a demand fetch plus directory prefetch.
   struct GroupFetch {
     Bytes demand_key;
-    std::vector<std::pair<AuditId, Bytes>> prefetched;
+    KeyPairs prefetched;
   };
   // Paired-device journal upload.
   struct JournalEntry {
@@ -50,7 +52,7 @@ class KeyClient {
     Status status;
   };
   struct MultiGetResult {
-    std::vector<std::pair<AuditId, Bytes>> keys;  // Request order.
+    KeyPairs keys;  // Request order.
     std::vector<MultiGetMiss> misses;
   };
 
@@ -65,22 +67,43 @@ class KeyClient {
   // block foreground file operations).
   virtual void GetKeyAsync(const AuditId& audit_id, AccessOp op,
                            std::function<void(Result<Bytes>)> done) = 0;
-  virtual Result<std::vector<std::pair<AuditId, Bytes>>> GetKeys(
-      const std::vector<AuditId>& audit_ids) = 0;
-  virtual void GetKeysAsync(
-      const std::vector<AuditId>& audit_ids,
-      std::function<void(Result<std::vector<std::pair<AuditId, Bytes>>>)>
-          done) = 0;
   virtual Result<MultiGetResult> GetKeysTyped(
       const std::vector<MultiGetItem>& items) = 0;
   virtual void GetKeysTypedAsync(
       const std::vector<MultiGetItem>& items,
       std::function<void(Result<MultiGetResult>)> done) = 0;
+
+  // The batch fetches are one body each over the typed fetch, so
+  // key.get_multi is the only batch fetch on the wire (DESIGN.md §26).
+  // GetKeys prefetches every id and drops the misses. FetchGroup fetches
+  // the demand id and then its prefetch ids (the demand id removed from
+  // them): a failed demand item fails the group with its status, a failed
+  // prefetch item is dropped.
+  virtual Result<KeyPairs> GetKeys(const std::vector<AuditId>& audit_ids) {
+    return PairsOf(GetKeysTyped(PrefetchItems(audit_ids)));
+  }
+  virtual void GetKeysAsync(const std::vector<AuditId>& audit_ids,
+                            std::function<void(Result<KeyPairs>)> done) {
+    GetKeysTypedAsync(PrefetchItems(audit_ids),
+                      [done = std::move(done)](Result<MultiGetResult> result) {
+                        done(PairsOf(std::move(result)));
+                      });
+  }
   virtual Result<GroupFetch> FetchGroup(
-      const AuditId& demand_id, const std::vector<AuditId>& prefetch_ids) = 0;
+      const AuditId& demand_id, const std::vector<AuditId>& prefetch_ids) {
+    std::vector<MultiGetItem> items = GroupItems(demand_id, prefetch_ids);
+    return GroupOf(items, GetKeysTyped(items));
+  }
   virtual void FetchGroupAsync(const AuditId& demand_id,
                                const std::vector<AuditId>& prefetch_ids,
-                               std::function<void(Result<GroupFetch>)> done) = 0;
+                               std::function<void(Result<GroupFetch>)> done) {
+    std::vector<MultiGetItem> items = GroupItems(demand_id, prefetch_ids);
+    GetKeysTypedAsync(items, [items, done = std::move(done)](
+                                 Result<MultiGetResult> result) {
+      done(GroupOf(items, std::move(result)));
+    });
+  }
+
   virtual Status UploadJournal(const std::vector<JournalEntry>& entries) = 0;
   // Non-blocking variant for uploads that must stay off the critical path.
   virtual void UploadJournalAsync(const std::vector<JournalEntry>& entries,
@@ -93,6 +116,23 @@ class KeyClient {
                                std::function<void(Status)> done) = 0;
 
   virtual const std::string& device_id() const = 0;
+
+  // Each item's outcome, in the order of the `items` that `result`
+  // answered: hits and misses both come back in request order, so walking
+  // the items against them front-first pairs every item with its own
+  // outcome, duplicate ids included. An item the result does not account
+  // for reads NotFound.
+  static std::vector<Result<Bytes>> InRequestOrder(
+      const std::vector<MultiGetItem>& items, MultiGetResult result);
+
+ private:
+  static std::vector<MultiGetItem> PrefetchItems(
+      const std::vector<AuditId>& audit_ids);
+  static std::vector<MultiGetItem> GroupItems(
+      const AuditId& demand_id, const std::vector<AuditId>& prefetch_ids);
+  static Result<KeyPairs> PairsOf(Result<MultiGetResult> result);
+  static Result<GroupFetch> GroupOf(const std::vector<MultiGetItem>& items,
+                                    Result<MultiGetResult> result);
 };
 
 }  // namespace keypad

@@ -1,5 +1,7 @@
 #include "src/keyservice/key_service.h"
 
+#include "src/keyservice/key_service_client.h"
+
 namespace keypad {
 
 WireValue KeyChange::ToWire() const {
@@ -240,106 +242,67 @@ Result<Bytes> KeyService::CreateKey(const std::string& device_id,
   return record.key;
 }
 
-Result<Bytes> KeyService::GetKey(const std::string& device_id,
-                                 const AuditId& audit_id, AccessOp op) {
-  KP_RETURN_IF_ERROR(CheckDevice(device_id, audit_id));
-  auto it = keys_.find(KeyMapKey(device_id, audit_id));
-  if (it == keys_.end()) {
-    return NotFoundError("key service: no such key");
-  }
-  if (it->second.disabled) {
-    LogAppend(queue_->Now(), device_id, audit_id, AccessOp::kDenied);
-    return PermissionDeniedError("key service: key disabled");
-  }
-  LogAppend(queue_->Now(), device_id, audit_id, op);
-  ChargeUnwrap(it->first);
-  return it->second.key;
-}
-
-Result<std::vector<std::pair<AuditId, Bytes>>> KeyService::GetKeys(
-    const std::string& device_id, const std::vector<AuditId>& audit_ids,
-    AccessOp op) {
-  KP_RETURN_IF_ERROR(
-      CheckDevice(device_id, audit_ids.empty() ? AuditId{} : audit_ids[0]));
-  // One RPC batch = one commit group: K appends, one seal.
-  BatchScope scope(this);
-  std::vector<std::pair<AuditId, Bytes>> out;
-  for (const auto& id : audit_ids) {
-    auto it = keys_.find(KeyMapKey(device_id, id));
-    if (it == keys_.end() || it->second.disabled) {
-      continue;
-    }
-    LogAppend(queue_->Now(), device_id, id, op);
-    ChargeUnwrap(it->first);
-    out.emplace_back(id, it->second.key);
-  }
-  return out;
-}
-
-Result<KeyService::MultiGetResult> KeyService::GetKeysTyped(
+Result<std::vector<Result<Bytes>>> KeyService::Release(
     const std::string& device_id, const std::vector<MultiGetItem>& items) {
-  if (negative_devices_.count(device_id) > 0 ||
-      (devices_.count(device_id) > 0 && devices_.at(device_id).disabled)) {
-    // Revoked device: the whole batch is denied, but every attempted id
-    // still earns its own kDenied row — sealed together as one group, so
-    // failing fast stays fully audited.
-    if (negative_devices_.count(device_id) > 0) {
-      ++negative_hits_;
-    } else {
+  bool cached = negative_devices_.count(device_id) > 0;
+  if (!cached) {
+    auto device = devices_.find(device_id);
+    if (device == devices_.end()) {
+      return PermissionDeniedError("key service: unregistered device");
+    }
+    if (device->second.disabled) {
       negative_devices_.insert(device_id);
     }
-    BatchScope scope(this);
+  }
+  // One call = one commit group: N appends, one seal.
+  BatchScope scope(this);
+  if (negative_devices_.count(device_id) > 0) {
+    // Revocation-storm fast path: no key-store touch, but every attempted
+    // id is logged before the refusal.
+    if (cached) {
+      negative_hits_ += items.size();
+    }
     for (const auto& item : items) {
       log_.Append(queue_->Now(), device_id, item.audit_id, AccessOp::kDenied);
     }
     return PermissionDeniedError("key service: device disabled");
   }
-  if (devices_.count(device_id) == 0) {
-    return PermissionDeniedError("key service: unregistered device");
-  }
-  // One RPC batch = one commit group: N appends, one seal.
-  BatchScope scope(this);
-  MultiGetResult result;
+  std::vector<Result<Bytes>> released;
+  released.reserve(items.size());
   for (const auto& item : items) {
     auto it = keys_.find(KeyMapKey(device_id, item.audit_id));
     if (it == keys_.end()) {
-      result.misses.push_back(
-          {item.audit_id, NotFoundError("key service: no such key")});
-      continue;
-    }
-    if (it->second.disabled) {
+      released.push_back(NotFoundError("key service: no such key"));
+    } else if (it->second.disabled) {
       log_.Append(queue_->Now(), device_id, item.audit_id, AccessOp::kDenied);
-      result.misses.push_back(
-          {item.audit_id,
-           PermissionDeniedError("key service: key disabled")});
-      continue;
+      released.push_back(PermissionDeniedError("key service: key disabled"));
+    } else {
+      log_.Append(queue_->Now(), device_id, item.audit_id, item.op);
+      ChargeUnwrap(it->first);
+      released.push_back(it->second.key);
     }
-    log_.Append(queue_->Now(), device_id, item.audit_id, item.op);
-    ChargeUnwrap(it->first);
-    result.keys.emplace_back(item.audit_id, it->second.key);
   }
-  return result;
+  return released;
 }
 
-Result<KeyService::GroupFetchResult> KeyService::FetchGroup(
-    const std::string& device_id, const AuditId& demand_id,
-    const std::vector<AuditId>& prefetch_ids) {
-  // The demand fetch and its prefetch batch seal as one commit group.
-  BatchScope scope(this);
-  GroupFetchResult result;
-  KP_ASSIGN_OR_RETURN(result.demand_key,
-                      GetKey(device_id, demand_id, AccessOp::kDemandFetch));
-  for (const auto& id : prefetch_ids) {
-    if (id == demand_id) {
-      continue;
+Result<Bytes> KeyService::GetKey(const std::string& device_id,
+                                 const AuditId& audit_id, AccessOp op) {
+  KP_ASSIGN_OR_RETURN(std::vector<Result<Bytes>> released,
+                      Release(device_id, {{audit_id, op}}));
+  return std::move(released[0]);
+}
+
+Result<KeyService::MultiGetResult> KeyService::GetKeysTyped(
+    const std::string& device_id, const std::vector<MultiGetItem>& items) {
+  KP_ASSIGN_OR_RETURN(std::vector<Result<Bytes>> released,
+                      Release(device_id, items));
+  MultiGetResult result;
+  for (size_t i = 0; i < items.size(); ++i) {
+    if (released[i].ok()) {
+      result.keys.emplace_back(items[i].audit_id, std::move(*released[i]));
+    } else {
+      result.misses.push_back({items[i].audit_id, released[i].status()});
     }
-    auto it = keys_.find(KeyMapKey(device_id, id));
-    if (it == keys_.end() || it->second.disabled) {
-      continue;
-    }
-    LogAppend(queue_->Now(), device_id, id, AccessOp::kPrefetch);
-    ChargeUnwrap(it->first);
-    result.prefetched.emplace_back(id, it->second.key);
   }
   return result;
 }
@@ -475,78 +438,18 @@ void KeyService::BindRpc(RpcServer* server) {
                return WireValue(std::move(key));
              });
 
-  Install(
-      server, "key.get_batch", true,
-      [this](const std::string& device,
-                    const WireValue::Array& payload) -> Result<WireValue> {
-               if (payload.size() != 1) {
-                 return InvalidArgumentError("key.get_batch: bad arity");
-               }
-               KP_ASSIGN_OR_RETURN(WireValue::Array ids, payload[0].AsArray());
-               std::vector<AuditId> audit_ids;
-               for (const auto& id_value : ids) {
-                 KP_ASSIGN_OR_RETURN(Bytes id_bytes, id_value.AsBytes());
-                 KP_ASSIGN_OR_RETURN(AuditId id,
-                                     AuditId::FromBytes(id_bytes));
-                 audit_ids.push_back(id);
-               }
-               KP_ASSIGN_OR_RETURN(auto pairs, GetKeys(device, audit_ids));
-               WireValue::Array out;
-               for (auto& [id, key] : pairs) {
-                 WireValue::Struct entry;
-                 entry.emplace("id", WireValue(id.ToBytes()));
-                 entry.emplace("key", WireValue(std::move(key)));
-                 out.push_back(WireValue(std::move(entry)));
-               }
-               return WireValue(std::move(out));
-             });
-
-  // Batched typed fetch (DESIGN.md §13): N {id, op} items in one authed
-  // frame, one commit group. Granted keys and per-id misses come back in
-  // one response so a missing key never fails its batch siblings.
-  Install(
-      server, "key.get_multi", true,
-      [this](const std::string& device,
-             const WireValue::Array& payload) -> Result<WireValue> {
-        if (payload.size() != 1) {
-          return InvalidArgumentError("key.get_multi: bad arity");
-        }
-        KP_ASSIGN_OR_RETURN(WireValue::Array raw_items, payload[0].AsArray());
-        std::vector<MultiGetItem> items;
-        items.reserve(raw_items.size());
-        for (const auto& raw : raw_items) {
-          MultiGetItem item;
-          KP_ASSIGN_OR_RETURN(WireValue id_v, raw.Field("id"));
-          KP_ASSIGN_OR_RETURN(Bytes id_bytes, id_v.AsBytes());
-          KP_ASSIGN_OR_RETURN(item.audit_id, AuditId::FromBytes(id_bytes));
-          KP_ASSIGN_OR_RETURN(WireValue op_v, raw.Field("op"));
-          KP_ASSIGN_OR_RETURN(int64_t op_int, op_v.AsInt());
-          item.op = static_cast<AccessOp>(op_int);
-          items.push_back(item);
-        }
-        KP_ASSIGN_OR_RETURN(MultiGetResult result,
-                            GetKeysTyped(device, items));
-        WireValue::Struct out;
-        WireValue::Array keys;
-        for (auto& [id, key] : result.keys) {
-          WireValue::Struct entry;
-          entry.emplace("id", WireValue(id.ToBytes()));
-          entry.emplace("key", WireValue(std::move(key)));
-          keys.push_back(WireValue(std::move(entry)));
-        }
-        out.emplace("keys", WireValue(std::move(keys)));
-        WireValue::Array misses;
-        for (const auto& miss : result.misses) {
-          WireValue::Struct entry;
-          entry.emplace("id", WireValue(miss.audit_id.ToBytes()));
-          entry.emplace("code", WireValue(static_cast<int64_t>(
-                                    miss.status.code())));
-          entry.emplace("msg", WireValue(miss.status.message()));
-          misses.push_back(WireValue(std::move(entry)));
-        }
-        out.emplace("misses", WireValue(std::move(misses)));
-        return WireValue(std::move(out));
-      });
+  // Batched typed fetch (DESIGN.md §13, §26): N items in one authed
+  // frame, one commit group, answered positionally so a missing key never
+  // fails its batch siblings.
+  Install(server, "key.get_multi", true,
+          [this](const std::string& device,
+                 const WireValue::Array& payload) -> Result<WireValue> {
+            KP_ASSIGN_OR_RETURN(std::vector<MultiGetItem> items,
+                                DecodeMultiGetRequest(payload));
+            KP_ASSIGN_OR_RETURN(std::vector<Result<Bytes>> released,
+                                Release(device, items));
+            return EncodeMultiGetReply(std::move(released));
+          });
 
   Install(
       server, "key.evict", true,
@@ -574,40 +477,6 @@ void KeyService::BindRpc(RpcServer* server) {
                KP_ASSIGN_OR_RETURN(AuditId id, AuditId::FromBytes(id_bytes));
                KP_RETURN_IF_ERROR(DestroyKey(device, id));
                return WireValue(true);
-             });
-
-  Install(
-      server, "key.fetch_group", true,
-      [this](const std::string& device,
-                    const WireValue::Array& payload) -> Result<WireValue> {
-               if (payload.size() != 2) {
-                 return InvalidArgumentError("key.fetch_group: bad arity");
-               }
-               KP_ASSIGN_OR_RETURN(Bytes demand_bytes, payload[0].AsBytes());
-               KP_ASSIGN_OR_RETURN(AuditId demand_id,
-                                   AuditId::FromBytes(demand_bytes));
-               KP_ASSIGN_OR_RETURN(WireValue::Array ids, payload[1].AsArray());
-               std::vector<AuditId> prefetch_ids;
-               for (const auto& id_value : ids) {
-                 KP_ASSIGN_OR_RETURN(Bytes id_bytes, id_value.AsBytes());
-                 KP_ASSIGN_OR_RETURN(AuditId id,
-                                     AuditId::FromBytes(id_bytes));
-                 prefetch_ids.push_back(id);
-               }
-               KP_ASSIGN_OR_RETURN(GroupFetchResult group,
-                                   FetchGroup(device, demand_id,
-                                              prefetch_ids));
-               WireValue::Struct out;
-               out.emplace("demand", WireValue(std::move(group.demand_key)));
-               WireValue::Array prefetched;
-               for (auto& [id, key] : group.prefetched) {
-                 WireValue::Struct entry;
-                 entry.emplace("id", WireValue(id.ToBytes()));
-                 entry.emplace("key", WireValue(std::move(key)));
-                 prefetched.push_back(WireValue(std::move(entry)));
-               }
-               out.emplace("prefetched", WireValue(std::move(prefetched)));
-               return WireValue(std::move(out));
              });
 
   Install(

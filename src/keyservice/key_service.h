@@ -21,6 +21,7 @@
 #include "src/auditlog/log_options.h"
 #include "src/keyservice/audit_log.h"
 #include "src/keyservice/hot_key_cache.h"
+#include "src/keyservice/key_client.h"
 #include "src/replication/service_replica_set.h"
 #include "src/replication/service_shell.h"
 #include "src/rpc/rpc.h"
@@ -116,48 +117,19 @@ class KeyService : public ServiceShell<KeyTier> {
   Result<Bytes> CreateKey(const std::string& device_id,
                           const AuditId& audit_id);
   // Logs the access, then returns the key. `op` distinguishes demand
-  // fetches, prefetches, and cache-refreshes in the log.
+  // fetches, prefetches, and cache-refreshes in the log. A one-item
+  // Release.
   Result<Bytes> GetKey(const std::string& device_id, const AuditId& audit_id,
                        AccessOp op = AccessOp::kDemandFetch);
-  // Batch fetch for directory prefetching: one network round trip, one log
-  // entry per ID. IDs that don't exist are skipped (no error).
-  Result<std::vector<std::pair<AuditId, Bytes>>> GetKeys(
-      const std::string& device_id, const std::vector<AuditId>& audit_ids,
-      AccessOp op = AccessOp::kPrefetch);
-  // Combined demand fetch + directory prefetch in one round trip: the
-  // demand ID is logged kDemandFetch, the rest kPrefetch. The demand key
-  // must exist; missing prefetch IDs are skipped.
-  struct GroupFetchResult {
-    Bytes demand_key;
-    std::vector<std::pair<AuditId, Bytes>> prefetched;
-  };
-  Result<GroupFetchResult> FetchGroup(const std::string& device_id,
-                                      const AuditId& demand_id,
-                                      const std::vector<AuditId>& prefetch_ids);
 
   // Typed multi-key fetch (DESIGN.md §13): one RPC carries N ids, each with
   // its own access op, so a demand fetch and its prefetch batch — or many
   // coalesced demand fetches — amortize one auth frame, one unwrap pass,
-  // and one commit-group seal. Every released key appends exactly one entry
-  // typed with its item's op. Missing or disabled ids come back as per-id
-  // misses (with the status a lone fetch would have returned) instead of
-  // failing their batch siblings. A disabled device gets one kDenied entry
-  // per attempted id — the storm of attempts is forensically valuable —
-  // and the whole call fails kPermissionDenied.
-  struct MultiGetItem {
-    AuditId audit_id;
-    AccessOp op = AccessOp::kDemandFetch;
-  };
-  struct MultiGetMiss {
-    AuditId audit_id;
-    Status status;
-  };
-  struct MultiGetResult {
-    // Granted keys, in request order (duplicates allowed: each request
-    // item that hits contributes its own pair and its own audit entry).
-    std::vector<std::pair<AuditId, Bytes>> keys;
-    std::vector<MultiGetMiss> misses;
-  };
+  // and one commit-group seal. A Release whose outcomes are split into
+  // granted keys and per-id misses.
+  using MultiGetItem = KeyClient::MultiGetItem;
+  using MultiGetMiss = KeyClient::MultiGetMiss;
+  using MultiGetResult = KeyClient::MultiGetResult;
   Result<MultiGetResult> GetKeysTyped(const std::string& device_id,
                                       const std::vector<MultiGetItem>& items);
 
@@ -229,7 +201,8 @@ class KeyService : public ServiceShell<KeyTier> {
     uint64_t hot_misses = 0;
     uint64_t hot_invalidations = 0;
     uint64_t hot_size = 0;
-    // Denials short-circuited by the negative (revoked-device) cache.
+    // kDenied rows served by the negative (revoked-device) cache: one per
+    // attempted id, whichever verb carried it.
     uint64_t negative_hits = 0;
     // Overload observability (DESIGN.md §14), merged from the bound
     // RpcServer: admission sheds by class, deadline-expired rejections,
@@ -279,8 +252,22 @@ class KeyService : public ServiceShell<KeyTier> {
     KeyService* service_;
   };
 
-  // Checks registration + revocation; logs denied attempts. Revoked
-  // devices hit the negative cache so revocation storms fail fast.
+  // The one release routine (DESIGN.md §26): every key that leaves the
+  // service, and every kDenied row for a fetch, comes from here. Each
+  // released key appends exactly one entry typed with its item's op before
+  // it is returned (paper §3.1). Missing or disabled ids come back as
+  // per-item failures (the status a lone fetch would have returned) instead
+  // of failing their siblings; a disabled key logs kDenied. A disabled
+  // device gets one kDenied entry per attempted id — the storm of attempts
+  // is forensically valuable — and the whole call fails
+  // kPermissionDenied. All of a call's appends seal as one commit group.
+  // Outcomes are in request order.
+  Result<std::vector<Result<Bytes>>> Release(
+      const std::string& device_id, const std::vector<MultiGetItem>& items);
+
+  // Checks registration + revocation for a create or an eviction notice;
+  // logs denied attempts. Revoked devices hit the negative cache so
+  // revocation storms fail fast.
   Status CheckDevice(const std::string& device_id, const AuditId& audit_id);
 
   // Bills the unwrap work for releasing (device, id): a hot-cache hit

@@ -55,76 +55,94 @@ void KeyServiceClient::GetKeyAsync(const AuditId& audit_id, AccessOp op,
                     ThenParse(std::move(done), &WireValue::AsBytes));
 }
 
-namespace {
-WireValue::Array KeyBatchPayload(const std::vector<AuditId>& audit_ids) {
+WireValue::Array EncodeMultiGetRequest(
+    const std::vector<KeyClient::MultiGetItem>& items) {
   WireValue::Array ids;
-  for (const auto& id : audit_ids) {
-    ids.push_back(WireValue(id.ToBytes()));
+  WireValue::Array ops;
+  for (const auto& item : items) {
+    ids.push_back(WireValue(item.audit_id.ToBytes()));
+    ops.push_back(WireValue(static_cast<int64_t>(item.op)));
   }
   WireValue::Array payload;
   payload.push_back(WireValue(std::move(ids)));
+  payload.push_back(WireValue(std::move(ops)));
   return payload;
 }
 
-Result<std::vector<std::pair<AuditId, Bytes>>> ParseKeyPairs(
-    const WireValue& result) {
-  KP_ASSIGN_OR_RETURN(WireValue::Array entries, result.AsArray());
-  std::vector<std::pair<AuditId, Bytes>> out;
-  for (const auto& entry : entries) {
-    KP_ASSIGN_OR_RETURN(WireValue id_value, entry.Field("id"));
-    KP_ASSIGN_OR_RETURN(Bytes id_bytes, id_value.AsBytes());
-    KP_ASSIGN_OR_RETURN(AuditId id, AuditId::FromBytes(id_bytes));
-    KP_ASSIGN_OR_RETURN(WireValue key_value, entry.Field("key"));
-    KP_ASSIGN_OR_RETURN(Bytes key, key_value.AsBytes());
-    out.emplace_back(id, std::move(key));
+Result<std::vector<KeyClient::MultiGetItem>> DecodeMultiGetRequest(
+    const WireValue::Array& payload) {
+  if (payload.size() != 2) {
+    return InvalidArgumentError("key.get_multi: bad arity");
   }
-  return out;
-}
-}  // namespace
-
-Result<std::vector<std::pair<AuditId, Bytes>>> KeyServiceClient::GetKeys(
-    const std::vector<AuditId>& audit_ids) {
-  return rpc()->queue()->Await<Result<std::vector<std::pair<AuditId, Bytes>>>>(
-      [&](auto done) { GetKeysAsync(audit_ids, std::move(done)); });
-}
-
-namespace {
-WireValue::Array MultiGetPayload(
-    const std::vector<KeyServiceClient::MultiGetItem>& items) {
-  WireValue::Array raw;
-  for (const auto& item : items) {
-    WireValue::Struct e;
-    e.emplace("id", WireValue(item.audit_id.ToBytes()));
-    e.emplace("op", WireValue(static_cast<int64_t>(item.op)));
-    raw.push_back(WireValue(std::move(e)));
+  KP_ASSIGN_OR_RETURN(WireValue::Array ids, payload[0].AsArray());
+  KP_ASSIGN_OR_RETURN(WireValue::Array ops, payload[1].AsArray());
+  if (ids.size() != ops.size()) {
+    return InvalidArgumentError("key.get_multi: ids and ops differ in length");
   }
-  WireValue::Array payload;
-  payload.push_back(WireValue(std::move(raw)));
-  return payload;
+  std::vector<KeyClient::MultiGetItem> items(ids.size());
+  for (size_t i = 0; i < ids.size(); ++i) {
+    KP_ASSIGN_OR_RETURN(Bytes id_bytes, ids[i].AsBytes());
+    KP_ASSIGN_OR_RETURN(items[i].audit_id, AuditId::FromBytes(id_bytes));
+    KP_ASSIGN_OR_RETURN(int64_t op, ops[i].AsInt());
+    items[i].op = static_cast<AccessOp>(op);
+  }
+  return items;
 }
 
-Result<KeyServiceClient::MultiGetResult> ParseMultiGet(
-    const WireValue& result) {
-  KeyServiceClient::MultiGetResult out;
-  KP_ASSIGN_OR_RETURN(WireValue keys_v, result.Field("keys"));
-  KP_ASSIGN_OR_RETURN(out.keys, ParseKeyPairs(keys_v));
-  KP_ASSIGN_OR_RETURN(WireValue misses_v, result.Field("misses"));
+WireValue EncodeMultiGetReply(std::vector<Result<Bytes>> released) {
+  WireValue::Array keys;
+  WireValue::Array misses;
+  for (auto& key : released) {
+    if (key.ok()) {
+      keys.push_back(WireValue(std::move(*key)));
+      continue;
+    }
+    keys.push_back(WireValue(Bytes()));
+    WireValue::Struct miss;
+    miss.emplace("code",
+                 WireValue(static_cast<int64_t>(key.status().code())));
+    miss.emplace("msg", WireValue(key.status().message()));
+    misses.push_back(WireValue(std::move(miss)));
+  }
+  WireValue::Struct out;
+  out.emplace("keys", WireValue(std::move(keys)));
+  out.emplace("misses", WireValue(std::move(misses)));
+  return WireValue(std::move(out));
+}
+
+Result<KeyClient::MultiGetResult> DecodeMultiGetReply(
+    const std::vector<KeyClient::MultiGetItem>& items, const WireValue& reply) {
+  KP_ASSIGN_OR_RETURN(WireValue keys_v, reply.Field("keys"));
+  KP_ASSIGN_OR_RETURN(WireValue::Array keys, keys_v.AsArray());
+  KP_ASSIGN_OR_RETURN(WireValue misses_v, reply.Field("misses"));
   KP_ASSIGN_OR_RETURN(WireValue::Array misses, misses_v.AsArray());
-  for (const auto& entry : misses) {
-    KeyServiceClient::MultiGetMiss miss;
-    KP_ASSIGN_OR_RETURN(WireValue id_value, entry.Field("id"));
-    KP_ASSIGN_OR_RETURN(Bytes id_bytes, id_value.AsBytes());
-    KP_ASSIGN_OR_RETURN(miss.audit_id, AuditId::FromBytes(id_bytes));
-    KP_ASSIGN_OR_RETURN(WireValue code_value, entry.Field("code"));
-    KP_ASSIGN_OR_RETURN(int64_t code, code_value.AsInt());
-    KP_ASSIGN_OR_RETURN(WireValue msg_value, entry.Field("msg"));
-    KP_ASSIGN_OR_RETURN(std::string msg, msg_value.AsString());
-    miss.status = Status(static_cast<StatusCode>(code), std::move(msg));
-    out.misses.push_back(std::move(miss));
+  if (keys.size() != items.size()) {
+    return DataLossError("key.get_multi: reply does not match the request");
+  }
+  KeyClient::MultiGetResult out;
+  size_t next_miss = 0;
+  for (size_t i = 0; i < items.size(); ++i) {
+    KP_ASSIGN_OR_RETURN(Bytes key, keys[i].AsBytes());
+    if (!key.empty()) {
+      out.keys.emplace_back(items[i].audit_id, std::move(key));
+      continue;
+    }
+    if (next_miss == misses.size()) {
+      return DataLossError("key.get_multi: reply does not match the request");
+    }
+    const WireValue& miss = misses[next_miss++];
+    KP_ASSIGN_OR_RETURN(WireValue code_v, miss.Field("code"));
+    KP_ASSIGN_OR_RETURN(int64_t code, code_v.AsInt());
+    KP_ASSIGN_OR_RETURN(WireValue msg_v, miss.Field("msg"));
+    KP_ASSIGN_OR_RETURN(std::string msg, msg_v.AsString());
+    out.misses.push_back(
+        {items[i].audit_id, Status(static_cast<StatusCode>(code), msg)});
+  }
+  if (next_miss != misses.size()) {
+    return DataLossError("key.get_multi: reply does not match the request");
   }
   return out;
 }
-}  // namespace
 
 Result<KeyServiceClient::MultiGetResult> KeyServiceClient::GetKeysTyped(
     const std::vector<MultiGetItem>& items) {
@@ -141,63 +159,10 @@ void KeyServiceClient::GetKeysTypedAsync(
 void KeyServiceClient::GetKeysTypedAsync(
     const std::vector<MultiGetItem>& items, const CallContext& ctx,
     std::function<void(Result<MultiGetResult>)> done) {
-  router_.CallAsync("key.get_multi", MultiGetPayload(items), ctx,
-                    ThenParse(std::move(done), ParseMultiGet));
-}
-
-namespace {
-Result<KeyServiceClient::GroupFetch> ParseGroupFetch(
-    const WireValue& result) {
-  KeyServiceClient::GroupFetch out;
-  KP_ASSIGN_OR_RETURN(WireValue demand, result.Field("demand"));
-  KP_ASSIGN_OR_RETURN(out.demand_key, demand.AsBytes());
-  KP_ASSIGN_OR_RETURN(WireValue prefetched, result.Field("prefetched"));
-  KP_ASSIGN_OR_RETURN(WireValue::Array entries, prefetched.AsArray());
-  for (const auto& entry : entries) {
-    KP_ASSIGN_OR_RETURN(WireValue id_value, entry.Field("id"));
-    KP_ASSIGN_OR_RETURN(Bytes id_bytes, id_value.AsBytes());
-    KP_ASSIGN_OR_RETURN(AuditId id, AuditId::FromBytes(id_bytes));
-    KP_ASSIGN_OR_RETURN(WireValue key_value, entry.Field("key"));
-    KP_ASSIGN_OR_RETURN(Bytes key, key_value.AsBytes());
-    out.prefetched.emplace_back(id, std::move(key));
-  }
-  return out;
-}
-
-WireValue::Array GroupFetchPayload(const AuditId& demand_id,
-                                   const std::vector<AuditId>& prefetch_ids) {
-  WireValue::Array ids;
-  for (const auto& id : prefetch_ids) {
-    ids.push_back(WireValue(id.ToBytes()));
-  }
-  WireValue::Array payload;
-  payload.push_back(WireValue(demand_id.ToBytes()));
-  payload.push_back(WireValue(std::move(ids)));
-  return payload;
-}
-}  // namespace
-
-Result<KeyServiceClient::GroupFetch> KeyServiceClient::FetchGroup(
-    const AuditId& demand_id, const std::vector<AuditId>& prefetch_ids) {
-  return rpc()->queue()->Await<Result<GroupFetch>>([&](auto done) {
-    FetchGroupAsync(demand_id, prefetch_ids, std::move(done));
-  });
-}
-
-void KeyServiceClient::FetchGroupAsync(
-    const AuditId& demand_id, const std::vector<AuditId>& prefetch_ids,
-    std::function<void(Result<GroupFetch>)> done) {
-  router_.CallAsync("key.fetch_group",
-                    GroupFetchPayload(demand_id, prefetch_ids),
-                    ThenParse(std::move(done), ParseGroupFetch));
-}
-
-void KeyServiceClient::GetKeysAsync(
-    const std::vector<AuditId>& audit_ids,
-    std::function<void(Result<std::vector<std::pair<AuditId, Bytes>>>)>
-        done) {
-  router_.CallAsync("key.get_batch", KeyBatchPayload(audit_ids),
-                    ThenParse(std::move(done), ParseKeyPairs));
+  router_.CallAsync("key.get_multi", EncodeMultiGetRequest(items), ctx,
+                    ThenParse(std::move(done), [items](const WireValue& reply) {
+                      return DecodeMultiGetReply(items, reply);
+                    }));
 }
 
 namespace {

@@ -29,6 +29,22 @@
 
 namespace keypad {
 
+// The key.get_multi frame (DESIGN.md §26), spoken by the service, this
+// stub and the paired phone. Positional: the request is two parallel
+// arrays [[id...], [op...]]; the reply is {"keys": [the key, or empty bytes
+// for a miss, per item], "misses": [{code, msg} per empty slot, in order]}.
+// The reply never echoes the ids the caller already holds.
+WireValue::Array EncodeMultiGetRequest(
+    const std::vector<KeyClient::MultiGetItem>& items);
+Result<std::vector<KeyClient::MultiGetItem>> DecodeMultiGetRequest(
+    const WireValue::Array& payload);
+// `released` holds each item's outcome, in request order.
+WireValue EncodeMultiGetReply(std::vector<Result<Bytes>> released);
+// Fails on a reply whose lengths do not match `items`, so no key is ever
+// handed to the wrong id.
+Result<KeyClient::MultiGetResult> DecodeMultiGetReply(
+    const std::vector<KeyClient::MultiGetItem>& items, const WireValue& reply);
+
 class KeyServiceClient : public KeyClient {
  public:
   // Single-endpoint stub (one shard, no replicas) — the historical layout.
@@ -50,8 +66,6 @@ class KeyServiceClient : public KeyClient {
                        AccessOp op = AccessOp::kDemandFetch) override;
   void GetKeyAsync(const AuditId& audit_id, AccessOp op,
                    std::function<void(Result<Bytes>)> done) override;
-  Result<std::vector<std::pair<AuditId, Bytes>>> GetKeys(
-      const std::vector<AuditId>& audit_ids) override;
   Result<MultiGetResult> GetKeysTyped(
       const std::vector<MultiGetItem>& items) override;
   void GetKeysTypedAsync(
@@ -63,16 +77,6 @@ class KeyServiceClient : public KeyClient {
   void GetKeysTypedAsync(const std::vector<MultiGetItem>& items,
                          const CallContext& ctx,
                          std::function<void(Result<MultiGetResult>)> done);
-  Result<GroupFetch> FetchGroup(
-      const AuditId& demand_id,
-      const std::vector<AuditId>& prefetch_ids) override;
-  void FetchGroupAsync(const AuditId& demand_id,
-                       const std::vector<AuditId>& prefetch_ids,
-                       std::function<void(Result<GroupFetch>)> done) override;
-  void GetKeysAsync(
-      const std::vector<AuditId>& audit_ids,
-      std::function<void(Result<std::vector<std::pair<AuditId, Bytes>>>)>
-          done) override;
   Status UploadJournal(const std::vector<JournalEntry>& entries) override;
   void UploadJournalAsync(const std::vector<JournalEntry>& entries,
                           std::function<void(Status)> done) override;

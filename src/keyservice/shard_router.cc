@@ -95,7 +95,7 @@ void ShardRouter::FlushShard(size_t shard) {
   ++stats_.subrequests;
   stats_.batched_keys += items.size();
   shards_[shard]->GetKeysTypedAsync(
-      items, ctx, [this, batch](Result<MultiGetResult> result) {
+      items, ctx, [this, batch, items](Result<MultiGetResult> result) {
         if (!result.ok()) {
           if (options_.brownout && IsRejectedByServer(result.status())) {
             options_.brownout->NoteOverloadSignal(queue_->Now());
@@ -106,25 +106,10 @@ void ShardRouter::FlushShard(size_t shard) {
           }
           return;
         }
-        // The service processed the items in request order and appended
-        // hits and misses in that same order, so walking the batch against
-        // the two response queues front-first reassociates every item —
-        // including duplicate ids.
-        std::deque<std::pair<AuditId, Bytes>> keys(result->keys.begin(),
-                                                   result->keys.end());
-        std::deque<MultiGetMiss> misses(result->misses.begin(),
-                                        result->misses.end());
-        for (auto& p : *batch) {
-          if (!keys.empty() && keys.front().first == p.id) {
-            p.done({std::move(keys.front().second), /*transport=*/false});
-            keys.pop_front();
-          } else if (!misses.empty() && misses.front().audit_id == p.id) {
-            p.done({misses.front().status, /*transport=*/false});
-            misses.pop_front();
-          } else {
-            p.done({NotFoundError("key missing from multi-get response"),
-                    /*transport=*/false});
-          }
+        std::vector<Result<Bytes>> keys =
+            InRequestOrder(items, std::move(*result));
+        for (size_t i = 0; i < batch->size(); ++i) {
+          (*batch)[i].done({std::move(keys[i]), /*transport=*/false});
         }
       });
 }
@@ -177,71 +162,6 @@ void ShardRouter::GetKeyAsync(const AuditId& audit_id, AccessOp op,
   });
 }
 
-void ShardRouter::GetKeysAsync(
-    const std::vector<AuditId>& audit_ids,
-    std::function<void(Result<KeyPairs>)> done) {
-  if (audit_ids.empty()) {
-    queue_->ScheduleAfter(SimDuration(),
-                          [done = std::move(done)] { done(KeyPairs{}); });
-    return;
-  }
-  std::set<size_t> span;
-  for (const auto& id : audit_ids) {
-    span.insert(ring_.ShardFor(id));
-  }
-  if (span.size() > 1) {
-    ++stats_.scatter_batches;
-  }
-  struct Gather {
-    size_t remaining = 0;
-    std::vector<std::optional<Bytes>> keys;  // By request index.
-    std::optional<Status> first_transport;
-    bool any_rpc_ok = false;
-  };
-  auto gather = std::make_shared<Gather>();
-  gather->remaining = audit_ids.size();
-  gather->keys.resize(audit_ids.size());
-  auto finish = [audit_ids, done, gather] {
-    if (!gather->any_rpc_ok) {
-      done(*gather->first_transport);
-      return;
-    }
-    // Old batch semantics: missing keys are silently omitted, order
-    // follows the caller's request.
-    KeyPairs merged;
-    for (size_t i = 0; i < audit_ids.size(); ++i) {
-      if (gather->keys[i].has_value()) {
-        merged.emplace_back(audit_ids[i], std::move(*gather->keys[i]));
-      }
-    }
-    done(std::move(merged));
-  };
-  for (size_t i = 0; i < audit_ids.size(); ++i) {
-    EnqueueFetch(audit_ids[i], AccessOp::kPrefetch,
-                 [gather, finish, i](FetchOutcome o) {
-                   if (o.transport) {
-                     if (!gather->first_transport) {
-                       gather->first_transport = o.key.status();
-                     }
-                   } else {
-                     gather->any_rpc_ok = true;
-                     if (o.key.ok()) {
-                       gather->keys[i] = std::move(*o.key);
-                     }
-                   }
-                   if (--gather->remaining == 0) {
-                     finish();
-                   }
-                 });
-  }
-}
-
-Result<ShardRouter::KeyPairs> ShardRouter::GetKeys(
-    const std::vector<AuditId>& audit_ids) {
-  return queue_->Await<Result<KeyPairs>>(
-      [&](auto done) { GetKeysAsync(audit_ids, std::move(done)); });
-}
-
 void ShardRouter::GetKeysTypedAsync(
     const std::vector<MultiGetItem>& items,
     std::function<void(Result<MultiGetResult>)> done) {
@@ -251,6 +171,16 @@ void ShardRouter::GetKeysTypedAsync(
     });
     return;
   }
+  std::set<size_t> span;
+  for (const auto& item : items) {
+    span.insert(ring_.ShardFor(item.audit_id));
+  }
+  if (span.size() > 1) {
+    ++stats_.scatter_batches;
+  }
+  // The items ride the per-shard multi-get batches in request order, so
+  // on every shard a group's demand item lands before the prefetch rows
+  // it triggered, and all items issued this tick share the RPCs.
   struct Gather {
     size_t remaining = 0;
     std::vector<std::optional<FetchOutcome>> out;  // By request index.
@@ -301,84 +231,6 @@ Result<ShardRouter::MultiGetResult> ShardRouter::GetKeysTyped(
     const std::vector<MultiGetItem>& items) {
   return queue_->Await<Result<MultiGetResult>>(
       [&](auto done) { GetKeysTypedAsync(items, std::move(done)); });
-}
-
-void ShardRouter::FetchGroupAsync(
-    const AuditId& demand_id, const std::vector<AuditId>& prefetch_ids,
-    std::function<void(Result<GroupFetch>)> done) {
-  // The demand fetch and every prefetch ride the per-shard multi-get
-  // batches: the owning shard sees the demand item first (so its audit
-  // row lands before the prefetch rows it triggered), and all items
-  // issued this tick — including other calls' — share the RPCs.
-  std::vector<AuditId> prefetch;
-  prefetch.reserve(prefetch_ids.size());
-  for (const auto& id : prefetch_ids) {
-    if (id == demand_id) {
-      continue;
-    }
-    prefetch.push_back(id);
-  }
-  std::set<size_t> span;
-  span.insert(ring_.ShardFor(demand_id));
-  for (const auto& id : prefetch) {
-    span.insert(ring_.ShardFor(id));
-  }
-  if (span.size() > 1) {
-    ++stats_.scatter_batches;
-  }
-  struct Gather {
-    size_t remaining = 0;
-    std::optional<Result<Bytes>> demand;
-    std::vector<std::optional<Bytes>> keys;  // By prefetch index.
-  };
-  auto gather = std::make_shared<Gather>();
-  gather->remaining = 1 + prefetch.size();
-  gather->keys.resize(prefetch.size());
-  auto finish = [prefetch, done, gather] {
-    if (!gather->demand->ok()) {
-      // No demand key, no file access: the whole group fetch fails (any
-      // prefetched keys the shards logged were still fetched — the
-      // audit record stays honest).
-      done(gather->demand->status());
-      return;
-    }
-    GroupFetch merged;
-    merged.demand_key = std::move(**gather->demand);
-    for (size_t i = 0; i < prefetch.size(); ++i) {
-      if (gather->keys[i].has_value()) {
-        merged.prefetched.emplace_back(prefetch[i],
-                                       std::move(*gather->keys[i]));
-      }
-    }
-    done(std::move(merged));
-  };
-  EnqueueFetch(demand_id, AccessOp::kDemandFetch,
-               [gather, finish](FetchOutcome o) {
-                 gather->demand = std::move(o.key);
-                 if (--gather->remaining == 0) {
-                   finish();
-                 }
-               });
-  for (size_t i = 0; i < prefetch.size(); ++i) {
-    // Advisory prefetch: a miss or failed slice just drops the key (the
-    // failed RPC itself is already counted by the flush path).
-    EnqueueFetch(prefetch[i], AccessOp::kPrefetch,
-                 [gather, finish, i](FetchOutcome o) {
-                   if (o.key.ok()) {
-                     gather->keys[i] = std::move(*o.key);
-                   }
-                   if (--gather->remaining == 0) {
-                     finish();
-                   }
-                 });
-  }
-}
-
-Result<ShardRouter::GroupFetch> ShardRouter::FetchGroup(
-    const AuditId& demand_id, const std::vector<AuditId>& prefetch_ids) {
-  return queue_->Await<Result<GroupFetch>>([&](auto done) {
-    FetchGroupAsync(demand_id, prefetch_ids, std::move(done));
-  });
 }
 
 void ShardRouter::UploadJournalAsync(const std::vector<JournalEntry>& entries,

@@ -2,10 +2,11 @@
 //
 // Implements KeyClient over N per-shard KeyServiceClient stubs:
 //  * single-ID operations route to the owning shard (consistent-hash ring);
-//  * every fetch API — GetKey, GetKeys, GetKeysTyped, FetchGroup — is one
-//    per-item gather over the same fetch path, with results merged back in
-//    the caller's original order; UploadJournal batches split per shard
-//    and go out as parallel async scatter-gather;
+//  * GetKey and GetKeysTyped are one per-item gather over the same fetch
+//    path, with results merged back in the caller's original order
+//    (GetKeys and FetchGroup are KeyClient's bodies over GetKeysTyped);
+//    UploadJournal batches split per shard and go out as parallel async
+//    scatter-gather;
 //  * single-flight coalescing: concurrent GetKey misses on the same
 //    (audit id, op) share one in-flight RPC — the waiters all complete
 //    from the leader's response, and the audit log records one fetch (the
@@ -30,7 +31,6 @@
 #define SRC_KEYSERVICE_SHARD_ROUTER_H_
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <set>
@@ -88,23 +88,11 @@ class ShardRouter : public KeyClient {
                        AccessOp op = AccessOp::kDemandFetch) override;
   void GetKeyAsync(const AuditId& audit_id, AccessOp op,
                    std::function<void(Result<Bytes>)> done) override;
-  Result<std::vector<std::pair<AuditId, Bytes>>> GetKeys(
-      const std::vector<AuditId>& audit_ids) override;
-  void GetKeysAsync(
-      const std::vector<AuditId>& audit_ids,
-      std::function<void(Result<std::vector<std::pair<AuditId, Bytes>>>)>
-          done) override;
   Result<MultiGetResult> GetKeysTyped(
       const std::vector<MultiGetItem>& items) override;
   void GetKeysTypedAsync(
       const std::vector<MultiGetItem>& items,
       std::function<void(Result<MultiGetResult>)> done) override;
-  Result<GroupFetch> FetchGroup(
-      const AuditId& demand_id,
-      const std::vector<AuditId>& prefetch_ids) override;
-  void FetchGroupAsync(const AuditId& demand_id,
-                       const std::vector<AuditId>& prefetch_ids,
-                       std::function<void(Result<GroupFetch>)> done) override;
   Status UploadJournal(const std::vector<JournalEntry>& entries) override;
   void UploadJournalAsync(const std::vector<JournalEntry>& entries,
                           std::function<void(Status)> done) override;
@@ -121,7 +109,6 @@ class ShardRouter : public KeyClient {
   bool batch_fetch() const { return options_.batch_fetch; }
 
  private:
-  using KeyPairs = std::vector<std::pair<AuditId, Bytes>>;
   // Coalescing key: concurrent fetches only merge when they'd produce an
   // identical audit record (same id, same op).
   using FlightKey = std::pair<AuditId, int>;

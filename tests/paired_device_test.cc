@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "src/keypad/deployment.h"
+#include "src/keyservice/auth.h"
 
 namespace keypad {
 namespace {
@@ -23,6 +24,48 @@ class PairedDeviceTest : public ::testing::Test {
 
   Deployment dep_;
 };
+
+// Ids off the Bluetooth link are untrusted: a wrong-length id in any
+// argument is refused with InvalidArgument, never dereferenced.
+TEST_F(PairedDeviceTest, WrongLengthIdsAreRejected) {
+  const std::string device = dep_.device_id();
+  Bytes key_secret = *dep_.key_service().DeviceSecret(device);
+  Bytes meta_secret = *dep_.metadata_service().DeviceSecret(device);
+  const WireValue bad(Bytes(5, 0x01));
+  const WireValue name(std::string("x"));
+  auto call = [&](RpcClient& rpc, const Bytes& secret,
+                  const std::string& method, WireValue::Array payload) {
+    return rpc
+        .Call(method, FrameAuthedCall(device, secret, method,
+                                      std::move(payload)))
+        .status()
+        .code();
+  };
+  auto key_call = [&](const std::string& method, WireValue::Array payload) {
+    return call(dep_.key_rpc(), key_secret, method, std::move(payload));
+  };
+  auto meta_call = [&](const std::string& method, WireValue::Array payload) {
+    return call(dep_.meta_rpc(), meta_secret, method, std::move(payload));
+  };
+  const WireValue op(int64_t{1});
+  EXPECT_EQ(key_call("key.get", {bad, op}), StatusCode::kInvalidArgument);
+  EXPECT_EQ(key_call("key.create", {bad}), StatusCode::kInvalidArgument);
+  EXPECT_EQ(key_call("key.evict", {bad}), StatusCode::kInvalidArgument);
+  EXPECT_EQ(key_call("key.get_multi", {WireValue(WireValue::Array{bad}),
+                                       WireValue(WireValue::Array{op})}),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(meta_call("meta.register_root", {bad}),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(meta_call("meta.bind_file", {bad, bad, name, WireValue(false)}),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(meta_call("meta.mkdir", {bad, bad, name}),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(meta_call("meta.rename_dir", {bad, bad, name}),
+            StatusCode::kInvalidArgument);
+  // Nothing reached the journals.
+  EXPECT_EQ(dep_.phone()->key_journal_size(), 0u);
+  EXPECT_EQ(dep_.phone()->meta_journal_size(), 0u);
+}
 
 TEST_F(PairedDeviceTest, NormalOperationFlowsThroughPhone) {
   auto& fs = dep_.fs();

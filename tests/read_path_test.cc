@@ -18,6 +18,10 @@
 #include "src/keypad/key_cache.h"
 #include "src/keypad/prefetcher.h"
 #include "src/keyservice/key_service.h"
+#include "src/keyservice/key_service_client.h"
+#include "src/net/link.h"
+#include "src/net/profile.h"
+#include "src/rpc/rpc.h"
 
 namespace keypad {
 namespace {
@@ -232,6 +236,111 @@ TEST(RevocationTest, ReenableClearsTheNegativeCache) {
   ASSERT_TRUE(service.EnableDevice("laptop").ok());
   EXPECT_TRUE(service.GetKey("laptop", id).ok());
   EXPECT_TRUE(service.log().Verify().ok());
+}
+
+// The single-endpoint stub (unsharded deployments, the paired phone) sends
+// every batch as key.get_multi, so each attempted id earns its row.
+DeploymentOptions UnshardedOpts() {
+  DeploymentOptions options;
+  options.profile = LanProfile();
+  options.config.ibe_enabled = false;
+  options.config.prefetch = PrefetchPolicy::None();
+  return options;
+}
+
+size_t DeniedRows(const KeyService& service, const std::string& device) {
+  std::vector<AccessOp> ops = OpsFor(service, device);
+  return std::count(ops.begin(), ops.end(), AccessOp::kDenied);
+}
+
+TEST(RevocationTest, UnshardedBatchesAuditEveryAttemptedId) {
+  Deployment dep(UnshardedOpts());
+  ASSERT_EQ(dep.key_router(), nullptr);
+  auto ids = RandomIds(4, 9);
+  for (const auto& id : ids) {
+    ASSERT_TRUE(dep.key_client().CreateKey(id).ok());
+  }
+  ASSERT_TRUE(dep.key_service().DisableDevice(dep.device_id()).ok());
+
+  EXPECT_FALSE(
+      dep.key_client().FetchGroup(ids[0], {ids[1], ids[2], ids[3]}).ok());
+  EXPECT_EQ(DeniedRows(dep.key_service(), dep.device_id()), 4u);
+  EXPECT_FALSE(dep.key_client().GetKeys({ids[1], ids[2], ids[3]}).ok());
+  EXPECT_EQ(DeniedRows(dep.key_service(), dep.device_id()), 7u);
+  EXPECT_TRUE(dep.key_service().log().Verify().ok());
+}
+
+TEST(RevocationTest, DisabledPrefetchKeyLogsADeniedRow) {
+  Deployment dep(UnshardedOpts());
+  auto ids = RandomIds(3, 10);
+  for (const auto& id : ids) {
+    ASSERT_TRUE(dep.key_client().CreateKey(id).ok());
+  }
+  ASSERT_TRUE(dep.key_service().DisableKey(dep.device_id(), ids[2]).ok());
+
+  auto group = dep.key_client().FetchGroup(ids[0], {ids[1], ids[2]});
+  ASSERT_TRUE(group.ok());
+  ASSERT_EQ(group->prefetched.size(), 1u);
+  EXPECT_EQ(group->prefetched[0].first, ids[1]);
+  EXPECT_EQ(DeniedRows(dep.key_service(), dep.device_id()), 1u);
+  EXPECT_EQ(dep.key_service().log().entries().back().audit_id, ids[2]);
+}
+
+// --- The key.get_multi frame. ----------------------------------------------
+
+// A reply whose lengths do not match the request fails the call: a key is
+// never handed to the wrong id.
+TEST(MultiGetTest, MismatchedReplyFailsTheCall) {
+  EventQueue queue;
+  NetworkLink link(&queue, LanProfile());
+  RpcServer server(&queue, SimDuration::Micros(50));
+  RpcClient rpc(&queue, &link, &server);
+  KeyServiceClient client(&rpc, "laptop", Bytes(32, 0x11));
+  auto ids = RandomIds(2, 15);
+  const Bytes key(32, 0x42);
+  auto reply = [](std::vector<Bytes> keys, size_t misses) {
+    WireValue::Array key_values;
+    for (auto& k : keys) {
+      key_values.push_back(WireValue(std::move(k)));
+    }
+    WireValue::Array miss_values;
+    for (size_t i = 0; i < misses; ++i) {
+      WireValue::Struct miss;
+      miss.emplace("code",
+                   WireValue(static_cast<int64_t>(StatusCode::kNotFound)));
+      miss.emplace("msg", WireValue(std::string("no such key")));
+      miss_values.push_back(WireValue(std::move(miss)));
+    }
+    WireValue::Struct out;
+    out.emplace("keys", WireValue(std::move(key_values)));
+    out.emplace("misses", WireValue(std::move(miss_values)));
+    return WireValue(std::move(out));
+  };
+  WireValue next;
+  server.RegisterMethod("key.get_multi",
+                        [&next](const WireValue::Array&) -> Result<WireValue> {
+                          return next;
+                        });
+  std::vector<KeyClient::MultiGetItem> items = {
+      {ids[0], AccessOp::kDemandFetch}, {ids[1], AccessOp::kPrefetch}};
+
+  next = reply({key}, 0);  // Too few keys.
+  EXPECT_EQ(client.GetKeysTyped(items).status().code(), StatusCode::kDataLoss);
+  next = reply({key, Bytes()}, 0);  // An empty slot without its miss.
+  EXPECT_EQ(client.GetKeysTyped(items).status().code(), StatusCode::kDataLoss);
+  next = reply({key, key}, 1);  // A miss without its empty slot.
+  EXPECT_EQ(client.GetKeysTyped(items).status().code(), StatusCode::kDataLoss);
+  next = reply({key, key, key}, 0);  // Too many keys.
+  EXPECT_EQ(client.GetKeysTyped(items).status().code(), StatusCode::kDataLoss);
+
+  next = reply({Bytes(), key}, 1);
+  auto result = client.GetKeysTyped(items);
+  ASSERT_TRUE(result.ok());
+  ASSERT_EQ(result->keys.size(), 1u);
+  EXPECT_EQ(result->keys[0].first, ids[1]);
+  ASSERT_EQ(result->misses.size(), 1u);
+  EXPECT_EQ(result->misses[0].audit_id, ids[0]);
+  EXPECT_EQ(result->misses[0].status.code(), StatusCode::kNotFound);
 }
 
 // --- Batched router path (end to end over RPC). ------------------------------

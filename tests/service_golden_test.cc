@@ -113,9 +113,17 @@ Golden RunKeyHistory(SegmentedLogOptions log) {
   queue.AdvanceBy(SimDuration::Seconds(1));
   EXPECT_TRUE(service.GetKey("dev-a", a[0]).ok());
   EXPECT_TRUE(service.GetKey("dev-a", a[1], AccessOp::kRefresh).ok());
-  EXPECT_TRUE(service.GetKeys("dev-b", {b[0], b[1], AuditId{}}).ok());
+  EXPECT_TRUE(service
+                  .GetKeysTyped("dev-b", {{b[0], AccessOp::kPrefetch},
+                                          {b[1], AccessOp::kPrefetch},
+                                          {AuditId{}, AccessOp::kPrefetch}})
+                  .ok());
   recorder.Step();
-  EXPECT_TRUE(service.FetchGroup("dev-a", a[2], {a[3], a[0]}).ok());
+  EXPECT_TRUE(service
+                  .GetKeysTyped("dev-a", {{a[2], AccessOp::kDemandFetch},
+                                          {a[3], AccessOp::kPrefetch},
+                                          {a[0], AccessOp::kPrefetch}})
+                  .ok());
   EXPECT_TRUE(service
                   .GetKeysTyped("dev-b", {{b[2], AccessOp::kDemandFetch},
                                           {a[0], AccessOp::kPrefetch}})

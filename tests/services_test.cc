@@ -106,9 +106,12 @@ TEST_F(KeyServiceTest, BatchGetLogsEachKeySkipsUnknown) {
   service_.CreateKey("laptop", ids[0]);
   service_.CreateKey("laptop", ids[2]);
   size_t log_before = service_.log().size();
-  auto result = service_.GetKeys("laptop", ids);
+  auto result = service_.GetKeysTyped("laptop",
+                                      {{ids[0], AccessOp::kPrefetch},
+                                       {ids[1], AccessOp::kPrefetch},
+                                       {ids[2], AccessOp::kPrefetch}});
   ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->size(), 2u);  // ids[1] unknown -> skipped.
+  EXPECT_EQ(result->keys.size(), 2u);  // ids[1] unknown -> a miss, no row.
   EXPECT_EQ(service_.log().size(), log_before + 2);
   EXPECT_EQ(service_.log().entries().back().op, AccessOp::kPrefetch);
 }
@@ -131,27 +134,16 @@ TEST_F(KeyServiceTest, FetchGroupLogsDemandAndPrefetchDistinctly) {
   service_.CreateKey("laptop", sibling2);
   size_t before = service_.log().size();
 
-  auto group = service_.FetchGroup("laptop", demand, {sibling1, sibling2});
+  auto group = service_.GetKeysTyped("laptop",
+                                     {{demand, AccessOp::kDemandFetch},
+                                      {sibling1, AccessOp::kPrefetch},
+                                      {sibling2, AccessOp::kPrefetch}});
   ASSERT_TRUE(group.ok());
-  EXPECT_FALSE(group->demand_key.empty());
-  EXPECT_EQ(group->prefetched.size(), 2u);
+  EXPECT_EQ(group->keys.size(), 3u);
   ASSERT_EQ(service_.log().size(), before + 3);
   EXPECT_EQ(service_.log().entries()[before].op, AccessOp::kDemandFetch);
   EXPECT_EQ(service_.log().entries()[before + 1].op, AccessOp::kPrefetch);
   EXPECT_EQ(service_.log().entries()[before + 2].op, AccessOp::kPrefetch);
-}
-
-TEST_F(KeyServiceTest, FetchGroupDeduplicatesDemandFromPrefetchList) {
-  AuditId demand = NewId();
-  service_.CreateKey("laptop", demand);
-  auto group = service_.FetchGroup("laptop", demand, {demand});
-  ASSERT_TRUE(group.ok());
-  EXPECT_TRUE(group->prefetched.empty());
-}
-
-TEST_F(KeyServiceTest, FetchGroupFailsWhenDemandKeyMissing) {
-  auto group = service_.FetchGroup("laptop", NewId(), {});
-  EXPECT_EQ(group.status().code(), StatusCode::kNotFound);
 }
 
 TEST_F(KeyServiceTest, JournalUploadStoresKeysAndClientTimes) {
@@ -254,6 +246,26 @@ TEST_F(KeyServiceTest, TamperedSnapshotRejected) {
   EXPECT_TRUE(rejected_some);
 }
 
+TEST_F(KeyServiceTest, NegativeCacheCountsOneHitPerDeniedRow) {
+  std::vector<AuditId> ids = {NewId(), NewId(), NewId()};
+  for (const auto& id : ids) {
+    ASSERT_TRUE(service_.CreateKey("laptop", id).ok());
+  }
+  // Revocation puts the device in the negative cache.
+  ASSERT_TRUE(service_.DisableDevice("laptop").ok());
+  uint64_t before = service_.load_stats().negative_hits;
+  EXPECT_FALSE(service_
+                   .GetKeysTyped("laptop", {{ids[0], AccessOp::kDemandFetch},
+                                            {ids[1], AccessOp::kPrefetch},
+                                            {ids[2], AccessOp::kPrefetch}})
+                   .ok());
+  EXPECT_EQ(service_.load_stats().negative_hits, before + 3);
+  for (const auto& id : ids) {
+    EXPECT_FALSE(service_.GetKey("laptop", id).ok());
+  }
+  EXPECT_EQ(service_.load_stats().negative_hits, before + 6);
+}
+
 TEST(AuditLogTest, TamperingBreaksChain) {
   EventQueue queue;
   AuditLog log;
@@ -353,6 +365,24 @@ TEST_F(KeyServiceRpcTest, AsyncCreateCompletes) {
   queue_.RunUntilIdle();
   EXPECT_TRUE(done);
   EXPECT_TRUE(service_.GetKey("laptop", id).ok());
+}
+
+// FetchGroup is KeyClient's one body over the typed fetch: the demand id
+// is dropped from the prefetch list, and a missing demand key fails the
+// whole group.
+TEST_F(KeyServiceRpcTest, FetchGroupDeduplicatesDemandFromPrefetchList) {
+  AuditId demand = AuditId::Random(rng_);
+  ASSERT_TRUE(client_->CreateKey(demand).ok());
+  size_t before = service_.log().size();
+  auto group = client_->FetchGroup(demand, {demand});
+  ASSERT_TRUE(group.ok());
+  EXPECT_TRUE(group->prefetched.empty());
+  EXPECT_EQ(service_.log().size(), before + 1);
+}
+
+TEST_F(KeyServiceRpcTest, FetchGroupFailsWhenDemandKeyMissing) {
+  auto group = client_->FetchGroup(AuditId::Random(rng_), {});
+  EXPECT_EQ(group.status().code(), StatusCode::kNotFound);
 }
 
 // --- Metadata service. -----------------------------------------------------
