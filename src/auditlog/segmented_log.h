@@ -48,6 +48,7 @@
 #include "src/auditlog/checkpoint.h"
 #include "src/auditlog/log_options.h"
 #include "src/auditlog/merkle.h"
+#include "src/auditlog/seal.h"
 #include "src/auditlog/segment_store.h"
 #include "src/cryptocore/sha256.h"
 #include "src/util/bytes.h"
@@ -61,10 +62,10 @@ namespace keypad {
 //   static uint64_t Seq(const Entry&); static void SetSeq(Entry&, uint64_t);
 //   static uint64_t GroupStart(const Entry&);
 //   static void SetGroupStart(Entry&, uint64_t);   // no-op for per-entry chains
-//   static const Bytes& PrevHash(const Entry&);
-//   static void SetPrevHash(Entry&, Bytes);
-//   static const Bytes& EntryHash(const Entry&);
-//   static void SetEntryHash(Entry&, Bytes);
+//   static const Seal& PrevHash(const Entry&);
+//   static void SetPrevHash(Entry&, const Seal&);
+//   static const Seal& EntryHash(const Entry&);
+//   static void SetEntryHash(Entry&, const Seal&);
 //   static void SerializeEntry(const Entry&, Bytes*); // hash material, no prev
 //   static WireValue EntryToWire(const Entry&);
 //   static Result<Entry> EntryFromWire(const WireValue&);
@@ -74,7 +75,7 @@ class SegmentedLog {
  public:
   using Entry = typename Codec::Entry;
 
-  SegmentedLog() : base_seal_(32, 0) {}
+  SegmentedLog() = default;
   virtual ~SegmentedLog() = default;
 
   // --- Lifecycle configuration (call before the first append). ------------
@@ -140,7 +141,7 @@ class SegmentedLog {
   // Total chain length since genesis (including truncated prefixes).
   size_t size() const { return static_cast<size_t>(base_seq_) + entries_.size(); }
   uint64_t base_seq() const { return base_seq_; }
-  const Bytes& base_seal() const { return base_seal_; }
+  const Seal& base_seal() const { return base_seal_; }
   const std::vector<LogCheckpoint>& checkpoints() const { return checkpoints_; }
 
   // In-memory entries with seq >= next_seq — O(result) thanks to
@@ -209,11 +210,14 @@ class SegmentedLog {
     if (from_seq < base_seq_) {
       KP_ASSIGN_OR_RETURN(out, ColdEntries(from_seq, base_seq_, repair));
     }
-    for (const Entry& entry : entries_) {
-      if (Codec::Seq(entry) >= from_seq) {
-        out.push_back(entry);
-      }
+    uint64_t hot = std::max(from_seq, base_seq_);
+    if (hot >= size()) {
+      return out;
     }
+    out.reserve(out.size() + static_cast<size_t>(size() - hot));
+    out.insert(out.end(),
+               entries_.begin() + static_cast<ptrdiff_t>(hot - base_seq_),
+               entries_.end());
     return out;
   }
 
@@ -225,7 +229,7 @@ class SegmentedLog {
     KP_RETURN_IF_ERROR(VerifyCheckpointState());
     for (const LogCheckpoint& ckpt : checkpoints_) {
       if (ckpt.end_seq > base_seq_ && ckpt.end_seq <= size()) {
-        const Bytes& held =
+        const Seal& held =
             Codec::EntryHash(entries_[ckpt.end_seq - base_seq_ - 1]);
         if (held != ckpt.chain_seal) {
           return DataLossError(Name() + ": checkpoint seal mismatch at " +
@@ -233,7 +237,7 @@ class SegmentedLog {
         }
       }
     }
-    Bytes prev = base_seal_;
+    Seal prev = base_seal_;
     return VerifyRun(entries_, 0, entries_.size(), base_seq_, &prev);
   }
 
@@ -243,20 +247,16 @@ class SegmentedLog {
   Status VerifyTail() const {
     KP_RETURN_IF_ERROR(VerifyCheckpointState());
     uint64_t tail_start = base_seq_;
-    Bytes prev = base_seal_;
+    Seal prev = base_seal_;
     if (!checkpoints_.empty() && checkpoints_.back().end_seq > base_seq_) {
       tail_start = checkpoints_.back().end_seq;
-      prev = checkpoints_.back().chain_seal;
       if (tail_start > size()) {
         return DataLossError(Name() + ": checkpoint past log end");
       }
-      if (tail_start > base_seq_) {
-        const Bytes& held =
-            Codec::EntryHash(entries_[tail_start - base_seq_ - 1]);
-        if (held != prev) {
-          return DataLossError(Name() + ": checkpoint seal mismatch at " +
-                               std::to_string(checkpoints_.back().id));
-        }
+      prev = Codec::EntryHash(entries_[tail_start - base_seq_ - 1]);
+      if (prev != checkpoints_.back().chain_seal) {
+        return DataLossError(Name() + ": checkpoint seal mismatch at " +
+                             std::to_string(checkpoints_.back().id));
       }
     }
     return VerifyRun(entries_, tail_start - base_seq_, entries_.size(),
@@ -297,28 +297,16 @@ class SegmentedLog {
 
   // --- Restore / replication. ----------------------------------------------
 
-  // Adopts `entries` as the full log from genesis after verifying their
-  // chain — the legacy snapshot-restore path. Checkpoints are re-derived
-  // deterministically from the adopted commit groups (and re-shipped).
-  Status LoadVerified(std::vector<Entry> entries) {
-    Bytes prev(32, 0);
-    KP_RETURN_IF_ERROR(VerifyRun(entries, 0, entries.size(), 0, &prev));
-    AdoptLog(0, Bytes(32, 0), {}, std::move(entries));
-    RederiveCheckpoints();
-    MaybeTruncate();
-    return Status::Ok();
-  }
-
-  // Truncation-aware restore: adopts a snapshot carrying base seq/seal, the
+  // The restore path: adopts a snapshot carrying base seq/seal, the
   // checkpoint chain and the in-memory suffix. The base must sit on a
   // checkpoint boundary and the suffix must chain from the base seal.
-  Status LoadVerifiedWithBase(uint64_t base_seq, Bytes base_seal,
+  Status LoadVerifiedWithBase(uint64_t base_seq, const Seal& base_seal,
                               std::vector<LogCheckpoint> checkpoints,
                               std::vector<Entry> entries) {
     KP_RETURN_IF_ERROR(
         VerifyCheckpointChain(checkpoints, DefaultCheckpointKey()));
     if (base_seq == 0) {
-      if (base_seal != Bytes(32, 0)) {
+      if (base_seal != Seal()) {
         return DataLossError(Name() + ": nonzero base seal at genesis");
       }
     } else {
@@ -341,11 +329,10 @@ class SegmentedLog {
         checkpoints.back().end_seq > base_seq + entries.size()) {
       return DataLossError(Name() + ": checkpoint past snapshot end");
     }
-    Bytes prev = base_seal;
+    Seal prev = base_seal;
     KP_RETURN_IF_ERROR(
         VerifyRun(entries, 0, entries.size(), base_seq, &prev));
-    AdoptLog(base_seq, std::move(base_seal), std::move(checkpoints),
-             std::move(entries));
+    AdoptLog(base_seq, base_seal, std::move(checkpoints), std::move(entries));
     return Status::Ok();
   }
 
@@ -380,7 +367,7 @@ class SegmentedLog {
       }
       ++skip;
     }
-    Bytes prev = LastSeal();
+    Seal prev = LastSeal();
     size_t i = skip;
     std::vector<size_t> group_sizes;
     while (i < entries.size()) {
@@ -391,7 +378,7 @@ class SegmentedLog {
                              std::to_string(start));
       }
       Sha256 hasher;
-      hasher.Update(prev);
+      prev.HashInto(hasher);
       size_t j = i;
       for (; j < entries.size() && Codec::GroupStart(entries[j]) == start;
            ++j) {
@@ -405,8 +392,7 @@ class SegmentedLog {
         Codec::SerializeEntry(entry, &material);
         hasher.Update(material);
       }
-      Sha256::Digest digest = hasher.Finish();
-      Bytes seal(digest.begin(), digest.end());
+      const Seal seal(hasher.Finish());
       for (size_t k = i; k < j; ++k) {
         if (Codec::EntryHash(entries[k]) != seal) {
           return DataLossError(Name() + ": replicated seal mismatch at " +
@@ -442,25 +428,23 @@ class SegmentedLog {
         shipped_segments_ == 0 ? 0 : checkpoints_[shipped_segments_ - 1].end_seq;
     uint64_t limit = std::min(anchor, shipped_end);
     uint64_t new_base = base_seq_;
-    const Bytes* new_seal = nullptr;
     for (const LogCheckpoint& ckpt : checkpoints_) {
       if (ckpt.end_seq > limit) {
         break;
       }
-      if (ckpt.end_seq > new_base) {
-        new_base = ckpt.end_seq;
-        new_seal = &ckpt.chain_seal;
-      }
+      new_base = std::max(new_base, ckpt.end_seq);
     }
-    if (new_seal == nullptr || new_base == base_seq_) {
+    if (new_base == base_seq_) {
       return;
     }
+    // The new base is a checkpoint boundary, so the seal entering it is the
+    // checkpoint's chain seal: the last dropped entry's.
     size_t drop = static_cast<size_t>(new_base - base_seq_);
+    base_seal_ = Codec::EntryHash(entries_[drop - 1]);
     entries_.erase(entries_.begin(),
                    entries_.begin() + static_cast<ptrdiff_t>(drop));
     truncated_entries_ += drop;
     base_seq_ = new_base;
-    base_seal_ = *new_seal;
   }
 
   // --- Commit metrics (BENCH_scale.json / BENCH_auditlog.json). ------------
@@ -495,17 +479,16 @@ class SegmentedLog {
       return 0;
     }
     auto t0 = std::chrono::steady_clock::now();
-    Bytes prev = LastSeal();
+    const Seal prev = LastSeal();
     Sha256 hasher;
-    hasher.Update(prev);
+    prev.HashInto(hasher);
     Bytes material;
     for (const Entry& entry : staged_) {
       material.clear();
       Codec::SerializeEntry(entry, &material);
       hasher.Update(material);
     }
-    Sha256::Digest digest = hasher.Finish();
-    Bytes seal(digest.begin(), digest.end());
+    const Seal seal(hasher.Finish());
     uint64_t group_start = Codec::Seq(staged_.front());
     for (Entry& entry : staged_) {
       Codec::SetGroupStart(entry, group_start);
@@ -531,13 +514,13 @@ class SegmentedLog {
  private:
   static std::string Name() { return std::string(Codec::kName); }
 
-  Bytes LastSeal() const {
+  const Seal& LastSeal() const {
     return entries_.empty() ? base_seal_ : Codec::EntryHash(entries_.back());
   }
 
   // Chain seal immediately before absolute position `seq` (which must be in
   // [base_seq_, size()]).
-  const Bytes& SealBefore(uint64_t seq) const {
+  const Seal& SealBefore(uint64_t seq) const {
     return seq == base_seq_ ? base_seal_
                             : Codec::EntryHash(entries_[seq - base_seq_ - 1]);
   }
@@ -546,7 +529,7 @@ class SegmentedLog {
   // entry sits at absolute sequence `start_seq` with `*prev` the seal
   // entering it; leaves the final seal in *prev.
   Status VerifyRun(const std::vector<Entry>& span, size_t first, size_t last,
-                   uint64_t start_seq, Bytes* prev) const {
+                   uint64_t start_seq, Seal* prev) const {
     Bytes material;
     size_t i = first;
     while (i < last) {
@@ -556,7 +539,7 @@ class SegmentedLog {
                              std::to_string(abs));
       }
       Sha256 hasher;
-      hasher.Update(*prev);
+      prev->HashInto(hasher);
       size_t j = i;
       for (; j < last && Codec::GroupStart(span[j]) == abs; ++j) {
         const Entry& entry = span[j];
@@ -572,8 +555,7 @@ class SegmentedLog {
         Codec::SerializeEntry(entry, &material);
         hasher.Update(material);
       }
-      Sha256::Digest digest = hasher.Finish();
-      Bytes seal(digest.begin(), digest.end());
+      const Seal seal(hasher.Finish());
       for (size_t k = i; k < j; ++k) {
         if (Codec::EntryHash(span[k]) != seal) {
           return DataLossError(Name() + ": hash mismatch at " +
@@ -640,7 +622,7 @@ class SegmentedLog {
       return DataLossError(Name() + ": cold segment merkle mismatch at " +
                            std::to_string(ckpt.id));
     }
-    Bytes prev = segment.prev_seal;
+    KP_ASSIGN_OR_RETURN(Seal prev, Seal::FromBytes(segment.prev_seal));
     KP_RETURN_IF_ERROR(
         VerifyRun(decoded, 0, decoded.size(), ckpt.start_seq, &prev));
     if (prev != ckpt.chain_seal) {
@@ -711,15 +693,14 @@ class SegmentedLog {
     }
   }
 
-  // Wholesale adoption shared by both restore paths: swaps in the new
-  // state, rebuilds grouping stats from the group runs, and replays the
-  // adapter index hooks.
-  void AdoptLog(uint64_t base_seq, Bytes base_seal,
+  // Wholesale adoption on restore: swaps in the new state, rebuilds
+  // grouping stats from the group runs, and replays the adapter index hooks.
+  void AdoptLog(uint64_t base_seq, const Seal& base_seal,
                 std::vector<LogCheckpoint> checkpoints,
                 std::vector<Entry> entries) {
     entries_ = std::move(entries);
     base_seq_ = base_seq;
-    base_seal_ = std::move(base_seal);
+    base_seal_ = base_seal;
     checkpoints_ = std::move(checkpoints);
     staged_.clear();
     batch_depth_ = 0;
@@ -749,30 +730,6 @@ class SegmentedLog {
     }
   }
 
-  // After a legacy (genesis) restore: re-derive the checkpoints the same
-  // group sequence would have produced live, so replicas converge on one
-  // checkpoint chain regardless of how they obtained the log.
-  void RederiveCheckpoints() {
-    if (options_.segment_ops == 0) {
-      return;
-    }
-    size_t i = 0;
-    while (i < entries_.size()) {
-      size_t run = i;
-      uint64_t group = Codec::GroupStart(entries_[i]);
-      while (run < entries_.size() &&
-             Codec::GroupStart(entries_[run]) == group) {
-        ++run;
-      }
-      uint64_t last_end =
-          checkpoints_.empty() ? 0 : checkpoints_.back().end_seq;
-      if (run - last_end >= options_.segment_ops) {
-        SealSegment(last_end, run);
-      }
-      i = run;
-    }
-  }
-
   SegmentedLogOptions options_;
   SegmentStore* store_ = nullptr;
   std::string tier_;
@@ -782,7 +739,7 @@ class SegmentedLog {
   std::vector<Entry> staged_;
   int batch_depth_ = 0;
   uint64_t base_seq_ = 0;
-  Bytes base_seal_;  // Chain seal entering base_seq_ (zeros at genesis).
+  Seal base_seal_;  // Chain seal entering base_seq_ (zeros at genesis).
   std::vector<LogCheckpoint> checkpoints_;
   size_t shipped_segments_ = 0;  // Leading checkpoints whose segments landed.
 

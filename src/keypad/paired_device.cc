@@ -54,19 +54,23 @@ void PhoneProxy::JournalKeyAccess(const AuditId& id, AccessOp op) {
   entry.op = static_cast<int64_t>(op);
   entry.client_time = queue_->Now();
   key_journal_.push_back(std::move(entry));
-  if (online_) {
-    // Upload promptly so the service log stays current while connected —
-    // asynchronously, off everyone's critical path.
-    auto batch = std::move(key_journal_);
-    key_journal_.clear();
-    key_upstream_->UploadJournalAsync(batch, [this, batch](Status status) {
-      if (status.ok()) {
-        stats_.journal_entries_uploaded += batch.size();
-      } else {
-        key_journal_.insert(key_journal_.end(), batch.begin(), batch.end());
-      }
-    });
+}
+
+void PhoneProxy::UploadKeyJournal() {
+  if (!online_ || key_journal_.empty()) {
+    return;
   }
+  // Upload promptly so the service log stays current while connected —
+  // asynchronously, off everyone's critical path.
+  auto batch = std::move(key_journal_);
+  key_journal_.clear();
+  key_upstream_->UploadJournalAsync(batch, [this, batch](Status status) {
+    if (status.ok()) {
+      stats_.journal_entries_uploaded += batch.size();
+    } else {
+      key_journal_.insert(key_journal_.end(), batch.begin(), batch.end());
+    }
+  });
 }
 
 void PhoneProxy::FlushJournals() {
@@ -129,6 +133,7 @@ void PhoneProxy::BindHandlers() {
                if (auto key = hoard_.Lookup(*id)) {
                  ++stats_.served_from_hoard;
                  JournalKeyAccess(*id, op);
+                 UploadKeyJournal();
                  respond(WireValue(*key));
                  return;
                }
@@ -192,8 +197,8 @@ void PhoneProxy::BindHandlers() {
              }));
 
   // Hoarded items are served from the hoard and journaled, each with its
-  // own op; the rest go upstream as one typed call. The reply is the
-  // service's own positional frame (DESIGN.md §26).
+  // own op, in one upload; the rest go upstream as one typed call. The
+  // reply is the service's own positional frame (DESIGN.md §26).
   server_.RegisterAsyncMethod(
       "key.get_multi",
       authed("key.get_multi", key_secret_,
@@ -218,6 +223,7 @@ void PhoneProxy::BindHandlers() {
                  released->push_back(
                      UnavailableError("phone: offline, key not hoarded"));
                }
+               UploadKeyJournal();
                if (upstream.empty() || !online_) {
                  respond(EncodeMultiGetReply(std::move(*released)));
                  return;
@@ -263,6 +269,7 @@ void PhoneProxy::BindHandlers() {
                  return;
                }
                JournalKeyAccess(*id, AccessOp::kEviction);
+               UploadKeyJournal();
                respond(WireValue(true));
              }));
 

@@ -7,8 +7,8 @@
 //  * hoards recently used keys and serves them locally (a caching proxy
 //    that hides cellular RTTs — Fig. 8b);
 //  * when its uplink is connected, forwards misses upstream and immediately
-//    uploads a journal record for every hoard-served access, so the
-//    services' logs stay complete;
+//    uploads a journal record for every hoard-served access (one upload per
+//    request), so the services' logs stay complete;
 //  * when disconnected, serves from the hoard, locally generates remote
 //    keys for new files, and journals every access/creation/namespace
 //    event; on reconnection it uploads the journals in bulk.
@@ -70,7 +70,10 @@ class PhoneProxy {
 
  private:
   void BindHandlers();
+  // Journals one hoard-served access (or eviction notice); while the uplink
+  // is up, UploadKeyJournal then sends the whole journal in one upload.
   void JournalKeyAccess(const AuditId& id, AccessOp op);
+  void UploadKeyJournal();
   void FlushJournals();
 
   EventQueue* queue_;

@@ -35,8 +35,8 @@ WireValue AuditLogEntry::ToWire() const {
   s.emplace("device", WireValue(device_id));
   s.emplace("audit_id", WireValue(audit_id.ToBytes()));
   s.emplace("op", WireValue(static_cast<int64_t>(op)));
-  s.emplace("prev_hash", WireValue(prev_hash));
-  s.emplace("hash", WireValue(entry_hash));
+  s.emplace("prev_hash", WireValue(prev_hash.ToBytes()));
+  s.emplace("hash", WireValue(entry_hash.ToBytes()));
   return WireValue(std::move(s));
 }
 
@@ -68,9 +68,11 @@ Result<AuditLogEntry> AuditLogEntry::FromWire(const WireValue& value) {
   KP_ASSIGN_OR_RETURN(int64_t op_int, op.AsInt());
   entry.op = static_cast<AccessOp>(op_int);
   KP_ASSIGN_OR_RETURN(WireValue prev, value.Field("prev_hash"));
-  KP_ASSIGN_OR_RETURN(entry.prev_hash, prev.AsBytes());
+  KP_ASSIGN_OR_RETURN(Bytes prev_bytes, prev.AsBytes());
+  KP_ASSIGN_OR_RETURN(entry.prev_hash, Seal::FromBytes(prev_bytes));
   KP_ASSIGN_OR_RETURN(WireValue hash, value.Field("hash"));
-  KP_ASSIGN_OR_RETURN(entry.entry_hash, hash.AsBytes());
+  KP_ASSIGN_OR_RETURN(Bytes hash_bytes, hash.AsBytes());
+  KP_ASSIGN_OR_RETURN(entry.entry_hash, Seal::FromBytes(hash_bytes));
   return entry;
 }
 
@@ -82,8 +84,8 @@ void AuditLogEntry::AppendFlat(Bytes* out) const {
   AppendBlob(*out, device_id);
   out->insert(out->end(), audit_id.v.begin(), audit_id.v.end());
   out->push_back(static_cast<uint8_t>(op));
-  AppendBlob(*out, prev_hash);
-  AppendBlob(*out, entry_hash);
+  prev_hash.AppendBlob(out);
+  entry_hash.AppendBlob(out);
 }
 
 bool AuditLogEntry::ReadFlat(ByteReader& in, AuditLogEntry* entry) {
@@ -94,7 +96,8 @@ bool AuditLogEntry::ReadFlat(ByteReader& in, AuditLogEntry* entry) {
       !in.U64(&cts) || !in.Str(&entry->device_id) ||
       !in.Copy(entry->audit_id.v.data(), entry->audit_id.v.size()) ||
       !in.U8(&op) || op > static_cast<uint8_t>(AccessOp::kRestore) ||
-      !in.Blob(&entry->prev_hash) || !in.Blob(&entry->entry_hash)) {
+      !Seal::ReadBlob(in, &entry->prev_hash) ||
+      !Seal::ReadBlob(in, &entry->entry_hash)) {
     return false;
   }
   entry->timestamp = SimTime(static_cast<int64_t>(ts));

@@ -67,15 +67,16 @@ struct AuditLogEntry {
   std::string device_id;
   AuditId audit_id;
   AccessOp op = AccessOp::kDemandFetch;
-  Bytes prev_hash;
-  Bytes entry_hash;
+  Seal prev_hash;   // The seal entering this row's commit group.
+  Seal entry_hash;  // The group's own seal.
 
   WireValue ToWire() const;
   static Result<AuditLogEntry> FromWire(const WireValue& value);
 
   // Flat row for the audit RPC surface (DESIGN.md §19): every field above,
   // chain hashes included, big-endian or length-prefixed. ReadFlat fails on
-  // a short input or an unknown op.
+  // a short input, an unknown op or a seal that is not 32 bytes (as
+  // FromWire does).
   void AppendFlat(Bytes* out) const;
   static bool ReadFlat(ByteReader& in, AuditLogEntry* entry);
 };
@@ -93,14 +94,10 @@ struct AuditLogCodec {
   static void SetGroupStart(Entry& e, uint64_t start) {
     e.group_start = start;
   }
-  static const Bytes& PrevHash(const Entry& e) { return e.prev_hash; }
-  static void SetPrevHash(Entry& e, Bytes prev) {
-    e.prev_hash = std::move(prev);
-  }
-  static const Bytes& EntryHash(const Entry& e) { return e.entry_hash; }
-  static void SetEntryHash(Entry& e, Bytes hash) {
-    e.entry_hash = std::move(hash);
-  }
+  static const Seal& PrevHash(const Entry& e) { return e.prev_hash; }
+  static void SetPrevHash(Entry& e, const Seal& prev) { e.prev_hash = prev; }
+  static const Seal& EntryHash(const Entry& e) { return e.entry_hash; }
+  static void SetEntryHash(Entry& e, const Seal& hash) { e.entry_hash = hash; }
   // Canonical per-entry hash material (everything except the chain fields).
   static void SerializeEntry(const Entry& entry, Bytes* out);
   static WireValue EntryToWire(const Entry& e) { return e.ToWire(); }
@@ -111,7 +108,7 @@ struct AuditLogCodec {
 };
 
 // The adapter adds only the key tier's append signature; everything else —
-// batching, cursors, Verify/LoadVerified/AppendReplicated, checkpoints,
+// batching, cursors, Verify/LoadVerifiedWithBase/AppendReplicated, checkpoints,
 // truncation, cold fetch — is the substrate, shared with MetadataLog.
 class AuditLog : public SegmentedLog<AuditLogCodec> {
  public:

@@ -46,8 +46,8 @@ WireValue MetadataRecord::ToWire() const {
   s.emplace("parent_dir_id", WireValue(parent_dir_id.ToBytes()));
   s.emplace("name", WireValue(name));
   s.emplace("attr", WireValue(attr));
-  s.emplace("prev_hash", WireValue(prev_hash));
-  s.emplace("hash", WireValue(entry_hash));
+  s.emplace("prev_hash", WireValue(prev_hash.ToBytes()));
+  s.emplace("hash", WireValue(entry_hash.ToBytes()));
   return WireValue(std::move(s));
 }
 
@@ -81,9 +81,11 @@ Result<MetadataRecord> MetadataRecord::FromWire(const WireValue& value) {
   KP_ASSIGN_OR_RETURN(WireValue attr, value.Field("attr"));
   KP_ASSIGN_OR_RETURN(record.attr, attr.AsString());
   KP_ASSIGN_OR_RETURN(WireValue prev, value.Field("prev_hash"));
-  KP_ASSIGN_OR_RETURN(record.prev_hash, prev.AsBytes());
+  KP_ASSIGN_OR_RETURN(Bytes prev_bytes, prev.AsBytes());
+  KP_ASSIGN_OR_RETURN(record.prev_hash, Seal::FromBytes(prev_bytes));
   KP_ASSIGN_OR_RETURN(WireValue hash, value.Field("hash"));
-  KP_ASSIGN_OR_RETURN(record.entry_hash, hash.AsBytes());
+  KP_ASSIGN_OR_RETURN(Bytes hash_bytes, hash.AsBytes());
+  KP_ASSIGN_OR_RETURN(record.entry_hash, Seal::FromBytes(hash_bytes));
   return record;
 }
 
@@ -98,8 +100,8 @@ void MetadataRecord::AppendFlat(Bytes* out) const {
   out->insert(out->end(), parent_dir_id.v.begin(), parent_dir_id.v.end());
   AppendBlob(*out, name);
   AppendBlob(*out, attr);
-  AppendBlob(*out, prev_hash);
-  AppendBlob(*out, entry_hash);
+  prev_hash.AppendBlob(out);
+  entry_hash.AppendBlob(out);
 }
 
 bool MetadataRecord::ReadFlat(ByteReader& in, MetadataRecord* record) {
@@ -114,7 +116,8 @@ bool MetadataRecord::ReadFlat(ByteReader& in, MetadataRecord* record) {
       !in.Copy(record->parent_dir_id.v.data(),
                record->parent_dir_id.v.size()) ||
       !in.Str(&record->name) || !in.Str(&record->attr) ||
-      !in.Blob(&record->prev_hash) || !in.Blob(&record->entry_hash)) {
+      !Seal::ReadBlob(in, &record->prev_hash) ||
+      !Seal::ReadBlob(in, &record->entry_hash)) {
     return false;
   }
   record->timestamp = SimTime(static_cast<int64_t>(ts));
@@ -223,11 +226,11 @@ std::vector<MetadataRecord> MetadataLog::AllKnownRecords() const {
 }
 
 Status MetadataLog::RestoreWithColdIndex(
-    std::vector<MetadataRecord> cold, uint64_t base_seq, Bytes base_seal,
+    std::vector<MetadataRecord> cold, uint64_t base_seq, const Seal& base_seal,
     std::vector<LogCheckpoint> checkpoints,
     std::vector<MetadataRecord> suffix) {
   pending_cold_ = std::move(cold);
-  Status status = LoadVerifiedWithBase(base_seq, std::move(base_seal),
+  Status status = LoadVerifiedWithBase(base_seq, base_seal,
                                        std::move(checkpoints),
                                        std::move(suffix));
   pending_cold_.clear();

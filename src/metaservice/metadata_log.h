@@ -59,8 +59,8 @@ struct MetadataRecord {
   DirId parent_dir_id;   // Directory records only.
   std::string name;      // New leaf name.
   std::string attr;      // kSetAttr payload ("key=value").
-  Bytes prev_hash;
-  Bytes entry_hash;
+  Seal prev_hash;   // The seal entering this row's commit group.
+  Seal entry_hash;  // The group's own seal.
 
   // Wire form for service snapshots (crash/restart simulation).
   WireValue ToWire() const;
@@ -68,7 +68,8 @@ struct MetadataRecord {
 
   // Flat row for audit.meta_log_tail (DESIGN.md §19): every field above,
   // chain hashes included, big-endian or length-prefixed. ReadFlat fails on
-  // a short input or an unknown op.
+  // a short input, an unknown op or a seal that is not 32 bytes (as
+  // FromWire does).
   void AppendFlat(Bytes* out) const;
   static bool ReadFlat(ByteReader& in, MetadataRecord* record);
 };
@@ -86,14 +87,10 @@ struct MetadataLogCodec {
   static void SetSeq(Entry& e, uint64_t seq) { e.seq = seq; }
   static uint64_t GroupStart(const Entry& e) { return e.seq; }
   static void SetGroupStart(Entry&, uint64_t) {}
-  static const Bytes& PrevHash(const Entry& e) { return e.prev_hash; }
-  static void SetPrevHash(Entry& e, Bytes prev) {
-    e.prev_hash = std::move(prev);
-  }
-  static const Bytes& EntryHash(const Entry& e) { return e.entry_hash; }
-  static void SetEntryHash(Entry& e, Bytes hash) {
-    e.entry_hash = std::move(hash);
-  }
+  static const Seal& PrevHash(const Entry& e) { return e.prev_hash; }
+  static void SetPrevHash(Entry& e, const Seal& prev) { e.prev_hash = prev; }
+  static const Seal& EntryHash(const Entry& e) { return e.entry_hash; }
+  static void SetEntryHash(Entry& e, const Seal& hash) { e.entry_hash = hash; }
   static void SerializeEntry(const Entry& record, Bytes* out);
   static WireValue EntryToWire(const Entry& e) { return e.ToWire(); }
   static Result<Entry> EntryFromWire(const WireValue& value) {
@@ -131,7 +128,7 @@ class MetadataLog : public SegmentedLog<MetadataLogCodec> {
   // Truncation-aware restore: `cold` carries the pre-base records for the
   // binding index (namespace state), the rest restores the chain itself.
   Status RestoreWithColdIndex(std::vector<MetadataRecord> cold,
-                              uint64_t base_seq, Bytes base_seal,
+                              uint64_t base_seq, const Seal& base_seal,
                               std::vector<LogCheckpoint> checkpoints,
                               std::vector<MetadataRecord> suffix);
 

@@ -270,14 +270,14 @@ Result<std::function<void()>> MetadataService::ParseState(
 
 Status MetadataService::LoadLogWithBase(MetadataLog& log,
                                         const WireValue& snapshot,
-                                        uint64_t base_seq, Bytes base_seal,
+                                        uint64_t base_seq,
+                                        const Seal& base_seal,
                                         std::vector<LogCheckpoint> checkpoints,
                                         std::vector<MetadataRecord> rows) {
   KP_ASSIGN_OR_RETURN(std::vector<MetadataRecord> cold,
                       FromWireList<MetadataRecord>(snapshot, "cold_bindings"));
-  return log.RestoreWithColdIndex(std::move(cold), base_seq,
-                                  std::move(base_seal), std::move(checkpoints),
-                                  std::move(rows));
+  return log.RestoreWithColdIndex(std::move(cold), base_seq, base_seal,
+                                  std::move(checkpoints), std::move(rows));
 }
 
 void MetadataService::BindRpc(RpcServer* server) {

@@ -157,7 +157,7 @@ class MetadataService : public ServiceShell<MetaTier> {
   void SnapshotState(WireValue::Struct& snapshot) const override;
   Result<std::function<void()>> ParseState(const WireValue& snapshot) override;
   Status LoadLogWithBase(MetadataLog& log, const WireValue& snapshot,
-                         uint64_t base_seq, Bytes base_seal,
+                         uint64_t base_seq, const Seal& base_seal,
                          std::vector<LogCheckpoint> checkpoints,
                          std::vector<MetadataRecord> rows) override;
 

@@ -32,6 +32,7 @@
 #include <vector>
 
 #include "src/auditlog/log_options.h"
+#include "src/auditlog/seal.h"
 #include "src/auditlog/segment_store.h"
 #include "src/blockdev/cloud_store.h"
 #include "src/cryptocore/secure_random.h"
@@ -310,10 +311,10 @@ class ServiceShell {
       const WireValue& snapshot) = 0;
   // Adopts a snapshot's lifecycle-aware log into `log`.
   virtual Status LoadLogWithBase(Log& log, const WireValue& /*snapshot*/,
-                                 uint64_t base_seq, Bytes base_seal,
+                                 uint64_t base_seq, const Seal& base_seal,
                                  std::vector<LogCheckpoint> checkpoints,
                                  std::vector<Row> rows) {
-    return log.LoadVerifiedWithBase(base_seq, std::move(base_seal),
+    return log.LoadVerifiedWithBase(base_seq, base_seal,
                                     std::move(checkpoints), std::move(rows));
   }
 
@@ -508,10 +509,10 @@ Bytes ServiceShell<Tier>::Snapshot() const {
   snapshot.emplace("devices", WireValue(std::move(devices)));
   snapshot.emplace("log", ToWireList(log_.entries()));
   // Lifecycle state (DESIGN.md §15): the truncation base and the signed
-  // checkpoint chain. Pre-lifecycle snapshots simply lack these fields.
+  // checkpoint chain. Every snapshot carries them; Restore requires them.
   snapshot.emplace("log_base",
                    WireValue(static_cast<int64_t>(log_.base_seq())));
-  snapshot.emplace("log_base_seal", WireValue(log_.base_seal()));
+  snapshot.emplace("log_base_seal", WireValue(log_.base_seal().ToBytes()));
   snapshot.emplace("ckpts", ToWireList(log_.checkpoints()));
   SnapshotState(snapshot);
   return BinaryEncode(WireValue(std::move(snapshot)));
@@ -522,32 +523,31 @@ Status ServiceShell<Tier>::Restore(const Bytes& snapshot) {
   KP_ASSIGN_OR_RETURN(WireValue value, BinaryDecode(snapshot));
 
   // Rebuild the log first and verify its full chain (group seals and
-  // checkpoint signatures included) before touching anything. The loaders
-  // keep the snapshotted commit-group boundaries, so a restored log hashes
+  // checkpoint signatures included) before touching anything. The loader
+  // keeps the snapshotted commit-group boundaries, so a restored log hashes
   // exactly as the original — re-appending would re-derive single-entry
   // groups and break every multi-entry seal.
+  if (!value.HasField("log_base")) {
+    return DataLossError(Error("snapshot has no log base"));
+  }
   KP_ASSIGN_OR_RETURN(std::vector<Row> rows, FromWireList<Row>(value, "log"));
+  KP_ASSIGN_OR_RETURN(WireValue base_v, value.Field("log_base"));
+  KP_ASSIGN_OR_RETURN(int64_t base_seq, base_v.AsInt());
+  KP_ASSIGN_OR_RETURN(WireValue seal_v, value.Field("log_base_seal"));
+  KP_ASSIGN_OR_RETURN(Bytes seal_bytes, seal_v.AsBytes());
+  KP_ASSIGN_OR_RETURN(Seal base_seal, Seal::FromBytes(seal_bytes));
+  KP_ASSIGN_OR_RETURN(std::vector<LogCheckpoint> ckpts,
+                      FromWireList<LogCheckpoint>(value, "ckpts"));
   Log restored_log;
   restored_log.Configure(log_.log_options());
   if (segment_store_) {
     restored_log.set_segment_store(segment_store_.get(), Tier::kName);
   }
   restored_log.set_truncate_anchor(log_.truncate_anchor());
-  Status log_status;
-  if (value.HasField("log_base")) {
-    KP_ASSIGN_OR_RETURN(WireValue base_v, value.Field("log_base"));
-    KP_ASSIGN_OR_RETURN(int64_t base_seq, base_v.AsInt());
-    KP_ASSIGN_OR_RETURN(WireValue seal_v, value.Field("log_base_seal"));
-    KP_ASSIGN_OR_RETURN(Bytes base_seal, seal_v.AsBytes());
-    KP_ASSIGN_OR_RETURN(std::vector<LogCheckpoint> ckpts,
-                        FromWireList<LogCheckpoint>(value, "ckpts"));
-    log_status = LoadLogWithBase(restored_log, value,
-                                 static_cast<uint64_t>(base_seq),
-                                 std::move(base_seal), std::move(ckpts),
-                                 std::move(rows));
-  } else {
-    log_status = restored_log.LoadVerified(std::move(rows));
-  }
+  Status log_status = LoadLogWithBase(restored_log, value,
+                                      static_cast<uint64_t>(base_seq),
+                                      base_seal, std::move(ckpts),
+                                      std::move(rows));
   if (!log_status.ok()) {
     return DataLossError(Error("snapshot log chain mismatch"));
   }
@@ -651,16 +651,24 @@ void ServiceShell<Tier>::InstallAuditRpc(RpcServer* server) {
             // Checkpoints vouch for the sealed prefix; only the tail after
             // the latest checkpoint is replayed per request.
             KP_RETURN_IF_ERROR(log_.VerifyTail());
+            // Only the caller's rows are copied: cold rows are decoded
+            // (and so copied) anyway, hot rows are picked out in place.
             uint64_t from = static_cast<uint64_t>(next_seq);
             std::vector<Row> rows;
             if (from < log_.base_seq()) {
-              KP_ASSIGN_OR_RETURN(rows, log_.AllEntriesFromSeq(from));
-            } else {
-              rows = log_.EntriesAfterSeq(from);
+              KP_ASSIGN_OR_RETURN(rows,
+                                  log_.ColdEntries(from, log_.base_seq()));
+              std::erase_if(rows, [&](const Row& row) {
+                return row.device_id != device;
+              });
             }
-            std::erase_if(rows, [&](const Row& row) {
-              return row.device_id != device;
-            });
+            const std::vector<Row>& hot = log_.entries();
+            uint64_t skip = from > log_.base_seq() ? from - log_.base_seq() : 0;
+            for (uint64_t i = skip; i < hot.size(); ++i) {
+              if (hot[i].device_id == device) {
+                rows.push_back(hot[i]);
+              }
+            }
             // "next" covers the whole committed log, not just this device's
             // rows, so the cursor advances past other devices' rows too.
             // The rows travel as one flat blob (DESIGN.md §19).

@@ -1,9 +1,13 @@
 // Tests for the flat row encoding of the audit RPC bodies (DESIGN.md §19):
 // key-tier rows, metadata rows and path annotations must round-trip every
 // field, and a truncated or padded blob must be rejected without reading
-// past its end.
+// past its end. A row's seals are 32 bytes in every encoding (DESIGN.md
+// §27): a row carrying any other width fails to decode.
 
 #include <gtest/gtest.h>
+
+#include <utility>
+#include <variant>
 
 #include "src/keyservice/audit_log.h"
 #include "src/metaservice/metadata_service.h"
@@ -18,6 +22,12 @@ FixedId<N> IdFilledWith(uint8_t byte) {
   return id;
 }
 
+Seal SealFilledWith(uint8_t byte) {
+  Seal seal;
+  seal.v.fill(byte);
+  return seal;
+}
+
 std::vector<AuditLogEntry> SampleEntries() {
   AuditLogEntry a;
   a.seq = 7;
@@ -27,9 +37,9 @@ std::vector<AuditLogEntry> SampleEntries() {
   a.device_id = "laptop";
   a.audit_id = IdFilledWith<24>(0x11);
   a.op = AccessOp::kPrefetch;
-  a.prev_hash = Bytes(32, 0x22);
-  a.entry_hash = Bytes(32, 0x33);
-  AuditLogEntry b;  // Empty device and hashes, the last op.
+  a.prev_hash = SealFilledWith(0x22);
+  a.entry_hash = SealFilledWith(0x33);
+  AuditLogEntry b;  // Empty device, genesis (all-zero) seals, the last op.
   b.seq = UINT64_MAX;
   b.op = AccessOp::kRestore;
   return {a, b};
@@ -46,8 +56,8 @@ std::vector<MetadataRecord> SampleRecords() {
   a.dir_id = IdFilledWith<16>(0x55);
   a.parent_dir_id = IdFilledWith<16>(0x66);
   a.name = "report.pdf";
-  a.prev_hash = Bytes(32, 0x77);
-  a.entry_hash = Bytes(32, 0x88);
+  a.prev_hash = SealFilledWith(0x77);
+  a.entry_hash = SealFilledWith(0x88);
   MetadataRecord b;  // Empty name and attr.
   b.seq = 4;
   b.op = MetadataOp::kSetAttr;
@@ -158,6 +168,55 @@ TEST(FlatRowCodecTest, RejectsUnknownOpsAndHostileCounts) {
   AppendBlob(hostile_paths, std::string_view("/a"));
   AppendU32Be(hostile_paths, UINT32_MAX);
   EXPECT_FALSE(DecodeFlatRows<FileAnnotation>(hostile_paths).ok());
+}
+
+// `row`'s flat encoding with its two seals (the row's last two blobs)
+// replaced by blobs of the given widths.
+template <typename Row>
+Bytes FlatWithSealWidths(const Row& row, size_t prev_width,
+                         size_t hash_width) {
+  Bytes flat;
+  row.AppendFlat(&flat);
+  flat.resize(flat.size() - 2 * (4 + 32));
+  AppendBlob(flat, Bytes(prev_width, 0x5a));
+  AppendBlob(flat, Bytes(hash_width, 0xa5));
+  return flat;
+}
+
+// `row`'s wire struct with its two seals replaced likewise.
+template <typename Row>
+WireValue WireWithSealWidths(const Row& row, size_t prev_width,
+                             size_t hash_width) {
+  WireValue::Struct fields = std::get<WireValue::Struct>(row.ToWire().raw());
+  fields["prev_hash"] = WireValue(Bytes(prev_width, 0x5a));
+  fields["hash"] = WireValue(Bytes(hash_width, 0xa5));
+  return WireValue(std::move(fields));
+}
+
+// Only 32-byte seals decode, from the flat row and from the wire struct.
+template <typename Row>
+void ExpectSealsFixedWidth(const Row& row) {
+  const std::pair<size_t, size_t> widths[] = {
+      {32, 32}, {31, 32}, {32, 33}, {0, 32}, {32, 0}, {64, 64}};
+  for (const auto& [prev, hash] : widths) {
+    const bool valid = prev == 32 && hash == 32;
+    Bytes flat = FlatWithSealWidths(row, prev, hash);
+    ByteReader in(flat);
+    Row parsed;
+    EXPECT_EQ(Row::ReadFlat(in, &parsed) && in.at_end(), valid)
+        << "ReadFlat, seal widths " << prev << "/" << hash;
+    Result<Row> from_wire = Row::FromWire(WireWithSealWidths(row, prev, hash));
+    EXPECT_EQ(from_wire.ok(), valid)
+        << "FromWire, seal widths " << prev << "/" << hash;
+    if (!valid && !from_wire.ok()) {
+      EXPECT_EQ(from_wire.status().code(), StatusCode::kDataLoss);
+    }
+  }
+}
+
+TEST(FlatRowCodecTest, SealsAreFixedWidthOnDecode) {
+  ExpectSealsFixedWidth(SampleEntries()[0]);
+  ExpectSealsFixedWidth(SampleRecords()[0]);
 }
 
 }  // namespace

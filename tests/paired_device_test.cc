@@ -6,6 +6,7 @@
 
 #include "src/keypad/deployment.h"
 #include "src/keyservice/auth.h"
+#include "src/keyservice/key_service_client.h"
 
 namespace keypad {
 namespace {
@@ -208,6 +209,56 @@ TEST_F(PairedDeviceTest, PhoneLossExposureIsItsHoard) {
   // exposure the auditor must assume.
   auto hoarded = dep_.phone()->HoardedKeys();
   EXPECT_EQ(hoarded.size(), 4u);
+}
+
+// An online get_multi of k hoarded keys journals all k accesses in one
+// upload: one key.upload_journal request and one commit group at the key
+// service, whose rows keep the request's order and each item's op.
+TEST_F(PairedDeviceTest, HoardedMultiGetUploadsItsJournalOnce) {
+  auto& fs = dep_.fs();
+  std::vector<KeyClient::MultiGetItem> items;
+  for (int i = 0; i < 4; ++i) {
+    std::string path = "/f" + std::to_string(i);
+    ASSERT_TRUE(fs.Create(path).ok());
+    ASSERT_TRUE(fs.WriteAll(path, BytesOf("v")).ok());
+    AccessOp op = i % 2 == 0 ? AccessOp::kDemandFetch : AccessOp::kPrefetch;
+    items.push_back({fs.ReadHeaderOf(path)->audit_id, op});
+  }
+  ASSERT_EQ(dep_.phone()->hoard_size(), items.size());
+
+  const std::string device = dep_.device_id();
+  const Bytes secret = *dep_.key_service().DeviceSecret(device);
+  const AuditLog& log = dep_.key_service().log();
+  RpcServer& server = dep_.key_replica_rpc_server(0, 0);
+  const uint64_t requests = server.requests_handled();
+  const uint64_t groups = log.commit_groups();
+  const size_t rows = log.size();
+  const uint64_t hoard_served = dep_.phone()->stats().served_from_hoard;
+
+  const std::string method = "key.get_multi";
+  Result<WireValue> reply = dep_.key_rpc().Call(
+      method,
+      FrameAuthedCall(device, secret, method, EncodeMultiGetRequest(items)));
+  ASSERT_TRUE(reply.ok()) << reply.status();
+  Result<KeyClient::MultiGetResult> result = DecodeMultiGetReply(items, *reply);
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_EQ(result->keys.size(), items.size());
+  EXPECT_TRUE(result->misses.empty());
+  // Long enough for the upload's cellular round trip, well short of any
+  // cache expiry.
+  dep_.queue().AdvanceBy(SimDuration::Seconds(2));
+
+  EXPECT_EQ(dep_.phone()->stats().served_from_hoard - hoard_served,
+            items.size());
+  EXPECT_EQ(server.requests_handled() - requests, 1u);
+  EXPECT_EQ(log.commit_groups() - groups, 1u);
+  ASSERT_EQ(log.size() - rows, items.size());
+  for (size_t i = 0; i < items.size(); ++i) {
+    const AuditLogEntry& row = log.entries()[rows + i];
+    EXPECT_EQ(row.audit_id, items[i].audit_id) << i;
+    EXPECT_EQ(row.op, items[i].op) << i;
+  }
+  EXPECT_EQ(dep_.phone()->key_journal_size(), 0u);
 }
 
 TEST_F(PairedDeviceTest, PairingHidesCellularLatency) {

@@ -2,8 +2,9 @@
 // every authenticated method refuses unregistered devices and bad tags
 // before touching the log, a failing serve gate answers at once without
 // appending, a held response leaves only when the replicator acknowledges
-// its delta (and never after the crash hook), and audit.<tier>_log_tail
-// returns only the caller's rows.
+// its delta (and never after the crash hook), audit.<tier>_log_tail
+// returns only the caller's rows, a snapshot without a log base is refused,
+// and a delta whose row carries a seal of the wrong width fails to decode.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +12,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "src/keyservice/auth.h"
@@ -26,6 +28,7 @@ namespace {
 // appends a row, and an in-process call that appends a row for a device.
 struct KeyTierCase {
   using Service = KeyService;
+  using Tier = KeyTier;
   static constexpr const char* kGatedMethod = "key.create";
   static constexpr const char* kTailMethod = "audit.key_log_tail";
   static constexpr const char* kUnregistered =
@@ -45,6 +48,7 @@ struct KeyTierCase {
 
 struct MetaTierCase {
   using Service = MetadataService;
+  using Tier = MetaTier;
   static constexpr const char* kGatedMethod = "meta.register_root";
   static constexpr const char* kTailMethod = "audit.meta_log_tail";
   static constexpr const char* kUnregistered =
@@ -232,6 +236,77 @@ TYPED_TEST(ServiceShellContractTest, LogTailReturnsOnlyTheCallersRows) {
   for (const auto& row : *rows) {
     EXPECT_EQ(row.device_id, "laptop");
   }
+}
+
+// Every snapshot carries its log base (DESIGN.md §15); one without is
+// refused as DataLoss before any state changes.
+TYPED_TEST(ServiceShellContractTest, SnapshotWithoutLogBaseIsRefusedUnchanged) {
+  this->Bind(/*replicated=*/false);
+  TypeParam::AppendRow(*this->service_, "laptop", this->rng_);
+  const Bytes snapshot = this->service_->Snapshot();
+  TypeParam::AppendRow(*this->service_, "desktop", this->rng_);
+  const Bytes before = this->service_->Snapshot();
+
+  Result<WireValue> decoded = BinaryDecode(snapshot);
+  ASSERT_TRUE(decoded.ok()) << decoded.status();
+  WireValue::Struct fields = std::get<WireValue::Struct>(decoded->raw());
+  ASSERT_EQ(fields.erase("log_base"), 1u);
+  Status status =
+      this->service_->Restore(BinaryEncode(WireValue(std::move(fields))));
+  EXPECT_EQ(status.code(), StatusCode::kDataLoss) << status;
+  EXPECT_EQ(this->service_->Snapshot(), before);
+
+  // The intact snapshot restores the one-row log.
+  ASSERT_TRUE(this->service_->Restore(snapshot).ok());
+  EXPECT_EQ(this->service_->log().size(), 1u);
+}
+
+// A backup decodes a delta before applying any of it, and a row whose seal
+// is not 32 bytes does not decode (DESIGN.md §27): the backup stays as it
+// was. The same delta intact applies.
+TYPED_TEST(ServiceShellContractTest, DeltaWithAWrongWidthSealFailsToDecode) {
+  using Service = typename TypeParam::Service;
+  std::vector<typename Service::Delta> shipped;
+  this->service_->set_replicator(
+      [&shipped](typename Service::Delta delta, std::function<void()> done) {
+        shipped.push_back(std::move(delta));
+        done();
+      });
+  this->secret_ = this->service_->RegisterDevice("laptop");
+  TypeParam::AppendRow(*this->service_, "laptop", this->rng_);
+  TypeParam::AppendRow(*this->service_, "laptop", this->rng_);
+  this->service_->ReplicateNow();
+  ASSERT_EQ(shipped.size(), 1u);
+  const WireValue intact = shipped[0].ToWire();
+
+  // Cut the last row's group seal to 31 bytes.
+  const std::string rows_field = TypeParam::Tier::kRowsField;
+  WireValue::Struct fields = std::get<WireValue::Struct>(intact.raw());
+  WireValue::Array rows = std::get<WireValue::Array>(fields[rows_field].raw());
+  ASSERT_EQ(rows.size(), 2u);
+  WireValue::Struct row = std::get<WireValue::Struct>(rows.back().raw());
+  row["hash"] = WireValue(Bytes(31, 0x5a));
+  rows.back() = WireValue(std::move(row));
+  fields[rows_field] = WireValue(std::move(rows));
+  const WireValue tampered(std::move(fields));
+
+  // How a replica set's backup takes a delta off the wire.
+  std::unique_ptr<Service> backup = TypeParam::Make(&this->queue_);
+  auto apply = [&backup](const WireValue& wire) -> Status {
+    KP_ASSIGN_OR_RETURN(typename Service::Delta delta,
+                        Service::Delta::FromWire(wire));
+    return backup->ApplyReplicated(delta);
+  };
+  Result<typename Service::Delta> parsed = Service::Delta::FromWire(tampered);
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().code(), StatusCode::kDataLoss);
+  EXPECT_EQ(apply(tampered).code(), StatusCode::kDataLoss);
+  EXPECT_EQ(backup->log().size(), 0u);
+
+  ASSERT_TRUE(apply(intact).ok());
+  ASSERT_EQ(backup->log().size(), 2u);
+  EXPECT_EQ(backup->log().entries().back().entry_hash,
+            this->service_->log().entries().back().entry_hash);
 }
 
 }  // namespace
