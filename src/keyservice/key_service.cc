@@ -1,5 +1,7 @@
 #include "src/keyservice/key_service.h"
 
+#include <algorithm>
+
 #include "src/keyservice/key_service_client.h"
 
 namespace keypad {
@@ -34,7 +36,7 @@ KeyService::KeyService(EventQueue* queue, uint64_t rng_seed,
                        KeyServiceOptions options)
     : ServiceShell(queue, rng_seed, options.log, options.commit_window),
       options_(options),
-      hot_keys_(options.hot_key_cache ? kHotKeyCapacity : 0) {}
+      hot_capacity_(options.hot_key_cache ? kHotKeyCapacity : 0) {}
 
 std::vector<AuditLogEntry> KeyService::LogSince(SimTime since) const {
   Result<std::vector<AuditLogEntry>> all =
@@ -48,26 +50,84 @@ std::vector<AuditLogEntry> KeyService::LogSince(SimTime since) const {
   return out;
 }
 
-void KeyService::ChargeUnwrap(const KeyMapKey& map_key) {
-  if (hot_keys_.Touch(map_key)) {
-    ++hot_hits_;
-    return;
+size_t KeyService::MaxKeyBucketForTesting() const {
+  size_t most = 0;
+  for (size_t b = 0; b < keys_.bucket_count(); ++b) {
+    most = std::max(most, keys_.bucket_size(b));
   }
-  ++hot_misses_;
-  if (seal_charge_ && options_.unwrap_cost > SimDuration()) {
-    seal_charge_(options_.unwrap_cost);
-  }
-  hot_keys_.Insert(map_key);
+  return most;
 }
 
-void KeyService::InvalidateHotKey(const KeyMapKey& map_key) {
-  if (hot_keys_.Erase(map_key)) {
+void KeyService::ChargeUnwrap(KeyEntry& entry) {
+  if (entry.second.hot.resident) {
+    ++hot_hits_;
+  } else {
+    ++hot_misses_;
+    if (seal_charge_ && options_.unwrap_cost > SimDuration()) {
+      seal_charge_(options_.unwrap_cost);
+    }
+  }
+  MakeHot(entry);
+}
+
+void KeyService::MakeHot(KeyEntry& entry) {
+  if (hot_capacity_ == 0) {
+    return;
+  }
+  HotLinks& links = entry.second.hot;
+  if (links.resident) {
+    if (hottest_ == &entry) {
+      return;
+    }
+    UnlinkHot(entry);
+  } else if (hot_size_ >= hot_capacity_) {
+    UnlinkHot(*coldest_);
+  }
+  links.resident = true;
+  links.hotter = nullptr;
+  links.colder = hottest_;
+  if (hottest_ != nullptr) {
+    hottest_->second.hot.hotter = &entry;
+  } else {
+    coldest_ = &entry;
+  }
+  hottest_ = &entry;
+  ++hot_size_;
+}
+
+void KeyService::UnlinkHot(KeyEntry& entry) {
+  HotLinks& links = entry.second.hot;
+  (links.hotter != nullptr ? links.hotter->second.hot.colder : hottest_) =
+      links.colder;
+  (links.colder != nullptr ? links.colder->second.hot.hotter : coldest_) =
+      links.hotter;
+  links.hotter = links.colder = nullptr;
+  links.resident = false;
+  --hot_size_;
+}
+
+void KeyService::InvalidateHotKey(KeyEntry& entry) {
+  if (entry.second.hot.resident) {
+    UnlinkHot(entry);
     ++hot_invalidations_;
   }
 }
 
 void KeyService::InvalidateHotDevice(const std::string& device_id) {
-  hot_invalidations_ += hot_keys_.EraseDevice(device_id);
+  for (KeyEntry* entry = hottest_; entry != nullptr;) {
+    KeyEntry* colder = entry->second.hot.colder;
+    if (entry->first.first == device_id) {
+      UnlinkHot(*entry);
+      ++hot_invalidations_;
+    }
+    entry = colder;
+  }
+}
+
+void KeyService::ClearHotKeys() {
+  while (hottest_ != nullptr) {
+    UnlinkHot(*hottest_);
+  }
 }
 
 uint64_t KeyService::LogAppend(SimTime timestamp, SimTime client_time,
@@ -108,27 +168,27 @@ void KeyService::OnDeviceFlag(const std::string& device_id, bool disabled) {
 
 void KeyService::ApplyChanges(const std::vector<KeyChange>& changes) {
   for (const auto& change : changes) {
-    KeyMapKey map_key(change.device_id, change.audit_id);
-    // Any replicated mutation makes a resident unwrapped copy stale.
-    InvalidateHotKey(map_key);
+    auto it = keys_.find(KeyProbe(change.device_id, change.audit_id));
+    if (it != keys_.end()) {
+      // Any replicated mutation makes a resident unwrapped copy stale.
+      InvalidateHotKey(*it);
+    }
     if (change.erased) {
-      auto it = keys_.find(map_key);
       if (it != keys_.end()) {
         SecureZero(it->second.key);
         keys_.erase(it);
       }
-      continue;
-    }
-    if (change.disabled) {
-      auto it = keys_.find(map_key);
+    } else if (change.disabled) {
       if (it != keys_.end()) {
         it->second.disabled = true;
       }
-      continue;
+    } else if (it != keys_.end()) {
+      it->second.key = change.key;
+      it->second.disabled = false;
+    } else {
+      keys_.try_emplace(KeyMapKey(change.device_id, change.audit_id),
+                        KeyRecord{change.key, false, {}});
     }
-    KeyRecord record;
-    record.key = change.key;
-    keys_[map_key] = std::move(record);
   }
 }
 
@@ -146,7 +206,7 @@ KeyService::LoadStats KeyService::load_stats() const {
   stats.hot_hits = hot_hits_;
   stats.hot_misses = hot_misses_;
   stats.hot_invalidations = hot_invalidations_;
-  stats.hot_size = hot_keys_.size();
+  stats.hot_size = hot_size_;
   stats.negative_hits = negative_hits_;
   if (rpc_server_ != nullptr) {
     stats.shed_demand = rpc_server_->shed_demand();
@@ -185,18 +245,31 @@ Status KeyService::TransferDeviceKeys(const std::string& from_id,
     return FailedPreconditionError("key service: replacement device " +
                                    to_id + " is disabled");
   }
-  // Copy every (from, audit_id) binding to (to, audit_id); deterministic
-  // map order keeps replica audit chains identical when each replica runs
-  // this admin action. One kRestore entry per re-bound key.
-  BatchScope scope(this);
-  for (auto it = keys_.lower_bound(KeyMapKey{from_id, AuditId{}});
-       it != keys_.end() && it->first.first == from_id; ++it) {
-    if (it->second.disabled) {
-      continue;  // Per-key disables carry over by NOT transferring.
+  // Copy every (from, audit_id) binding to (to, audit_id), in ascending id
+  // order so replica audit chains stay identical when each replica runs
+  // this admin action. The bindings are collected first, by address:
+  // inserting may rehash the index, which moves no record but invalidates
+  // iterators. One kRestore entry per re-bound key.
+  std::vector<const KeyEntry*> bindings;
+  for (const KeyEntry& entry : keys_) {
+    // Per-key disables carry over by NOT transferring.
+    if (entry.first.first == from_id && !entry.second.disabled) {
+      bindings.push_back(&entry);
     }
-    keys_[KeyMapKey{to_id, it->first.second}] = it->second;
-    LogAppend(queue_->Now(), to_id, it->first.second, AccessOp::kRestore);
-    NoteChange(to_id, it->first.second, it->second.key, false, false);
+  }
+  std::sort(bindings.begin(), bindings.end(),
+            [](const KeyEntry* a, const KeyEntry* b) {
+              return a->first.second < b->first.second;
+            });
+  BatchScope scope(this);
+  for (const KeyEntry* from_entry : bindings) {
+    const AuditId& audit_id = from_entry->first.second;
+    KeyEntry& entry = *keys_.try_emplace(KeyMapKey(to_id, audit_id)).first;
+    InvalidateHotKey(entry);
+    entry.second.key = from_entry->second.key;
+    entry.second.disabled = false;
+    LogAppend(queue_->Now(), to_id, audit_id, AccessOp::kRestore);
+    NoteChange(to_id, audit_id, entry.second.key, false, false);
   }
   return Status::Ok();
 }
@@ -225,19 +298,17 @@ Status KeyService::CheckDevice(const std::string& device_id,
 Result<Bytes> KeyService::CreateKey(const std::string& device_id,
                                     const AuditId& audit_id) {
   KP_RETURN_IF_ERROR(CheckDevice(device_id, audit_id));
-  KeyMapKey map_key(device_id, audit_id);
-  if (keys_.count(map_key) > 0) {
+  auto [it, inserted] = keys_.try_emplace(KeyMapKey(device_id, audit_id));
+  if (!inserted) {
     return AlreadyExistsError("key service: audit id already bound");
   }
-  KeyRecord record;
-  record.key = rng_.NextBytes(kRemoteKeyLen);
+  it->second.key = rng_.NextBytes(kRemoteKeyLen);
   // Durably log *before* responding (paper §3.1).
   LogAppend(queue_->Now(), device_id, audit_id, AccessOp::kCreate);
-  keys_.emplace(map_key, record);
   // The freshly minted key is unwrapped-resident by construction.
-  hot_keys_.Insert(map_key);
-  NoteChange(device_id, audit_id, record.key, false, false);
-  return record.key;
+  MakeHot(*it);
+  NoteChange(device_id, audit_id, it->second.key, false, false);
+  return it->second.key;
 }
 
 Result<std::vector<Result<Bytes>>> KeyService::Release(
@@ -268,7 +339,7 @@ Result<std::vector<Result<Bytes>>> KeyService::Release(
   std::vector<Result<Bytes>> released;
   released.reserve(items.size());
   for (const auto& item : items) {
-    auto it = keys_.find(KeyMapKey(device_id, item.audit_id));
+    auto it = keys_.find(KeyProbe(device_id, item.audit_id));
     if (it == keys_.end()) {
       released.push_back(NotFoundError("key service: no such key"));
     } else if (it->second.disabled) {
@@ -276,7 +347,7 @@ Result<std::vector<Result<Bytes>>> KeyService::Release(
       released.push_back(PermissionDeniedError("key service: key disabled"));
     } else {
       log_.Append(queue_->Now(), device_id, item.audit_id, item.op);
-      ChargeUnwrap(it->first);
+      ChargeUnwrap(*it);
       released.push_back(it->second.key);
     }
   }
@@ -311,14 +382,11 @@ Status KeyService::UploadJournal(const std::string& device_id,
   // The whole uploaded journal seals as one commit group.
   BatchScope scope(this);
   for (const auto& entry : entries) {
-    if (entry.op == AccessOp::kCreate && !entry.key.empty()) {
-      KeyMapKey map_key(device_id, entry.audit_id);
-      if (keys_.count(map_key) == 0) {
-        KeyRecord record;
-        record.key = entry.key;
-        keys_.emplace(map_key, record);
-        NoteChange(device_id, entry.audit_id, entry.key, false, false);
-      }
+    if (entry.op == AccessOp::kCreate && !entry.key.empty() &&
+        keys_.try_emplace(KeyMapKey(device_id, entry.audit_id),
+                          KeyRecord{entry.key, false, {}})
+            .second) {
+      NoteChange(device_id, entry.audit_id, entry.key, false, false);
     }
     LogAppend(queue_->Now(), entry.client_time, device_id, entry.audit_id,
                 entry.op);
@@ -335,12 +403,12 @@ Status KeyService::NoteEviction(const std::string& device_id,
 
 Status KeyService::DisableKey(const std::string& device_id,
                               const AuditId& audit_id) {
-  auto it = keys_.find(KeyMapKey(device_id, audit_id));
+  auto it = keys_.find(KeyProbe(device_id, audit_id));
   if (it == keys_.end()) {
     return NotFoundError("key service: no such key");
   }
   it->second.disabled = true;
-  InvalidateHotKey(KeyMapKey(device_id, audit_id));
+  InvalidateHotKey(*it);
   LogAppend(queue_->Now(), device_id, audit_id, AccessOp::kRevoke);
   NoteChange(device_id, audit_id, Bytes(), true, false);
   return Status::Ok();
@@ -348,13 +416,13 @@ Status KeyService::DisableKey(const std::string& device_id,
 
 Status KeyService::DestroyKey(const std::string& device_id,
                               const AuditId& audit_id) {
-  auto it = keys_.find(KeyMapKey(device_id, audit_id));
+  auto it = keys_.find(KeyProbe(device_id, audit_id));
   if (it == keys_.end()) {
     return NotFoundError("key service: no such key");
   }
+  InvalidateHotKey(*it);
   SecureZero(it->second.key);
   keys_.erase(it);
-  InvalidateHotKey(KeyMapKey(device_id, audit_id));
   LogAppend(queue_->Now(), device_id, audit_id, AccessOp::kDestroy);
   // Assured delete must propagate: every replica zeroes its copy.
   NoteChange(device_id, audit_id, Bytes(), false, true);
@@ -362,8 +430,20 @@ Status KeyService::DestroyKey(const std::string& device_id,
 }
 
 void KeyService::SnapshotState(WireValue::Struct& snapshot) const {
+  // Rows go out in (device, id) order, whatever the index's order.
+  std::vector<const KeyEntry*> sorted;
+  sorted.reserve(keys_.size());
+  for (const KeyEntry& entry : keys_) {
+    sorted.push_back(&entry);
+  }
+  std::sort(sorted.begin(), sorted.end(),
+            [](const KeyEntry* a, const KeyEntry* b) {
+              return a->first < b->first;
+            });
   WireValue::Array keys;
-  for (const auto& [map_key, record] : keys_) {
+  keys.reserve(sorted.size());
+  for (const KeyEntry* entry : sorted) {
+    const auto& [map_key, record] = *entry;
     WireValue::Struct k;
     k.emplace("device", WireValue(map_key.first));
     k.emplace("id", WireValue(map_key.second.ToBytes()));
@@ -376,9 +456,10 @@ void KeyService::SnapshotState(WireValue::Struct& snapshot) const {
 
 Result<std::function<void()>> KeyService::ParseState(
     const WireValue& snapshot) {
-  std::map<KeyMapKey, KeyRecord> keys;
+  KeyMap keys;
   KP_ASSIGN_OR_RETURN(WireValue keys_value, snapshot.Field("keys"));
   KP_ASSIGN_OR_RETURN(WireValue::Array raw_keys, keys_value.AsArray());
+  keys.reserve(raw_keys.size());
   for (const auto& raw : raw_keys) {
     KP_ASSIGN_OR_RETURN(WireValue device_v, raw.Field("device"));
     KP_ASSIGN_OR_RETURN(std::string device, device_v.AsString());
@@ -393,10 +474,10 @@ Result<std::function<void()>> KeyService::ParseState(
     keys.emplace(KeyMapKey(std::move(device), id), std::move(record));
   }
   return std::function<void()>([this, keys = std::move(keys)]() mutable {
-    keys_ = std::move(keys);
     // Every resident copy described the pre-restore store; the negative
     // cache rebuilds from the restored device records.
-    hot_keys_.Clear();
+    ClearHotKeys();
+    keys_ = std::move(keys);
     negative_devices_.clear();
     for (const auto& [id, record] : devices_) {
       if (record.disabled) {

@@ -13,14 +13,15 @@
 #define SRC_KEYSERVICE_KEY_SERVICE_H_
 
 #include <functional>
-#include <map>
 #include <set>
 #include <string>
+#include <string_view>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/auditlog/log_options.h"
 #include "src/keyservice/audit_log.h"
-#include "src/keyservice/hot_key_cache.h"
 #include "src/keyservice/key_client.h"
 #include "src/replication/service_replica_set.h"
 #include "src/replication/service_shell.h"
@@ -76,7 +77,8 @@ struct KeyServiceOptions {
   // Server-side hot-key cache (DESIGN.md §13): tracks unwrapped-resident
   // key records so repeat fetches skip the unwrap charge. Hits still
   // append their audit entry — the cache is audit-preserving, never
-  // audit-bypassing. Holds KeyService::kHotKeyCapacity records.
+  // audit-bypassing. Holds KeyService::kHotKeyCapacity records, coldest
+  // evicted first.
   bool hot_key_cache = true;
   // Audit-log lifecycle (DESIGN.md §15): segment size, cold shipping, and
   // checkpoint-anchored truncation.
@@ -171,6 +173,9 @@ class KeyService : public ServiceShell<KeyTier> {
 
   // Number of keys currently stored (destroyed keys excluded).
   size_t key_count() const { return keys_.size(); }
+  // The most keys sharing one bucket of the hashed key index (test hook:
+  // client-chosen ids must not pile up).
+  size_t MaxKeyBucketForTesting() const;
 
   // --- Group commit (DESIGN.md §8). ---------------------------------------
 
@@ -184,7 +189,7 @@ class KeyService : public ServiceShell<KeyTier> {
   // Drops every hot-key cache line (test/bench hook: benches pre-provision
   // keys in process, which marks them resident — measuring the serving
   // path's warmup requires starting it cold). Counters are untouched.
-  void DropHotKeysForTesting() { hot_keys_.Clear(); }
+  void DropHotKeysForTesting() { ClearHotKeys(); }
 
   // Per-shard load metrics for BENCH_scale.json: how well group commit is
   // amortizing the chain.
@@ -232,11 +237,52 @@ class KeyService : public ServiceShell<KeyTier> {
   Result<std::function<void()>> ParseState(const WireValue& snapshot) override;
 
  private:
+  using KeyMapKey = std::pair<std::string, AuditId>;
+  // A lookup key that borrows the caller's device id, so a probe copies no
+  // string.
+  using KeyProbe = std::pair<std::string_view, AuditId>;
+  struct KeyRecord;
+  using KeyEntry = std::pair<const KeyMapKey, KeyRecord>;
+
+  // A record's place in the hot-key LRU list (DESIGN.md §13): resident
+  // records are linked hottest first. Copying or moving a record never
+  // carries residency — a copy starts cold, and assigning over a record
+  // keeps the target's own place.
+  struct HotLinks {
+    HotLinks() = default;
+    HotLinks(const HotLinks&) {}
+    HotLinks& operator=(const HotLinks&) { return *this; }
+
+    KeyEntry* hotter = nullptr;
+    KeyEntry* colder = nullptr;
+    bool resident = false;
+  };
+
   struct KeyRecord {
     Bytes key;
     bool disabled = false;
+    HotLinks hot;
   };
-  using KeyMapKey = std::pair<std::string, AuditId>;
+
+  // Hashed (device, id) index: every byte of both halves feeds the hash
+  // (FixedId::Hash), and probes by KeyProbe need no KeyMapKey.
+  struct KeyHash {
+    using is_transparent = void;
+    size_t operator()(const KeyProbe& key) const {
+      return std::hash<std::string_view>{}(key.first) ^ key.second.Hash();
+    }
+    size_t operator()(const KeyMapKey& key) const {
+      return (*this)(KeyProbe(key.first, key.second));
+    }
+  };
+  struct KeyEq {
+    using is_transparent = void;
+    template <typename A, typename B>
+    bool operator()(const A& a, const B& b) const {
+      return a.second == b.second && std::string_view(a.first) == b.first;
+    }
+  };
+  using KeyMap = std::unordered_map<KeyMapKey, KeyRecord, KeyHash, KeyEq>;
 
   // RAII commit group: appends inside the outermost scope seal together.
   // Nested scopes (a batched RPC inside an open commit window) collapse
@@ -270,13 +316,18 @@ class KeyService : public ServiceShell<KeyTier> {
   // revocation storms fail fast.
   Status CheckDevice(const std::string& device_id, const AuditId& audit_id);
 
-  // Bills the unwrap work for releasing (device, id): a hot-cache hit
-  // skips the charge, a miss pays options_.unwrap_cost and marks the
-  // record resident. Audit logging is the caller's job either way.
-  void ChargeUnwrap(const KeyMapKey& map_key);
-  // Coherence: drops the record's hot-cache line (key mutated or erased).
-  void InvalidateHotKey(const KeyMapKey& map_key);
+  // Bills the unwrap work for releasing `entry`: a hot-cache hit skips
+  // the charge, a miss pays options_.unwrap_cost and marks the record
+  // resident. Audit logging is the caller's job either way.
+  void ChargeUnwrap(KeyEntry& entry);
+  // Marks `entry` resident and hottest, evicting the coldest resident
+  // record at capacity.
+  void MakeHot(KeyEntry& entry);
+  // Coherence: drops the record's residency (key mutated or erased).
+  void InvalidateHotKey(KeyEntry& entry);
   void InvalidateHotDevice(const std::string& device_id);
+  void ClearHotKeys();
+  void UnlinkHot(KeyEntry& entry);
 
   // All audit appends funnel through here: one entry = one commit group
   // unless an enclosing BatchScope or open commit window groups it.
@@ -293,10 +344,14 @@ class KeyService : public ServiceShell<KeyTier> {
 
   KeyServiceOptions options_;
   std::function<void(SimDuration)> seal_charge_;
-  std::map<KeyMapKey, KeyRecord> keys_;
+  KeyMap keys_;
 
-  // Read-path fast caches (DESIGN.md §13).
-  HotKeyCache hot_keys_;
+  // Read-path fast caches (DESIGN.md §13). The hot-key LRU list runs
+  // through the resident records themselves.
+  size_t hot_capacity_;
+  KeyEntry* hottest_ = nullptr;
+  KeyEntry* coldest_ = nullptr;
+  size_t hot_size_ = 0;
   std::set<std::string> negative_devices_;  // Known-revoked device ids.
   uint64_t hot_hits_ = 0;
   uint64_t hot_misses_ = 0;

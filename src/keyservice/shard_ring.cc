@@ -2,16 +2,9 @@
 
 #include <algorithm>
 
-namespace keypad {
+#include "src/util/hash.h"
 
-// splitmix64 finalizer: enough avalanche to scatter vnode indices and the
-// already-random audit IDs around the ring.
-uint64_t ShardRing::Mix(uint64_t x) {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
-}
+namespace keypad {
 
 ShardRing::ShardRing(size_t shard_count, uint64_t seed, int vnodes_per_shard)
     : shard_count_(shard_count == 0 ? 1 : shard_count), seed_(seed) {
@@ -21,8 +14,9 @@ ShardRing::ShardRing(size_t shard_count, uint64_t seed, int vnodes_per_shard)
   points_.reserve(shard_count_ * static_cast<size_t>(vnodes_per_shard));
   for (uint32_t shard = 0; shard < shard_count_; ++shard) {
     for (int vnode = 0; vnode < vnodes_per_shard; ++vnode) {
-      uint64_t position = Mix(seed_ ^ Mix((static_cast<uint64_t>(shard) << 32) |
-                                          static_cast<uint64_t>(vnode)));
+      uint64_t position =
+          HashMix64(seed_ ^ HashMix64((static_cast<uint64_t>(shard) << 32) |
+                                      static_cast<uint64_t>(vnode)));
       points_.emplace_back(position, shard);
     }
   }
@@ -33,12 +27,11 @@ size_t ShardRing::ShardFor(const AuditId& audit_id) const {
   if (shard_count_ == 1) {
     return 0;
   }
-  Bytes bytes = audit_id.ToBytes();
   uint64_t h = 0;
-  for (size_t i = 0; i < 8 && i < bytes.size(); ++i) {
-    h = (h << 8) | bytes[i];
+  for (size_t i = 0; i < 8; ++i) {
+    h = (h << 8) | audit_id.v[i];
   }
-  h = Mix(seed_ ^ h);
+  h = HashMix64(seed_ ^ h);
   auto it = std::lower_bound(
       points_.begin(), points_.end(), h,
       [](const std::pair<uint64_t, uint32_t>& point, uint64_t value) {

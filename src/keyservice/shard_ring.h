@@ -27,8 +27,6 @@ class ShardRing {
   size_t shard_count() const { return shard_count_; }
 
  private:
-  static uint64_t Mix(uint64_t x);
-
   size_t shard_count_;
   uint64_t seed_;
   // Sorted (ring position, shard) points.

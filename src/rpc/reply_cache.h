@@ -21,19 +21,23 @@
 // the audit entry, so the completed-reply window survives a service
 // crash/restart; only the in-flight marks (volatile by nature) are cleared
 // on restart.
+//
+// One hashed table holds every entry, in flight or completed (DESIGN.md
+// §28): an arriving request is classified with one probe and completed
+// with one more. A FIFO of completed keys drives both evictions.
 
 #ifndef SRC_RPC_REPLY_CACHE_H_
 #define SRC_RPC_REPLY_CACHE_H_
 
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <optional>
-#include <set>
 #include <string>
+#include <unordered_map>
 #include <utility>
 
 #include "src/sim/time.h"
+#include "src/util/hash.h"
 
 namespace keypad {
 
@@ -42,16 +46,21 @@ class ReplyCache {
   using RequestKey = std::pair<uint64_t, uint64_t>;  // (client id, seq).
 
   explicit ReplyCache(size_t capacity = 4096,
-                      SimDuration max_age = SimDuration::Seconds(120))
-      : capacity_(capacity), max_age_(max_age) {}
+                      SimDuration max_age = SimDuration::Seconds(120));
+
+  // What an arriving request finds in the cache.
+  enum class Arrival {
+    kNew,        // Now marked in flight: execute it.
+    kInFlight,   // A retransmission racing the original: drop it.
+    kCompleted,  // Already executed: answer from the cached reply.
+  };
+  // Classifies an arrival with one probe and counts hits and in-flight
+  // drops. On kCompleted, `*reply` points at the cached reply until the
+  // cache next changes.
+  Arrival Admit(const RequestKey& key, const std::string** reply);
 
   // The completed reply for `key`, if the request already executed.
   std::optional<std::string> Lookup(const RequestKey& key) const;
-
-  bool IsInFlight(const RequestKey& key) const {
-    return in_flight_.count(key) > 0;
-  }
-  void MarkInFlight(const RequestKey& key) { in_flight_.insert(key); }
 
   // Records the reply for an executed request and clears its in-flight
   // mark. Evicts completed entries older than `max_age` at `now`, then the
@@ -61,27 +70,33 @@ class ReplyCache {
 
   // Restart semantics: requests that were mid-execution at crash time will
   // never produce a reply — forget them so client retries re-execute.
-  void ClearInFlight() { in_flight_.clear(); }
+  void ClearInFlight();
 
-  size_t size() const { return completed_.size(); }
+  size_t size() const { return order_.size(); }
   uint64_t hits() const { return hits_; }
   uint64_t in_flight_drops() const { return in_flight_drops_; }
   uint64_t age_evictions() const { return age_evictions_; }
   uint64_t capacity_evictions() const { return capacity_evictions_; }
-  void NoteHit() { ++hits_; }
-  void NoteInFlightDrop() { ++in_flight_drops_; }
 
  private:
   struct Entry {
     std::string reply;
-    SimTime completed_at;
+    bool completed = false;
+  };
+  struct Completion {
+    RequestKey key;
+    SimTime at;
+  };
+  struct KeyHash {
+    size_t operator()(const RequestKey& key) const {
+      return static_cast<size_t>(HashMix64(HashMix64(key.first) ^ key.second));
+    }
   };
 
   size_t capacity_;
   SimDuration max_age_;
-  std::map<RequestKey, Entry> completed_;
-  std::deque<RequestKey> order_;  // Completion (== virtual-time) order.
-  std::set<RequestKey> in_flight_;
+  std::unordered_map<RequestKey, Entry, KeyHash> entries_;
+  std::deque<Completion> order_;  // Completion (== virtual-time) order.
   uint64_t hits_ = 0;
   uint64_t in_flight_drops_ = 0;
   uint64_t age_evictions_ = 0;

@@ -312,16 +312,16 @@ void RpcServer::ProcessRequest(const std::string& request_raw,
   // the reply cache (re-sealed at the current epoch when channels are on);
   // retransmissions racing the original execution are dropped.
   const ReplyCache::RequestKey request_key = header.key;
-  if (auto cached = reply_cache_.Lookup(request_key)) {
-    reply_cache_.NoteHit();
-    done(*cached);
-    return;
+  const std::string* cached = nullptr;
+  switch (reply_cache_.Admit(request_key, &cached)) {
+    case ReplyCache::Arrival::kCompleted:
+      done(*cached);
+      return;
+    case ReplyCache::Arrival::kInFlight:
+      return;
+    case ReplyCache::Arrival::kNew:
+      break;
   }
-  if (reply_cache_.IsInFlight(request_key)) {
-    reply_cache_.NoteInFlightDrop();
-    return;
-  }
-  reply_cache_.MarkInFlight(request_key);
   done = [this, request_key, inner = std::move(done)](std::string response) {
     reply_cache_.Complete(request_key, response, queue_->Now());
     inner(std::move(response));

@@ -13,11 +13,14 @@
 
 #include <array>
 #include <compare>
+#include <cstring>
+#include <functional>
 #include <string>
 #include <string_view>
 
 #include "src/cryptocore/secure_random.h"
 #include "src/util/bytes.h"
+#include "src/util/hash.h"
 #include "src/util/result.h"
 
 namespace keypad {
@@ -62,6 +65,20 @@ struct FixedId {
     return true;
   }
 
+  // Mixes every byte, eight at a time, through a bijective finalizer: ids
+  // that differ in any one word hash apart, so a client choosing ids that
+  // share a prefix cannot pile them into one bucket. Unseeded, so hashing
+  // draws nothing from any random stream.
+  size_t Hash() const {
+    uint64_t h = N;
+    for (size_t i = 0; i < N; i += 8) {
+      uint64_t word = 0;
+      std::memcpy(&word, v.data() + i, N - i < 8 ? N - i : 8);
+      h = HashMix64(h ^ word);
+    }
+    return static_cast<size_t>(h);
+  }
+
   auto operator<=>(const FixedId&) const = default;
 };
 
@@ -71,5 +88,12 @@ using AuditId = FixedId<24>;
 using DirId = FixedId<16>;
 
 }  // namespace keypad
+
+template <size_t N>
+struct std::hash<keypad::FixedId<N>> {
+  size_t operator()(const keypad::FixedId<N>& id) const noexcept {
+    return id.Hash();
+  }
+};
 
 #endif  // SRC_UTIL_IDS_H_
