@@ -362,6 +362,8 @@ class KeyTierRig {
       std::vector<KeyServiceClient*> stub_ptrs;
       for (auto& stub : device->stubs) stub_ptrs.push_back(stub.get());
       ShardRouter::Options router = options.router;
+      // The rig measures coalescing and batching, at one shard too.
+      router.route_one_shard = true;
       if (options.brownout) {
         device->brownout =
             std::make_unique<BrownoutController>(*options.brownout);

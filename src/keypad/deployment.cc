@@ -11,13 +11,61 @@ namespace keypad {
 namespace {
 constexpr SimDuration kServiceTime = SimDuration::Micros(150);
 
-std::vector<RpcClient*> Endpoints(
-    const std::vector<std::unique_ptr<RpcClient>>& rpcs) {
-  std::vector<RpcClient*> endpoints;
-  for (const auto& rpc : rpcs) {
-    endpoints.push_back(rpc.get());
+template <typename T>
+std::vector<T*> Pointers(const std::vector<std::unique_ptr<T>>& owned) {
+  std::vector<T*> pointers;
+  for (const auto& p : owned) {
+    pointers.push_back(p.get());
   }
-  return endpoints;
+  return pointers;
+}
+template <typename T>
+std::vector<T*> Pointers(
+    const std::vector<std::vector<std::unique_ptr<T>>>& groups) {
+  std::vector<T*> pointers;
+  for (const auto& group : groups) {
+    for (const auto& p : group) {
+      pointers.push_back(p.get());
+    }
+  }
+  return pointers;
+}
+
+// A tier's channel root, derived from its device secret so both ends (and
+// a thief holding the device) can construct it.
+Bytes ChannelRoot(const Bytes& secret, const char* label = "kp-channel-root") {
+  return Hkdf(secret, /*salt=*/{}, label, 32);
+}
+
+// Seals every client in `clients` under a channel from `root` and installs,
+// on every server in `servers`, a lookup that opens `device_id`'s frames
+// under another (DESIGN.md §29). A SecureChannel keeps no per-message
+// state, so one channel per side serves every endpoint; the channels go to
+// `owner`.
+void SealChannel(const Bytes& root, SimDuration rotation,
+                 const std::string& device_id,
+                 const std::vector<RpcClient*>& clients,
+                 SecureRandom* client_rng,
+                 const std::vector<RpcServer*>& servers,
+                 SecureRandom* server_rng,
+                 std::vector<std::unique_ptr<SecureChannel>>& owner) {
+  SecureChannel* client =
+      owner.emplace_back(std::make_unique<SecureChannel>(root, rotation)).get();
+  for (RpcClient* rpc : clients) {
+    rpc->EnableChannelSecurity(client, device_id, client_rng);
+  }
+  if (servers.empty()) {
+    return;
+  }
+  SecureChannel* server =
+      owner.emplace_back(std::make_unique<SecureChannel>(root, rotation)).get();
+  for (RpcServer* rpc : servers) {
+    rpc->EnableChannelSecurity(
+        [server, device_id](const std::string& id) -> SecureChannel* {
+          return id == device_id ? server : nullptr;
+        },
+        server_rng);
+  }
 }
 }  // namespace
 
@@ -76,6 +124,33 @@ std::unique_ptr<Stub> Deployment::MakeStub(std::vector<RpcClient*> rpcs,
   return std::make_unique<Stub>(&queue_, std::move(rpcs), device_id, secret);
 }
 
+void Deployment::BuildStack(
+    ClientStack& stack, NetworkLink* link,
+    const std::vector<std::vector<RpcServer*>>& key_servers,
+    const std::vector<RpcServer*>& meta_servers,
+    const KeypadFs::Credentials& creds, ShardRouter::Options router) {
+  auto connect = [&](RpcServer* server) {
+    return std::make_unique<RpcClient>(&queue_, link, server, options_.rpc);
+  };
+  for (const auto& group : key_servers) {
+    auto& rpcs = stack.key_rpcs.emplace_back();
+    for (RpcServer* server : group) {
+      rpcs.push_back(connect(server));
+    }
+  }
+  for (RpcServer* server : meta_servers) {
+    stack.meta_rpcs.push_back(connect(server));
+  }
+  for (const auto& rpcs : stack.key_rpcs) {
+    stack.key_stubs.push_back(MakeStub<KeyServiceClient>(
+        Pointers(rpcs), creds.device_id, creds.key_secret));
+  }
+  stack.key_router = std::make_unique<ShardRouter>(
+      &queue_, Pointers(stack.key_stubs), router);
+  stack.meta = MakeStub<MetadataServiceClient>(
+      Pointers(stack.meta_rpcs), creds.device_id, creds.meta_secret);
+}
+
 template <typename Service, typename Mutate>
 Status Deployment::OnLeader(ReplicaGroup<Service>& group, Mutate mutate) {
   return group.set != nullptr ? group.set->MutateLeader(mutate)
@@ -90,14 +165,12 @@ Deployment::Deployment(DeploymentOptions options)
                    options_.seed ^ 0x2222),
       phone_uplink_(&queue_, options_.profile, options_.seed ^ 0x3333),
       auditor_(std::vector<const KeyService*>{}, nullptr) {
-  // The phone proxy and sealed channels are single-endpoint features; they
-  // pin the key tier to one shard (and one replica).
-  const bool single_endpoint =
-      options_.paired_phone || options_.secure_channel;
-  for (int* width : {&options_.key_shards, &options_.key_replicas,
-                     &options_.meta_replicas}) {
-    if (*width < 1 || single_endpoint) {
-      *width = 1;
+  // A tier narrower than one replica is a caller bug, never rewritten.
+  for (int width : {options_.key_shards, options_.key_replicas,
+                    options_.meta_replicas}) {
+    if (width < 1) {
+      KP_LOG(kError) << "deployment: tier width " << width << " is below 1";
+      abort();
     }
   }
   // One brownout controller per device, shared between the router (batch
@@ -169,92 +242,68 @@ Deployment::Deployment(DeploymentOptions options)
     meta_tier_.set->Start();
   }
 
-  auto connect = [&](NetworkLink* link, RpcServer* server) {
-    return std::make_unique<RpcClient>(&queue_, link, server, options_.rpc);
-  };
-  key_rpcs_.resize(shard_count);
+  // One client stack per side (DESIGN.md §29). Paired, the phone's stack
+  // reaches every shard and replica over its uplink and the laptop's one
+  // endpoint is the phone; otherwise the laptop's stack reaches them over
+  // its own link.
+  std::vector<std::vector<RpcServer*>> key_servers;
+  std::vector<RpcServer*> all_key_servers;
+  for (const auto& shard : key_tier_) {
+    key_servers.push_back(Pointers(shard.servers));
+    all_key_servers.insert(all_key_servers.end(), key_servers.back().begin(),
+                           key_servers.back().end());
+  }
+  const std::vector<RpcServer*> meta_servers = Pointers(meta_tier_.servers);
+  ClientStack* service_stack = &laptop_;
   if (options_.paired_phone) {
-    // Phone -> services over the chosen profile.
-    phone_key_rpc_ = connect(&phone_uplink_, key_tier_[0].servers[0].get());
-    phone_meta_rpc_ = connect(&phone_uplink_, meta_tier_.servers[0].get());
-    phone_key_client_ = MakeStub<KeyServiceClient>(
-        {phone_key_rpc_.get()}, creds.device_id, creds.key_secret);
-    phone_meta_client_ = MakeStub<MetadataServiceClient>(
-        {phone_meta_rpc_.get()}, creds.device_id, creds.meta_secret);
+    // The phone relays REJECTED replies to the laptop, whose router feeds
+    // them to the brownout controller once; the phone's router does not.
+    ShardRouter::Options phone_router = options_.router;
+    phone_router.brownout = nullptr;
+    BuildStack(phone_stack_, &phone_uplink_, key_servers, meta_servers, creds,
+               phone_router);
     phone_ = std::make_unique<PhoneProxy>(
-        &queue_, &phone_uplink_, phone_key_client_.get(),
-        phone_meta_client_.get(), creds.device_id, creds.key_secret,
+        &queue_, &phone_uplink_, phone_stack_.key_router.get(),
+        phone_stack_.meta.get(), creds.device_id, creds.key_secret,
         creds.meta_secret);
-    // Laptop -> phone over Bluetooth.
-    key_rpcs_[0].push_back(connect(&client_link_, phone_->server()));
-    meta_rpcs_.push_back(connect(&client_link_, phone_->server()));
+    BuildStack(laptop_, &client_link_, {{phone_->server()}}, {phone_->server()},
+               creds, options_.router);
+    service_stack = &phone_stack_;
   } else {
-    for (size_t i = 0; i < shard_count; ++i) {
-      for (auto& server : key_tier_[i].servers) {
-        key_rpcs_[i].push_back(connect(&client_link_, server.get()));
-      }
-    }
-    for (auto& server : meta_tier_.servers) {
-      meta_rpcs_.push_back(connect(&client_link_, server.get()));
-    }
+    BuildStack(laptop_, &client_link_, key_servers, meta_servers, creds,
+               options_.router);
   }
-  for (const auto& rpcs : key_rpcs_) {
-    key_clients_.push_back(MakeStub<KeyServiceClient>(
-        Endpoints(rpcs), creds.device_id, creds.key_secret));
-  }
-  if (shard_count > 1) {
-    std::vector<KeyServiceClient*> stubs;
-    for (const auto& client : key_clients_) {
-      stubs.push_back(client.get());
-    }
-    key_router_ = std::make_unique<ShardRouter>(&queue_, std::move(stubs),
-                                                options_.router);
-  }
-  meta_client_ = MakeStub<MetadataServiceClient>(
-      Endpoints(meta_rpcs_), creds.device_id, creds.meta_secret);
 
-  if (options_.secure_channel && !options_.paired_phone) {
-    // Channel roots are derived from the per-service device secrets, so
-    // both ends (and a thief holding the device) can construct them.
-    SimDuration rotation = options_.config.texp;
-    Bytes key_root = Hkdf(creds.key_secret, /*salt=*/{}, "kp-channel-root", 32);
-    Bytes meta_root =
-        Hkdf(creds.meta_secret, /*salt=*/{}, "kp-channel-root", 32);
+  if (options_.secure_channel) {
+    // One root per tier, derived from its device secret; paired, the
+    // phone's one server answers both tiers over Bluetooth, so that hop
+    // gets a root of its own from both secrets.
+    const SimDuration rotation = options_.config.texp;
     channel_client_rng_ =
         std::make_unique<SecureRandom>(options_.seed ^ 0x6666);
     channel_server_rng_ =
         std::make_unique<SecureRandom>(options_.seed ^ 0x7777);
-    key_channel_client_ = std::make_unique<SecureChannel>(key_root, rotation);
-    key_channel_server_ = std::make_unique<SecureChannel>(key_root, rotation);
-    meta_channel_client_ =
-        std::make_unique<SecureChannel>(meta_root, rotation);
-    meta_channel_server_ =
-        std::make_unique<SecureChannel>(meta_root, rotation);
-
-    key_rpc().EnableChannelSecurity(key_channel_client_.get(),
-                                    options_.device_id,
-                                    channel_client_rng_.get());
-    meta_rpc().EnableChannelSecurity(meta_channel_client_.get(),
-                                     options_.device_id,
-                                     channel_client_rng_.get());
-    key_replica_rpc_server(0, 0).EnableChannelSecurity(
-        [this](const std::string& device_id) -> SecureChannel* {
-          return device_id == options_.device_id ? key_channel_server_.get()
-                                                 : nullptr;
-        },
-        channel_server_rng_.get());
-    meta_replica_rpc_server(0).EnableChannelSecurity(
-        [this](const std::string& device_id) -> SecureChannel* {
-          return device_id == options_.device_id
-                     ? meta_channel_server_.get()
-                     : nullptr;
-        },
-        channel_server_rng_.get());
+    auto seal = [&](const Bytes& root, const std::vector<RpcClient*>& clients,
+                    const std::vector<RpcServer*>& servers) {
+      SealChannel(root, rotation, creds.device_id, clients,
+                  channel_client_rng_.get(), servers,
+                  channel_server_rng_.get(), channels_);
+    };
+    seal(ChannelRoot(creds.key_secret), Pointers(service_stack->key_rpcs),
+         all_key_servers);
+    seal(ChannelRoot(creds.meta_secret), Pointers(service_stack->meta_rpcs),
+         meta_servers);
+    if (options_.paired_phone) {
+      Bytes secrets = creds.key_secret;
+      Append(secrets, creds.meta_secret);
+      seal(ChannelRoot(secrets, "kp-pair-channel-root"),
+           {&key_rpc(), &meta_rpc()}, {phone_->server()});
+    }
   }
 
   KeypadFs::Services services;
   services.key = &key_client();
-  services.meta = meta_client_.get();
+  services.meta = laptop_.meta.get();
   services.ibe = &metadata_service().ibe_params();
 
   auto fs = KeypadFs::Format(&device_, &queue_, options_.seed ^ 0x5555,
@@ -418,61 +467,55 @@ Result<Deployment::AttackerClients> Deployment::MakeAttackerClients(
     return std::make_unique<RpcClient>(&queue_, &client_link_, server,
                                        options_.rpc);
   };
-  // The stolen laptop's config names every replica endpoint; the thief's
-  // stubs fail over between replicas exactly like the owner's did.
-  auto endpoints = [&](auto& group, RpcClient* primary) {
+  // Every client in the order the thief has always built them (RpcClient
+  // ids seed the retry jitter): shard 0's and the metadata tier's replica
+  // 0 and backups, then each further shard's.
+  std::vector<RpcClient*> key_rpcs;
+  std::vector<RpcClient*> meta_rpcs;
+  auto endpoints = [&](auto& group, RpcClient* primary,
+                       std::vector<RpcClient*>& tier) {
     std::vector<RpcClient*> rpcs{primary};
     for (size_t r = 1; r < group.servers.size(); ++r) {
       clients.replica_rpcs.push_back(connect(group.servers[r].get()));
       rpcs.push_back(clients.replica_rpcs.back().get());
     }
+    tier.insert(tier.end(), rpcs.begin(), rpcs.end());
     return rpcs;
   };
   clients.key_rpc = connect(key_tier_[0].servers[0].get());
   clients.meta_rpc = connect(meta_tier_.servers[0].get());
   clients.key = MakeStub<KeyServiceClient>(
-      endpoints(key_tier_[0], clients.key_rpc.get()), creds.device_id,
-      creds.key_secret);
+      endpoints(key_tier_[0], clients.key_rpc.get(), key_rpcs),
+      creds.device_id, creds.key_secret);
   clients.meta = MakeStub<MetadataServiceClient>(
-      endpoints(meta_tier_, clients.meta_rpc.get()), creds.device_id,
-      creds.meta_secret);
-  if (key_tier_.size() > 1) {
-    // The thief rebuilds the same router the legitimate client ran.
-    std::vector<KeyServiceClient*> stubs{clients.key.get()};
-    for (size_t i = 1; i < key_tier_.size(); ++i) {
-      clients.shard_rpcs.push_back(connect(key_tier_[i].servers[0].get()));
-      clients.shard_stubs.push_back(MakeStub<KeyServiceClient>(
-          endpoints(key_tier_[i], clients.shard_rpcs.back().get()),
-          creds.device_id, creds.key_secret));
-      stubs.push_back(clients.shard_stubs.back().get());
-    }
-    // The thief's router does not share the owner's brownout controller —
-    // an attacker has no reason to be polite to an overloaded tier.
-    ShardRouter::Options thief_router = options_.router;
-    thief_router.brownout = nullptr;
-    clients.router = std::make_unique<ShardRouter>(&queue_, std::move(stubs),
-                                                   thief_router);
+      endpoints(meta_tier_, clients.meta_rpc.get(), meta_rpcs),
+      creds.device_id, creds.meta_secret);
+  for (size_t i = 1; i < key_tier_.size(); ++i) {
+    clients.shard_rpcs.push_back(connect(key_tier_[i].servers[0].get()));
+    clients.shard_stubs.push_back(MakeStub<KeyServiceClient>(
+        endpoints(key_tier_[i], clients.shard_rpcs.back().get(), key_rpcs),
+        creds.device_id, creds.key_secret));
   }
-  if (options_.secure_channel && !options_.paired_phone) {
-    SimDuration rotation = options_.config.texp;
+  std::vector<KeyServiceClient*> stubs = Pointers(clients.shard_stubs);
+  stubs.insert(stubs.begin(), clients.key.get());
+  // The thief's router does not share the owner's brownout controller —
+  // an attacker has no reason to be polite to an overloaded tier.
+  ShardRouter::Options thief_router = options_.router;
+  thief_router.brownout = nullptr;
+  clients.router =
+      std::make_unique<ShardRouter>(&queue_, std::move(stubs), thief_router);
+  if (options_.secure_channel) {
+    const SimDuration rotation = options_.config.texp;
     clients.channel_rng = std::make_unique<SecureRandom>(
         options_.seed ^ 0x8888);
-    clients.key_channel = std::make_unique<SecureChannel>(
-        Hkdf(creds.key_secret, /*salt=*/{}, "kp-channel-root", 32), rotation);
-    clients.meta_channel = std::make_unique<SecureChannel>(
-        Hkdf(creds.meta_secret, /*salt=*/{}, "kp-channel-root", 32),
-        rotation);
-    clients.key_rpc->EnableChannelSecurity(clients.key_channel.get(),
-                                           creds.device_id,
-                                           clients.channel_rng.get());
-    clients.meta_rpc->EnableChannelSecurity(clients.meta_channel.get(),
-                                            creds.device_id,
-                                            clients.channel_rng.get());
+    SealChannel(ChannelRoot(creds.key_secret), rotation, creds.device_id,
+                key_rpcs, clients.channel_rng.get(), {}, nullptr,
+                clients.channels);
+    SealChannel(ChannelRoot(creds.meta_secret), rotation, creds.device_id,
+                meta_rpcs, clients.channel_rng.get(), {}, nullptr,
+                clients.channels);
   }
-  clients.services.key =
-      clients.router != nullptr
-          ? static_cast<KeyClient*>(clients.router.get())
-          : static_cast<KeyClient*>(clients.key.get());
+  clients.services.key = clients.router.get();
   clients.services.meta = clients.meta.get();
   clients.services.ibe = &metadata_service().ibe_params();
   return clients;

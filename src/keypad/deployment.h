@@ -9,6 +9,12 @@
 //            ──rpc──> [same link]        ──> MetadataService
 //   or, paired:
 //   KeypadFs ──rpc──> [Bluetooth] ──> PhoneProxy ──rpc──> [cellular] ──> services
+//
+// Every shape runs one client stack (DESIGN.md §29): a ShardRouter over one
+// replica-aware stub per key shard, plus a replica-aware metadata stub.
+// The laptop runs it over its link; paired, the phone runs it over its
+// uplink, and the laptop's one endpoint is the phone. Sealed channels cover
+// every client and server the deployment builds.
 
 #ifndef SRC_KEYPAD_DEPLOYMENT_H_
 #define SRC_KEYPAD_DEPLOYMENT_H_
@@ -43,11 +49,11 @@ struct DeploymentOptions {
   std::string device_id = "laptop-1";
   std::string password = "correct horse battery staple";
   // Adds a paired phone: the laptop talks to it over Bluetooth and the
-  // phone reaches the services over `profile`.
+  // phone reaches every shard and replica over `profile`.
   bool paired_phone = false;
-  // Transport encryption (§6): client↔service traffic sealed under
-  // per-device session keys that ratchet every Texp. Not supported
-  // together with the phone proxy (the phone would need to re-seal).
+  // Transport encryption (§6): every client↔server pair sealed under
+  // per-device session keys that ratchet every Texp — one root per tier,
+  // and paired, one more for the Bluetooth hop.
   bool secure_channel = false;
   // Resilience knobs (retry ladder, per-attempt timeout, circuit breaker)
   // applied to every RpcClient this deployment constructs.
@@ -62,10 +68,9 @@ struct DeploymentOptions {
   // ShardRouter (batch-window stretching, overload signals) and the
   // KeypadFs config (prefetch suppression).
   BrownoutOptions brownout;
-  // Key-service tier width (DESIGN.md §8). With N > 1 the deployment runs N
-  // independent KeyService shards behind a client-side ShardRouter; the
-  // paired phone and sealed channels are single-endpoint features and force
-  // N = 1.
+  // Key-service tier width (DESIGN.md §8): N independent KeyService shards
+  // behind a client-side ShardRouter. This and both replica widths must be
+  // at least 1; a smaller one is a caller bug, and the constructor aborts.
   int key_shards = 1;
   // Per-shard service knobs: group-commit window and seal CPU costs.
   KeyServiceOptions key_service;
@@ -73,18 +78,16 @@ struct DeploymentOptions {
   ShardRouter::Options router;
   // Replication width per shard (DESIGN.md §9). With R > 1 every shard runs
   // R replicas (primary + R−1 backups) under a lease-based ReplicaSet; the
-  // laptop's stubs fail over between them and sealed audit groups stream to
-  // the backups before client responses release. Like sharding, this is a
-  // datacenter-side feature: the phone proxy and sealed channels force 1.
+  // client stubs fail over between them and sealed audit groups stream to
+  // the backups before client responses release.
   int key_replicas = 1;
   // Replication width of the metadata tier (DESIGN.md §10). With R > 1 the
   // metadata service runs R replicas on the same generic substrate as the
   // key tier: hash-chained log suffixes stream to the backups before
   // responses (and the IBE unlock keys inside them) release, and the
-  // laptop's stub fails over across the group. Every replica shares the
+  // client stub fails over across the group. Every replica shares the
   // IBE master secret (the PKG is modelled as a shared HSM), so a promoted
-  // backup mints the same unlock keys. Phone proxy and sealed channels
-  // force 1, as with the key tier.
+  // backup mints the same unlock keys.
   int meta_replicas = 1;
   // Audit-log lifecycle of every metadata replica (DESIGN.md §15); the
   // key tier's is key_service.log.
@@ -145,17 +148,14 @@ class Deployment {
   }
   // Null when key_replicas == 1.
   ReplicaSet* replica_set(size_t shard) { return key_tier_[shard].set.get(); }
-  // The replica-aware stub for shard i (what the router routes to).
-  KeyServiceClient& key_stub(size_t i) { return *key_clients_[i]; }
-  // Null when unsharded (KeypadFs talks straight to the shard-0 stub).
-  ShardRouter* key_router() { return key_router_.get(); }
-  // What KeypadFs actually talks to: the router when sharded, the shard-0
-  // stub otherwise.
-  KeyClient& key_client() {
-    return key_router_ != nullptr
-               ? static_cast<KeyClient&>(*key_router_)
-               : static_cast<KeyClient&>(*key_clients_[0]);
-  }
+  // The laptop's replica-aware stub for shard i (what its router routes
+  // to). Paired, the laptop has one stub, to the phone, and only i = 0
+  // exists.
+  KeyServiceClient& key_stub(size_t i) { return *laptop_.key_stubs.at(i); }
+  // The laptop's router, never null: what KeypadFs talks to. At one shard
+  // (and paired) it passes every call straight to its stub.
+  ShardRouter* key_router() { return laptop_.key_router.get(); }
+  KeyClient& key_client() { return *laptop_.key_router; }
   // Replica 0 — the whole metadata tier when meta_replicas == 1. With
   // replication this is the initial primary, which may no longer lead
   // after a failover; see meta_replica_set().
@@ -170,7 +170,7 @@ class Deployment {
   // Null when meta_replicas == 1.
   MetaReplicaSet* meta_replica_set() { return meta_tier_.set.get(); }
   // The laptop's (replica-aware) metadata stub.
-  MetadataServiceClient& meta_client() { return *meta_client_; }
+  MetadataServiceClient& meta_client() { return *laptop_.meta; }
   ForensicAuditor& auditor() { return auditor_; }
   // The device's brownout controller (never null; inert unless enabled).
   BrownoutController& brownout() { return *brownout_; }
@@ -183,11 +183,12 @@ class Deployment {
   // paired). Disconnect it to model offline operation or theft isolation.
   NetworkLink& client_link() { return client_link_; }
 
-  // The laptop's RpcClient to each tier's replica 0 (to the phone when
-  // paired), exposed for benches.
+  // The laptop's RpcClient to replica 0 of key shard i and of the metadata
+  // tier, exposed for benches. Paired, both tiers' client is the phone's
+  // and only shard i = 0 exists.
   RpcClient& key_rpc() { return key_shard_rpc(0); }
-  RpcClient& key_shard_rpc(size_t i) { return *key_rpcs_[i][0]; }
-  RpcClient& meta_rpc() { return *meta_rpcs_[0]; }
+  RpcClient& key_shard_rpc(size_t i) { return *laptop_.key_rpcs.at(i)[0]; }
+  RpcClient& meta_rpc() { return *laptop_.meta_rpcs[0]; }
 
   // --- Service faults (DESIGN.md §23). --------------------------------------
   //
@@ -222,25 +223,27 @@ class Deployment {
   RawDeviceAttacker MakeAttacker();
   // Builds the attacker's own service clients (stolen credentials) so an
   // online attack can run against this deployment's services.
+  // The stolen laptop's config names every shard and replica endpoint, so
+  // the thief runs the same client stack the owner's laptop did.
   struct AttackerClients {
-    // Shard-0 plumbing (the whole tier when unsharded).
+    // Replica 0 of key shard 0 and of the metadata tier.
     std::unique_ptr<RpcClient> key_rpc;
     std::unique_ptr<RpcClient> meta_rpc;
-    std::unique_ptr<KeyServiceClient> key;
-    std::unique_ptr<MetadataServiceClient> meta;
-    // Remaining shards plus the thief's own router (sharded deployments:
-    // the stolen laptop's config names every shard endpoint).
+    // Replica 0 of every further key shard.
     std::vector<std::unique_ptr<RpcClient>> shard_rpcs;
+    // Backup-replica endpoints: the thief's stubs fail over exactly like
+    // the owner's did.
+    std::vector<std::unique_ptr<RpcClient>> replica_rpcs;
+    // Shard 0's stub, every further shard's, and the router over them
+    // (never null).
+    std::unique_ptr<KeyServiceClient> key;
     std::vector<std::unique_ptr<KeyServiceClient>> shard_stubs;
     std::unique_ptr<ShardRouter> router;
-    // Backup-replica endpoints (replicated deployments: the thief's stubs
-    // fail over exactly like the owner's did).
-    std::vector<std::unique_ptr<RpcClient>> replica_rpcs;
+    std::unique_ptr<MetadataServiceClient> meta;
     // When the deployment runs sealed channels, the thief derives the same
     // channel roots from the stolen secrets.
     std::unique_ptr<SecureRandom> channel_rng;
-    std::unique_ptr<SecureChannel> key_channel;
-    std::unique_ptr<SecureChannel> meta_channel;
+    std::vector<std::unique_ptr<SecureChannel>> channels;
     KeypadFs::Services services;
   };
   Result<AttackerClients> MakeAttackerClients(
@@ -308,6 +311,25 @@ class Deployment {
   std::unique_ptr<Stub> MakeStub(std::vector<RpcClient*> rpcs,
                                  const std::string& device_id,
                                  const Bytes& secret);
+
+  // One client stack (DESIGN.md §29): key_rpcs[shard][replica] and
+  // meta_rpcs[replica] over one link, one stub per key shard routing across
+  // its group, the router over those stubs, and the metadata stub.
+  struct ClientStack {
+    std::vector<std::vector<std::unique_ptr<RpcClient>>> key_rpcs;
+    std::vector<std::unique_ptr<RpcClient>> meta_rpcs;
+    std::vector<std::unique_ptr<KeyServiceClient>> key_stubs;
+    std::unique_ptr<ShardRouter> key_router;
+    std::unique_ptr<MetadataServiceClient> meta;
+  };
+  // Builds `stack` over `link`, to key_servers[shard][replica] and
+  // meta_servers[replica], in that order (RpcClient ids are allocated in
+  // construction order and seed the retry jitter).
+  void BuildStack(ClientStack& stack, NetworkLink* link,
+                  const std::vector<std::vector<RpcServer*>>& key_servers,
+                  const std::vector<RpcServer*>& meta_servers,
+                  const KeypadFs::Credentials& creds,
+                  ShardRouter::Options router);
   // Runs an admin mutation through the group's leader (which ships it to
   // the backups at once) when replicated, on replica 0 otherwise.
   template <typename Service, typename Mutate>
@@ -329,32 +351,20 @@ class Deployment {
   NetworkLink client_link_;   // Laptop -> services (or -> phone).
   NetworkLink phone_uplink_;  // Phone -> services.
 
-  // Phone-side plumbing (paired mode).
-  std::unique_ptr<RpcClient> phone_key_rpc_;
-  std::unique_ptr<RpcClient> phone_meta_rpc_;
-  std::unique_ptr<KeyServiceClient> phone_key_client_;
-  std::unique_ptr<MetadataServiceClient> phone_meta_client_;
-  std::unique_ptr<PhoneProxy> phone_;
-
-  // Transport-encryption state (secure_channel mode): per-service channel
-  // pairs plus the RNGs that supply nonces.
+  // Transport-encryption state (secure_channel mode): each side's nonce
+  // source and the channels they seal under.
   std::unique_ptr<SecureRandom> channel_client_rng_;
   std::unique_ptr<SecureRandom> channel_server_rng_;
-  std::unique_ptr<SecureChannel> key_channel_client_;
-  std::unique_ptr<SecureChannel> key_channel_server_;
-  std::unique_ptr<SecureChannel> meta_channel_client_;
-  std::unique_ptr<SecureChannel> meta_channel_server_;
+  std::vector<std::unique_ptr<SecureChannel>> channels_;
 
-  // Laptop-side plumbing, all over client_link_: key_rpcs_[shard][replica]
-  // and meta_rpcs_[replica] (one phone endpoint each when paired), one stub
-  // per key shard routing across its group, and the router over the stubs
-  // when sharded.
-  std::vector<std::vector<std::unique_ptr<RpcClient>>> key_rpcs_;
-  std::vector<std::unique_ptr<RpcClient>> meta_rpcs_;
-  std::vector<std::unique_ptr<KeyServiceClient>> key_clients_;
+  // Paired mode: the phone's client stack over phone_uplink_, and the
+  // proxy it backs.
+  ClientStack phone_stack_;
+  std::unique_ptr<PhoneProxy> phone_;
+
+  // The laptop's client stack over client_link_ (to the phone when paired).
   std::unique_ptr<BrownoutController> brownout_;
-  std::unique_ptr<ShardRouter> key_router_;
-  std::unique_ptr<MetadataServiceClient> meta_client_;
+  ClientStack laptop_;
   std::unique_ptr<KeypadFs> fs_;
 
   // Cloud backup tier (cloud_backup mode; both null otherwise).

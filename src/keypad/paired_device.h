@@ -13,6 +13,11 @@
 //    keys for new files, and journals every access/creation/namespace
 //    event; on reconnection it uploads the journals in bulk.
 //
+// Upstream is the same client stack the laptop would run (DESIGN.md §29):
+// a ShardRouter over one replica-aware stub per key shard, plus a
+// replica-aware metadata stub. A key journal seals per shard, and only the
+// entries of a shard whose upload failed stay journaled.
+//
 // Auditing: if only the laptop is lost, the phone (still with the user)
 // plus the service logs give a full audit trail. If both are lost, the
 // hoard's contents bound the extra exposure (directory granularity).
@@ -38,11 +43,10 @@ class PhoneProxy {
   static constexpr SimDuration kHoardTtl = SimDuration::Hours(1);
 
   // `uplink` is the phone's own internet link (cellular/WiFi);
-  // `key_upstream`/`meta_upstream` are client stubs over that link.
+  // `key_upstream`/`meta_upstream` are the clients over that link.
   // `key_secret`/`meta_secret` authenticate the laptop's frames (the phone
   // is paired, so it shares the device credentials).
-  PhoneProxy(EventQueue* queue, NetworkLink* uplink,
-             KeyServiceClient* key_upstream,
+  PhoneProxy(EventQueue* queue, NetworkLink* uplink, KeyClient* key_upstream,
              MetadataServiceClient* meta_upstream, std::string device_id,
              Bytes key_secret, Bytes meta_secret);
 
@@ -70,15 +74,19 @@ class PhoneProxy {
 
  private:
   void BindHandlers();
-  // Journals one hoard-served access (or eviction notice); while the uplink
-  // is up, UploadKeyJournal then sends the whole journal in one upload.
-  void JournalKeyAccess(const AuditId& id, AccessOp op);
+  // Journals one hoard-served access, eviction notice or offline create
+  // (with its key); while the uplink is up, UploadKeyJournal then sends the
+  // whole journal in one upload.
+  void JournalKeyAccess(const AuditId& id, AccessOp op, Bytes key = {});
   void UploadKeyJournal();
+  // Puts what an upload left unsealed back ahead of anything journaled
+  // while it was in flight, and counts the rest as uploaded.
+  void KeepUnsealed(size_t sent, KeyClient::JournalOutcome outcome);
   void FlushJournals();
 
   EventQueue* queue_;
   NetworkLink* uplink_;
-  KeyServiceClient* key_upstream_;
+  KeyClient* key_upstream_;
   MetadataServiceClient* meta_upstream_;
   std::string device_id_;
   Bytes key_secret_;

@@ -26,6 +26,18 @@ std::string_view AccessOpName(AccessOp op) {
   return "unknown";
 }
 
+Result<AccessOp> DecodeAccessOp(int64_t raw, OpSource source) {
+  const auto op = static_cast<AccessOp>(raw);
+  if (op == AccessOp::kDemandFetch || op == AccessOp::kPrefetch ||
+      op == AccessOp::kRefresh ||
+      (source == OpSource::kJournal &&
+       (op == AccessOp::kCreate || op == AccessOp::kEviction))) {
+    return op;
+  }
+  return InvalidArgumentError("access op " + std::to_string(raw) +
+                              " is not a client's to send");
+}
+
 WireValue AuditLogEntry::ToWire() const {
   WireValue::Struct s;
   s.emplace("seq", WireValue(static_cast<int64_t>(seq)));

@@ -53,6 +53,15 @@ enum class AccessOp {
 
 std::string_view AccessOpName(AccessOp op);
 
+// The access ops a client may put on the wire. A fetch verb releases a key
+// as a demand fetch, a prefetch or a refresh; a journal upload may also
+// carry the creates and evictions the paired phone records. Any other
+// value — a revocation, destruction, denial or restore, which only the
+// service writes, or no op at all — is refused with InvalidArgument before
+// anything is logged.
+enum class OpSource { kFetch, kJournal };
+Result<AccessOp> DecodeAccessOp(int64_t raw, OpSource source);
+
 struct AuditLogEntry {
   uint64_t seq = 0;
   // Sequence number of the first entry in this entry's commit group; the

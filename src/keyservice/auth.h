@@ -12,6 +12,7 @@
 #include <string>
 
 #include "src/util/bytes.h"
+#include "src/util/ids.h"
 #include "src/wire/value.h"
 
 namespace keypad {
@@ -40,6 +41,14 @@ Result<AuthedCall> SplitAuthedCall(const WireValue::Array& params);
 // Verifies the tag; kPermissionDenied on mismatch.
 Status VerifyAuthTag(const Bytes& device_secret, const std::string& method,
                      const AuthedCall& call);
+
+// An id argument off the wire: a wrong-length id is refused with
+// InvalidArgument, never dereferenced.
+template <typename Id>
+Result<Id> IdArg(const WireValue& value) {
+  KP_ASSIGN_OR_RETURN(Bytes bytes, value.AsBytes());
+  return Id::FromBytes(bytes);
+}
 
 }  // namespace keypad
 

@@ -108,6 +108,21 @@ class KeyClient {
   // Non-blocking variant for uploads that must stay off the critical path.
   virtual void UploadJournalAsync(const std::vector<JournalEntry>& entries,
                                   std::function<void(Status)> done) = 0;
+  // An upload that says what did not seal (DESIGN.md §29): the first
+  // failure and every entry no shard acknowledged, each shard's in journal
+  // order. One endpoint seals all or nothing; a router seals per shard. A
+  // caller that keeps exactly `unsealed` journaled never uploads a sealed
+  // row twice.
+  struct JournalOutcome {
+    Status status;
+    std::vector<JournalEntry> unsealed;
+  };
+  virtual void SealJournalAsync(const std::vector<JournalEntry>& entries,
+                                std::function<void(JournalOutcome)> done) {
+    UploadJournalAsync(entries, [entries, done = std::move(done)](Status s) {
+      done({s, s.ok() ? std::vector<JournalEntry>() : entries});
+    });
+  }
   // Fire-and-forget eviction notice.
   virtual void NoteEvictionAsync(const AuditId& audit_id) = 0;
   // Assured delete: permanently destroys the remote key (with it gone, the

@@ -489,38 +489,29 @@ Result<std::function<void()>> KeyService::ParseState(
 
 void KeyService::BindRpc(RpcServer* server) {
   rpc_server_ = server;
-  Install(
-      server, "key.create", true,
-      [this](const std::string& device,
-                    const WireValue::Array& payload) -> Result<WireValue> {
-               if (payload.size() != 1) {
-                 return InvalidArgumentError("key.create: bad arity");
-               }
-               KP_ASSIGN_OR_RETURN(Bytes id_bytes, payload[0].AsBytes());
-               KP_ASSIGN_OR_RETURN(AuditId id, AuditId::FromBytes(id_bytes));
-               KP_ASSIGN_OR_RETURN(Bytes key, CreateKey(device, id));
-               return WireValue(std::move(key));
-             });
+  Install(server, "key.create", true, 1,
+          [this](const std::string& device,
+                 const WireValue::Array& payload) -> Result<WireValue> {
+            KP_ASSIGN_OR_RETURN(AuditId id, IdArg<AuditId>(payload[0]));
+            KP_ASSIGN_OR_RETURN(Bytes key, CreateKey(device, id));
+            return WireValue(std::move(key));
+          });
 
-  Install(
-      server, "key.get", true,
-      [this](const std::string& device,
-                    const WireValue::Array& payload) -> Result<WireValue> {
-               if (payload.size() != 2) {
-                 return InvalidArgumentError("key.get: bad arity");
-               }
-               KP_ASSIGN_OR_RETURN(Bytes id_bytes, payload[0].AsBytes());
-               KP_ASSIGN_OR_RETURN(AuditId id, AuditId::FromBytes(id_bytes));
-               KP_ASSIGN_OR_RETURN(int64_t op_int, payload[1].AsInt());
-               KP_ASSIGN_OR_RETURN(
-                   Bytes key, GetKey(device, id, static_cast<AccessOp>(op_int)));
-               return WireValue(std::move(key));
-             });
+  Install(server, "key.get", true, 2,
+          [this](const std::string& device,
+                 const WireValue::Array& payload) -> Result<WireValue> {
+            KP_ASSIGN_OR_RETURN(AuditId id, IdArg<AuditId>(payload[0]));
+            KP_ASSIGN_OR_RETURN(int64_t op_int, payload[1].AsInt());
+            KP_ASSIGN_OR_RETURN(AccessOp op,
+                                DecodeAccessOp(op_int, OpSource::kFetch));
+            KP_ASSIGN_OR_RETURN(Bytes key, GetKey(device, id, op));
+            return WireValue(std::move(key));
+          });
 
   // Batched typed fetch (DESIGN.md §13, §26): N items in one authed
   // frame, one commit group, answered positionally so a missing key never
   // fails its batch siblings.
-  Install(server, "key.get_multi", true,
+  Install(server, "key.get_multi", true, 2,
           [this](const std::string& device,
                  const WireValue::Array& payload) -> Result<WireValue> {
             KP_ASSIGN_OR_RETURN(std::vector<MultiGetItem> items,
@@ -530,64 +521,49 @@ void KeyService::BindRpc(RpcServer* server) {
             return EncodeMultiGetReply(std::move(released));
           });
 
-  Install(
-      server, "key.evict", true,
-      [this](const std::string& device,
-                    const WireValue::Array& payload) -> Result<WireValue> {
-               if (payload.size() != 1) {
-                 return InvalidArgumentError("key.evict: bad arity");
-               }
-               KP_ASSIGN_OR_RETURN(Bytes id_bytes, payload[0].AsBytes());
-               KP_ASSIGN_OR_RETURN(AuditId id, AuditId::FromBytes(id_bytes));
-               KP_RETURN_IF_ERROR(NoteEviction(device, id));
-               return WireValue(true);
-             });
+  Install(server, "key.evict", true, 1,
+          [this](const std::string& device,
+                 const WireValue::Array& payload) -> Result<WireValue> {
+            KP_ASSIGN_OR_RETURN(AuditId id, IdArg<AuditId>(payload[0]));
+            KP_RETURN_IF_ERROR(NoteEviction(device, id));
+            return WireValue(true);
+          });
 
   InstallAuditRpc(server);
 
-  Install(
-      server, "key.destroy", true,
-      [this](const std::string& device,
-                    const WireValue::Array& payload) -> Result<WireValue> {
-               if (payload.size() != 1) {
-                 return InvalidArgumentError("key.destroy: bad arity");
-               }
-               KP_ASSIGN_OR_RETURN(Bytes id_bytes, payload[0].AsBytes());
-               KP_ASSIGN_OR_RETURN(AuditId id, AuditId::FromBytes(id_bytes));
-               KP_RETURN_IF_ERROR(DestroyKey(device, id));
-               return WireValue(true);
-             });
+  Install(server, "key.destroy", true, 1,
+          [this](const std::string& device,
+                 const WireValue::Array& payload) -> Result<WireValue> {
+            KP_ASSIGN_OR_RETURN(AuditId id, IdArg<AuditId>(payload[0]));
+            KP_RETURN_IF_ERROR(DestroyKey(device, id));
+            return WireValue(true);
+          });
 
-  Install(
-      server, "key.upload_journal", true,
-      [this](const std::string& device,
-                    const WireValue::Array& payload) -> Result<WireValue> {
-               if (payload.size() != 1) {
-                 return InvalidArgumentError("key.upload_journal: bad arity");
-               }
-               KP_ASSIGN_OR_RETURN(WireValue::Array raw, payload[0].AsArray());
-               std::vector<JournalEntry> entries;
-               for (const auto& e : raw) {
-                 JournalEntry entry;
-                 KP_ASSIGN_OR_RETURN(WireValue id_v, e.Field("id"));
-                 KP_ASSIGN_OR_RETURN(Bytes id_bytes, id_v.AsBytes());
-                 KP_ASSIGN_OR_RETURN(entry.audit_id,
-                                     AuditId::FromBytes(id_bytes));
-                 KP_ASSIGN_OR_RETURN(WireValue op_v, e.Field("op"));
-                 KP_ASSIGN_OR_RETURN(int64_t op_int, op_v.AsInt());
-                 entry.op = static_cast<AccessOp>(op_int);
-                 KP_ASSIGN_OR_RETURN(WireValue ts_v, e.Field("ts"));
-                 KP_ASSIGN_OR_RETURN(int64_t ts_int, ts_v.AsInt());
-                 entry.client_time = SimTime(ts_int);
-                 if (e.HasField("key")) {
-                   KP_ASSIGN_OR_RETURN(WireValue key_v, e.Field("key"));
-                   KP_ASSIGN_OR_RETURN(entry.key, key_v.AsBytes());
-                 }
-                 entries.push_back(std::move(entry));
-               }
-               KP_RETURN_IF_ERROR(UploadJournal(device, entries));
-               return WireValue(true);
-             });
+  Install(server, "key.upload_journal", true, 1,
+          [this](const std::string& device,
+                 const WireValue::Array& payload) -> Result<WireValue> {
+            KP_ASSIGN_OR_RETURN(WireValue::Array raw, payload[0].AsArray());
+            std::vector<JournalEntry> entries;
+            for (const auto& e : raw) {
+              JournalEntry entry;
+              KP_ASSIGN_OR_RETURN(WireValue id_v, e.Field("id"));
+              KP_ASSIGN_OR_RETURN(entry.audit_id, IdArg<AuditId>(id_v));
+              KP_ASSIGN_OR_RETURN(WireValue op_v, e.Field("op"));
+              KP_ASSIGN_OR_RETURN(int64_t op_int, op_v.AsInt());
+              KP_ASSIGN_OR_RETURN(entry.op,
+                                  DecodeAccessOp(op_int, OpSource::kJournal));
+              KP_ASSIGN_OR_RETURN(WireValue ts_v, e.Field("ts"));
+              KP_ASSIGN_OR_RETURN(int64_t ts_int, ts_v.AsInt());
+              entry.client_time = SimTime(ts_int);
+              if (e.HasField("key")) {
+                KP_ASSIGN_OR_RETURN(WireValue key_v, e.Field("key"));
+                KP_ASSIGN_OR_RETURN(entry.key, key_v.AsBytes());
+              }
+              entries.push_back(std::move(entry));
+            }
+            KP_RETURN_IF_ERROR(UploadJournal(device, entries));
+            return WireValue(true);
+          });
 }
 
 }  // namespace keypad

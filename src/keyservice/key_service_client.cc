@@ -81,10 +81,9 @@ Result<std::vector<KeyClient::MultiGetItem>> DecodeMultiGetRequest(
   }
   std::vector<KeyClient::MultiGetItem> items(ids.size());
   for (size_t i = 0; i < ids.size(); ++i) {
-    KP_ASSIGN_OR_RETURN(Bytes id_bytes, ids[i].AsBytes());
-    KP_ASSIGN_OR_RETURN(items[i].audit_id, AuditId::FromBytes(id_bytes));
+    KP_ASSIGN_OR_RETURN(items[i].audit_id, IdArg<AuditId>(ids[i]));
     KP_ASSIGN_OR_RETURN(int64_t op, ops[i].AsInt());
-    items[i].op = static_cast<AccessOp>(op);
+    KP_ASSIGN_OR_RETURN(items[i].op, DecodeAccessOp(op, OpSource::kFetch));
   }
   return items;
 }

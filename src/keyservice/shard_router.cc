@@ -28,10 +28,17 @@ ShardRouter::ShardRouter(EventQueue* queue,
     : queue_(queue),
       shards_(std::move(shards)),
       options_(options),
+      passthrough_(shards_.size() == 1 && !options.route_one_shard),
       ring_(shards_.size(), kRingSeed, kVnodesPerShard) {}
 
 const std::string& ShardRouter::device_id() const {
   return shards_.front()->device_id();
+}
+
+void ShardRouter::NoteReply(const Status& status) {
+  if (options_.brownout && !status.ok() && IsRejectedByServer(status)) {
+    options_.brownout->NoteOverloadSignal(queue_->Now());
+  }
 }
 
 void ShardRouter::EnqueueFetch(const AuditId& audit_id, AccessOp op,
@@ -41,10 +48,7 @@ void ShardRouter::EnqueueFetch(const AuditId& audit_id, AccessOp op,
     // a per-item outcome; the caller's gather decides what it means.
     OwnerOf(audit_id)->GetKeyAsync(
         audit_id, op, [this, done = std::move(done)](Result<Bytes> result) {
-          if (options_.brownout && !result.ok() &&
-              IsRejectedByServer(result.status())) {
-            options_.brownout->NoteOverloadSignal(queue_->Now());
-          }
+          NoteReply(result.status());
           done({std::move(result), /*transport=*/false});
         });
     return;
@@ -97,9 +101,7 @@ void ShardRouter::FlushShard(size_t shard) {
   shards_[shard]->GetKeysTypedAsync(
       items, ctx, [this, batch, items](Result<MultiGetResult> result) {
         if (!result.ok()) {
-          if (options_.brownout && IsRejectedByServer(result.status())) {
-            options_.brownout->NoteOverloadSignal(queue_->Now());
-          }
+          NoteReply(result.status());
           ++stats_.shard_errors;
           for (auto& p : *batch) {
             p.done({result.status(), /*transport=*/true});
@@ -130,6 +132,14 @@ Result<Bytes> ShardRouter::GetKey(const AuditId& audit_id, AccessOp op) {
 
 void ShardRouter::GetKeyAsync(const AuditId& audit_id, AccessOp op,
                               std::function<void(Result<Bytes>)> done) {
+  if (passthrough_) {
+    shards_[0]->GetKeyAsync(
+        audit_id, op, [this, done = std::move(done)](Result<Bytes> result) {
+          NoteReply(result.status());
+          done(std::move(result));
+        });
+    return;
+  }
   if (!options_.single_flight) {
     // EnqueueFetch handles both wire shapes (batched multi-get or the
     // one-RPC-per-key ablation) and feeds REJECTED replies to the
@@ -165,6 +175,14 @@ void ShardRouter::GetKeyAsync(const AuditId& audit_id, AccessOp op,
 void ShardRouter::GetKeysTypedAsync(
     const std::vector<MultiGetItem>& items,
     std::function<void(Result<MultiGetResult>)> done) {
+  if (passthrough_) {
+    shards_[0]->GetKeysTypedAsync(
+        items, [this, done = std::move(done)](Result<MultiGetResult> result) {
+          NoteReply(result.status());
+          done(std::move(result));
+        });
+    return;
+  }
   if (items.empty()) {
     queue_->ScheduleAfter(SimDuration(), [done = std::move(done)] {
       done(MultiGetResult{});
@@ -235,36 +253,45 @@ Result<ShardRouter::MultiGetResult> ShardRouter::GetKeysTyped(
 
 void ShardRouter::UploadJournalAsync(const std::vector<JournalEntry>& entries,
                                      std::function<void(Status)> done) {
+  SealJournalAsync(entries, [done = std::move(done)](JournalOutcome outcome) {
+    done(outcome.status);
+  });
+}
+
+void ShardRouter::SealJournalAsync(const std::vector<JournalEntry>& entries,
+                                   std::function<void(JournalOutcome)> done) {
+  if (passthrough_) {
+    shards_[0]->SealJournalAsync(entries, std::move(done));
+    return;
+  }
   std::map<size_t, std::vector<JournalEntry>> plan;
   for (const auto& entry : entries) {
     plan[ring_.ShardFor(entry.audit_id)].push_back(entry);
   }
   if (plan.empty()) {
     queue_->ScheduleAfter(SimDuration(),
-                          [done = std::move(done)] { done(Status::Ok()); });
+                          [done = std::move(done)] { done({}); });
     return;
   }
-  if (plan.size() == 1) {
-    shards_[plan.begin()->first]->UploadJournalAsync(plan.begin()->second,
-                                                     std::move(done));
-    return;
+  if (plan.size() > 1) {
+    ++stats_.scatter_batches;
+    stats_.subrequests += plan.size();
   }
-  ++stats_.scatter_batches;
-  struct Gather {
-    size_t remaining = 0;
-    Status status = Status::Ok();
-  };
-  auto gather = std::make_shared<Gather>();
-  gather->remaining = plan.size();
+  // Each shard's sub-journal seals or fails on its own, so the outcome
+  // carries exactly the failed shards' entries: a sealed row is never
+  // re-sent and an unsealed one is never dropped.
+  auto outcome = std::make_shared<JournalOutcome>();
+  auto remaining = std::make_shared<size_t>(plan.size());
   for (auto& [shard, sub_entries] : plan) {
-    ++stats_.subrequests;
-    shards_[shard]->UploadJournalAsync(
-        sub_entries, [gather, done](Status status) {
-          if (!status.ok() && gather->status.ok()) {
-            gather->status = status;
+    shards_[shard]->SealJournalAsync(
+        sub_entries, [outcome, remaining, done](JournalOutcome part) {
+          if (outcome->status.ok()) {
+            outcome->status = part.status;
           }
-          if (--gather->remaining == 0) {
-            done(gather->status);
+          outcome->unsealed.insert(outcome->unsealed.end(),
+                                   part.unsealed.begin(), part.unsealed.end());
+          if (--*remaining == 0) {
+            done(std::move(*outcome));
           }
         });
   }

@@ -21,7 +21,15 @@
 //
 // Failure semantics mirror the unsharded client where it matters: a failed
 // demand fetch fails the call, while failed prefetch sub-batches just drop
-// those keys (prefetch is advisory; the next demand miss re-fetches).
+// those keys (prefetch is advisory; the next demand miss re-fetches). A
+// journal upload seals per shard: SealJournalAsync names the entries of
+// every shard that failed, so the caller re-sends only those.
+//
+// One shard (DESIGN.md §29): the router hands every call straight to its
+// stub — no single-flight, no combiner flush, no stats — and only feeds
+// REJECTED replies to the brownout controller. An unsharded deployment
+// therefore speaks the bare stub's frames (a lone GetKey stays a key.get,
+// not a one-item key.get_multi).
 //
 // Every blocking method is its async twin awaited (DESIGN.md §22): there
 // is no blocking shortcut past single-flight, batching or the brownout
@@ -63,6 +71,10 @@ class ShardRouter : public KeyClient {
     // the batch window while the brownout is active (more fetches per
     // RPC, fewer RPCs at the overloaded tier). Borrowed pointer.
     BrownoutController* brownout = nullptr;
+    // Routes a one-shard router's calls like a sharded one's (single-flight
+    // and the combiner included) instead of passing them through. Only the
+    // key-tier bench rig sets it, to measure both at one shard.
+    bool route_one_shard = false;
   };
 
   struct Stats {
@@ -96,6 +108,8 @@ class ShardRouter : public KeyClient {
   Status UploadJournal(const std::vector<JournalEntry>& entries) override;
   void UploadJournalAsync(const std::vector<JournalEntry>& entries,
                           std::function<void(Status)> done) override;
+  void SealJournalAsync(const std::vector<JournalEntry>& entries,
+                        std::function<void(JournalOutcome)> done) override;
   void NoteEvictionAsync(const AuditId& audit_id) override;
   void DestroyKeyAsync(const AuditId& audit_id,
                        std::function<void(Status)> done) override;
@@ -135,8 +149,10 @@ class ShardRouter : public KeyClient {
   };
 
   KeyServiceClient* OwnerOf(const AuditId& audit_id) const {
-    return shards_[ring_.ShardFor(audit_id)];
+    return passthrough_ ? shards_[0] : shards_[ring_.ShardFor(audit_id)];
   }
+  // Feeds a REJECTED reply to the brownout controller, if any.
+  void NoteReply(const Status& status);
 
   // Batched wire path: queue the fetch on its owning shard's pending batch
   // and arm a flush at the end of the current tick (or the brownout's
@@ -148,6 +164,8 @@ class ShardRouter : public KeyClient {
   EventQueue* queue_;
   std::vector<KeyServiceClient*> shards_;
   Options options_;
+  // One shard, not routed: every call goes straight to shards_[0].
+  bool passthrough_;
   ShardRing ring_;
   Stats stats_;
   std::map<FlightKey, std::vector<std::function<void(Result<Bytes>)>>>

@@ -20,6 +20,15 @@ std::string_view MetadataOpName(MetadataOp op) {
   return "unknown";
 }
 
+Result<MetadataOp> DecodeJournalMetadataOp(int64_t raw) {
+  if (raw < static_cast<int64_t>(MetadataOp::kCreateFile) ||
+      raw > static_cast<int64_t>(MetadataOp::kRenameDir)) {
+    return InvalidArgumentError("journal op " + std::to_string(raw) +
+                                " is not a client's to send");
+  }
+  return static_cast<MetadataOp>(raw);
+}
+
 void MetadataLogCodec::SerializeEntry(const MetadataRecord& record,
                                       Bytes* out) {
   AppendU64Be(*out, record.seq);

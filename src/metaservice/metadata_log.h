@@ -48,6 +48,11 @@ enum class MetadataOp {
 
 std::string_view MetadataOpName(MetadataOp op);
 
+// A journaled namespace op off the wire: the file bindings, renames and
+// directory ops the paired phone records offline. Anything else is refused
+// with InvalidArgument before anything is logged.
+Result<MetadataOp> DecodeJournalMetadataOp(int64_t raw);
+
 struct MetadataRecord {
   uint64_t seq = 0;
   SimTime timestamp;   // Service-side append time.

@@ -281,95 +281,50 @@ Status MetadataService::LoadLogWithBase(MetadataLog& log,
 }
 
 void MetadataService::BindRpc(RpcServer* server) {
-  Install(
-      server, "meta.register_root", true,
-             [this](const std::string& device,
-                    const WireValue::Array& payload) -> Result<WireValue> {
-               if (payload.size() != 1) {
-                 return InvalidArgumentError("meta.register_root: bad arity");
-               }
-               KP_ASSIGN_OR_RETURN(Bytes id_bytes, payload[0].AsBytes());
-               KP_ASSIGN_OR_RETURN(DirId id, DirId::FromBytes(id_bytes));
-               KP_RETURN_IF_ERROR(RegisterRoot(device, id));
-               return WireValue(true);
-             });
+  Install(server, "meta.register_root", true, 1,
+          [this](const std::string& device,
+                 const WireValue::Array& payload) -> Result<WireValue> {
+            KP_ASSIGN_OR_RETURN(DirId id, IdArg<DirId>(payload[0]));
+            KP_RETURN_IF_ERROR(RegisterRoot(device, id));
+            return WireValue(true);
+          });
 
-  Install(
-      server, "meta.bind_file", true,
-             [this](const std::string& device,
-                    const WireValue::Array& payload) -> Result<WireValue> {
-               if (payload.size() != 4) {
-                 return InvalidArgumentError("meta.bind_file: bad arity");
-               }
-               KP_ASSIGN_OR_RETURN(Bytes aid_bytes, payload[0].AsBytes());
-               KP_ASSIGN_OR_RETURN(AuditId aid, AuditId::FromBytes(aid_bytes));
-               KP_ASSIGN_OR_RETURN(Bytes did_bytes, payload[1].AsBytes());
-               KP_ASSIGN_OR_RETURN(DirId did, DirId::FromBytes(did_bytes));
-               KP_ASSIGN_OR_RETURN(std::string name, payload[2].AsString());
-               KP_ASSIGN_OR_RETURN(bool is_rename, payload[3].AsBool());
-               KP_ASSIGN_OR_RETURN(
-                   Bytes ibe_key,
-                   RegisterFileBinding(device, aid, did, name, is_rename));
-               return WireValue(std::move(ibe_key));
-             });
+  Install(server, "meta.bind_file", true, 4,
+          [this](const std::string& device,
+                 const WireValue::Array& payload) -> Result<WireValue> {
+            KP_ASSIGN_OR_RETURN(AuditId aid, IdArg<AuditId>(payload[0]));
+            KP_ASSIGN_OR_RETURN(DirId did, IdArg<DirId>(payload[1]));
+            KP_ASSIGN_OR_RETURN(std::string name, payload[2].AsString());
+            KP_ASSIGN_OR_RETURN(bool is_rename, payload[3].AsBool());
+            KP_ASSIGN_OR_RETURN(
+                Bytes ibe_key,
+                RegisterFileBinding(device, aid, did, name, is_rename));
+            return WireValue(std::move(ibe_key));
+          });
 
-  Install(
-      server, "meta.mkdir", true,
-             [this](const std::string& device,
-                    const WireValue::Array& payload) -> Result<WireValue> {
-               if (payload.size() != 3) {
-                 return InvalidArgumentError("meta.mkdir: bad arity");
-               }
-               KP_ASSIGN_OR_RETURN(Bytes did_bytes, payload[0].AsBytes());
-               KP_ASSIGN_OR_RETURN(DirId did, DirId::FromBytes(did_bytes));
-               KP_ASSIGN_OR_RETURN(Bytes pid_bytes, payload[1].AsBytes());
-               KP_ASSIGN_OR_RETURN(DirId pid, DirId::FromBytes(pid_bytes));
-               KP_ASSIGN_OR_RETURN(std::string name, payload[2].AsString());
-               KP_RETURN_IF_ERROR(RegisterMkdir(device, did, pid, name));
-               return WireValue(true);
-             });
-
-  Install(
-      server, "meta.rename_dir", true,
-             [this](const std::string& device,
-                    const WireValue::Array& payload) -> Result<WireValue> {
-               if (payload.size() != 3) {
-                 return InvalidArgumentError("meta.rename_dir: bad arity");
-               }
-               KP_ASSIGN_OR_RETURN(Bytes did_bytes, payload[0].AsBytes());
-               KP_ASSIGN_OR_RETURN(DirId did, DirId::FromBytes(did_bytes));
-               KP_ASSIGN_OR_RETURN(Bytes pid_bytes, payload[1].AsBytes());
-               KP_ASSIGN_OR_RETURN(DirId pid, DirId::FromBytes(pid_bytes));
-               KP_ASSIGN_OR_RETURN(std::string name, payload[2].AsString());
-               KP_RETURN_IF_ERROR(RegisterDirRename(device, did, pid, name));
-               return WireValue(true);
-             });
-
-  Install(
-      server, "meta.set_attr", true,
-             [this](const std::string& device,
-                    const WireValue::Array& payload) -> Result<WireValue> {
-               if (payload.size() != 2) {
-                 return InvalidArgumentError("meta.set_attr: bad arity");
-               }
-               KP_ASSIGN_OR_RETURN(Bytes aid_bytes, payload[0].AsBytes());
-               KP_ASSIGN_OR_RETURN(AuditId aid, AuditId::FromBytes(aid_bytes));
-               KP_ASSIGN_OR_RETURN(std::string attr, payload[1].AsString());
-               KP_RETURN_IF_ERROR(RegisterAttr(device, aid, attr));
-               return WireValue(true);
-             });
+  for (const bool mkdir : {true, false}) {
+    Install(server, mkdir ? "meta.mkdir" : "meta.rename_dir", true, 3,
+            [this, mkdir](const std::string& device,
+                          const WireValue::Array& payload)
+                -> Result<WireValue> {
+              KP_ASSIGN_OR_RETURN(DirId did, IdArg<DirId>(payload[0]));
+              KP_ASSIGN_OR_RETURN(DirId pid, IdArg<DirId>(payload[1]));
+              KP_ASSIGN_OR_RETURN(std::string name, payload[2].AsString());
+              KP_RETURN_IF_ERROR(
+                  mkdir ? RegisterMkdir(device, did, pid, name)
+                        : RegisterDirRename(device, did, pid, name));
+              return WireValue(true);
+            });
+  }
 
   // The report's path annotations in one request (DESIGN.md §19): the
   // audit ids the console found in the key-tier window plus Tloss in, one
   // flat FileAnnotation row per id out. The whole chain is verified first,
   // once per request — no result is cached across requests.
   Install(
-      server, "audit.annotate", false,
+      server, "audit.annotate", false, 2,
       [this](const std::string& device,
              const WireValue::Array& payload) -> Result<WireValue> {
-        if (payload.size() != 2) {
-          return InvalidArgumentError("audit.annotate: bad arity");
-        }
         KP_ASSIGN_OR_RETURN(Bytes raw_ids, payload[0].AsBytes());
         KP_ASSIGN_OR_RETURN(int64_t t_loss_ns, payload[1].AsInt());
         std::vector<AuditId> ids;
@@ -385,43 +340,32 @@ void MetadataService::BindRpc(RpcServer* server) {
             EncodeFlatRows(Annotate(device, ids, SimTime(t_loss_ns))));
       });
 
-  Install(
-      server, "meta.upload_journal", true,
-             [this](const std::string& device,
-                    const WireValue::Array& payload) -> Result<WireValue> {
-               if (payload.size() != 1) {
-                 return InvalidArgumentError(
-                     "meta.upload_journal: bad arity");
-               }
-               KP_ASSIGN_OR_RETURN(WireValue::Array raw, payload[0].AsArray());
-               std::vector<JournalRecord> records;
-               for (const auto& r : raw) {
-                 JournalRecord record;
-                 KP_ASSIGN_OR_RETURN(WireValue op_v, r.Field("op"));
-                 KP_ASSIGN_OR_RETURN(int64_t op_int, op_v.AsInt());
-                 record.op = static_cast<MetadataOp>(op_int);
-                 KP_ASSIGN_OR_RETURN(WireValue aid_v, r.Field("aid"));
-                 KP_ASSIGN_OR_RETURN(Bytes aid_bytes, aid_v.AsBytes());
-                 KP_ASSIGN_OR_RETURN(record.audit_id,
-                                     AuditId::FromBytes(aid_bytes));
-                 KP_ASSIGN_OR_RETURN(WireValue did_v, r.Field("did"));
-                 KP_ASSIGN_OR_RETURN(Bytes did_bytes, did_v.AsBytes());
-                 KP_ASSIGN_OR_RETURN(record.dir_id,
-                                     DirId::FromBytes(did_bytes));
-                 KP_ASSIGN_OR_RETURN(WireValue pid_v, r.Field("pid"));
-                 KP_ASSIGN_OR_RETURN(Bytes pid_bytes, pid_v.AsBytes());
-                 KP_ASSIGN_OR_RETURN(record.parent_dir_id,
-                                     DirId::FromBytes(pid_bytes));
-                 KP_ASSIGN_OR_RETURN(WireValue name_v, r.Field("name"));
-                 KP_ASSIGN_OR_RETURN(record.name, name_v.AsString());
-                 KP_ASSIGN_OR_RETURN(WireValue ts_v, r.Field("ts"));
-                 KP_ASSIGN_OR_RETURN(int64_t ts_int, ts_v.AsInt());
-                 record.client_time = SimTime(ts_int);
-                 records.push_back(std::move(record));
-               }
-               KP_RETURN_IF_ERROR(UploadJournal(device, records));
-               return WireValue(true);
-             });
+  Install(server, "meta.upload_journal", true, 1,
+          [this](const std::string& device,
+                 const WireValue::Array& payload) -> Result<WireValue> {
+            KP_ASSIGN_OR_RETURN(WireValue::Array raw, payload[0].AsArray());
+            std::vector<JournalRecord> records;
+            for (const auto& r : raw) {
+              JournalRecord record;
+              KP_ASSIGN_OR_RETURN(WireValue op_v, r.Field("op"));
+              KP_ASSIGN_OR_RETURN(int64_t op_int, op_v.AsInt());
+              KP_ASSIGN_OR_RETURN(record.op, DecodeJournalMetadataOp(op_int));
+              KP_ASSIGN_OR_RETURN(WireValue aid_v, r.Field("aid"));
+              KP_ASSIGN_OR_RETURN(record.audit_id, IdArg<AuditId>(aid_v));
+              KP_ASSIGN_OR_RETURN(WireValue did_v, r.Field("did"));
+              KP_ASSIGN_OR_RETURN(record.dir_id, IdArg<DirId>(did_v));
+              KP_ASSIGN_OR_RETURN(WireValue pid_v, r.Field("pid"));
+              KP_ASSIGN_OR_RETURN(record.parent_dir_id, IdArg<DirId>(pid_v));
+              KP_ASSIGN_OR_RETURN(WireValue name_v, r.Field("name"));
+              KP_ASSIGN_OR_RETURN(record.name, name_v.AsString());
+              KP_ASSIGN_OR_RETURN(WireValue ts_v, r.Field("ts"));
+              KP_ASSIGN_OR_RETURN(int64_t ts_int, ts_v.AsInt());
+              record.client_time = SimTime(ts_int);
+              records.push_back(std::move(record));
+            }
+            KP_RETURN_IF_ERROR(UploadJournal(device, records));
+            return WireValue(true);
+          });
 
   InstallAuditRpc(server);
 }

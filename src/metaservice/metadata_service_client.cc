@@ -16,23 +16,9 @@ ReplicaRouter::Framer MetadataServiceClient::MakeFramer() const {
 }
 
 Status MetadataServiceClient::RegisterRoot(const DirId& root_id) {
-  WireValue::Array payload;
-  payload.push_back(WireValue(root_id.ToBytes()));
-  auto result = router_.Call("meta.register_root", std::move(payload));
-  return result.status();
+  return router_.Call("meta.register_root", {WireValue(root_id.ToBytes())})
+      .status();
 }
-
-namespace {
-WireValue::Array BindFilePayload(const AuditId& audit_id, const DirId& dir_id,
-                                 const std::string& name, bool is_rename) {
-  WireValue::Array payload;
-  payload.push_back(WireValue(audit_id.ToBytes()));
-  payload.push_back(WireValue(dir_id.ToBytes()));
-  payload.push_back(WireValue(name));
-  payload.push_back(WireValue(is_rename));
-  return payload;
-}
-}  // namespace
 
 // A blocking method with an async twin is that twin awaited (DESIGN.md
 // §22), so its marshalling and parse exist once.
@@ -49,7 +35,8 @@ void MetadataServiceClient::BindFileAsync(
     const AuditId& audit_id, const DirId& dir_id, const std::string& name,
     bool is_rename, std::function<void(Result<Bytes>)> done) {
   router_.CallAsync("meta.bind_file",
-                    BindFilePayload(audit_id, dir_id, name, is_rename),
+                    {WireValue(audit_id.ToBytes()), WireValue(dir_id.ToBytes()),
+                     WireValue(name), WireValue(is_rename)},
                     ThenParse(std::move(done), &WireValue::AsBytes));
 }
 
@@ -73,11 +60,9 @@ void MetadataServiceClient::MkdirAsync(const DirId& dir_id,
                                        const DirId& parent_id,
                                        const std::string& name,
                                        std::function<void(Status)> done) {
-  WireValue::Array payload;
-  payload.push_back(WireValue(dir_id.ToBytes()));
-  payload.push_back(WireValue(parent_id.ToBytes()));
-  payload.push_back(WireValue(name));
-  router_.CallAsync("meta.mkdir", std::move(payload),
+  router_.CallAsync("meta.mkdir",
+                    {WireValue(dir_id.ToBytes()),
+                     WireValue(parent_id.ToBytes()), WireValue(name)},
                     ThenStatus(std::move(done)));
 }
 
@@ -85,11 +70,9 @@ void MetadataServiceClient::RenameDirAsync(const DirId& dir_id,
                                            const DirId& new_parent_id,
                                            const std::string& new_name,
                                            std::function<void(Status)> done) {
-  WireValue::Array payload;
-  payload.push_back(WireValue(dir_id.ToBytes()));
-  payload.push_back(WireValue(new_parent_id.ToBytes()));
-  payload.push_back(WireValue(new_name));
-  router_.CallAsync("meta.rename_dir", std::move(payload),
+  router_.CallAsync("meta.rename_dir",
+                    {WireValue(dir_id.ToBytes()),
+                     WireValue(new_parent_id.ToBytes()), WireValue(new_name)},
                     ThenStatus(std::move(done)));
 }
 
@@ -113,15 +96,6 @@ Status MetadataServiceClient::UploadJournal(
   CallContext ctx;
   ctx.priority = RpcPriority::kBackground;
   auto result = router_.Call("meta.upload_journal", std::move(payload), ctx);
-  return result.status();
-}
-
-Status MetadataServiceClient::SetAttr(const AuditId& audit_id,
-                                      const std::string& attr) {
-  WireValue::Array payload;
-  payload.push_back(WireValue(audit_id.ToBytes()));
-  payload.push_back(WireValue(attr));
-  auto result = router_.Call("meta.set_attr", std::move(payload));
   return result.status();
 }
 

@@ -62,7 +62,6 @@ class MetadataServiceClient {
   void RenameDirAsync(const DirId& dir_id, const DirId& new_parent_id,
                       const std::string& new_name,
                       std::function<void(Status)> done);
-  Status SetAttr(const AuditId& audit_id, const std::string& attr);
 
   // Paired-device journal upload.
   struct JournalRecord {

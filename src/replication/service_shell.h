@@ -151,9 +151,12 @@ class ServiceShell {
   }
   // Registers a device under a secret minted elsewhere — how a sharded or
   // replicated tier gives every service the same per-device credential.
+  // (Re-)registration enables the device, so the tier forgets any refusal
+  // it cached while the device was disabled.
   void RegisterDeviceWithSecret(const std::string& device_id,
                                 const Bytes& secret) {
     devices_[device_id] = DeviceRecord{secret, false};
+    OnDeviceFlag(device_id, false);
   }
   // Per-device secret lookup (client stubs inside the simulation use it at
   // registration time).
@@ -259,15 +262,16 @@ class ServiceShell {
   }
 
   // Registers one authenticated RPC method. The handler runs
-  // `fn(device_id, payload)` once the frame's device is registered and its
-  // tag verifies. With a commit window or a replicator the response is held
+  // `fn(device_id, payload)` once the frame's device is registered, its
+  // tag verifies and its payload holds `arity` values (InvalidArgument
+  // otherwise). With a commit window or a replicator the response is held
   // until the window flushes and its delta is acknowledged; the handler
   // itself (and its appends) runs at once. `gated` methods are leader-only
   // under a serve gate, and a refused call answers at once, appending
   // nothing.
   template <typename Fn>
   void Install(RpcServer* server, const std::string& method, bool gated,
-               Fn fn);
+               size_t arity, Fn fn);
   // The audit.<tier>_log_tail / _checkpoints / _log_segment methods.
   void InstallAuditRpc(RpcServer* server);
 
@@ -588,15 +592,19 @@ Status ServiceShell<Tier>::Restore(const Bytes& snapshot) {
 template <typename Tier>
 template <typename Fn>
 void ServiceShell<Tier>::Install(RpcServer* server, const std::string& method,
-                                 bool gated, Fn fn) {
-  RpcServer::Handler body =
-      [this, method, fn](const WireValue::Array& params) -> Result<WireValue> {
+                                 bool gated, size_t arity, Fn fn) {
+  RpcServer::Handler body = [this, method, arity,
+                             fn](const WireValue::Array& params)
+      -> Result<WireValue> {
     KP_ASSIGN_OR_RETURN(AuthedCall call, SplitAuthedCall(params));
     auto it = devices_.find(call.device_id);
     if (it == devices_.end()) {
       return PermissionDeniedError(Error("unregistered device"));
     }
     KP_RETURN_IF_ERROR(VerifyAuthTag(it->second.secret, method, call));
+    if (call.payload.size() != arity) {
+      return InvalidArgumentError(method + ": bad arity");
+    }
     return fn(call.device_id, call.payload);
   };
   if (commit_window_ > SimDuration() || replicated()) {
@@ -641,12 +649,9 @@ void ServiceShell<Tier>::InstallAuditRpc(RpcServer* server) {
   // segment re-verified against its signed checkpoint before any row
   // leaves the service.
   const std::string tail = prefix + "_log_tail";
-  Install(server, tail, false,
-          [this, tail](const std::string& device,
-                       const WireValue::Array& payload) -> Result<WireValue> {
-            if (payload.size() != 1) {
-              return InvalidArgumentError(tail + ": bad arity");
-            }
+  Install(server, tail, false, 1,
+          [this](const std::string& device,
+                 const WireValue::Array& payload) -> Result<WireValue> {
             KP_ASSIGN_OR_RETURN(int64_t next_seq, payload[0].AsInt());
             // Checkpoints vouch for the sealed prefix; only the tail after
             // the latest checkpoint is replayed per request.
@@ -699,13 +704,9 @@ void ServiceShell<Tier>::InstallAuditRpc(RpcServer* server) {
   // auditor verifies hashes and signatures client-side and uses the chain
   // to anchor catch-up and to tell truncation from restore.
   const std::string checkpoints = prefix + "_checkpoints";
-  Install(server, checkpoints, false,
-          [this, checkpoints](const std::string&, const WireValue::Array&
-                                                      payload)
-              -> Result<WireValue> {
-            if (!payload.empty()) {
-              return InvalidArgumentError(checkpoints + ": bad arity");
-            }
+  Install(server, checkpoints, false, 0,
+          [this](const std::string&,
+                 const WireValue::Array&) -> Result<WireValue> {
             return ToWireList(log_.checkpoints());
           });
 
@@ -714,13 +715,9 @@ void ServiceShell<Tier>::InstallAuditRpc(RpcServer* server) {
   // inside an RPC); integrity is the caller's job via the signed
   // checkpoint.
   const std::string segment = prefix + "_log_segment";
-  Install(server, segment, false,
-          [this, segment](const std::string&,
-                          const WireValue::Array& payload)
-              -> Result<WireValue> {
-            if (payload.size() != 1) {
-              return InvalidArgumentError(segment + ": bad arity");
-            }
+  Install(server, segment, false, 1,
+          [this](const std::string&,
+                 const WireValue::Array& payload) -> Result<WireValue> {
             KP_ASSIGN_OR_RETURN(int64_t index, payload[0].AsInt());
             if (segment_store_ == nullptr) {
               return UnavailableError(Error("no cold segment tier"));

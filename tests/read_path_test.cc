@@ -255,7 +255,7 @@ size_t DeniedRows(const KeyService& service, const std::string& device) {
 
 TEST(RevocationTest, UnshardedBatchesAuditEveryAttemptedId) {
   Deployment dep(UnshardedOpts());
-  ASSERT_EQ(dep.key_router(), nullptr);
+  ASSERT_EQ(dep.key_router()->shard_count(), 1u);
   auto ids = RandomIds(4, 9);
   for (const auto& id : ids) {
     ASSERT_TRUE(dep.key_client().CreateKey(id).ok());
