@@ -166,35 +166,17 @@ class SegmentedLog {
                                          bool repair = false) const {
     std::vector<Entry> out;
     to_seq = std::min<uint64_t>(to_seq, base_seq_);
-    if (from_seq >= to_seq) {
-      return out;
-    }
-    if (store_ == nullptr) {
-      return UnavailableError(Name() + ": no segment store attached");
-    }
-    for (const LogCheckpoint& ckpt : checkpoints_) {
-      if (ckpt.end_seq <= from_seq) {
-        continue;
-      }
-      if (ckpt.start_seq >= to_seq) {
-        break;
-      }
-      Result<SealedSegment> segment =
-          repair ? store_->FetchWithRepair(tier_, ckpt.id)
-                 : store_->Get(tier_, ckpt.id);
-      if (!segment.ok()) {
-        return segment.status();
-      }
-      std::vector<Entry> decoded;
-      KP_RETURN_IF_ERROR(VerifySegment(*segment, ckpt, &decoded));
-      for (auto& entry : decoded) {
-        uint64_t seq = Codec::Seq(entry);
-        if (seq >= from_seq && seq < to_seq) {
-          out.push_back(std::move(entry));
-        }
-      }
-    }
-    if (out.size() != static_cast<size_t>(to_seq - from_seq)) {
+    KP_RETURN_IF_ERROR(
+        WalkCold(from_seq, to_seq, repair, [&](std::vector<Entry>& rows) {
+          for (auto& entry : rows) {
+            uint64_t seq = Codec::Seq(entry);
+            if (seq >= from_seq && seq < to_seq) {
+              out.push_back(std::move(entry));
+            }
+          }
+        }));
+    if (from_seq < to_seq &&
+        out.size() != static_cast<size_t>(to_seq - from_seq)) {
       return DataLossError(Name() + ": cold range [" +
                            std::to_string(from_seq) + ", " +
                            std::to_string(to_seq) + ") not fully covered");
@@ -225,74 +207,26 @@ class SegmentedLog {
 
   // Checkpoint chain (hashes + signatures + base alignment) plus the full
   // in-memory chain from the base seal. kDataLoss on any mismatch.
-  Status Verify() const {
-    KP_RETURN_IF_ERROR(VerifyCheckpointState());
-    for (const LogCheckpoint& ckpt : checkpoints_) {
-      if (ckpt.end_seq > base_seq_ && ckpt.end_seq <= size()) {
-        const Seal& held =
-            Codec::EntryHash(entries_[ckpt.end_seq - base_seq_ - 1]);
-        if (held != ckpt.chain_seal) {
-          return DataLossError(Name() + ": checkpoint seal mismatch at " +
-                               std::to_string(ckpt.id));
-        }
-      }
-    }
-    Seal prev = base_seal_;
-    return VerifyRun(entries_, 0, entries_.size(), base_seq_, &prev);
-  }
+  Status Verify() const { return VerifyFrom(base_seq_); }
 
   // Catch-up verification: the checkpoint chain vouches for everything up
   // to the latest checkpoint; only the tail appended after it is replayed.
-  // Identical to Verify() when no checkpoints exist.
+  // Identical to Verify() when no checkpoint ends past the base.
   Status VerifyTail() const {
-    KP_RETURN_IF_ERROR(VerifyCheckpointState());
-    uint64_t tail_start = base_seq_;
-    Seal prev = base_seal_;
-    if (!checkpoints_.empty() && checkpoints_.back().end_seq > base_seq_) {
-      tail_start = checkpoints_.back().end_seq;
-      if (tail_start > size()) {
-        return DataLossError(Name() + ": checkpoint past log end");
-      }
-      prev = Codec::EntryHash(entries_[tail_start - base_seq_ - 1]);
-      if (prev != checkpoints_.back().chain_seal) {
-        return DataLossError(Name() + ": checkpoint seal mismatch at " +
-                             std::to_string(checkpoints_.back().id));
-      }
-    }
-    return VerifyRun(entries_, tail_start - base_seq_, entries_.size(),
-                     tail_start, &prev);
+    return VerifyFrom(checkpoints_.empty()
+                          ? base_seq_
+                          : std::max(base_seq_, checkpoints_.back().end_seq));
   }
 
   // End-to-end: replays the whole chain from genesis, fetching truncated
   // segments back from the cold store (with cloud repair) and verifying
   // each against its checkpoint — the forensic auditor's strongest check.
+  // Verify() pins the base to the last truncated checkpoint's seal, so the
+  // cold walk reaches the live tail.
   Status VerifyFullChain() const {
     KP_RETURN_IF_ERROR(Verify());
-    Bytes prev(32, 0);
-    for (const LogCheckpoint& ckpt : checkpoints_) {
-      if (ckpt.start_seq >= base_seq_) {
-        break;
-      }
-      if (store_ == nullptr) {
-        return UnavailableError(Name() +
-                                ": truncated prefix with no segment store");
-      }
-      Result<SealedSegment> segment = store_->FetchWithRepair(tier_, ckpt.id);
-      if (!segment.ok()) {
-        return segment.status();
-      }
-      if (segment->prev_seal != prev) {
-        return DataLossError(Name() + ": cold segment chain break at " +
-                             std::to_string(ckpt.id));
-      }
-      std::vector<Entry> decoded;
-      KP_RETURN_IF_ERROR(VerifySegment(*segment, ckpt, &decoded));
-      prev = ckpt.chain_seal;
-    }
-    if (base_seq_ > 0 && prev != base_seal_) {
-      return DataLossError(Name() + ": cold chain does not reach base seal");
-    }
-    return Status::Ok();
+    return WalkCold(0, base_seq_, /*repair=*/true,
+                    [](std::vector<Entry>&) {});
   }
 
   // --- Restore / replication. ----------------------------------------------
@@ -303,108 +237,40 @@ class SegmentedLog {
   Status LoadVerifiedWithBase(uint64_t base_seq, const Seal& base_seal,
                               std::vector<LogCheckpoint> checkpoints,
                               std::vector<Entry> entries) {
-    KP_RETURN_IF_ERROR(
-        VerifyCheckpointChain(checkpoints, DefaultCheckpointKey()));
-    if (base_seq == 0) {
-      if (base_seal != Seal()) {
-        return DataLossError(Name() + ": nonzero base seal at genesis");
-      }
-    } else {
-      bool aligned = false;
-      for (const LogCheckpoint& ckpt : checkpoints) {
-        if (ckpt.end_seq == base_seq) {
-          if (ckpt.chain_seal != base_seal) {
-            return DataLossError(Name() + ": snapshot base seal mismatch");
-          }
-          aligned = true;
-          break;
-        }
-      }
-      if (!aligned) {
-        return DataLossError(Name() +
-                             ": snapshot base not checkpoint-aligned");
-      }
-    }
-    if (!checkpoints.empty() &&
-        checkpoints.back().end_seq > base_seq + entries.size()) {
-      return DataLossError(Name() + ": checkpoint past snapshot end");
-    }
+    KP_RETURN_IF_ERROR(VerifyAnchors(checkpoints, base_seq, base_seal,
+                                     base_seq + entries.size()));
     Seal prev = base_seal;
+    std::vector<size_t> groups;
     KP_RETURN_IF_ERROR(
-        VerifyRun(entries, 0, entries.size(), base_seq, &prev));
-    AdoptLog(base_seq, base_seal, std::move(checkpoints), std::move(entries));
+        VerifyRun(entries, 0, entries.size(), base_seq, &prev, &groups));
+    AdoptLog(base_seq, base_seal, std::move(checkpoints), std::move(entries),
+             groups);
     return Status::Ok();
   }
 
   // Replication path: appends already-sealed commit groups streamed from a
   // replica-set leader. A delta may overlap the local tail (rejoin after a
-  // snapshot restore); the overlap must match byte-for-byte. Overlap below
-  // base_seq() (truncated here) is skipped — the chain linkage of the first
-  // retained entry still proves same-history, so a fork cannot slip in.
-  // kDataLoss (and no mutation) on any mismatch.
+  // snapshot restore); the overlap must hold the same sealed rows. Overlap
+  // below base_seq() (truncated here) is skipped — the chain linkage of the
+  // first retained entry still proves same-history, so a fork cannot slip
+  // in. kDataLoss (and no mutation) on any mismatch.
   Status AppendReplicated(const std::vector<Entry>& entries) {
     const uint64_t base = size();
-    Bytes material;
     size_t skip = 0;
-    while (skip < entries.size() && Codec::Seq(entries[skip]) < base) {
-      const Entry& incoming = entries[skip];
-      uint64_t seq = Codec::Seq(incoming);
-      if (seq >= base_seq_) {
-        const Entry& held = entries_[seq - base_seq_];
-        bool same = Codec::GroupStart(incoming) == Codec::GroupStart(held) &&
-                    Codec::PrevHash(incoming) == Codec::PrevHash(held) &&
-                    Codec::EntryHash(incoming) == Codec::EntryHash(held);
-        if (same) {
-          Bytes a, b;
-          Codec::SerializeEntry(incoming, &a);
-          Codec::SerializeEntry(held, &b);
-          same = a == b;
-        }
-        if (!same) {
-          return DataLossError(Name() + ": replicated overlap mismatch at " +
-                               std::to_string(seq));
-        }
+    for (; skip < entries.size() && Codec::Seq(entries[skip]) < base; ++skip) {
+      uint64_t seq = Codec::Seq(entries[skip]);
+      if (seq >= base_seq_ &&
+          !SameSealedRow(entries[skip], entries_[seq - base_seq_])) {
+        return DataLossError(Name() + ": replicated overlap mismatch at " +
+                             std::to_string(seq));
       }
-      ++skip;
     }
     Seal prev = LastSeal();
-    size_t i = skip;
-    std::vector<size_t> group_sizes;
-    while (i < entries.size()) {
-      const uint64_t start = base + (i - skip);
-      if (Codec::Seq(entries[i]) != start ||
-          Codec::GroupStart(entries[i]) != start) {
-        return DataLossError(Name() + ": replicated suffix not contiguous at " +
-                             std::to_string(start));
-      }
-      Sha256 hasher;
-      prev.HashInto(hasher);
-      size_t j = i;
-      for (; j < entries.size() && Codec::GroupStart(entries[j]) == start;
-           ++j) {
-        const Entry& entry = entries[j];
-        if (Codec::Seq(entry) != base + (j - skip) ||
-            Codec::PrevHash(entry) != prev) {
-          return DataLossError(Name() + ": replicated chain break at " +
-                               std::to_string(base + (j - skip)));
-        }
-        material.clear();
-        Codec::SerializeEntry(entry, &material);
-        hasher.Update(material);
-      }
-      const Seal seal(hasher.Finish());
-      for (size_t k = i; k < j; ++k) {
-        if (Codec::EntryHash(entries[k]) != seal) {
-          return DataLossError(Name() + ": replicated seal mismatch at " +
-                               std::to_string(base + (k - skip)));
-        }
-      }
-      prev = seal;
-      group_sizes.push_back(j - i);
-      i = j;
-    }
+    std::vector<size_t> groups;
+    KP_RETURN_IF_ERROR(VerifyRun(entries, skip, entries.size(), base, &prev,
+                                 &groups, kReplicaFaults));
     size_t idx = skip;
-    for (size_t group : group_sizes) {
+    for (size_t group : groups) {
       for (size_t k = idx; k < idx + group; ++k) {
         entries_.push_back(entries[k]);
         OnCommitted(entries_.back());
@@ -415,6 +281,56 @@ class SegmentedLog {
       idx += group;
     }
     return Status::Ok();
+  }
+
+  // Reconciliation (DESIGN.md §10): what a replica keeps of its own log
+  // before it adopts the leader's — the in-memory rows and the checkpoint
+  // chain vouching for the prefix below them.
+  struct Retained {
+    uint64_t base_seq = 0;
+    std::vector<LogCheckpoint> checkpoints;
+    std::vector<Entry> entries;
+  };
+  Retained Retain() const { return {base_seq_, checkpoints_, entries_}; }
+
+  // The rows of `before` past the longest prefix it provably shares with
+  // this log, oldest first: sealed, but not part of the adopted history
+  // (duplicated in the worst case, never lost). Two proofs compose, by
+  // absolute seq, since either side may have truncated a checkpointed
+  // prefix out of memory (DESIGN.md §15):
+  //  (a) equal checkpoint records pin the whole prefix they cover, even
+  //      when one side no longer holds those rows in memory;
+  //  (b) a scan over the rows both sides still hold extends the proof —
+  //      the same sealed row at the same position implies an identical
+  //      prefix below it, because every row seals over its predecessor.
+  std::vector<Entry> DivergedRows(Retained before) const {
+    uint64_t common = 0;
+    size_t c = 0;
+    while (c < before.checkpoints.size() && c < checkpoints_.size() &&
+           before.checkpoints[c].end_seq == checkpoints_[c].end_seq &&
+           before.checkpoints[c].hash == checkpoints_[c].hash) {
+      ++c;
+    }
+    if (c > 0) {
+      common = checkpoints_[c - 1].end_seq;
+    }
+    const uint64_t before_end = before.base_seq + before.entries.size();
+    const uint64_t lo = std::max(before.base_seq, base_seq_);
+    const uint64_t hi = std::min<uint64_t>(before_end, size());
+    uint64_t scan = lo;
+    while (scan < hi && SameSealedRow(before.entries[scan - before.base_seq],
+                                      entries_[scan - base_seq_])) {
+      ++scan;
+    }
+    if (scan > lo) {
+      common = std::max(common, scan);
+    }
+    const uint64_t keep = std::max(common, before.base_seq);
+    before.entries.erase(
+        before.entries.begin(),
+        before.entries.begin() +
+            static_cast<ptrdiff_t>(keep - before.base_seq));
+    return std::move(before.entries);
   }
 
   // Re-evaluates the truncation anchor — call when the durable watermark
@@ -480,15 +396,9 @@ class SegmentedLog {
     }
     auto t0 = std::chrono::steady_clock::now();
     const Seal prev = LastSeal();
-    Sha256 hasher;
-    prev.HashInto(hasher);
     Bytes material;
-    for (const Entry& entry : staged_) {
-      material.clear();
-      Codec::SerializeEntry(entry, &material);
-      hasher.Update(material);
-    }
-    const Seal seal(hasher.Finish());
+    const Seal seal =
+        HashGroup(prev, staged_.begin(), staged_.end(), &material);
     uint64_t group_start = Codec::Seq(staged_.front());
     for (Entry& entry : staged_) {
       Codec::SetGroupStart(entry, group_start);
@@ -525,69 +435,183 @@ class SegmentedLog {
                             : Codec::EntryHash(entries_[seq - base_seq_ - 1]);
   }
 
-  // Verifies the commit-group chain over span[first, last), whose first
+  // The group seal: SHA-256(prev_seal || ser(e1) || ... || ser(eK)) over
+  // the rows [first, last), `material` a reusable scratch buffer.
+  template <typename It>
+  static Seal HashGroup(const Seal& prev, It first, It last, Bytes* material) {
+    Sha256 hasher;
+    prev.HashInto(hasher);
+    for (; first != last; ++first) {
+      material->clear();
+      Codec::SerializeEntry(*first, material);
+      hasher.Update(*material);
+    }
+    return Seal(hasher.Finish());
+  }
+
+  // The one sealed-row predicate: two rows are the same sealed row when
+  // their group start, prev seal and entry seal are equal and so is their
+  // hash material (which covers every field but the chain fields).
+  static bool SameSealedRow(const Entry& a, const Entry& b) {
+    if (Codec::GroupStart(a) != Codec::GroupStart(b) ||
+        Codec::PrevHash(a) != Codec::PrevHash(b) ||
+        Codec::EntryHash(a) != Codec::EntryHash(b)) {
+      return false;
+    }
+    Bytes a_material;
+    Bytes b_material;
+    Codec::SerializeEntry(a, &a_material);
+    Codec::SerializeEntry(b, &b_material);
+    return a_material == b_material;
+  }
+
+  // How a chain walk words what it finds, in the order it checks: a group
+  // whose first row is not at the group's own position, a later row out of
+  // sequence, a prev seal that is not the seal entering the group, and a
+  // row its group's seal does not match. AppendReplicated's words travel
+  // back to the leader in the repl.append refusal.
+  struct FaultWords {
+    const char* misplaced;
+    const char* gap;
+    const char* prev;
+    const char* seal;
+  };
+  static constexpr FaultWords kAuditFaults{
+      "group start mismatch", "sequence gap", "chain break", "hash mismatch"};
+  static constexpr FaultWords kReplicaFaults{
+      "replicated suffix not contiguous", "replicated chain break",
+      "replicated chain break", "replicated seal mismatch"};
+
+  // The one commit-group walk: verifies span[first, last), whose first
   // entry sits at absolute sequence `start_seq` with `*prev` the seal
-  // entering it; leaves the final seal in *prev.
+  // entering it, as whole commit groups; leaves the final seal in *prev and
+  // appends each group's size to `groups` when given.
   Status VerifyRun(const std::vector<Entry>& span, size_t first, size_t last,
-                   uint64_t start_seq, Seal* prev) const {
+                   uint64_t start_seq, Seal* prev,
+                   std::vector<size_t>* groups = nullptr,
+                   const FaultWords& words = kAuditFaults) const {
+    auto fault = [&](const char* what, size_t k) {
+      return DataLossError(Name() + ": " + what + " at " +
+                           std::to_string(start_seq + (k - first)));
+    };
     Bytes material;
     size_t i = first;
     while (i < last) {
-      const uint64_t abs = start_seq + (i - first);
-      if (Codec::GroupStart(span[i]) != abs) {
-        return DataLossError(Name() + ": group start mismatch at " +
-                             std::to_string(abs));
+      const uint64_t start = start_seq + (i - first);
+      if (Codec::GroupStart(span[i]) != start || Codec::Seq(span[i]) != start) {
+        return fault(words.misplaced, i);
       }
-      Sha256 hasher;
-      prev->HashInto(hasher);
       size_t j = i;
-      for (; j < last && Codec::GroupStart(span[j]) == abs; ++j) {
-        const Entry& entry = span[j];
-        if (Codec::Seq(entry) != start_seq + (j - first)) {
-          return DataLossError(Name() + ": sequence gap at " +
-                               std::to_string(start_seq + (j - first)));
+      for (; j < last && Codec::GroupStart(span[j]) == start; ++j) {
+        if (Codec::Seq(span[j]) != start_seq + (j - first)) {
+          return fault(words.gap, j);
         }
-        if (Codec::PrevHash(entry) != *prev) {
-          return DataLossError(Name() + ": chain break at " +
-                               std::to_string(start_seq + (j - first)));
+        if (Codec::PrevHash(span[j]) != *prev) {
+          return fault(words.prev, j);
         }
-        material.clear();
-        Codec::SerializeEntry(entry, &material);
-        hasher.Update(material);
       }
-      const Seal seal(hasher.Finish());
+      const Seal seal =
+          HashGroup(*prev, span.begin() + static_cast<ptrdiff_t>(i),
+                    span.begin() + static_cast<ptrdiff_t>(j), &material);
       for (size_t k = i; k < j; ++k) {
         if (Codec::EntryHash(span[k]) != seal) {
-          return DataLossError(Name() + ": hash mismatch at " +
-                               std::to_string(start_seq + (k - first)));
+          return fault(words.seal, k);
         }
       }
       *prev = seal;
+      if (groups != nullptr) {
+        groups->push_back(j - i);
+      }
       i = j;
     }
     return Status::Ok();
   }
 
-  // Checkpoint chain + base-alignment invariants (everything checkable
-  // without entry contents).
-  Status VerifyCheckpointState() const {
+  // The one checkpoint/base check, for a log of `size` rows whose
+  // in-memory suffix starts at `base_seq` under `base_seal`: the checkpoint
+  // chain verifies and ends inside the log, and the base sits at genesis
+  // under the zero seal or on a checkpoint boundary under that
+  // checkpoint's chain seal.
+  static Status VerifyAnchors(const std::vector<LogCheckpoint>& checkpoints,
+                              uint64_t base_seq, const Seal& base_seal,
+                              uint64_t size) {
     KP_RETURN_IF_ERROR(
-        VerifyCheckpointChain(checkpoints_, DefaultCheckpointKey()));
-    if (!checkpoints_.empty() && checkpoints_.back().end_seq > size()) {
+        VerifyCheckpointChain(checkpoints, DefaultCheckpointKey()));
+    if (!checkpoints.empty() && checkpoints.back().end_seq > size) {
       return DataLossError(Name() + ": checkpoint past log end");
     }
-    if (base_seq_ == 0) {
-      return Status::Ok();
+    if (base_seq == 0) {
+      return base_seal == Seal()
+                 ? Status::Ok()
+                 : DataLossError(Name() + ": nonzero base seal at genesis");
     }
-    for (const LogCheckpoint& ckpt : checkpoints_) {
-      if (ckpt.end_seq == base_seq_) {
-        if (ckpt.chain_seal != base_seal_) {
-          return DataLossError(Name() + ": base seal mismatch");
-        }
-        return Status::Ok();
+    for (const LogCheckpoint& ckpt : checkpoints) {
+      if (ckpt.end_seq == base_seq) {
+        return ckpt.chain_seal == base_seal
+                   ? Status::Ok()
+                   : DataLossError(Name() + ": base seal mismatch");
       }
     }
     return DataLossError(Name() + ": base not checkpoint-aligned");
+  }
+
+  // The body of Verify and VerifyTail, which differ only in `from`, where
+  // the replay starts: the base, or a checkpoint boundary the checkpoint
+  // chain vouches for. Every in-memory checkpoint seal from there on must
+  // match the row it ends at.
+  Status VerifyFrom(uint64_t from) const {
+    KP_RETURN_IF_ERROR(
+        VerifyAnchors(checkpoints_, base_seq_, base_seal_, size()));
+    for (const LogCheckpoint& ckpt : checkpoints_) {
+      if (ckpt.end_seq > base_seq_ && ckpt.end_seq >= from &&
+          ckpt.end_seq <= size() &&
+          Codec::EntryHash(entries_[ckpt.end_seq - base_seq_ - 1]) !=
+              ckpt.chain_seal) {
+        return DataLossError(Name() + ": checkpoint seal mismatch at " +
+                             std::to_string(ckpt.id));
+      }
+    }
+    Seal prev = SealBefore(from);
+    return VerifyRun(entries_, from - base_seq_, entries_.size(), from, &prev);
+  }
+
+  // The one cold walk: fetches every checkpointed segment overlapping
+  // [from_seq, to_seq) in chain order, verifies it against its checkpoint
+  // and its predecessor's chain seal, and hands its decoded rows to
+  // `visit`. `repair` pulls the cloud mirror on local damage.
+  template <typename Visit>
+  Status WalkCold(uint64_t from_seq, uint64_t to_seq, bool repair,
+                  Visit visit) const {
+    if (from_seq >= to_seq) {
+      return Status::Ok();
+    }
+    if (store_ == nullptr) {
+      return UnavailableError(Name() + ": no segment store attached");
+    }
+    for (size_t k = 0; k < checkpoints_.size(); ++k) {
+      const LogCheckpoint& ckpt = checkpoints_[k];
+      if (ckpt.end_seq <= from_seq) {
+        continue;
+      }
+      if (ckpt.start_seq >= to_seq) {
+        break;
+      }
+      Result<SealedSegment> segment =
+          repair ? store_->FetchWithRepair(tier_, ckpt.id)
+                 : store_->Get(tier_, ckpt.id);
+      if (!segment.ok()) {
+        return segment.status();
+      }
+      if (segment->prev_seal !=
+          (k == 0 ? Bytes(32, 0) : checkpoints_[k - 1].chain_seal)) {
+        return DataLossError(Name() + ": cold segment chain break at " +
+                             std::to_string(ckpt.id));
+      }
+      std::vector<Entry> rows;
+      KP_RETURN_IF_ERROR(VerifySegment(*segment, ckpt, &rows));
+      visit(rows);
+    }
+    return Status::Ok();
   }
 
   // Decodes and fully verifies one cold segment against its checkpoint:
@@ -693,36 +717,28 @@ class SegmentedLog {
     }
   }
 
-  // Wholesale adoption on restore: swaps in the new state, rebuilds
-  // grouping stats from the group runs, and replays the adapter index hooks.
+  // Wholesale adoption on restore: swaps in the new state, takes the
+  // grouping stats from the verified walk's group sizes, and replays the
+  // adapter index hooks.
   void AdoptLog(uint64_t base_seq, const Seal& base_seal,
                 std::vector<LogCheckpoint> checkpoints,
-                std::vector<Entry> entries) {
+                std::vector<Entry> entries, const std::vector<size_t>& groups) {
     entries_ = std::move(entries);
     base_seq_ = base_seq;
     base_seal_ = base_seal;
     checkpoints_ = std::move(checkpoints);
     staged_.clear();
     batch_depth_ = 0;
-    commit_groups_ = 0;
-    max_group_size_ = 0;
+    commit_groups_ = groups.size();
+    max_group_size_ = groups.empty()
+                          ? 0
+                          : *std::max_element(groups.begin(), groups.end());
     shipped_segments_ = 0;
     if (store_ != nullptr) {
       while (shipped_segments_ < checkpoints_.size() &&
              store_->Has(tier_, shipped_segments_)) {
         ++shipped_segments_;
       }
-    }
-    for (size_t i = 0; i < entries_.size();) {
-      size_t run = i;
-      uint64_t group = Codec::GroupStart(entries_[i]);
-      while (run < entries_.size() &&
-             Codec::GroupStart(entries_[run]) == group) {
-        ++run;
-      }
-      ++commit_groups_;
-      max_group_size_ = std::max<uint64_t>(max_group_size_, run - i);
-      i = run;
     }
     OnReset();
     for (const Entry& entry : entries_) {

@@ -463,9 +463,14 @@ RawDeviceAttacker Deployment::MakeAttacker() {
 Result<Deployment::AttackerClients> Deployment::MakeAttackerClients(
     const KeypadFs::Credentials& creds) {
   AttackerClients clients;
+  NetworkLink* link = &client_link_;
+  if (options_.paired_phone) {
+    clients.link = std::make_unique<NetworkLink>(&queue_, options_.profile,
+                                                 options_.seed ^ 0xCCCC);
+    link = clients.link.get();
+  }
   auto connect = [&](RpcServer* server) {
-    return std::make_unique<RpcClient>(&queue_, &client_link_, server,
-                                       options_.rpc);
+    return std::make_unique<RpcClient>(&queue_, link, server, options_.rpc);
   };
   // Every client in the order the thief has always built them (RpcClient
   // ids seed the retry jitter): shard 0's and the metadata tier's replica

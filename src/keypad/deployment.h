@@ -226,6 +226,10 @@ class Deployment {
   // The stolen laptop's config names every shard and replica endpoint, so
   // the thief runs the same client stack the owner's laptop did.
   struct AttackerClients {
+    // Paired only: the clients' own link to the datacenter at
+    // options.profile (the laptop's link is its Bluetooth hop to the
+    // phone). Null unpaired, where they share the laptop's link.
+    std::unique_ptr<NetworkLink> link;
     // Replica 0 of key shard 0 and of the metadata tier.
     std::unique_ptr<RpcClient> key_rpc;
     std::unique_ptr<RpcClient> meta_rpc;

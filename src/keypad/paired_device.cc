@@ -43,8 +43,7 @@ void PhoneProxy::SetUplinkConnected(bool connected) {
 }
 
 void PhoneProxy::JournalKeyAccess(const AuditId& id, AccessOp op, Bytes key) {
-  key_journal_.push_back(
-      {id, static_cast<int64_t>(op), queue_->Now(), std::move(key)});
+  key_journal_.push_back({id, op, queue_->Now(), std::move(key)});
 }
 
 void PhoneProxy::UploadKeyJournal() {
@@ -293,8 +292,8 @@ void PhoneProxy::BindHandlers() {
          // receives an empty key: non-IBE paths proceed, IBE-locked files
          // stay sealed until reconnection.
          MetadataServiceClient::JournalRecord record;
-         record.op = static_cast<int64_t>(
-             *is_rename ? MetadataOp::kRenameFile : MetadataOp::kCreateFile);
+         record.op =
+             *is_rename ? MetadataOp::kRenameFile : MetadataOp::kCreateFile;
          record.audit_id = *aid;
          record.dir_id = *did;
          record.name = *name;
@@ -327,7 +326,7 @@ void PhoneProxy::BindHandlers() {
              return;
            }
            MetadataServiceClient::JournalRecord record;
-           record.op = static_cast<int64_t>(op);
+           record.op = op;
            record.dir_id = *did;
            record.parent_dir_id = *pid;
            record.name = *name;

@@ -57,14 +57,14 @@ Result<AuditLogEntry> AuditLogEntry::FromWire(const WireValue& value) {
   KP_ASSIGN_OR_RETURN(WireValue seq, value.Field("seq"));
   KP_ASSIGN_OR_RETURN(int64_t seq_int, seq.AsInt());
   entry.seq = static_cast<uint64_t>(seq_int);
-  // Logs serialized before group commit carry no "gstart": every entry was
-  // its own group.
-  entry.group_start = entry.seq;
-  if (value.HasField("gstart")) {
-    KP_ASSIGN_OR_RETURN(WireValue gstart, value.Field("gstart"));
-    KP_ASSIGN_OR_RETURN(int64_t gstart_int, gstart.AsInt());
-    entry.group_start = static_cast<uint64_t>(gstart_int);
+  // Every snapshot, delta and cold segment carries the group start; a row
+  // without one is refused.
+  if (!value.HasField("gstart")) {
+    return DataLossError("audit log: row without a group start");
   }
+  KP_ASSIGN_OR_RETURN(WireValue gstart, value.Field("gstart"));
+  KP_ASSIGN_OR_RETURN(int64_t gstart_int, gstart.AsInt());
+  entry.group_start = static_cast<uint64_t>(gstart_int);
   KP_ASSIGN_OR_RETURN(WireValue ts, value.Field("ts"));
   KP_ASSIGN_OR_RETURN(int64_t ts_int, ts.AsInt());
   entry.timestamp = SimTime(ts_int);

@@ -33,12 +33,14 @@ class KeyClient {
     Bytes demand_key;
     KeyPairs prefetched;
   };
-  // Paired-device journal upload.
+  // Paired-device journal upload: an access or creation the phone
+  // journaled, uploaded after the fact with its original client time. For
+  // kCreate `key` carries the phone-generated remote key.
   struct JournalEntry {
     AuditId audit_id;
-    int64_t op = 1;  // AccessOp value.
+    AccessOp op = AccessOp::kDemandFetch;
     SimTime client_time;
-    Bytes key;  // Only for creates.
+    Bytes key;  // Only for kCreate.
   };
   // Typed multi-key fetch (DESIGN.md §13): N ids, each carrying its own
   // access op, released in one round trip per shard. Missing or disabled

@@ -157,12 +157,8 @@ void KeyService::OnWindowFlush() {
 void KeyService::OnDeviceFlag(const std::string& device_id, bool disabled) {
   if (disabled) {
     // Fencing: the revoked device must never be served from a resident
-    // copy, and subsequent fetch storms should fail fast off the negative
-    // cache.
+    // copy.
     InvalidateHotDevice(device_id);
-    negative_devices_.insert(device_id);
-  } else {
-    negative_devices_.erase(device_id);
   }
 }
 
@@ -276,19 +272,14 @@ Status KeyService::TransferDeviceKeys(const std::string& from_id,
 
 Status KeyService::CheckDevice(const std::string& device_id,
                                const AuditId& audit_id) {
-  if (negative_devices_.count(device_id) > 0) {
-    // Revocation-storm fast path: no key-store or device-record touch, but
-    // the attempt itself is forensically valuable — log it, then refuse.
-    ++negative_hits_;
-    LogAppend(queue_->Now(), device_id, audit_id, AccessOp::kDenied);
-    return PermissionDeniedError("key service: device disabled");
-  }
   auto it = devices_.find(device_id);
   if (it == devices_.end()) {
     return PermissionDeniedError("key service: unregistered device");
   }
   if (it->second.disabled) {
-    negative_devices_.insert(device_id);
+    // No key-store touch, but the attempt itself is forensically valuable
+    // — log it, then refuse.
+    ++negative_hits_;
     LogAppend(queue_->Now(), device_id, audit_id, AccessOp::kDenied);
     return PermissionDeniedError("key service: device disabled");
   }
@@ -313,24 +304,16 @@ Result<Bytes> KeyService::CreateKey(const std::string& device_id,
 
 Result<std::vector<Result<Bytes>>> KeyService::Release(
     const std::string& device_id, const std::vector<MultiGetItem>& items) {
-  bool cached = negative_devices_.count(device_id) > 0;
-  if (!cached) {
-    auto device = devices_.find(device_id);
-    if (device == devices_.end()) {
-      return PermissionDeniedError("key service: unregistered device");
-    }
-    if (device->second.disabled) {
-      negative_devices_.insert(device_id);
-    }
+  auto device = devices_.find(device_id);
+  if (device == devices_.end()) {
+    return PermissionDeniedError("key service: unregistered device");
   }
   // One call = one commit group: N appends, one seal.
   BatchScope scope(this);
-  if (negative_devices_.count(device_id) > 0) {
-    // Revocation-storm fast path: no key-store touch, but every attempted
-    // id is logged before the refusal.
-    if (cached) {
-      negative_hits_ += items.size();
-    }
+  if (device->second.disabled) {
+    // Revocation storm: no key-store touch, but every attempted id is
+    // logged before the refusal.
+    negative_hits_ += items.size();
     for (const auto& item : items) {
       log_.Append(queue_->Now(), device_id, item.audit_id, AccessOp::kDenied);
     }
@@ -474,16 +457,9 @@ Result<std::function<void()>> KeyService::ParseState(
     keys.emplace(KeyMapKey(std::move(device), id), std::move(record));
   }
   return std::function<void()>([this, keys = std::move(keys)]() mutable {
-    // Every resident copy described the pre-restore store; the negative
-    // cache rebuilds from the restored device records.
+    // Every resident copy described the pre-restore store.
     ClearHotKeys();
     keys_ = std::move(keys);
-    negative_devices_.clear();
-    for (const auto& [id, record] : devices_) {
-      if (record.disabled) {
-        negative_devices_.insert(id);
-      }
-    }
   });
 }
 

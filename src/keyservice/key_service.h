@@ -13,7 +13,6 @@
 #define SRC_KEYSERVICE_KEY_SERVICE_H_
 
 #include <functional>
-#include <set>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -136,15 +135,9 @@ class KeyService : public ServiceShell<KeyTier> {
                                       const std::vector<MultiGetItem>& items);
 
   // Paired-device support: a journaled access/creation uploaded after the
-  // fact. For kCreate entries `key` carries the phone-generated remote key
-  // (stored if the ID is new). Entries are appended with the original
-  // client timestamps.
-  struct JournalEntry {
-    AuditId audit_id;
-    AccessOp op = AccessOp::kDemandFetch;
-    SimTime client_time;
-    Bytes key;  // Only for kCreate.
-  };
+  // fact. A kCreate entry's key is stored if the ID is new. Entries are
+  // appended with the original client timestamps.
+  using JournalEntry = KeyClient::JournalEntry;
   Status UploadJournal(const std::string& device_id,
                        const std::vector<JournalEntry>& entries);
 
@@ -206,7 +199,7 @@ class KeyService : public ServiceShell<KeyTier> {
     uint64_t hot_misses = 0;
     uint64_t hot_invalidations = 0;
     uint64_t hot_size = 0;
-    // kDenied rows served by the negative (revoked-device) cache: one per
+    // kDenied rows logged because the device is disabled: one per
     // attempted id, whichever verb carried it.
     uint64_t negative_hits = 0;
     // Overload observability (DESIGN.md §14), merged from the bound
@@ -312,8 +305,7 @@ class KeyService : public ServiceShell<KeyTier> {
       const std::string& device_id, const std::vector<MultiGetItem>& items);
 
   // Checks registration + revocation for a create or an eviction notice;
-  // logs denied attempts. Revoked devices hit the negative cache so
-  // revocation storms fail fast.
+  // logs denied attempts.
   Status CheckDevice(const std::string& device_id, const AuditId& audit_id);
 
   // Bills the unwrap work for releasing `entry`: a hot-cache hit skips
@@ -352,7 +344,6 @@ class KeyService : public ServiceShell<KeyTier> {
   KeyEntry* hottest_ = nullptr;
   KeyEntry* coldest_ = nullptr;
   size_t hot_size_ = 0;
-  std::set<std::string> negative_devices_;  // Known-revoked device ids.
   uint64_t hot_hits_ = 0;
   uint64_t hot_misses_ = 0;
   uint64_t hot_invalidations_ = 0;

@@ -171,7 +171,7 @@ WireValue::Array JournalPayload(
   for (const auto& entry : entries) {
     WireValue::Struct e;
     e.emplace("id", WireValue(entry.audit_id.ToBytes()));
-    e.emplace("op", WireValue(entry.op));
+    e.emplace("op", WireValue(static_cast<int64_t>(entry.op)));
     e.emplace("ts", WireValue(entry.client_time.nanos()));
     if (!entry.key.empty()) {
       e.emplace("key", WireValue(entry.key));

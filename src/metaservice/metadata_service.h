@@ -21,6 +21,7 @@
 #include "src/auditlog/log_options.h"
 #include "src/ibe/bf_ibe.h"
 #include "src/metaservice/metadata_log.h"
+#include "src/metaservice/metadata_service_client.h"
 #include "src/replication/service_replica_set.h"
 #include "src/replication/service_shell.h"
 #include "src/rpc/rpc.h"
@@ -113,14 +114,7 @@ class MetadataService : public ServiceShell<MetaTier> {
   // Paired-device journal upload: namespace events recorded on the phone
   // while disconnected, appended with original client timestamps. No IBE
   // keys are returned (the binding is already in the past).
-  struct JournalRecord {
-    MetadataOp op = MetadataOp::kCreateFile;
-    AuditId audit_id;
-    DirId dir_id;
-    DirId parent_dir_id;
-    std::string name;
-    SimTime client_time;
-  };
+  using JournalRecord = MetadataServiceClient::JournalRecord;
   Status UploadJournal(const std::string& device_id,
                        const std::vector<JournalRecord>& records);
 

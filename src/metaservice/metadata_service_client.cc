@@ -81,7 +81,7 @@ Status MetadataServiceClient::UploadJournal(
   WireValue::Array raw;
   for (const auto& record : records) {
     WireValue::Struct r;
-    r.emplace("op", WireValue(record.op));
+    r.emplace("op", WireValue(static_cast<int64_t>(record.op)));
     r.emplace("aid", WireValue(record.audit_id.ToBytes()));
     r.emplace("did", WireValue(record.dir_id.ToBytes()));
     r.emplace("pid", WireValue(record.parent_dir_id.ToBytes()));

@@ -15,6 +15,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/metaservice/metadata_log.h"
 #include "src/replication/failover_client.h"
 #include "src/rpc/rpc.h"
 #include "src/sim/event_queue.h"
@@ -63,9 +64,10 @@ class MetadataServiceClient {
                       const std::string& new_name,
                       std::function<void(Status)> done);
 
-  // Paired-device journal upload.
+  // Paired-device journal upload: namespace events the phone recorded
+  // while disconnected, with their original client times.
   struct JournalRecord {
-    int64_t op = 0;  // MetadataOp value.
+    MetadataOp op = MetadataOp::kCreateFile;
     AuditId audit_id;
     DirId dir_id;
     DirId parent_dir_id;

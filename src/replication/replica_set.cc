@@ -772,56 +772,14 @@ void ReplicaSetEngine::FetchAndReconcile(size_t i, size_t leader,
         // common prefix of the two chains is sealed-but-orphaned —
         // surfaced to the forensic auditor, never silently dropped (it
         // may duplicate rows the surviving chain also carries;
-        // duplicated, not lost). Two proofs compose, by absolute chain
-        // sequence (either side may have truncated a checkpointed
-        // prefix out of memory, DESIGN.md §15):
-        //  (a) equal checkpoint records pin the whole segment prefix
-        //      they cover, even when one side no longer holds those
-        //      entries in memory;
-        //  (b) an entry-aligned scan over the overlap both sides still
-        //      hold extends the proof — equal wire entries at the same
-        //      chain position imply an identical prefix below them,
-        //      because every entry seals over its predecessor.
-        std::vector<WireValue> local = replica.machine->ExportEntries();
-        const uint64_t local_base = replica.machine->ExportBaseSeq();
-        const std::vector<ReplicatedStateMachine::ExportedCheckpoint>
-            local_ckpts = replica.machine->ExportCheckpoints();
-        Status restored = replica.machine->Restore(*snap);
-        if (!restored.ok()) {
+        // duplicated, not lost). The tier's adapter proves the prefix on
+        // its typed rows (SegmentedLog::DivergedRows) and keeps them.
+        Result<size_t> orphaned = replica.machine->Reconcile(*snap);
+        if (!orphaned.ok()) {
           StandAsCandidate(i);
           return;
         }
-        std::vector<WireValue> adopted = replica.machine->ExportEntries();
-        const uint64_t adopted_base = replica.machine->ExportBaseSeq();
-        const std::vector<ReplicatedStateMachine::ExportedCheckpoint>
-            adopted_ckpts = replica.machine->ExportCheckpoints();
-        uint64_t common = 0;
-        size_t c = 0;
-        while (c < local_ckpts.size() && c < adopted_ckpts.size() &&
-               local_ckpts[c].end_seq == adopted_ckpts[c].end_seq &&
-               local_ckpts[c].hash == adopted_ckpts[c].hash) {
-          ++c;
-        }
-        if (c > 0) {
-          common = local_ckpts[c - 1].end_seq;
-        }
-        const uint64_t local_end = local_base + local.size();
-        const uint64_t overlap_lo = std::max(local_base, adopted_base);
-        const uint64_t overlap_hi =
-            std::min(local_end, adopted_base + adopted.size());
-        uint64_t scan = overlap_lo;
-        while (scan < overlap_hi &&
-               local[scan - local_base] == adopted[scan - adopted_base]) {
-          ++scan;
-        }
-        if (scan > overlap_lo) {
-          common = std::max(common, scan);
-        }
-        for (uint64_t s = std::max(common, local_base); s < local_end;
-             ++s) {
-          orphaned_.push_back({i, std::move(local[s - local_base])});
-          ++stats_.orphaned_entries;
-        }
+        stats_.orphaned_entries += *orphaned;
         AdoptLeader(i, leader, epoch);
 
         WireValue::Array params;

@@ -79,14 +79,6 @@ struct FailoverEvent {
   uint64_t epoch = 0;
 };
 
-// A replica's sealed-but-divergent log entry surfaced by reconciliation,
-// in the tier's canonical wire form (ExportEntries). Tier adapters convert
-// back to their typed entry for the forensic auditor.
-struct OrphanedWireEntry {
-  size_t replica = 0;
-  WireValue entry;
-};
-
 class ReplicaSetEngine {
  public:
   // `seed` seeds the per-pair link fault streams. Replication links are
@@ -153,7 +145,6 @@ class ReplicaSetEngine {
   // --- Audit / introspection. ---------------------------------------------
 
   const std::vector<FailoverEvent>& timeline() const { return timeline_; }
-  const std::vector<OrphanedWireEntry>& orphaned() const { return orphaned_; }
 
   struct Stats {
     uint64_t deltas_shipped = 0;
@@ -280,7 +271,6 @@ class ReplicaSetEngine {
   std::vector<std::unique_ptr<NetworkLink>> links_;
   std::vector<std::unique_ptr<RpcClient>> clients_;
   std::vector<FailoverEvent> timeline_;
-  std::vector<OrphanedWireEntry> orphaned_;
   Stats stats_;
 };
 

@@ -2,11 +2,10 @@
 // typed adapter between a ServiceShell tier and the generic replication
 // engine (DESIGN.md §9–§10, §21).
 //
-// All lease/promotion/ClaimWins/reconciliation logic lives in
-// src/replication/replica_set.h; this file only plugs a service into the
-// ReplicatedStateMachine seam (its delta <-> wire, log-row export) and
-// converts the engine's wire-form orphans back into typed log rows for the
-// ForensicAuditor.
+// All lease/promotion/ClaimWins logic lives in src/replication/
+// replica_set.h; this file only plugs a service into the
+// ReplicatedStateMachine seam (its delta <-> wire, and reconciliation on
+// its typed log rows) and keeps the orphaned rows for the ForensicAuditor.
 
 #ifndef SRC_REPLICATION_SERVICE_REPLICA_SET_H_
 #define SRC_REPLICATION_SERVICE_REPLICA_SET_H_
@@ -47,8 +46,9 @@ class ServiceReplicaSet {
   // Installs the service's replicator and serve gate, so call before the
   // service's BindRpc — the replicator forces the held-response path.
   void AddReplica(Service* service, RpcServer* server) {
+    machines_.push_back(
+        std::make_unique<Machine>(service, services_.size(), &orphaned_));
     services_.push_back(service);
-    machines_.push_back(std::make_unique<Machine>(service));
     engine_.AddReplica(machines_.back().get(), server);
   }
 
@@ -87,34 +87,33 @@ class ServiceReplicaSet {
   const std::vector<FailoverEvent>& timeline() const {
     return engine_.timeline();
   }
-  // Engine orphans converted back to typed log rows (cached).
-  const std::vector<OrphanedRow<Row>>& orphaned() const {
-    const auto& wire = engine_.orphaned();
-    while (typed_orphans_.size() < wire.size()) {
-      const OrphanedWireEntry& orphan = wire[typed_orphans_.size()];
-      auto row = Row::FromWire(orphan.entry);
-      typed_orphans_.push_back({orphan.replica, row.ok() ? *row : Row{}});
-    }
-    return typed_orphans_;
-  }
+  // Every replica's orphaned rows, in reconciliation order.
+  const std::vector<OrphanedRow<Row>>& orphaned() const { return orphaned_; }
 
   using Stats = ReplicaSetEngine::Stats;
   const Stats& stats() const { return engine_.stats(); }
 
  private:
   // Plugs one service into the engine: deltas cross the seam in their wire
-  // form, log rows in theirs (which carries exactly the fields
-  // reconciliation compares — seq, grouping, timestamps, device, ids, op,
-  // and both chain hashes).
+  // form; reconciliation keeps the log's typed rows, proves the common
+  // prefix next to the chain code and appends the orphans to the set's.
   class Machine : public ReplicatedStateMachine {
    public:
-    explicit Machine(Service* service) : service_(service) {}
+    Machine(Service* service, size_t index,
+            std::vector<OrphanedRow<Row>>* orphaned)
+        : service_(service), index_(index), orphaned_(orphaned) {}
 
     uint64_t LogSize() const override { return service_->log().size(); }
     uint64_t ShippedSeq() const override { return service_->shipped_seq(); }
     Bytes Snapshot() const override { return service_->Snapshot(); }
-    Status Restore(const Bytes& snapshot) override {
-      return service_->Restore(snapshot);
+    Result<size_t> Reconcile(const Bytes& snapshot) override {
+      auto before = service_->log().Retain();
+      KP_RETURN_IF_ERROR(service_->Restore(snapshot));
+      std::vector<Row> rows = service_->log().DivergedRows(std::move(before));
+      for (Row& row : rows) {
+        orphaned_->push_back({index_, std::move(row)});
+      }
+      return rows.size();
     }
     Status ApplyDelta(const WireValue& delta) override {
       KP_ASSIGN_OR_RETURN(typename Service::Delta parsed,
@@ -133,27 +132,6 @@ class ServiceReplicaSet {
     void InstallServeGate(std::function<Status()> gate) override {
       service_->set_serve_gate(std::move(gate));
     }
-    std::vector<WireValue> ExportEntries() const override {
-      const auto& rows = service_->log().entries();
-      std::vector<WireValue> out;
-      out.reserve(rows.size());
-      for (const auto& row : rows) {
-        out.push_back(row.ToWire());
-      }
-      return out;
-    }
-    uint64_t ExportBaseSeq() const override {
-      return service_->log().base_seq();
-    }
-    std::vector<ExportedCheckpoint> ExportCheckpoints() const override {
-      const auto& ckpts = service_->log().checkpoints();
-      std::vector<ExportedCheckpoint> out;
-      out.reserve(ckpts.size());
-      for (const auto& ckpt : ckpts) {
-        out.push_back({ckpt.end_seq, ckpt.hash});
-      }
-      return out;
-    }
     void InstallDurableWatermark(
         std::function<uint64_t()> watermark) override {
       service_->set_durable_watermark(std::move(watermark));
@@ -161,12 +139,14 @@ class ServiceReplicaSet {
 
    private:
     Service* service_;
+    size_t index_;
+    std::vector<OrphanedRow<Row>>* orphaned_;
   };
 
   ReplicaSetEngine engine_;
   std::vector<Service*> services_;
   std::vector<std::unique_ptr<Machine>> machines_;
-  mutable std::vector<OrphanedRow<Row>> typed_orphans_;
+  std::vector<OrphanedRow<Row>> orphaned_;
 };
 
 }  // namespace keypad

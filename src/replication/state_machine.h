@@ -1,9 +1,8 @@
 // The seam between the generic replication engine and a concrete service
 // tier (DESIGN.md §10). A service plugs into a ReplicaSetEngine by
 // wrapping itself in this interface; the engine never sees the service's
-// concrete log-entry or delta types — deltas travel as opaque WireValues
-// and chain entries are exported in a canonical wire form the engine only
-// ever compares for equality.
+// concrete log-entry or delta types — deltas travel as opaque WireValues,
+// and reconciliation runs on the tier's typed rows behind Reconcile.
 //
 // Contract, in replication terms:
 //
@@ -19,22 +18,19 @@
 //  * ApplyDelta applies a leader's delta on a backup. Chain continuity is
 //    the real guard: a stale or forked leader's delta must fail
 //    verification and mutate nothing.
-//  * Snapshot/Restore transfer full state for reconciliation. Restore must
-//    verify the adopted chain and must NOT carry private material the
-//    service models as HSM-held.
-//  * ExportEntries returns one canonical WireValue per log entry; entry k
-//    describes chain position k. The engine computes the longest common
-//    prefix of two exports to find the divergence point and surfaces the
-//    local suffix past it as orphaned (duplicated in the worst case, never
-//    lost).
+//  * Snapshot/Reconcile transfer full state. Reconcile must verify the
+//    adopted chain and must NOT carry private material the service models
+//    as HSM-held. It finds the longest provable common prefix of the local
+//    and the adopted chain and keeps the local sealed rows past it as
+//    orphans (duplicated in the worst case, never lost).
 
 #ifndef SRC_REPLICATION_STATE_MACHINE_H_
 #define SRC_REPLICATION_STATE_MACHINE_H_
 
 #include <cstdint>
 #include <functional>
-#include <vector>
 
+#include "src/util/bytes.h"
 #include "src/util/result.h"
 #include "src/wire/value.h"
 
@@ -57,9 +53,11 @@ class ReplicatedStateMachine {
   // this watermark would leave a gap and gets BEHIND.
   virtual uint64_t ShippedSeq() const = 0;
 
-  // Full-state transfer for reconciliation.
+  // Full-state transfer for reconciliation: Reconcile adopts a leader's
+  // snapshot and returns how many local sealed rows it orphaned. On error
+  // nothing changed.
   virtual Bytes Snapshot() const = 0;
-  virtual Status Restore(const Bytes& snapshot) = 0;
+  virtual Result<size_t> Reconcile(const Bytes& snapshot) = 0;
 
   // Applies a leader's sealed delta on a backup (chain-verified).
   virtual Status ApplyDelta(const WireValue& delta) = 0;
@@ -72,30 +70,8 @@ class ReplicatedStateMachine {
   virtual void InstallReplicator(ShipFn ship) = 0;
   virtual void InstallServeGate(std::function<Status()> gate) = 0;
 
-  // Canonical wire form of every *in-memory* log entry, for divergence
-  // detection. Entry k describes chain position ExportBaseSeq() + k: a
-  // tier with checkpoint-anchored truncation (DESIGN.md §15) exports only
-  // the retained suffix, and the engine aligns the two exports by absolute
-  // sequence instead of by position.
-  virtual std::vector<WireValue> ExportEntries() const = 0;
-
   // --- Truncation support (DESIGN.md §15). Tiers without a segmented log
-  //     keep the defaults: base 0, no checkpoints, watermark ignored. ------
-
-  // Absolute sequence of ExportEntries()[0]; 0 when nothing was truncated.
-  virtual uint64_t ExportBaseSeq() const { return 0; }
-
-  // One checkpoint fingerprint per sealed segment, in chain order. Two
-  // replicas agreeing on a checkpoint hash agree on the whole prefix it
-  // covers — how reconciliation proves a common prefix it can no longer
-  // compare entry-by-entry (one side truncated it).
-  struct ExportedCheckpoint {
-    uint64_t end_seq = 0;
-    Bytes hash;
-  };
-  virtual std::vector<ExportedCheckpoint> ExportCheckpoints() const {
-    return {};
-  }
+  //     ignore the watermark. ---------------------------------------------
 
   // Engine-installed truncation anchor: the log-prefix length known durable
   // (acknowledged) on every replica. A tier that truncates must never drop

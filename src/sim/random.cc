@@ -92,6 +92,4 @@ size_t SimRandom::Zipf(size_t n, double theta) {
   return n - 1;
 }
 
-SimRandom SimRandom::Fork() { return SimRandom(NextU64() ^ 0xA5A5A5A5DEADBEEFull); }
-
 }  // namespace keypad

@@ -48,10 +48,6 @@ class SimRandom {
     }
   }
 
-  // Derives an independent child generator; lets subsystems draw from
-  // separate streams so adding draws in one doesn't perturb another.
-  SimRandom Fork();
-
  private:
   uint64_t s_[4];
 };

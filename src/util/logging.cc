@@ -6,7 +6,7 @@
 namespace keypad {
 
 namespace {
-LogSeverity g_threshold = LogSeverity::kWarning;
+constexpr LogSeverity kThreshold = LogSeverity::kWarning;
 
 const char* SeverityTag(LogSeverity s) {
   switch (s) {
@@ -23,11 +23,8 @@ const char* SeverityTag(LogSeverity s) {
 }
 }  // namespace
 
-void SetLogThreshold(LogSeverity severity) { g_threshold = severity; }
-LogSeverity GetLogThreshold() { return g_threshold; }
-
 LogMessage::LogMessage(LogSeverity severity, const char* file, int line)
-    : enabled_(severity >= g_threshold), severity_(severity) {
+    : enabled_(severity >= kThreshold), severity_(severity) {
   if (enabled_) {
     std::string_view path(file);
     size_t pos = path.rfind('/');

@@ -1,6 +1,7 @@
 // Minimal stream logger. Usage:
 //   KP_LOG(kInfo) << "fetched key " << ToHex(id);
-// Severity below the global threshold is compiled to a no-op-ish dead stream.
+// Severity below kWarning is compiled to a no-op-ish dead stream, so tests
+// and benches stay quiet.
 
 #ifndef SRC_UTIL_LOGGING_H_
 #define SRC_UTIL_LOGGING_H_
@@ -11,11 +12,6 @@
 namespace keypad {
 
 enum class LogSeverity { kDebug = 0, kInfo = 1, kWarning = 2, kError = 3 };
-
-// Global threshold; messages below it are discarded. Default: kWarning, so
-// tests and benches stay quiet unless they opt in.
-void SetLogThreshold(LogSeverity severity);
-LogSeverity GetLogThreshold();
 
 class LogMessage {
  public:

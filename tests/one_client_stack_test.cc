@@ -259,8 +259,7 @@ TEST(OneClientStackTest, PartialJournalUploadKeepsOnlyTheFailedShard) {
   ASSERT_TRUE(clients.ok());
   std::vector<KeyClient::JournalEntry> evictions;
   for (const auto& id : ids) {
-    evictions.push_back({id, static_cast<int64_t>(AccessOp::kEviction),
-                         dep.queue().Now(), {}});
+    evictions.push_back({id, AccessOp::kEviction, dep.queue().Now(), {}});
   }
   EXPECT_FALSE(clients->router->UploadJournal(evictions).ok());
 
