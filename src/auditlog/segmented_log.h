@@ -355,12 +355,13 @@ class SegmentedLog {
     }
     // The new base is a checkpoint boundary, so the seal entering it is the
     // checkpoint's chain seal: the last dropped entry's.
-    size_t drop = static_cast<size_t>(new_base - base_seq_);
-    base_seal_ = Codec::EntryHash(entries_[drop - 1]);
-    entries_.erase(entries_.begin(),
-                   entries_.begin() + static_cast<ptrdiff_t>(drop));
-    truncated_entries_ += drop;
+    const auto end =
+        entries_.begin() + static_cast<ptrdiff_t>(new_base - base_seq_);
+    base_seal_ = Codec::EntryHash(*(end - 1));
+    truncated_entries_ += new_base - base_seq_;
     base_seq_ = new_base;
+    OnTruncated(entries_.begin(), end);
+    entries_.erase(entries_.begin(), end);
   }
 
   // --- Commit metrics (BENCH_scale.json / BENCH_auditlog.json). ------------
@@ -383,11 +384,12 @@ class SegmentedLog {
 
  protected:
   // Adapter hooks: OnCommitted fires for every entry as it becomes part of
-  // the durable log (in order); OnReset fires before a wholesale adoption
-  // replays OnCommitted for the adopted entries. Truncation does NOT fire
-  // OnReset — adapter indexes deliberately retain truncated records.
+  // the durable log, in order; OnTruncated passes the rows truncation drops
+  // (base_seq() already past them), which the adapter may move out before
+  // they are erased. Adoption (LoadVerifiedWithBase) fires neither.
+  using RowIt = typename std::vector<Entry>::iterator;
   virtual void OnCommitted(const Entry&) {}
-  virtual void OnReset() {}
+  virtual void OnTruncated(RowIt /*first*/, RowIt /*last*/) {}
 
   // Seals all staged entries as one commit group; returns the group size.
   size_t SealStaged() {
@@ -717,9 +719,8 @@ class SegmentedLog {
     }
   }
 
-  // Wholesale adoption on restore: swaps in the new state, takes the
-  // grouping stats from the verified walk's group sizes, and replays the
-  // adapter index hooks.
+  // Wholesale adoption on restore: swaps in the new state and takes the
+  // grouping stats from the verified walk's group sizes.
   void AdoptLog(uint64_t base_seq, const Seal& base_seal,
                 std::vector<LogCheckpoint> checkpoints,
                 std::vector<Entry> entries, const std::vector<size_t>& groups) {
@@ -739,10 +740,6 @@ class SegmentedLog {
              store_->Has(tier_, shipped_segments_)) {
         ++shipped_segments_;
       }
-    }
-    OnReset();
-    for (const Entry& entry : entries_) {
-      OnCommitted(entry);
     }
   }
 

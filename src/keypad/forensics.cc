@@ -303,7 +303,7 @@ Result<AuditReport> ForensicAuditor::BuildReport(const std::string& device_id,
                     });
   }
   if (meta_replica_set_ != nullptr) {
-    // AllKnownRecords: the binding index retains truncated-prefix rows, so
+    // AllKnownRecords: the metadata log keeps its truncated-prefix rows, so
     // an orphan that duplicates a checkpointed (and since-truncated) row
     // still classifies as a duplicate, matching an untruncated run.
     ClassifyOrphans(meta_replica_set_->orphaned(),

@@ -399,6 +399,7 @@ Status KeyService::DisableKey(const std::string& device_id,
 
 Status KeyService::DestroyKey(const std::string& device_id,
                               const AuditId& audit_id) {
+  KP_RETURN_IF_ERROR(CheckDevice(device_id, audit_id));
   auto it = keys_.find(KeyProbe(device_id, audit_id));
   if (it == keys_.end()) {
     return NotFoundError("key service: no such key");
@@ -438,7 +439,7 @@ void KeyService::SnapshotState(WireValue::Struct& snapshot) const {
 }
 
 Result<std::function<void()>> KeyService::ParseState(
-    const WireValue& snapshot) {
+    const WireValue& snapshot, AuditLog& /*log*/) {
   KeyMap keys;
   KP_ASSIGN_OR_RETURN(WireValue keys_value, snapshot.Field("keys"));
   KP_ASSIGN_OR_RETURN(WireValue::Array raw_keys, keys_value.AsArray());

@@ -145,7 +145,9 @@ class KeyService : public ServiceShell<KeyTier> {
   Status NoteEviction(const std::string& device_id, const AuditId& audit_id);
   // Disables a single file's key.
   Status DisableKey(const std::string& device_id, const AuditId& audit_id);
-  // Permanently destroys key material (assured delete).
+  // Permanently destroys key material (assured delete). A disabled device
+  // is refused like any other request, and the attempt is logged kDenied:
+  // a thief must not erase what the owner's replacement device inherits.
   Status DestroyKey(const std::string& device_id, const AuditId& audit_id);
 
   // --- Audit API. ---------------------------------------------------------
@@ -227,7 +229,8 @@ class KeyService : public ServiceShell<KeyTier> {
   void OnDeviceFlag(const std::string& device_id, bool disabled) override;
   void ApplyChanges(const std::vector<KeyChange>& changes) override;
   void SnapshotState(WireValue::Struct& snapshot) const override;
-  Result<std::function<void()>> ParseState(const WireValue& snapshot) override;
+  Result<std::function<void()>> ParseState(const WireValue& snapshot,
+                                           AuditLog& log) override;
 
  private:
   using KeyMapKey = std::pair<std::string, AuditId>;
@@ -304,8 +307,8 @@ class KeyService : public ServiceShell<KeyTier> {
   Result<std::vector<Result<Bytes>>> Release(
       const std::string& device_id, const std::vector<MultiGetItem>& items);
 
-  // Checks registration + revocation for a create or an eviction notice;
-  // logs denied attempts.
+  // Checks registration + revocation for a create, an eviction notice or a
+  // destroy; logs denied attempts.
   Status CheckDevice(const std::string& device_id, const AuditId& audit_id);
 
   // Bills the unwrap work for releasing `entry`: a hot-cache hit skips

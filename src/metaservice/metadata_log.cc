@@ -1,24 +1,8 @@
 #include "src/metaservice/metadata_log.h"
 
-#include <algorithm>
+#include <iterator>
 
 namespace keypad {
-
-std::string_view MetadataOpName(MetadataOp op) {
-  switch (op) {
-    case MetadataOp::kCreateFile:
-      return "create";
-    case MetadataOp::kRenameFile:
-      return "rename";
-    case MetadataOp::kMkdir:
-      return "mkdir";
-    case MetadataOp::kRenameDir:
-      return "renamedir";
-    case MetadataOp::kSetAttr:
-      return "setattr";
-  }
-  return "unknown";
-}
 
 Result<MetadataOp> DecodeJournalMetadataOp(int64_t raw) {
   if (raw < static_cast<int64_t>(MetadataOp::kCreateFile) ||
@@ -143,34 +127,40 @@ uint64_t MetadataLog::Append(SimTime timestamp, MetadataRecord record) {
   return AppendEntry(std::move(record));
 }
 
-void MetadataLog::IndexRecord(const MetadataRecord& record) {
-  if (record.op == MetadataOp::kMkdir || record.op == MetadataOp::kRenameDir) {
-    dir_index_[{record.device_id, record.dir_id}].push_back(record);
-  } else {
-    file_index_[{record.device_id, record.audit_id}].push_back(record);
-  }
+namespace {
+
+template <typename Key>
+const std::vector<uint64_t>* SeqsOf(
+    const std::map<Key, std::vector<uint64_t>>& index, const Key& key) {
+  auto it = index.find(key);
+  return it == index.end() ? nullptr : &it->second;
 }
+
+}  // namespace
 
 void MetadataLog::OnCommitted(const MetadataRecord& record) {
-  IndexRecord(record);
+  if (record.op == MetadataOp::kMkdir || record.op == MetadataOp::kRenameDir) {
+    dir_index_[{record.device_id, record.dir_id}].push_back(record.seq);
+  } else {
+    file_index_[{record.device_id, record.audit_id}].push_back(record.seq);
+  }
 }
 
-void MetadataLog::OnReset() {
-  file_index_.clear();
-  dir_index_.clear();
-  for (const MetadataRecord& record : pending_cold_) {
-    IndexRecord(record);
-  }
+void MetadataLog::OnTruncated(RowIt first, RowIt last) {
+  truncated_.insert(truncated_.end(), std::make_move_iterator(first),
+                    std::make_move_iterator(last));
 }
 
 std::vector<MetadataRecord> MetadataLog::HistoryOf(
     const std::string& device_id, const AuditId& audit_id) const {
   std::vector<MetadataRecord> out;
-  auto it = file_index_.find({device_id, audit_id});
-  if (it == file_index_.end()) {
+  const std::vector<uint64_t>* seqs =
+      SeqsOf(file_index_, {device_id, audit_id});
+  if (seqs == nullptr) {
     return out;
   }
-  for (const MetadataRecord& record : it->second) {
+  for (uint64_t seq : *seqs) {
+    const MetadataRecord& record = At(seq);
     if (record.op == MetadataOp::kCreateFile ||
         record.op == MetadataOp::kRenameFile ||
         record.op == MetadataOp::kSetAttr) {
@@ -180,70 +170,63 @@ std::vector<MetadataRecord> MetadataLog::HistoryOf(
   return out;
 }
 
+std::optional<MetadataRecord> MetadataLog::LatestOf(
+    const std::vector<uint64_t>* seqs, SimTime as_of, MetadataOp a,
+    MetadataOp b) const {
+  if (seqs != nullptr) {
+    for (auto it = seqs->rbegin(); it != seqs->rend(); ++it) {
+      const MetadataRecord& record = At(*it);
+      if (record.client_time <= as_of && (record.op == a || record.op == b)) {
+        return record;
+      }
+    }
+  }
+  return std::nullopt;
+}
+
 std::optional<MetadataRecord> MetadataLog::LatestBinding(
     const std::string& device_id, const AuditId& audit_id,
     SimTime as_of) const {
-  std::optional<MetadataRecord> latest;
-  auto it = file_index_.find({device_id, audit_id});
-  if (it == file_index_.end()) {
-    return latest;
-  }
-  for (const MetadataRecord& record : it->second) {
-    if (record.client_time > as_of) {
-      continue;
-    }
-    if (record.op == MetadataOp::kCreateFile ||
-        record.op == MetadataOp::kRenameFile) {
-      latest = record;
-    }
-  }
-  return latest;
+  return LatestOf(SeqsOf(file_index_, {device_id, audit_id}), as_of,
+                  MetadataOp::kCreateFile, MetadataOp::kRenameFile);
 }
 
 std::optional<MetadataRecord> MetadataLog::LatestDirBinding(
     const std::string& device_id, const DirId& dir_id, SimTime as_of) const {
-  std::optional<MetadataRecord> latest;
-  auto it = dir_index_.find({device_id, dir_id});
-  if (it == dir_index_.end()) {
-    return latest;
-  }
-  for (const MetadataRecord& record : it->second) {
-    if (record.client_time > as_of) {
-      continue;
-    }
-    if (record.op == MetadataOp::kMkdir ||
-        record.op == MetadataOp::kRenameDir) {
-      latest = record;
-    }
-  }
-  return latest;
+  return LatestOf(SeqsOf(dir_index_, {device_id, dir_id}), as_of,
+                  MetadataOp::kMkdir, MetadataOp::kRenameDir);
 }
 
 std::vector<MetadataRecord> MetadataLog::AllKnownRecords() const {
   std::vector<MetadataRecord> out;
-  for (const auto& [key, bucket] : file_index_) {
-    out.insert(out.end(), bucket.begin(), bucket.end());
-  }
-  for (const auto& [key, bucket] : dir_index_) {
-    out.insert(out.end(), bucket.begin(), bucket.end());
-  }
-  std::sort(out.begin(), out.end(),
-            [](const MetadataRecord& a, const MetadataRecord& b) {
-              return a.seq < b.seq;
-            });
+  out.reserve(size());
+  out.insert(out.end(), truncated_.begin(), truncated_.end());
+  out.insert(out.end(), entries().begin(), entries().end());
   return out;
 }
 
-Status MetadataLog::RestoreWithColdIndex(
-    std::vector<MetadataRecord> cold, uint64_t base_seq, const Seal& base_seal,
-    std::vector<LogCheckpoint> checkpoints,
-    std::vector<MetadataRecord> suffix) {
-  pending_cold_ = std::move(cold);
-  Status status = LoadVerifiedWithBase(base_seq, base_seal,
-                                       std::move(checkpoints),
-                                       std::move(suffix));
-  pending_cold_.clear();
-  return status;
+Status MetadataLog::AdoptTruncated(std::vector<MetadataRecord> rows) {
+  Seal prev;
+  for (size_t i = 0; i < rows.size(); ++i) {
+    if (rows[i].seq != i || rows[i].prev_hash != prev) {
+      return DataLossError("metadata log: truncated row out of place at " +
+                           std::to_string(i));
+    }
+    prev = rows[i].entry_hash;
+  }
+  if (rows.size() != base_seq() || prev != base_seal()) {
+    return DataLossError("metadata log: truncated rows do not reach the base");
+  }
+  truncated_ = std::move(rows);
+  file_index_.clear();
+  dir_index_.clear();
+  for (const MetadataRecord& record : truncated_) {
+    OnCommitted(record);
+  }
+  for (const MetadataRecord& record : entries()) {
+    OnCommitted(record);
+  }
+  return Status::Ok();
 }
 
 }  // namespace keypad

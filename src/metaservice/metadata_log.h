@@ -13,11 +13,10 @@
 // entry_hash = SHA-256(prev_hash || ser(record)) — bit-identical to the
 // hashes this log wrote before the substrate existed.
 //
-// Namespace queries (HistoryOf/LatestBinding/LatestDirBinding) are served
-// from a per-(device, id) binding index maintained on commit instead of
-// full-log scans. The index deliberately survives truncation: bindings are
-// live namespace state (like the roots map), while the chain suffix in
-// memory is bounded by the substrate's checkpoint lifecycle.
+// Every record is held once (DESIGN.md §31). Bindings are live namespace
+// state (like the roots map), so the log keeps the rows truncation drops
+// from the chain, in order, in front of the in-memory suffix. Namespace
+// queries read records in place through a per-(device, id) index of seqs.
 
 #ifndef SRC_METASERVICE_METADATA_LOG_H_
 #define SRC_METASERVICE_METADATA_LOG_H_
@@ -45,8 +44,6 @@ enum class MetadataOp {
   kRenameDir = 3,
   kSetAttr = 4,
 };
-
-std::string_view MetadataOpName(MetadataOp op);
 
 // A journaled namespace op off the wire: the file bindings, renames and
 // directory ops the paired phone records offline. Anything else is refused
@@ -124,37 +121,44 @@ class MetadataLog : public SegmentedLog<MetadataLogCodec> {
                                                  const DirId& dir_id,
                                                  SimTime as_of) const;
 
-  // Every record ever committed, oldest first, including prefixes the
-  // substrate truncated from the chain — served from the binding index,
-  // which retains namespace state for exactly this reason (the forensic
-  // auditor's cold-inclusive view).
+  // The records truncation dropped from the chain: record s < base_seq()
+  // is truncated()[s].
+  const std::vector<MetadataRecord>& truncated() const { return truncated_; }
+
+  // Every record ever committed, oldest first: truncated() then entries()
+  // (the forensic auditor's cold-inclusive view).
   std::vector<MetadataRecord> AllKnownRecords() const;
 
-  // Truncation-aware restore: `cold` carries the pre-base records for the
-  // binding index (namespace state), the rest restores the chain itself.
-  Status RestoreWithColdIndex(std::vector<MetadataRecord> cold,
-                              uint64_t base_seq, const Seal& base_seal,
-                              std::vector<LogCheckpoint> checkpoints,
-                              std::vector<MetadataRecord> suffix);
+  // Restore's second half, once LoadVerifiedWithBase adopted the chain:
+  // `rows` become truncated() and the index is rebuilt. DataLoss, changing
+  // nothing, unless they are the prefix the chain hangs off: one row per
+  // seq below base_seq(), each chained to the one before, the last sealed
+  // with base_seal().
+  Status AdoptTruncated(std::vector<MetadataRecord> rows);
 
   void CorruptRecordForTesting(size_t index) { CorruptEntryForTesting(index); }
 
  protected:
   void OnCommitted(const MetadataRecord& record) override;
-  void OnReset() override;
+  void OnTruncated(RowIt first, RowIt last) override;
 
  private:
-  void IndexRecord(const MetadataRecord& record);
+  const MetadataRecord& At(uint64_t seq) const {
+    return seq < base_seq() ? truncated_[seq] : entries()[seq - base_seq()];
+  }
+  // The last record in log order among `seqs` (null: none) that is an `a`
+  // or `b` op and has client time `as_of` or earlier.
+  std::optional<MetadataRecord> LatestOf(const std::vector<uint64_t>* seqs,
+                                         SimTime as_of, MetadataOp a,
+                                         MetadataOp b) const;
 
-  // Binding index: file records by (device, audit id), directory records
-  // by (device, dir id), each bucket in log order. Together the buckets
-  // hold every record (all five ops land in exactly one bucket).
-  std::map<std::pair<std::string, AuditId>, std::vector<MetadataRecord>>
-      file_index_;
-  std::map<std::pair<std::string, DirId>, std::vector<MetadataRecord>>
-      dir_index_;
-  // Records to seed the index with during the next OnReset (restore path).
-  std::vector<MetadataRecord> pending_cold_;
+  // Rows the substrate truncated from the chain, seq 0 up to base_seq().
+  std::vector<MetadataRecord> truncated_;
+  // Position index: the seqs of file records by (device, audit id) and of
+  // directory records by (device, dir id), ascending. Every record's seq
+  // lands in exactly one bucket.
+  std::map<std::pair<std::string, AuditId>, std::vector<uint64_t>> file_index_;
+  std::map<std::pair<std::string, DirId>, std::vector<uint64_t>> dir_index_;
 };
 
 }  // namespace keypad

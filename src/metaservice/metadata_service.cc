@@ -54,14 +54,7 @@ Status MetadataService::RegisterRoot(const std::string& device_id,
   KP_RETURN_IF_ERROR(RequireEnabledDevice(device_id));
   roots_[device_id] = root_id;
   NoteChange(device_id, root_id);
-  MetadataRecord record;
-  record.device_id = device_id;
-  record.op = MetadataOp::kMkdir;
-  record.dir_id = root_id;
-  record.parent_dir_id = root_id;  // Root is its own parent.
-  record.name = "";
-  log_.Append(queue_->Now(), std::move(record));
-  return Status::Ok();
+  return RegisterMkdir(device_id, root_id, root_id, "");  // Its own parent.
 }
 
 Result<Bytes> MetadataService::RegisterFileBinding(
@@ -240,44 +233,30 @@ void MetadataService::SnapshotState(WireValue::Struct& snapshot) const {
     roots.push_back({device, root_id});
   }
   snapshot.emplace("roots", ToWireList(roots));
-  // Lifecycle state (DESIGN.md §15): the pre-base binding records —
-  // namespace state the truncated chain prefix carried.
-  std::vector<MetadataRecord> cold;
-  if (log_.base_seq() > 0) {
-    for (auto& record : log_.AllKnownRecords()) {
-      if (record.seq < log_.base_seq()) {
-        cold.push_back(std::move(record));
-      }
-    }
-  }
-  snapshot.emplace("cold_bindings", ToWireList(cold));
+  // Lifecycle state (DESIGN.md §15, §31): the records truncation dropped
+  // from the chain, still namespace state.
+  snapshot.emplace("cold_bindings", ToWireList(log_.truncated()));
 }
 
 Result<std::function<void()>> MetadataService::ParseState(
-    const WireValue& snapshot) {
+    const WireValue& snapshot, MetadataLog& log) {
   KP_ASSIGN_OR_RETURN(std::vector<RootChange> raw_roots,
                       FromWireList<RootChange>(snapshot, "roots"));
   std::map<std::string, DirId> roots;
   for (auto& root : raw_roots) {
     roots.emplace(std::move(root.device_id), root.root_id);
   }
+  // The truncated rows complete the restored log; rows it does not hang
+  // off are a broken chain.
+  auto truncated = FromWireList<MetadataRecord>(snapshot, "cold_bindings");
+  if (!truncated.ok() || !log.AdoptTruncated(std::move(*truncated)).ok()) {
+    return DataLossError(Error("snapshot log chain mismatch"));
+  }
   // pkg_ is untouched: the IBE master secret lives in the HSM, not in the
   // crashed process image.
   return std::function<void()>([this, roots = std::move(roots)]() mutable {
     roots_ = std::move(roots);
   });
-}
-
-Status MetadataService::LoadLogWithBase(MetadataLog& log,
-                                        const WireValue& snapshot,
-                                        uint64_t base_seq,
-                                        const Seal& base_seal,
-                                        std::vector<LogCheckpoint> checkpoints,
-                                        std::vector<MetadataRecord> rows) {
-  KP_ASSIGN_OR_RETURN(std::vector<MetadataRecord> cold,
-                      FromWireList<MetadataRecord>(snapshot, "cold_bindings"));
-  return log.RestoreWithColdIndex(std::move(cold), base_seq, base_seal,
-                                  std::move(checkpoints), std::move(rows));
 }
 
 void MetadataService::BindRpc(RpcServer* server) {

@@ -112,8 +112,10 @@ class MetadataService : public ServiceShell<MetaTier> {
                       const std::string& attr);
 
   // Paired-device journal upload: namespace events recorded on the phone
-  // while disconnected, appended with original client timestamps. No IBE
-  // keys are returned (the binding is already in the past).
+  // while disconnected, appended with original client timestamps. Each is
+  // stamped with `device_id`, and only the fields a journal carries (op,
+  // ids, name, client time) reach the log. No IBE keys are returned (the
+  // binding is already in the past).
   using JournalRecord = MetadataServiceClient::JournalRecord;
   Status UploadJournal(const std::string& device_id,
                        const std::vector<JournalRecord>& records);
@@ -143,17 +145,14 @@ class MetadataService : public ServiceShell<MetaTier> {
   void BindRpc(RpcServer* server);
 
  protected:
-  // Shell hooks. The snapshot adds the roots and, past a truncation, the
-  // pre-base binding records the namespace index still needs; the IBE
+  // Shell hooks. The snapshot adds the roots and the records truncation
+  // dropped from the chain (namespace state the log still holds); the IBE
   // master key is deliberately NOT serialized — the PKG master secret is
   // modelled as HSM-held, surviving a process crash in place.
   void ApplyChanges(const std::vector<RootChange>& changes) override;
   void SnapshotState(WireValue::Struct& snapshot) const override;
-  Result<std::function<void()>> ParseState(const WireValue& snapshot) override;
-  Status LoadLogWithBase(MetadataLog& log, const WireValue& snapshot,
-                         uint64_t base_seq, const Seal& base_seal,
-                         std::vector<LogCheckpoint> checkpoints,
-                         std::vector<MetadataRecord> rows) override;
+  Result<std::function<void()>> ParseState(const WireValue& snapshot,
+                                           MetadataLog& log) override;
 
  private:
   IbePkg pkg_;

@@ -65,15 +65,10 @@ class MetadataServiceClient {
                       std::function<void(Status)> done);
 
   // Paired-device journal upload: namespace events the phone recorded
-  // while disconnected, with their original client times.
-  struct JournalRecord {
-    MetadataOp op = MetadataOp::kCreateFile;
-    AuditId audit_id;
-    DirId dir_id;
-    DirId parent_dir_id;
-    std::string name;
-    SimTime client_time;
-  };
+  // while disconnected, with their original client times. A journal record
+  // is a MetadataRecord of which only op, the ids, name and client_time
+  // travel; the service stamps the device and seals it.
+  using JournalRecord = MetadataRecord;
   Status UploadJournal(const std::vector<JournalRecord>& records);
 
   const std::string& device_id() const { return device_id_; }

@@ -127,26 +127,20 @@ ReplicaSetEngine::Claim ReplicaSetEngine::ClaimOf(size_t i) const {
 }
 
 size_t ReplicaSetEngine::current_leader() const {
+  // Live replicas rank: self-claimed leaders, then (mid-failover) the rest,
+  // then those still rejoining; ClaimWins breaks ties within a rank.
   std::optional<Claim> best;
-  for (size_t i = 0; i < replicas_.size(); ++i) {
-    if (is_leader(i)) {
-      Claim claim = ClaimOf(i);
-      if (!best || ClaimWins(claim, *best)) {
-        best = claim;
-      }
-    }
-  }
-  if (best) {
-    return best->index;
-  }
-  // Mid-failover (or everything dead): the longest live chain, else 0.
+  int best_rank = 0;
   for (size_t i = 0; i < replicas_.size(); ++i) {
     if (replicas_[i]->crashed) {
       continue;
     }
-    Claim claim = ClaimOf(i);
-    if (!best || ClaimWins(claim, *best)) {
+    const int rank = is_leader(i) ? 2 : replicas_[i]->rejoining ? 0 : 1;
+    const Claim claim = ClaimOf(i);
+    if (!best || rank > best_rank ||
+        (rank == best_rank && ClaimWins(claim, *best))) {
       best = claim;
+      best_rank = rank;
     }
   }
   return best ? best->index : 0;
@@ -305,6 +299,7 @@ void ReplicaSetEngine::Promote(size_t i) {
   Replica& replica = *replicas_[i];
   replica.epoch += 1;
   replica.view_leader = i;
+  replica.rejoining = false;
   replica.in_sync.assign(replicas_.size(), true);
   // A fresh leader has acknowledged nothing to anyone yet; its first
   // successful ship round re-establishes the durable watermark.
@@ -795,6 +790,7 @@ void ReplicaSetEngine::FetchAndReconcile(size_t i, size_t leader,
               }
               if (result.ok()) {
                 ++stats_.rejoins;
+                replicas_[i]->rejoining = false;
                 Record("rejoin", i, replicas_[i]->epoch);
                 return;
               }
@@ -838,6 +834,7 @@ void ReplicaSetEngine::NoteCrashed(size_t i) {
 void ReplicaSetEngine::NoteRestarted(size_t i) {
   Replica& replica = *replicas_[i];
   replica.crashed = false;
+  replica.rejoining = true;
   ++replica.generation;
   Record("restart", i, replica.epoch);
   Rejoin(i);

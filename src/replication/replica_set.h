@@ -106,13 +106,17 @@ class ReplicaSetEngine {
   RpcServer* rpc_server(size_t i) const { return replicas_[i]->server; }
 
   // The authoritative replica right now: the best self-claimed live leader
-  // (ClaimWins), else the live replica with the longest chain, else 0.
+  // (ClaimWins), else the live replica with the longest chain, one still
+  // rejoining only if every live replica is, else 0.
   size_t current_leader() const;
   // Who replica i currently believes leads (its serve gate redirects here).
   size_t leader_view(size_t i) const { return replicas_[i]->view_leader; }
   uint64_t epoch(size_t i) const { return replicas_[i]->epoch; }
+  // A restarted replica claims nothing until it has rejoined or promoted:
+  // its stale view may name itself over a chain it is about to reconcile.
   bool is_leader(size_t i) const {
-    return !replicas_[i]->crashed && replicas_[i]->view_leader == i;
+    const Replica& replica = *replicas_[i];
+    return !replica.crashed && !replica.rejoining && replica.view_leader == i;
   }
   // When replica i's grant to its leader lapses, as of now (computed
   // renewals of a quiescent pair included).
@@ -183,6 +187,8 @@ class ReplicaSetEngine {
     bool quiescent = false;
     SimTime quiescent_from;
     bool crashed = false;
+    // Restarted, and not yet rejoined or promoted.
+    bool rejoining = false;
     // Leader-side view of which peers are in the synchronous-ack set.
     std::vector<bool> in_sync;
     // Leader-side: the chain length each peer is known to have durably

@@ -309,18 +309,12 @@ class ServiceShell {
   // Backup side of NoteChange.
   virtual void ApplyChanges(const std::vector<Change>& changes) = 0;
   // Adds the tier's fields to a snapshot, and parses them back: ParseState
-  // fails without side effects or returns the step that adopts them.
+  // may complete `log`, the snapshot's verified log that is to replace
+  // log_, and fails without side effects or returns the step that adopts
+  // the rest.
   virtual void SnapshotState(WireValue::Struct& snapshot) const = 0;
-  virtual Result<std::function<void()>> ParseState(
-      const WireValue& snapshot) = 0;
-  // Adopts a snapshot's lifecycle-aware log into `log`.
-  virtual Status LoadLogWithBase(Log& log, const WireValue& /*snapshot*/,
-                                 uint64_t base_seq, const Seal& base_seal,
-                                 std::vector<LogCheckpoint> checkpoints,
-                                 std::vector<Row> rows) {
-    return log.LoadVerifiedWithBase(base_seq, base_seal,
-                                    std::move(checkpoints), std::move(rows));
-  }
+  virtual Result<std::function<void()>> ParseState(const WireValue& snapshot,
+                                                   Log& log) = 0;
 
   EventQueue* queue_;
   SecureRandom rng_;
@@ -548,10 +542,9 @@ Status ServiceShell<Tier>::Restore(const Bytes& snapshot) {
     restored_log.set_segment_store(segment_store_.get(), Tier::kName);
   }
   restored_log.set_truncate_anchor(log_.truncate_anchor());
-  Status log_status = LoadLogWithBase(restored_log, value,
-                                      static_cast<uint64_t>(base_seq),
-                                      base_seal, std::move(ckpts),
-                                      std::move(rows));
+  Status log_status = restored_log.LoadVerifiedWithBase(
+      static_cast<uint64_t>(base_seq), base_seal, std::move(ckpts),
+      std::move(rows));
   if (!log_status.ok()) {
     return DataLossError(Error("snapshot log chain mismatch"));
   }
@@ -569,7 +562,8 @@ Status ServiceShell<Tier>::Restore(const Bytes& snapshot) {
     KP_ASSIGN_OR_RETURN(record.disabled, disabled_v.AsBool());
     devices.emplace(std::move(id), std::move(record));
   }
-  KP_ASSIGN_OR_RETURN(std::function<void()> adopt_state, ParseState(value));
+  KP_ASSIGN_OR_RETURN(std::function<void()> adopt_state,
+                      ParseState(value, restored_log));
 
   // Anything staged or held belongs to the pre-crash incarnation and is
   // lost with it.
