@@ -1,5 +1,6 @@
 #include "src/keypad/paired_device.h"
 
+#include <iterator>
 #include <utility>
 
 #include "src/keyservice/auth.h"
@@ -35,81 +36,85 @@ void PhoneProxy::SetUplinkConnected(bool connected) {
   if (connected && !online_) {
     uplink_->set_disconnected(false);
     online_ = true;
-    FlushJournals();
+    Flush(key_journal_, /*await=*/true);
+    Flush(meta_journal_, /*await=*/true);
   } else if (!connected) {
     uplink_->set_disconnected(true);
     online_ = false;
   }
 }
 
-void PhoneProxy::JournalKeyAccess(const AuditId& id, AccessOp op, Bytes key) {
-  key_journal_.push_back({id, op, queue_->Now(), std::move(key)});
+void PhoneProxy::JournalMetaOp(MetadataOp op, const AuditId& audit_id,
+                               const DirId& dir_id, const DirId& parent_dir_id,
+                               const std::string& name) {
+  MetadataRecord record;
+  record.op = op;
+  record.audit_id = audit_id;
+  record.dir_id = dir_id;
+  record.parent_dir_id = parent_dir_id;
+  record.name = name;
+  record.client_time = queue_->Now();
+  meta_journal_.push_back(std::move(record));
 }
 
-void PhoneProxy::UploadKeyJournal() {
-  if (!online_ || key_journal_.empty()) {
+template <typename Entry>
+void PhoneProxy::Flush(std::vector<Entry>& journal, bool await) {
+  if (!online_ || journal.empty()) {
     return;
   }
-  // Upload promptly so the service log stays current while connected —
-  // asynchronously, off everyone's critical path.
-  auto batch = std::exchange(key_journal_, {});
+  auto batch = std::exchange(journal, {});
+  auto keep = [this, &journal, sent = batch.size()](
+                  std::vector<Entry> unsealed) {
+    stats_.journal_entries_uploaded += sent - unsealed.size();
+    journal.insert(journal.begin(), std::make_move_iterator(unsealed.begin()),
+                   std::make_move_iterator(unsealed.end()));
+  };
+  if (await) {
+    keep(queue_->Await<std::vector<Entry>>(
+        [&](auto done) { Upload(batch, std::move(done)); }));
+  } else {
+    Upload(batch, std::move(keep));
+  }
+}
+
+void PhoneProxy::Upload(const std::vector<KeyClient::JournalEntry>& batch,
+                        Unsealed<KeyClient::JournalEntry> unsealed) {
   key_upstream_->SealJournalAsync(
-      batch, [this, sent = batch.size()](KeyClient::JournalOutcome outcome) {
-        KeepUnsealed(sent, std::move(outcome));
+      batch, [unsealed = std::move(unsealed)](
+                 KeyClient::JournalOutcome outcome) {
+        unsealed(std::move(outcome.unsealed));
       });
 }
 
-void PhoneProxy::KeepUnsealed(size_t sent, KeyClient::JournalOutcome outcome) {
-  stats_.journal_entries_uploaded += sent - outcome.unsealed.size();
-  key_journal_.insert(key_journal_.begin(),
-                      std::make_move_iterator(outcome.unsealed.begin()),
-                      std::make_move_iterator(outcome.unsealed.end()));
-}
-
-void PhoneProxy::FlushJournals() {
-  // Each journal leaves the phone before the upload is awaited: requests
-  // the laptop makes meanwhile journal behind it and are never dropped.
-  if (!key_journal_.empty()) {
-    auto batch = std::exchange(key_journal_, {});
-    KeepUnsealed(batch.size(),
-                 queue_->Await<KeyClient::JournalOutcome>([&](auto done) {
-                   key_upstream_->SealJournalAsync(batch, std::move(done));
-                 }));
-  }
-  if (!meta_journal_.empty()) {
-    auto batch = std::exchange(meta_journal_, {});
-    if (meta_upstream_->UploadJournal(batch).ok()) {
-      stats_.journal_entries_uploaded += batch.size();
-    } else {
-      meta_journal_.insert(meta_journal_.begin(), batch.begin(), batch.end());
-    }
-  }
+void PhoneProxy::Upload(const std::vector<MetadataRecord>& batch,
+                        Unsealed<MetadataRecord> unsealed) {
+  unsealed(meta_upstream_->UploadJournal(batch).ok()
+               ? std::vector<MetadataRecord>()
+               : batch);
 }
 
 void PhoneProxy::BindHandlers() {
   using Responder = RpcServer::Responder;
   using Payload = WireValue::Array;
 
-  // Frame and arity checking shared by every handler (a negative `arity`
-  // leaves the payload's shape to the handler).
-  auto bind = [this](const std::string& method, const Bytes& secret,
-                     int arity, auto fn) {
+  // The services' own frame, tag and arity check; the phone serves its
+  // paired device only.
+  auto bind = [this](const std::string& method, const Bytes* secret,
+                     size_t arity, auto fn) {
     server_.RegisterAsyncMethod(method, [this, method, secret, arity, fn](
                                             const Payload& params,
                                             Responder respond) {
-      auto call = SplitAuthedCall(params);
-      Status status = call.status();
-      if (status.ok() && call->device_id != device_id_) {
-        status = PermissionDeniedError("phone: not my paired device");
-      } else if (status.ok()) {
-        status = VerifyAuthTag(secret, method, *call);
-      }
-      if (status.ok() && arity >= 0 &&
-          call->payload.size() != static_cast<size_t>(arity)) {
-        status = InvalidArgumentError(method + ": bad arity");
-      }
-      if (!status.ok()) {
-        respond(status);
+      auto call = CheckAuthedCall(
+          params, method, arity,
+          [this, secret](const std::string& device_id)
+              -> Result<const Bytes*> {
+            if (device_id != device_id_) {
+              return PermissionDeniedError("phone: not my paired device");
+            }
+            return secret;
+          });
+      if (!call.ok()) {
+        respond(call.status());
         return;
       }
       fn(call->payload, std::move(respond));
@@ -132,7 +137,7 @@ void PhoneProxy::BindHandlers() {
     };
   };
 
-  bind("key.get", key_secret_, 2,
+  bind("key.get", &key_secret_, 2,
        [this, hoard_and_reply](const Payload& payload, Responder respond) {
          auto id = IdArg<AuditId>(payload[0]);
          auto op_int = payload[1].AsInt();
@@ -147,8 +152,8 @@ void PhoneProxy::BindHandlers() {
          }
          if (auto key = hoard_.Lookup(*id)) {
            ++stats_.served_from_hoard;
-           JournalKeyAccess(*id, *op);
-           UploadKeyJournal();
+           key_journal_.push_back({*id, *op, queue_->Now(), {}});
+           Flush(key_journal_, /*await=*/false);
            respond(WireValue(*key));
            return;
          }
@@ -161,7 +166,7 @@ void PhoneProxy::BindHandlers() {
                                     hoard_and_reply(*id, std::move(respond)));
        });
 
-  bind("key.create", key_secret_, 1,
+  bind("key.create", &key_secret_, 1,
        [this, hoard_and_reply](const Payload& payload, Responder respond) {
          auto id = IdArg<AuditId>(payload[0]);
          if (!id.ok()) {
@@ -179,14 +184,14 @@ void PhoneProxy::BindHandlers() {
          ++stats_.offline_creates;
          Bytes key = local_rng_.NextBytes(KeyService::kRemoteKeyLen);
          hoard_.Insert(*id, key);
-         JournalKeyAccess(*id, AccessOp::kCreate, key);
+         key_journal_.push_back({*id, AccessOp::kCreate, queue_->Now(), key});
          respond(WireValue(std::move(key)));
        });
 
   // Hoarded items are served from the hoard and journaled, each with its
   // own op, in one upload; the rest go upstream as one typed call. The
   // reply is the service's own positional frame (DESIGN.md §26).
-  bind("key.get_multi", key_secret_, -1,
+  bind("key.get_multi", &key_secret_, 2,
        [this](const Payload& payload, Responder respond) {
          auto items = DecodeMultiGetRequest(payload);
          if (!items.ok()) {
@@ -199,7 +204,8 @@ void PhoneProxy::BindHandlers() {
          for (const auto& item : *items) {
            if (auto key = hoard_.Lookup(item.audit_id)) {
              ++stats_.served_from_hoard;
-             JournalKeyAccess(item.audit_id, item.op);
+             key_journal_.push_back(
+                 {item.audit_id, item.op, queue_->Now(), {}});
              released->push_back(*key);
              continue;
            }
@@ -208,7 +214,7 @@ void PhoneProxy::BindHandlers() {
            released->push_back(
                UnavailableError("phone: offline, key not hoarded"));
          }
-         UploadKeyJournal();
+         Flush(key_journal_, /*await=*/false);
          if (upstream.empty() || !online_) {
            respond(EncodeMultiGetReply(std::move(*released)));
            return;
@@ -239,19 +245,19 @@ void PhoneProxy::BindHandlers() {
              });
        });
 
-  bind("key.evict", key_secret_, 1,
+  bind("key.evict", &key_secret_, 1,
        [this](const Payload& payload, Responder respond) {
          auto id = IdArg<AuditId>(payload[0]);
          if (!id.ok()) {
            respond(id.status());
            return;
          }
-         JournalKeyAccess(*id, AccessOp::kEviction);
-         UploadKeyJournal();
+         key_journal_.push_back({*id, AccessOp::kEviction, queue_->Now(), {}});
+         Flush(key_journal_, /*await=*/false);
          respond(WireValue(true));
        });
 
-  bind("meta.register_root", meta_secret_, 1,
+  bind("meta.register_root", &meta_secret_, 1,
        [this, reply_done](const Payload& payload, Responder respond) {
          auto id = IdArg<DirId>(payload[0]);
          if (!id.ok()) {
@@ -267,7 +273,7 @@ void PhoneProxy::BindHandlers() {
          reply_done(std::move(respond))(meta_upstream_->RegisterRoot(*id));
        });
 
-  bind("meta.bind_file", meta_secret_, 4,
+  bind("meta.bind_file", &meta_secret_, 4,
        [this](const Payload& payload, Responder respond) {
          auto aid = IdArg<AuditId>(payload[0]);
          auto did = IdArg<DirId>(payload[1]);
@@ -291,20 +297,15 @@ void PhoneProxy::BindHandlers() {
          // PKG master secret never leaves the service), so the caller
          // receives an empty key: non-IBE paths proceed, IBE-locked files
          // stay sealed until reconnection.
-         MetadataServiceClient::JournalRecord record;
-         record.op =
-             *is_rename ? MetadataOp::kRenameFile : MetadataOp::kCreateFile;
-         record.audit_id = *aid;
-         record.dir_id = *did;
-         record.name = *name;
-         record.client_time = queue_->Now();
-         meta_journal_.push_back(std::move(record));
+         JournalMetaOp(
+             *is_rename ? MetadataOp::kRenameFile : MetadataOp::kCreateFile,
+             *aid, *did, DirId(), *name);
          respond(WireValue(Bytes{}));
        });
 
   for (MetadataOp op : {MetadataOp::kMkdir, MetadataOp::kRenameDir}) {
     const bool mkdir = op == MetadataOp::kMkdir;
-    bind(mkdir ? "meta.mkdir" : "meta.rename_dir", meta_secret_, 3,
+    bind(mkdir ? "meta.mkdir" : "meta.rename_dir", &meta_secret_, 3,
          [this, op, mkdir, reply_done](const Payload& payload,
                                        Responder respond) {
            auto did = IdArg<DirId>(payload[0]);
@@ -325,13 +326,7 @@ void PhoneProxy::BindHandlers() {
              }
              return;
            }
-           MetadataServiceClient::JournalRecord record;
-           record.op = op;
-           record.dir_id = *did;
-           record.parent_dir_id = *pid;
-           record.name = *name;
-           record.client_time = queue_->Now();
-           meta_journal_.push_back(std::move(record));
+           JournalMetaOp(op, AuditId(), *did, *pid, *name);
            respond(WireValue(true));
          });
   }

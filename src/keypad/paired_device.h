@@ -25,7 +25,7 @@
 #ifndef SRC_KEYPAD_PAIRED_DEVICE_H_
 #define SRC_KEYPAD_PAIRED_DEVICE_H_
 
-#include <map>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -54,8 +54,8 @@ class PhoneProxy {
   RpcServer* server() { return &server_; }
 
   bool online() const { return online_; }
-  // Connecting flushes the journals upstream (blocking) and reconnects the
-  // uplink; disconnecting severs it.
+  // Connecting reconnects the uplink and flushes both journals upstream
+  // (blocking); disconnecting severs it.
   void SetUplinkConnected(bool connected);
 
   // Exposure accounting for the both-devices-lost case.
@@ -74,15 +74,23 @@ class PhoneProxy {
 
  private:
   void BindHandlers();
-  // Journals one hoard-served access, eviction notice or offline create
-  // (with its key); while the uplink is up, UploadKeyJournal then sends the
-  // whole journal in one upload.
-  void JournalKeyAccess(const AuditId& id, AccessOp op, Bytes key = {});
-  void UploadKeyJournal();
-  // Puts what an upload left unsealed back ahead of anything journaled
-  // while it was in flight, and counts the rest as uploaded.
-  void KeepUnsealed(size_t sent, KeyClient::JournalOutcome outcome);
-  void FlushJournals();
+  // Journals one namespace op made while the uplink is down.
+  void JournalMetaOp(MetadataOp op, const AuditId& audit_id,
+                     const DirId& dir_id, const DirId& parent_dir_id,
+                     const std::string& name);
+  // Uploads one tier's whole journal, awaited or not (DESIGN.md §32). The
+  // batch leaves the journal first, so events journaled meanwhile queue
+  // behind it; what did not seal goes back ahead of them.
+  template <typename Entry>
+  void Flush(std::vector<Entry>& journal, bool await);
+  template <typename Entry>
+  using Unsealed = std::function<void(std::vector<Entry>)>;
+  // Uploads `batch`; `unsealed` gets what did not seal, in journal order
+  // (the key tier seals per shard, the metadata tier all or nothing).
+  void Upload(const std::vector<KeyClient::JournalEntry>& batch,
+              Unsealed<KeyClient::JournalEntry> unsealed);
+  void Upload(const std::vector<MetadataRecord>& batch,
+              Unsealed<MetadataRecord> unsealed);
 
   EventQueue* queue_;
   NetworkLink* uplink_;
@@ -97,8 +105,9 @@ class PhoneProxy {
   SecureRandom local_rng_;
   bool online_ = true;
 
-  std::vector<KeyServiceClient::JournalEntry> key_journal_;
-  std::vector<MetadataServiceClient::JournalRecord> meta_journal_;
+  // What the phone journaled and no upload sealed yet, oldest first.
+  std::vector<KeyClient::JournalEntry> key_journal_;
+  std::vector<MetadataRecord> meta_journal_;
   Stats stats_;
 };
 

@@ -2,6 +2,13 @@
 
 namespace keypad {
 
+namespace {
+// Whether `raw` names an AccessOp: both row decoders check before casting.
+bool IsAccessOp(int64_t raw) {
+  return raw >= 0 && raw <= static_cast<int64_t>(AccessOp::kRestore);
+}
+}  // namespace
+
 std::string_view AccessOpName(AccessOp op) {
   switch (op) {
     case AccessOp::kCreate:
@@ -78,6 +85,10 @@ Result<AuditLogEntry> AuditLogEntry::FromWire(const WireValue& value) {
   KP_ASSIGN_OR_RETURN(entry.audit_id, AuditId::FromBytes(id_bytes));
   KP_ASSIGN_OR_RETURN(WireValue op, value.Field("op"));
   KP_ASSIGN_OR_RETURN(int64_t op_int, op.AsInt());
+  if (!IsAccessOp(op_int)) {
+    return DataLossError("audit log: row with unknown op " +
+                         std::to_string(op_int));
+  }
   entry.op = static_cast<AccessOp>(op_int);
   KP_ASSIGN_OR_RETURN(WireValue prev, value.Field("prev_hash"));
   KP_ASSIGN_OR_RETURN(Bytes prev_bytes, prev.AsBytes());
@@ -107,7 +118,7 @@ bool AuditLogEntry::ReadFlat(ByteReader& in, AuditLogEntry* entry) {
   if (!in.U64(&entry->seq) || !in.U64(&entry->group_start) || !in.U64(&ts) ||
       !in.U64(&cts) || !in.Str(&entry->device_id) ||
       !in.Copy(entry->audit_id.v.data(), entry->audit_id.v.size()) ||
-      !in.U8(&op) || op > static_cast<uint8_t>(AccessOp::kRestore) ||
+      !in.U8(&op) || !IsAccessOp(op) ||
       !Seal::ReadBlob(in, &entry->prev_hash) ||
       !Seal::ReadBlob(in, &entry->entry_hash)) {
     return false;

@@ -79,6 +79,7 @@ struct AuditLogEntry {
   Seal prev_hash;   // The seal entering this row's commit group.
   Seal entry_hash;  // The group's own seal.
 
+  // Snapshot, delta and cold-segment form; an unknown op is DataLoss.
   WireValue ToWire() const;
   static Result<AuditLogEntry> FromWire(const WireValue& value);
 

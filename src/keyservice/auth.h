@@ -42,6 +42,23 @@ Result<AuthedCall> SplitAuthedCall(const WireValue::Array& params);
 Status VerifyAuthTag(const Bytes& device_secret, const std::string& method,
                      const AuthedCall& call);
 
+// The check every authenticated method runs, on the services and the phone
+// alike (DESIGN.md §32): split the call, map its device to its secret
+// (`secret_of` returns it, or the caller's own refusal), verify the tag,
+// check the arity. A template: no std::function on the request path.
+template <typename SecretOf>
+Result<AuthedCall> CheckAuthedCall(const WireValue::Array& params,
+                                   const std::string& method, size_t arity,
+                                   const SecretOf& secret_of) {
+  KP_ASSIGN_OR_RETURN(AuthedCall call, SplitAuthedCall(params));
+  KP_ASSIGN_OR_RETURN(const Bytes* secret, secret_of(call.device_id));
+  KP_RETURN_IF_ERROR(VerifyAuthTag(*secret, method, call));
+  if (call.payload.size() != arity) {
+    return InvalidArgumentError(method + ": bad arity");
+  }
+  return call;
+}
+
 // An id argument off the wire: a wrong-length id is refused with
 // InvalidArgument, never dereferenced.
 template <typename Id>

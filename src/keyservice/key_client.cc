@@ -3,7 +3,38 @@
 #include <deque>
 #include <iterator>
 
+#include "src/keyservice/auth.h"
+
 namespace keypad {
+
+WireValue KeyClient::JournalEntry::ToJournalWire() const {
+  WireValue::Struct e;
+  e.emplace("id", WireValue(audit_id.ToBytes()));
+  e.emplace("op", WireValue(static_cast<int64_t>(op)));
+  e.emplace("ts", WireValue(client_time.nanos()));
+  if (!key.empty()) {
+    e.emplace("key", WireValue(key));
+  }
+  return WireValue(std::move(e));
+}
+
+Result<KeyClient::JournalEntry> KeyClient::JournalEntry::FromJournalWire(
+    const WireValue& value) {
+  JournalEntry entry;
+  KP_ASSIGN_OR_RETURN(WireValue id_v, value.Field("id"));
+  KP_ASSIGN_OR_RETURN(entry.audit_id, IdArg<AuditId>(id_v));
+  KP_ASSIGN_OR_RETURN(WireValue op_v, value.Field("op"));
+  KP_ASSIGN_OR_RETURN(int64_t op_int, op_v.AsInt());
+  KP_ASSIGN_OR_RETURN(entry.op, DecodeAccessOp(op_int, OpSource::kJournal));
+  KP_ASSIGN_OR_RETURN(WireValue ts_v, value.Field("ts"));
+  KP_ASSIGN_OR_RETURN(int64_t ts_int, ts_v.AsInt());
+  entry.client_time = SimTime(ts_int);
+  if (value.HasField("key")) {
+    KP_ASSIGN_OR_RETURN(WireValue key_v, value.Field("key"));
+    KP_ASSIGN_OR_RETURN(entry.key, key_v.AsBytes());
+  }
+  return entry;
+}
 
 std::vector<Result<Bytes>> KeyClient::InRequestOrder(
     const std::vector<MultiGetItem>& items, MultiGetResult result) {

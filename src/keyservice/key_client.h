@@ -41,6 +41,11 @@ class KeyClient {
     AccessOp op = AccessOp::kDemandFetch;
     SimTime client_time;
     Bytes key;  // Only for kCreate.
+
+    // The key.upload_journal codec of stub and service (DESIGN.md §32):
+    // {id, op, ts[, key]}; a bad id or op (DecodeAccessOp) is refused.
+    WireValue ToJournalWire() const;
+    static Result<JournalEntry> FromJournalWire(const WireValue& value);
   };
   // Typed multi-key fetch (DESIGN.md §13): N ids, each carrying its own
   // access op, released in one round trip per shard. Missing or disabled

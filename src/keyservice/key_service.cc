@@ -506,8 +506,6 @@ void KeyService::BindRpc(RpcServer* server) {
             return WireValue(true);
           });
 
-  InstallAuditRpc(server);
-
   Install(server, "key.destroy", true, 1,
           [this](const std::string& device,
                  const WireValue::Array& payload) -> Result<WireValue> {
@@ -516,31 +514,7 @@ void KeyService::BindRpc(RpcServer* server) {
             return WireValue(true);
           });
 
-  Install(server, "key.upload_journal", true, 1,
-          [this](const std::string& device,
-                 const WireValue::Array& payload) -> Result<WireValue> {
-            KP_ASSIGN_OR_RETURN(WireValue::Array raw, payload[0].AsArray());
-            std::vector<JournalEntry> entries;
-            for (const auto& e : raw) {
-              JournalEntry entry;
-              KP_ASSIGN_OR_RETURN(WireValue id_v, e.Field("id"));
-              KP_ASSIGN_OR_RETURN(entry.audit_id, IdArg<AuditId>(id_v));
-              KP_ASSIGN_OR_RETURN(WireValue op_v, e.Field("op"));
-              KP_ASSIGN_OR_RETURN(int64_t op_int, op_v.AsInt());
-              KP_ASSIGN_OR_RETURN(entry.op,
-                                  DecodeAccessOp(op_int, OpSource::kJournal));
-              KP_ASSIGN_OR_RETURN(WireValue ts_v, e.Field("ts"));
-              KP_ASSIGN_OR_RETURN(int64_t ts_int, ts_v.AsInt());
-              entry.client_time = SimTime(ts_int);
-              if (e.HasField("key")) {
-                KP_ASSIGN_OR_RETURN(WireValue key_v, e.Field("key"));
-                KP_ASSIGN_OR_RETURN(entry.key, key_v.AsBytes());
-              }
-              entries.push_back(std::move(entry));
-            }
-            KP_RETURN_IF_ERROR(UploadJournal(device, entries));
-            return WireValue(true);
-          });
+  InstallSharedRpc(server);
 }
 
 }  // namespace keypad

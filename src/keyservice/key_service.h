@@ -48,6 +48,7 @@ struct KeyChange {
 struct KeyTier {
   using Log = AuditLog;
   using Change = KeyChange;
+  using JournalEntry = KeyClient::JournalEntry;
   static constexpr const char* kService = "key service";
   static constexpr const char* kName = "key";
   static constexpr const char* kRowsField = "entries";
@@ -135,11 +136,11 @@ class KeyService : public ServiceShell<KeyTier> {
                                       const std::vector<MultiGetItem>& items);
 
   // Paired-device support: a journaled access/creation uploaded after the
-  // fact. A kCreate entry's key is stored if the ID is new. Entries are
-  // appended with the original client timestamps.
-  using JournalEntry = KeyClient::JournalEntry;
+  // fact (key.upload_journal). A kCreate entry's key is stored if the ID is
+  // new. Entries are appended with the original client timestamps, and the
+  // whole journal seals as one commit group.
   Status UploadJournal(const std::string& device_id,
-                       const std::vector<JournalEntry>& entries);
+                       const std::vector<JournalEntry>& entries) override;
 
   // Client reports that it securely erased a cached key (e.g. hibernation).
   Status NoteEviction(const std::string& device_id, const AuditId& audit_id);
@@ -162,8 +163,9 @@ class KeyService : public ServiceShell<KeyTier> {
     return log_.EntriesAfterSeq(next_seq);
   }
 
-  // Registers the key.* methods and the shell's audit.key_* methods on
-  // `server`. Handlers authenticate the device tag before acting.
+  // Registers the key.* methods and the shell's key.upload_journal and
+  // audit.key_* methods on `server`. Handlers authenticate the device tag
+  // before acting.
   void BindRpc(RpcServer* server);
 
   // Number of keys currently stored (destroyed keys excluded).

@@ -6,15 +6,6 @@
 
 namespace keypad {
 
-ReplicaRouter::Framer KeyServiceClient::MakeFramer() const {
-  // Captures copies so the framer stays valid however the stub is stored.
-  return [device_id = device_id_, device_secret = device_secret_](
-             const std::string& method, WireValue::Array payload) {
-    return FrameAuthedCall(device_id, device_secret, method,
-                           std::move(payload));
-  };
-}
-
 // Every blocking method below is its async twin awaited (DESIGN.md §22),
 // so each call's marshalling and parse exist once.
 Result<Bytes> KeyServiceClient::CreateKey(const AuditId& audit_id) {
@@ -164,42 +155,16 @@ void KeyServiceClient::GetKeysTypedAsync(
                     }));
 }
 
-namespace {
-WireValue::Array JournalPayload(
-    const std::vector<KeyServiceClient::JournalEntry>& entries) {
-  WireValue::Array raw;
-  for (const auto& entry : entries) {
-    WireValue::Struct e;
-    e.emplace("id", WireValue(entry.audit_id.ToBytes()));
-    e.emplace("op", WireValue(static_cast<int64_t>(entry.op)));
-    e.emplace("ts", WireValue(entry.client_time.nanos()));
-    if (!entry.key.empty()) {
-      e.emplace("key", WireValue(entry.key));
-    }
-    raw.push_back(WireValue(std::move(e)));
-  }
-  WireValue::Array payload;
-  payload.push_back(WireValue(std::move(raw)));
-  return payload;
-}
-}  // namespace
-
 Status KeyServiceClient::UploadJournal(
     const std::vector<JournalEntry>& entries) {
   return rpc()->queue()->Await<Status>(
       [&](auto done) { UploadJournalAsync(entries, std::move(done)); });
 }
 
-// Journal uploads are deferrable catch-up traffic: under overload the
-// service sheds them first and the device simply retries the upload on
-// its next reconnect pass — nothing a user is waiting on.
 void KeyServiceClient::UploadJournalAsync(
     const std::vector<JournalEntry>& entries,
     std::function<void(Status)> done) {
-  CallContext ctx;
-  ctx.priority = RpcPriority::kBackground;
-  router_.CallAsync("key.upload_journal", JournalPayload(entries), ctx,
-                    ThenStatus(std::move(done)));
+  router_.UploadJournalAsync("key.upload_journal", entries, std::move(done));
 }
 
 void KeyServiceClient::DestroyKeyAsync(const AuditId& audit_id,

@@ -1,14 +1,14 @@
 // Client stub for the key service RPC protocol. The Keypad file system (and
 // the paired device's proxy daemon) talk to the key-service tier through
 // the KeyClient interface; this stub implements it against one service
-// (one shard), handling auth framing and (de)marshalling.
+// (one shard), handling (de)marshalling.
 //
-// Replica-aware mode (DESIGN.md §9): routing is delegated to the generic
-// ReplicaRouter — leader hint, NOT_LEADER:<i> redirects from the serve
-// gate, probe-backoff failover cycles under a budget. This stub only
-// contributes the key-tier auth framing and typed (de)marshalling, written
-// once in the async methods: each blocking method is its async twin
-// awaited (DESIGN.md §22).
+// Replica-aware mode (DESIGN.md §9): routing and auth framing are delegated
+// to the generic ReplicaRouter — leader hint, NOT_LEADER:<i> redirects from
+// the serve gate, probe-backoff failover cycles under a budget. This stub
+// only contributes the key tier's typed (de)marshalling, written once in
+// the async methods: each blocking method is its async twin awaited
+// (DESIGN.md §22).
 
 #ifndef SRC_KEYSERVICE_KEY_SERVICE_CLIENT_H_
 #define SRC_KEYSERVICE_KEY_SERVICE_CLIENT_H_
@@ -49,17 +49,14 @@ class KeyServiceClient : public KeyClient {
  public:
   // Single-endpoint stub (one shard, no replicas) — the historical layout.
   KeyServiceClient(RpcClient* rpc, std::string device_id, Bytes device_secret)
-      : device_id_(std::move(device_id)),
-        device_secret_(std::move(device_secret)),
-        router_(rpc, MakeFramer()) {}
+      : router_(rpc, std::move(device_id), std::move(device_secret)) {}
 
   // Replica-set stub: one RpcClient per replica of the same shard, in
   // replica-index order (NOT_LEADER redirects are indices into this list).
   KeyServiceClient(EventQueue* queue, std::vector<RpcClient*> replicas,
                    std::string device_id, Bytes device_secret)
-      : device_id_(std::move(device_id)),
-        device_secret_(std::move(device_secret)),
-        router_(queue, std::move(replicas), MakeFramer()) {}
+      : router_(queue, std::move(replicas), std::move(device_id),
+                std::move(device_secret)) {}
 
   Result<Bytes> CreateKey(const AuditId& audit_id) override;
   Result<Bytes> GetKey(const AuditId& audit_id,
@@ -86,7 +83,9 @@ class KeyServiceClient : public KeyClient {
   void CreateKeyAsync(const AuditId& audit_id,
                       std::function<void(Result<Bytes>)> done) override;
 
-  const std::string& device_id() const override { return device_id_; }
+  const std::string& device_id() const override {
+    return router_.device_id();
+  }
   RpcClient* rpc() const { return router_.rpc(); }
 
   size_t replica_count() const { return router_.replica_count(); }
@@ -97,10 +96,6 @@ class KeyServiceClient : public KeyClient {
   uint64_t redirects() const { return router_.redirects(); }
 
  private:
-  ReplicaRouter::Framer MakeFramer() const;
-
-  std::string device_id_;
-  Bytes device_secret_;
   ReplicaRouter router_;
 };
 

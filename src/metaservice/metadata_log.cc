@@ -2,7 +2,16 @@
 
 #include <iterator>
 
+#include "src/keyservice/auth.h"
+
 namespace keypad {
+
+namespace {
+// Whether `raw` names a MetadataOp: both row decoders check before casting.
+bool IsMetadataOp(int64_t raw) {
+  return raw >= 0 && raw <= static_cast<int64_t>(MetadataOp::kSetAttr);
+}
+}  // namespace
 
 Result<MetadataOp> DecodeJournalMetadataOp(int64_t raw) {
   if (raw < static_cast<int64_t>(MetadataOp::kCreateFile) ||
@@ -59,6 +68,10 @@ Result<MetadataRecord> MetadataRecord::FromWire(const WireValue& value) {
   KP_ASSIGN_OR_RETURN(record.device_id, device.AsString());
   KP_ASSIGN_OR_RETURN(WireValue op, value.Field("op"));
   KP_ASSIGN_OR_RETURN(int64_t op_int, op.AsInt());
+  if (!IsMetadataOp(op_int)) {
+    return DataLossError("metadata log: row with unknown op " +
+                         std::to_string(op_int));
+  }
   record.op = static_cast<MetadataOp>(op_int);
   KP_ASSIGN_OR_RETURN(WireValue audit, value.Field("audit_id"));
   KP_ASSIGN_OR_RETURN(Bytes audit_bytes, audit.AsBytes());
@@ -82,6 +95,36 @@ Result<MetadataRecord> MetadataRecord::FromWire(const WireValue& value) {
   return record;
 }
 
+WireValue MetadataRecord::ToJournalWire() const {
+  WireValue::Struct r;
+  r.emplace("op", WireValue(static_cast<int64_t>(op)));
+  r.emplace("aid", WireValue(audit_id.ToBytes()));
+  r.emplace("did", WireValue(dir_id.ToBytes()));
+  r.emplace("pid", WireValue(parent_dir_id.ToBytes()));
+  r.emplace("name", WireValue(name));
+  r.emplace("ts", WireValue(client_time.nanos()));
+  return WireValue(std::move(r));
+}
+
+Result<MetadataRecord> MetadataRecord::FromJournalWire(const WireValue& value) {
+  MetadataRecord record;
+  KP_ASSIGN_OR_RETURN(WireValue op_v, value.Field("op"));
+  KP_ASSIGN_OR_RETURN(int64_t op_int, op_v.AsInt());
+  KP_ASSIGN_OR_RETURN(record.op, DecodeJournalMetadataOp(op_int));
+  KP_ASSIGN_OR_RETURN(WireValue aid_v, value.Field("aid"));
+  KP_ASSIGN_OR_RETURN(record.audit_id, IdArg<AuditId>(aid_v));
+  KP_ASSIGN_OR_RETURN(WireValue did_v, value.Field("did"));
+  KP_ASSIGN_OR_RETURN(record.dir_id, IdArg<DirId>(did_v));
+  KP_ASSIGN_OR_RETURN(WireValue pid_v, value.Field("pid"));
+  KP_ASSIGN_OR_RETURN(record.parent_dir_id, IdArg<DirId>(pid_v));
+  KP_ASSIGN_OR_RETURN(WireValue name_v, value.Field("name"));
+  KP_ASSIGN_OR_RETURN(record.name, name_v.AsString());
+  KP_ASSIGN_OR_RETURN(WireValue ts_v, value.Field("ts"));
+  KP_ASSIGN_OR_RETURN(int64_t ts_int, ts_v.AsInt());
+  record.client_time = SimTime(ts_int);
+  return record;
+}
+
 void MetadataRecord::AppendFlat(Bytes* out) const {
   AppendU64Be(*out, seq);
   AppendU64Be(*out, static_cast<uint64_t>(timestamp.nanos()));
@@ -102,8 +145,7 @@ bool MetadataRecord::ReadFlat(ByteReader& in, MetadataRecord* record) {
   uint64_t cts = 0;
   uint8_t op = 0;
   if (!in.U64(&record->seq) || !in.U64(&ts) || !in.U64(&cts) ||
-      !in.Str(&record->device_id) || !in.U8(&op) ||
-      op > static_cast<uint8_t>(MetadataOp::kSetAttr) ||
+      !in.Str(&record->device_id) || !in.U8(&op) || !IsMetadataOp(op) ||
       !in.Copy(record->audit_id.v.data(), record->audit_id.v.size()) ||
       !in.Copy(record->dir_id.v.data(), record->dir_id.v.size()) ||
       !in.Copy(record->parent_dir_id.v.data(),

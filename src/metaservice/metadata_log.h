@@ -64,9 +64,15 @@ struct MetadataRecord {
   Seal prev_hash;   // The seal entering this row's commit group.
   Seal entry_hash;  // The group's own seal.
 
-  // Wire form for service snapshots (crash/restart simulation).
+  // Snapshot, delta and cold-segment form; an unknown op is DataLoss.
   WireValue ToWire() const;
   static Result<MetadataRecord> FromWire(const WireValue& value);
+
+  // The meta.upload_journal codec of stub and service (DESIGN.md §32): op,
+  // ids, name and client time; a bad op (DecodeJournalMetadataOp) or id is
+  // refused.
+  WireValue ToJournalWire() const;
+  static Result<MetadataRecord> FromJournalWire(const WireValue& value);
 
   // Flat row for audit.meta_log_tail (DESIGN.md §19): every field above,
   // chain hashes included, big-endian or length-prefixed. ReadFlat fails on

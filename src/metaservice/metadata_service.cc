@@ -319,34 +319,7 @@ void MetadataService::BindRpc(RpcServer* server) {
             EncodeFlatRows(Annotate(device, ids, SimTime(t_loss_ns))));
       });
 
-  Install(server, "meta.upload_journal", true, 1,
-          [this](const std::string& device,
-                 const WireValue::Array& payload) -> Result<WireValue> {
-            KP_ASSIGN_OR_RETURN(WireValue::Array raw, payload[0].AsArray());
-            std::vector<JournalRecord> records;
-            for (const auto& r : raw) {
-              JournalRecord record;
-              KP_ASSIGN_OR_RETURN(WireValue op_v, r.Field("op"));
-              KP_ASSIGN_OR_RETURN(int64_t op_int, op_v.AsInt());
-              KP_ASSIGN_OR_RETURN(record.op, DecodeJournalMetadataOp(op_int));
-              KP_ASSIGN_OR_RETURN(WireValue aid_v, r.Field("aid"));
-              KP_ASSIGN_OR_RETURN(record.audit_id, IdArg<AuditId>(aid_v));
-              KP_ASSIGN_OR_RETURN(WireValue did_v, r.Field("did"));
-              KP_ASSIGN_OR_RETURN(record.dir_id, IdArg<DirId>(did_v));
-              KP_ASSIGN_OR_RETURN(WireValue pid_v, r.Field("pid"));
-              KP_ASSIGN_OR_RETURN(record.parent_dir_id, IdArg<DirId>(pid_v));
-              KP_ASSIGN_OR_RETURN(WireValue name_v, r.Field("name"));
-              KP_ASSIGN_OR_RETURN(record.name, name_v.AsString());
-              KP_ASSIGN_OR_RETURN(WireValue ts_v, r.Field("ts"));
-              KP_ASSIGN_OR_RETURN(int64_t ts_int, ts_v.AsInt());
-              record.client_time = SimTime(ts_int);
-              records.push_back(std::move(record));
-            }
-            KP_RETURN_IF_ERROR(UploadJournal(device, records));
-            return WireValue(true);
-          });
-
-  InstallAuditRpc(server);
+  InstallSharedRpc(server);
 }
 
 }  // namespace keypad

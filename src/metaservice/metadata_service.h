@@ -49,6 +49,7 @@ struct RootChange {
 struct MetaTier {
   using Log = MetadataLog;
   using Change = RootChange;
+  using JournalEntry = MetadataRecord;
   static constexpr const char* kService = "metadata service";
   static constexpr const char* kName = "meta";
   static constexpr const char* kRowsField = "records";
@@ -111,14 +112,14 @@ class MetadataService : public ServiceShell<MetaTier> {
   Status RegisterAttr(const std::string& device_id, const AuditId& audit_id,
                       const std::string& attr);
 
-  // Paired-device journal upload: namespace events recorded on the phone
-  // while disconnected, appended with original client timestamps. Each is
-  // stamped with `device_id`, and only the fields a journal carries (op,
-  // ids, name, client time) reach the log. No IBE keys are returned (the
-  // binding is already in the past).
+  // Paired-device journal upload (meta.upload_journal): namespace events
+  // recorded on the phone while disconnected, appended row by row with
+  // original client timestamps. Each is stamped with `device_id`, and only
+  // the fields a journal carries (op, ids, name, client time) reach the
+  // log. No IBE keys are returned (the binding is already in the past).
   using JournalRecord = MetadataServiceClient::JournalRecord;
   Status UploadJournal(const std::string& device_id,
-                       const std::vector<JournalRecord>& records);
+                       const std::vector<JournalRecord>& records) override;
 
   // --- Audit API. -----------------------------------------------------------
 
@@ -141,7 +142,7 @@ class MetadataService : public ServiceShell<MetaTier> {
                                        SimTime t_loss) const;
 
   // Registers the meta.* methods, audit.annotate and the shell's
-  // audit.meta_* methods on `server`.
+  // meta.upload_journal and audit.meta_* methods on `server`.
   void BindRpc(RpcServer* server);
 
  protected:

@@ -2,18 +2,7 @@
 
 #include <utility>
 
-#include "src/keyservice/auth.h"
-
 namespace keypad {
-
-ReplicaRouter::Framer MetadataServiceClient::MakeFramer() const {
-  // Captures copies so the framer stays valid however the stub is stored.
-  return [device_id = device_id_, device_secret = device_secret_](
-             const std::string& method, WireValue::Array payload) {
-    return FrameAuthedCall(device_id, device_secret, method,
-                           std::move(payload));
-  };
-}
 
 Status MetadataServiceClient::RegisterRoot(const DirId& root_id) {
   return router_.Call("meta.register_root", {WireValue(root_id.ToBytes())})
@@ -78,25 +67,9 @@ void MetadataServiceClient::RenameDirAsync(const DirId& dir_id,
 
 Status MetadataServiceClient::UploadJournal(
     const std::vector<JournalRecord>& records) {
-  WireValue::Array raw;
-  for (const auto& record : records) {
-    WireValue::Struct r;
-    r.emplace("op", WireValue(static_cast<int64_t>(record.op)));
-    r.emplace("aid", WireValue(record.audit_id.ToBytes()));
-    r.emplace("did", WireValue(record.dir_id.ToBytes()));
-    r.emplace("pid", WireValue(record.parent_dir_id.ToBytes()));
-    r.emplace("name", WireValue(record.name));
-    r.emplace("ts", WireValue(record.client_time.nanos()));
-    raw.push_back(WireValue(std::move(r)));
-  }
-  WireValue::Array payload;
-  payload.push_back(WireValue(std::move(raw)));
-  // Journal catch-up is deferrable: under overload the metadata tier
-  // sheds it first and the device re-uploads on its next pass.
-  CallContext ctx;
-  ctx.priority = RpcPriority::kBackground;
-  auto result = router_.Call("meta.upload_journal", std::move(payload), ctx);
-  return result.status();
+  return rpc()->queue()->Await<Status>([&](auto done) {
+    router_.UploadJournalAsync("meta.upload_journal", records, std::move(done));
+  });
 }
 
 }  // namespace keypad

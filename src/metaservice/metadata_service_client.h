@@ -1,11 +1,11 @@
 // Client stub for the metadata service RPC protocol.
 //
-// Replica-aware mode (DESIGN.md §10): routing is delegated to the generic
-// ReplicaRouter — leader hint, NOT_LEADER:<i> redirects from the serve
-// gate, probe-backoff failover cycles under a budget. This stub only
-// contributes the metadata-tier auth framing and typed (de)marshalling,
-// exactly mirroring KeyServiceClient over the key tier. A blocking method
-// with an async twin is that twin awaited (DESIGN.md §22).
+// Replica-aware mode (DESIGN.md §10): routing and auth framing are
+// delegated to the generic ReplicaRouter — leader hint, NOT_LEADER:<i>
+// redirects from the serve gate, probe-backoff failover cycles under a
+// budget. This stub only contributes the metadata tier's typed
+// (de)marshalling, exactly mirroring KeyServiceClient over the key tier. A
+// blocking method with an async twin is that twin awaited (DESIGN.md §22).
 
 #ifndef SRC_METASERVICE_METADATA_SERVICE_CLIENT_H_
 #define SRC_METASERVICE_METADATA_SERVICE_CLIENT_H_
@@ -29,17 +29,14 @@ class MetadataServiceClient {
   // Single-endpoint stub (unreplicated service) — the historical layout.
   MetadataServiceClient(RpcClient* rpc, std::string device_id,
                         Bytes device_secret)
-      : device_id_(std::move(device_id)),
-        device_secret_(std::move(device_secret)),
-        router_(rpc, MakeFramer()) {}
+      : router_(rpc, std::move(device_id), std::move(device_secret)) {}
 
   // Replica-set stub: one RpcClient per metadata replica, in replica-index
   // order (NOT_LEADER redirects are indices into this list).
   MetadataServiceClient(EventQueue* queue, std::vector<RpcClient*> replicas,
                         std::string device_id, Bytes device_secret)
-      : device_id_(std::move(device_id)),
-        device_secret_(std::move(device_secret)),
-        router_(queue, std::move(replicas), MakeFramer()) {}
+      : router_(queue, std::move(replicas), std::move(device_id),
+                std::move(device_secret)) {}
 
   Status RegisterRoot(const DirId& root_id);
 
@@ -67,11 +64,12 @@ class MetadataServiceClient {
   // Paired-device journal upload: namespace events the phone recorded
   // while disconnected, with their original client times. A journal record
   // is a MetadataRecord of which only op, the ids, name and client_time
-  // travel; the service stamps the device and seals it.
+  // travel (MetadataRecord::ToJournalWire); the service stamps the device
+  // and seals it.
   using JournalRecord = MetadataRecord;
   Status UploadJournal(const std::vector<JournalRecord>& records);
 
-  const std::string& device_id() const { return device_id_; }
+  const std::string& device_id() const { return router_.device_id(); }
   RpcClient* rpc() const { return router_.rpc(); }
 
   size_t replica_count() const { return router_.replica_count(); }
@@ -82,10 +80,6 @@ class MetadataServiceClient {
   uint64_t redirects() const { return router_.redirects(); }
 
  private:
-  ReplicaRouter::Framer MakeFramer() const;
-
-  std::string device_id_;
-  Bytes device_secret_;
   ReplicaRouter router_;
 };
 

@@ -3,6 +3,7 @@
 #include <string_view>
 #include <utility>
 
+#include "src/keyservice/auth.h"
 #include "src/replication/lease.h"
 #include "src/replication/replica_set.h"
 
@@ -58,26 +59,16 @@ bool RetryableElsewhere(const Status& status) {
 // staggered promotion across all replicas, an ack timeout of
 // reconciliation traffic, and slack.
 ReplicaRouter::ReplicaRouter(EventQueue* queue,
-                             std::vector<RpcClient*> replicas, Framer framer)
+                             std::vector<RpcClient*> replicas,
+                             std::string device_id, Bytes device_secret)
     : queue_(queue),
-      framer_(std::move(framer)),
+      device_id_(std::move(device_id)),
+      device_secret_(std::move(device_secret)),
       replicas_(std::move(replicas)),
       failover_budget_(
           kLeaseDuration +
           kPromoteStagger * static_cast<int64_t>(replicas_.size()) +
           kAckTimeout + SimDuration::Seconds(2)) {}
-
-Result<WireValue> ReplicaRouter::Call(const std::string& method,
-                                      const WireValue::Array& payload,
-                                      const CallContext& ctx) {
-  if (replicas_.size() == 1 || queue_ == nullptr) {
-    return replicas_[0]->Call(
-        method, framer_(method, WireValue::Array(payload)), ctx);
-  }
-  return queue_->Await<Result<WireValue>>([&](auto done) {
-    CallAsync(method, WireValue::Array(payload), ctx, std::move(done));
-  });
-}
 
 // One logical call across its failover cycles.
 struct ReplicaRouter::AsyncRoute {
@@ -105,8 +96,10 @@ void ReplicaRouter::CallAsync(const std::string& method,
                               const CallContext& ctx,
                               std::function<void(Result<WireValue>)> done) {
   if (replicas_.size() == 1 || queue_ == nullptr) {
-    replicas_[0]->CallAsync(method, framer_(method, std::move(payload)), ctx,
-                            std::move(done));
+    replicas_[0]->CallAsync(method,
+                            FrameAuthedCall(device_id_, device_secret_,
+                                            method, std::move(payload)),
+                            ctx, std::move(done));
     return;
   }
   auto route = std::make_shared<AsyncRoute>();
@@ -125,7 +118,9 @@ void ReplicaRouter::StepAsync(std::shared_ptr<AsyncRoute> route) {
   size_t idx = route->idx;
   replicas_[idx]->CallAsync(
       route->method,
-      framer_(route->method, WireValue::Array(route->payload)), route->ctx,
+      FrameAuthedCall(device_id_, device_secret_, route->method,
+                      route->payload),
+      route->ctx,
       [this, route](Result<WireValue> result) {
         if (result.ok()) {
           leader_hint_ = route->idx;

@@ -11,10 +11,9 @@
 // instead of erroring out. The failover loop is written once, as the
 // CallAsync state machine; the blocking Call awaits it (DESIGN.md §22).
 //
-// Tiers differ only in how a call is framed (which device identity and
-// secret sign the auth tag), so the router takes a framing callback and
-// the typed stubs (KeyServiceClient, MetadataServiceClient) stay thin
-// marshalling shims on top.
+// Every attempt is framed with the device's id and the tier's secret
+// (FrameAuthedCall), so the typed stubs (KeyServiceClient,
+// MetadataServiceClient) stay thin marshalling shims on top.
 
 #ifndef SRC_REPLICATION_FAILOVER_CLIENT_H_
 #define SRC_REPLICATION_FAILOVER_CLIENT_H_
@@ -56,20 +55,15 @@ inline std::function<void(Result<WireValue>)> ThenStatus(
 
 class ReplicaRouter {
  public:
-  // Frames one attempt of `method` around `payload` (auth tag, dedup
-  // frame). Called per attempt: the tag binds the method, not the replica,
-  // so the same payload re-frames cleanly against any of them.
-  using Framer = std::function<WireValue::Array(const std::string& method,
-                                                WireValue::Array payload)>;
-
   // Single-endpoint router (no replicas) — collapses to a plain call.
-  ReplicaRouter(RpcClient* rpc, Framer framer)
-      : framer_(std::move(framer)), replicas_{rpc} {}
+  ReplicaRouter(RpcClient* rpc, std::string device_id, Bytes device_secret)
+      : ReplicaRouter(nullptr, {rpc}, std::move(device_id),
+                      std::move(device_secret)) {}
 
   // Replica-set router: one RpcClient per replica, in replica-index order
   // (NOT_LEADER redirects are indices into this list).
   ReplicaRouter(EventQueue* queue, std::vector<RpcClient*> replicas,
-                Framer framer);
+                std::string device_id, Bytes device_secret);
 
   // Replica-aware asynchronous call: leader hint, NOT_LEADER redirects,
   // failover cycles, paced retries under the failover budget. Collapses to
@@ -84,16 +78,33 @@ class ReplicaRouter {
   void CallAsync(const std::string& method, WireValue::Array payload,
                  const CallContext& ctx,
                  std::function<void(Result<WireValue>)> done);
-  // Virtually-blocking call: CallAsync awaited (DESIGN.md §22), or the one
-  // replica's blocking call in single-endpoint mode.
-  Result<WireValue> Call(const std::string& method,
-                         const WireValue::Array& payload) {
-    return Call(method, payload, CallContext{});
-  }
+  // Virtually-blocking call: CallAsync awaited (DESIGN.md §22).
   Result<WireValue> Call(const std::string& method,
                          const WireValue::Array& payload,
-                         const CallContext& ctx);
+                         const CallContext& ctx = {}) {
+    return rpc()->queue()->Await<Result<WireValue>>([&](auto done) {
+      CallAsync(method, WireValue::Array(payload), ctx, std::move(done));
+    });
+  }
 
+  // Both tiers' journal upload (DESIGN.md §32): one array of
+  // Entry::ToJournalWire, status only, at background priority — catch-up
+  // an overloaded service sheds first and the device re-sends later.
+  template <typename Entry>
+  void UploadJournalAsync(const std::string& method,
+                          const std::vector<Entry>& entries,
+                          std::function<void(Status)> done) {
+    WireValue::Array raw;
+    for (const Entry& entry : entries) {
+      raw.push_back(entry.ToJournalWire());
+    }
+    CallContext ctx;
+    ctx.priority = RpcPriority::kBackground;
+    CallAsync(method, {WireValue(std::move(raw))}, ctx,
+              ThenStatus(std::move(done)));
+  }
+
+  const std::string& device_id() const { return device_id_; }
   RpcClient* rpc() const { return replicas_.front(); }
   size_t replica_count() const { return replicas_.size(); }
   size_t leader_hint() const { return leader_hint_; }
@@ -112,7 +123,8 @@ class ReplicaRouter {
   void StepAsync(std::shared_ptr<AsyncRoute> route);
 
   EventQueue* queue_ = nullptr;
-  Framer framer_;
+  std::string device_id_;
+  Bytes device_secret_;
   std::vector<RpcClient*> replicas_;
   size_t leader_hint_ = 0;
   // How long one call rides out a leader failover before giving up.

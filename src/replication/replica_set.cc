@@ -50,8 +50,7 @@ void ReplicaSetEngine::AddReplica(ReplicatedStateMachine* machine,
     if (is_leader(i)) {
       return Status::Ok();
     }
-    return FailedPreconditionError(
-        "NOT_LEADER:" + std::to_string(replicas_[i]->view_leader));
+    return NotLeader(i);
   });
   machine->InstallReplicator(
       [this, i](WireValue delta, size_t entry_count,
@@ -144,6 +143,15 @@ size_t ReplicaSetEngine::current_leader() const {
     }
   }
   return best ? best->index : 0;
+}
+
+Status ReplicaSetEngine::NotLeader(size_t i) const {
+  size_t leader = replicas_[i]->view_leader;
+  if (leader == i) {
+    leader = current_leader();
+  }
+  return FailedPreconditionError(
+      leader == i ? "NOT_LEADER:" : "NOT_LEADER:" + std::to_string(leader));
 }
 
 SimTime ReplicaSetEngine::lease_expiry(size_t i) const {
@@ -246,8 +254,7 @@ void ReplicaSetEngine::RegisterHandlers(size_t i) {
         size_t from = static_cast<size_t>(from_int);
         Replica& replica = *replicas_[i];
         if (!is_leader(i)) {
-          return FailedPreconditionError(
-              "NOT_LEADER:" + std::to_string(replica.view_leader));
+          return NotLeader(i);
         }
         uint64_t tail = static_cast<uint64_t>(size_int);
         if (tail < replica.machine->ShippedSeq() ||

@@ -214,6 +214,10 @@ class ReplicaSetEngine {
   };
   static bool ClaimWins(const Claim& a, const Claim& b);
   Claim ClaimOf(size_t i) const;
+  // "NOT_LEADER:<j>", replica i's refusal of a leader-only call, naming
+  // the leader it follows, or, while it rejoins, current_leader() (no <j>
+  // when that is i itself).
+  Status NotLeader(size_t i) const;
 
   // Truncation anchor for replica i: min chain length acknowledged across
   // every peer (own LogSize when sole replica; 0 until Start()).

@@ -6,16 +6,17 @@
 // secrets, an authenticated RPC binder whose responses can be held until
 // the log (and, replicated, every in-sync backup) has the rows that
 // justify them, delta staging for the replica set, a snapshot/restore of
-// the log lifecycle, and the three audit.<tier>_* handlers a remote
-// auditor reads. ServiceShell<Tier> owns all of it; a tier derives from
-// it and adds its own state (keys, or roots and the PKG) through a few
-// hooks. The shell never branches on which tier it serves: tier text
-// (error prefixes, the segment/audit-method tier name, delta field names)
-// comes from Tier's constants.
+// the log lifecycle, the <tier>.upload_journal verb, and the three
+// audit.<tier>_* handlers a remote auditor reads. ServiceShell<Tier> owns
+// all of it; a tier derives from it and adds its own state (keys, or roots
+// and the PKG) through a few hooks. The shell never branches on which tier
+// it serves: tier text (error prefixes, the segment/audit-method tier
+// name, delta field names) comes from Tier's constants.
 //
 // A Tier provides:
 //   using Log = ...;     // a SegmentedLog adapter
 //   using Change = ...;  // one tier-state mutation, with ToWire/FromWire
+//   using JournalEntry = ...;  // with ToJournalWire/FromJournalWire
 //   static constexpr const char* kService;       // "key service"
 //   static constexpr const char* kName;          // "key" (segments, audit.*)
 //   static constexpr const char* kRowsField;     // delta field for log rows
@@ -130,6 +131,7 @@ class ServiceShell {
   using Log = typename Tier::Log;
   using Row = typename Log::Entry;
   using Change = typename Tier::Change;
+  using JournalEntry = typename Tier::JournalEntry;
   using Delta = ReplDelta<Tier>;
   // Hands a sealed delta to the replica set; `done` releases the held
   // responses once every in-sync backup acknowledged it.
@@ -272,8 +274,9 @@ class ServiceShell {
   template <typename Fn>
   void Install(RpcServer* server, const std::string& method, bool gated,
                size_t arity, Fn fn);
-  // The audit.<tier>_log_tail / _checkpoints / _log_segment methods.
-  void InstallAuditRpc(RpcServer* server);
+  // The methods every tier serves alike: <tier>.upload_journal and the
+  // audit.<tier>_log_tail / _checkpoints / _log_segment methods.
+  void InstallSharedRpc(RpcServer* server);
 
   // kPermissionDenied unless `device_id` is registered and enabled.
   Status RequireEnabledDevice(const std::string& device_id) const {
@@ -306,6 +309,10 @@ class ServiceShell {
   // A device was disabled or re-enabled (admin path or replicated delta).
   virtual void OnDeviceFlag(const std::string& /*device_id*/,
                             bool /*disabled*/) {}
+  // Logs an uploaded journal (<tier>.upload_journal, DESIGN.md §32) with
+  // its original client times, in the tier's own commit grouping.
+  virtual Status UploadJournal(const std::string& device_id,
+                               const std::vector<JournalEntry>& entries) = 0;
   // Backup side of NoteChange.
   virtual void ApplyChanges(const std::vector<Change>& changes) = 0;
   // Adds the tier's fields to a snapshot, and parses them back: ParseState
@@ -590,15 +597,18 @@ void ServiceShell<Tier>::Install(RpcServer* server, const std::string& method,
   RpcServer::Handler body = [this, method, arity,
                              fn](const WireValue::Array& params)
       -> Result<WireValue> {
-    KP_ASSIGN_OR_RETURN(AuthedCall call, SplitAuthedCall(params));
-    auto it = devices_.find(call.device_id);
-    if (it == devices_.end()) {
-      return PermissionDeniedError(Error("unregistered device"));
-    }
-    KP_RETURN_IF_ERROR(VerifyAuthTag(it->second.secret, method, call));
-    if (call.payload.size() != arity) {
-      return InvalidArgumentError(method + ": bad arity");
-    }
+    KP_ASSIGN_OR_RETURN(
+        AuthedCall call,
+        CheckAuthedCall(params, method, arity,
+                        [this](const std::string& device_id)
+                            -> Result<const Bytes*> {
+                          auto it = devices_.find(device_id);
+                          if (it == devices_.end()) {
+                            return PermissionDeniedError(
+                                Error("unregistered device"));
+                          }
+                          return &it->second.secret;
+                        }));
     return fn(call.device_id, call.payload);
   };
   if (commit_window_ > SimDuration() || replicated()) {
@@ -632,7 +642,23 @@ void ServiceShell<Tier>::Install(RpcServer* server, const std::string& method,
 }
 
 template <typename Tier>
-void ServiceShell<Tier>::InstallAuditRpc(RpcServer* server) {
+void ServiceShell<Tier>::InstallSharedRpc(RpcServer* server) {
+  // The paired phone's journal (DESIGN.md §32): every entry is decoded, so
+  // one bad op or id refuses the upload, before the tier logs any.
+  Install(server, std::string(Tier::kName) + ".upload_journal", true, 1,
+          [this](const std::string& device,
+                 const WireValue::Array& payload) -> Result<WireValue> {
+            KP_ASSIGN_OR_RETURN(WireValue::Array raw, payload[0].AsArray());
+            std::vector<JournalEntry> entries;
+            for (const auto& item : raw) {
+              KP_ASSIGN_OR_RETURN(JournalEntry entry,
+                                  JournalEntry::FromJournalWire(item));
+              entries.push_back(std::move(entry));
+            }
+            KP_RETURN_IF_ERROR(UploadJournal(device, entries));
+            return WireValue(true);
+          });
+
   // Authenticated with the device secret: whoever can audit a device can
   // already act for it administratively in this model.
   const std::string prefix = std::string("audit.") + Tier::kName;
